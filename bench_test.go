@@ -316,8 +316,8 @@ func BenchmarkServerColdKNN(b *testing.B) {
 // BenchmarkServerExecuteParallel measures the concurrent serving path: many
 // goroutines (one simulated client each) issuing mixed range/kNN requests
 // against one shared Server. Run with -cpu 1,4 to see the multi-core
-// scaling of the shared read lock, sharded client state, and lazily built
-// partition forest:
+// scaling of the lock-free snapshot pin, sharded client state, and the
+// partition-tree page table:
 //
 //	go test -bench BenchmarkServerExecuteParallel -cpu 1,4 .
 func BenchmarkServerExecuteParallel(b *testing.B) {
@@ -337,7 +337,7 @@ func BenchmarkServerExecuteParallel(b *testing.B) {
 			pool[i] = query.NewKNN(p, 5)
 		}
 	}
-	// Warm the partition forest so lazy builds don't dominate short runs.
+	// Warm the pools so first-use allocations don't dominate short runs.
 	for i := 0; i < 64; i++ {
 		srv.Execute(&wire.Request{Client: 1, Q: pool[i]})
 	}
@@ -357,13 +357,13 @@ func BenchmarkServerExecuteParallel(b *testing.B) {
 }
 
 // --------------------------------------------------------------------------
-// Warm serving hot path: one server, forest and pools warm, repeated
+// Warm serving hot path: one server, page table and pools warm, repeated
 // Execute calls. These are the allocation-budget benchmarks tracked by
 // scripts/bench.sh / BENCH_*.json; docs/PERF.md documents the per-request
 // allocation ceiling they enforce.
 
 // warmServer builds a server over the bench environment and runs a few
-// queries so lazy structures (partition forest, pools) are warm.
+// queries so the pools are warm.
 func warmServer(b *testing.B) *server.Server {
 	env := benchEnvironment()
 	srv := server.New(env.Tree, env.DS.SizeOf, server.Config{})
@@ -419,8 +419,8 @@ func BenchmarkWarmJoinExecute(b *testing.B) {
 	}))
 }
 
-// BenchmarkAPROBuild isolates the supporting-index construction (partition
-// forest navigation + cut assembly) that rides on every indexed response:
+// BenchmarkAPROBuild isolates the supporting-index construction (packed-page
+// navigation + cut assembly) that rides on every indexed response:
 // the remainder query resumes from a handed-over H instead of the root, so
 // the engine does little work and index building dominates.
 func BenchmarkAPROBuild(b *testing.B) {
@@ -452,7 +452,7 @@ func BenchmarkAPROBuild(b *testing.B) {
 // snapshots lock-free and never wait for the writer.
 
 // benchMutableServer builds a private server plus a churn flock the update
-// stream moves around, warmed so pools, forest, and writer buffers are hot.
+// stream moves around, warmed so pools, page table, and writer buffers are hot.
 func benchMutableServer(b *testing.B, churn int) (*server.Server, []geom.Rect, []wire.UpdateOp) {
 	b.Helper()
 	r := rand.New(rand.NewSource(55))

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -137,7 +136,15 @@ func (c Cut) Contains(code Code) bool {
 
 // FullCut returns the finest cut: every leaf position (the paper's full form).
 func (t *Tree) FullCut() Cut {
-	return t.FullCutInto(nil)
+	return appendLeafCodes(nil, t.Root)
+}
+
+func appendLeafCodes(dst Cut, p *PNode) Cut {
+	if p.Leaf() {
+		return append(dst, p.Code)
+	}
+	dst = appendLeafCodes(dst, p.Left)
+	return appendLeafCodes(dst, p.Right)
 }
 
 // RootCut returns the coarsest cut: the root alone (the whole node as one
@@ -168,68 +175,19 @@ func MergeCuts(a, b Cut) Cut {
 
 // ExpandCut refines each cut element by up to d further levels of the
 // partition tree — the paper's d+-level compact form. d = 0 returns the cut
-// unchanged; d >= Height from any element reaches the real entries.
+// unchanged; d >= Height from any element reaches the real entries. The cut
+// may be in any order; the result is sorted.
 func (t *Tree) ExpandCut(cut Cut, d int) Cut {
 	if d <= 0 {
 		return append(Cut(nil), cut...)
 	}
-	// Normalize because, unlike ExpandCutInto, this entry point accepts an
-	// arbitrarily ordered cut.
-	return t.ExpandCutInto(nil, cut, d).normalize()
-}
-
-// --------------------------------------------------------------------------
-// Scratch-buffer cut construction. The serving hot path builds one cut per
-// visited node per request; the *Into variants append into a caller-owned
-// buffer instead of allocating, and skip normalization: a left-to-right
-// depth-first walk of the partition tree emits codes in lexicographic order
-// already (for an antichain, order is decided before any extension), so the
-// result equals the normalized form of the allocating methods.
-
-// FullCutInto appends the finest cut (every leaf position) to dst and
-// returns it. The result is sorted; dst's contents are preserved.
-func (t *Tree) FullCutInto(dst Cut) Cut {
-	return appendLeafCodes(dst, t.Root)
-}
-
-func appendLeafCodes(dst Cut, p *PNode) Cut {
-	if p.Leaf() {
-		return append(dst, p.Code)
-	}
-	dst = appendLeafCodes(dst, p.Left)
-	return appendLeafCodes(dst, p.Right)
-}
-
-// FrontierInto is Frontier appending into dst; the result is sorted.
-func (t *Tree) FrontierInto(dst Cut, expanded map[Code]bool) Cut {
-	if len(expanded) == 0 || !expanded[t.Root.Code] {
-		return append(dst, t.Root.Code)
-	}
-	return appendFrontier(dst, t.Root, expanded)
-}
-
-func appendFrontier(dst Cut, p *PNode, expanded map[Code]bool) Cut {
-	if !p.Leaf() && expanded[p.Code] {
-		dst = appendFrontier(dst, p.Left, expanded)
-		return appendFrontier(dst, p.Right, expanded)
-	}
-	return append(dst, p.Code)
-}
-
-// ExpandCutInto is ExpandCut appending into dst. cut must be a sorted
-// antichain (every Cut this package produces is); the result is sorted.
-func (t *Tree) ExpandCutInto(dst Cut, cut Cut, d int) Cut {
-	if d <= 0 {
-		return append(dst, cut...)
-	}
+	var out Cut
 	for _, code := range cut {
-		p, ok := t.byCode[code]
-		if !ok {
-			continue
+		if p, ok := t.byCode[code]; ok {
+			out = appendDescend(out, p, d)
 		}
-		dst = appendDescend(dst, p, d)
 	}
-	return dst
+	return out.normalize()
 }
 
 func appendDescend(dst Cut, p *PNode, depth int) Cut {
@@ -243,9 +201,23 @@ func appendDescend(dst Cut, p *PNode, depth int) Cut {
 // Frontier derives the normal compact form from the set of positions a query
 // expanded (popped and replaced by their children). The root counts as
 // expanded whenever the set is non-empty; an empty set yields the root cut.
-// Leaf positions are always frontier elements of their branch.
+// Leaf positions are always frontier elements of their branch. A
+// left-to-right depth-first walk emits codes in lexicographic order already
+// (for an antichain, order is decided before any extension), so the result
+// is sorted without normalizing.
 func (t *Tree) Frontier(expanded map[Code]bool) Cut {
-	return t.FrontierInto(nil, expanded)
+	if len(expanded) == 0 || !expanded[t.Root.Code] {
+		return Cut{t.Root.Code}
+	}
+	return appendFrontier(nil, t.Root, expanded)
+}
+
+func appendFrontier(dst Cut, p *PNode, expanded map[Code]bool) Cut {
+	if !p.Leaf() && expanded[p.Code] {
+		dst = appendFrontier(dst, p.Left, expanded)
+		return appendFrontier(dst, p.Right, expanded)
+	}
+	return append(dst, p.Code)
 }
 
 // PartialFrontier generalizes Frontier to expansion sets that do not start
@@ -302,64 +274,3 @@ func (t *Tree) ValidateCut(cut Cut) error {
 
 // Size returns the number of positions (2N-1 for N entries).
 func (t *Tree) Size() int { return len(t.byCode) }
-
-// Forest lazily builds and caches partition trees for the nodes of an R-tree.
-// It is safe for concurrent use: any number of goroutines may call Get while
-// others Invalidate. Callers must still ensure the R-tree nodes themselves
-// are not mutated while a Get is in flight (the server does this with its
-// index RWMutex); call Invalidate after any structural mutation of a node.
-type Forest struct {
-	mu    sync.RWMutex
-	trees map[rtree.NodeID]*Tree
-}
-
-// NewForest returns an empty forest.
-func NewForest() *Forest {
-	return &Forest{trees: make(map[rtree.NodeID]*Tree)}
-}
-
-// Get returns the partition tree for node n, building it on first use. Two
-// goroutines racing on a cold node may both build; one result wins and the
-// other is dropped — partition trees for the same entries are equivalent.
-func (f *Forest) Get(n *rtree.Node) *Tree {
-	f.mu.RLock()
-	t, ok := f.trees[n.ID]
-	f.mu.RUnlock()
-	if ok && t.Root.Count == len(n.Entries) {
-		return t
-	}
-	built := Build(n.ID, n.Entries)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if t, ok := f.trees[n.ID]; ok && t.Root.Count == len(n.Entries) {
-		return t
-	}
-	f.trees[n.ID] = built
-	return built
-}
-
-// Invalidate drops the cached tree for a node after its entries changed.
-func (f *Forest) Invalidate(id rtree.NodeID) {
-	f.mu.Lock()
-	delete(f.trees, id)
-	f.mu.Unlock()
-}
-
-// Len returns the number of cached partition trees.
-func (f *Forest) Len() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.trees)
-}
-
-// TotalPositions sums Size over all cached trees (the paper's "no more than
-// two times the R-tree index" space bound, §4.2).
-func (f *Forest) TotalPositions() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	total := 0
-	for _, t := range f.trees {
-		total += t.Size()
-	}
-	return total
-}

@@ -355,7 +355,11 @@ func TestQuickPartialFrontier(t *testing.T) {
 	}
 }
 
-func TestForest(t *testing.T) {
+// TestSpaceBound pins the paper's §4.2 space bound — the partition trees take
+// "no more than two times the R-tree index" — on both forms the codebase
+// keeps: the reference Tree and the packed page the shard serves from hold
+// exactly 2E-1 positions for a node of E entries.
+func TestSpaceBound(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	items := make([]rtree.Item, 300)
 	for i := range items {
@@ -365,29 +369,23 @@ func TestForest(t *testing.T) {
 		}
 	}
 	tr := rtree.BulkLoad(rtree.Params{MaxEntries: 16}, items, 0.7)
-	f := NewForest()
+	totalEntries, totalPositions := 0, 0
 	tr.Nodes(func(n *rtree.Node) bool {
-		pt := f.Get(n)
-		if pt.Root.Count != len(n.Entries) {
-			t.Fatalf("node %d: partition count %d != %d", n.ID, pt.Root.Count, len(n.Entries))
+		pt := Build(n.ID, n.Entries)
+		if pt.Root.Count != len(n.Entries) || pt.Size() != 2*len(n.Entries)-1 {
+			t.Fatalf("node %d: %d entries, partition count %d, size %d",
+				n.ID, len(n.Entries), pt.Root.Count, pt.Size())
 		}
-		// Second Get hits the cache.
-		if f.Get(n) != pt {
-			t.Fatal("forest did not cache")
-		}
+		totalEntries += len(n.Entries)
+		totalPositions += pt.Size()
 		return true
 	})
-	if f.Len() != tr.NodeCount() {
-		t.Errorf("forest len %d, want %d", f.Len(), tr.NodeCount())
+	if totalPositions > 2*totalEntries {
+		t.Errorf("positions %d exceed 2x entries %d", totalPositions, totalEntries)
 	}
-	// Paper bound: partition positions <= 2x entries (2N-1 per node).
-	totalEntries := 0
-	tr.Nodes(func(n *rtree.Node) bool { totalEntries += len(n.Entries); return true })
-	if f.TotalPositions() > 2*totalEntries {
-		t.Errorf("positions %d exceed 2x entries %d", f.TotalPositions(), totalEntries)
-	}
-	f.Invalidate(tr.Root())
-	if f.Len() != tr.NodeCount()-1 {
-		t.Error("invalidate did not drop")
+	pk := rtree.Pack(tr)
+	if pk.NodeCount() != tr.NodeCount() || pk.Positions() != totalPositions {
+		t.Errorf("packed table: %d pages, %d positions; want %d, %d",
+			pk.NodeCount(), pk.Positions(), tr.NodeCount(), totalPositions)
 	}
 }

@@ -3,18 +3,19 @@ package bpt
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
 
-// TestIntoVariantsMatchAllocating pins the contract the serving hot path
-// relies on: the scratch-buffer cut builders emit exactly the cuts of the
-// allocating methods — a left-to-right DFS already yields the normalized
-// (sorted, deduplicated) order, so skipping normalize must never change a
-// response.
-func TestIntoVariantsMatchAllocating(t *testing.T) {
+// TestCutsComeOutSorted pins the contract every consumer of a Cut relies on
+// (Contains' binary search, MergeCuts' look-ahead, the wire's element order):
+// FullCut and Frontier emit their left-to-right depth-first walk as is, and
+// that is already the normalized (sorted, deduplicated) order; ExpandCut
+// accepts its cut in any order and sorts.
+func TestCutsComeOutSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + r.Intn(40)
@@ -25,11 +26,12 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 		pt := Build(1, entries)
 
-		if got, want := pt.FullCutInto(nil), pt.FullCut(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: FullCutInto %v != FullCut %v", trial, got, want)
+		full := pt.FullCut()
+		if want := slices.Clone(full).normalize(); !reflect.DeepEqual(full, want) {
+			t.Fatalf("trial %d: FullCut %v is not normalized (%v)", trial, full, want)
 		}
 
-		// Random upward-closed expansion set, the shape markExpanded builds.
+		// Random upward-closed expansion set, the shape the server builds.
 		expanded := map[Code]bool{}
 		var descend func(p *PNode)
 		descend = func(p *PNode) {
@@ -43,13 +45,24 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		descend(pt.Root)
 
 		frontier := pt.Frontier(expanded)
-		if got := pt.FrontierInto(nil, expanded); !reflect.DeepEqual(got, frontier) {
-			t.Fatalf("trial %d: FrontierInto %v != Frontier %v (expanded %v)", trial, got, frontier, expanded)
+		if want := slices.Clone(frontier).normalize(); !reflect.DeepEqual(frontier, want) {
+			t.Fatalf("trial %d: Frontier %v is not normalized (expanded %v)", trial, frontier, expanded)
 		}
+		shuffled := slices.Clone(frontier)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		for d := 0; d <= 3; d++ {
-			want := pt.ExpandCut(frontier, d)
-			if got := pt.ExpandCutInto(nil, frontier, d); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d d=%d: ExpandCutInto %v != ExpandCut %v", trial, d, got, want)
+			refined := pt.ExpandCut(frontier, d)
+			if err := pt.ValidateCut(refined); err != nil {
+				t.Fatalf("trial %d d=%d: %v", trial, d, err)
+			}
+			if d == 0 {
+				continue // d = 0 hands the cut back in the order given
+			}
+			if want := slices.Clone(refined).normalize(); !reflect.DeepEqual(refined, want) {
+				t.Fatalf("trial %d d=%d: ExpandCut %v is not normalized", trial, d, refined)
+			}
+			if got := pt.ExpandCut(shuffled, d); !reflect.DeepEqual(got, refined) {
+				t.Fatalf("trial %d d=%d: ExpandCut of a shuffled cut %v != %v", trial, d, got, refined)
 			}
 		}
 	}

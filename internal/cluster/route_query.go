@@ -549,6 +549,16 @@ func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Respons
 				Epoch:     st.baseVec[sh],
 				H:         []query.QueuedElem{{Elem: query.Single(ref)}},
 			}
+			if st.selfSeed[sh] || len(st.subH[sh]) > 0 {
+				// The shard also gets a primary sub-query carrying the
+				// client's feedback, and the wave runs both at once. With
+				// the report on both, whichever the shard sees first folds
+				// it in and the other finds it folded (a repeated report
+				// changes nothing), so the scan's cuts are refined at the
+				// post-feedback d whatever the scheduling — without it the
+				// shipped cut depended on which goroutine ran first.
+				it.req.FMR, it.req.HasFMR = req.FMR, req.HasFMR
+			}
 		}
 	}
 	if len(st.wave) == 0 {

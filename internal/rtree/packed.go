@@ -2,37 +2,50 @@ package rtree
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
 
-// Packed is a read-optimized, pointer-free image of a tree: for every live
-// node it flattens the node's binary partition tree (the same deterministic
-// recursive R*-split used by bpt.Build) into contiguous global arrays laid
-// out for traversal speed:
+// Packed is the page table of a tree's partition-tree representation — the
+// only form the shard server reads. Every NodeID has a slot; a slot holds the
+// immutable packed Page built from one generation of that node:
 //
-//	heads  [NodeID]      → {gen, level, off, count}     (count 0 = not covered)
-//	planes minX..maxY    → float32 MBRs, rounded outward (branchless prefilter)
-//	rects  []geom.Rect   → exact float64 MBRs (result and key construction)
-//	right  []int32       → preorder topology: left child = i+1, right = right[i],
-//	                       0 = leaf (index 0 is always a root, never a right child)
-//	parent []int32       → ancestor closure for frontier marking, -1 at roots
-//	codes  []string      → prebuilt partition codes ("", "0", "01", ...)
-//	child  []NodeID      → leaf position: child node (InvalidNode for objects)
-//	obj    []ObjectID    → leaf position: object id
+//	slots [NodeID] ──atomic──▶ Page{gen, planes, rects, right, parent, codes, child, obj}
+//	                 nil         never built (or dropped by Grow's lost CAS)
+//	                 retired     the node was deleted; readers build and drop
 //
-// Every per-position array is indexed by the same global position index; a
-// node's positions occupy the contiguous range [off, off+count) in preorder
-// (root first, left subtree, then right subtree), which is also lexicographic
-// code order.
+//	builds  Pack/Repack (every live node, eagerly, into a fresh table); the
+//	        writer's post-publish prewarm and any reader that misses (Page,
+//	        publishing by CAS)
+//	clears  the writer, when a publish group freed the node (Retire)
 //
-// A Packed image is immutable and keyed by page generation: position data for
-// (id, gen) is valid against any snapshot whose node id carries the same gen,
-// because a (NodeID, Gen) pair names immutable page content (the arena
-// contract). Nodes touched after the image was built simply miss the gen
-// check and fall back to the arena tree — they are the un-packed delta.
+// A (NodeID, Gen) pair names immutable node content (the arena contract), so
+// one table serves readers pinned to different snapshots: a lookup is an
+// atomic load and a generation compare, and the newest generation wins the
+// slot. NodeIDs are never reused, so a slot never changes owner.
 type Packed struct {
-	heads []packedHead
+	slots []atomic.Pointer[Page]
+}
+
+// Page is the binary partition tree of one node (Section 4.2: the same
+// deterministic recursive R*-split bpt.Build runs, so topology, codes and
+// exact MBRs agree with it bit for bit) flattened into parallel arrays
+// indexed by position, laid out for traversal speed:
+//
+//	planes minX..maxY → float32 MBRs, rounded outward (branchless prefilter)
+//	rects  []geom.Rect → exact float64 MBRs (result and key construction)
+//	right  []int32     → preorder topology: left child = i+1, right = right[i],
+//	                     0 = leaf (position 0 is the root, never a right child)
+//	parent []int32     → ancestor closure for frontier marking, -1 at the root
+//	codes  []string    → interned partition codes ("", "0", "01", ...)
+//	child  []NodeID    → leaf position: child node (InvalidNode for objects)
+//	obj    []ObjectID  → leaf position: object id
+//
+// A node with E entries has 2E-1 positions in preorder (root first, left
+// subtree, then right subtree), which is also lexicographic code order.
+type Page struct {
+	gen uint32
 
 	minX, minY, maxX, maxY []float32
 	rects                  []geom.Rect
@@ -43,170 +56,178 @@ type Packed struct {
 	obj                    []ObjectID
 }
 
-// packedHead locates one node's positions inside the global arrays.
-type packedHead struct {
-	gen   uint32
-	level int32
-	off   int32
-	count int32
-}
+// retiredPage marks the slot of a deleted node. Only a reader still pinned to
+// a snapshot from before the deletion can reach such a slot; it builds its
+// page, uses it once and drops it, so nothing is cached for a dead id.
+var retiredPage = new(Page)
 
-// PackedSpan addresses one node's position range inside a Packed image.
-type PackedSpan struct {
-	Off   int32
-	Count int32
-}
-
-// Pack builds the packed image of every live, non-empty node of t. The tree
-// must not be mutated during the call (pack from a pinned snapshot). Position
-// topology, codes, and exact MBRs reproduce bpt.Build bit-for-bit: the same
-// split algorithm runs over the same entry lists, so a cut emitted from the
-// packed image is byte-identical to one emitted from the partition forest.
+// Pack builds the table with the page of every live, non-empty node of t.
+// The tree must not be mutated during the call.
 func Pack(t *Tree) *Packed { return Repack(t, nil) }
 
-// Repack builds a fresh packed image of t, reusing prev where it can: a node
-// whose (ID, Gen) is still covered by prev has byte-identical position data,
-// so its span is copied (memcpy plus an index rebase) instead of re-split.
-// With the default repack threshold at most a quarter of the pages are stale,
-// so a steady-state repack does O(delta) split work plus O(total) copying —
-// the difference keeps repack cost off the writer's update throughput.
-// Passing a nil prev rebuilds everything.
+// Repack builds a fresh table for t that shares prev's page for every node
+// whose (ID, Gen) is unchanged and builds the rest; pages are immutable, so
+// sharing is a pointer copy. A nil prev builds everything.
 func Repack(t *Tree, prev *Packed) *Packed {
-	p := &Packed{heads: make([]packedHead, t.NodeSpan())}
-
-	// Size the arrays up front: a node with E entries has 2E-1 positions.
-	total := 0
-	t.Nodes(func(n *Node) bool {
-		if len(n.Entries) > 0 {
-			total += 2*len(n.Entries) - 1
-		}
-		return true
-	})
-	p.minX = make([]float32, 0, total)
-	p.minY = make([]float32, 0, total)
-	p.maxX = make([]float32, 0, total)
-	p.maxY = make([]float32, 0, total)
-	p.rects = make([]geom.Rect, 0, total)
-	p.right = make([]int32, 0, total)
-	p.parent = make([]int32, 0, total)
-	p.codes = make([]string, 0, total)
-	p.child = make([]NodeID, 0, total)
-	p.obj = make([]ObjectID, 0, total)
-
-	pk := packer{p: p}
+	p := &Packed{slots: make([]atomic.Pointer[Page], t.NodeSpan())}
+	var b pageBuilder
 	t.Nodes(func(n *Node) bool {
 		if len(n.Entries) == 0 {
 			return true
 		}
-		off := int32(len(p.rects))
-		if sp, ok := coveredBy(prev, n.ID, n.Gen); ok {
-			copySpan(p, prev, sp)
-		} else {
-			if cap(pk.work) < len(n.Entries) {
-				pk.work = make([]Entry, 0, len(n.Entries)*2)
-				pk.scratch = NewSplitScratch(cap(pk.work))
-			}
-			pk.work = append(pk.work[:0], n.Entries...)
-			pk.code = pk.code[:0]
-			pk.build(pk.work, -1)
+		pg := prev.cached(n)
+		if pg == nil {
+			pg = b.build(n)
 		}
-		p.heads[n.ID] = packedHead{
-			gen:   n.Gen,
-			level: int32(n.Level),
-			off:   off,
-			count: int32(len(p.rects)) - off,
-		}
+		p.slots[n.ID].Store(pg)
 		return true
 	})
 	return p
 }
 
-// coveredBy is Covers with a nil-image guard for the full-rebuild path.
-func coveredBy(prev *Packed, id NodeID, gen uint32) (PackedSpan, bool) {
-	if prev == nil {
-		return PackedSpan{}, false
+// cached returns the slot's page when it holds n's current content.
+func (p *Packed) cached(n *Node) *Page {
+	if p == nil || int(n.ID) >= len(p.slots) {
+		return nil
 	}
-	return prev.Covers(id, gen)
+	if pg := p.slots[n.ID].Load(); pg != nil && pg != retiredPage && pg.gen == n.Gen {
+		return pg
+	}
+	return nil
 }
 
-// copySpan appends one node's positions from prev to the image under
-// construction. Within a span every right/parent index points inside the same
-// span (each node's partition tree is self-contained), so rebasing by the
-// offset delta is the only fixup; the right-child leaf sentinel 0 and the
-// parent root sentinel -1 are preserved as-is. Code strings are interned, so
-// copying them shares storage rather than duplicating it.
-func copySpan(p *Packed, prev *Packed, sp PackedSpan) {
-	delta := int32(len(p.rects)) - sp.Off
-	end := sp.Off + sp.Count
-	p.minX = append(p.minX, prev.minX[sp.Off:end]...)
-	p.minY = append(p.minY, prev.minY[sp.Off:end]...)
-	p.maxX = append(p.maxX, prev.maxX[sp.Off:end]...)
-	p.maxY = append(p.maxY, prev.maxY[sp.Off:end]...)
-	p.rects = append(p.rects, prev.rects[sp.Off:end]...)
-	p.codes = append(p.codes, prev.codes[sp.Off:end]...)
-	p.child = append(p.child, prev.child[sp.Off:end]...)
-	p.obj = append(p.obj, prev.obj[sp.Off:end]...)
-	for i := sp.Off; i < end; i++ {
-		r := prev.right[i]
-		if r != 0 {
-			r += delta
-		}
-		p.right = append(p.right, r)
-		pa := prev.parent[i]
-		if pa >= 0 {
-			pa += delta
-		}
-		p.parent = append(p.parent, pa)
+// Page returns the packed page of the non-empty node n, building it when the
+// slot is empty or holds another generation. A build for newer content than
+// the slot's is published for later readers with a CAS; a build for older
+// content (a reader pinned to a retired snapshot) is used once and dropped,
+// so the table converges on the newest published content. The warm path —
+// node unchanged since last visited — is one atomic load and a compare.
+func (p *Packed) Page(n *Node) *Page {
+	if pg := p.cached(n); pg != nil {
+		return pg
 	}
+	var b pageBuilder
+	built := b.build(n)
+	if int(n.ID) < len(p.slots) {
+		slot := &p.slots[n.ID]
+		if old := slot.Load(); old == nil || (old != retiredPage && genBefore(old.gen, n.Gen)) {
+			slot.CompareAndSwap(old, built)
+		}
+	}
+	return built
 }
 
-// packer carries the per-node build scratch.
-type packer struct {
-	p       *Packed
+// genBefore reports whether a precedes b in wraparound-safe generation order.
+func genBefore(a, b uint32) bool { return int32(b-a) > 0 }
+
+// Grow returns a table covering ids below span: p itself when it already
+// does, otherwise a larger one carrying every page over. Only the writer
+// calls it, before publishing a snapshot whose tree issued new ids; earlier
+// snapshots keep the old table (their trees never contain the new ids). A
+// reader's CAS into the old table that races the copy is lost, which costs
+// one rebuild, never correctness.
+func (p *Packed) Grow(span NodeID) *Packed {
+	if int(span) <= len(p.slots) {
+		return p
+	}
+	grown := &Packed{slots: make([]atomic.Pointer[Page], span)}
+	for i := range p.slots {
+		grown.slots[i].Store(p.slots[i].Load())
+	}
+	return grown
+}
+
+// Retire drops the page of a deleted node. Only the writer calls it.
+func (p *Packed) Retire(id NodeID) { p.slots[id].Store(retiredPage) }
+
+// NodeCount returns how many nodes have a cached page (diagnostics).
+func (p *Packed) NodeCount() int {
+	n := 0
+	for i := range p.slots {
+		if pg := p.slots[i].Load(); pg != nil && pg != retiredPage {
+			n++
+		}
+	}
+	return n
+}
+
+// Positions returns the total number of cached positions (diagnostics).
+func (p *Packed) Positions() int {
+	n := 0
+	for i := range p.slots {
+		if pg := p.slots[i].Load(); pg != nil {
+			n += pg.Len()
+		}
+	}
+	return n
+}
+
+// pageBuilder carries the split scratch across the pages of one Repack.
+type pageBuilder struct {
+	pg      *Page
 	work    []Entry
 	code    []byte
 	scratch *SplitScratch
 }
 
-// build emits the partition tree over entries in preorder and returns the
-// global index of the emitted root. It mirrors bpt's recursive construction:
-// Split permutes entries in place and returns the left-half length.
-func (pk *packer) build(entries []Entry, parentIdx int32) int32 {
-	p := pk.p
-	idx := int32(len(p.rects))
-	p.codes = append(p.codes, internCode(pk.code))
-	p.parent = append(p.parent, parentIdx)
-	// Placeholders; filled in below once children (and the MBR) are known.
-	p.right = append(p.right, 0)
-	p.rects = append(p.rects, geom.Rect{})
-	p.minX = append(p.minX, 0)
-	p.minY = append(p.minY, 0)
-	p.maxX = append(p.maxX, 0)
-	p.maxY = append(p.maxY, 0)
-	p.child = append(p.child, InvalidNode)
-	p.obj = append(p.obj, 0)
+// build packs n's partition tree into a fresh page.
+func (b *pageBuilder) build(n *Node) *Page {
+	if cap(b.work) < len(n.Entries) {
+		b.work = make([]Entry, 0, len(n.Entries)*2)
+		b.scratch = NewSplitScratch(cap(b.work))
+	}
+	b.work = append(b.work[:0], n.Entries...)
+	b.code = b.code[:0]
+	size := 2*len(n.Entries) - 1
+	planes := make([]float32, 4*size)
+	topo := make([]int32, 2*size)
+	b.pg = &Page{
+		gen:    n.Gen,
+		minX:   planes[0*size : 1*size],
+		minY:   planes[1*size : 2*size],
+		maxX:   planes[2*size : 3*size],
+		maxY:   planes[3*size : 4*size],
+		rects:  make([]geom.Rect, size),
+		right:  topo[:size],
+		parent: topo[size:],
+		codes:  make([]string, size),
+		child:  make([]NodeID, size),
+		obj:    make([]ObjectID, size),
+	}
+	b.emit(b.work, 0, -1)
+	return b.pg
+}
 
+// emit writes the partition tree over entries in preorder starting at
+// position idx and returns the next free position. It mirrors bpt's recursive
+// construction: Split permutes entries in place and returns the left-half
+// length.
+func (b *pageBuilder) emit(entries []Entry, idx, parent int32) int32 {
+	p := b.pg
+	p.codes[idx] = internCode(b.code)
+	p.parent[idx] = parent
+	next := idx + 1
 	var mbr geom.Rect
 	if len(entries) == 1 {
 		mbr = entries[0].MBR
 		p.child[idx] = entries[0].Child
 		p.obj[idx] = entries[0].Obj
 	} else {
-		k := pk.scratch.Split(entries, 1)
-		pk.code = append(pk.code, '0')
-		left := pk.build(entries[:k], idx)
-		pk.code[len(pk.code)-1] = '1'
-		r := pk.build(entries[k:], idx)
-		pk.code = pk.code[:len(pk.code)-1]
+		k := b.scratch.Split(entries, 1)
+		b.code = append(b.code, '0')
+		r := b.emit(entries[:k], next, idx)
+		b.code[len(b.code)-1] = '1'
+		next = b.emit(entries[k:], r, idx)
+		b.code = b.code[:len(b.code)-1]
 		p.right[idx] = r
-		mbr = p.rects[left].Union(p.rects[r])
+		mbr = p.rects[idx+1].Union(p.rects[r])
 	}
 	p.rects[idx] = mbr
 	p.minX[idx] = f32Down(mbr.MinX)
 	p.minY[idx] = f32Down(mbr.MinY)
 	p.maxX[idx] = f32Up(mbr.MaxX)
 	p.maxY[idx] = f32Up(mbr.MaxY)
-	return idx
+	return next
 }
 
 // internDepth bounds the code lengths covered by the shared intern table.
@@ -215,11 +236,11 @@ func (pk *packer) build(entries []Entry, parentIdx int32) int32 {
 const internDepth = 12
 
 // internedCodes holds one canonical string per binary partition code of up to
-// internDepth bits, shared by every packed image. Pack emits ~2 positions per
-// entry and a fresh string per position was the bulk of a repack's garbage —
-// under a sustained update stream that garbage landed as GC pressure on the
-// writer. Codes of length L occupy table indexes [2^L-1, 2^(L+1)-2] in value
-// order.
+// internDepth bits, shared by every packed page. A page has ~2 positions per
+// entry and a fresh string per position was the bulk of a page build's
+// garbage — under a sustained update stream that garbage landed as GC
+// pressure on the writer. Codes of length L occupy table indexes
+// [2^L-1, 2^(L+1)-2] in value order.
 var internedCodes = func() []string {
 	t := make([]string, 1<<(internDepth+1)-1)
 	buf := make([]byte, internDepth)
@@ -265,40 +286,13 @@ func f32Up(v float64) float32 {
 	return f
 }
 
-// Covers returns the position span of node id if the image was built from
-// page generation gen — i.e. if the packed content is the node's current
-// content. A miss means the node belongs to the un-packed delta and the
-// caller must walk the arena tree instead.
-func (p *Packed) Covers(id NodeID, gen uint32) (PackedSpan, bool) {
-	if int(id) >= len(p.heads) {
-		return PackedSpan{}, false
-	}
-	h := p.heads[id]
-	if h.count == 0 || h.gen != gen {
-		return PackedSpan{}, false
-	}
-	return PackedSpan{Off: h.off, Count: h.count}, true
-}
+// Len returns the number of positions (2E-1 for E entries).
+func (p *Page) Len() int { return len(p.right) }
 
-// NodeCount returns how many nodes the image covers (diagnostics).
-func (p *Packed) NodeCount() int {
-	n := 0
-	for _, h := range p.heads {
-		if h.count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Positions returns the total number of packed positions (diagnostics).
-func (p *Packed) Positions() int { return len(p.rects) }
-
-// FindCode resolves a partition code to its global position index by walking
-// the packed topology bit by bit — the pointer-free replacement for the
-// forest's byCode string map.
-func (p *Packed) FindCode(sp PackedSpan, code string) (int32, bool) {
-	i := sp.Off
+// FindCode resolves a partition code to its position by walking the packed
+// topology bit by bit.
+func (p *Page) FindCode(code string) (int32, bool) {
+	i := int32(0)
 	for k := 0; k < len(code); k++ {
 		r := p.right[i]
 		if r == 0 {
@@ -314,27 +308,27 @@ func (p *Packed) FindCode(sp PackedSpan, code string) (int32, bool) {
 }
 
 // IsLeaf reports whether position i stands for a single real entry.
-func (p *Packed) IsLeaf(i int32) bool { return p.right[i] == 0 }
+func (p *Page) IsLeaf(i int32) bool { return p.right[i] == 0 }
 
 // Right returns the right-child position of i (left child is always i+1);
 // zero for leaves.
-func (p *Packed) Right(i int32) int32 { return p.right[i] }
+func (p *Page) Right(i int32) int32 { return p.right[i] }
 
-// Parent returns the parent position of i, or -1 at a node root.
-func (p *Packed) Parent(i int32) int32 { return p.parent[i] }
+// Parent returns the parent position of i, or -1 at the root.
+func (p *Page) Parent(i int32) int32 { return p.parent[i] }
 
 // Rect returns the exact MBR of position i.
-func (p *Packed) Rect(i int32) geom.Rect { return p.rects[i] }
+func (p *Page) Rect(i int32) geom.Rect { return p.rects[i] }
 
 // Code returns the partition code of position i.
-func (p *Packed) Code(i int32) string { return p.codes[i] }
+func (p *Page) Code(i int32) string { return p.codes[i] }
 
 // ChildID returns the child node a leaf position references (InvalidNode for
 // object entries).
-func (p *Packed) ChildID(i int32) NodeID { return p.child[i] }
+func (p *Page) ChildID(i int32) NodeID { return p.child[i] }
 
 // ObjID returns the object a leaf position references.
-func (p *Packed) ObjID(i int32) ObjectID { return p.obj[i] }
+func (p *Page) ObjID(i int32) ObjectID { return p.obj[i] }
 
 // Window32 is a query window widened to float32 planes, for the branchless
 // conservative prefilter against the packed MBR planes.
@@ -357,7 +351,7 @@ func MakeWindow32(w geom.Rect) Window32 {
 // MBRs), true must be confirmed against the exact rect. The comparison chain
 // compiles to branch-predictable compares over four contiguous float32
 // arrays.
-func (p *Packed) MayIntersect(i int32, w Window32) bool {
+func (p *Page) MayIntersect(i int32, w Window32) bool {
 	return p.minX[i] <= w.MaxX && w.MinX <= p.maxX[i] &&
 		p.minY[i] <= w.MaxY && w.MinY <= p.maxY[i]
 }

@@ -7,18 +7,11 @@ import (
 	"repro/internal/geom"
 )
 
-// packedEqual reports whether two packed images are identical position by
-// position, head by head.
-func packedEqual(t *testing.T, a, b *Packed) {
+// pagesEqual fails unless two pages hold identical position data.
+func pagesEqual(t *testing.T, id int, a, b *Page) {
 	t.Helper()
-	if len(a.heads) != len(b.heads) || len(a.rects) != len(b.rects) {
-		t.Fatalf("image shape differs: %d/%d heads, %d/%d positions",
-			len(a.heads), len(b.heads), len(a.rects), len(b.rects))
-	}
-	for id := range a.heads {
-		if a.heads[id] != b.heads[id] {
-			t.Fatalf("node %d: head %+v vs %+v", id, a.heads[id], b.heads[id])
-		}
+	if a.gen != b.gen || a.Len() != b.Len() {
+		t.Fatalf("node %d: gen %d/%d, %d/%d positions", id, a.gen, b.gen, a.Len(), b.Len())
 	}
 	for i := range a.rects {
 		if a.rects[i] != b.rects[i] || a.codes[i] != b.codes[i] ||
@@ -26,15 +19,33 @@ func packedEqual(t *testing.T, a, b *Packed) {
 			a.child[i] != b.child[i] || a.obj[i] != b.obj[i] ||
 			a.minX[i] != b.minX[i] || a.minY[i] != b.minY[i] ||
 			a.maxX[i] != b.maxX[i] || a.maxY[i] != b.maxY[i] {
-			t.Fatalf("position %d differs between images", i)
+			t.Fatalf("node %d: position %d differs between pages", id, i)
+		}
+	}
+}
+
+// packedEqual reports whether two tables are identical slot by slot, page
+// by page.
+func packedEqual(t *testing.T, a, b *Packed) {
+	t.Helper()
+	if len(a.slots) != len(b.slots) {
+		t.Fatalf("table shape differs: %d/%d slots", len(a.slots), len(b.slots))
+	}
+	for id := range a.slots {
+		pa, pb := a.slots[id].Load(), b.slots[id].Load()
+		if (pa == nil) != (pb == nil) {
+			t.Fatalf("node %d: cached in one table only", id)
+		}
+		if pa != nil {
+			pagesEqual(t, id, pa, pb)
 		}
 	}
 }
 
 // TestRepackMatchesPack pins the incremental repack to the from-scratch
 // build: after any mix of inserts, deletes, and moves, Repack(t, prev) must
-// produce exactly the image Pack(t) does — the span-copy fast path may not
-// change a single byte of position data.
+// produce exactly the table Pack(t) does, sharing prev's page for every node
+// the mutations left alone and never one for a node they touched.
 func TestRepackMatchesPack(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	items := randItems(r, 1500)
@@ -73,6 +84,19 @@ func TestRepackMatchesPack(t *testing.T) {
 		inc := Repack(tr, prev)
 		full := Pack(tr)
 		packedEqual(t, inc, full)
+		shared := 0
+		tr.Nodes(func(n *Node) bool {
+			if was := prev.cached(n); was != nil {
+				shared++
+				if inc.slots[n.ID].Load() != was {
+					t.Fatalf("round %d: unchanged node %d was rebuilt", round, n.ID)
+				}
+			}
+			return true
+		})
+		if shared == 0 || shared == tr.NodeCount() {
+			t.Fatalf("round %d: %d of %d pages shared, want a strict part", round, shared, tr.NodeCount())
+		}
 		prev = inc
 	}
 }
@@ -94,5 +118,69 @@ func TestRepackInternsCodes(t *testing.T) {
 	}
 	if got := internCode(deep); got != string(deep) {
 		t.Fatalf("deep code fallback: got %q want %q", got, deep)
+	}
+}
+
+// TestPageSlotContract pins what a slot promises readers pinned to different
+// snapshots of one tree: the warm path returns the cached page, the newest
+// generation wins the slot, a reader of older content builds its page
+// without publishing it, an id past the table's span is served uncached, and
+// a retired slot is never filled again.
+func TestPageSlotContract(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	items := randItems(r, 400)
+	old := buildDynamic(t, items, Params{MaxEntries: 8})
+	pk := Pack(old)
+
+	// cur is a later version: one leaf changed, and splits issued new ids.
+	cur := old.Clone()
+	next := ObjectID(len(items) + 1)
+	for int(cur.NodeSpan()) == len(pk.slots) {
+		cur.Insert(next, geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.002, 0.002))
+		next++
+	}
+	var stale *Node // a node whose content differs between old and cur
+	cur.Nodes(func(n *Node) bool {
+		if o, ok := old.Node(n.ID); ok && o.Gen != n.Gen {
+			stale = n
+		}
+		return stale == nil
+	})
+	oldNode, _ := old.Node(stale.ID)
+	cached := pk.slots[stale.ID].Load()
+
+	if got := pk.Page(oldNode); got != cached {
+		t.Fatal("warm lookup did not return the cached page")
+	}
+	fresh := pk.Page(stale)
+	if fresh == cached || fresh.gen != stale.Gen || pk.slots[stale.ID].Load() != fresh {
+		t.Fatal("a build for newer content was not published")
+	}
+	if got := pk.Page(oldNode); got == fresh || got.gen != oldNode.Gen {
+		t.Fatal("a reader of older content was handed the newer page")
+	}
+	if pk.slots[stale.ID].Load() != fresh {
+		t.Fatal("a build for older content displaced the newer page")
+	}
+
+	newest, _ := cur.Node(cur.NodeSpan() - 1)
+	if pg := pk.Page(newest); pg.Len() != 2*len(newest.Entries)-1 {
+		t.Fatalf("page past the span has %d positions for %d entries", pg.Len(), len(newest.Entries))
+	}
+	grown := pk.Grow(cur.NodeSpan())
+	if len(pk.slots) >= len(grown.slots) || grown.slots[stale.ID].Load() != fresh {
+		t.Fatal("Grow did not carry the pages into a larger table")
+	}
+	if grown.Grow(cur.NodeSpan()) != grown {
+		t.Fatal("Grow copied a table that already covers the span")
+	}
+
+	before := grown.NodeCount()
+	grown.Retire(stale.ID)
+	if pg := grown.Page(stale); pg.gen != stale.Gen || pg.Len() != 2*len(stale.Entries)-1 {
+		t.Fatal("a retired slot did not serve a built page")
+	}
+	if grown.NodeCount() != before-1 {
+		t.Fatalf("retired slot was refilled: %d cached pages, want %d", grown.NodeCount(), before-1)
 	}
 }

@@ -24,7 +24,7 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 	reqs := poolTestRequests(srv, 64, 100)
 
 	release := func(resp *wire.Response) { srv.ReleaseResponse(resp) }
-	for round := 0; round < 3; round++ { // warm pools, forest, and buffers
+	for round := 0; round < 3; round++ { // warm pools and buffers
 		for _, req := range reqs {
 			resp, _ := srv.Execute(req)
 			release(resp)

@@ -14,7 +14,7 @@ import (
 // pipelined requests from one connection in a single read pass
 // (wire.ServeConfig.HandleBatch), ExecuteBatch runs the groupable ones —
 // fresh partitioned range queries — through one shared traversal of the
-// packed image instead of one traversal each. The snapshot pin, root
+// packed pages instead of one traversal each. The snapshot pin, root
 // descent, and per-position MBR loads are paid once per group; membership
 // masks track which requests each queue element still concerns.
 //
@@ -48,15 +48,13 @@ func groupable(req *wire.Request, form IndexForm) bool {
 // running groupable range requests through shared traversals of up to
 // groupLimit requests each and everything else through the solo path.
 // resps[i] answers reqs[i]; the ReleaseResponse contract is the same as
-// Execute's. A group that reaches a node outside the packed image (the
-// un-packed delta) is replayed solo, so batching never changes results.
+// Execute's.
 func (s *Server) ExecuteBatch(reqs []*wire.Request) ([]*wire.Response, []ExecInfo) {
 	resps := make([]*wire.Response, len(reqs))
 	infos := make([]ExecInfo, len(reqs))
 	if len(reqs) == 0 {
 		return resps, infos
 	}
-	s.reads.Add(int64(len(reqs)))
 
 	ds := make([]int, len(reqs))
 	for i, req := range reqs {
@@ -77,18 +75,13 @@ func (s *Server) ExecuteBatch(reqs []*wire.Request) ([]*wire.Response, []ExecInf
 
 	v := s.pinSnapshot()
 	defer v.unpin()
-	pk := s.packed.Load()
 	for len(group) > 0 {
 		chunk := group
 		if len(chunk) > groupLimit {
 			chunk = chunk[:groupLimit]
 		}
 		group = group[len(chunk):]
-		if pk == nil || !s.executeGroup(v, pk, reqs, ds, chunk, resps, infos) {
-			for _, i := range chunk {
-				resps[i], infos[i] = s.executeWithD(reqs[i], ds[i])
-			}
-		}
+		s.executeGroup(v, reqs, ds, chunk, resps, infos)
 	}
 	return resps, infos
 }
@@ -101,12 +94,10 @@ type gElem struct {
 }
 
 // executeGroup runs one shared traversal for chunk (indices into reqs) and
-// fills resps/infos at those indices. It returns false — releasing every
-// partially built response and execution state — when the walk reaches a
-// node the packed image does not cover; the caller replays those requests
-// solo. The per-request accounting below mirrors query.Runner's range FIFO
-// path and provider.Expand step for step; keep them in sync.
-func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Request, ds []int, chunk []int, resps []*wire.Response, infos []ExecInfo) bool {
+// fills resps/infos at those indices. The per-request accounting below
+// mirrors query.Runner's range FIFO path and provider.Expand step for step;
+// keep them in sync.
+func (s *Server) executeGroup(v *snapshot, reqs []*wire.Request, ds []int, chunk []int, resps []*wire.Response, infos []ExecInfo) {
 	n := len(chunk)
 	sts := make([]*execState, n)
 	out := make([]*wire.Response, n)
@@ -114,7 +105,7 @@ func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Reques
 	w32 := make([]rtree.Window32, n)
 	for j, i := range chunk {
 		req := reqs[i]
-		sts[j] = s.getExec(v, pk, true, true)
+		sts[j] = s.getExec(v, true, true)
 		out[j] = s.acquireResponse()
 		out[j].K = req.Q.K
 		infos[i] = ExecInfo{D: ds[i]}
@@ -123,13 +114,6 @@ func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Reques
 		for _, id := range req.CachedIDs {
 			sts[j].noPay[id] = true
 		}
-	}
-	abort := func() bool {
-		for j := range sts {
-			s.ReleaseResponse(out[j])
-			s.putExec(sts[j])
-		}
-		return false
 	}
 
 	root := rootRef(v)
@@ -145,17 +129,17 @@ func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Reques
 		queue = append(queue, gElem{ref: root, mask: seedMask})
 	}
 
-	// pushChild evaluates one packed child position against every window in
-	// mask — branchless float32 planes first, exact rect to confirm — and
+	// pushChild evaluates one child position of page pg against every window
+	// in mask — branchless float32 planes first, exact rect to confirm — and
 	// enqueues the element for the accepting subset.
-	pushChild := func(node rtree.NodeID, c int32, mask uint64) {
-		rect := pk.Rect(c)
+	pushChild := func(node rtree.NodeID, pg *rtree.Page, c int32, mask uint64) {
+		rect := pg.Rect(c)
 		var cm uint64
 		for b := mask; b != 0; b &= b - 1 {
 			j := bits.TrailingZeros64(b)
 			eng := &infos[chunk[j]].Engine
 			eng.Evals++
-			if !pk.MayIntersect(c, w32[j]) || !wins[j].Intersects(rect) {
+			if !pg.MayIntersect(c, w32[j]) || !wins[j].Intersects(rect) {
 				continue
 			}
 			eng.Pushes++
@@ -165,10 +149,10 @@ func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Reques
 			return
 		}
 		var ref query.Ref
-		if pk.IsLeaf(c) {
-			ref = packedRef(pk, c)
+		if pg.IsLeaf(c) {
+			ref = pageRef(pg, c)
 		} else {
-			ref = query.SuperRefHinted(node, bpt.Code(pk.Code(c)), rect, uint32(c)+1)
+			ref = query.SuperRefHinted(node, bpt.Code(pg.Code(c)), rect, uint32(c)+1)
 		}
 		queue = append(queue, gElem{ref: ref, mask: cm})
 	}
@@ -203,31 +187,28 @@ func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Reques
 		for b := e.mask; b != 0; b &= b - 1 {
 			sts[bits.TrailingZeros64(b)].prov.visit(nd.ID)
 		}
-		if ref.Kind == query.RefNode && len(nd.Entries) == 0 {
+		if len(nd.Entries) == 0 {
 			for b := e.mask; b != 0; b &= b - 1 {
 				infos[chunk[bits.TrailingZeros64(b)]].Engine.Expands++
 			}
 			continue
 		}
-		sp, covered := pk.Covers(nd.ID, nd.Gen)
-		if !covered {
-			return abort()
-		}
-		pos := sp.Off
+		pg := v.pages.Page(nd)
+		var pos int32
 		if ref.Kind == query.RefSuper {
-			// Grouped super refs always carry their packed position.
+			// Grouped super refs always carry their page position.
 			pos = int32(ref.PosHint() - 1)
 		}
 		for b := e.mask; b != 0; b &= b - 1 {
 			j := bits.TrailingZeros64(b)
-			sts[j].prov.markPackedExpanded(nd.ID, sp, pos)
+			sts[j].prov.markExpanded(nd.ID, pg, pos)
 			infos[chunk[j]].Engine.Expands++
 		}
-		if r := pk.Right(pos); r == 0 {
-			pushChild(nd.ID, pos, e.mask)
+		if r := pg.Right(pos); r == 0 {
+			pushChild(nd.ID, pg, pos, e.mask)
 		} else {
-			pushChild(nd.ID, pos+1, e.mask)
-			pushChild(nd.ID, r, e.mask)
+			pushChild(nd.ID, pg, pos+1, e.mask)
+			pushChild(nd.ID, pg, r, e.mask)
 		}
 	}
 
@@ -242,5 +223,4 @@ func (s *Server) executeGroup(v *snapshot, pk *rtree.Packed, reqs []*wire.Reques
 		resps[i] = resp
 		s.putExec(st)
 	}
-	return true
 }

@@ -65,8 +65,9 @@ func TestExecuteBatchMatchesSolo(t *testing.T) {
 }
 
 // TestExecuteBatchAfterUpdatesMatchesSolo dirties part of the index so the
-// packed image no longer covers every node (the un-packed delta), forcing
-// the grouped traversal's abort-and-replay path, and re-checks equivalence.
+// page table holds stale generations past the prewarm budget, which the
+// grouped traversal must rebuild on the way exactly as the solo path does,
+// and re-checks equivalence.
 func TestExecuteBatchAfterUpdatesMatchesSolo(t *testing.T) {
 	srv, items := buildServer(t, 92, 2000, Config{})
 	defer srv.Close()

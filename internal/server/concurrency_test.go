@@ -41,8 +41,8 @@ func objectIDs(resp *wire.Response) []rtree.ObjectID {
 // kNN queries against one Server at once and cross-checks every response
 // against a single-threaded execution of the same workload. Run under
 // -race this is the tentpole regression test for the concurrent serving
-// path: sharded client state, the lazily built partition forest, and the
-// shared read lock on the index.
+// path: sharded client state, the partition-tree page table, and the
+// lock-free snapshot pin.
 func TestConcurrentClientsMatchSerial(t *testing.T) {
 	const (
 		clients          = 8

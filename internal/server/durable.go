@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/bpt"
 	"repro/internal/rtree"
 	"repro/internal/wire"
 )
@@ -114,14 +113,7 @@ func Restore(checkpoint []byte, tail []ReplayRecord, sizes ObjectSizer, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		forest: bpt.NewForestArena(tree.NodeSpan()),
-		cfg:    cfg.normalized(),
-	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[wire.ClientID]*clientState)
-	}
-	s.baseSizes = sizes
+	s := newServer(sizes, cfg)
 	for _, e := range extras {
 		s.extraSizes.Store(rtree.ObjectID(e[0]), int(e[1]))
 	}
@@ -167,9 +159,7 @@ func Restore(checkpoint []byte, tail []ReplayRecord, sizes ObjectSizer, cfg Conf
 	}
 	tree.SetTouchHook(nil)
 
-	s.forest.EnsureSpan(tree.NodeSpan())
-	s.cur.Store(newSnapshot(tree, s.forest.View(), epoch, ckptEpoch, log))
-	s.packed.Store(rtree.Pack(tree))
+	s.cur.Store(newSnapshot(tree, rtree.Pack(tree), epoch, ckptEpoch, log))
 	return s, nil
 }
 

@@ -3,11 +3,11 @@ package server
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bpt"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
@@ -15,7 +15,7 @@ import (
 )
 
 // quant32 snaps a coordinate to its nearest float32, the wire's precision:
-// windows built from it sit exactly on the values the packed image's
+// windows built from it sit exactly on the values the packed pages'
 // outward-rounded float32 planes must treat conservatively.
 func quant32(v float64) float64 { return float64(float32(v)) }
 
@@ -53,80 +53,163 @@ func diffRequests(r *rand.Rand, items []rtree.Item, n int) []*wire.Request {
 	return reqs
 }
 
-// TestPackedMatchesArenaDifferential is the randomized differential suite:
-// every query must encode to byte-identical wire responses whether it runs
-// through the packed read-optimized image or the arena tree, across epochs
-// (updates dirty nodes into the un-packed delta, then a repack folds them
-// back in) and across index forms.
+// TestPackedMatchesArenaDifferential is the randomized differential suite of
+// the one representation the shard serves from: across update rounds, every
+// live node's packed page must equal the reference partition tree bpt.Build
+// makes from the same entries — position count, preorder codes, exact MBRs,
+// leaf child/obj — and the cut the server emits from the page for a random
+// upward-closed expanded set must be the cut the reference computes, in
+// every index form. Each round also replays the boundary-window workload
+// through the grouped traversal against the solo path.
 func TestPackedMatchesArenaDifferential(t *testing.T) {
-	for _, form := range []IndexForm{AdaptiveForm, CompactForm} {
-		srv, items := buildServer(t, 101, 4000, Config{Form: form})
-		r := rand.New(rand.NewSource(int64(form) + 5))
-		live := append([]rtree.Item(nil), items...)
+	srv, items := buildServer(t, 101, 4000, Config{})
+	defer srv.Close()
+	r := rand.New(rand.NewSource(6))
+	live := append([]rtree.Item(nil), items...)
+	next := rtree.ObjectID(len(items) + 1)
 
-		for round := 0; round < 3; round++ {
-			// Wait out any in-flight background repack so the packed image
-			// is stable for the round (no update runs during the queries,
-			// so no new repack can start mid-comparison).
-			for srv.packing.Load() {
-				runtime.Gosched()
+	for round := 0; round < 4; round++ {
+		v := srv.pinSnapshot()
+		v.tree.Nodes(func(n *rtree.Node) bool {
+			if len(n.Entries) > 0 {
+				checkPageAgainstReference(t, r, n, v.pages.Page(n))
 			}
-			pk := srv.packed.Load()
-			if pk == nil {
-				t.Fatalf("form %d round %d: no packed image", form, round)
+			return !t.Failed()
+		})
+		v.unpin()
+		if t.Failed() {
+			t.Fatalf("round %d: packed page differs from reference", round)
+		}
+		// The float32 planes are only a prefilter: the grouped traversal that
+		// consults them must answer windows sitting exactly on entry edges and
+		// float32 values as the exact-rect solo path does.
+		reqs := diffRequests(r, live, 150)
+		resps, infos := srv.ExecuteBatch(reqs)
+		for i, req := range reqs {
+			solo, info := srv.Execute(req)
+			if !bytes.Equal(wire.EncodeResponse(nil, resps[i]), wire.EncodeResponse(nil, solo)) || infos[i] != info {
+				t.Errorf("round %d req %d (%v): grouped answer differs from solo", round, i, req.Q.Kind)
 			}
-			for i, req := range diffRequests(r, live, 150) {
-				respP, infoP := srv.Execute(req)
-				packed := wire.EncodeResponse(nil, respP)
-				srv.packed.Store(nil)
-				respA, infoA := srv.Execute(req)
-				srv.packed.Store(pk)
-				arena := wire.EncodeResponse(nil, respA)
-				if !bytes.Equal(packed, arena) {
-					t.Errorf("form %d round %d req %d (%v): packed response differs from arena",
-						form, round, i, req.Q.Kind)
-				}
-				if infoP != infoA {
-					t.Errorf("form %d round %d req %d: exec info %+v (packed) vs %+v (arena)",
-						form, round, i, infoP, infoA)
-				}
-			}
-			// Advance the epoch: move a slice of objects so part of the tree
-			// is served from the delta next round (and, past the repack
-			// threshold, from a freshly packed image the round after).
-			var ops []wire.UpdateOp
-			for i := 0; i < 250; i++ {
-				j := r.Intn(len(live))
+		}
+		// Advance the epoch with moves, deletes and inserts so the next round
+		// checks rebuilt pages (prewarmed and reader-built), split products
+		// and condensed nodes.
+		var ops []wire.UpdateOp
+		for i := 0; i < 400; i++ {
+			j := r.Intn(len(live))
+			switch r.Intn(4) {
+			case 0:
+				ops = append(ops, wire.UpdateOp{Kind: wire.UpdateDelete, Obj: live[j].Obj, From: live[j].MBR})
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case 1:
+				c := geom.Pt(r.Float64(), r.Float64())
+				it := rtree.Item{Obj: next, MBR: geom.RectFromCenter(c, 0.01, 0.01)}
+				next++
+				ops = append(ops, wire.UpdateOp{Kind: wire.UpdateInsert, Obj: it.Obj, To: it.MBR})
+				live = append(live, it)
+			default:
 				from := live[j].MBR
 				to := geom.R(
 					quant32(from.MinX+0.002), quant32(from.MinY-0.001),
 					quant32(from.MaxX+0.002), quant32(from.MaxY-0.001))
-				ops = append(ops, wire.UpdateOp{
-					Kind: wire.UpdateMove, Obj: live[j].Obj, From: from, To: to})
+				ops = append(ops, wire.UpdateOp{Kind: wire.UpdateMove, Obj: live[j].Obj, From: from, To: to})
 				live[j].MBR = to
 			}
-			results := make([]bool, len(ops))
-			srv.ApplyUpdates(ops, results)
-			for i, ok := range results {
-				if !ok {
-					t.Fatalf("form %d round %d: move %d rejected", form, round, i)
-				}
+		}
+		for i, ok := range srv.ApplyUpdates(ops, nil) {
+			if !ok {
+				t.Fatalf("round %d: op %d rejected", round, i)
+			}
+		}
+	}
+}
+
+// checkPageAgainstReference compares one packed page with bpt.Build over the
+// same entries, position by position and cut by cut.
+func checkPageAgainstReference(t *testing.T, r *rand.Rand, n *rtree.Node, pg *rtree.Page) {
+	t.Helper()
+	ref := bpt.Build(n.ID, n.Entries)
+	if pg.Len() != ref.Size() || pg.Len() != 2*len(n.Entries)-1 {
+		t.Errorf("node %d: %d positions, reference %d, entries %d", n.ID, pg.Len(), ref.Size(), len(n.Entries))
+		return
+	}
+	// Preorder walk of the reference alongside the page's positions, drawing
+	// a random upward-closed expanded set on the way.
+	expanded := map[bpt.Code]bool{}
+	bits := make([]uint64, (pg.Len()+63)/64)
+	pos := int32(0)
+	var walk func(pn *bpt.PNode, open bool)
+	walk = func(pn *bpt.PNode, open bool) {
+		i := pos
+		pos++
+		if pg.Code(i) != string(pn.Code) || pg.Rect(i) != pn.MBR || pg.IsLeaf(i) != pn.Leaf() {
+			t.Errorf("node %d position %d: page (%q %v leaf=%v) vs reference (%q %v leaf=%v)",
+				n.ID, i, pg.Code(i), pg.Rect(i), pg.IsLeaf(i), pn.Code, pn.MBR, pn.Leaf())
+		}
+		if fp, ok := pg.FindCode(string(pn.Code)); !ok || fp != i {
+			t.Errorf("node %d: FindCode(%q) = %d,%v, want %d", n.ID, pn.Code, fp, ok, i)
+		}
+		if !pg.MayIntersect(i, rtree.MakeWindow32(pn.MBR)) {
+			t.Errorf("node %d position %d: float32 planes do not cover the exact MBR", n.ID, i)
+		}
+		if pn.Leaf() {
+			if pg.ChildID(i) != pn.Entry.Child || pg.ObjID(i) != pn.Entry.Obj {
+				t.Errorf("node %d position %d: leaf (%d,%d) vs reference (%d,%d)",
+					n.ID, i, pg.ChildID(i), pg.ObjID(i), pn.Entry.Child, pn.Entry.Obj)
+			}
+			return
+		}
+		open = open && r.Intn(3) > 0
+		if open {
+			expanded[pn.Code] = true
+			bits[i>>6] |= 1 << (uint(i) & 63)
+		}
+		walk(pn.Left, open)
+		if pg.Right(i) != pos || pg.Parent(pos) != i {
+			t.Errorf("node %d position %d: right %d parent %d, want %d/%d", n.ID, i, pg.Right(i), pg.Parent(pos), pos, i)
+		}
+		walk(pn.Right, open)
+	}
+	walk(ref.Root, true)
+
+	d := r.Intn(4)
+	frontier := ref.Frontier(expanded)
+	for form, want := range map[IndexForm]bpt.Cut{
+		FullForm:     ref.FullCut(),
+		CompactForm:  frontier,
+		AdaptiveForm: ref.ExpandCut(frontier, d),
+	} {
+		got := appendPageCut(nil, pg, bits, form, d)
+		if len(got) != len(want) {
+			t.Errorf("node %d form %d d=%d: cut of %d elements, reference %d", n.ID, form, d, len(got), len(want))
+			continue
+		}
+		for k, code := range want {
+			pn, _ := ref.Node(code)
+			wantElem := wire.CutElem{Code: code, MBR: pn.MBR, Super: !pn.Leaf()}
+			if pn.Leaf() {
+				wantElem.Child, wantElem.Obj = pn.Entry.Child, pn.Entry.Obj
+			}
+			if got[k] != wantElem {
+				t.Errorf("node %d form %d d=%d: element %d is %+v, reference %+v", n.ID, form, d, k, got[k], wantElem)
 			}
 		}
 	}
 }
 
 // TestPackedConcurrentPublish races queries (solo and batched) against a
-// writer that keeps mutating the index and publishing fresh packed images.
-// Run under -race in CI: the per-(NodeID, Gen) validation contract means a
-// query may observe any published image, old or new, but never a torn one.
+// writer that keeps mutating the index, growing the page table and
+// publishing pages into it. Run under -race in CI: the per-(NodeID, Gen)
+// validation contract means a query may find any generation in a slot, but
+// only ever traverses the page of the content its snapshot pinned.
 func TestPackedConcurrentPublish(t *testing.T) {
 	srv, items := buildServer(t, 103, 3000, Config{})
 	deadline := time.Now().Add(400 * time.Millisecond)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the single writer: move objects, forcing repacks
+	go func() { // the single writer: move objects, retiring their pages
 		defer wg.Done()
 		live := append([]rtree.Item(nil), items...)
 		r := rand.New(rand.NewSource(7))

@@ -13,37 +13,27 @@ import (
 // In flat mode (full-form index or index-less baselines) node expansion
 // returns entries directly.
 //
-// Expansion prefers the packed read-only image published alongside the
-// snapshot (rtree.Packed): position topology, codes, and MBRs live in flat
-// arrays there, so expanding a super entry is a bit-walk over contiguous
-// int32s instead of a string-keyed map lookup, and the expanded set is a
-// bitset with O(1) ancestor closure instead of nested maps. A node the image
-// does not cover at the snapshot's generation — the un-packed delta — falls
-// back to the arena tree and the partition forest transparently, per node.
+// Partition trees are read from the snapshot's page table (rtree.Packed):
+// position topology, codes, and MBRs live in flat per-node arrays there, so
+// expanding a super entry is a bit-walk over contiguous int32s, and the
+// expanded set is a bitset with O(1) ancestor closure.
 //
 // A provider is reusable request-to-request: reset clears the per-request
 // state while keeping every backing structure (the visited bitset, the
-// visit-order list, the expanded-position maps and bitsets, and the Expand
-// scratch buffer), so a warm provider serves a request without allocating. It
-// lives inside the server's pooled execState and is never shared between
+// visit-order list, the expanded-position bitsets, and the Expand scratch
+// buffer), so a warm provider serves a request without allocating. It lives
+// inside the server's pooled execState and is never shared between
 // concurrent requests.
 type provider struct {
 	tree        *rtree.Tree
-	forest      bpt.ForestView
-	packed      *rtree.Packed
+	pages       *rtree.Packed
 	partitioned bool
 
 	visitedCount int            // traversal counter behind ExecInfo.VisitedNodes
 	visited      []rtree.NodeID // first-visit order (buildIndex and bitset reset)
 	visitedBits  []uint64       // bitset indexed by NodeID over the tree's NodeSpan
 
-	expanded   map[rtree.NodeID]map[bpt.Code]bool
-	spareCodes []map[bpt.Code]bool // cleared inner maps ready for reuse
-
-	// Packed-path expanded positions: per node, a bitset over the node's
-	// packed position span. Disjoint from expanded — within one request a
-	// node is served either from the packed image or from the forest, never
-	// both (the Covers decision is a pure function of the pinned snapshot).
+	// Expanded positions: per node, a bitset over the node's page positions.
 	pexp      map[rtree.NodeID][]uint64
 	spareBits [][]uint64
 	// One-entry cache over pexp: expansions of one node's positions arrive
@@ -58,10 +48,9 @@ type provider struct {
 // reset binds the provider to a pinned snapshot for one request. The bitset
 // is sized to the snapshot arena's NodeSpan; the caller must keep the
 // snapshot pinned for the provider's whole lifetime.
-func (p *provider) reset(v *snapshot, packed *rtree.Packed, partitioned bool) {
+func (p *provider) reset(v *snapshot, partitioned bool) {
 	p.tree = v.tree
-	p.forest = v.forest
-	p.packed = packed
+	p.pages = v.pages
 	p.partitioned = partitioned
 
 	words := (int(v.tree.NodeSpan()) + 63) / 64
@@ -78,14 +67,6 @@ func (p *provider) reset(v *snapshot, packed *rtree.Packed, partitioned bool) {
 	p.visitedCount = 0
 	p.visited = p.visited[:0]
 
-	for id, m := range p.expanded {
-		clear(m)
-		p.spareCodes = append(p.spareCodes, m)
-		delete(p.expanded, id)
-	}
-	if p.expanded == nil {
-		p.expanded = make(map[rtree.NodeID]map[bpt.Code]bool)
-	}
 	for id, bits := range p.pexp {
 		clear(bits)
 		p.spareBits = append(p.spareBits, bits)
@@ -109,15 +90,6 @@ func (p *provider) visit(id rtree.NodeID) {
 	p.visited = append(p.visited, id)
 }
 
-// packedSpan returns the node's packed position span when the image covers
-// its current content.
-func (p *provider) packedSpan(n *rtree.Node) (rtree.PackedSpan, bool) {
-	if p.packed == nil {
-		return rtree.PackedSpan{}, false
-	}
-	return p.packed.Covers(n.ID, n.Gen)
-}
-
 // markExpanded records that a partition-tree position was expanded, closing
 // the set upward on the fly: every ancestor of an expanded position counts
 // as expanded too. A remainder query resumed from a client's super entry
@@ -128,39 +100,13 @@ func (p *provider) packedSpan(n *rtree.Node) (rtree.PackedSpan, bool) {
 // representation that silently hides entries, losing results forever.
 // Expansion proceeds top-down, so the ancestor walk almost always stops at
 // the immediate parent.
-func (p *provider) markExpanded(id rtree.NodeID, code bpt.Code) {
-	m, ok := p.expanded[id]
-	if !ok {
-		if k := len(p.spareCodes); k > 0 {
-			m = p.spareCodes[k-1]
-			p.spareCodes = p.spareCodes[:k-1]
-		} else {
-			m = make(map[bpt.Code]bool)
-		}
-		p.expanded[id] = m
-	}
-	if m[code] {
-		return
-	}
-	m[code] = true
-	for c := code; len(c) > 0; {
-		c = c.Parent()
-		if m[c] {
-			break
-		}
-		m[c] = true
-	}
-}
-
-// markPackedExpanded is markExpanded for packed positions: a bitset over the
-// node's span with the same upward closure, walking the packed parent array.
-func (p *provider) markPackedExpanded(id rtree.NodeID, sp rtree.PackedSpan, pos int32) {
+func (p *provider) markExpanded(id rtree.NodeID, pg *rtree.Page, pos int32) {
 	bits := p.lastPexpBits
 	if p.lastPexpID != id {
 		var ok bool
 		bits, ok = p.pexp[id]
 		if !ok {
-			words := (int(sp.Count) + 63) / 64
+			words := (pg.Len() + 63) / 64
 			if k := len(p.spareBits); k > 0 {
 				bits = p.spareBits[k-1]
 				p.spareBits = p.spareBits[:k-1]
@@ -175,13 +121,12 @@ func (p *provider) markPackedExpanded(id rtree.NodeID, sp rtree.PackedSpan, pos 
 		p.lastPexpID, p.lastPexpBits = id, bits
 	}
 	for pos >= 0 {
-		rel := uint32(pos - sp.Off)
-		w, bit := rel>>6, uint64(1)<<(rel&63)
+		w, bit := uint32(pos)>>6, uint64(1)<<(uint32(pos)&63)
 		if bits[w]&bit != 0 {
 			return
 		}
 		bits[w] |= bit
-		pos = p.packed.Parent(pos)
+		pos = pg.Parent(pos)
 	}
 }
 
@@ -189,115 +134,70 @@ func (p *provider) markPackedExpanded(id rtree.NodeID, sp rtree.PackedSpan, pos 
 // targets; a dangling reference returns an empty expansion. The returned
 // slice is the provider's scratch buffer: valid until the next Expand call.
 func (p *provider) Expand(ref query.Ref) ([]query.Ref, bool) {
-	switch ref.Kind {
-	case query.RefNode:
-		n, ok := p.tree.Node(ref.Node)
-		if !ok {
-			return nil, true
-		}
-		p.visit(n.ID)
-		if len(n.Entries) == 0 {
-			return nil, true
-		}
-		if !p.partitioned {
-			p.scratch = p.scratch[:0]
-			for _, e := range n.Entries {
-				p.scratch = append(p.scratch, query.FromEntry(e))
-			}
-			return p.scratch, true
-		}
-		if sp, ok := p.packedSpan(n); ok {
-			p.markPackedExpanded(n.ID, sp, sp.Off)
-			p.scratch = p.appendPackedChildren(p.scratch[:0], n.ID, sp.Off)
-			return p.scratch, true
-		}
-		pt := p.forest.Get(n)
-		p.markExpanded(n.ID, pt.Root.Code)
-		p.scratch = appendPNodeChildren(p.scratch[:0], n.ID, pt.Root)
-		return p.scratch, true
-
-	case query.RefSuper:
-		n, ok := p.tree.Node(ref.Node)
-		if !ok {
-			return nil, true
-		}
-		p.visit(n.ID)
-		if sp, ok := p.packedSpan(n); ok {
-			// Super refs the provider itself created carry their packed
-			// position; only client-handed refs pay the code bit-walk.
-			var pos int32
-			if h := ref.PosHint(); h != 0 {
-				pos = int32(h - 1)
-			} else if fp, found := p.packed.FindCode(sp, string(ref.Code)); found {
-				pos = fp
-			} else {
-				return nil, true
-			}
-			if p.packed.IsLeaf(pos) {
-				return nil, true
-			}
-			p.markPackedExpanded(n.ID, sp, pos)
-			p.scratch = p.appendPackedChildren(p.scratch[:0], n.ID, pos)
-			return p.scratch, true
-		}
-		pt := p.forest.Get(n)
-		pn, ok := pt.Node(ref.Code)
-		if !ok || pn.Leaf() {
-			return nil, true
-		}
-		p.markExpanded(n.ID, ref.Code)
-		p.scratch = appendPNodeChildren(p.scratch[:0], n.ID, pn)
-		return p.scratch, true
-
-	default:
+	if ref.Kind != query.RefNode && ref.Kind != query.RefSuper {
 		return nil, true
 	}
+	n, ok := p.tree.Node(ref.Node)
+	if !ok {
+		return nil, true
+	}
+	p.visit(n.ID)
+	if len(n.Entries) == 0 {
+		return nil, true
+	}
+	if ref.Kind == query.RefNode && !p.partitioned {
+		p.scratch = p.scratch[:0]
+		for _, e := range n.Entries {
+			p.scratch = append(p.scratch, query.FromEntry(e))
+		}
+		return p.scratch, true
+	}
+	pg := p.pages.Page(n)
+	var pos int32 // a node ref expands the page root
+	if ref.Kind == query.RefSuper {
+		// Super refs the provider itself created carry their page position;
+		// only client-handed refs pay the code bit-walk.
+		if h := ref.PosHint(); h != 0 {
+			pos = int32(h - 1)
+		} else if fp, found := pg.FindCode(string(ref.Code)); found {
+			pos = fp
+		} else {
+			return nil, true
+		}
+		if pg.IsLeaf(pos) {
+			return nil, true
+		}
+	}
+	p.markExpanded(n.ID, pg, pos)
+	p.scratch = appendPageChildren(p.scratch[:0], n.ID, pg, pos)
+	return p.scratch, true
 }
 
 // HaveObject implements query.Provider; the server holds every object.
 func (p *provider) HaveObject(rtree.ObjectID) bool { return true }
 
-// packedRef converts a leaf position of the packed image into an engine
-// reference — the flat-array twin of query.FromEntry.
-func packedRef(pk *rtree.Packed, pos int32) query.Ref {
-	if c := pk.ChildID(pos); c != rtree.InvalidNode {
-		return query.NodeRef(c, pk.Rect(pos))
+// pageRef converts a leaf position of a packed page into an engine reference
+// — the flat-array twin of query.FromEntry.
+func pageRef(pg *rtree.Page, pos int32) query.Ref {
+	if c := pg.ChildID(pos); c != rtree.InvalidNode {
+		return query.NodeRef(c, pg.Rect(pos))
 	}
-	return query.ObjectRef(pk.ObjID(pos), pk.Rect(pos))
+	return query.ObjectRef(pg.ObjID(pos), pg.Rect(pos))
 }
 
-// appendPackedChildren is appendPNodeChildren over the packed image: the two
-// children of position pos become engine references — leaves as real
-// entries, internal positions as super entries. A leaf pos (single-entry
-// node root) stands for its entry itself.
-func (p *provider) appendPackedChildren(dst []query.Ref, node rtree.NodeID, pos int32) []query.Ref {
-	pk := p.packed
-	r := pk.Right(pos)
+// appendPageChildren converts the two children of position pos into engine
+// references — leaves as real entries, internal positions as super entries.
+// A leaf pos (single-entry node root) stands for its entry itself.
+func appendPageChildren(dst []query.Ref, node rtree.NodeID, pg *rtree.Page, pos int32) []query.Ref {
+	r := pg.Right(pos)
 	if r == 0 {
-		return append(dst, packedRef(pk, pos))
+		return append(dst, pageRef(pg, pos))
 	}
 	for _, c := range [2]int32{pos + 1, r} {
-		if pk.IsLeaf(c) {
-			dst = append(dst, packedRef(pk, c))
+		if pg.IsLeaf(c) {
+			dst = append(dst, pageRef(pg, c))
 		} else {
-			dst = append(dst, query.SuperRefHinted(node, bpt.Code(pk.Code(c)), pk.Rect(c), uint32(c)+1))
-		}
-	}
-	return dst
-}
-
-// appendPNodeChildren converts a partition node's children into engine
-// references: leaves become real entries, internal positions become super
-// entries.
-func appendPNodeChildren(dst []query.Ref, node rtree.NodeID, pn *bpt.PNode) []query.Ref {
-	if pn.Leaf() {
-		return append(dst, query.FromEntry(pn.Entry))
-	}
-	for _, c := range [2]*bpt.PNode{pn.Left, pn.Right} {
-		if c.Leaf() {
-			dst = append(dst, query.FromEntry(c.Entry))
-		} else {
-			dst = append(dst, query.SuperRef(node, c.Code, c.MBR))
+			dst = append(dst, query.SuperRefHinted(node, bpt.Code(pg.Code(c)), pg.Rect(c), uint32(c)+1))
 		}
 	}
 	return dst

@@ -126,7 +126,7 @@ type clientShard struct {
 	m  map[wire.ClientID]*clientState
 }
 
-// Server owns the R*-tree, the binary partition forest, and per-client
+// Server owns the R*-tree, its partition-tree page table, and per-client
 // adaptive state.
 //
 // A Server is safe for concurrent use, and queries never lock the index:
@@ -141,32 +141,8 @@ type clientShard struct {
 type Server struct {
 	// cur is the published snapshot queries pin. Only the writer stores it.
 	cur    atomic.Pointer[snapshot]
-	forest *bpt.ForestArena
 	cfg    Config
 	shards [clientShardCount]clientShard
-
-	// packed is the read-optimized image of the index (rtree.Packed): flat
-	// partition-tree arrays covering everything up to the epoch it was built
-	// at. Validity is checked per node by page generation, so an image built
-	// from any snapshot is safe against any other — stale nodes are the
-	// un-packed delta and fall back to the arena tree. Built synchronously at
-	// construction, republished by a background packer once enough pages have
-	// drifted (see snapshot.go).
-	packed  atomic.Pointer[rtree.Packed]
-	packing atomic.Bool // one repack in flight at a time
-	// packGate is the earliest time (unix nanos) the next repack may start,
-	// set to a multiple of the last pack's duration when it finishes. It
-	// bounds the packer's duty cycle so a sustained update stream spends a
-	// small fraction of one core (and its GC budget) on image rebuilds
-	// instead of packing after every batch.
-	packGate atomic.Int64
-	// reads counts Execute/ExecuteBatch entries. The background packer
-	// consults it and keeps the image unmaintained while nothing is reading:
-	// a write-only phase pays zero repack cost (on small machines the packer
-	// competes with the writer for the same core), and the first query after
-	// such a phase runs on the arena fallback until the next batch notices
-	// the read and schedules a rebuild.
-	reads atomic.Int64
 
 	// baseSizes reports build-time object sizes; objects inserted after the
 	// build overlay it through extraSizes (lock-free reads, writer stores).
@@ -207,21 +183,19 @@ type clientState struct {
 // becomes one buffer of the writer's snapshot rotation and is mutated by the
 // writer goroutine (use View for safe access to the live index).
 func New(tree *rtree.Tree, sizes ObjectSizer, cfg Config) *Server {
-	s := &Server{
-		forest: bpt.NewForestArena(tree.NodeSpan()),
-		cfg:    cfg.normalized(),
-	}
-	for i := range s.shards {
-		s.shards[i].m = make(map[wire.ClientID]*clientState)
-	}
-	s.baseSizes = sizes
-	s.cur.Store(newSnapshot(tree, s.forest.View(), 0, 0, nil))
-	s.packed.Store(rtree.Pack(tree))
+	s := newServer(sizes, cfg)
+	s.cur.Store(newSnapshot(tree, rtree.Pack(tree), 0, 0, nil))
 	return s
 }
 
-// Packed exposes the current packed image (diagnostics and tests).
-func (s *Server) Packed() *rtree.Packed { return s.packed.Load() }
+// newServer is the part of construction New and Restore share.
+func newServer(sizes ObjectSizer, cfg Config) *Server {
+	s := &Server{cfg: cfg.normalized(), baseSizes: sizes}
+	for i := range s.shards {
+		s.shards[i].m = make(map[wire.ClientID]*clientState)
+	}
+	return s
+}
 
 // sizeOf reports an object's payload size, preferring the post-build overlay.
 func (s *Server) sizeOf(id rtree.ObjectID) int {
@@ -327,8 +301,6 @@ type execState struct {
 	seenO    map[rtree.ObjectID]bool // invalidation-report object dedup
 	seed     []query.QueuedElem      // rekeyed / root-seeded queue
 	nodesBuf []*rtree.Node           // buildIndex ordering scratch
-	cutBuf   bpt.Cut                 // frontier scratch
-	cutBuf2  bpt.Cut                 // refined-cut scratch
 }
 
 // scratchMapLimit bounds retained scratch-set capacity: a pathological
@@ -345,24 +317,20 @@ func resetScratchMap[K comparable](m map[K]bool) map[K]bool {
 }
 
 // getExec borrows a request state from the pool, bound to the pinned
-// snapshot v and the packed image pk (callers sharing one image across
-// several states must pass the same pointer — the expanded-position bitsets
-// are indexed by its spans). forQuery resets the provider and query scratch
-// (the visited bitset is sized to v's arena span); catalog and update
-// requests skip that and only use the invalidation scratch.
-func (s *Server) getExec(v *snapshot, pk *rtree.Packed, partitioned, forQuery bool) *execState {
+// snapshot v. forQuery resets the provider and query scratch (the visited
+// bitset is sized to v's arena span); catalog and update requests skip that
+// and only use the invalidation scratch.
+func (s *Server) getExec(v *snapshot, partitioned, forQuery bool) *execState {
 	st, _ := s.execPool.Get().(*execState)
 	if st == nil {
 		st = &execState{}
 	}
 	if forQuery {
-		st.prov.reset(v, pk, partitioned)
+		st.prov.reset(v, partitioned)
 		st.seen = resetScratchMap(st.seen)
 		st.noPay = resetScratchMap(st.noPay)
 		st.seed = st.seed[:0]
 		st.nodesBuf = st.nodesBuf[:0]
-		st.cutBuf = st.cutBuf[:0]
-		st.cutBuf2 = st.cutBuf2[:0]
 	}
 	st.seenN = resetScratchMap(st.seenN)
 	st.seenO = resetScratchMap(st.seenO)
@@ -423,19 +391,17 @@ func (s *Server) ReleaseResponse(resp *wire.Response) {
 // The returned response may be recycled via ReleaseResponse once the caller
 // is done with it; see there for the ownership contract.
 func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
-	s.reads.Add(1)
 	return s.executeWithD(req, s.feedbackAndD(req))
 }
 
 // executeWithD is Execute after feedback has been folded in; the batch path
-// calls it directly so a group abort cannot apply a request's FMR feedback
-// twice.
+// folds feedback for the whole batch first and calls it directly.
 func (s *Server) executeWithD(req *wire.Request, d int) (*wire.Response, ExecInfo) {
 	v := s.pinSnapshot()
 	defer v.unpin()
 
 	if req.Catalog {
-		st := s.getExec(v, nil, false, false)
+		st := s.getExec(v, false, false)
 		defer s.putExec(st)
 		root := rootRef(v)
 		resp := s.acquireResponse()
@@ -445,7 +411,7 @@ func (s *Server) executeWithD(req *wire.Request, d int) (*wire.Response, ExecInf
 	}
 
 	partitioned := s.cfg.Form != FullForm && !req.NoIndex
-	st := s.getExec(v, s.packed.Load(), partitioned, true)
+	st := s.getExec(v, partitioned, true)
 	defer s.putExec(st)
 
 	resp := s.acquireResponse()
@@ -573,65 +539,25 @@ func buildIndexInto(v *snapshot, resp *wire.Response, st *execState, form IndexF
 		}
 		rep := &reps[len(reps)-1]
 		rep.ID, rep.Level = n.ID, n.Level
-		rep.Elems = rep.Elems[:0]
-
-		// Packed nodes emit their cut straight from the flat arrays: the
-		// preorder walk yields lexicographic code order, exactly what the
-		// forest's cut construction produces, without the intermediate Cut
-		// slice or the byCode string-map lookups.
-		if sp, ok := p.packedSpan(n); ok {
-			rep.Elems = appendPackedCut(rep.Elems, p.packed, sp, p.pexp[n.ID], form, d)
-			continue
-		}
-
-		pt := v.forest.Get(n)
-		cut := st.cutBuf[:0]
-		switch form {
-		case FullForm:
-			cut = pt.FullCutInto(cut)
-		case CompactForm:
-			cut = pt.FrontierInto(cut, p.expanded[n.ID])
-		default: // AdaptiveForm
-			st.cutBuf2 = pt.FrontierInto(st.cutBuf2[:0], p.expanded[n.ID])
-			cut = pt.ExpandCutInto(cut, st.cutBuf2, d)
-		}
-		st.cutBuf = cut
-
-		for _, code := range cut {
-			pn, ok := pt.Node(code)
-			if !ok {
-				continue
-			}
-			elem := wire.CutElem{Code: code, MBR: pn.MBR}
-			if pn.Leaf() {
-				elem.Child = pn.Entry.Child
-				elem.Obj = pn.Entry.Obj
-			} else {
-				elem.Super = true
-			}
-			rep.Elems = append(rep.Elems, elem)
-		}
+		rep.Elems = appendPageCut(rep.Elems[:0], p.pages.Page(n), p.pexp[n.ID], form, d)
 	}
 	resp.Index = reps
 }
 
-// appendPackedCut emits one node's shipped representation from the packed
-// image, mirroring the forest path byte-for-byte: the frontier of the
-// expanded positions (bits; nil or root-unset collapses to the root cut),
-// refined d further levels under AdaptiveForm, or every leaf under FullForm.
-func appendPackedCut(dst []wire.CutElem, pk *rtree.Packed, sp rtree.PackedSpan, bits []uint64, form IndexForm, d int) []wire.CutElem {
+// appendPageCut emits one node's shipped representation from its packed
+// page: the frontier of the expanded positions (bits; nil or root-unset
+// collapses to the root cut), refined d further levels under AdaptiveForm, or
+// every leaf under FullForm. The preorder walk yields lexicographic code
+// order, so the cut needs no sorting.
+func appendPageCut(dst []wire.CutElem, pg *rtree.Page, bits []uint64, form IndexForm, d int) []wire.CutElem {
 	expandedBit := func(pos int32) bool {
-		if bits == nil {
-			return false
-		}
-		rel := uint32(pos - sp.Off)
-		return bits[rel>>6]&(1<<(rel&63)) != 0
+		return bits != nil && bits[uint32(pos)>>6]&(1<<(uint32(pos)&63)) != 0
 	}
 	emit := func(pos int32) {
-		elem := wire.CutElem{Code: bpt.Code(pk.Code(pos)), MBR: pk.Rect(pos)}
-		if pk.IsLeaf(pos) {
-			elem.Child = pk.ChildID(pos)
-			elem.Obj = pk.ObjID(pos)
+		elem := wire.CutElem{Code: bpt.Code(pg.Code(pos)), MBR: pg.Rect(pos)}
+		if pg.IsLeaf(pos) {
+			elem.Child = pg.ChildID(pos)
+			elem.Obj = pg.ObjID(pos)
 		} else {
 			elem.Super = true
 		}
@@ -641,18 +567,18 @@ func appendPackedCut(dst []wire.CutElem, pk *rtree.Packed, sp rtree.PackedSpan, 
 	// refinement); depth 0 emits pos itself.
 	var descend func(pos int32, depth int)
 	descend = func(pos int32, depth int) {
-		if pk.IsLeaf(pos) || depth == 0 {
+		if pg.IsLeaf(pos) || depth == 0 {
 			emit(pos)
 			return
 		}
 		descend(pos+1, depth-1)
-		descend(pk.Right(pos), depth-1)
+		descend(pg.Right(pos), depth-1)
 	}
 	var frontier func(pos int32)
 	frontier = func(pos int32) {
-		if !pk.IsLeaf(pos) && expandedBit(pos) {
+		if !pg.IsLeaf(pos) && expandedBit(pos) {
 			frontier(pos + 1)
-			frontier(pk.Right(pos))
+			frontier(pg.Right(pos))
 			return
 		}
 		if form == AdaptiveForm {
@@ -662,18 +588,10 @@ func appendPackedCut(dst []wire.CutElem, pk *rtree.Packed, sp rtree.PackedSpan, 
 		}
 	}
 
-	switch {
-	case form == FullForm:
-		descend(sp.Off, int(sp.Count)) // depth bound > height: reaches all leaves
-	case !expandedBit(sp.Off):
-		// Root not expanded: the cut is the root alone (possibly refined).
-		if form == AdaptiveForm {
-			descend(sp.Off, d)
-		} else {
-			emit(sp.Off)
-		}
-	default:
-		frontier(sp.Off)
+	if form == FullForm {
+		descend(0, pg.Len()) // depth bound > height: reaches all leaves
+	} else {
+		frontier(0) // root not expanded: the root alone (possibly refined)
 	}
 	return dst
 }

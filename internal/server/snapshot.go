@@ -4,9 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/bpt"
 	"repro/internal/rtree"
 	"repro/internal/wire"
 )
@@ -14,12 +12,12 @@ import (
 // Snapshot isolation: the server's concurrency model.
 //
 // Queries never lock the index. Execute pins the current snapshot — an
-// immutable (R*-tree arena, partition-forest view, invalidation-log prefix)
-// triple — with one atomic pointer load plus a reader-count increment, runs
-// entirely against it, and unpins. All mutation flows through a single
-// writer goroutine that drains a queue of update batches, applies each
-// coalesced run of operations to a spare tree buffer, and publishes the
-// result as a fresh snapshot with one atomic pointer store.
+// immutable (R*-tree arena, partition-tree page table, invalidation-log
+// prefix) triple — with one atomic pointer load plus a reader-count
+// increment, runs entirely against it, and unpins. All mutation flows
+// through a single writer goroutine that drains a queue of update batches,
+// applies each coalesced run of operations to a spare tree buffer, and
+// publishes the result as a fresh snapshot with one atomic pointer store.
 //
 // The spare buffer is a previous snapshot's tree brought up to date: every
 // published batch records its first-touch page set, and CatchUp replays
@@ -35,8 +33,12 @@ import (
 // Server.cur; the tree buffer underneath is recycled by the writer after the
 // snapshot is retired (unpublished) and its reader count drains.
 type snapshot struct {
-	tree   *rtree.Tree
-	forest bpt.ForestView
+	tree *rtree.Tree
+	// pages holds every node's partition tree as an immutable packed page in
+	// a (NodeID, Gen)-checked slot (rtree.Packed) — the one representation
+	// queries read. The table is shared from snapshot to snapshot; the writer
+	// swaps in a grown copy only when the tree issued new ids.
+	pages *rtree.Packed
 
 	// Invalidation state as of this snapshot: the epoch of the last applied
 	// update, the log horizon, and a stable prefix view of the update log
@@ -54,10 +56,10 @@ type snapshot struct {
 	once    sync.Once
 }
 
-func newSnapshot(tree *rtree.Tree, forest bpt.ForestView, epoch, logFloor uint64, updates []updateRecord) *snapshot {
+func newSnapshot(tree *rtree.Tree, pages *rtree.Packed, epoch, logFloor uint64, updates []updateRecord) *snapshot {
 	v := &snapshot{
 		tree:     tree,
-		forest:   forest,
+		pages:    pages,
 		epoch:    epoch,
 		logFloor: logFloor,
 		updates:  updates,
@@ -144,14 +146,6 @@ type writer struct {
 	logFloor uint64
 	log      []updateRecord
 
-	// stale counts pages touched since the packed image was last rebuilt;
-	// past the repack threshold the writer kicks an asynchronous repack.
-	// lastPackReads remembers Server.reads at the moment the last repack was
-	// scheduled: if no query has arrived since, the image has no audience and
-	// rebuilding it would be pure overhead on the write path.
-	stale         int
-	lastPackReads int64
-
 	// Scratch reused across operations and batches (no per-update maps).
 	opSeen     map[rtree.NodeID]bool // first-touch dedup within one operation
 	opOrder    []rtree.NodeID
@@ -187,8 +181,6 @@ func (s *Server) ensureWriter() *writer {
 			opSeen:    make(map[rtree.NodeID]bool),
 			batchSeen: make(map[rtree.NodeID]bool),
 			syncSeen:  make(map[rtree.NodeID]bool),
-			// The construction-time image covers everything read so far.
-			lastPackReads: s.reads.Load(),
 		}
 		s.wr = w
 		go w.run()
@@ -369,9 +361,7 @@ func (w *writer) apply(batches []*updateBatch) {
 			}
 		}
 		w.trimLog()
-		w.s.forest.EnsureSpan(t.NodeSpan())
-		view := w.s.forest.View()
-		nw := newSnapshot(t, view, w.epoch, w.logFloor, w.log)
+		nw := newSnapshot(t, cur.pages.Grow(t.NodeSpan()), w.epoch, w.logFloor, w.log)
 		for _, b := range w.bufs {
 			if b != buf {
 				b.pending = append(b.pending, w.batchOrder...)
@@ -390,9 +380,7 @@ func (w *writer) apply(batches []*updateBatch) {
 	if fn := w.s.cfg.OnApplied; fn != nil {
 		fn(epochBefore, w.walOps)
 	}
-	w.prewarm(buf.tree)
-	w.stale += len(w.batchOrder)
-	w.maybeRepack()
+	w.prewarm(buf.snap)
 	// Checkpoint between publish groups, still on the writer goroutine: the
 	// published tree is immutable (the next group mutates a spare buffer),
 	// and no update is in flight to race the extras overlay.
@@ -404,72 +392,6 @@ func (w *writer) apply(batches []*updateBatch) {
 	}
 }
 
-// repackStaleFloor is the minimum number of touched pages before a repack is
-// worth scheduling; below it the arena-delta fallback is cheap enough.
-const repackStaleFloor = 64
-
-// packMinInterval is the shortest gap between two repacks, regardless of how
-// fast the incremental Repack runs (see the gate in maybeRepack).
-const packMinInterval = time.Second
-
-// maybeRepack rebuilds the packed image in the background once enough pages
-// have drifted from it — the delta served by the arena fallback stays small
-// without the writer paying a full image rebuild per batch. The packer runs
-// against a pinned snapshot (immutable by contract), so it never races the
-// writer's buffer mutations; one repack is in flight at a time, and because
-// packed content is validated per (NodeID, Gen), publishing an image built
-// from an already-superseded snapshot is still correct — newer pages just
-// stay in the delta until the next repack.
-func (w *writer) maybeRepack() {
-	s := w.s
-	threshold := repackStaleFloor
-	if n := w.bufs[0].tree.NodeCount() / 4; n > threshold {
-		threshold = n
-	}
-	if w.stale < threshold || s.packing.Load() {
-		return
-	}
-	// No query has looked at the server since the last repack was scheduled:
-	// skip. A write-only phase then pays nothing for image maintenance (on a
-	// small machine the packer competes with this goroutine for CPU), and
-	// stale keeps accumulating so the batch after the first read repacks.
-	reads := s.reads.Load()
-	if reads == w.lastPackReads {
-		return
-	}
-	// Duty-cycle the packer: a batch stream that dirties the threshold on
-	// every batch must not rebuild the image per batch — packing allocates
-	// the whole flat image, and that GC churn is paid by the writer and
-	// every reader. Two gates compose: the 24x multiple bounds the packer to
-	// ~1/24 of wall time on big trees where a rebuild is slow, and the
-	// absolute floor bounds the *frequency* on small trees where Repack is so
-	// fast that a pure duty cycle would fire many times a second, each firing
-	// allocating a fresh image — the garbage scales with firings, not with
-	// pack duration. Sub-4Hz image freshness has no query-visible value: the
-	// delta fallback serves stale pages exactly either way.
-	if time.Now().UnixNano() < s.packGate.Load() {
-		return
-	}
-	if !s.packing.CompareAndSwap(false, true) {
-		return
-	}
-	w.stale = 0
-	w.lastPackReads = reads
-	v := s.pinSnapshot()
-	go func() {
-		defer s.packing.Store(false)
-		defer v.unpin()
-		start := time.Now()
-		// Repack reuses unchanged node spans from the previous image, so the
-		// steady-state cost is O(stale pages) split work plus a copy.
-		s.packed.Store(rtree.Repack(v.tree, s.packed.Load()))
-		wait := 24 * time.Since(start)
-		if wait < packMinInterval {
-			wait = packMinInterval
-		}
-	}()
-}
-
 // prewarmPageBudget bounds how many touched pages one batch prewarm rebuilds.
 // With the paper's 204-entry pages a single partition-tree build costs
 // hundreds of microseconds; rebuilding every page a big batch touched would
@@ -478,33 +400,39 @@ func (w *writer) maybeRepack() {
 // visits them (CAS-shared, so the cost is paid once per page either way).
 const prewarmPageBudget = 24
 
-// prewarm rebuilds the partition trees of recently touched pages so queries
-// find the cache warm. Rebuilding is by far the most expensive consequence
-// of an update (O(fanout log² fanout) with sorting), and paying it here —
-// on the writer, after the waiters are acked — keeps it off the query path.
-// It runs after the publish on purpose: before it, readers of the outgoing
-// snapshot would find slot generations newer than their pages and rebuild
-// without being able to share, while a reader of the new snapshot that
-// beats the writer to a page simply CASes its build in first and the
+// prewarm maintains the page table for the pages a publish group touched:
+// it retires the slots of nodes the group freed (NodeIDs are never reused, so
+// nothing else would ever drop them) and rebuilds the packed pages of the
+// rest so queries find them warm. Rebuilding is by far the most expensive
+// consequence of an update (O(fanout log² fanout) with sorting), and paying
+// it here — on the writer, after the waiters are acked — keeps it off the
+// query path. It runs after the publish on purpose: before it, readers of the
+// outgoing snapshot would find slot generations newer than their pages and
+// rebuild without being able to share, while a reader of the new snapshot
+// that beats the writer to a page simply CASes its build in first and the
 // prewarm finds the slot warm.
 //
 // Internal pages come first: every indexed query descends through them, so
 // a cold internal page taxes all readers, while a cold leaf taxes only the
 // queries whose region it covers. The page budget and the regular yields
 // keep the writer's CPU burst bounded regardless of batch size.
-func (w *writer) prewarm(t *rtree.Tree) {
-	view := w.s.cur.Load().forest
+func (w *writer) prewarm(v *snapshot) {
+	for _, id := range w.batchOrder {
+		if _, ok := v.tree.Node(id); !ok {
+			v.pages.Retire(id)
+		}
+	}
 	built := 0
 	warm := func(internalPass bool) {
 		for _, id := range w.batchOrder {
 			if built >= prewarmPageBudget {
 				return
 			}
-			n, ok := t.Node(id)
+			n, ok := v.tree.Node(id)
 			if !ok || len(n.Entries) == 0 || (n.Level > 0) != internalPass {
 				continue
 			}
-			view.Get(n)
+			v.pages.Page(n)
 			built++
 			if built%4 == 0 {
 				runtime.Gosched() // bound the unpreempted burst
@@ -553,17 +481,7 @@ func (w *writer) acquireBuf(cur *snapshot) *treeBuf {
 			oldest = b
 		}
 	}
-	limit := w.maxBufs
-	if w.s.packing.Load() {
-		// The packer pins one snapshot for its whole tree walk (tens of
-		// milliseconds on a big index). Without slack the rotation would
-		// block on that pin for the full pack duration, stalling every
-		// queued update. One extra buffer keeps the writer running; the
-		// growth happens once and the buffer stays in rotation afterwards,
-		// so the steady-state cost is MaxSnapshots+1 buffers, not a leak.
-		limit++
-	}
-	if len(w.bufs) < limit {
+	if len(w.bufs) < w.maxBufs {
 		nb := &treeBuf{tree: cur.tree.Clone()}
 		w.bufs = append(w.bufs, nb)
 		return nb

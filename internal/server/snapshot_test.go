@@ -3,8 +3,11 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -287,15 +290,67 @@ func TestExecuteUpdatesResponse(t *testing.T) {
 }
 
 // TestCloseDrainsWriter checks that Close applies everything already queued,
-// is idempotent (including concurrently), and that a server remains
-// queryable afterwards.
+// is idempotent (including concurrently), leaves nothing of the server
+// running or pinned after an update storm with concurrent readers, and that
+// a server remains queryable afterwards.
 func TestCloseDrainsWriter(t *testing.T) {
+	// Goroutines the package's servers have started; earlier tests leave
+	// their idle writers behind, so the check below is a before/after count.
+	serverGoroutines := func() (int, string) {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		return strings.Count(stacks, "created by repro/internal/server.(*"), stacks
+	}
+	before, _ := serverGoroutines()
+
 	srv, items := updServer(t, 200, 0)
 	for i := 0; i < 10; i++ {
 		if !srv.DeleteObject(items[i].Obj, items[i].MBR) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
+
+	// Update storm: every batch moves a slice of the survivors while readers
+	// keep pinning whatever snapshot is current.
+	const batches, perBatch = 40, 20
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := geom.Pt(r.Float64(), r.Float64())
+				resp, _ := srv.Execute(&wire.Request{Client: wire.ClientID(g + 1), Q: query.NewRange(geom.RectFromCenter(c, 0.3, 0.3))})
+				srv.ReleaseResponse(resp)
+				runtime.Gosched() // readers must not starve the storm on few cores
+			}
+		}(g)
+	}
+	live := items[10:]
+	for b := 0; b < batches; b++ {
+		var ops []wire.UpdateOp
+		for i := 0; i < perBatch; i++ {
+			it := &live[(b*perBatch+i)%len(live)]
+			to := geom.R(it.MBR.MinX+0.001, it.MBR.MinY, it.MBR.MaxX+0.001, it.MBR.MaxY)
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateMove, Obj: it.Obj, From: it.MBR, To: to})
+			it.MBR = to
+		}
+		for i, ok := range srv.ApplyUpdates(ops, nil) {
+			if !ok {
+				t.Fatalf("batch %d: move %d rejected", b, i)
+			}
+		}
+	}
+	close(stop)
+	readers.Wait()
+
 	var closers sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		closers.Add(1)
@@ -306,11 +361,89 @@ func TestCloseDrainsWriter(t *testing.T) {
 	}
 	closers.Wait()
 	srv.Close()
-	resp, _ := srv.Execute(&wire.Request{Q: query.NewRange(geom.R(0, 0, 1, 1)), NoIndex: true})
+
+	// Nothing the server started may outlive Close (the writer goroutine is
+	// given a moment to finish returning after it signalled done) ...
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n, stacks := serverGoroutines()
+		if n <= before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines started by the server still running after Close:\n%s", n-before, stacks)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// ... and no retired snapshot may still be pinned.
+	cur := srv.cur.Load()
+	if refs := cur.refs.Load(); refs != 1 {
+		t.Errorf("published snapshot holds %d references after Close, want 1", refs)
+	}
+	for i, b := range srv.wr.bufs {
+		if b.snap != nil && b.snap != cur && b.snap.refs.Load() != 0 {
+			t.Errorf("retired snapshot of buffer %d (epoch %d) still pinned %d times", i, b.snap.epoch, b.snap.refs.Load())
+		}
+	}
+
+	resp, _ := srv.Execute(&wire.Request{Q: query.NewRange(geom.R(0, 0, 2, 2)), NoIndex: true})
 	if len(resp.Objects) != len(items)-10 {
 		t.Fatalf("post-close query sees %d objects, want %d", len(resp.Objects), len(items)-10)
 	}
-	if srv.Epoch() != 10 {
-		t.Fatalf("post-close epoch %d", srv.Epoch())
+	if want := uint64(10 + batches*perBatch); srv.Epoch() != want {
+		t.Fatalf("post-close epoch %d, want %d", srv.Epoch(), want)
+	}
+}
+
+// TestDeadSlotsReclaimed checks that the page table does not keep pages of
+// deleted nodes: NodeIDs are never reused, so without the writer retiring a
+// freed node's slot its last page would stay cached forever. After churn
+// that condenses the tree, and a query that visits every node, the cached
+// pages are exactly the live non-empty nodes.
+func TestDeadSlotsReclaimed(t *testing.T) {
+	srv, items := updServer(t, 600, 0)
+	defer srv.Close()
+	r := rand.New(rand.NewSource(3))
+	next := rtree.ObjectID(len(items) + 1)
+	for round := 0; round < 6; round++ {
+		// Empty out one corner (nodes condense and are freed), then refill
+		// elsewhere (nodes split and new ids are issued).
+		var ops []wire.UpdateOp
+		kept := items[:0]
+		for _, it := range items {
+			if len(ops) < 80 && it.MBR.Center().X < 0.5 {
+				ops = append(ops, wire.UpdateOp{Kind: wire.UpdateDelete, Obj: it.Obj, From: it.MBR})
+			} else {
+				kept = append(kept, it)
+			}
+		}
+		items = kept
+		for i := 0; i < 80; i++ {
+			it := rtree.Item{Obj: next, MBR: geom.RectFromCenter(geom.Pt(0.5+r.Float64()/2, r.Float64()), 0.01, 0.01)}
+			next++
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateInsert, Obj: it.Obj, To: it.MBR})
+			items = append(items, it)
+		}
+		srv.ApplyUpdates(ops, nil)
+	}
+
+	resp, _ := srv.Execute(&wire.Request{Q: query.NewRange(geom.R(-1, -1, 2, 2))})
+	if len(resp.Objects) != len(items) {
+		t.Fatalf("full scan sees %d objects, want %d", len(resp.Objects), len(items))
+	}
+	v := srv.pinSnapshot()
+	defer v.unpin()
+	live := 0
+	v.tree.Nodes(func(n *rtree.Node) bool {
+		if len(n.Entries) > 0 {
+			live++
+		}
+		return true
+	})
+	if dead := int(v.tree.NodeSpan()) - 1 - v.tree.NodeCount(); dead == 0 {
+		t.Fatal("churn freed no node; the test exercises nothing")
+	}
+	if cached := v.pages.NodeCount(); cached != live {
+		t.Fatalf("page table caches %d pages for %d live non-empty nodes", cached, live)
 	}
 }

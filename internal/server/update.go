@@ -136,7 +136,7 @@ func (s *Server) ExecuteUpdates(req *wire.Request) *wire.Response {
 
 	v := s.pinSnapshot()
 	defer v.unpin()
-	st := s.getExec(v, nil, false, false)
+	st := s.getExec(v, false, false)
 	defer s.putExec(st)
 	root := rootRef(v)
 	resp.RootID, resp.RootMBR = root.Node, root.MBR

@@ -12,7 +12,7 @@
 //
 // This package is the facade over the building blocks in internal/:
 //
-//	Server     — R*-tree + partition forest + remainder-query processor
+//	Server     — R*-tree + partition-tree pages + remainder-query processor
 //	Client     — proactive cache + Algorithm 1 local processor
 //	NewRange / NewKNN / NewJoin — query constructors
 //
