@@ -46,7 +46,7 @@ func BulkLoad(p Params, items []Item, fill float64) *Tree {
 			// Replace the initial empty root with the packed root.
 			t.freeNode(t.root)
 			t.root = nodeIDs[0]
-			t.node(t.root).Parent = InvalidNode
+			t.setParent(t.root, InvalidNode)
 			t.height = level + 1
 			return t
 		}
@@ -89,11 +89,10 @@ func (t *Tree) packLevel(entries []Entry, level, perNode int) []NodeID {
 			}
 			node := t.newNode(level)
 			node.Entries = append(node.Entries, slab[o:oend]...)
-			t.touch(node.ID)
+			t.touch(node)
 			if level > 0 {
-				id := node.ID
 				for _, e := range node.Entries {
-					t.node(e.Child).Parent = id
+					t.setParent(e.Child, node.ID)
 				}
 			}
 			ids = append(ids, node.ID)

@@ -11,10 +11,11 @@ func (t *Tree) Delete(obj ObjectID, mbr geom.Rect) bool {
 	if leaf == nil {
 		return false
 	}
+	leaf = t.mut(leaf.ID)
 	for i, e := range leaf.Entries {
 		if e.Obj == obj && e.MBR == mbr {
 			leaf.Entries = append(leaf.Entries[:i], leaf.Entries[i+1:]...)
-			t.touch(leaf.ID)
+			t.touch(leaf)
 			break
 		}
 	}
@@ -53,21 +54,20 @@ func (t *Tree) condense(n *Node) {
 	var orphans []orphan
 
 	for n.ID != t.root {
-		parent := t.node(n.Parent)
+		parentID := n.Parent
 		if len(n.Entries) < t.params.MinEntries {
+			parent := t.mut(parentID)
 			i := parentEntryIndex(parent, n.ID)
 			parent.Entries = append(parent.Entries[:i], parent.Entries[i+1:]...)
-			t.touch(parent.ID)
+			t.touch(parent)
 			for _, e := range n.Entries {
 				orphans = append(orphans, orphan{e, n.Level})
 			}
-			id := n.ID
-			t.freeNode(id) // invalidates n; parent slot is untouched
-			t.touch(id)
+			t.freeNode(n.ID)
 		} else {
 			t.adjustPathMBRs(n)
 		}
-		n = parent
+		n = t.node(parentID) // either branch may have replaced the parent page
 	}
 
 	// Re-insert orphaned entries at their original levels.
@@ -77,15 +77,11 @@ func (t *Tree) condense(n *Node) {
 	}
 
 	// Shrink the root while it is a single-child intermediate node.
-	root := t.node(t.root)
-	for !root.Leaf() && len(root.Entries) == 1 {
-		child := t.node(root.Entries[0].Child)
-		id := root.ID
-		t.freeNode(id) // invalidates root; child slot is untouched
-		t.touch(id)
-		child.Parent = InvalidNode
-		t.root = child.ID
+	for root := t.node(t.root); !root.Leaf() && len(root.Entries) == 1; root = t.node(t.root) {
+		child := root.Entries[0].Child
+		t.freeNode(root.ID)
+		t.setParent(child, InvalidNode)
+		t.root = child
 		t.height--
-		root = child
 	}
 }

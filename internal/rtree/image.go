@@ -9,16 +9,20 @@ import (
 	"repro/internal/geom"
 )
 
-// Tree image: an exact, self-contained serialization of a tree's arena used
-// by durable-shard checkpoints (internal/wal, docs/DURABILITY.md). Exactness
-// is the whole point — the proactive-caching contract promises clients that
-// NodeIDs are never reused and that (ID, Gen) identifies page content, so a
-// restored shard must resume with the identical arena layout, identical
-// generation counters, and the identical free list a crashed one would have
-// had. The image therefore records tombstone positions (as gaps) and the
-// free-list order verbatim, and stores coordinates as float64 bits: the
-// in-memory tree holds full-precision rectangles and replayed updates match
-// them exactly (the delete contract).
+// Tree image: an exact, self-contained serialization of one tree version
+// used by durable-shard checkpoints (internal/wal, docs/DURABILITY.md).
+// Exactness is the whole point — the proactive-caching contract promises
+// clients that NodeIDs are never reused and that (ID, Gen) identifies page
+// content, so a restored shard must resume with the identical id span and
+// identical generation counters a crashed one would have had. The image
+// therefore records deleted ids (as gaps) and stores coordinates as float64
+// bits: the in-memory tree holds full-precision rectangles and replayed
+// updates match them exactly (the delete contract).
+//
+// Version 1 images carry a free-list section between the span and the live
+// count, where builds that recycled the entry storage of deleted pages kept
+// the ids awaiting reuse. It never influenced ids or content; the writer
+// emits it empty and the reader validates and drops whatever it finds there.
 
 const imageVersion = 1
 
@@ -36,15 +40,11 @@ func (t *Tree) AppendImage(dst []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(t.height))
 	b = binary.AppendUvarint(b, uint64(t.size))
 	b = binary.AppendUvarint(b, uint64(len(t.nodes)))
-	b = binary.AppendUvarint(b, uint64(len(t.free)))
-	for _, id := range t.free {
-		b = binary.AppendUvarint(b, uint64(id))
-	}
+	b = binary.AppendUvarint(b, 0) // free-list section, always empty
 	b = binary.AppendUvarint(b, uint64(t.live))
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
-		if n.ID == InvalidNode {
-			continue // tombstone or sentinel: reconstructed as a zero slot
+	for _, n := range t.nodes {
+		if n == nil {
+			continue // deleted id or sentinel: reconstructed as a nil slot
 		}
 		b = binary.AppendUvarint(b, uint64(n.ID))
 		b = binary.AppendUvarint(b, uint64(n.Level))
@@ -132,7 +132,7 @@ func ReadImage(body []byte) (*Tree, error) {
 	}
 	d.b = body[1:]
 
-	t := &Tree{}
+	t := &Tree{stamp: new(stamp)}
 	t.params.MaxEntries = int(d.uvarint())
 	t.params.MinEntries = int(d.uvarint())
 	t.params.ReinsertCount = int(d.uvarint())
@@ -140,23 +140,17 @@ func ReadImage(body []byte) (*Tree, error) {
 	t.height = int(d.uvarint())
 	t.size = int(d.uvarint())
 	span := d.uvarint()
-	nfree := d.count(1)
-	t.free = make([]NodeID, 0, nfree)
-	for i := 0; i < nfree && d.err == nil; i++ {
-		id := NodeID(d.uvarint())
-		if uint64(id) >= span {
+	for i, nfree := 0, d.count(1); i < nfree && d.err == nil; i++ {
+		if id := d.uvarint(); id >= span {
 			d.fail("free id %d out of span %d", id, span)
 		}
-		t.free = append(t.free, id)
 	}
 	live := d.count(5) // id + level + parent + gen + count, one byte each min
 	if d.err != nil {
 		return nil, d.err
 	}
-	// NodeIDs are never reused, so tombstoned slots (frees whose entry
-	// storage was since recycled off the free list) legitimately outnumber
-	// the free list: the span only has to cover the sentinel plus every
-	// live node, and stay under the arena's id-width ceiling so a corrupt
+	// NodeIDs are never reused, so the span only has to cover the sentinel
+	// plus every live node, and stay under the id-width ceiling so a corrupt
 	// header cannot demand an absurd allocation.
 	const maxImageSpan = 1 << 26
 	if span < 1+uint64(live) || span > maxImageSpan {
@@ -164,7 +158,7 @@ func ReadImage(body []byte) (*Tree, error) {
 			errImage, span, live)
 	}
 	t.live = live
-	t.nodes = make([]Node, span)
+	t.nodes = make([]*Node, span)
 	for i := 0; i < live && d.err == nil; i++ {
 		id := NodeID(d.uvarint())
 		if d.err != nil {
@@ -174,12 +168,12 @@ func ReadImage(body []byte) (*Tree, error) {
 			d.fail("node id %d out of span %d", id, span)
 			break
 		}
-		n := &t.nodes[id]
-		if n.ID != InvalidNode {
+		if t.nodes[id] != nil {
 			d.fail("duplicate node id %d", id)
 			break
 		}
-		n.ID = id
+		n := &Node{ID: id, owner: t.stamp}
+		t.nodes[id] = n
 		n.Level = int(d.uvarint())
 		n.Parent = NodeID(d.uvarint())
 		n.Gen = uint32(d.uvarint())
@@ -208,8 +202,20 @@ func ReadImage(body []byte) (*Tree, error) {
 	if uint64(t.root) >= span {
 		return nil, fmt.Errorf("%w: root %d out of span %d", errImage, t.root, span)
 	}
-	if t.root != InvalidNode && t.nodes[t.root].ID != t.root {
+	if t.nodes[t.root] == nil { // also rejects InvalidNode: every tree has a root page
 		return nil, fmt.Errorf("%w: root %d is not a live node", errImage, t.root)
+	}
+	// A descent follows every entry of an intermediate page without a
+	// liveness check, so a dangling child must not get past the decoder.
+	for _, n := range t.nodes {
+		if n == nil || n.Level == 0 {
+			continue
+		}
+		for _, e := range n.Entries {
+			if t.nodes[e.Child] == nil {
+				return nil, fmt.Errorf("%w: node %d references missing child %d", errImage, n.ID, e.Child)
+			}
+		}
 	}
 	return t, nil
 }

@@ -2,14 +2,15 @@ package rtree
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/geom"
 )
 
 // mutatedTree builds a tree with a history of inserts and deletes so the
-// arena carries tombstones, a non-trivial free list, and advanced Gen
-// counters — everything an image must preserve exactly.
+// table carries deleted ids and advanced Gen counters — everything an image
+// must preserve exactly.
 func mutatedTree(seed int64) *Tree {
 	rng := rand.New(rand.NewSource(seed))
 	t := New(Params{MaxEntries: 8})
@@ -39,50 +40,16 @@ func mutatedTree(seed int64) *Tree {
 	return t
 }
 
-// sameTree compares every piece of state the image round-trips, tolerating
-// only the nil-vs-empty entry-slice difference of reconstructed tombstones
-// (their recycled capacity is a performance detail, not state).
+// sameTree compares every piece of state the image round-trips.
 func sameTree(t *testing.T, a, b *Tree) {
 	t.Helper()
 	if a.params != b.params {
 		t.Fatalf("params %+v != %+v", a.params, b.params)
 	}
-	if a.root != b.root || a.height != b.height || a.size != b.size || a.live != b.live {
-		t.Fatalf("header (root %d h %d size %d live %d) != (root %d h %d size %d live %d)",
-			a.root, a.height, a.size, a.live, b.root, b.height, b.size, b.live)
-	}
 	if len(a.nodes) != len(b.nodes) {
 		t.Fatalf("span %d != %d", len(a.nodes), len(b.nodes))
 	}
-	if len(a.free) != len(b.free) {
-		t.Fatalf("free list length %d != %d", len(a.free), len(b.free))
-	}
-	for i := range a.free {
-		if a.free[i] != b.free[i] {
-			t.Fatalf("free[%d]: %d != %d", i, a.free[i], b.free[i])
-		}
-	}
-	for i := range a.nodes {
-		na, nb := &a.nodes[i], &b.nodes[i]
-		if na.ID != nb.ID {
-			t.Fatalf("slot %d: id %d != %d", i, na.ID, nb.ID)
-		}
-		if na.ID == InvalidNode {
-			continue // tombstone/sentinel: only the gap matters
-		}
-		if na.Level != nb.Level || na.Parent != nb.Parent || na.Gen != nb.Gen {
-			t.Fatalf("node %d: (level %d parent %d gen %d) != (level %d parent %d gen %d)",
-				na.ID, na.Level, na.Parent, na.Gen, nb.Level, nb.Parent, nb.Gen)
-		}
-		if len(na.Entries) != len(nb.Entries) {
-			t.Fatalf("node %d: %d entries != %d", na.ID, len(na.Entries), len(nb.Entries))
-		}
-		for j := range na.Entries {
-			if na.Entries[j] != nb.Entries[j] {
-				t.Fatalf("node %d entry %d: %+v != %+v", na.ID, j, na.Entries[j], nb.Entries[j])
-			}
-		}
-	}
+	assertTreesEqual(t, a, b)
 }
 
 func TestImageRoundTrip(t *testing.T) {
@@ -101,7 +68,7 @@ func TestImageRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: restored tree invalid: %v", seed, err)
 		}
 		// A restored tree must keep mutating exactly like the original:
-		// recycle the same free slots, allocate the same fresh ids.
+		// issue the same fresh ids, bump the same generations.
 		for i := 0; i < 64; i++ {
 			id := ObjectID(1 << 20)
 			r := geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}
@@ -109,6 +76,50 @@ func TestImageRoundTrip(t *testing.T) {
 			got.Insert(id+ObjectID(i), r)
 		}
 		sameTree(t, tr, got)
+	}
+}
+
+// TestImageFromParentBuild reads a checkpoint image written before the tree
+// was versioned (same imageVersion; 32 ids in its free-list section, 47
+// deleted ids in a span of 75): the section is validated and dropped, the
+// tree is intact, keeps mutating, and re-encodes with the section empty.
+func TestImageFromParentBuild(t *testing.T) {
+	img, err := os.ReadFile("testdata/parent_v1_freelist.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadImage(img)
+	if err != nil {
+		t.Fatalf("ReadImage: %v", err)
+	}
+	if tr.NodeCount() != 27 || tr.NodeSpan() != 75 || tr.Len() != 100 || tr.Height() != 3 || tr.Root() != 12 {
+		t.Fatalf("decoded nodes=%d span=%d objects=%d height=%d root=%d, want 27/75/100/3/12",
+			tr.NodeCount(), tr.NodeSpan(), tr.Len(), tr.Height(), tr.Root())
+	}
+	if err := tr.Validate(false); err != nil {
+		t.Fatalf("decoded tree invalid: %v", err)
+	}
+	if again := tr.AppendImage(nil); len(again) != len(img)-32 {
+		t.Errorf("re-encoded image is %d bytes, want %d (the parent's minus 32 one-byte free ids)", len(again), len(img)-32)
+	}
+	var objs []Entry
+	tr.Nodes(func(n *Node) bool {
+		if n.Leaf() {
+			objs = append(objs, n.Entries...)
+		}
+		return true
+	})
+	for i, e := range objs {
+		if i%2 == 0 && !tr.Delete(e.Obj, e.MBR) {
+			t.Fatalf("delete of decoded object %d failed", e.Obj)
+		}
+		tr.Insert(ObjectID(1<<20+i), e.MBR)
+	}
+	if tr.NodeSpan() <= 75 {
+		t.Errorf("150 updates issued no id past the decoded span")
+	}
+	if err := tr.Validate(false); err != nil {
+		t.Fatalf("decoded tree invalid after updates: %v", err)
 	}
 }
 

@@ -17,11 +17,11 @@ func (t *Tree) Insert(obj ObjectID, mbr geom.Rect) {
 // overflow via forced reinsertion (once per level per top-level operation,
 // tracked by reinserted) and R* splits.
 func (t *Tree) insertEntry(e Entry, level int, reinserted []bool) {
-	n := t.chooseSubtree(e.MBR, level)
+	n := t.mut(t.chooseSubtree(e.MBR, level).ID)
 	n.Entries = append(n.Entries, e)
-	t.touch(n.ID)
+	t.touch(n)
 	if e.Child != InvalidNode {
-		t.node(e.Child).Parent = n.ID
+		t.setParent(e.Child, n.ID)
 	}
 	t.adjustPathMBRs(n)
 	if len(n.Entries) > t.params.MaxEntries {
@@ -93,8 +93,9 @@ func overlapEnlargement(entries []Entry, idx int, mbr geom.Rect) float64 {
 	return delta
 }
 
-// overflow applies R* overflow treatment to n: forced reinsertion the first
-// time a level overflows during one top-level insert, a split afterwards.
+// overflow applies R* overflow treatment to n (this version's own copy):
+// forced reinsertion the first time a level overflows during one top-level
+// insert, a split afterwards.
 func (t *Tree) overflow(n *Node, reinserted []bool) {
 	if n.ID != t.root && n.Level < len(reinserted) && !reinserted[n.Level] {
 		reinserted[n.Level] = true
@@ -124,7 +125,7 @@ func (t *Tree) reinsert(n *Node, reinserted []bool) {
 	for _, de := range des[:keep] {
 		n.Entries = append(n.Entries, de.e)
 	}
-	t.touch(n.ID)
+	t.touch(n)
 	t.adjustPathMBRs(n)
 
 	level := n.Level
@@ -133,46 +134,40 @@ func (t *Tree) reinsert(n *Node, reinserted []bool) {
 	}
 }
 
-// splitNode splits an overflowing node and propagates upward. Node pointers
-// are re-fetched by id after every newNode call: growing the arena may
-// relocate the whole node slice.
+// splitNode splits an overflowing node and propagates upward.
 func (t *Tree) splitNode(n *Node, reinserted []bool) {
 	left, right := SplitEntries(n.Entries, t.params.MinEntries)
 
-	nID, level := n.ID, n.Level
 	n.Entries = left
-	nnID := t.newNode(level).ID
-	n = t.node(nID)
-	nn := t.node(nnID)
+	nn := t.newNode(n.Level)
 	nn.Entries = right
-	t.touch(nID)
-	t.touch(nnID)
-	if level > 0 {
+	t.touch(n)
+	t.touch(nn)
+	if n.Level > 0 {
 		for _, e := range nn.Entries {
-			t.node(e.Child).Parent = nnID
+			t.setParent(e.Child, nn.ID)
 		}
 	}
 
-	if nID == t.root {
-		rootID := t.newNode(level + 1).ID
-		n, nn = t.node(nID), t.node(nnID)
-		t.node(rootID).Entries = []Entry{
-			{MBR: n.MBR(), Child: nID},
-			{MBR: nn.MBR(), Child: nnID},
+	if n.ID == t.root {
+		root := t.newNode(n.Level + 1)
+		root.Entries = []Entry{
+			{MBR: n.MBR(), Child: n.ID},
+			{MBR: nn.MBR(), Child: nn.ID},
 		}
-		n.Parent = rootID
-		nn.Parent = rootID
-		t.root = rootID
+		n.Parent = root.ID
+		nn.Parent = root.ID
+		t.root = root.ID
 		t.height++
-		t.touch(rootID)
+		t.touch(root)
 		return
 	}
 
-	parent := t.node(n.Parent)
-	i := parentEntryIndex(parent, nID)
+	parent := t.mut(n.Parent)
+	i := parentEntryIndex(parent, n.ID)
 	parent.Entries[i].MBR = n.MBR()
-	parent.Entries = append(parent.Entries, Entry{MBR: nn.MBR(), Child: nnID})
-	t.touch(parent.ID)
+	parent.Entries = append(parent.Entries, Entry{MBR: nn.MBR(), Child: nn.ID})
+	t.touch(parent)
 	nn.Parent = parent.ID
 	t.adjustPathMBRs(parent)
 	if len(parent.Entries) > t.params.MaxEntries {

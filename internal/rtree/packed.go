@@ -20,8 +20,8 @@ import (
 //	        publishing by CAS)
 //	clears  the writer, when a publish group freed the node (Retire)
 //
-// A (NodeID, Gen) pair names immutable node content (the arena contract), so
-// one table serves readers pinned to different snapshots: a lookup is an
+// A (NodeID, Gen) pair names immutable node content (the tree's contract), so
+// one table serves readers of different snapshots: a lookup is an
 // atomic load and a generation compare, and the newest generation wins the
 // slot. NodeIDs are never reused, so a slot never changes owner.
 type Packed struct {
@@ -232,7 +232,7 @@ func (b *pageBuilder) emit(entries []Entry, idx, parent int32) int32 {
 
 // internDepth bounds the code lengths covered by the shared intern table.
 // Splits are near-balanced, so 12 bits covers every position of any page the
-// arena produces in practice; pathological codes just fall back to allocating.
+// tree produces in practice; pathological codes just fall back to allocating.
 const internDepth = 12
 
 // internedCodes holds one canonical string per binary partition code of up to

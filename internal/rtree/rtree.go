@@ -10,17 +10,18 @@
 // packing with a configurable fill factor so index sizes match the paper's
 // reported R*-tree sizes.
 //
-// Nodes live by value in a dense slice arena indexed by NodeID, so a
-// root-to-leaf descent walks contiguous memory instead of chasing heap
-// pointers through a map, and the GC never scans per-node allocations.
-// NodeIDs are never reused: a deleted page leaves a tombstone slot whose
-// lookup fails forever (the liveness check clients' dangling references
-// depend on), while its entry storage goes on a free list for the next
-// created node to recycle.
+// A tree is a version: a dense table indexed by NodeID of pointers to pages
+// that are immutable once another version can see them. Clone copies only
+// the table, and the first mutation of a page inside a version copies that
+// one page (copy-on-write), so any number of versions share every page they
+// have in common and an older version never observes a newer one's writes.
+// NodeIDs are never reused: a deleted page leaves a nil slot whose lookup
+// fails forever (the liveness check clients' dangling references depend on).
 package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -61,7 +62,15 @@ type Node struct {
 	// generation and shared across snapshots without invalidation traffic.
 	Gen     uint32
 	Entries []Entry
+
+	// owner is the stamp of the tree version that created or copied this
+	// page: the only version allowed to write it (see Tree.mut).
+	owner *stamp
 }
+
+// stamp is a version's identity. It has a size so that distinct allocations
+// have distinct addresses.
+type stamp struct{ _ byte }
 
 // Leaf reports whether the node is at leaf level.
 func (n *Node) Leaf() bool { return n.Level == 0 }
@@ -116,19 +125,19 @@ func (p Params) normalized() Params {
 	return p
 }
 
-// Tree is an R*-tree. It is not safe for concurrent mutation; concurrent
-// reads are safe once construction is complete.
+// Tree is one version of an R*-tree. It is not safe for concurrent mutation
+// (Clone counts as one: it re-stamps the receiver); concurrent reads are
+// safe, also while a clone of the tree is being mutated.
 //
-// Node pointers returned by Node, Nodes, or internal lookups point into the
-// arena and stay valid only until the next mutation (Insert, Delete,
-// BulkLoad); creating a node may grow the arena and relocate every Node.
-// Mutating code must therefore re-fetch by id after any call that can
-// allocate a node.
+// Node pointers returned by Node, Nodes, or internal lookups show the page
+// as of the last mutation of this version; a later mutation may replace the
+// page with a copy, so mutating code writes only through mut and re-fetches
+// a read-only pointer by id after any call that can write that page.
 type Tree struct {
 	params Params
-	nodes  []Node   // arena indexed by NodeID; slot 0 is the InvalidNode sentinel
-	free   []NodeID // tombstone slots whose entry storage newNode recycles
-	live   int      // number of live nodes
+	nodes  []*Node // page table indexed by NodeID; nil for slot 0 and deleted pages
+	stamp  *stamp  // this version's identity; pages carrying it are written in place
+	live   int     // number of live nodes
 	root   NodeID
 	height int // number of levels; 1 = root is a leaf
 	size   int // number of stored objects
@@ -142,8 +151,14 @@ type Tree struct {
 // SetTouchHook installs fn to observe node mutations; nil disables.
 func (t *Tree) SetTouchHook(fn func(NodeID)) { t.onTouch = fn }
 
-func (t *Tree) touch(id NodeID) {
-	t.nodes[id].Gen++
+// touch records a content change of n, which must be this version's own
+// copy (obtained through mut or newNode).
+func (t *Tree) touch(n *Node) {
+	n.Gen++
+	t.notify(n.ID)
+}
+
+func (t *Tree) notify(id NodeID) {
 	if t.onTouch != nil {
 		t.onTouch(id)
 	}
@@ -153,44 +168,58 @@ func (t *Tree) touch(id NodeID) {
 func New(p Params) *Tree {
 	t := &Tree{
 		params: p.normalized(),
-		nodes:  make([]Node, 1, 64), // slot 0 reserved for InvalidNode
+		nodes:  make([]*Node, 1, 64), // slot 0 reserved for InvalidNode
+		stamp:  new(stamp),
 	}
-	root := t.newNode(0)
-	t.root = root.ID
+	t.root = t.newNode(0).ID
 	t.height = 1
 	return t
 }
 
-// newNode allocates the next arena slot. Entry storage is recycled from the
-// free list when a deleted page left some behind. The returned pointer is
-// valid until the next newNode call.
+// newNode issues the next NodeID to a fresh page owned by this version.
 func (t *Tree) newNode(level int) *Node {
-	var recycled []Entry
-	if k := len(t.free); k > 0 {
-		dead := t.free[k-1]
-		t.free = t.free[:k-1]
-		recycled = t.nodes[dead].Entries[:0]
-		t.nodes[dead].Entries = nil
-	}
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, Node{ID: id, Level: level, Entries: recycled})
+	n := &Node{ID: NodeID(len(t.nodes)), Level: level, owner: t.stamp}
+	t.nodes = append(t.nodes, n)
 	t.live++
-	return &t.nodes[id]
+	return n
 }
 
-// freeNode tombstones a slot: the id never resolves again, and the entry
-// storage is parked on the free list for the next newNode. The caller must
-// have copied out any entries it still needs.
+// freeNode deletes a page from this version: the id never resolves again.
+// Older versions keep the page itself, so its storage is left to the GC.
 func (t *Tree) freeNode(id NodeID) {
-	t.nodes[id] = Node{Entries: t.nodes[id].Entries[:0]}
-	t.free = append(t.free, id)
+	t.nodes[id] = nil
 	t.live--
+	t.notify(id)
 }
 
-// node returns the arena slot for a live id. It is the trusted internal
+// node returns the page of a live id for reading. It is the trusted internal
 // lookup: the id must be valid.
 func (t *Tree) node(id NodeID) *Node {
-	return &t.nodes[id]
+	return t.nodes[id]
+}
+
+// mut returns the page of a live id for writing: the page itself when this
+// version already owns it, otherwise a copy (header and entry list) that
+// replaces it in this version's table. Copying is not a content change, so
+// Gen is carried over; callers touch the page when they change its entries.
+func (t *Tree) mut(id NodeID) *Node {
+	n := t.nodes[id]
+	if n.owner != t.stamp {
+		c := *n
+		c.owner = t.stamp
+		c.Entries = slices.Clone(n.Entries)
+		n = &c
+		t.nodes[id] = n
+	}
+	return n
+}
+
+// setParent re-homes a child. A page whose parent pointer alone changes is
+// copied like any other written page, but its content generation stays.
+func (t *Tree) setParent(child, parent NodeID) {
+	if t.nodes[child].Parent != parent {
+		t.mut(child).Parent = parent
+	}
 }
 
 // Root returns the id of the root node.
@@ -211,16 +240,14 @@ func (t *Tree) RootEntry() Entry {
 // Node returns the node with the given id, or false when no such page exists.
 // Deleted ids keep failing forever (ids are never reused), which is the
 // staleness check remainder queries over dangling client references rely on.
-// The pointer is valid until the next tree mutation.
+// The page must not be written, and shows this version as of its last
+// mutation.
 func (t *Tree) Node(id NodeID) (*Node, bool) {
-	if id == InvalidNode || int(id) >= len(t.nodes) {
+	if int(id) >= len(t.nodes) {
 		return nil, false
 	}
-	n := &t.nodes[id]
-	if n.ID != id { // tombstone
-		return nil, false
-	}
-	return n, true
+	n := t.nodes[id]
+	return n, n != nil
 }
 
 // Height returns the number of levels (1 when the root is a leaf).
@@ -242,12 +269,8 @@ func (t *Tree) Params() Params { return t.params }
 
 // Nodes iterates over all live nodes in unspecified order.
 func (t *Tree) Nodes(fn func(*Node) bool) {
-	for i := 1; i < len(t.nodes); i++ {
-		n := &t.nodes[i]
-		if n.ID == InvalidNode {
-			continue // tombstone
-		}
-		if !fn(n) {
+	for _, n := range t.nodes {
+		if n != nil && !fn(n) {
 			return
 		}
 	}
@@ -276,8 +299,9 @@ func (t *Tree) adjustPathMBRs(n *Node) {
 		if parent.Entries[i].MBR == mbr {
 			return // no change propagates further
 		}
+		parent = t.mut(parent.ID)
 		parent.Entries[i].MBR = mbr
-		t.touch(parent.ID)
+		t.touch(parent)
 		n = parent
 	}
 }

@@ -1,90 +1,18 @@
 package rtree
 
-import "fmt"
+import "slices"
 
-// Snapshot-rotation support: the server's snapshot-isolated concurrency model
-// (internal/server) keeps two or three Tree buffers in rotation — one
-// published as the immutable read snapshot, the others being caught up and
-// mutated by a single writer goroutine. Clone creates a new buffer; CatchUp
-// replays the pages another buffer changed since this one was last synced, so
-// a retired buffer becomes identical to the current one in O(changed pages)
-// instead of O(index size).
-
-// Clone returns a deep copy of the tree: the arena, every entry list, and the
-// free list are copied, so mutations of the clone never alias the original.
-// The touch hook is not copied.
+// Clone returns a new version of the tree that shares every page with t.
+// Only the page table is copied (8 bytes per NodeID ever issued); either
+// tree's later mutations copy the pages they write, so neither observes the
+// other's writes. Both trees leave with a fresh stamp no page carries yet —
+// which makes Clone a write to t as far as concurrent mutation goes, though
+// not one a reader of t can see. The touch hook is not copied.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		params: t.params,
-		nodes:  make([]Node, len(t.nodes)),
-		free:   append([]NodeID(nil), t.free...),
-		live:   t.live,
-		root:   t.root,
-		height: t.height,
-		size:   t.size,
-	}
-	copy(c.nodes, t.nodes)
-	for i := range c.nodes {
-		if len(t.nodes[i].Entries) > 0 {
-			c.nodes[i].Entries = append([]Entry(nil), t.nodes[i].Entries...)
-		} else {
-			c.nodes[i].Entries = nil
-		}
-	}
-	return c
-}
-
-// CatchUp makes t identical to src by copying the pages listed in dirty
-// (every node whose entries, MBRs, parentage, or liveness changed since t and
-// src last matched — the first-touch sets logged per update batch, plus the
-// ids of created and freed nodes) and the tree-level metadata. Entry storage
-// already owned by t is reused, so a warm catch-up allocates only for pages
-// that grew past their old capacity.
-//
-// The caller must guarantee that no reader is using t (the snapshot built on
-// it has fully drained) and that dirty really covers every page that differs;
-// both trees must descend from the same original. Parent pointers of the
-// children of every dirty intermediate page are refreshed from the copied
-// entry lists, which covers the only way a child's Parent can change without
-// the child itself being touched.
-func (t *Tree) CatchUp(src *Tree, dirty []NodeID) {
-	if t.params != src.params {
-		panic(fmt.Sprintf("rtree: CatchUp across params %+v vs %+v", t.params, src.params))
-	}
-	// Extend the arena to cover pages created since the last sync. The zero
-	// Node in new slots is overwritten below (created pages are dirty).
-	if len(t.nodes) < len(src.nodes) {
-		t.nodes = append(t.nodes, make([]Node, len(src.nodes)-len(t.nodes))...)
-	}
-	for _, id := range dirty {
-		if int(id) >= len(src.nodes) {
-			continue
-		}
-		dst := &t.nodes[id]
-		reuse := dst.Entries[:0]
-		*dst = src.nodes[id]
-		dst.Entries = append(reuse, src.nodes[id].Entries...)
-	}
-	// Refresh the parent pointers of every dirty page's children: a split or
-	// a condense re-homes children whose own slots are never touched.
-	for _, id := range dirty {
-		if int(id) >= len(t.nodes) {
-			continue
-		}
-		n := &t.nodes[id]
-		if n.ID != id || n.Level == 0 {
-			continue // tombstone or leaf
-		}
-		for _, e := range n.Entries {
-			t.nodes[e.Child].Parent = id
-		}
-	}
-	t.free = append(t.free[:0], src.free...)
-	t.live = src.live
-	t.root = src.root
-	t.height = src.height
-	t.size = src.size
-	if t.root != InvalidNode {
-		t.nodes[t.root].Parent = InvalidNode
-	}
+	c := *t
+	c.nodes = slices.Clone(t.nodes)
+	c.onTouch = nil
+	c.stamp = new(stamp)
+	t.stamp = new(stamp)
+	return &c
 }

@@ -14,7 +14,7 @@ import (
 // pipelined requests from one connection in a single read pass
 // (wire.ServeConfig.HandleBatch), ExecuteBatch runs the groupable ones —
 // fresh partitioned range queries — through one shared traversal of the
-// packed pages instead of one traversal each. The snapshot pin, root
+// packed pages instead of one traversal each. The snapshot load, root
 // descent, and per-position MBR loads are paid once per group; membership
 // masks track which requests each queue element still concerns.
 //
@@ -44,7 +44,7 @@ func groupable(req *wire.Request, form IndexForm) bool {
 		req.Bound == 0
 }
 
-// ExecuteBatch processes a batch of requests against one pinned snapshot,
+// ExecuteBatch processes a batch of requests against one snapshot,
 // running groupable range requests through shared traversals of up to
 // groupLimit requests each and everything else through the solo path.
 // resps[i] answers reqs[i]; the ReleaseResponse contract is the same as
@@ -73,8 +73,7 @@ func (s *Server) ExecuteBatch(reqs []*wire.Request) ([]*wire.Response, []ExecInf
 		return resps, infos
 	}
 
-	v := s.pinSnapshot()
-	defer v.unpin()
+	v := s.cur.Load()
 	for len(group) > 0 {
 		chunk := group
 		if len(chunk) > groupLimit {

@@ -13,7 +13,7 @@ import (
 // Config.WAL before publishing its snapshot, and periodically asks the log
 // to checkpoint a full serialization of the published state; Restore
 // rebuilds a server from checkpoint + replayed tail so it resumes with the
-// identical arena, NodeIDs, generations, and epoch it crashed with — which
+// identical pages, NodeIDs, generations, and epoch it crashed with — which
 // is what keeps warm client caches and the cluster's virtual-epoch rings
 // valid across the restart.
 
@@ -73,8 +73,7 @@ func (s *Server) Checkpoint() error {
 	if w == nil {
 		return fmt.Errorf("server: no usable WAL configured")
 	}
-	v := s.pinSnapshot()
-	defer v.unpin()
+	v := s.cur.Load()
 	if err := w.Checkpoint(v.epoch, s.checkpointPayload(v)); err != nil {
 		s.failDurability(err)
 		return err
@@ -124,42 +123,21 @@ func Restore(checkpoint []byte, tail []ReplayRecord, sizes ObjectSizer, cfg Conf
 	// Replay the tail exactly as the writer applied it, rebuilding the
 	// invalidation log with the same per-epoch first-touch node sets: the
 	// tree mutates identically, so the touch stream is identical.
-	ckptEpoch := epoch
-	var log []updateRecord
-	seen := make(map[rtree.NodeID]bool)
-	var order []rtree.NodeID
-	tree.SetTouchHook(func(id rtree.NodeID) {
-		if !seen[id] {
-			seen[id] = true
-			order = append(order, id)
-		}
-	})
+	log := newOpLog(s, epoch, nil)
+	tree.SetTouchHook(log.observe)
+	defer tree.SetTouchHook(nil)
 	for _, rec := range tail {
-		if rec.EpochBefore != epoch {
-			tree.SetTouchHook(nil)
-			return nil, fmt.Errorf("server: replay gap: record at epoch %d, expected %d", rec.EpochBefore, epoch)
+		if rec.EpochBefore != log.epoch {
+			return nil, fmt.Errorf("server: replay gap: record at epoch %d, expected %d", rec.EpochBefore, log.epoch)
 		}
 		for _, op := range rec.Ops {
-			order = order[:0]
-			ok := applyTreeOp(s, tree, op)
-			for _, id := range order {
-				delete(seen, id)
+			if !log.apply(tree, op) {
+				return nil, fmt.Errorf("server: replay diverged at epoch %d: op %v obj %d did not apply", log.epoch, op.Kind, op.Obj)
 			}
-			if !ok {
-				tree.SetTouchHook(nil)
-				return nil, fmt.Errorf("server: replay diverged at epoch %d: op %v obj %d did not apply", epoch, op.Kind, op.Obj)
-			}
-			epoch++
-			r := updateRecord{epoch: epoch, nodes: append([]rtree.NodeID(nil), order...)}
-			if op.Kind != wire.UpdateInsert {
-				r.objs = []rtree.ObjectID{op.Obj}
-			}
-			log = append(log, r)
 		}
 	}
-	tree.SetTouchHook(nil)
 
-	s.cur.Store(newSnapshot(tree, rtree.Pack(tree), epoch, ckptEpoch, log))
+	s.cur.Store(&snapshot{tree: tree, pages: rtree.Pack(tree), epoch: log.epoch, logFloor: epoch, updates: log.recs})
 	return s, nil
 }
 
@@ -207,9 +185,56 @@ func readUvarint(b []byte) (uint64, []byte, bool) {
 	return v, b[n:], true
 }
 
+// opLog applies update operations to a tree and keeps the invalidation log
+// they produce: one record per applied operation, naming the pages it touched
+// in first-touch order. The writer's live path (snapshot.go) and Restore's
+// replay both go through it, so the two can never drift apart.
+type opLog struct {
+	s     *Server
+	epoch uint64 // of the last applied operation
+	recs  []updateRecord
+
+	// First-touch capture of the operation being applied; order keeps the
+	// last applied operation's pages until the next apply.
+	seen  map[rtree.NodeID]bool
+	order []rtree.NodeID
+}
+
+func newOpLog(s *Server, epoch uint64, recs []updateRecord) opLog {
+	return opLog{s: s, epoch: epoch, recs: recs, seen: make(map[rtree.NodeID]bool)}
+}
+
+// observe is the touch hook of the tree operations are applied to.
+func (l *opLog) observe(id rtree.NodeID) {
+	if !l.seen[id] {
+		l.seen[id] = true
+		l.order = append(l.order, id)
+	}
+}
+
+// apply performs op against t, whose touch hook must be l.observe. An
+// operation that applies gets the next epoch and its record; one that does
+// not leaves tree and log as they were.
+func (l *opLog) apply(t *rtree.Tree, op wire.UpdateOp) bool {
+	l.order = l.order[:0]
+	ok := applyTreeOp(l.s, t, op)
+	for _, id := range l.order {
+		delete(l.seen, id)
+	}
+	if !ok {
+		return false
+	}
+	l.epoch++
+	rec := updateRecord{epoch: l.epoch, nodes: append([]rtree.NodeID(nil), l.order...)}
+	if op.Kind != wire.UpdateInsert {
+		rec.objs = []rtree.ObjectID{op.Obj}
+	}
+	l.recs = append(l.recs, rec)
+	return true
+}
+
 // applyTreeOp performs one mutation against a tree, maintaining the extras
-// overlay. Shared by the writer's live path (snapshot.go) and Restore's
-// replay so the two can never drift apart.
+// overlay.
 func applyTreeOp(s *Server, t *rtree.Tree, op wire.UpdateOp) bool {
 	switch op.Kind {
 	case wire.UpdateInsert:

@@ -69,14 +69,13 @@ func TestPackedMatchesArenaDifferential(t *testing.T) {
 	next := rtree.ObjectID(len(items) + 1)
 
 	for round := 0; round < 4; round++ {
-		v := srv.pinSnapshot()
+		v := srv.cur.Load()
 		v.tree.Nodes(func(n *rtree.Node) bool {
 			if len(n.Entries) > 0 {
 				checkPageAgainstReference(t, r, n, v.pages.Page(n))
 			}
 			return !t.Failed()
 		})
-		v.unpin()
 		if t.Failed() {
 			t.Fatalf("round %d: packed page differs from reference", round)
 		}

@@ -45,9 +45,8 @@ type provider struct {
 	scratch []query.Ref // Expand result buffer; valid until the next Expand
 }
 
-// reset binds the provider to a pinned snapshot for one request. The bitset
-// is sized to the snapshot arena's NodeSpan; the caller must keep the
-// snapshot pinned for the provider's whole lifetime.
+// reset binds the provider to a snapshot for one request. The bitset is
+// sized to the snapshot tree's NodeSpan.
 func (p *provider) reset(v *snapshot, partitioned bool) {
 	p.tree = v.tree
 	p.pages = v.pages

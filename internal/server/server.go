@@ -45,11 +45,6 @@ type Config struct {
 	// UpdateLogLimit bounds the invalidation log; clients whose epoch falls
 	// off the horizon are told to flush. Default 4096 update records.
 	UpdateLogLimit int
-	// MaxSnapshots caps the tree buffers in the writer's rotation (the
-	// published snapshot plus spares being caught up or drained). More
-	// buffers let the writer keep publishing while slow readers pin old
-	// snapshots, at the cost of one index copy each. Default 3, minimum 2.
-	MaxSnapshots int
 	// UpdateQueueLen is the capacity of the writer's batch queue. Default 256.
 	UpdateQueueLen int
 	// UpdateBatchOps caps how many queued operations the writer coalesces
@@ -89,12 +84,6 @@ func (c Config) normalized() Config {
 	if c.UpdateLogLimit <= 0 {
 		c.UpdateLogLimit = 4096
 	}
-	if c.MaxSnapshots <= 0 {
-		c.MaxSnapshots = 3
-	}
-	if c.MaxSnapshots < 2 {
-		c.MaxSnapshots = 2
-	}
 	if c.UpdateQueueLen <= 0 {
 		c.UpdateQueueLen = 256
 	}
@@ -130,16 +119,16 @@ type clientShard struct {
 // adaptive state.
 //
 // A Server is safe for concurrent use, and queries never lock the index:
-// Execute pins the currently published snapshot (an atomic load plus a
-// reader count, see snapshot.go) and runs entirely against that immutable
-// version, while all mutation — InsertObject, DeleteObject, MoveObject,
-// ApplyUpdates — flows through a single writer goroutine that batches
-// operations and publishes a fresh snapshot per batch. Mutators block until
-// their batch is published (read-your-writes) but never stall queries.
+// Execute loads the currently published snapshot (one atomic load, see
+// snapshot.go) and runs entirely against that immutable version, while all
+// mutation — InsertObject, DeleteObject, MoveObject, ApplyUpdates — flows
+// through a single writer goroutine that batches operations and publishes a
+// fresh snapshot per batch. Mutators block until their batch is published
+// (read-your-writes) but never stall queries.
 // Per-client adaptive state lives in a sharded map so feedback from distinct
 // clients never serializes on one lock.
 type Server struct {
-	// cur is the published snapshot queries pin. Only the writer stores it.
+	// cur is the published snapshot queries load. Only the writer stores it.
 	cur    atomic.Pointer[snapshot]
 	cfg    Config
 	shards [clientShardCount]clientShard
@@ -179,12 +168,12 @@ type clientState struct {
 }
 
 // New constructs a server over an existing index. Ownership of the tree
-// transfers to the server: once the first update is applied, the tree
-// becomes one buffer of the writer's snapshot rotation and is mutated by the
-// writer goroutine (use View for safe access to the live index).
+// transfers to the server: it is the first published version, whose pages
+// every later version shares until it rewrites them, so the caller must not
+// mutate it (use View for access to the live index).
 func New(tree *rtree.Tree, sizes ObjectSizer, cfg Config) *Server {
 	s := newServer(sizes, cfg)
-	s.cur.Store(newSnapshot(tree, rtree.Pack(tree), 0, 0, nil))
+	s.cur.Store(&snapshot{tree: tree, pages: rtree.Pack(tree)})
 	return s
 }
 
@@ -207,21 +196,18 @@ func (s *Server) sizeOf(id rtree.ObjectID) int {
 	return s.baseSizes(id)
 }
 
-// Tree exposes the currently published index version. Callers must treat it
-// as read-only and must not hold the result across index mutations: once the
-// snapshot it belongs to is retired and drained, the writer reuses the
-// buffer. Prefer View for anything that overlaps updates.
+// Tree exposes the currently published index version, which callers must
+// treat as read-only. It never changes; updates publish a new version. Prefer
+// View when the epoch the version belongs to matters.
 func (s *Server) Tree() *rtree.Tree { return s.cur.Load().tree }
 
 // RootRef returns the reference query processing starts from; clients use it
 // as their catalog entry for the index root.
 func (s *Server) RootRef() query.Ref {
-	v := s.pinSnapshot()
-	defer v.unpin()
-	return rootRef(v)
+	return rootRef(s.cur.Load())
 }
 
-// rootRef builds the root reference of a pinned snapshot.
+// rootRef builds the root reference of a snapshot.
 func rootRef(v *snapshot) query.Ref {
 	return query.FromEntry(v.tree.RootEntry())
 }
@@ -316,10 +302,10 @@ func resetScratchMap[K comparable](m map[K]bool) map[K]bool {
 	return m
 }
 
-// getExec borrows a request state from the pool, bound to the pinned
-// snapshot v. forQuery resets the provider and query scratch (the visited
-// bitset is sized to v's arena span); catalog and update requests skip that
-// and only use the invalidation scratch.
+// getExec borrows a request state from the pool, bound to snapshot v.
+// forQuery resets the provider and query scratch (the visited bitset is
+// sized to v's id span); catalog and update requests skip that and only use
+// the invalidation scratch.
 func (s *Server) getExec(v *snapshot, partitioned, forQuery bool) *execState {
 	st, _ := s.execPool.Get().(*execState)
 	if st == nil {
@@ -339,11 +325,11 @@ func (s *Server) getExec(v *snapshot, partitioned, forQuery bool) *execState {
 
 func (s *Server) putExec(st *execState) {
 	st.runner.Reset() // drop element refs now rather than at next borrow
-	// Node pointers reach into the tree arena; a pooled state must not pin
-	// a superseded arena generation (the tree may grow between requests).
-	// Clear the full capacity: this request may have used fewer slots than
-	// an earlier one.
+	// A pooled state must not keep a superseded tree version from the
+	// garbage collector. Clear the node buffer's full capacity: this request
+	// may have used fewer slots than an earlier one.
 	clear(st.nodesBuf[:cap(st.nodesBuf)])
+	st.prov.tree, st.prov.pages = nil, nil
 	s.execPool.Put(st)
 }
 
@@ -383,10 +369,10 @@ func (s *Server) ReleaseResponse(resp *wire.Response) {
 }
 
 // Execute processes one request and builds the response. It is safe to call
-// from many goroutines at once and takes no lock on the index: it pins the
-// currently published snapshot (an atomic load plus a reader count) and runs
-// entirely against that immutable version, so neither other queries nor a
-// sustained update stream can stall it.
+// from many goroutines at once and takes no lock on the index: it loads the
+// currently published snapshot (one atomic load) and runs entirely against
+// that immutable version, so neither other queries nor a sustained update
+// stream can stall it.
 //
 // The returned response may be recycled via ReleaseResponse once the caller
 // is done with it; see there for the ownership contract.
@@ -397,8 +383,7 @@ func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
 // executeWithD is Execute after feedback has been folded in; the batch path
 // folds feedback for the whole batch first and calls it directly.
 func (s *Server) executeWithD(req *wire.Request, d int) (*wire.Response, ExecInfo) {
-	v := s.pinSnapshot()
-	defer v.unpin()
+	v := s.cur.Load()
 
 	if req.Catalog {
 		st := s.getExec(v, false, false)

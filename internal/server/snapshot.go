@@ -3,7 +3,6 @@ package server
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/rtree"
 	"repro/internal/wire"
@@ -11,27 +10,26 @@ import (
 
 // Snapshot isolation: the server's concurrency model.
 //
-// Queries never lock the index. Execute pins the current snapshot — an
-// immutable (R*-tree arena, partition-tree page table, invalidation-log
-// prefix) triple — with one atomic pointer load plus a reader-count
-// increment, runs entirely against it, and unpins. All mutation flows
-// through a single writer goroutine that drains a queue of update batches,
-// applies each coalesced run of operations to a spare tree buffer, and
-// publishes the result as a fresh snapshot with one atomic pointer store.
+// Queries never lock the index. Execute loads the current snapshot — an
+// immutable (R*-tree version, partition-tree page table, invalidation-log
+// prefix) triple — with one atomic pointer load and runs entirely against
+// it. All mutation flows through a single writer goroutine that drains a
+// queue of update batches, applies each coalesced run of operations to a
+// Clone of the published tree, and publishes the result as a fresh snapshot
+// with one atomic pointer store.
 //
-// The spare buffer is a previous snapshot's tree brought up to date: every
-// published batch records its first-touch page set, and CatchUp replays
-// exactly those pages onto a retired buffer (O(changed pages), not O(index)).
-// A retired snapshot is recycled only after its reader count drains, so a
-// query that pinned it keeps an internally consistent view for its whole
-// lifetime — the "no torn reads" guarantee the equivalence tests pin down.
-// NodeIDs are never reused across snapshots (the arena contract), so the
+// A clone shares every page with the tree it came from and copies the pages
+// it writes (rtree.Tree.Clone), so a version costs O(pages the batch
+// touched), and a published version is never written again: a query that
+// loaded it keeps an internally consistent view for as long as it likes —
+// the "no torn reads" guarantee the equivalence tests pin down — without
+// holding the writer up. The garbage collector retires a version when its
+// last reader lets go. NodeIDs are never reused across versions, so the
 // client-side staleness checks and the epoch invalidation protocol carry
 // over unchanged.
 
-// snapshot is one published version of the index. Immutable once stored in
-// Server.cur; the tree buffer underneath is recycled by the writer after the
-// snapshot is retired (unpublished) and its reader count drains.
+// snapshot is one published version of the index, immutable from the moment
+// it is stored in Server.cur.
 type snapshot struct {
 	tree *rtree.Tree
 	// pages holds every node's partition tree as an immutable packed page in
@@ -47,59 +45,14 @@ type snapshot struct {
 	epoch    uint64
 	logFloor uint64
 	updates  []updateRecord
-
-	// refs counts pins: 1 for being published, +1 per in-flight reader.
-	// drained closes when refs first hits zero (only possible after retire),
-	// signalling the writer that the tree buffer may be recycled.
-	refs    atomic.Int64
-	drained chan struct{}
-	once    sync.Once
 }
 
-func newSnapshot(tree *rtree.Tree, pages *rtree.Packed, epoch, logFloor uint64, updates []updateRecord) *snapshot {
-	v := &snapshot{
-		tree:     tree,
-		pages:    pages,
-		epoch:    epoch,
-		logFloor: logFloor,
-		updates:  updates,
-		drained:  make(chan struct{}),
-	}
-	v.refs.Store(1) // the published reference
-	return v
-}
-
-// unpin releases one reference; the last release signals the writer.
-func (v *snapshot) unpin() {
-	if v.refs.Add(-1) == 0 {
-		v.once.Do(func() { close(v.drained) })
-	}
-}
-
-// pinSnapshot returns the current snapshot with a reader reference held.
-// Lock-free: an atomic load, an increment, and a validation re-load. The
-// validation catches the race where the writer retires the loaded snapshot
-// between the load and the increment — the transient reference is dropped
-// and the pin retries on the new snapshot. A retired-but-validated pin is
-// fine: the writer recycles a buffer only after the count drains.
-func (s *Server) pinSnapshot() *snapshot {
-	for {
-		v := s.cur.Load()
-		v.refs.Add(1)
-		if s.cur.Load() == v {
-			return v
-		}
-		v.unpin()
-	}
-}
-
-// View runs f over a pinned snapshot: the tree is guaranteed immutable and
-// internally consistent with the given epoch for the duration of the call.
-// This is the safe way to inspect the live index from outside the query path
-// (stats, debugging); f must not retain the tree.
+// View runs f over the current snapshot: the tree is immutable and
+// internally consistent with the given epoch, during the call and for as
+// long as f's caller keeps it. This is the safe way to inspect the live
+// index from outside the query path (stats, debugging).
 func (s *Server) View(f func(tree *rtree.Tree, epoch uint64)) {
-	v := s.pinSnapshot()
-	defer v.unpin()
+	v := s.cur.Load()
 	f(v.tree, v.epoch)
 }
 
@@ -120,18 +73,9 @@ var batchPool = sync.Pool{
 	New: func() any { return &updateBatch{done: make(chan struct{}, 1)} },
 }
 
-// treeBuf is one tree buffer in the writer's rotation, together with the
-// snapshot last published from it and the pages it must replay (CatchUp)
-// before it can be written again.
-type treeBuf struct {
-	tree    *rtree.Tree
-	snap    *snapshot      // last snapshot published from this buffer; nil for a fresh clone
-	pending []rtree.NodeID // first-touch ids of batches published since snap
-}
-
 // writer is the single mutation goroutine plus all its reusable scratch:
-// per-operation and per-batch first-touch capture, catch-up deduplication,
-// and the master invalidation log. Everything here is owned by the writer
+// the master invalidation log with its per-operation first-touch capture,
+// and the per-batch touch set. Everything here is owned by the writer
 // goroutine exclusively; none of it is ever touched by queries.
 type writer struct {
 	s    *Server
@@ -139,20 +83,12 @@ type writer struct {
 	quit chan struct{}
 	done chan struct{}
 
-	bufs    []*treeBuf
-	maxBufs int
-
-	epoch    uint64
+	log      opLog
 	logFloor uint64
-	log      []updateRecord
 
-	// Scratch reused across operations and batches (no per-update maps).
-	opSeen     map[rtree.NodeID]bool // first-touch dedup within one operation
-	opOrder    []rtree.NodeID
+	// Scratch reused across batches (no per-update maps).
 	batchSeen  map[rtree.NodeID]bool // union of touches within one published batch
 	batchOrder []rtree.NodeID
-	syncSeen   map[rtree.NodeID]bool // catch-up id dedup
-	syncIDs    []rtree.NodeID
 	collected  []*updateBatch
 	walOps     []wire.UpdateOp // applied ops of the current publish group
 }
@@ -170,17 +106,12 @@ func (s *Server) ensureWriter() *writer {
 			q:    make(chan *updateBatch, s.cfg.UpdateQueueLen),
 			quit: make(chan struct{}),
 			done: make(chan struct{}),
-			bufs: []*treeBuf{{tree: cur.tree, snap: cur}},
 			// A restored server (Restore) publishes its recovered epoch and
 			// invalidation log before any writer exists; the writer must
 			// continue that history, not restart it at zero.
-			epoch:     cur.epoch,
+			log:       newOpLog(s, cur.epoch, cur.updates),
 			logFloor:  cur.logFloor,
-			log:       cur.updates,
-			maxBufs:   s.cfg.MaxSnapshots,
-			opSeen:    make(map[rtree.NodeID]bool),
 			batchSeen: make(map[rtree.NodeID]bool),
-			syncSeen:  make(map[rtree.NodeID]bool),
 		}
 		s.wr = w
 		go w.run()
@@ -286,7 +217,7 @@ func (w *writer) run() {
 
 // collect gathers already-queued batches behind first, up to the configured
 // operation budget — the batch coalescer. Every collected batch is applied
-// under one catch-up and one published snapshot.
+// to one clone and published as one snapshot.
 func (w *writer) collect(first *updateBatch) []*updateBatch {
 	batches := append(w.collected[:0], first)
 	total := len(first.ops)
@@ -304,43 +235,29 @@ func (w *writer) collect(first *updateBatch) []*updateBatch {
 	return batches
 }
 
-// apply brings a spare buffer up to date, applies every operation of the
-// collected batches to it, publishes the buffer as the new snapshot, retires
-// the old one, and acks the waiters.
+// apply clones the published tree, applies every operation of the collected
+// batches to the clone, publishes it as the new snapshot, and acks the
+// waiters. The outgoing snapshot is simply dropped: its readers keep it alive
+// for as long as they need it.
 func (w *writer) apply(batches []*updateBatch) {
 	cur := w.s.cur.Load()
-	buf := w.acquireBuf(cur)
-	w.catchUp(buf, cur)
-
-	t := buf.tree
+	t := cur.tree.Clone()
 	for _, id := range w.batchOrder {
 		delete(w.batchSeen, id)
 	}
 	w.batchOrder = w.batchOrder[:0]
 	w.walOps = w.walOps[:0]
-	epochBefore := w.epoch
-	t.SetTouchHook(w.observeTouch)
-	changed := false
+	epochBefore := w.log.epoch
+	t.SetTouchHook(w.log.observe)
 	for _, b := range batches {
 		for i, op := range b.ops {
-			w.opOrder = w.opOrder[:0]
-			ok := w.applyOp(t, op)
+			ok := w.log.apply(t, op)
 			b.results[i] = ok
-			for _, id := range w.opOrder {
-				delete(w.opSeen, id)
-			}
 			if !ok {
 				continue
 			}
-			changed = true
 			w.walOps = append(w.walOps, op)
-			w.epoch++
-			rec := updateRecord{epoch: w.epoch, nodes: append([]rtree.NodeID(nil), w.opOrder...)}
-			if op.Kind != wire.UpdateInsert {
-				rec.objs = []rtree.ObjectID{op.Obj}
-			}
-			w.log = append(w.log, rec)
-			for _, id := range w.opOrder {
+			for _, id := range w.log.order {
 				if !w.batchSeen[id] {
 					w.batchSeen[id] = true
 					w.batchOrder = append(w.batchOrder, id)
@@ -349,7 +266,9 @@ func (w *writer) apply(batches []*updateBatch) {
 		}
 	}
 	t.SetTouchHook(nil)
+	changed := w.log.epoch != epochBefore
 
+	var nw *snapshot
 	if changed {
 		// Group commit: the whole publish group becomes durable in one
 		// append+fsync before its snapshot is visible to any reader. A
@@ -361,15 +280,14 @@ func (w *writer) apply(batches []*updateBatch) {
 			}
 		}
 		w.trimLog()
-		nw := newSnapshot(t, cur.pages.Grow(t.NodeSpan()), w.epoch, w.logFloor, w.log)
-		for _, b := range w.bufs {
-			if b != buf {
-				b.pending = append(b.pending, w.batchOrder...)
-			}
+		nw = &snapshot{
+			tree:     t,
+			pages:    cur.pages.Grow(t.NodeSpan()),
+			epoch:    w.log.epoch,
+			logFloor: w.logFloor,
+			updates:  w.log.recs,
 		}
-		buf.snap = nw
 		w.s.cur.Store(nw)
-		cur.unpin() // retire: drop the published reference of the old snapshot
 	}
 	for _, b := range batches {
 		b.done <- struct{}{}
@@ -380,13 +298,11 @@ func (w *writer) apply(batches []*updateBatch) {
 	if fn := w.s.cfg.OnApplied; fn != nil {
 		fn(epochBefore, w.walOps)
 	}
-	w.prewarm(buf.snap)
-	// Checkpoint between publish groups, still on the writer goroutine: the
-	// published tree is immutable (the next group mutates a spare buffer),
-	// and no update is in flight to race the extras overlay.
+	w.prewarm(nw)
+	// Checkpoint between publish groups, still on the writer goroutine: no
+	// update is in flight to race the extras overlay.
 	if wal := w.s.wal(); wal != nil && wal.ShouldCheckpoint() {
-		v := w.s.cur.Load()
-		if err := wal.Checkpoint(v.epoch, w.s.checkpointPayload(v)); err != nil {
+		if err := wal.Checkpoint(nw.epoch, w.s.checkpointPayload(nw)); err != nil {
 			w.s.failDurability(err)
 		}
 	}
@@ -443,93 +359,16 @@ func (w *writer) prewarm(v *snapshot) {
 	warm(false)
 }
 
-// observeTouch is the tree's touch hook during operation application: it
-// records first-touch order per operation into writer-owned scratch (the
-// per-update map allocations of the locked design are gone).
-func (w *writer) observeTouch(id rtree.NodeID) {
-	if !w.opSeen[id] {
-		w.opSeen[id] = true
-		w.opOrder = append(w.opOrder, id)
-	}
-}
-
-// applyOp performs one mutation against the write buffer (the shared core
-// lives in durable.go so Restore's replay applies identically).
-func (w *writer) applyOp(t *rtree.Tree, op wire.UpdateOp) bool {
-	return applyTreeOp(w.s, t, op)
-}
-
-// acquireBuf returns a writable tree buffer: a drained retired buffer when
-// one is free, a fresh clone while the rotation is below its cap, otherwise
-// it blocks until the oldest retired snapshot's readers drain.
-func (w *writer) acquireBuf(cur *snapshot) *treeBuf {
-	var oldest *treeBuf
-	for _, b := range w.bufs {
-		if b.snap == cur {
-			continue // the published buffer is read-only
-		}
-		if b.snap == nil {
-			return b // fresh clone, never published
-		}
-		select {
-		case <-b.snap.drained:
-			w.waitQuiescent(b.snap)
-			return b
-		default:
-		}
-		if oldest == nil || b.snap.epoch < oldest.snap.epoch {
-			oldest = b
-		}
-	}
-	if len(w.bufs) < w.maxBufs {
-		nb := &treeBuf{tree: cur.tree.Clone()}
-		w.bufs = append(w.bufs, nb)
-		return nb
-	}
-	<-oldest.snap.drained
-	w.waitQuiescent(oldest.snap)
-	return oldest
-}
-
-// waitQuiescent spins out the tiny pin/validate window: a reader that loaded
-// the snapshot pointer just before retirement may still hold a transient
-// reference it is about to drop (it never dereferences the snapshot after
-// failing validation).
-func (w *writer) waitQuiescent(v *snapshot) {
-	for v.refs.Load() != 0 {
-		runtime.Gosched()
-	}
-}
-
-// catchUp replays onto buf every page changed since it was last current,
-// deduplicated through writer scratch, making it identical to cur's tree.
-func (w *writer) catchUp(buf *treeBuf, cur *snapshot) {
-	if len(buf.pending) == 0 {
-		return
-	}
-	w.syncIDs = w.syncIDs[:0]
-	for _, id := range buf.pending {
-		if !w.syncSeen[id] {
-			w.syncSeen[id] = true
-			w.syncIDs = append(w.syncIDs, id)
-		}
-	}
-	for _, id := range w.syncIDs {
-		delete(w.syncSeen, id)
-	}
-	buf.tree.CatchUp(cur.tree, w.syncIDs)
-	buf.pending = buf.pending[:0]
-}
-
 // trimLog bounds the invalidation log. The survivors are copied into a fresh
 // array: retired snapshots keep stable views of the old one.
 func (w *writer) trimLog() {
 	limit := w.s.cfg.UpdateLogLimit
-	if len(w.log) <= limit {
+	recs := w.log.recs
+	if len(recs) <= limit {
 		return
 	}
-	drop := len(w.log) - limit
-	w.logFloor = w.log[drop-1].epoch
+	drop := len(recs) - limit
+	w.logFloor = recs[drop-1].epoch
 	fresh := make([]updateRecord, 0, limit+limit/4)
-	w.log = append(fresh, w.log[drop:]...)
+	w.log.recs = append(fresh, recs[drop:]...)
 }

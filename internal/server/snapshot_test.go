@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -291,8 +292,9 @@ func TestExecuteUpdatesResponse(t *testing.T) {
 
 // TestCloseDrainsWriter checks that Close applies everything already queued,
 // is idempotent (including concurrently), leaves nothing of the server
-// running or pinned after an update storm with concurrent readers, and that
-// a server remains queryable afterwards.
+// running after an update storm with concurrent readers, that a snapshot the
+// storm retired is garbage once its readers are gone, and that a server
+// remains queryable afterwards.
 func TestCloseDrainsWriter(t *testing.T) {
 	// Goroutines the package's servers have started; earlier tests leave
 	// their idle writers behind, so the check below is a before/after count.
@@ -310,8 +312,17 @@ func TestCloseDrainsWriter(t *testing.T) {
 		}
 	}
 
+	// The snapshot the storm is about to retire, and its tree version: nothing
+	// but readers may keep them from the garbage collector.
+	collected := make(chan string, 2) // one send per finalizer
+	func() {
+		v := srv.cur.Load()
+		runtime.SetFinalizer(v, func(*snapshot) { collected <- "snapshot" })
+		runtime.SetFinalizer(v.tree, func(*rtree.Tree) { collected <- "tree" })
+	}()
+
 	// Update storm: every batch moves a slice of the survivors while readers
-	// keep pinning whatever snapshot is current.
+	// keep querying whatever snapshot is current.
 	const batches, perBatch = 40, 20
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -375,14 +386,18 @@ func TestCloseDrainsWriter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// ... and no retired snapshot may still be pinned.
-	cur := srv.cur.Load()
-	if refs := cur.refs.Load(); refs != 1 {
-		t.Errorf("published snapshot holds %d references after Close, want 1", refs)
-	}
-	for i, b := range srv.wr.bufs {
-		if b.snap != nil && b.snap != cur && b.snap.refs.Load() != 0 {
-			t.Errorf("retired snapshot of buffer %d (epoch %d) still pinned %d times", i, b.snap.epoch, b.snap.refs.Load())
+	// ... and the retired snapshot is collectable: no reader, pool or writer
+	// structure still refers to it or to its tree version.
+	gcDeadline := time.Now().Add(5 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(gcDeadline) {
+				t.Fatalf("retired snapshot still reachable after Close: %d of 2 finalizers ran", got)
+			}
 		}
 	}
 
@@ -431,8 +446,7 @@ func TestDeadSlotsReclaimed(t *testing.T) {
 	if len(resp.Objects) != len(items) {
 		t.Fatalf("full scan sees %d objects, want %d", len(resp.Objects), len(items))
 	}
-	v := srv.pinSnapshot()
-	defer v.unpin()
+	v := srv.cur.Load()
 	live := 0
 	v.tree.Nodes(func(n *rtree.Node) bool {
 		if len(n.Entries) > 0 {
@@ -446,4 +460,84 @@ func TestDeadSlotsReclaimed(t *testing.T) {
 	if cached := v.pages.NodeCount(); cached != live {
 		t.Fatalf("page table caches %d pages for %d live non-empty nodes", cached, live)
 	}
+}
+
+// TestSlowReaderDoesNotStallWriter holds four snapshots of different epochs
+// open inside View while the writer publishes ten more batches: every batch
+// must return promptly (a held version costs the writer nothing — there is
+// no buffer to wait for), and each held tree must come out of the wait valid
+// and bit-identical to what it was when it was taken.
+func TestSlowReaderDoesNotStallWriter(t *testing.T) {
+	srv, items := updServer(t, 400, 0)
+	defer srv.Close()
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	var holders sync.WaitGroup
+	letGo := func() {
+		releaseOnce.Do(func() { close(release) })
+		holders.Wait()
+	}
+	defer letGo() // before Close, which waits for the writer
+
+	hold := func() uint64 {
+		taken := make(chan uint64)
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			srv.View(func(tree *rtree.Tree, epoch uint64) {
+				image := tree.AppendImage(nil)
+				taken <- epoch
+				<-release
+				if err := tree.Validate(false); err != nil {
+					t.Errorf("tree held since epoch %d is invalid: %v", epoch, err)
+				}
+				if !bytes.Equal(tree.AppendImage(nil), image) {
+					t.Errorf("tree held since epoch %d changed while held", epoch)
+				}
+			})
+		}()
+		return <-taken
+	}
+	var held []uint64
+	batch := 0
+	apply := func() {
+		var ops []wire.UpdateOp
+		for i := 0; i < 20; i++ {
+			it := &items[(batch*20+i)%len(items)]
+			to := geom.R(it.MBR.MinX+0.001, it.MBR.MinY, it.MBR.MaxX+0.001, it.MBR.MaxY)
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateMove, Obj: it.Obj, From: it.MBR, To: to})
+			it.MBR = to
+		}
+		batch++
+		done := make(chan []bool, 1)
+		go func() { done <- srv.ApplyUpdates(ops, nil) }()
+		select {
+		case res := <-done:
+			for i, ok := range res {
+				if !ok {
+					t.Fatalf("batch %d: move %d rejected", batch, i)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("batch %d stalled behind %d held snapshots", batch, len(held))
+		}
+	}
+
+	for i := 0; i < 4; i++ {
+		held = append(held, hold())
+		apply()
+	}
+	for i := 0; i < 10; i++ {
+		apply()
+	}
+	for i, e := range held {
+		if want := uint64(i * 20); e != want {
+			t.Errorf("holder %d took epoch %d, want %d", i, e, want)
+		}
+	}
+	if want := uint64(14 * 20); srv.Epoch() != want {
+		t.Errorf("epoch %d after 14 batches, want %d", srv.Epoch(), want)
+	}
+	letGo()
 }

@@ -30,7 +30,7 @@ type updateRecord struct {
 
 // InsertObject adds an object to the index and blocks until the snapshot
 // containing it is published; its epoch logs every index node the insertion
-// touched. Queries running concurrently keep their pinned snapshots and are
+// touched. Queries running concurrently keep the snapshot they loaded and are
 // never stalled.
 func (s *Server) InsertObject(id rtree.ObjectID, mbr geom.Rect, size int) {
 	s.applyOne(wire.UpdateOp{Kind: wire.UpdateInsert, Obj: id, To: mbr, Size: size})
@@ -59,8 +59,7 @@ func (s *Server) Epoch() uint64 {
 // one-off inspection; the serving path uses appendInvalidations with pooled
 // scratch.
 func (s *Server) invalidationsSince(epoch uint64) (nodes []rtree.NodeID, objs []rtree.ObjectID, flush bool) {
-	v := s.pinSnapshot()
-	defer v.unpin()
+	v := s.cur.Load()
 	var resp wire.Response
 	st := &execState{
 		seenN: make(map[rtree.NodeID]bool),
@@ -134,8 +133,7 @@ func (s *Server) ExecuteUpdates(req *wire.Request) *wire.Response {
 	resp := s.acquireResponse()
 	resp.UpdateResults = s.ApplyUpdates(req.Updates, resp.UpdateResults)
 
-	v := s.pinSnapshot()
-	defer v.unpin()
+	v := s.cur.Load()
 	st := s.getExec(v, false, false)
 	defer s.putExec(st)
 	root := rootRef(v)

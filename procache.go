@@ -371,7 +371,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // requests served, and request latency quantiles.
 func (s *Server) Stats() metrics.ServerSnapshot { return s.stats.Snapshot() }
 
-// IndexStats describes the server-side R*-tree, measured against a pinned
+// IndexStats describes the server-side R*-tree, measured against one
 // snapshot so it is safe to call while updates are streaming in.
 func (s *Server) IndexStats() rtree.Stats {
 	var st rtree.Stats
