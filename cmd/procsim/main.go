@@ -5,18 +5,11 @@
 //	procsim -fig 6            # Figure 6 at bench scale
 //	procsim -fig all -full    # every figure at paper scale (slow)
 //	procsim -fig 11 -queries 4000 -objects 50000
-//	procsim -fig throughput -clients 16
 //
 // Figures: table61, 6, 7, 8, 9, 10, 11, ablation-staticd, ablation-grd,
-// ablation-partition, throughput, all. Figures 8 and 9 come from the same
-// sweep and are printed together. The throughput mode is not a paper
-// figure: it hammers one shared server from -clients concurrent goroutine
-// clients (sweeping powers of two up from 1) and reports wall-clock
-// queries/second with latency quantiles, measuring the concurrent serving
-// layer rather than the simulated wireless channel. The load mode
-// (-fig load -scenario steady|all) runs the open-loop scenario harness
-// (internal/load) against an in-process backend; cmd/proload is the same
-// harness with JSON output and TCP cluster support.
+// ablation-partition, ext-updates, ext-coop, all. Figures 8 and 9 come from
+// the same sweep and are printed together. Serving-layer load belongs to
+// cmd/proload (open loop) and benchmark/ (closed loop), not here.
 package main
 
 import (
@@ -26,25 +19,18 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/load"
 	"repro/internal/sim"
 )
 
 func main() {
 	var (
-		fig      = flag.String("fig", "6", "experiment to run (table61, 6, 7, 8, 9, 10, 11, ablation-staticd, ablation-grd, ablation-partition, throughput, load, all)")
-		full     = flag.Bool("full", false, "paper scale: 123,593 objects, 10,000 queries")
-		objects  = flag.Int("objects", 0, "override dataset cardinality")
-		queries  = flag.Int("queries", 0, "override query count")
-		seed     = flag.Int64("seed", 1, "random seed")
-		ds       = flag.String("dataset", "ne", "dataset: ne or rd")
-		window   = flag.Int("window", 0, "Figure 11 window size (default queries/20)")
-		clients  = flag.Int("clients", 8, "throughput mode: max concurrent clients (swept in powers of two)")
-		shards   = flag.Int("cluster", 1, "throughput/load modes: spatial shards behind the scatter-gather router (1 = single node)")
-		scenario = flag.String("scenario", "steady", "load mode: scenario name from the matrix, or all")
-		qps      = flag.Float64("qps", 2000, "load mode: open-loop target arrival rate")
-		duration = flag.Duration("duration", 2*time.Second, "load mode: run length per scenario")
-		users    = flag.Int("users", 100_000, "load mode: simulated user population")
+		fig     = flag.String("fig", "6", "experiment to run (table61, 6, 7, 8, 9, 10, 11, ablation-staticd, ablation-grd, ablation-partition, ext-updates, ext-coop, all)")
+		full    = flag.Bool("full", false, "paper scale: 123,593 objects, 10,000 queries")
+		objects = flag.Int("objects", 0, "override dataset cardinality")
+		queries = flag.Int("queries", 0, "override query count")
+		seed    = flag.Int64("seed", 1, "random seed")
+		ds      = flag.String("dataset", "ne", "dataset: ne or rd")
+		window  = flag.Int("window", 0, "Figure 11 window size (default queries/20)")
 	)
 	flag.Parse()
 
@@ -73,7 +59,7 @@ func main() {
 
 	run := func(name string) {
 		t0 := time.Now()
-		if err := runFigure(name, env, sc, *window, *clients, *shards, *scenario, *qps, *duration, *users); err != nil {
+		if err := runFigure(name, env, sc, *window); err != nil {
 			fmt.Fprintf(os.Stderr, "procsim: %s: %v\n", name, err)
 			os.Exit(1)
 		}
@@ -91,45 +77,9 @@ func main() {
 	run(*fig)
 }
 
-func runFigure(name string, env *sim.Environment, sc sim.Scale, window, clients, shards int, scenario string, qps float64, duration time.Duration, users int) error {
+func runFigure(name string, env *sim.Environment, sc sim.Scale, window int) error {
 	w := os.Stdout
 	switch name {
-	case "load":
-		specs := load.Matrix()
-		if scenario != "all" {
-			sp, err := load.Lookup(scenario)
-			if err != nil {
-				return err
-			}
-			specs = []load.Spec{sp}
-		}
-		var results []*load.Result
-		for _, sp := range specs {
-			r, err := sim.OpenLoop(env, shards, sp, qps, duration, users, 0, sc.Seed)
-			if err != nil {
-				return err
-			}
-			results = append(results, r)
-		}
-		sim.FprintLoad(w, results)
-	case "throughput":
-		if clients < 1 {
-			return fmt.Errorf("-clients must be >= 1 (got %d)", clients)
-		}
-		var counts []int
-		for c := 1; c < clients; c *= 2 {
-			counts = append(counts, c)
-		}
-		counts = append(counts, clients)
-		perClient := sc.Queries / len(counts)
-		if perClient < 1 {
-			perClient = 1
-		}
-		rows, err := sim.ThroughputSweepSharded(env, shards, counts, perClient, sc.Seed)
-		if err != nil {
-			return err
-		}
-		sim.FprintThroughput(w, rows)
 	case "table61":
 		printTable61(env)
 		return nil

@@ -1,9 +1,9 @@
 // Command prodb serves a spatial dataset to proactive-caching clients over
-// TCP. The wire protocol is negotiated per connection: the compact binary
-// codec with request pipelining (many queries in flight per connection,
-// responses correlated by id) for new clients, the serial gob protocol as a
-// fallback for old ones. Clients connect with repro.Dial (see
-// examples/netclient; docs/WIRE.md specifies the framing).
+// TCP, speaking the binary wire protocol: a handshake preamble, then framed
+// messages with request pipelining (many queries in flight per connection,
+// responses correlated by id). A connection that opens with anything but
+// the preamble is closed. Clients connect with repro.Dial (see
+// examples/netclient; docs/WIRE.md specifies handshake and framing).
 //
 // The serving layer runs one goroutine per connection behind a connection
 // limit and a bounded worker pool, reaps idle connections, and drains
@@ -58,7 +58,7 @@ func main() {
 		inflight = flag.Int("inflight", 0, "max concurrently executing requests (0 = 4*GOMAXPROCS)")
 		pipeline = flag.Int("pipeline", 0, "max requests in flight per binary connection (0 = default 64)")
 		readTO   = flag.Duration("read-timeout", 0, "idle connection deadline (0 = default 5m)")
-		updates  = flag.Bool("updates", true, "accept batched index updates from wire clients (netclient -updates)")
+		updates  = flag.Bool("updates", true, "accept batched index updates from wire clients")
 		follower = flag.Bool("follower", false, "warm-standby mode: only a primary's replication stream may send updates (single node only, see docs/DURABILITY.md)")
 		clusterN = flag.Int("cluster", 1, "spatial shards served behind one scatter-gather router (1 = single node, see docs/CLUSTER.md)")
 		edgeMode = flag.Bool("edge", false, "cluster mode: serve through an edge cache tier — popular range/kNN queries answered from a partition-cell-keyed cache, invalidated off the cluster's epoch stream (docs/EDGE.md)")

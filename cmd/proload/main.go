@@ -52,7 +52,6 @@ func main() {
 		edgeOn       = flag.Bool("edge", false, "route all workers through one in-process edge cache tier in front of the cluster (requires -inprocess)")
 		nethop       = flag.Bool("nethop", false, "serve the in-process cluster over loopback TCP and cross it per request: workers dial it directly, or under -edge the edge forwards over a pipelined upstream pool while cache hits skip the hop (requires -inprocess)")
 		objects      = flag.Int("objects", 20000, "in-process dataset cardinality")
-		ds           = flag.String("dataset", "ne", "in-process dataset: ne or rd")
 		seed         = flag.Int64("seed", 1, "deterministic operation-stream seed")
 		scenario     = flag.String("scenario", "steady", "scenario names, comma-separated, or all")
 		qps          = flag.Float64("qps", 2000, "open-loop target arrival rate (all workers combined)")
@@ -112,14 +111,14 @@ func main() {
 	}()
 	acquire := func(sp load.Spec) (*backend, error) {
 		if len(sp.Faults) > 0 {
-			return connect(*addr, *inprocess, *objects, *ds, *seed, true, *edgeOn, *nethop)
+			return connect(*addr, *inprocess, *objects, *seed, true, *edgeOn, *nethop)
 		}
 		if sp.GrowUpdates && *addr == "" {
-			return connect(*addr, *inprocess, *objects, *ds, *seed, false, *edgeOn, *nethop)
+			return connect(*addr, *inprocess, *objects, *seed, false, *edgeOn, *nethop)
 		}
 		if shared == nil {
 			var err error
-			if shared, err = connect(*addr, *inprocess, *objects, *ds, *seed, false, *edgeOn, *nethop); err != nil {
+			if shared, err = connect(*addr, *inprocess, *objects, *seed, false, *edgeOn, *nethop); err != nil {
 				shared = nil
 				return nil, err
 			}
@@ -264,7 +263,7 @@ type backend struct {
 	shardErrors atomic.Int64
 }
 
-func connect(addr string, shards, objects int, ds string, seed int64, chaos, edgeOn, nethop bool) (*backend, error) {
+func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop bool) (*backend, error) {
 	b := &backend{}
 	if addr != "" {
 		if chaos {
@@ -286,7 +285,6 @@ func connect(addr string, shards, objects int, ds string, seed int64, chaos, edg
 		shards = 4
 	}
 	objs := repro.GenerateNE(objects, seed)
-	_ = ds // both synthetic generators share the NE skew; rd reserved
 	cfg := repro.ClusterConfig{Shards: shards}
 	if chaos {
 		// Chaos runs need durable, failover-capable shards: throwaway
@@ -330,11 +328,11 @@ func connect(addr string, shards, objects int, ds string, seed int64, chaos, edg
 		opts := repro.EdgeOptions{}
 		if nethop {
 			pool, err := edge.NewUpstreamPool(2, func() (wire.Transport, error) {
-				conn, err := net.Dial("tcp", b.nsAddr)
+				bc, err := wire.Dial(b.nsAddr, wire.RoleEdge, 10*time.Second)
 				if err != nil {
 					return nil, err
 				}
-				return wire.NewBinaryClientConnRole(conn, wire.RoleEdge)
+				return bc, nil
 			})
 			if err != nil {
 				b.close()

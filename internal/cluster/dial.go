@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/dataset"
@@ -11,9 +9,9 @@ import (
 )
 
 // Dial connects a client-side router to independently served shard
-// processes (one prodb per shard): each address is dialed with the binary
-// protocol (gob fallback), and the returned Router scatter-gathers across
-// the live connections exactly like an in-process cluster.
+// processes (one prodb per shard): each address is dialed with wire.Dial,
+// and the returned Router scatter-gathers across the live connections
+// exactly like an in-process cluster.
 //
 // When cfg.Part is nil, a partition is derived from the shards' cataloged
 // root rectangles: each shard's root center seeds one KD region, and the
@@ -35,7 +33,8 @@ import (
 // lands. Only the initial dial of every address is all-or-nothing.
 //
 // Each connection's protocol handshake is bounded by cfg.HandshakeTimeout
-// (default 10s), applied to both the TCP dial and the version exchange.
+// (default 10s), applied to both the TCP dial and the version exchange; a
+// peer that fails the handshake fails the dial (or the redial).
 func Dial(addrs []string, cfg Config) (*Router, error) {
 	hto := cfg.HandshakeTimeout
 	if hto <= 0 {
@@ -85,33 +84,13 @@ func Dial(addrs []string, cfg Config) (*Router, error) {
 // connection when Config.HandshakeTimeout is unset.
 const defaultHandshakeTimeout = 10 * time.Second
 
-// dialShard mirrors repro.Dial: binary with pipelining, gob as fallback.
-// The whole connect-and-handshake runs under one context deadline so a
-// half-open peer can't stall the router longer than the configured bound.
+// dialShard is wire.Dial as a wire.Transport, the shape Shard.Redial wants.
 func dialShard(addr string, timeout time.Duration) (wire.Transport, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	deadline, _ := ctx.Deadline()
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	bc, err := wire.Dial(addr, wire.RoleClient, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
+		return nil, err
 	}
-	conn.SetDeadline(deadline)
-	bc, err := wire.NewBinaryClientConn(conn)
-	if err == nil {
-		conn.SetDeadline(time.Time{})
-		return bc, nil
-	}
-	conn.Close()
-	conn, err = d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
-	}
-	conn.SetDeadline(deadline)
-	gc := wire.NewClientConn(conn)
-	conn.SetDeadline(time.Time{})
-	return gc, nil
+	return bc, nil
 }
 
 func closeTransport(t wire.Transport) {

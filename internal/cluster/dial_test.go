@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -68,11 +69,7 @@ func TestDialClusterOverTCP(t *testing.T) {
 		t.Fatalf("Shards() = %d", router.Shards())
 	}
 
-	sConn, err := net.Dial("tcp", singleAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleTr, err := wire.NewBinaryClientConn(sConn)
+	singleTr, err := wire.Dial(singleAddr, wire.RoleClient, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

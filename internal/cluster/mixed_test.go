@@ -49,17 +49,25 @@ func (fs *funcShard) redial() (wire.Transport, error) {
 func (fs *funcShard) kill()    { fs.down.Store(true); fs.gen.Add(1) }
 func (fs *funcShard) restart() { fs.down.Store(false) }
 
+// quantRect rounds a rectangle to the wire's float32 precision.
+func quantRect(r geom.Rect) geom.Rect {
+	q := func(v float64) float64 { return float64(float32(v)) }
+	return geom.R(q(r.MinX), q(r.MinY), q(r.MaxX), q(r.MaxY))
+}
+
 // TestMixedTransportFailoverCycle routes one cluster over heterogeneous
 // shard transports — three func-transport shards and one shard served over
-// real TCP (wire.NetServer on loopback, gob codec so coordinates stay
-// float64 and results compare bit-for-bit against the in-process single
-// node) — and bounces each transport kind through a failover cycle. The
-// router must ride both out through its retry/redial path with answers and
-// update acks equal to the uninterrupted single-node twin throughout.
+// real TCP (wire.NetServer on loopback; every coordinate in the test is
+// quantised to the wire's float32 up front, so results compare bit-for-bit
+// against the in-process single node) — and bounces each transport kind
+// through a failover cycle. The router must ride both out through its
+// retry/redial path with answers and update acks equal to the uninterrupted
+// single-node twin throughout.
 func TestMixedTransportFailoverCycle(t *testing.T) {
 	objs := genObjects(1600, 33)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
-	for _, o := range objs {
+	for i, o := range objs {
+		objs[i].MBR = quantRect(o.MBR)
 		sizes[o.ID] = o.Size
 	}
 	single := buildServer(objs, sizes)
@@ -105,19 +113,15 @@ func TestMixedTransportFailoverCycle(t *testing.T) {
 		go func() { _ = ns.Serve(ln) }()
 		return ns
 	}
-	dialGob := func() (wire.Transport, error) {
-		conn, err := net.Dial("tcp", addr.Load().(string))
-		if err != nil {
-			return nil, err
-		}
-		return wire.NewClientConn(conn), nil
+	dial3 := func() (wire.Transport, error) {
+		return dialShard(addr.Load().(string), 5*time.Second)
 	}
 	ns := startNS()
-	t3, err := dialGob()
+	t3, err := dial3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards[3] = Shard{T: t3, Redial: dialGob}
+	shards[3] = Shard{T: t3, Redial: dial3}
 
 	router, err := New(shards, Config{
 		Part:          part,
@@ -134,6 +138,9 @@ func TestMixedTransportFailoverCycle(t *testing.T) {
 	upd := newUpdateStream(55, objs)
 	step := func(phase string) {
 		ops := upd.batch(30)
+		for i := range ops {
+			ops[i].From, ops[i].To = quantRect(ops[i].From), quantRect(ops[i].To)
+		}
 		sResp := single.ExecuteUpdates(&wire.Request{Client: 900, Updates: ops})
 		cResp, err := router.RoundTrip(&wire.Request{Client: 900, Updates: ops})
 		if err != nil {
@@ -150,7 +157,7 @@ func TestMixedTransportFailoverCycle(t *testing.T) {
 			var q query.Query
 			if s < 4 {
 				reg := part.Regions[s]
-				q = query.NewRange(geom.RectFromCenter(reg.Center(), reg.Width()/3, reg.Height()/3))
+				q = query.NewRange(quantRect(geom.RectFromCenter(reg.Center(), reg.Width()/3, reg.Height()/3)))
 			} else {
 				q = query.NewRange(geom.R(0, 0, 1, 1))
 			}

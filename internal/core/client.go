@@ -10,11 +10,10 @@ import (
 )
 
 // Transport aliases wire.Transport; the simulation wires it directly to the
-// server, cmd/prodb over TCP (binary protocol with pipelining, gob
-// fallback). A Client issues one round trip at a time, but transports are
-// safe for concurrent use, so many Clients may share one pipelined
-// connection — each round trip is correlated back by request id (see
-// wire.BinaryClientConn).
+// server, cmd/prodb over TCP (binary protocol with pipelining). A Client
+// issues one round trip at a time, but transports are safe for concurrent
+// use, so many Clients may share one pipelined connection — each round
+// trip is correlated back by request id (see wire.BinaryClientConn).
 type Transport = wire.Transport
 
 // TransportFunc aliases wire.TransportFunc.

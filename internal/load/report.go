@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"time"
 )
 
@@ -94,7 +95,8 @@ func (r *Result) CheckSLO() []string {
 func (r *Result) Pass() bool { return len(r.Violations) == 0 }
 
 // ScenarioReport is the machine-readable form of a Result: flat keys,
-// integer microseconds, stable names — the schema CI validates.
+// integer microseconds, stable names. Its json tags are the schema CI
+// validates (ValidateReport), so a new counter is one field here.
 type ScenarioReport struct {
 	Scenario    string  `json:"scenario"`
 	TargetQPS   float64 `json:"target_qps"`
@@ -218,27 +220,11 @@ func MarshalReports(results []*Result) ([]byte, error) {
 	return json.MarshalIndent(fr, "", "  ")
 }
 
-// requiredKeys is the scenario-report schema the CI check enforces: every
-// key must be present (renaming a field silently breaks downstream
-// tooling, so the contract is explicit).
-var requiredKeys = []string{
-	"scenario", "target_qps", "achieved_qps", "duration_sec",
-	"users", "workers",
-	"scheduled", "local", "wire_sent", "wire_ok", "errors", "timeouts", "shed",
-	"full_hit", "partial_hit", "partial_degraded", "miss",
-	"updates", "update_rejects", "shard_errors",
-	"retries", "failovers", "redials",
-	"edge_tier", "edge_hits", "edge_misses", "edge_forwards",
-	"elastic", "splits", "merges", "handover_us",
-	"bytes_up", "bytes_down",
-	"mean_us", "p50_us", "p99_us", "p999_us",
-	"slo_pass", "violations",
-}
-
-// ValidateReport checks a proload JSON document against the schema: the
-// scenarios array exists and is non-empty, every entry carries every
-// required key, counters are non-negative, and the latency quantiles are
-// ordered p50 <= p99 <= p999.
+// ValidateReport checks a proload JSON document against the schema, which
+// is ScenarioReport itself: the scenarios array exists and is non-empty,
+// every entry carries every json-tagged field (renaming one silently breaks
+// downstream tooling), every numeric field is non-negative, and the latency
+// quantiles are ordered p50 <= p99 <= p999.
 func ValidateReport(data []byte) error {
 	var doc struct {
 		Scenarios []map[string]json.RawMessage `json:"scenarios"`
@@ -249,10 +235,11 @@ func ValidateReport(data []byte) error {
 	if len(doc.Scenarios) == 0 {
 		return fmt.Errorf("load: report has no scenarios")
 	}
+	fields := reflect.VisibleFields(reflect.TypeOf(ScenarioReport{}))
 	for i, sc := range doc.Scenarios {
-		for _, k := range requiredKeys {
-			if _, ok := sc[k]; !ok {
-				return fmt.Errorf("load: scenario %d missing key %q", i, k)
+		for _, f := range fields {
+			if _, ok := sc[f.Tag.Get("json")]; !ok {
+				return fmt.Errorf("load: scenario %d missing key %q", i, f.Tag.Get("json"))
 			}
 		}
 		var r ScenarioReport
@@ -263,33 +250,15 @@ func ValidateReport(data []byte) error {
 		if r.Scenario == "" {
 			return fmt.Errorf("load: scenario %d has an empty name", i)
 		}
-		for _, c := range []struct {
-			name string
-			v    int64
-		}{
-			{"scheduled", r.Scheduled}, {"local", r.Local},
-			{"wire_sent", r.WireSent}, {"wire_ok", r.WireOK},
-			{"errors", r.Errors}, {"timeouts", r.Timeouts}, {"shed", r.Shed},
-			{"retries", r.Retries}, {"failovers", r.Failovers},
-			{"redials", r.Redials},
-			{"edge_hits", r.EdgeHits}, {"edge_misses", r.EdgeMisses},
-			{"edge_forwards", r.EdgeForwards},
-			{"splits", r.Splits}, {"merges", r.Merges},
-			{"handover_us", r.HandoverUS},
-			{"bytes_up", r.BytesUp}, {"bytes_down", r.BytesDown},
-			{"mean_us", r.MeanUS}, {"p50_us", r.P50US},
-			{"p99_us", r.P99US}, {"p999_us", r.P999US},
-		} {
-			if c.v < 0 {
-				return fmt.Errorf("load: scenario %q: %s is negative", r.Scenario, c.name)
+		for _, f := range fields {
+			v := reflect.ValueOf(r).FieldByIndex(f.Index)
+			if (v.CanInt() && v.Int() < 0) || (v.CanFloat() && v.Float() < 0) {
+				return fmt.Errorf("load: scenario %q: %s is negative", r.Scenario, f.Tag.Get("json"))
 			}
 		}
 		if r.P50US > r.P99US || r.P99US > r.P999US {
 			return fmt.Errorf("load: scenario %q: quantiles out of order (p50=%d p99=%d p999=%d)",
 				r.Scenario, r.P50US, r.P99US, r.P999US)
-		}
-		if r.TargetQPS < 0 || r.AchievedQPS < 0 || r.DurationSec < 0 {
-			return fmt.Errorf("load: scenario %q: negative rate or duration", r.Scenario)
 		}
 	}
 	return nil

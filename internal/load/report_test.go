@@ -77,6 +77,15 @@ func TestValidateReportRejects(t *testing.T) {
 		{"negative failover counter", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"redials": 2`), []byte(`"redials": -2`), 1)
 		}, "negative"},
+		{"negative mix counter", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"miss": 300`), []byte(`"miss": -300`), 1)
+		}, "miss is negative"},
+		{"negative rate", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"target_qps": 1000`), []byte(`"target_qps": -1`), 1)
+		}, "target_qps is negative"},
+		{"missing mix key", func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"shard_errors"`), []byte(`"shard_errors_gone"`), 1)
+		}, `missing key "shard_errors"`},
 		{"quantile order", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"p999_us": 8000`), []byte(`"p999_us": 1`), 1)
 		}, "out of order"},

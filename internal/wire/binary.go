@@ -15,15 +15,14 @@ import (
 	"repro/internal/rtree"
 )
 
-// The binary codec is the hot-path wire format: a hand-rolled, versioned,
-// length-prefixed encoding of every protocol message. It replaces gob on the
-// serving path (gob remains as a negotiated fallback, see codec.go) and is
-// deliberately shaped after the paper's byte-size model: coordinates travel
-// as float32 (SizeModel prices 20-byte entries of four float32 coordinates
-// plus a pointer), identifiers and counts as varints, and partition-tree
-// codes as packed bits. Priority keys of handed-over queue elements are not
-// shipped at all — the server recomputes them from the MBRs (Server.rekey
-// treats client keys as untrusted anyway).
+// The binary codec is the wire format, the only thing that crosses a
+// socket: a hand-rolled, versioned, length-prefixed encoding of every
+// protocol message, deliberately shaped after the paper's byte-size model:
+// coordinates travel as float32 (SizeModel prices 20-byte entries of four
+// float32 coordinates plus a pointer), identifiers and counts as varints,
+// and partition-tree codes as packed bits. Priority keys of handed-over
+// queue elements are not shipped at all — the server recomputes them from
+// the MBRs (Server.rekey treats client keys as untrusted anyway).
 //
 // Stream layout (see docs/WIRE.md for the full specification):
 //
@@ -38,21 +37,16 @@ import (
 // answer out of order (see BinaryClientConn and NetServer).
 
 // ProtoVersion is the binary protocol version carried in the handshake
-// preamble. Peers with different versions must not talk binary to each
-// other; the gob fallback remains version-agnostic.
+// preamble. Peers with different versions do not talk to each other: the
+// server closes the connection and Dial reports ErrProtocolMismatch.
 const ProtoVersion = 1
 
-// handshakeMagic is the per-direction stream preamble: it distinguishes the
-// binary protocol from a gob stream and pins the protocol version. The
-// leading 0xF8 is deliberate poison for gob: a pre-binary server feeds the
-// preamble to its gob decoder, which parses it as an 8-byte message-length
-// of ~5.8e18, errors out immediately, and hangs up — so a binary client
-// probing an old server fails fast (and falls back to gob) instead of
-// waiting out a handshake deadline. Byte 5 carries the connection role
-// (RoleClient or RoleEdge); bytes 6..8 are reserved (zero). Old peers wrote
-// zero in byte 5, which is exactly RoleClient, so pre-role streams decode
-// unchanged; servers always ack with the plain client preamble, which old
-// clients already accept (they check only bytes 0..4).
+// handshakeMagic is the per-direction stream preamble: it opens every
+// connection and pins the protocol version. Byte 0 is 0xF8 for wire
+// compatibility with existing captures and the goldens under testdata.
+// Byte 5 carries the connection role (RoleClient or RoleEdge); bytes 6..8
+// are reserved (zero). Servers always ack with the plain client preamble;
+// clients check only bytes 0..4 of the ack.
 var handshakeMagic = [9]byte{0xF8, 'P', 'R', 'W', ProtoVersion, 0, 0, 0, 0}
 
 // Connection roles, carried in handshake preamble byte 5. An edge proxy
@@ -749,10 +743,9 @@ func DecodeResponse(body []byte) (*Response, error) {
 
 // sniffBinary reports whether the stream opens with the binary handshake
 // preamble, consuming it when present, and returns the announced connection
-// role. This is the single negotiation rule shared by every serving path
-// (NetServer, ServeConn, the reject path). Only known roles are accepted;
-// an unknown role byte falls through to the gob path and dies there, which
-// is the same fate any non-preamble byte stream meets.
+// role. Only the current version, known roles and zero reserved bytes are
+// accepted; both serving paths (NetServer.serveConn, rejectConn) close a
+// connection that opens with anything else.
 func sniffBinary(br *bufio.Reader) (bool, byte, error) {
 	first, err := br.Peek(len(handshakeMagic))
 	if err != nil {

@@ -2,10 +2,6 @@ package wire
 
 import (
 	"math/rand"
-	"net"
-	"reflect"
-	"testing"
-	"testing/quick"
 
 	"repro/internal/bpt"
 	"repro/internal/geom"
@@ -105,50 +101,4 @@ func randResponse(r *rand.Rand) *Response {
 		resp.UpdateResults = append(resp.UpdateResults, r.Intn(2) == 0)
 	}
 	return resp
-}
-
-// Property: arbitrary protocol messages survive the gob codec bit-for-bit.
-func TestQuickCodecRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		req := randRequest(r)
-		wantResp := randResponse(r)
-
-		c1, c2 := net.Pipe()
-		defer c1.Close()
-		defer c2.Close()
-
-		var gotReq *Request
-		served := make(chan error, 1)
-		go func() {
-			served <- ServeConn(c2, func(q *Request) (*Response, error) {
-				gotReq = q
-				return wantResp, nil
-			})
-		}()
-
-		client := NewClientConn(c1)
-		resp, err := client.RoundTrip(req)
-		if err != nil {
-			t.Logf("roundtrip: %v", err)
-			return false
-		}
-		c1.Close()
-		if err := <-served; err != nil {
-			t.Logf("serve: %v", err)
-			return false
-		}
-		if !reflect.DeepEqual(gotReq, req) {
-			t.Logf("request mangled:\n got %+v\nwant %+v", gotReq, req)
-			return false
-		}
-		if !reflect.DeepEqual(resp, wantResp) {
-			t.Logf("response mangled:\n got %+v\nwant %+v", resp, wantResp)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }

@@ -121,8 +121,8 @@ func TestGoldenEdgeHandshake(t *testing.T) {
 			t.Errorf("sniff role %d: ok=%v role=%d err=%v", tc.role, ok, role, err)
 		}
 	}
-	// An unknown role byte must fall through to the gob path, not decode as
-	// a binary peer with a garbled role.
+	// An unknown role byte is not a preamble (the server closes such a
+	// connection); it must not pass as a binary peer with a garbled role.
 	bad := handshakePreamble(0x7f)
 	if ok, _, err := sniffBinary(bufio.NewReader(bytes.NewReader(bad[:]))); err != nil || ok {
 		t.Errorf("unknown role accepted as binary: ok=%v err=%v", ok, err)

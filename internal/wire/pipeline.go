@@ -6,13 +6,35 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 )
 
-// ErrProtocolMismatch is returned by NewBinaryClientConn when the peer does
-// not answer the binary handshake with a matching preamble — typically a
-// gob-only server. Dialers use it to fall back to the gob protocol.
+// ErrProtocolMismatch is returned by Dial and NewBinaryClientConn when the
+// peer does not answer the handshake with a matching preamble: it hung up,
+// is not a server of this protocol, or speaks another version.
 var ErrProtocolMismatch = errors.New("wire: peer does not speak the binary protocol")
+
+// Dial connects to a NetServer: TCP connect, preamble announcing role, and
+// the server's ack, all under one deadline of timeout from now, which is
+// cleared on success. A handshake failure is returned as it is and the
+// socket closed.
+func Dial(addr string, role byte, timeout time.Duration) (*BinaryClientConn, error) {
+	deadline := time.Now().Add(timeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+	}
+	_ = conn.SetDeadline(deadline)
+	bc, err := NewBinaryClientConnRole(conn, role)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return bc, nil
+}
 
 // BinaryClientConn is a pipelined Transport over the binary protocol: any
 // number of goroutines may call RoundTrip concurrently on one connection,
@@ -39,9 +61,8 @@ type frameResult struct {
 }
 
 // NewBinaryClientConn performs the binary handshake on rw and starts the
-// response reader. It returns ErrProtocolMismatch (possibly wrapped) when
-// the peer answers with anything but the expected preamble, and the caller
-// should then fall back to NewClientConn (gob).
+// response reader. It returns ErrProtocolMismatch (wrapped) when the peer
+// answers with anything but the expected preamble.
 func NewBinaryClientConn(rw io.ReadWriter) (*BinaryClientConn, error) {
 	return NewBinaryClientConnRole(rw, RoleClient)
 }
@@ -61,7 +82,7 @@ func NewBinaryClientConnRole(rw io.ReadWriter, role byte) (*BinaryClientConn, er
 	br := bufio.NewReader(rw)
 	var ack [len(handshakeMagic)]byte
 	if _, err := io.ReadFull(br, ack[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading preamble ack: %v", ErrProtocolMismatch, err)
+		return nil, fmt.Errorf("%w: reading preamble ack: %w", ErrProtocolMismatch, err)
 	}
 	if !bytes.Equal(ack[:4], handshakeMagic[:4]) {
 		return nil, fmt.Errorf("%w: bad preamble % x", ErrProtocolMismatch, ack)
@@ -78,10 +99,9 @@ func NewBinaryClientConnRole(rw io.ReadWriter, role byte) (*BinaryClientConn, er
 	return c, nil
 }
 
-// RoundTrip implements Transport. Unlike the gob ClientConn, concurrent
-// calls do not serialize on the round trip: each caller's request is framed
-// and flushed immediately, and the caller only blocks until its own
-// response arrives.
+// RoundTrip implements Transport. Concurrent calls do not serialize on the
+// round trip: each caller's request is framed and flushed immediately, and
+// the caller only blocks until its own response arrives.
 func (c *BinaryClientConn) RoundTrip(req *Request) (*Response, error) {
 	ch := make(chan frameResult, 1)
 

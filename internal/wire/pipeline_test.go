@@ -13,13 +13,8 @@ import (
 
 func dialBinary(t *testing.T, addr string) *BinaryClientConn {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	bc, err := Dial(addr, RoleClient, 5*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := NewBinaryClientConn(conn)
-	if err != nil {
-		conn.Close()
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bc.Close() })
@@ -181,18 +176,14 @@ func TestBinaryConnLimitReject(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	// The handshake itself succeeds (the reject path acks the preamble so
 	// it can deliver a structured error) and the first round trip carries
 	// the connection-scoped rejection.
-	bc, err := NewBinaryClientConn(conn)
+	bc, err := Dial(addr, RoleClient, 5*time.Second)
 	if err != nil {
 		t.Fatalf("handshake with full server: %v", err)
 	}
+	defer bc.Close()
 	if _, err := bc.RoundTrip(&Request{Catalog: true}); err == nil ||
 		!strings.Contains(err.Error(), "connection limit") {
 		t.Fatalf("round trip on full server = %v, want connection limit rejection", err)
@@ -232,9 +223,8 @@ func TestBinaryInflightSurvivesIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestBinaryShutdownDrains mirrors the gob drain test on the pipelined
-// path: a request parked in its handler is answered before Shutdown
-// returns.
+// TestBinaryShutdownDrains: a request parked in its handler is answered
+// before Shutdown returns, and no new connection is served meanwhile.
 func TestBinaryShutdownDrains(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -266,6 +256,14 @@ func TestBinaryShutdownDrains(t *testing.T) {
 		shutdownDone <- srv.Shutdown(ctx)
 	}()
 	time.Sleep(20 * time.Millisecond)
+	// Accept may race with the listener close; what matters is that a
+	// round trip on a new connection cannot succeed while draining.
+	if late, err := Dial(addr, RoleClient, time.Second); err == nil {
+		if _, err := late.RoundTrip(&Request{Catalog: true}); err == nil {
+			t.Error("round trip on a new connection succeeded during shutdown")
+		}
+		late.Close()
+	}
 	release <- struct{}{}
 	if err := <-inflight; err != nil {
 		t.Errorf("in-flight pipelined request was not drained: %v", err)
@@ -319,33 +317,5 @@ func TestBinaryDecodeErrorKeepsConnAlive(t *testing.T) {
 	resp, err := DecodeResponse(body)
 	if err != nil || typ != frameResponse || id != 2 || resp.Epoch != 8 {
 		t.Fatalf("connection did not survive decode error: typ=%d id=%d err=%v", typ, id, err)
-	}
-}
-
-// TestServeConnBinarySerial covers the library-level ServeConn negotiation
-// and serial binary loop over an in-memory pipe.
-func TestServeConnBinarySerial(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
-	served := make(chan error, 1)
-	go func() { served <- ServeConn(c2, echoHandler) }()
-
-	bc, err := NewBinaryClientConn(c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(1); i <= 5; i++ {
-		resp, err := bc.RoundTrip(&Request{Epoch: i, Catalog: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Epoch != i {
-			t.Fatalf("epoch = %d, want %d", resp.Epoch, i)
-		}
-	}
-	c1.Close()
-	if err := <-served; err != nil {
-		t.Fatalf("serve: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"net"
 	"runtime"
@@ -23,10 +22,21 @@ import (
 // graceful Shutdown that stops accepting, lets in-flight requests finish,
 // and then closes everything.
 //
-// Each connection's protocol is negotiated from its first bytes: binary
-// clients open with the handshake preamble and get framed, pipelined,
-// out-of-order service (many requests in flight per connection, responses
-// correlated by id); gob clients get the serial fallback loop.
+// A connection must open with the binary handshake preamble and then gets
+// framed, pipelined, out-of-order service (many requests in flight per
+// connection, responses correlated by id); anything else is closed.
+
+// Handler processes one request on the server side.
+type Handler func(*Request) (*Response, error)
+
+// BatchHandler processes a contiguous run of decoded requests drained from
+// one connection's pipeline in a single call, letting the application
+// amortize per-request setup (snapshot pinning, execution-state checkout,
+// shared traversal work) across the batch. It must return exactly
+// len(reqs) responses: resps[i] answers reqs[i], and a per-request failure
+// is reported through errs[i] (with resps[i] ignored). errs may be nil when
+// every request succeeded.
+type BatchHandler func(reqs []*Request) (resps []*Response, errs []error)
 
 // Defaults applied by NewNetServer when a ServeConfig field is zero.
 const (
@@ -45,6 +55,10 @@ const (
 // ErrServerClosed is returned by NetServer.Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
+// errNoBatchResponse answers a request whose BatchHandler returned neither
+// a response nor an error for it.
+var errNoBatchResponse = errors.New("batch handler returned no response")
+
 // respBodyPool recycles binary response encode buffers: a frame body is
 // dead as soon as writeFrame copies it into the connection's bufio writer.
 var respBodyPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -52,7 +66,7 @@ var respBodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // ServeConfig parameterizes a NetServer.
 type ServeConfig struct {
 	// MaxConns is the maximum number of concurrently open connections;
-	// connections beyond it are sent an error envelope and closed.
+	// connections beyond it are sent an error frame and closed.
 	// Default DefaultMaxConns. Negative means unlimited.
 	MaxConns int
 	// MaxInflight bounds requests executing at once across all
@@ -78,8 +92,8 @@ type ServeConfig struct {
 	// HandleBatch, when set, receives runs of pipelined requests that were
 	// already fully buffered on a binary connection (drained without
 	// blocking after the first frame of a read pass, up to MaxPipeline or
-	// MaxBatch, whichever is smaller). Single requests and the gob protocol
-	// keep using the plain handler.
+	// MaxBatch, whichever is smaller). Single requests keep using the plain
+	// handler.
 	HandleBatch BatchHandler
 }
 
@@ -179,24 +193,22 @@ func (s *NetServer) Serve(ln net.Listener) error {
 	}
 }
 
-// rejectConn tells a client the server is full — in whichever protocol the
-// client opened with — then hangs up.
+// rejectConn tells a client that opened with the preamble that the server
+// is full, then hangs up; any other opener is just closed.
 func rejectConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	const limitMsg = "server at connection limit"
 	br := bufio.NewReaderSize(conn, len(handshakeMagic))
-	if isBinary, _, err := sniffBinary(br); err == nil && isBinary {
-		bw := bufio.NewWriter(conn)
-		if _, err := bw.Write(handshakeMagic[:]); err != nil {
-			return
-		}
-		// Error frame id 0 is connection-scoped: the client fails every
-		// round trip on this connection with the message.
-		_ = writeFrame(bw, frameError, 0, []byte(limitMsg))
+	if isBinary, _, err := sniffBinary(br); err != nil || !isBinary {
 		return
 	}
-	_ = gob.NewEncoder(conn).Encode(envelope{Err: limitMsg})
+	bw := bufio.NewWriter(conn)
+	if _, err := bw.Write(handshakeMagic[:]); err != nil {
+		return
+	}
+	// Error frame id 0 is connection-scoped: the client fails every
+	// round trip on this connection with the message.
+	_ = writeFrame(bw, frameError, 0, []byte("server at connection limit"))
 }
 
 // track registers a live connection; it refuses during shutdown. The
@@ -226,8 +238,8 @@ func (s *NetServer) shuttingDown() bool {
 	return s.shutdown
 }
 
-// countingConn counts bytes crossing the socket into the serving stats, for
-// either protocol, underneath any buffering.
+// countingConn counts bytes crossing the socket into the serving stats,
+// underneath any buffering.
 type countingConn struct {
 	net.Conn
 	stats *metrics.ServerStats
@@ -245,8 +257,11 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// serveConn sniffs the connection's protocol and runs the matching request
-// loop.
+// serveConn reads the handshake preamble under the read deadline and runs
+// the request loop. A connection that opens with anything else — an HTTP
+// probe, a port scanner, an unknown role or version — is counted in
+// Errors and closed without decoding a byte of it; one that sends nothing
+// at all is closed quietly.
 func (s *NetServer) serveConn(conn net.Conn) {
 	s.stats.ActiveConns.Add(1)
 	defer func() {
@@ -265,18 +280,17 @@ func (s *NetServer) serveConn(conn net.Conn) {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	}
 	isBinary, role, err := sniffBinary(br)
-	if err != nil {
-		return
-	}
-	if isBinary {
-		if role == RoleEdge {
-			s.stats.EdgeConns.Add(1)
-			defer s.stats.EdgeConns.Add(-1)
+	if err != nil || !isBinary {
+		if br.Buffered() > 0 {
+			s.stats.Errors.Add(1)
 		}
-		s.serveBinary(conn, cc, br)
 		return
 	}
-	s.serveGob(conn, cc, br)
+	if role == RoleEdge {
+		s.stats.EdgeConns.Add(1)
+		defer s.stats.EdgeConns.Add(-1)
+	}
+	s.serveBinary(conn, cc, br)
 }
 
 // serveBinary is the pipelined request loop: frames are read as fast as they
@@ -322,6 +336,22 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 			return false
 		}
 		return true
+	}
+	// respond is the one response tail: encode into a pooled buffer, hand
+	// the response back to the application, write the frame.
+	respond := func(id uint64, resp *Response, err error) {
+		if err != nil {
+			s.stats.Errors.Add(1)
+			writeResp(frameError, id, []byte(err.Error()))
+			return
+		}
+		body := respBodyPool.Get().(*[]byte)
+		*body = EncodeResponse((*body)[:0], resp)
+		if s.cfg.Release != nil {
+			s.cfg.Release(resp)
+		}
+		writeResp(frameResponse, id, *body)
+		respBodyPool.Put(body)
 	}
 
 	for {
@@ -401,27 +431,17 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 					s.stats.Requests.Add(int64(len(reqs)))
 					for i := range reqs {
 						s.stats.Latency.Observe(elapsed)
-						if errs != nil && errs[i] != nil {
-							s.stats.Errors.Add(1)
-							writeResp(frameError, ids[i], []byte(errs[i].Error()))
-							continue
-						}
 						var resp *Response
-						if i < len(resps) {
+						var err error
+						switch {
+						case errs != nil && errs[i] != nil:
+							err = errs[i]
+						case i < len(resps) && resps[i] != nil:
 							resp = resps[i]
+						default:
+							err = errNoBatchResponse
 						}
-						if resp == nil {
-							s.stats.Errors.Add(1)
-							writeResp(frameError, ids[i], []byte("batch handler returned no response"))
-							continue
-						}
-						body := respBodyPool.Get().(*[]byte)
-						*body = EncodeResponse((*body)[:0], resp)
-						if s.cfg.Release != nil {
-							s.cfg.Release(resp)
-						}
-						writeResp(frameResponse, ids[i], *body)
-						respBodyPool.Put(body)
+						respond(ids[i], resp, err)
 					}
 				}(ids, reqs)
 				continue
@@ -451,18 +471,7 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 				<-s.sem
 			}
 			s.stats.Requests.Add(1)
-			if err != nil {
-				s.stats.Errors.Add(1)
-				writeResp(frameError, id, []byte(err.Error()))
-				return
-			}
-			body := respBodyPool.Get().(*[]byte)
-			*body = EncodeResponse((*body)[:0], resp)
-			if s.cfg.Release != nil {
-				s.cfg.Release(resp)
-			}
-			writeResp(frameResponse, id, *body)
-			respBodyPool.Put(body)
+			respond(id, resp, err)
 		}(id, req)
 	}
 }
@@ -522,72 +531,6 @@ func (s *NetServer) drainBuffered(br *bufio.Reader, writeResp func(byte, uint64,
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// serveGob is the serial gob fallback loop (one request per round trip).
-func (s *NetServer) serveGob(conn net.Conn, cc countingConn, br *bufio.Reader) {
-	bw := bufio.NewWriter(cc)
-	enc := gob.NewEncoder(writeFlusher{bw})
-	dec := gob.NewDecoder(br)
-	for {
-		if s.cfg.ReadTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		// Re-check after arming the deadline: Shutdown sets the flag and
-		// nudges deadlines in one critical section, so if the deadline
-		// write above clobbered the nudge, the flag is already visible
-		// here — without this check a racing idle connection would sleep
-		// out its full ReadTimeout and turn graceful drain into a
-		// ctx-timeout force close.
-		if s.shuttingDown() {
-			return
-		}
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			// EOF, idle timeout, or the shutdown nudge: hang up quietly.
-			return
-		}
-		if env.Req == nil {
-			if err := enc.Encode(envelope{Err: "empty request envelope"}); err != nil {
-				return
-			}
-			continue
-		}
-
-		if s.sem != nil {
-			s.sem <- struct{}{}
-		}
-		start := time.Now()
-		resp, err := s.handle(env.Req)
-		s.stats.Latency.Observe(time.Since(start))
-		if s.sem != nil {
-			<-s.sem
-		}
-		s.stats.Requests.Add(1)
-
-		out := envelope{Resp: resp}
-		if err != nil {
-			s.stats.Errors.Add(1)
-			out = envelope{Err: err.Error()}
-		}
-		if s.cfg.ReadTimeout > 0 {
-			// Same guard as the binary path: a client that stops reading
-			// must not wedge this goroutine (and its connSem slot) forever,
-			// or graceful Shutdown degrades to a force close.
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		encErr := enc.Encode(out)
-		if resp != nil && s.cfg.Release != nil {
-			s.cfg.Release(resp)
-		}
-		if encErr != nil {
-			return
-		}
-		if s.shuttingDown() {
-			// The in-flight request is answered; drain by refusing the next.
-			return
-		}
-	}
 }
 
 // Shutdown gracefully stops the server: it closes the listener, nudges idle

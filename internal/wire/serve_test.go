@@ -2,9 +2,11 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"net"
-	"strings"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -27,16 +29,6 @@ func startServer(t *testing.T, cfg ServeConfig, handle Handler) (*NetServer, str
 	return srv, ln.Addr().String()
 }
 
-func dialT(t *testing.T, addr string) *ClientConn {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return NewClientConn(conn)
-}
-
 func TestNetServerConcurrentClients(t *testing.T) {
 	srv, addr := startServer(t, ServeConfig{}, echoHandler)
 	const clients, perClient = 10, 25
@@ -46,16 +38,15 @@ func TestNetServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
+			bc, err := Dial(addr, RoleClient, 5*time.Second)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer conn.Close()
-			cc := NewClientConn(conn)
+			defer bc.Close()
 			for i := 0; i < perClient; i++ {
 				epoch := uint64(c*1000 + i)
-				resp, err := cc.RoundTrip(&Request{Client: ClientID(c), Epoch: epoch, Catalog: true})
+				resp, err := bc.RoundTrip(&Request{Client: ClientID(c), Epoch: epoch, Catalog: true})
 				if err != nil {
 					errs <- err
 					return
@@ -81,111 +72,6 @@ func TestNetServerConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestNetServerConnLimit(t *testing.T) {
-	block := make(chan struct{})
-	srv, addr := startServer(t, ServeConfig{MaxConns: 1}, func(req *Request) (*Response, error) {
-		<-block
-		return &Response{}, nil
-	})
-
-	// First connection occupies the only slot.
-	first := dialT(t, addr)
-	firstDone := make(chan error, 1)
-	go func() {
-		_, err := first.RoundTrip(&Request{Catalog: true})
-		firstDone <- err
-	}()
-
-	// Wait until the server has the first connection tracked.
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().ActiveConns.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first connection never became active")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	second := dialT(t, addr)
-	if _, err := second.RoundTrip(&Request{Catalog: true}); err == nil ||
-		!strings.Contains(err.Error(), "connection limit") {
-		t.Fatalf("second conn error = %v, want connection limit rejection", err)
-	}
-	if got := srv.Stats().RejectedConns.Load(); got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
-	}
-	close(block)
-	if err := <-firstDone; err != nil {
-		t.Errorf("first conn round trip: %v", err)
-	}
-}
-
-func TestNetServerIdleTimeout(t *testing.T) {
-	_, addr := startServer(t, ServeConfig{ReadTimeout: 50 * time.Millisecond}, echoHandler)
-	cc := dialT(t, addr)
-	if _, err := cc.RoundTrip(&Request{Catalog: true}); err != nil {
-		t.Fatalf("warm request: %v", err)
-	}
-	time.Sleep(200 * time.Millisecond)
-	if _, err := cc.RoundTrip(&Request{Catalog: true}); err == nil {
-		t.Fatal("request after idle timeout should fail: server must have hung up")
-	}
-}
-
-func TestNetServerGracefulShutdownDrains(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	srv, addr := startServer(t, ServeConfig{}, func(req *Request) (*Response, error) {
-		if !req.Catalog {
-			close(started)
-			<-release
-		}
-		return &Response{Epoch: req.Epoch}, nil
-	})
-
-	cc := dialT(t, addr)
-	// Warm request proves the pipe works.
-	if _, err := cc.RoundTrip(&Request{Catalog: true}); err != nil {
-		t.Fatal(err)
-	}
-
-	inflight := make(chan error, 1)
-	go func() {
-		resp, err := cc.RoundTrip(&Request{Epoch: 42})
-		if err == nil && resp.Epoch != 42 {
-			t.Errorf("drained response epoch = %d, want 42", resp.Epoch)
-		}
-		inflight <- err
-	}()
-	<-started
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-
-	// New connections must be refused while draining.
-	time.Sleep(20 * time.Millisecond)
-	if conn, err := net.Dial("tcp", addr); err == nil {
-		conn.Close()
-		// Accept may race with the listener close; what matters is that a
-		// round trip cannot succeed.
-		cc2 := dialT(t, addr)
-		if _, err := cc2.RoundTrip(&Request{Catalog: true}); err == nil {
-			t.Error("round trip succeeded during shutdown")
-		}
-	}
-
-	release <- struct{}{}
-	if err := <-inflight; err != nil {
-		t.Errorf("in-flight request was not drained: %v", err)
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Errorf("shutdown: %v", err)
-	}
-}
-
 func TestNetServerShutdownTimeoutForcesClose(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -195,13 +81,75 @@ func TestNetServerShutdownTimeoutForcesClose(t *testing.T) {
 		<-release
 		return &Response{}, nil
 	})
-	cc := dialT(t, addr)
-	go func() { _, _ = cc.RoundTrip(&Request{}) }()
+	bc := dialBinary(t, addr)
+	go func() { _, _ = bc.RoundTrip(&Request{}) }()
 	<-started
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("shutdown = %v, want deadline exceeded", err)
+	}
+}
+
+// TestNonPreambleOpenerIsClosed: a connection that does not open with the
+// handshake preamble is closed without reaching the handler, counted in
+// Errors, and gives its connection token back.
+func TestNonPreambleOpenerIsClosed(t *testing.T) {
+	badRole, badVersion := handshakeMagic, handshakeMagic
+	badRole[5] = 7
+	badVersion[4] = 2
+	for _, tc := range []struct {
+		name   string
+		opener []byte
+	}{
+		{"http probe", []byte("GET / HTTP/1.1\r\n\r\n")},
+		{"nine zero bytes", make([]byte, 9)},
+		{"role byte 7", badRole[:]},
+		{"version 2", badVersion[:]},
+		{"4 bytes then silence", handshakeMagic[:4]}, // reaped by ReadTimeout
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var handled atomic.Int64
+			srv, addr := startServer(t, ServeConfig{MaxConns: 1, ReadTimeout: 100 * time.Millisecond},
+				func(req *Request) (*Response, error) {
+					handled.Add(1)
+					return echoHandler(req)
+				})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.opener); err != nil {
+				t.Fatal(err)
+			}
+			// The server says nothing and hangs up: EOF, or a reset when it
+			// closed with the opener's tail unread — never data, never a
+			// timeout of ours.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 64)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read after opener = %d bytes, err %v; want the connection closed", n, err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.Stats().ActiveConns.Load() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("ActiveConns never returned to 0")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := srv.Stats().Errors.Load(); got != 1 {
+				t.Errorf("Errors = %d, want 1", got)
+			}
+			// MaxConns is 1: a valid client is served only if the token of
+			// the closed connection was released.
+			bc := dialBinary(t, addr)
+			if resp, err := bc.RoundTrip(&Request{Epoch: 3, Catalog: true}); err != nil || resp.Epoch != 3 {
+				t.Fatalf("valid client after a closed opener: resp %+v, err %v", resp, err)
+			}
+			if got := handled.Load(); got != 1 {
+				t.Errorf("handler ran %d times, want 1 (the valid client only)", got)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"math"
-	"net"
 	"testing"
 
 	"repro/internal/geom"
@@ -124,38 +123,22 @@ func TestCutElemRef(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTripTCP exercises the gob transport over a real socket.
+// TestCodecRoundTripTCP sends a request with a handed-over queue and gets a
+// response with objects and index through a NetServer over a real socket.
 func TestCodecRoundTripTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
+	_, addr := startServer(t, ServeConfig{}, func(req *Request) (*Response, error) {
+		if len(req.H) != 1 || !req.H[0].Deferred || req.H[0].Elem.A.Code != "011" {
+			t.Errorf("queue lost in transit: %+v", req.H)
 		}
-		defer conn.Close()
-		done <- ServeConn(conn, func(req *Request) (*Response, error) {
-			return &Response{
-				K: req.Q.K,
-				Objects: []ObjectRep{
-					{ID: 42, Size: 10, Payload: true, MBR: geom.R(0, 0, 1, 1)},
-				},
-				Index: []NodeRep{{ID: 3, Level: 1, Elems: []CutElem{{Code: "0", Super: true}}}},
-			}, nil
-		})
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewClientConn(conn)
+		return &Response{
+			K: req.Q.K,
+			Objects: []ObjectRep{
+				{ID: 42, Size: 10, Payload: true, MBR: geom.R(0, 0, 1, 1)},
+			},
+			Index: []NodeRep{{ID: 3, Level: 1, Elems: []CutElem{{Code: "0", Super: true}}}},
+		}, nil
+	})
+	tr := dialBinary(t, addr)
 	req := &Request{
 		Client: 5,
 		Q:      query.NewKNN(geom.Pt(0.25, 0.75), 4),
@@ -174,9 +157,5 @@ func TestCodecRoundTripTCP(t *testing.T) {
 		if len(resp.Index) != 1 || !resp.Index[0].Elems[0].Super {
 			t.Fatalf("index lost in transit: %+v", resp.Index)
 		}
-	}
-	conn.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
 	}
 }

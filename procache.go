@@ -358,8 +358,8 @@ func (s *Server) NetServer(opts ServeOptions) *wire.NetServer {
 
 // Serve answers proactive-caching clients on a listener with default
 // options until the listener closes (the TCP wire protocol of cmd/prodb:
-// binary with pipelining, gob as negotiated fallback). It blocks. For
-// shutdown control, use NetServer instead.
+// binary with pipelining). It blocks. For shutdown control, use NetServer
+// instead.
 func (s *Server) Serve(ln net.Listener) error {
 	if err := s.NetServer(ServeOptions{}).Serve(ln); err != nil && err != wire.ErrServerClosed {
 		return fmt.Errorf("repro: serve: %w", err)
@@ -455,37 +455,17 @@ func (c *Client) CacheUsed() int { return c.inner.Cache().Used() }
 // CacheIndexBytes returns the bytes of cached index (vs objects).
 func (c *Client) CacheIndexBytes() int { return c.inner.Cache().IndexBytes() }
 
-// Dial connects to a cmd/prodb server over TCP and returns a Transport.
-// It negotiates the compact binary protocol (pipelined: concurrent
-// RoundTrip calls share the connection with many requests in flight) and
-// falls back to the serial gob protocol when the server predates the binary
-// codec. The returned Transport is safe for concurrent use either way.
+// Dial connects to a cmd/prodb server over TCP and returns a Transport
+// speaking the binary protocol (pipelined: concurrent RoundTrip calls share
+// the connection with many requests in flight). Connect and handshake are
+// bounded by 10 s together; a peer that is not a server of this protocol
+// version fails the dial with wire.ErrProtocolMismatch.
 func Dial(addr string) (Transport, error) {
-	conn, err := net.Dial("tcp", addr)
+	bc, err := wire.Dial(addr, wire.RoleClient, 10*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("repro: dial %s: %w", addr, err)
+		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	bc, err := wire.NewBinaryClientConn(conn)
-	if err == nil {
-		conn.SetDeadline(time.Time{})
-		return bc, nil
-	}
-	// A gob-only server chokes on the binary preamble and hangs up, which
-	// surfaces here as a handshake error; redial and speak gob.
-	conn.Close()
-	return DialGob(addr)
-}
-
-// DialGob connects with the serial gob protocol, skipping binary
-// negotiation. Useful against old servers or for comparing the two paths;
-// new code should prefer Dial.
-func DialGob(addr string) (Transport, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("repro: dial %s: %w", addr, err)
-	}
-	return wire.NewClientConn(conn), nil
+	return bc, nil
 }
 
 // GenerateNE and GenerateRD expose the synthetic datasets used by the

@@ -1,10 +1,8 @@
 package repro
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -141,74 +139,6 @@ func TestWireUpdatesOverTCP(t *testing.T) {
 	}
 	if _, err := reader.RoundTrip(&wire.Request{Client: 2, Q: NewKNN(Pt(0.91, 0.91), 1)}); err != nil {
 		t.Fatalf("query after rejected update: %v", err)
-	}
-}
-
-// oldEnvelope mirrors the gob message shape of pre-binary servers (gob
-// matches struct fields by name, so the type name is irrelevant).
-type oldEnvelope struct {
-	Req  *wire.Request
-	Resp *wire.Response
-	Err  string
-}
-
-// TestDialFallsBackToGob dials a simulated pre-binary server: a gob-only
-// loop that chokes on the binary preamble (gob parses it as an absurd
-// message length and hangs up, exactly like an old prodb would). Dial must
-// fail the binary handshake quickly and transparently redial with gob.
-func TestDialFallsBackToGob(t *testing.T) {
-	srv := NewServer(testObjects()[:300], ServerConfig{})
-	handler := srv.Handler()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				enc := gob.NewEncoder(c)
-				dec := gob.NewDecoder(c)
-				for {
-					var env oldEnvelope
-					if dec.Decode(&env) != nil {
-						return
-					}
-					if env.Req == nil {
-						continue
-					}
-					resp, _ := handler(env.Req)
-					if enc.Encode(oldEnvelope{Resp: resp}) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	start := time.Now()
-	tr, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial with gob fallback: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("fallback took %v; the poison preamble should fail the binary probe immediately", elapsed)
-	}
-	cl, err := NewClient(tr, ClientConfig{CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cl.Query(NewKNN(Pt(0.4, 0.4), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("fallback knn got %d results", len(rep.Results))
 	}
 }
 
