@@ -17,6 +17,7 @@ import (
 	"repro/internal/bpt"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/mobility"
 	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/server"
@@ -643,28 +644,74 @@ func BenchmarkClientWarmKNN(b *testing.B) {
 	}
 }
 
-func BenchmarkGRD3Eviction(b *testing.B) {
+// tourClient is the repo benchmark's mobile-tour regime in process: a client
+// with a GRD3 cache of 1 % of the dataset on a random-waypoint walk, asking a
+// third each of range, kNN and join with benchmark/gen.go's parameters, warmed
+// by 4 000 queries so the cache is full and every miss evicts. next advances
+// the walk and returns the next query.
+func tourClient(b *testing.B) (cl *core.Client, srv *server.Server, next func() query.Query) {
+	env := benchEnvironment()
 	sizes := wire.DefaultSizeModel()
-	srvEnv := benchEnvironment()
-	srv := server.New(srvEnv.Tree, srvEnv.DS.SizeOf, server.Config{})
+	srv = server.New(env.Tree, env.DS.SizeOf, server.Config{})
 	transport := wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
 		resp, _ := srv.Execute(req)
 		return resp, nil
 	})
+	cache := core.NewCache(int(env.DS.TotalBytes/100), core.GRD3, sizes)
+	cl = core.NewClient(core.ClientConfig{ID: 1, Root: srv.RootRef(), Sizes: sizes, FMRPeriod: 50}, cache, transport)
+
+	const thinkMean = 50
 	r := rand.New(rand.NewSource(7))
+	walk := mobility.NewRandomWaypoint(mobility.Config{Speed: 1e-4, PauseMean: thinkMean}, rand.New(rand.NewSource(8)))
+	next = func() query.Query {
+		pos := walk.Advance(r.ExpFloat64() * thinkMean)
+		cl.SetPosition(pos)
+		switch r.Intn(3) {
+		case 0:
+			return query.NewRange(geom.RectFromCenter(pos, 0.002, 0.002))
+		case 1:
+			return query.NewKNN(pos, 1+r.Intn(5))
+		}
+		return query.NewJoin(geom.RectFromCenter(pos, 0.004, 0.004), 5e-5)
+	}
+	for i := 0; i < 4000; i++ {
+		if _, err := cl.Query(next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cl, srv, next
+}
+
+// BenchmarkClientTour is one query of the paper's client in steady state, the
+// server called in process: what core.client_self_us measures over TCP, plus
+// the server's share of the remainder queries.
+func BenchmarkClientTour(b *testing.B) {
+	cl, _, next := tourClient(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cache := core.NewCache(1<<30, core.GRD3, sizes)
-		cl := core.NewClient(core.ClientConfig{ID: 1, Root: srv.RootRef(), Sizes: sizes}, cache, transport)
-		for j := 0; j < 20; j++ {
-			p := geom.Pt(r.Float64(), r.Float64())
-			if _, err := cl.Query(query.NewKNN(p, 5)); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := cl.Query(next()); err != nil {
+			b.Fatal(err)
 		}
-		b.StartTimer()
-		cache.ShrinkTo(cache.Used() / 4)
+	}
+}
+
+// BenchmarkGRD3Eviction is one overflow of a full cache: the steady-state tour
+// cache takes the cold answer to a query further along the walk, so every
+// iteration inserts a response and evicts back to 1 % of the dataset.
+func BenchmarkGRD3Eviction(b *testing.B) {
+	cl, srv, next := tourClient(b)
+	cache := cl.Cache()
+	resps := make([]*wire.Response, 512)
+	for i := range resps {
+		q := next()
+		resps[i], _ = srv.Execute(&wire.Request{Client: 2, Q: q, H: query.SeedRoot(q, srv.RootRef())})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache.BeginQuery()
+		cache.InsertResponse(resps[i%len(resps)])
 	}
 }
 

@@ -13,8 +13,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bpt"
 	"repro/internal/geom"
+	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/wire"
 )
@@ -56,16 +56,15 @@ type Item struct {
 
 	CachedChildren int
 
-	// Node items: the cached representation (a partition-tree cut) and the
-	// wire elements backing each cut position.
+	// Node items: the cached representation, a partition-tree cut as the
+	// wire elements at its positions, sorted by code.
 	Level int
-	Cut   bpt.Cut
-	Elems map[bpt.Code]wire.CutElem
+	Elems []wire.CutElem
 
 	// Region is the MBR of the item's contents (FAR policy distance).
 	Region geom.Rect
 
-	lastHitQuery uint64
+	pos int // index in Cache.list
 }
 
 // Prob estimates the item's access probability: hits over the number of
@@ -78,19 +77,22 @@ func (it *Item) Prob(now uint64) float64 {
 	return float64(it.Hits) / float64(age)
 }
 
-// Cache is the proactive cache.
+// Cache is the proactive cache. A cache, the providers handed out by
+// Provider and the slices they return belong to one goroutine: every
+// provider over a cache expands into the same scratch buffer, and eviction
+// and insertion reuse scratch of their own.
 type Cache struct {
 	capacity int
 	used     int
 	items    map[ItemKey]*Item
+	list     []*Item // every item once, Item.pos its index: a scan order that is not the map's
 	policy   Policy
 	sizes    wire.SizeModel
 
 	// Static structural knowledge accumulated from shipped representations:
 	// it maps children to the nodes whose entries reference them. Entries
 	// persist across evictions (the index is immutable during a run).
-	nodeParent map[rtree.NodeID]rtree.NodeID
-	objParent  map[rtree.ObjectID]rtree.NodeID
+	parentOf map[ItemKey]rtree.NodeID
 
 	querySeq uint64
 	position geom.Point // client location, consulted by the FAR policy
@@ -98,17 +100,20 @@ type Cache struct {
 	// Ops counts cache operations (lookups, insertions, eviction steps) for
 	// the client CPU cost model of Figure 9.
 	Ops int
+
+	expandBuf []query.Ref    // cacheProvider.Expand's result
+	mergeBuf  []wire.CutElem // insertNodeRep's merged cut
+	victims   []victim       // evictGRD3's candidate heap
 }
 
 // NewCache builds a cache with the given byte capacity and policy.
 func NewCache(capacity int, policy Policy, sizes wire.SizeModel) *Cache {
 	return &Cache{
-		capacity:   capacity,
-		items:      make(map[ItemKey]*Item),
-		policy:     policy,
-		sizes:      sizes,
-		nodeParent: make(map[rtree.NodeID]rtree.NodeID),
-		objParent:  make(map[rtree.ObjectID]rtree.NodeID),
+		capacity: capacity,
+		items:    make(map[ItemKey]*Item),
+		policy:   policy,
+		sizes:    sizes,
+		parentOf: make(map[ItemKey]rtree.NodeID),
 	}
 }
 
@@ -135,7 +140,7 @@ func (c *Cache) Len() int { return len(c.items) }
 // of Figure 11 is IndexBytes over Used).
 func (c *Cache) IndexBytes() int {
 	n := 0
-	for _, it := range c.items {
+	for _, it := range c.list {
 		if it.Key.IsNode() {
 			n += it.Size
 		}
@@ -148,9 +153,6 @@ func (c *Cache) BeginQuery() uint64 {
 	c.querySeq++
 	return c.querySeq
 }
-
-// Now returns the current query sequence id.
-func (c *Cache) Now() uint64 { return c.querySeq }
 
 // SetPosition records the client's current location for the FAR policy.
 func (c *Cache) SetPosition(p geom.Point) { c.position = p }
@@ -179,15 +181,23 @@ func (c *Cache) HasObject(id rtree.ObjectID) bool {
 // touch records a use of the item by the current query. Hit counts increase
 // at most once per query (metadata 4 counts hit queries, not accesses).
 func (c *Cache) touch(it *Item) {
-	it.LastUsed = c.querySeq
-	if it.lastHitQuery != c.querySeq {
-		it.lastHitQuery = c.querySeq
+	if it.LastUsed != c.querySeq {
+		it.LastUsed = c.querySeq
 		it.Hits++
 	}
 }
 
-func (c *Cache) nodeItemSize(cut bpt.Cut) int {
-	return c.sizes.NodeHeader + len(cut)*c.sizes.Entry
+func (c *Cache) nodeItemSize(cutLen int) int {
+	return c.sizes.NodeHeader + cutLen*c.sizes.Entry
+}
+
+// add enters a new item, beneath its structural parent when that is cached.
+func (c *Cache) add(it *Item) {
+	c.linkParent(it)
+	it.pos = len(c.list)
+	c.list = append(c.list, it)
+	c.items[it.Key] = it
+	c.used += it.Size
 }
 
 // InsertResponse integrates a server response: index representations first
@@ -206,85 +216,76 @@ func (c *Cache) InsertResponse(resp *wire.Response) {
 	c.evictToCapacity()
 }
 
-// insertNodeRep merges a shipped node representation into the cache.
+// insertNodeRep merges a shipped node representation into the cache:
+// knowledge only ever gets finer (mergeCuts).
 func (c *Cache) insertNodeRep(rep *wire.NodeRep) {
 	c.Ops++
 	if len(rep.Elems) == 0 {
 		return
 	}
 	key := NodeKey(rep.ID)
-	incoming := make(bpt.Cut, 0, len(rep.Elems))
-	for _, e := range rep.Elems {
-		incoming = append(incoming, e.Code)
-	}
-
 	it, exists := c.items[key]
 	if !exists {
 		it = &Item{
-			Key:          key,
-			InsertedAt:   c.querySeq,
-			LastUsed:     c.querySeq,
-			Hits:         1,
-			Level:        rep.Level,
-			Elems:        make(map[bpt.Code]wire.CutElem, len(rep.Elems)),
-			lastHitQuery: c.querySeq,
+			Key:        key,
+			InsertedAt: c.querySeq,
+			LastUsed:   c.querySeq,
+			Hits:       1,
+			Level:      rep.Level,
 		}
-		c.linkParent(it)
-		c.items[key] = it
+		c.add(it)
 	}
 
-	// Merge to the finest common refinement and rebuild the element map.
-	merged := bpt.MergeCuts(it.Cut, incoming)
-	newElems := make(map[bpt.Code]wire.CutElem, len(merged))
-	for _, e := range rep.Elems {
-		newElems[e.Code] = e
-	}
-	for _, code := range merged {
-		if _, ok := newElems[code]; !ok {
-			if old, ok := it.Elems[code]; ok {
-				newElems[code] = old
-			}
-		}
-	}
-	// Drop positions not in the merged cut (replaced by finer elements).
-	for code := range newElems {
-		if !merged.Contains(code) {
-			delete(newElems, code)
-		}
-	}
-
+	c.mergeBuf = mergeCuts(c.mergeBuf[:0], it.Elems, rep.Elems)
+	it.Elems = append(it.Elems[:0], c.mergeBuf...)
 	oldSize := it.Size
-	it.Cut = merged
-	it.Elems = newElems
-	it.Size = c.nodeItemSize(merged)
-	it.Region = regionOf(newElems)
+	it.Size = c.nodeItemSize(len(it.Elems))
 	c.used += it.Size - oldSize
 
-	// Record structural knowledge exposed by real entries.
-	for _, e := range newElems {
-		if e.Super {
-			continue
-		}
-		if e.Child != rtree.InvalidNode {
-			c.nodeParent[e.Child] = rep.ID
-		} else {
-			c.objParent[e.Obj] = rep.ID
+	// Record the region and the structural knowledge exposed by real entries.
+	it.Region = it.Elems[0].MBR
+	for i := range it.Elems {
+		it.Region = it.Region.Union(it.Elems[i].MBR)
+		if child, ok := childKey(&it.Elems[i]); ok {
+			c.parentOf[child] = rep.ID
 		}
 	}
 	c.Ops += len(rep.Elems)
 }
 
-func regionOf(elems map[bpt.Code]wire.CutElem) geom.Rect {
-	first := true
-	var r geom.Rect
-	for _, e := range elems {
-		if first {
-			r, first = e.MBR, false
-			continue
-		}
-		r = r.Union(e.MBR)
+// childKey returns the item a real entry references; super entries reference
+// none.
+func childKey(e *wire.CutElem) (ItemKey, bool) {
+	switch {
+	case e.Super:
+		return ItemKey{}, false
+	case e.Child != rtree.InvalidNode:
+		return NodeKey(e.Child), true
+	default:
+		return ObjKey(e.Obj), true
 	}
-	return r
+}
+
+// mergeCuts appends to dst the finest common refinement of two cuts of one
+// partition tree, both in code order, which is how servers ship them: the
+// deepest positions of the union survive, and the shipped element replaces a
+// cached one at the same position. In code order an element's descendants
+// follow it immediately, so each element is compared with the one before.
+func mergeCuts(dst, cached, shipped []wire.CutElem) []wire.CutElem {
+	for len(cached) > 0 || len(shipped) > 0 {
+		var e wire.CutElem
+		if len(shipped) == 0 || (len(cached) > 0 && cached[0].Code <= shipped[0].Code) {
+			e, cached = cached[0], cached[1:]
+		} else {
+			e, shipped = shipped[0], shipped[1:]
+		}
+		if n := len(dst); n > 0 && (dst[n-1].Code == e.Code || dst[n-1].Code.IsStrictAncestorOf(e.Code)) {
+			dst[n-1] = e
+		} else {
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // insertObject caches a result object's payload.
@@ -295,17 +296,14 @@ func (c *Cache) insertObject(o wire.ObjectRep) {
 		return
 	}
 	it := &Item{
-		Key:          key,
-		Size:         o.Size,
-		InsertedAt:   c.querySeq,
-		LastUsed:     c.querySeq,
-		Hits:         1,
-		Region:       o.MBR,
-		lastHitQuery: c.querySeq,
+		Key:        key,
+		Size:       o.Size,
+		InsertedAt: c.querySeq,
+		LastUsed:   c.querySeq,
+		Hits:       1,
+		Region:     o.MBR,
 	}
-	c.linkParent(it)
-	c.items[key] = it
-	c.used += it.Size
+	c.add(it)
 }
 
 // linkParent attaches it beneath its structural parent when that parent is
@@ -313,28 +311,19 @@ func (c *Cache) insertObject(o wire.ObjectRep) {
 // exposure check guards against structural knowledge that predates index
 // updates).
 func (c *Cache) linkParent(it *Item) {
-	pk, ok := c.parentKeyOf(it.Key)
-	if !ok {
+	id, known := c.parentOf[it.Key]
+	parent, cached := c.items[NodeKey(id)]
+	if !known || !cached || !parentExposes(parent, it.Key) {
 		return
 	}
-	parent, cached := c.items[pk]
-	if !cached || !parentExposes(parent, it.Key) {
-		return
-	}
-	it.Parent = pk
+	it.Parent = parent.Key
 	parent.CachedChildren++
 }
 
 // parentExposes reports whether parent's cut holds a real entry for key.
 func parentExposes(parent *Item, key ItemKey) bool {
-	for _, e := range parent.Elems {
-		if e.Super {
-			continue
-		}
-		if key.IsNode() && e.Child == key.Node {
-			return true
-		}
-		if !key.IsNode() && e.Child == rtree.InvalidNode && e.Obj == key.Obj {
+	for i := range parent.Elems {
+		if child, ok := childKey(&parent.Elems[i]); ok && child == key {
 			return true
 		}
 	}
@@ -351,21 +340,17 @@ func (c *Cache) remove(key ItemKey) int {
 	removed := 0
 	// Remove descendants first.
 	if it.Key.IsNode() && it.CachedChildren > 0 {
-		for _, e := range it.Elems {
-			if e.Super {
-				continue
-			}
-			if e.Child != rtree.InvalidNode {
-				removed += c.remove(NodeKey(e.Child))
-			} else {
-				removed += c.remove(ObjKey(e.Obj))
-			}
-			if it.CachedChildren == 0 {
-				break
+		for i := 0; i < len(it.Elems) && it.CachedChildren > 0; i++ {
+			if child, ok := childKey(&it.Elems[i]); ok {
+				removed += c.remove(child)
 			}
 		}
 	}
 	delete(c.items, key)
+	last := c.list[len(c.list)-1]
+	c.list[it.pos], last.pos = last, it.pos
+	c.list[len(c.list)-1] = nil
+	c.list = c.list[:len(c.list)-1]
 	c.used -= it.Size
 	removed++
 	c.Ops++
@@ -375,15 +360,6 @@ func (c *Cache) remove(key ItemKey) int {
 		}
 	}
 	return removed
-}
-
-// Items iterates over cached items in unspecified order.
-func (c *Cache) Items(fn func(*Item) bool) {
-	for _, it := range c.items {
-		if !fn(it) {
-			return
-		}
-	}
 }
 
 // Validate checks the cache's structural invariants (tests only).
@@ -403,28 +379,22 @@ func (c *Cache) Validate() error {
 			if !parent.Key.IsNode() {
 				return fmt.Errorf("core: item %v parented by object %v", key, it.Parent)
 			}
-			// The parent's cut must expose a real entry for this item.
-			found := false
-			for _, e := range parent.Elems {
-				if e.Super {
-					continue
-				}
-				if (key.IsNode() && e.Child == key.Node) || (!key.IsNode() && e.Obj == key.Obj) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !parentExposes(parent, key) {
 				return fmt.Errorf("core: parent %v does not expose %v", it.Parent, key)
 			}
 			children[it.Parent]++
 		}
+		if it.pos >= len(c.list) || c.list[it.pos] != it {
+			return fmt.Errorf("core: item %v not at its list position", key)
+		}
 		if key.IsNode() {
-			if want := c.nodeItemSize(it.Cut); it.Size != want {
+			if want := c.nodeItemSize(len(it.Elems)); it.Size != want {
 				return fmt.Errorf("core: node %v size %d, want %d", key, it.Size, want)
 			}
-			if len(it.Cut) != len(it.Elems) {
-				return fmt.Errorf("core: node %v cut/elems mismatch", key)
+			for i := 1; i < len(it.Elems); i++ {
+				if prev, code := it.Elems[i-1].Code, it.Elems[i].Code; prev >= code || prev.IsStrictAncestorOf(code) {
+					return fmt.Errorf("core: node %v cut is not a code-sorted antichain at %q, %q", key, prev, code)
+				}
 			}
 		}
 	}
@@ -437,6 +407,9 @@ func (c *Cache) Validate() error {
 		if _, counted := children[key]; !counted && it.CachedChildren != 0 {
 			return fmt.Errorf("core: %v CachedChildren %d, want 0", key, it.CachedChildren)
 		}
+	}
+	if len(c.list) != len(c.items) {
+		return fmt.Errorf("core: list holds %d items, map %d", len(c.list), len(c.items))
 	}
 	if used != c.used {
 		return fmt.Errorf("core: used %d, items sum to %d", c.used, used)

@@ -44,6 +44,14 @@ type Client struct {
 	// epoch is the last server update epoch this client has seen; requests
 	// carry it and responses return invalidations accumulated since.
 	epoch uint64
+
+	// Per-attempt state, reused from query to query: the engine, the locally
+	// confirmed objects (id -> size) and the answer under construction, which
+	// a Report receives as a copy of its own.
+	runner query.Runner
+	saved  map[rtree.ObjectID]int
+	ids    []rtree.ObjectID
+	pairs  [][2]rtree.ObjectID
 }
 
 // NewClient assembles a client around an existing cache and transport.
@@ -54,7 +62,7 @@ func NewClient(cfg ClientConfig, cache *Cache, transport Transport) *Client {
 	if cfg.Channel == (wire.Channel{}) {
 		cfg.Channel = wire.DefaultChannel()
 	}
-	return &Client{cfg: cfg, cache: cache, transport: transport}
+	return &Client{cfg: cfg, cache: cache, transport: transport, saved: make(map[rtree.ObjectID]int)}
 }
 
 // Cache exposes the client's cache.
@@ -126,7 +134,7 @@ func (c *Client) Query(q query.Query) (Report, error) {
 	for attempt := 0; ; attempt++ {
 		rep, stale, err := c.attempt(q)
 		if err != nil {
-			return rep, err
+			return c.withAnswer(rep), err
 		}
 		rep.Invalidated += invalidated
 		if !stale || attempt >= 2 {
@@ -137,7 +145,7 @@ func (c *Client) Query(q query.Query) (Report, error) {
 			rep.Retries = attempt
 			c.windowFalseMiss += rep.FalseMissBytes
 			c.windowCached += rep.SavedBytes + rep.FalseMissBytes
-			return rep, nil
+			return c.withAnswer(rep), nil
 		}
 		// The stale attempt's answers are discarded but the user still paid
 		// for its communication.
@@ -148,28 +156,40 @@ func (c *Client) Query(q query.Query) (Report, error) {
 	}
 }
 
-// attempt executes the three-stage pipeline once. stale reports that the
-// response invalidated cache items this very query had relied on.
+// withAnswer gives a report its own copy of the answer that the last attempt
+// left in the client's buffers.
+func (c *Client) withAnswer(rep Report) Report {
+	rep.Results = append([]rtree.ObjectID(nil), c.ids...)
+	rep.Pairs = append([][2]rtree.ObjectID(nil), c.pairs...)
+	return rep
+}
+
+// attempt executes the three-stage pipeline once, leaving the answer in
+// c.ids and c.pairs. stale reports that the response invalidated cache items
+// this very query had relied on.
 func (c *Client) attempt(q query.Query) (Report, bool, error) {
 	c.cache.BeginQuery()
 	opsStart := c.cache.Ops
 	var rep Report
 
-	out := query.Run(q, cacheProvider{c.cache}, query.SeedRoot(q, c.cfg.Root))
+	var seed [1]query.QueuedElem
+	out := c.runner.Run(q, cacheProvider{c.cache}, query.AppendSeedRoot(seed[:0], q, c.cfg.Root))
 	rep.EngineStats = out.Stats
 
 	// Locally confirmed result objects (Rs).
-	saved := make(map[rtree.ObjectID]int) // id -> size
+	saved := c.saved
+	clear(saved)
+	c.ids, c.pairs = c.ids[:0], c.pairs[:0]
 	for _, r := range out.Results {
-		rep.Results = append(rep.Results, r.Obj)
+		c.ids = append(c.ids, r.Obj)
 		saved[r.Obj] = c.objectSize(r.Obj)
 	}
 	for _, p := range out.Pairs {
-		rep.Pairs = append(rep.Pairs, [2]rtree.ObjectID{p[0].Obj, p[1].Obj})
+		c.pairs = append(c.pairs, [2]rtree.ObjectID{p[0].Obj, p[1].Obj})
 		for _, ref := range p {
 			if _, ok := saved[ref.Obj]; !ok {
 				saved[ref.Obj] = c.objectSize(ref.Obj)
-				rep.Results = append(rep.Results, ref.Obj)
+				c.ids = append(c.ids, ref.Obj)
 			}
 		}
 	}
@@ -247,10 +267,10 @@ func (c *Client) attempt(q query.Query) (Report, bool, error) {
 
 	for _, o := range resp.Objects {
 		if _, ok := saved[o.ID]; !ok {
-			rep.Results = append(rep.Results, o.ID)
+			c.ids = append(c.ids, o.ID)
 		}
 	}
-	rep.Pairs = append(rep.Pairs, resp.Pairs...)
+	c.pairs = append(c.pairs, resp.Pairs...)
 
 	c.cache.InsertResponse(resp)
 	rep.CacheOps = c.cache.Ops - opsStart
@@ -307,7 +327,8 @@ func (c *Client) objectSize(id rtree.ObjectID) int {
 
 // Provider returns a query.Provider view of the cache. The cooperative
 // caching extension uses it to consult neighborhood peers' caches with the
-// same machinery that serves the local one.
+// same machinery that serves the local one. Every provider over one cache
+// expands into that cache's one scratch buffer (see Cache).
 func (c *Cache) Provider() query.Provider { return cacheProvider{c} }
 
 // cacheProvider adapts the proactive cache to the query engine: nodes expand
@@ -326,10 +347,11 @@ func (p cacheProvider) Expand(ref query.Ref) ([]query.Ref, bool) {
 		return nil, false
 	}
 	p.c.touch(it)
-	out := make([]query.Ref, 0, len(it.Cut))
-	for _, code := range it.Cut {
-		out = append(out, it.Elems[code].Ref(ref.Node))
+	out := p.c.expandBuf[:0]
+	for i := range it.Elems {
+		out = append(out, it.Elems[i].Ref(ref.Node))
 	}
+	p.c.expandBuf = out
 	return out, true
 }
 

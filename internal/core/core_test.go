@@ -385,12 +385,11 @@ func TestGRD3EquivalentToGRD2(t *testing.T) {
 		if a.Len() != b.Len() {
 			t.Fatalf("trial %d: GRD3 kept %d, GRD2 kept %d", trial, a.Len(), b.Len())
 		}
-		a.Items(func(it *Item) bool {
+		for _, it := range a.list {
 			if _, ok := b.items[it.Key]; !ok {
 				t.Errorf("trial %d: %v kept by GRD3 only", trial, it.Key)
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -429,14 +428,10 @@ func buildRandomForest(r *rand.Rand, policy Policy) *Cache {
 			Hits:       hits,
 			LastUsed:   uint64(900 + r.Intn(100)),
 		}
-		c.items[key] = it
-		if parent != (ItemKey{}) {
-			c.items[parent].CachedChildren++
-		}
+		c.place(it)
 		keys = append(keys, key)
 		total += it.Size
 	}
-	c.used = total
 	c.capacity = total / 2
 	return c
 }
@@ -445,9 +440,11 @@ func cloneForest(src *Cache, policy Policy) *Cache {
 	c := NewCache(src.capacity, policy, src.sizes)
 	c.querySeq = src.querySeq
 	c.used = src.used
-	for key, it := range src.items {
+	for _, it := range src.list {
 		cp := *it
-		c.items[key] = &cp
+		cp.Elems = append([]wire.CutElem(nil), it.Elems...)
+		c.list = append(c.list, &cp)
+		c.items[cp.Key] = &cp
 	}
 	return c
 }

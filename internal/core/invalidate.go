@@ -35,7 +35,7 @@ func (c *Cache) invalidateKey(key ItemKey) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	used := it.lastHitQuery == c.querySeq
+	used := it.LastUsed == c.querySeq
 	// Descendant usage also counts: collect before the cascade removes them.
 	if !used {
 		used = c.subtreeUsedNow(it)
@@ -49,21 +49,9 @@ func (c *Cache) subtreeUsedNow(it *Item) bool {
 	if !it.Key.IsNode() || it.CachedChildren == 0 {
 		return false
 	}
-	for _, e := range it.Elems {
-		if e.Super {
-			continue
-		}
-		var child *Item
-		var ok bool
-		if e.Child != rtree.InvalidNode {
-			child, ok = c.items[NodeKey(e.Child)]
-		} else {
-			child, ok = c.items[ObjKey(e.Obj)]
-		}
-		if !ok {
-			continue
-		}
-		if child.lastHitQuery == c.querySeq || c.subtreeUsedNow(child) {
+	for i := range it.Elems {
+		key, real := childKey(&it.Elems[i])
+		if child, ok := c.items[key]; real && ok && (child.LastUsed == c.querySeq || c.subtreeUsedNow(child)) {
 			return true
 		}
 	}
@@ -75,8 +63,9 @@ func (c *Cache) subtreeUsedNow(it *Item) bool {
 // too: they may describe a reorganized index.
 func (c *Cache) Flush() {
 	c.items = make(map[ItemKey]*Item)
-	c.nodeParent = make(map[rtree.NodeID]rtree.NodeID)
-	c.objParent = make(map[rtree.ObjectID]rtree.NodeID)
+	clear(c.list)
+	c.list = c.list[:0]
+	c.parentOf = make(map[ItemKey]rtree.NodeID)
 	c.used = 0
 	c.Ops++
 }

@@ -56,12 +56,11 @@ func TestQuickInvalidationInvariants(t *testing.T) {
 		cache := cl.Cache()
 		// Collect a random subset of item keys to invalidate.
 		var keys []ItemKey
-		cache.Items(func(it *Item) bool {
+		for _, it := range cache.list {
 			if r.Intn(3) == 0 {
 				keys = append(keys, it.Key)
 			}
-			return true
-		})
+		}
 		for _, k := range keys {
 			if k.IsNode() {
 				cache.Invalidate([]rtree.NodeID{k.Node}, nil)

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/pq"
 )
 
 // Policy selects the cache replacement scheme (Section 5 and Figure 10).
@@ -68,6 +66,44 @@ func (c *Cache) evictToCapacity() {
 	}
 }
 
+// victim is a GRD3 eviction candidate: an item without cached children and
+// its access probability at the time of the eviction.
+type victim struct {
+	prob     float64
+	promoted int // 0 for an item that was a leaf from the start, else the order of promotion
+	key      ItemKey
+}
+
+// before is GRD3's pop order, a total one: ascending probability, then the
+// original leaves in key order, then promoted parents in promotion order.
+func (v victim) before(w victim) bool {
+	if v.prob != w.prob {
+		return v.prob < w.prob
+	}
+	if v.promoted != w.promoted {
+		return v.promoted < w.promoted
+	}
+	return keyLess(v.key, w.key)
+}
+
+// siftDown restores the min-heap property of h below position i.
+func siftDown(h []victim, i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
 // evictGRD3 implements Definition 5.1. Leaf items (no cached children) sit
 // in a priority queue keyed by access probability; removing a parent's last
 // child promotes the parent into the queue. The final step is the standard
@@ -75,98 +111,64 @@ func (c *Cache) evictToCapacity() {
 func (c *Cache) evictGRD3() {
 	now := c.querySeq
 
-	// Step 1: discard items that can never fit.
-	var oversized []ItemKey
-	for key, it := range c.items {
-		if it.Size > c.capacity {
-			oversized = append(oversized, key)
+	// Steps 1 and 2 in one pass over the items: discard those that can never
+	// fit, and queue the leaf items by prob, each computed once.
+	h := c.victims[:0]
+	for i := 0; i < len(c.list); i++ {
+		switch it := c.list[i]; {
+		case it.Size > c.capacity:
+			// Rare. Removal reorders the list and bares new leaves: start over.
+			c.remove(it.Key)
+			h, i = h[:0], -1
+		case it.CachedChildren == 0:
+			h = append(h, victim{prob: it.Prob(now), key: it.Key})
 		}
 	}
-	for _, key := range oversized {
-		c.remove(key)
-	}
-
-	// Step 2: queue the leaf items by prob (deterministic order: prob, key).
-	var leaves []ItemKey
-	for key, it := range c.items {
-		if it.CachedChildren == 0 {
-			leaves = append(leaves, key)
-		}
-	}
-	sort.Slice(leaves, func(i, j int) bool {
-		pi, pj := c.items[leaves[i]].Prob(now), c.items[leaves[j]].Prob(now)
-		if pi != pj {
-			return pi < pj
-		}
-		return keyLess(leaves[i], leaves[j])
-	})
-	var g pq.Queue[ItemKey]
-	for _, key := range leaves {
-		g.Push(c.items[key].Prob(now), key)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
 
 	// Steps 3-5: pop, remove, promote parents.
-	var last *Item
-	for c.used > c.capacity && g.Len() > 0 {
-		_, key := g.Pop()
-		it, ok := c.items[key]
-		if !ok || it.CachedChildren != 0 {
-			continue
+	var last Item
+	popped, promoted := false, 0
+	for c.used > c.capacity && len(h) > 0 {
+		last, popped = *c.items[h[0].key], true
+		c.remove(last.Key)
+		parent := c.items[last.Parent]
+		if last.Parent != (ItemKey{}) && parent != nil && parent.CachedChildren == 0 {
+			// The parent takes the root's place: a pop and a push in one sift.
+			promoted++
+			h[0] = victim{prob: parent.Prob(now), promoted: promoted, key: parent.Key}
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		parentKey := it.Parent
-		snapshot := *it
-		last = &snapshot
-		c.remove(key)
-		if parentKey != (ItemKey{}) {
-			if parent, ok := c.items[parentKey]; ok && parent.CachedChildren == 0 {
-				g.Push(parent.Prob(now), parentKey)
-			}
-		}
+		siftDown(h, 0)
 	}
+	c.victims = h[:0]
 
 	// Step 6: the greedy correction — if the last victim alone is worth
 	// more than everything kept, keep it instead (it must fit on its own,
-	// since everything else is dropped).
-	if last == nil || last.Size > c.capacity {
+	// since everything else is dropped). The sum runs in list order, the
+	// same in every run, and stops once it decides.
+	if !popped || last.Size > c.capacity {
 		return
 	}
+	lastBenefit := last.Prob(now) * float64(last.Size)
 	var keptBenefit float64
-	for _, it := range c.items {
-		keptBenefit += it.Prob(now) * float64(it.Size)
-	}
-	if last.Prob(now)*float64(last.Size) > keptBenefit {
-		var all []ItemKey
-		for key := range c.items {
-			all = append(all, key)
+	for _, it := range c.list {
+		if keptBenefit += it.Prob(now) * float64(it.Size); keptBenefit >= lastBenefit {
+			break
 		}
-		for _, key := range all {
-			c.remove(key)
+	}
+	if lastBenefit > keptBenefit {
+		for len(c.list) > 0 {
+			c.remove(c.list[len(c.list)-1].Key)
 		}
-		c.reinsertSnapshot(last)
+		keep := last // a leaf when it went; its parent has gone now
+		keep.Parent = ItemKey{}
+		c.add(&keep)
 	}
-}
-
-// reinsertSnapshot restores a previously removed item (GRD3 step 6).
-func (c *Cache) reinsertSnapshot(snap *Item) {
-	it := *snap
-	it.CachedChildren = 0
-	it.Parent = ItemKey{}
-	c.linkParent(&it)
-	c.items[it.Key] = &it
-	c.used += it.Size
-}
-
-func (c *Cache) parentKeyOf(key ItemKey) (ItemKey, bool) {
-	if key.IsNode() {
-		if p, ok := c.nodeParent[key.Node]; ok {
-			return NodeKey(p), true
-		}
-		return ItemKey{}, false
-	}
-	if p, ok := c.objParent[key.Obj]; ok {
-		return NodeKey(p), true
-	}
-	return ItemKey{}, false
 }
 
 // evictGRD2 is the EBRS-based reference algorithm: repeatedly remove the

@@ -1,0 +1,156 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/bpt"
+	"repro/internal/geom"
+	"repro/internal/query"
+	"repro/internal/rtree"
+	"repro/internal/server"
+	"repro/internal/wire"
+)
+
+// localQueryAllocCeiling is the per-query allocation budget of a query the
+// cache answers alone (docs/PERF.md): the engine, its seed, the provider's
+// expansion and the client's bookkeeping run on reused state, so what is left
+// is the Report's own copy of the answer — one slice of results, and one of
+// pairs for a join.
+const localQueryAllocCeiling = 8
+
+// TestClientLocalQueryAllocBudget pins the client half of the allocation-free
+// hot path, next to the server's TestWarmExecuteAllocBudget.
+func TestClientLocalQueryAllocBudget(t *testing.T) {
+	w := newWorld(t, 1701, 2000, server.AdaptiveForm)
+	cl := w.newClient(1<<24, GRD3)
+	centre := geom.Pt(0.5, 0.5)
+	queries := map[string]query.Query{
+		"range": query.NewRange(geom.RectFromCenter(centre, 0.1, 0.1)),
+		"knn":   query.NewKNN(centre, 8),
+		"join":  query.NewJoin(geom.RectFromCenter(centre, 0.15, 0.15), 0.01),
+	}
+	for name, q := range queries {
+		for warm := 0; warm < 2; warm++ { // the second time around, from the cache and on grown buffers
+			if _, err := cl.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rep Report
+		allocs := testing.AllocsPerRun(100, func() { rep, _ = cl.Query(q) })
+		if !rep.LocalOnly || len(rep.Results) == 0 {
+			t.Fatalf("%s: local %v with %d results; the budget is for a query answered from the cache", name, rep.LocalOnly, len(rep.Results))
+		}
+		if allocs > localQueryAllocCeiling {
+			t.Errorf("%s: a locally answered query allocates %.1f objects, budget is %d (docs/PERF.md)", name, allocs, localQueryAllocCeiling)
+		}
+		t.Logf("%s: %.1f allocs per locally answered query (budget %d)", name, allocs, localQueryAllocCeiling)
+	}
+}
+
+// alternating answers Expand from two providers in turn, the way a
+// cooperative client consults its own cache and then a peer's.
+type alternating struct {
+	provs [2]query.Provider
+	calls int
+}
+
+func (a *alternating) Expand(ref query.Ref) ([]query.Ref, bool) {
+	a.calls++
+	return a.provs[a.calls%2].Expand(ref)
+}
+
+func (a *alternating) HaveObject(id rtree.ObjectID) bool { return a.provs[0].HaveObject(id) }
+
+// freshSlices hands the engine a private copy of every expansion.
+type freshSlices struct{ query.Provider }
+
+func (f freshSlices) Expand(ref query.Ref) ([]query.Ref, bool) {
+	refs, ok := f.Provider.Expand(ref)
+	return slices.Clone(refs), ok
+}
+
+// TestProviderScratchAliasing: every provider over one cache expands into
+// that cache's one buffer, so in a two-sided join expansion side b's children
+// overwrite side a's. The engine holds side a in its own scratch; the answer
+// through two aliasing providers is the answer fresh slices would give.
+func TestProviderScratchAliasing(t *testing.T) {
+	w := newWorld(t, 1702, 2000, server.FullForm)
+	cl := w.newClient(1<<24, GRD3)
+	win := geom.RectFromCenter(geom.Pt(0.5, 0.5), 0.3, 0.3)
+	if _, err := cl.Query(query.NewRange(win)); err != nil { // cache the index under the window
+		t.Fatal(err)
+	}
+	cache := cl.Cache()
+	root, ok := cache.Provider().Expand(cl.cfg.Root)
+	if !ok || len(root) < 2 {
+		t.Fatalf("root not cached or too small: %d children", len(root))
+	}
+	root = slices.Clone(root)
+
+	q := query.NewJoin(win, 0.02)
+	twoSided := 0
+	for i, a := range root {
+		for _, b := range root[i+1:] {
+			seed := []query.QueuedElem{{Key: q.PairKeyFor(a.MBR, b.MBR), Elem: query.PairOf(a, b)}}
+			got := query.Run(q, &alternating{provs: [2]query.Provider{cache.Provider(), cache.Provider()}}, seed)
+			want := query.Run(q, freshSlices{cache.Provider()}, seed)
+			if got.Stats != want.Stats || !slices.Equal(got.Pairs, want.Pairs) || !slices.Equal(got.Remainder, want.Remainder) {
+				t.Fatalf("pair <%v,%v>: through the shared scratch %+v, %d pairs, %d left; through fresh slices %+v, %d pairs, %d left",
+					a, b, got.Stats, len(got.Pairs), len(got.Remainder), want.Stats, len(want.Pairs), len(want.Remainder))
+			}
+			if got.Stats.Expands >= 2 {
+				twoSided++
+			}
+		}
+	}
+	if twoSided == 0 {
+		t.Fatal("no seed pair expanded both of its sides")
+	}
+}
+
+// TestMergeCutsMatchesBPT holds the cache's merge of cut elements to
+// bpt.MergeCuts on the codes: the same positions survive, and at a position
+// both cuts hold the shipped element replaces the cached one.
+func TestMergeCutsMatchesBPT(t *testing.T) {
+	r := rand.New(rand.NewSource(1703))
+	for trial := 0; trial < 300; trial++ {
+		entries := make([]rtree.Entry, 2+r.Intn(40))
+		for i := range entries {
+			entries[i] = rtree.Entry{MBR: geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.01, 0.01), Obj: rtree.ObjectID(i + 1)}
+		}
+		pt := bpt.Build(1, entries)
+		// A random cut in code order; Obj marks which side an element came from.
+		randomCut := func(side rtree.ObjectID) (cut bpt.Cut, elems []wire.CutElem) {
+			var walk func(p *bpt.PNode)
+			walk = func(p *bpt.PNode) {
+				if p.Leaf() || r.Intn(3) == 0 {
+					cut = append(cut, p.Code)
+					elems = append(elems, wire.CutElem{Code: p.Code, Obj: side})
+					return
+				}
+				walk(p.Left)
+				walk(p.Right)
+			}
+			walk(pt.Root)
+			return cut, elems
+		}
+		cachedCut, cached := randomCut(1)
+		shippedCut, shipped := randomCut(2)
+		if trial%5 == 0 {
+			cachedCut, cached = nil, nil // a node's first representation
+		}
+		want := bpt.MergeCuts(cachedCut, shippedCut)
+		got := mergeCuts(nil, cached, shipped)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: merged %d positions, want %d", trial, len(got), len(want))
+		}
+		for i, e := range got {
+			fromShipped := slices.Contains(shippedCut, e.Code)
+			if e.Code != want[i] || (e.Obj == 2) != fromShipped {
+				t.Fatalf("trial %d: position %d is %q from side %d, want %q (shipped holds it: %v)", trial, i, e.Code, e.Obj, want[i], fromShipped)
+			}
+		}
+	}
+}

@@ -296,13 +296,12 @@ func TestInvalidateCascades(t *testing.T) {
 	cache := cl.Cache()
 	// Find a cached node item with cached children.
 	var target rtree.NodeID
-	cache.Items(func(it *Item) bool {
+	for _, it := range cache.list {
 		if it.Key.IsNode() && it.CachedChildren > 0 {
 			target = it.Key.Node
-			return false
+			break
 		}
-		return true
-	})
+	}
 	if target == 0 {
 		t.Skip("no parent item cached")
 	}

@@ -50,7 +50,8 @@ func (s *Stats) Add(o Stats) {
 	s.Evals += o.Evals
 }
 
-// Outcome is the result of one engine run.
+// Outcome is the result of one engine run. Its slices alias the Runner's
+// buffers: they are valid until that Runner's next Run or Reset.
 type Outcome struct {
 	// Results holds confirmed result objects in confirmation order
 	// (ascending distance for kNN). On the client these are the saved
@@ -83,22 +84,20 @@ func AppendSeedRoot(dst []QueuedElem, q Query, root Ref) []QueuedElem {
 		if !q.acceptsPair(root.MBR, root.MBR) {
 			return dst
 		}
-		return append(dst, QueuedElem{Key: q.pairKey(root.MBR, root.MBR), Elem: PairOf(root, root)})
+		return append(dst, QueuedElem{Key: q.PairKeyFor(root.MBR, root.MBR), Elem: PairOf(root, root)})
 	}
 	if !q.accepts(root.MBR) {
 		return dst
 	}
-	return append(dst, QueuedElem{Key: q.key(root.MBR), Elem: Single(root)})
+	return append(dst, QueuedElem{Key: q.KeyFor(root.MBR), Elem: Single(root)})
 }
 
 // Runner owns the reusable execution state of Algorithm 1: the best-first
 // priority queue, the stuck-element accumulator, and the result buffers. A
 // warm Runner executes a query without allocating; the server keeps Runners
-// in a sync.Pool so each request borrows one.
+// in a sync.Pool so each request borrows one, and a core.Client owns one.
 //
-// A Runner is not safe for concurrent use. The Outcome returned by Run
-// aliases the Runner's internal buffers: it is valid only until the next Run
-// or Reset, and callers that retain results across runs must copy them.
+// A Runner is not safe for concurrent use.
 type Runner struct {
 	h           pq.Queue[Elem]
 	fifo        []Ref // range-query queue (see runRangeFIFO)
@@ -229,7 +228,7 @@ func (r *Runner) RunBounded(q Query, prov Provider, seed []QueuedElem, bound flo
 
 // rangeFIFOOK reports whether a range seed admits the FIFO fast path: every
 // queued element keyed zero and no pair elements. Range priorities are always
-// zero (Query.key), so any handed-over or root seed qualifies unless a client
+// zero (Query.KeyFor), so any handed-over or root seed qualifies unless a client
 // shipped something degenerate — then the general heap loop handles it.
 func rangeFIFOOK(seed []QueuedElem) bool {
 	for _, qe := range seed {
@@ -296,9 +295,8 @@ func (r *Runner) runRangeFIFO(q Query, prov Provider, seed []QueuedElem) Outcome
 	return out
 }
 
-// Run executes q with a fresh Runner. It is the compatibility entry point for
-// one-shot callers (clients, simulations); the returned Outcome owns its
-// buffers.
+// Run executes q with a fresh Runner that nothing runs again, so this Outcome
+// keeps its buffers. It serves one-shot callers (tests, internal/coop).
 func Run(q Query, prov Provider, seed []QueuedElem) Outcome {
 	var r Runner
 	return r.Run(q, prov, seed)
@@ -341,7 +339,7 @@ func (r *Runner) expandElem(q Query, prov Provider, elem Elem, stats *Stats) boo
 		stats.Evals += len(children)
 		for _, c := range children {
 			if q.accepts(c.MBR) {
-				r.h.Push(q.key(c.MBR), Single(c))
+				r.h.Push(q.KeyFor(c.MBR), Single(c))
 				stats.Pushes++
 			}
 		}
@@ -350,45 +348,59 @@ func (r *Runner) expandElem(q Query, prov Provider, elem Elem, stats *Stats) boo
 	return r.expandPair(q, prov, elem, stats)
 }
 
-// emitPair evaluates one candidate child pair and pushes it if accepted.
-func (r *Runner) emitPair(q Query, x, y Ref, stats *Stats) {
-	stats.Evals++
-	if x.Same(y) && x.IsObject() {
-		return // a distance self-join never pairs an object with itself
-	}
-	if !q.acceptsPair(x.MBR, y.MBR) {
+// pushPair queues the child pair <x, y> of two refs inside the join window
+// if it may contain result pairs: what is left of acceptsPair is the distance
+// test, and that distance is the pair's key.
+func (r *Runner) pushPair(q Query, x, y *Ref, stats *Stats) {
+	key := q.PairKeyFor(x.MBR, y.MBR)
+	if !(key <= q.Dist) {
 		return
 	}
-	r.h.Push(q.pairKey(x.MBR, y.MBR), PairOf(x, y))
+	if x.IsObject() && x.Same(*y) {
+		return // a distance self-join never pairs an object with itself
+	}
+	r.h.Push(key, PairOf(*x, *y))
 	stats.Pushes++
+}
+
+// inJoinWindow appends to dst the refs whose MBR meets the join window, in
+// order. The others fail acceptsPair against every partner: expandPair drops
+// them once, here, and counts their pairs in Stats.Evals without visiting them.
+func inJoinWindow(dst []Ref, q Query, refs []Ref) []Ref {
+	for i := range refs {
+		if refs[i].MBR.Intersects(q.JoinWindow) {
+			dst = append(dst, refs[i])
+		}
+	}
+	return dst
 }
 
 // expandPair expands a join pair by descending every expandable side.
 // A pair is missing when any side it must descend is missing (footnote 3 of
-// the paper).
+// the paper). Child pairs are pushed in nested-loop order, side a outer: the
+// heap pops equal keys in push order.
 func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) bool {
 	a, b := elem.A, elem.B
 
 	switch {
-	case a.IsObject(): // descend b only
-		children, ok := prov.Expand(b)
+	case a.IsObject() || b.IsObject(): // descend the other side only
+		obj, node := &a, b
+		if b.IsObject() {
+			obj, node = &b, a
+		}
+		children, ok := prov.Expand(node)
 		if !ok {
 			return false
 		}
 		stats.Expands++
-		for _, c := range children {
-			r.emitPair(q, a, c, stats)
+		stats.Evals += len(children)
+		if !obj.MBR.Intersects(q.JoinWindow) {
+			return true
 		}
-		return true
-
-	case b.IsObject(): // descend a only
-		children, ok := prov.Expand(a)
-		if !ok {
-			return false
-		}
-		stats.Expands++
-		for _, c := range children {
-			r.emitPair(q, c, b, stats)
+		for i := range children {
+			if c := &children[i]; c.MBR.Intersects(q.JoinWindow) {
+				r.pushPair(q, obj, c, stats)
+			}
 		}
 		return true
 
@@ -398,9 +410,12 @@ func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) boo
 			return false
 		}
 		stats.Expands++
-		for i := range children {
-			for j := i; j < len(children); j++ {
-				r.emitPair(q, children[i], children[j], stats)
+		stats.Evals += len(children) * (len(children) + 1) / 2
+		in := inJoinWindow(r.pairScratch[:0], q, children)
+		r.pairScratch = in
+		for i := range in {
+			for j := i; j < len(in); j++ {
+				r.pushPair(q, &in[i], &in[j], stats)
 			}
 		}
 		return true
@@ -410,17 +425,22 @@ func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) boo
 		if !okA {
 			return false
 		}
-		// The provider may reuse its scratch buffer on the next Expand, so
-		// copy side a before descending side b.
-		r.pairScratch = append(r.pairScratch[:0], ca...)
+		// The provider may reuse its scratch buffer on the next Expand:
+		// side a is copied out before side b is descended.
+		nA := len(ca)
+		in := inJoinWindow(r.pairScratch[:0], q, ca)
+		inA := len(in)
 		cb, okB := prov.Expand(b)
 		if !okB {
 			return false
 		}
 		stats.Expands += 2
-		for _, x := range r.pairScratch {
-			for _, y := range cb {
-				r.emitPair(q, x, y, stats)
+		stats.Evals += nA * len(cb)
+		in = inJoinWindow(in, q, cb)
+		r.pairScratch = in
+		for i := 0; i < inA; i++ {
+			for j := inA; j < len(in); j++ {
+				r.pushPair(q, &in[i], &in[j], stats)
 			}
 		}
 		return true

@@ -2,10 +2,12 @@ package query
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/pq"
 	"repro/internal/rtree"
 )
 
@@ -441,5 +443,256 @@ func TestRefAndElemHelpers(t *testing.T) {
 	e = rtree.Entry{MBR: geom.R(0, 0, 1, 1), Obj: 5}
 	if FromEntry(e).Kind != RefObject {
 		t.Error("FromEntry object")
+	}
+}
+
+// pairWorld is a random three-level index whose nodes expand into a mix of
+// super entries, child nodes and objects, with some nodes, super entries and
+// object payloads missing: every shape expandPair meets.
+type pairWorld struct {
+	children map[Ref][]Ref // keyed by the ref with its MBR, as Expand receives it
+	missing  map[Ref]bool
+	noObject map[rtree.ObjectID]bool
+	inner    []Ref // expandable refs, by level from the root down
+	leaves   []Ref // nodes whose children are objects
+	objects  []Ref
+}
+
+func (w *pairWorld) Expand(ref Ref) ([]Ref, bool) {
+	if w.missing[ref] {
+		return nil, false
+	}
+	c, ok := w.children[ref]
+	return c, ok
+}
+
+func (w *pairWorld) HaveObject(id rtree.ObjectID) bool { return !w.noObject[id] }
+
+func buildPairWorld(r *rand.Rand) *pairWorld {
+	w := &pairWorld{children: map[Ref][]Ref{}, missing: map[Ref]bool{}, noObject: map[rtree.ObjectID]bool{}}
+	nextNode, nextObj := rtree.NodeID(1), rtree.ObjectID(1)
+	cover := func(refs []Ref) geom.Rect {
+		mbr := refs[0].MBR
+		for _, c := range refs[1:] {
+			mbr = mbr.Union(c.MBR)
+		}
+		return mbr
+	}
+	leaf := func(center geom.Point) Ref {
+		var objs []Ref
+		for i, n := 0, 2+r.Intn(8); i < n; i++ {
+			p := geom.Pt(center.X+(r.Float64()-0.5)*0.1, center.Y+(r.Float64()-0.5)*0.1)
+			objs = append(objs, ObjectRef(nextObj, geom.RectFromCenter(p, 0.004, 0.004)))
+			if r.Intn(10) == 0 {
+				w.noObject[nextObj] = true
+			}
+			nextObj++
+		}
+		// Duplicate MBRs: equal keys, so FIFO order among them shows.
+		objs[len(objs)-1].MBR = objs[0].MBR
+		ref := NodeRef(nextNode, cover(objs))
+		nextNode++
+		w.children[ref] = objs
+		w.leaves = append(w.leaves, ref)
+		w.objects = append(w.objects, objs...)
+		return ref
+	}
+	var kids []Ref
+	for i := 0; i < 6; i++ {
+		center := geom.Pt(0.2+0.6*r.Float64(), 0.2+0.6*r.Float64())
+		var under []Ref
+		for j, n := 0, 2+r.Intn(3); j < n; j++ {
+			under = append(under, leaf(geom.Pt(center.X+(r.Float64()-0.5)*0.2, center.Y+(r.Float64()-0.5)*0.2)))
+		}
+		mid := NodeRef(nextNode, cover(under))
+		nextNode++
+		// Half the mid nodes show their children behind two super entries.
+		if r.Intn(2) == 0 {
+			half := len(under) / 2
+			lo := SuperRef(mid.Node, "0", cover(under[:half]))
+			hi := SuperRef(mid.Node, "1", cover(under[half:]))
+			w.children[lo], w.children[hi] = under[:half], under[half:]
+			w.inner = append(w.inner, lo, hi)
+			under = []Ref{lo, hi}
+		}
+		w.children[mid] = under
+		w.inner = append(w.inner, mid)
+		kids = append(kids, mid)
+	}
+	root := NodeRef(nextNode, cover(kids))
+	w.children[root] = kids
+	w.inner = append([]Ref{root}, w.inner...)
+	for _, ref := range append(w.inner[1:], w.leaves...) {
+		if r.Intn(12) == 0 {
+			w.missing[ref] = true
+		}
+	}
+	return w
+}
+
+// referenceJoin is the engine's heap loop for a join with pair expansion as
+// it was before the join-window pre-filter: every child pair goes through
+// emitPair, identity test first, in nested-loop order. expandPair must push
+// the same pairs in the same order and count the same work.
+func referenceJoin(q Query, prov Provider, seed []QueuedElem) Outcome {
+	var out Outcome
+	var h pq.Queue[Elem]
+	var stuck []QueuedElem
+	for _, qe := range seed {
+		h.Push(qe.Key, qe.Elem)
+		out.Stats.Pushes++
+	}
+	emitPair := func(x, y Ref) {
+		out.Stats.Evals++
+		if x.Same(y) && x.IsObject() {
+			return
+		}
+		if !q.acceptsPair(x.MBR, y.MBR) {
+			return
+		}
+		h.Push(q.PairKeyFor(x.MBR, y.MBR), PairOf(x, y))
+		out.Stats.Pushes++
+	}
+	expandPair := func(a, b Ref) bool {
+		switch {
+		case a.IsObject():
+			children, ok := prov.Expand(b)
+			if !ok {
+				return false
+			}
+			out.Stats.Expands++
+			for _, c := range children {
+				emitPair(a, c)
+			}
+		case b.IsObject():
+			children, ok := prov.Expand(a)
+			if !ok {
+				return false
+			}
+			out.Stats.Expands++
+			for _, c := range children {
+				emitPair(c, b)
+			}
+		case a.Same(b):
+			children, ok := prov.Expand(a)
+			if !ok {
+				return false
+			}
+			out.Stats.Expands++
+			for i := range children {
+				for j := i; j < len(children); j++ {
+					emitPair(children[i], children[j])
+				}
+			}
+		default:
+			ca, okA := prov.Expand(a)
+			if !okA {
+				return false
+			}
+			ca = append([]Ref(nil), ca...)
+			cb, okB := prov.Expand(b)
+			if !okB {
+				return false
+			}
+			out.Stats.Expands += 2
+			for _, x := range ca {
+				for _, y := range cb {
+					emitPair(x, y)
+				}
+			}
+		}
+		return true
+	}
+	for h.Len() > 0 {
+		key, elem := h.Pop()
+		out.Stats.Pops++
+		switch {
+		case !elem.IsObjectElem():
+			if !expandPair(elem.A, elem.B) {
+				stuck = append(stuck, QueuedElem{Key: key, Elem: elem})
+			}
+		case prov.HaveObject(elem.A.Obj) && prov.HaveObject(elem.B.Obj):
+			out.Pairs = append(out.Pairs, [2]Ref{elem.A, elem.B})
+		default:
+			stuck = append(stuck, QueuedElem{Key: key, Elem: elem})
+		}
+	}
+	if len(stuck) == 0 {
+		out.Complete = true
+		return out
+	}
+	sort.SliceStable(stuck, func(i, j int) bool { return stuck[i].Key < stuck[j].Key })
+	out.Remainder = stuck
+	return out
+}
+
+// TestJoinExpansionMatchesNestedLoop seeds joins with every kind of pair — the
+// root with itself, an object leaf with itself, a super entry with itself,
+// two different nodes, an object beside a node on either side — under windows
+// that cut through the children, and holds the engine to the reference's
+// result pairs, remainder (keys and order) and Stats, field by field.
+func TestJoinExpansionMatchesNestedLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	var pushes, shapes [5]int
+	for trial := 0; trial < 300; trial++ {
+		w := buildPairWorld(r)
+		pick := func(refs []Ref) Ref { return refs[r.Intn(len(refs))] }
+		var a, b Ref
+		shape := trial % 5
+		switch shape {
+		case 0:
+			a = w.inner[0]
+			b = a
+		case 1:
+			a = pick(w.leaves)
+			b = a
+		case 2:
+			a = pick(w.inner[1:]) // a super entry where the world has one, else a mid node
+			for _, ref := range w.inner[1:] {
+				if ref.Kind == RefSuper && r.Intn(3) == 0 {
+					a = ref
+				}
+			}
+			b = a
+		case 3:
+			a, b = pick(append(w.inner[1:], w.leaves...)), pick(append(w.inner[1:], w.leaves...))
+		default:
+			a, b = pick(w.objects), pick(w.leaves)
+		}
+		side := 0.05 + r.Float64()*0.4
+		q := NewJoin(geom.RectFromCenter(geom.Pt(a.MBR.Center().X, b.MBR.Center().Y), side, side), r.Float64()*0.05)
+		seed := []QueuedElem{{Key: q.PairKeyFor(a.MBR, b.MBR), Elem: PairOf(a, b)}}
+		if shape == 4 && trial%2 == 0 {
+			seed[0].Elem = Elem{A: a, B: b, Pair: true} // the object on side a, as a foreign seed may have it
+		}
+		for id := range w.missing { // the seed's own sides are there, so the expansion under test runs
+			if id.Same(a) || id.Same(b) {
+				delete(w.missing, id)
+			}
+		}
+
+		var runner Runner
+		for rerun := 0; rerun < 2; rerun++ { // the second run is on warm scratch
+			got, want := runner.Run(q, w, seed), referenceJoin(q, w, seed)
+			if got.Stats != want.Stats {
+				t.Fatalf("trial %d shape %d: stats %+v, want %+v", trial, shape, got.Stats, want.Stats)
+			}
+			if got.Complete != want.Complete || len(got.Results) != 0 {
+				t.Fatalf("trial %d shape %d: complete %v, want %v; %d single results", trial, shape, got.Complete, want.Complete, len(got.Results))
+			}
+			if !slices.Equal(got.Pairs, want.Pairs) {
+				t.Fatalf("trial %d shape %d: pairs differ\n%v\n%v", trial, shape, got.Pairs, want.Pairs)
+			}
+			if !slices.Equal(got.Remainder, want.Remainder) {
+				t.Fatalf("trial %d shape %d: remainder differs\n%v\n%v", trial, shape, got.Remainder, want.Remainder)
+			}
+			pushes[shape] += got.Stats.Pushes - 1
+		}
+		shapes[shape]++
+	}
+	for shape, n := range pushes {
+		if n == 0 {
+			t.Errorf("shape %d never pushed a child pair in %d trials", shape, shapes[shape])
+		}
 	}
 }

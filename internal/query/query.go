@@ -94,21 +94,15 @@ func (q Query) acceptsPair(a, b geom.Rect) bool {
 }
 
 // KeyFor returns the queue priority of a single element with the given MBR
-// (exported for remainder-query rekeying on the server).
-func (q Query) KeyFor(mbr geom.Rect) float64 { return q.key(mbr) }
-
-// PairKeyFor returns the queue priority of a pair element.
-func (q Query) PairKeyFor(a, b geom.Rect) float64 { return q.pairKey(a, b) }
-
-// key returns the priority of a single element (smaller pops first).
-func (q Query) key(mbr geom.Rect) float64 {
+// (smaller pops first); the server rekeys remainder queries with it.
+func (q Query) KeyFor(mbr geom.Rect) float64 {
 	if q.Kind == KNN {
 		return geom.MinDist(q.Center, mbr)
 	}
 	return 0
 }
 
-// pairKey returns the priority of a pair element.
-func (q Query) pairKey(a, b geom.Rect) float64 {
+// PairKeyFor returns the priority of a pair element.
+func (q Query) PairKeyFor(a, b geom.Rect) float64 {
 	return geom.RectMinDist(a, b)
 }
