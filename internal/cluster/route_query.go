@@ -323,15 +323,21 @@ func (st *routeState) appendLagCatalogs(req *wire.Request, targeted func(s int) 
 	}
 }
 
-// mergeObjects deduplicates a sub-response's result objects into the
-// merged response.
-func (st *routeState) mergeObjects(sub *wire.Response, resp *wire.Response) {
-	for _, o := range sub.Objects {
-		if !st.seenObj[o.ID] {
-			st.seenObj[o.ID] = true
-			resp.Objects = append(resp.Objects, o)
+// mergeObjects appends the gathered result objects (st.objs, in arrival
+// order) to the merged response in id order, keeping the first arrival of an
+// id reported twice: it sorts one word per object, id above arrival index.
+func (st *routeState) mergeObjects(resp *wire.Response) {
+	keys := st.objKeys[:0]
+	for i, o := range st.objs {
+		keys = append(keys, uint64(o.ID)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		if i == 0 || keys[i-1]>>32 != k>>32 {
+			resp.Objects = append(resp.Objects, st.objs[uint32(k)])
 		}
 	}
+	st.objKeys = keys
 }
 
 // routeRange scatters a range (or semantic-remainder) query to overlapping
@@ -349,7 +355,7 @@ func (r *Router) routeRange(st *routeState, req *wire.Request, resp *wire.Respon
 		if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
 			return err
 		}
-		st.mergeObjects(it.resp, resp)
+		st.objs = append(st.objs, it.resp.Objects...)
 		if !req.NoIndex {
 			if err := r.mergeIndex(st, it.shard, it.resp, resp); err != nil {
 				return err
@@ -358,7 +364,7 @@ func (r *Router) routeRange(st *routeState, req *wire.Request, resp *wire.Respon
 		r.release(it.shard, it.resp)
 		it.resp = nil
 	}
-	slices.SortFunc(resp.Objects, func(a, b wire.ObjectRep) int { return cmp.Compare(a.ID, b.ID) })
+	st.mergeObjects(resp)
 	return nil
 }
 
@@ -578,7 +584,7 @@ func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Respons
 			}
 		}
 		if i < nPrimary {
-			st.mergeObjects(it.resp, resp)
+			st.objs = append(st.objs, it.resp.Objects...)
 			for _, p := range it.resp.Pairs {
 				st.appendPair(resp, p)
 			}
@@ -610,20 +616,14 @@ func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Respons
 				if p[1] < p[0] {
 					p[0], p[1] = p[1], p[0]
 				}
-				if !st.appendPair(resp, p) {
-					continue
-				}
-				for _, o := range [2]wire.ObjectRep{a, b} {
-					if !st.seenObj[o.ID] {
-						st.seenObj[o.ID] = true
-						resp.Objects = append(resp.Objects, o)
-					}
+				if st.appendPair(resp, p) {
+					st.objs = append(st.objs, a, b)
 				}
 			}
 		}
 	}
 
-	slices.SortFunc(resp.Objects, func(a, b wire.ObjectRep) int { return cmp.Compare(a.ID, b.ID) })
+	st.mergeObjects(resp)
 	slices.SortFunc(resp.Pairs, func(a, b [2]rtree.ObjectID) int {
 		if c := cmp.Compare(a[0], b[0]); c != 0 {
 			return c

@@ -403,7 +403,9 @@ type routeState struct {
 
 	wave []waveItem
 
-	knnLower []float64 // lower bound on this shard's unseen objects
+	objs     []wire.ObjectRep // range/join: result objects in arrival order
+	objKeys  []uint64         // mergeObjects' sort keys
+	knnLower []float64        // lower bound on this shard's unseen objects
 	knnObjs  []wire.ObjectRep
 	knnDists []float64
 
@@ -411,7 +413,7 @@ type routeState struct {
 	sideA []pairSide
 	sideB []pairSide
 
-	seenObj  map[rtree.ObjectID]bool
+	seenObj  map[rtree.ObjectID]bool // kNN candidate dedup
 	seenNode map[rtree.NodeID]bool
 	seenObjI map[rtree.ObjectID]bool // invalidation-report object dedup
 	seenPair map[[2]rtree.ObjectID]bool
@@ -445,6 +447,7 @@ func (r *Router) getState() *routeState {
 	st.wantVroot = false
 	st.vrootStale = false
 	st.wave = st.wave[:0]
+	st.objs = st.objs[:0]
 	st.knnObjs = st.knnObjs[:0]
 	st.knnDists = st.knnDists[:0]
 	st.cross = st.cross[:0]

@@ -8,15 +8,28 @@
 package pq
 
 // Queue is a min-heap of T keyed by float64. The zero value is ready to use.
+// The heap orders 24-byte handles; a value is written once into a slab slot
+// at Push and read once at Pop, so sifting never moves a T, however large
+// (the best-first engine queues 168-byte elements).
 type Queue[T any] struct {
-	items []item[T]
+	items []item  // the heap
+	vals  []T     // value slab, indexed by item.slot
+	free  []int32 // slab slots vacated by Pop, reused before the slab grows
 	seq   uint64
 }
 
-type item[T any] struct {
-	key   float64
-	seq   uint64
-	value T
+type item struct {
+	key  float64
+	seq  uint64
+	slot int32
+}
+
+// before is the heap order: ascending key, then push order.
+func (a *item) before(b *item) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
 }
 
 // Len returns the number of queued items.
@@ -24,15 +37,22 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Push inserts value with the given key.
 func (q *Queue[T]) Push(key float64, value T) {
+	slot := int32(len(q.vals))
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+		q.vals[slot] = value
+	} else {
+		q.vals = append(q.vals, value)
+	}
 	q.seq++
-	q.items = append(q.items, item[T]{key, q.seq, value})
+	q.items = append(q.items, item{key, q.seq, slot})
 	q.up(len(q.items) - 1)
 }
 
 // Min returns the smallest key and its value without removing it.
 // It must not be called on an empty queue.
 func (q *Queue[T]) Min() (float64, T) {
-	return q.items[0].key, q.items[0].value
+	return q.items[0].key, q.vals[q.items[0].slot]
 }
 
 // Pop removes and returns the value with the smallest key.
@@ -41,18 +61,22 @@ func (q *Queue[T]) Pop() (float64, T) {
 	top := q.items[0]
 	last := len(q.items) - 1
 	q.items[0] = q.items[last]
-	var zero item[T]
-	q.items[last] = zero
 	q.items = q.items[:last]
 	if last > 0 {
 		q.down(0)
 	}
-	return top.key, top.value
+	value := q.vals[top.slot]
+	var zero T
+	q.vals[top.slot] = zero // drop the slab's reference
+	q.free = append(q.free, top.slot)
+	return top.key, value
 }
 
 // Reset empties the queue, retaining its backing storage.
 func (q *Queue[T]) Reset() {
-	clear(q.items)
+	clear(q.vals)
+	q.vals = q.vals[:0]
+	q.free = q.free[:0]
 	q.items = q.items[:0]
 }
 
@@ -68,27 +92,27 @@ func (q *Queue[T]) Grow(n int) {
 // GrowTo ensures capacity for at least total items, growing geometrically
 // like Grow.
 func (q *Queue[T]) GrowTo(total int) {
-	if cap(q.items) >= total {
-		return
+	q.items = growTo(q.items, total)
+	// Free slots are filled before the slab grows, so the slab never holds
+	// more than the largest number of items queued at once.
+	q.vals = growTo(q.vals, total)
+}
+
+func growTo[E any](s []E, total int) []E {
+	if cap(s) >= total {
+		return s
 	}
-	newCap := 2 * cap(q.items)
-	if newCap < total {
-		newCap = total
-	}
-	if newCap < 8 {
-		newCap = 8
-	}
-	items := make([]item[T], len(q.items), newCap)
-	copy(items, q.items)
-	q.items = items
+	grown := make([]E, len(s), max(total, 2*cap(s), 8))
+	copy(grown, s)
+	return grown
 }
 
 // Items returns the queued values in heap order (not sorted). The slice is
 // freshly allocated; mutating it does not affect the queue.
 func (q *Queue[T]) Items() []T {
 	out := make([]T, len(q.items))
-	for i, it := range q.items {
-		out[i] = it.value
+	for i := range q.items {
+		out[i] = q.vals[q.items[i].slot]
 	}
 	return out
 }
@@ -103,40 +127,37 @@ func (q *Queue[T]) PopAll() []T {
 	return out
 }
 
-func (q *Queue[T]) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
+// up and down sift by moving a hole: they compare exactly what a swapping
+// sift compares and leave the heap in exactly the arrangement it would.
 func (q *Queue[T]) up(i int) {
+	it := q.items[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
+		if !it.before(&q.items[parent]) {
+			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		q.items[i] = q.items[parent]
 		i = parent
 	}
+	q.items[i] = it
 }
 
 func (q *Queue[T]) down(i int) {
 	n := len(q.items)
+	it := q.items[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
+		if r := c + 1; r < n && q.items[r].before(&q.items[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !q.items[c].before(&it) {
+			break
 		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
+		q.items[i] = q.items[c]
+		i = c
 	}
+	q.items[i] = it
 }

@@ -77,7 +77,7 @@ func TestBatchDrainGroupsBufferedFrames(t *testing.T) {
 	}
 	got := map[uint64]uint64{} // correlation id -> epoch
 	for i := 0; i < burst; i++ {
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, new([]byte))
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -157,7 +157,7 @@ func TestBatchDrainRespectsPipelineCap(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < burst; i++ {
-		typ, id, _, err := readFrame(br)
+		typ, id, _, err := readFrame(br, new([]byte))
 		if err != nil || typ != frameResponse {
 			t.Fatalf("response %d: type %d err %v", i, typ, err)
 		}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/bpt"
 	"repro/internal/geom"
@@ -177,24 +179,37 @@ func appendPoint(b []byte, p geom.Point) []byte {
 }
 
 // appendCode packs a partition-tree code ('0'/'1' string) as a uvarint bit
-// count followed by the bits, LSB first.
+// count followed by the bits, LSB first, eight characters to the byte.
 func appendCode(b []byte, c bpt.Code) []byte {
 	b = binary.AppendUvarint(b, uint64(len(c)))
-	var cur byte
-	for i := 0; i < len(c); i++ {
-		if c[i] == '1' {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			b = append(b, cur)
-			cur = 0
-		}
+	for ; len(c) >= 8; c = c[8:] {
+		b = append(b, codeBit[c[0]]|codeBit[c[1]]<<1|codeBit[c[2]]<<2|codeBit[c[3]]<<3|
+			codeBit[c[4]]<<4|codeBit[c[5]]<<5|codeBit[c[6]]<<6|codeBit[c[7]]<<7)
 	}
-	if len(c)%8 != 0 {
+	if len(c) > 0 {
+		var cur byte
+		for i := 0; i < len(c); i++ {
+			cur |= codeBit[c[i]] << i
+		}
 		b = append(b, cur)
 	}
 	return b
 }
+
+// codeBit maps a code character to its bit: '1' is one, anything else zero.
+// codeChars[b] is the eight code characters byte b packs, LSB first.
+// codeLen[:n] stands in for an n-character code while DecodeResponse gathers
+// the characters of a node's codes.
+var codeBit = [256]byte{'1': 1}
+var codeLen = bpt.Code(strings.Repeat("0", maxCodeBits))
+var codeChars = func() (t [256][8]byte) {
+	for b := range t {
+		for i := range t[b] {
+			t[b][i] = '0' + byte(b>>i&1)
+		}
+	}
+	return t
+}()
 
 func appendQuery(b []byte, q query.Query) []byte {
 	b = append(b, byte(q.Kind))
@@ -480,38 +495,43 @@ func (d *bdec) f32() float64 {
 }
 
 func (d *bdec) rect() geom.Rect {
-	return geom.Rect{MinX: d.f32(), MinY: d.f32(), MaxX: d.f32(), MaxY: d.f32()}
+	if d.err != nil || len(d.b) < minRectBytes {
+		return geom.Rect{MinX: d.f32(), MinY: d.f32(), MaxX: d.f32(), MaxY: d.f32()}
+	}
+	b := d.b[:minRectBytes] // one bounds check for the four coordinates
+	d.b = d.b[minRectBytes:]
+	f := func(i int) float64 { return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i:]))) }
+	return geom.Rect{MinX: f(0), MinY: f(4), MaxX: f(8), MaxY: f(12)}
 }
 
 func (d *bdec) point() geom.Point {
 	return geom.Point{X: d.f32(), Y: d.f32()}
 }
 
-func (d *bdec) code() bpt.Code {
+// code reads one partition-tree code and appends its characters to dst, a
+// byte of input at a time; padding bits in the last byte are ignored.
+func (d *bdec) code(dst []byte) []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return dst
 	}
 	if n > maxCodeBits {
 		d.fail("code of %d bits exceeds limit %d", n, maxCodeBits)
-		return ""
+		return dst
 	}
 	nb := (int(n) + 7) / 8
 	if nb > len(d.b) {
 		d.fail("truncated code")
-		return ""
+		return dst
 	}
-	bits := d.b[:nb]
+	for _, b := range d.b[:n/8] {
+		dst = append(dst, codeChars[b][:]...)
+	}
+	if rem := n % 8; rem > 0 {
+		dst = append(dst, codeChars[d.b[nb-1]][:rem]...)
+	}
 	d.b = d.b[nb:]
-	buf := make([]byte, n)
-	for i := range buf {
-		if bits[i/8]&(1<<(i%8)) != 0 {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
-	}
-	return bpt.Code(buf)
+	return dst
 }
 
 // count reads a collection length and rejects it unless minBytes per element
@@ -562,7 +582,8 @@ func (d *bdec) ref() query.Ref {
 		return query.NodeRef(rtree.NodeID(d.uvarint()), mbr)
 	case query.RefSuper:
 		n := rtree.NodeID(d.uvarint())
-		return query.SuperRef(n, d.code(), mbr)
+		var chars [maxCodeBits]byte
+		return query.SuperRef(n, bpt.Code(d.code(chars[:0])), mbr)
 	case query.RefObject:
 		return query.ObjectRef(rtree.ObjectID(d.uvarint()), mbr)
 	default:
@@ -691,6 +712,8 @@ func DecodeResponse(body []byte) (*Response, error) {
 	}
 	if n := d.count(minNodeRepBytes); n > 0 {
 		resp.Index = make([]NodeRep, 0, n)
+		var stack [8 * maxCodeBits]byte // a node's code characters seldom need more
+		chars := stack[:0]
 		for i := 0; i < n && d.err == nil; i++ {
 			rep := NodeRep{
 				ID:    rtree.NodeID(d.uvarint()),
@@ -698,9 +721,12 @@ func DecodeResponse(body []byte) (*Response, error) {
 			}
 			if ne := d.count(minCutElemBytes); ne > 0 {
 				rep.Elems = make([]CutElem, 0, ne)
+				chars = chars[:0]
 				for j := 0; j < ne && d.err == nil; j++ {
 					ef := d.u8()
-					e := CutElem{Code: d.code(), MBR: d.rect()}
+					start := len(chars)
+					chars = d.code(chars)
+					e := CutElem{Code: codeLen[:len(chars)-start], MBR: d.rect()}
 					switch {
 					case ef&ceSuper != 0:
 						e.Super = true
@@ -710,6 +736,13 @@ func DecodeResponse(body []byte) (*Response, error) {
 						e.Obj = rtree.ObjectID(d.uvarint())
 					}
 					rep.Elems = append(rep.Elems, e)
+				}
+				// One string holds the node's codes and each element's Code
+				// is a slice of it: one allocation per node, not per element.
+				codes := bpt.Code(chars)
+				for j := range rep.Elems {
+					n := len(rep.Elems[j].Code)
+					rep.Elems[j].Code, codes = codes[:n], codes[n:]
 				}
 			}
 			resp.Index = append(resp.Index, rep)
@@ -780,50 +813,44 @@ func writeFrame(bw interface {
 	return bw.Flush()
 }
 
-// readFrame reads one frame. The length prefix is validated against
-// MaxFrameBytes before any allocation, and large frames are read in chunks
+// readFrame reads one frame into *buf, the connection's frame buffer; body
+// aliases it and is valid until the next call. The length prefix is checked
+// against MaxFrameBytes before any allocation, and the buffer grows in chunks
 // so a lying prefix on a truncated stream cannot over-allocate.
-func readFrame(r io.Reader) (typ byte, id uint64, body []byte, err error) {
-	var head [4]byte
-	if _, err = io.ReadFull(r, head[:]); err != nil {
+func readFrame(r io.Reader, buf *[]byte) (typ byte, id uint64, body []byte, err error) {
+	if *buf, err = readCapped(r, (*buf)[:0], 4); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(head[:])
+	n := binary.LittleEndian.Uint32(*buf)
 	if n < 2 {
 		return 0, 0, nil, fmt.Errorf("%w: frame of %d bytes", ErrDecode, n)
 	}
 	if n > MaxFrameBytes {
 		return 0, 0, nil, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrDecode, n, MaxFrameBytes)
 	}
-	buf, err := readCapped(r, int(n))
-	if err != nil {
+	if *buf, err = readCapped(r, (*buf)[:0], int(n)); err != nil {
 		return 0, 0, nil, err
 	}
-	typ = buf[0]
-	id, vn := binary.Uvarint(buf[1:])
+	typ = (*buf)[0]
+	id, vn := binary.Uvarint((*buf)[1:])
 	if vn <= 0 {
 		return 0, 0, nil, fmt.Errorf("%w: bad frame id", ErrDecode)
 	}
-	return typ, id, buf[1+vn:], nil
+	return typ, id, (*buf)[1+vn:], nil
 }
 
-// readCapped reads exactly n bytes, allocating at most frameChunk ahead of
-// the data that has actually arrived.
-func readCapped(r io.Reader, n int) ([]byte, error) {
-	if n <= frameChunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
+// readCapped appends exactly n bytes from r to buf, allocating at most
+// frameChunk ahead of the data that has actually arrived.
+func readCapped(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for end := len(buf) + n; len(buf) < end; {
+		have, next := len(buf), end
+		if next > cap(buf) {
+			next = min(end, have+frameChunk)
+			buf = slices.Grow(buf, next-have)
 		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, frameChunk)
-	for len(buf) < n {
-		c := min(frameChunk, n-len(buf))
-		start := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
+		buf = buf[:next]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			return buf[:have], err
 		}
 	}
 	return buf, nil

@@ -3,8 +3,13 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -379,7 +384,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(bw, frameRequest, 123456, body); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, got, err := readFrame(bytes.NewReader(buf.Bytes()))
+	typ, id, got, err := readFrame(bytes.NewReader(buf.Bytes()), new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +395,11 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	head := []byte{0xff, 0xff, 0xff, 0xff} // ~4 GiB frame
-	if _, _, _, err := readFrame(bytes.NewReader(head)); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader(head), new([]byte)); err == nil {
 		t.Fatal("oversized frame length accepted")
 	}
 	head = []byte{1, 0, 0, 0} // 1-byte frame cannot hold type + id
-	if _, _, _, err := readFrame(bytes.NewReader(head)); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader(head), new([]byte)); err == nil {
 		t.Fatal("undersized frame length accepted")
 	}
 }
@@ -407,7 +412,186 @@ func TestReadFrameTruncatedLargeFrame(t *testing.T) {
 	head := []byte{0, 0, 0x80, 0} // 8 MiB claim
 	buf.Write(head)
 	buf.Write(make([]byte, 1000)) // only 1000 bytes follow
-	if _, _, _, err := readFrame(bytes.NewReader(buf.Bytes())); err == nil {
+	var frame []byte
+	if _, _, _, err := readFrame(bytes.NewReader(buf.Bytes()), &frame); err == nil {
 		t.Fatal("truncated large frame accepted")
 	}
+	if cap(frame) > 2*frameChunk {
+		t.Fatalf("1000 bytes arrived and the frame buffer grew to %d", cap(frame))
+	}
+}
+
+// TestReadFrameReusesBuffer: a connection reads every frame into the one
+// buffer it owns. Once that holds the largest frame seen, reading allocates
+// nothing, and a smaller frame after a larger one carries none of its bytes.
+func TestReadFrameReusesBuffer(t *testing.T) {
+	bodies := [][]byte{
+		bytes.Repeat([]byte{0xAB}, 3*frameChunk+17), // grown chunk by chunk
+		[]byte("short"),
+		bytes.Repeat([]byte{0xCD}, 2*frameChunk),
+		{},
+	}
+	var stream bytes.Buffer
+	bw := bufio.NewWriter(&stream)
+	for i, body := range bodies {
+		if err := writeFrame(bw, frameResponse, uint64(i+1), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var frame []byte
+	read := func() {
+		r := bytes.NewReader(stream.Bytes())
+		for i, want := range bodies {
+			typ, id, got, err := readFrame(r, &frame)
+			if err != nil || typ != frameResponse || id != uint64(i+1) || !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: typ=%d id=%d len=%d err=%v", i, typ, id, len(got), err)
+			}
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(10, read); allocs > 1 { // the bytes.Reader
+		t.Fatalf("reading into a warm frame buffer allocates %.0f times per pass", allocs)
+	}
+}
+
+// TestDecodeResponseAllocBudget pins what decoding costs in allocations: the
+// Response, one slice per collection the message carries, and two per index
+// node — its elements and the one string its codes share. The checked-in
+// golden carries all five collections, so the fixed part is six.
+func TestDecodeResponseAllocBudget(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "resp_apro.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, elems := len(resp.Index), 0
+	for _, rep := range resp.Index {
+		elems += len(rep.Elems)
+	}
+	if nodes < 2 || elems <= nodes {
+		t.Fatalf("golden has %d nodes and %d cut elements; the budget needs several elements per node", nodes, elems)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeResponse(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := float64(6 + 2*nodes); allocs > budget {
+		t.Fatalf("DecodeResponse allocates %.0f times for %d nodes with %d elements, budget %.0f", allocs, nodes, elems, budget)
+	}
+}
+
+// cutResponse encodes a response whose one index node holds one object
+// element per code.
+func cutResponse(codes ...bpt.Code) []byte {
+	rep := NodeRep{ID: 3, Level: 1}
+	for i, c := range codes {
+		rep.Elems = append(rep.Elems, CutElem{Code: c, MBR: geom.R(0, 0, 1, 1), Obj: rtree.ObjectID(i + 1)})
+	}
+	return EncodeResponse(nil, &Response{Index: []NodeRep{rep}})
+}
+
+// TestDecodeCodePaddingAndLimits: a node's codes decode into one shared
+// string; every length around a byte boundary must still come out exact,
+// padding bits must still be ignored, and every malformed code must still be
+// refused without an allocation sized by what it claims.
+func TestDecodeCodePaddingAndLimits(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	var codes []bpt.Code
+	for _, n := range []int{0, 7, 8, 9, 64, 200, 1, 15, 16, 17, maxCodeBits} {
+		c := make([]byte, n)
+		for i := range c {
+			c[i] = '0' + byte(rnd.Intn(2))
+		}
+		codes = append(codes, bpt.Code(c))
+	}
+	body := cutResponse(codes...)
+	resp, err := DecodeResponse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range resp.Index[0].Elems {
+		if e.Code != codes[i] {
+			t.Fatalf("code %d of %d bits came back as %q, sent %q", i, len(codes[i]), e.Code, codes[i])
+		}
+	}
+	// Response, Index, the node's elements, the string its codes share; the
+	// characters are gathered on the decoder's stack.
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = DecodeResponse(body) }); allocs > 4 {
+		t.Fatalf("a one-node response allocates %.0f times, want 4", allocs)
+	}
+	// More characters in one node than that stack buffer holds.
+	long := make([]bpt.Code, 40)
+	for i := range long {
+		long[i] = bpt.Code(strings.Repeat("1", i) + strings.Repeat("01", (maxCodeBits-i)/2))
+	}
+	if resp, err = DecodeResponse(cutResponse(long...)); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range resp.Index[0].Elems {
+		if e.Code != long[i] {
+			t.Fatalf("code %d of a %d-code node came back as %q, sent %q", i, len(long), e.Code, long[i])
+		}
+	}
+
+	// Padding: the last byte of a 9-bit code has seven unused bits. Set them.
+	nine := cutResponse("101010101")
+	at := bytes.Index(nine, []byte{9, 0b01010101, 0b1}) // bit count, eight bits, the ninth
+	if at < 0 {
+		t.Fatal("9-bit code not found in its encoding")
+	}
+	nine[at+2] |= 0b11111110
+	if resp, err = DecodeResponse(nine); err != nil || resp.Index[0].Elems[0].Code != "101010101" {
+		t.Fatalf("set padding bits changed the decode: %v, %+v", err, resp)
+	}
+
+	refused := func(name string, body []byte) {
+		t.Helper()
+		got := ^uint64(0)
+		for try := 0; try < 3; try++ { // the least of three: other goroutines allocate too
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeResponse(body)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("%s: err = %v, want ErrDecode", name, err)
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		// Elements and code characters are both bounded by the bytes present
+		// (count, maxCodeBits); the error text is the constant.
+		if limit := uint64(16*len(body) + 2048); got > limit {
+			t.Fatalf("%s: refusing %d bytes allocated %d", name, len(body), got)
+		}
+	}
+
+	// 513 bits: one more than the limit, with the bytes to back it.
+	over := cutResponse(bpt.Code(strings.Repeat("1", maxCodeBits)))
+	at = bytes.Index(over, binary.AppendUvarint(nil, maxCodeBits))
+	over[at]++ // 512 = 0x80 0x04 -> 513 = 0x81 0x04
+	refused("513-bit code", append(over, 0xFF))
+
+	// Truncated mid-node: cut inside the second element's code bytes.
+	two := cutResponse(bpt.Code(strings.Repeat("10", 40)), bpt.Code(strings.Repeat("01", 40)))
+	whole := len(two)
+	refused("code truncated mid-node", two[:whole-3-minRectBytes-5])
+
+	// A lying element count: the node claims far more elements than the bytes
+	// left could hold.
+	lie := cutResponse("0", "1")
+	at = bytes.Index(lie, []byte{3, 2, 2}) // node id, level (zigzag 1), element count
+	if at < 0 {
+		t.Fatal("node header not found in its encoding")
+	}
+	lie[at+2] = 0x7F
+	refused("lying element count", lie)
+
+	// A count the bytes could hold, of elements that are not there.
+	pad := append(cutResponse("0", "1"), bytes.Repeat([]byte{0xFF}, 64*minCutElemBytes)...)
+	at = bytes.Index(pad, []byte{3, 2, 2})
+	pad[at+2] = 60
+	refused("count beyond the elements present", pad)
 }

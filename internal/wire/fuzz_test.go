@@ -45,7 +45,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(edgePreamble[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, _, body, err := readFrame(bytes.NewReader(data))
+		typ, _, body, err := readFrame(bytes.NewReader(data), new([]byte))
 		if err != nil {
 			return
 		}

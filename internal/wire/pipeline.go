@@ -142,8 +142,11 @@ func (c *BinaryClientConn) Close() error {
 
 // readLoop receives frames and correlates them to waiting callers by id.
 func (c *BinaryClientConn) readLoop(br *bufio.Reader) {
+	// One buffer serves every frame: a decoded Response owns its slices and
+	// strings, and an error frame's text is formatted at once.
+	var frame []byte
 	for {
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, &frame)
 		if err != nil {
 			c.fail(fmt.Errorf("wire: read response: %w", err))
 			return

@@ -299,7 +299,7 @@ func TestBinaryDecodeErrorKeepsConnAlive(t *testing.T) {
 	if err := writeFrame(bw, frameRequest, 1, []byte{0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, _, err := readFrame(br)
+	typ, id, _, err := readFrame(br, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBinaryDecodeErrorKeepsConnAlive(t *testing.T) {
 	if err := writeFrame(bw, frameRequest, 2, EncodeRequest(nil, &Request{Epoch: 8, Catalog: true})); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, body, err := readFrame(br)
+	typ, id, body, err := readFrame(br, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -354,6 +354,7 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 		respBodyPool.Put(body)
 	}
 
+	var frame []byte // the connection's: DecodeRequest copies whatever it keeps
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
@@ -371,7 +372,7 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 			}
 			return
 		}
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, &frame)
 		if err != nil {
 			return
 		}
@@ -394,7 +395,7 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 		// buffer, hand the whole run over in one call instead of a goroutine
 		// per request.
 		if s.cfg.HandleBatch != nil && br.Buffered() >= 4 {
-			ids, reqs, fatal := s.drainBuffered(br, writeResp, id, req)
+			ids, reqs, fatal := s.drainBuffered(br, &frame, writeResp, id, req)
 			if fatal {
 				return
 			}
@@ -483,7 +484,7 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 // sitting in the bufio buffer by the time it is decoded. Batches are capped
 // at MaxBatch and MaxPipeline. fatal reports a protocol violation or write
 // failure; the caller must tear the connection down.
-func (s *NetServer) drainBuffered(br *bufio.Reader, writeResp func(byte, uint64, []byte) bool, firstID uint64, first *Request) (ids []uint64, reqs []*Request, fatal bool) {
+func (s *NetServer) drainBuffered(br *bufio.Reader, frame *[]byte, writeResp func(byte, uint64, []byte) bool, firstID uint64, first *Request) (ids []uint64, reqs []*Request, fatal bool) {
 	max := MaxBatch
 	if s.cfg.MaxPipeline > 0 && s.cfg.MaxPipeline < max {
 		max = s.cfg.MaxPipeline
@@ -505,7 +506,7 @@ func (s *NetServer) drainBuffered(br *bufio.Reader, writeResp func(byte, uint64,
 		if n := binary.LittleEndian.Uint32(head); uint64(buffered) < 4+uint64(n) {
 			break
 		}
-		typ, id, body, err := readFrame(br)
+		typ, id, body, err := readFrame(br, frame)
 		if err != nil {
 			return nil, nil, true
 		}

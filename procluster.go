@@ -71,10 +71,6 @@ type ClusterServer struct {
 // shard must receive at least one object; datasets smaller than the shard
 // count should shard less.
 func NewClusterServer(objects []Object, cfg ClusterConfig) (*ClusterServer, error) {
-	sizes := make(map[ObjectID]int, len(objects))
-	for _, o := range objects {
-		sizes[o.ID] = o.Size
-	}
 	pageBytes := cfg.PageBytes
 	if pageBytes <= 0 {
 		pageBytes = 4096
@@ -87,7 +83,7 @@ func NewClusterServer(objects []Object, cfg ClusterConfig) (*ClusterServer, erro
 			Form:        cfg.Form,
 			Sensitivity: cfg.Sensitivity,
 		},
-		Sizer:         func(id ObjectID) int { return sizes[id] },
+		Sizer:         buildSizer(objects),
 		WALDir:        cfg.WALDir,
 		WAL:           wal.Options{NoSync: cfg.WALNoSync},
 		Replicas:      cfg.Replicas,
@@ -101,6 +97,35 @@ func NewClusterServer(objects []Object, cfg ClusterConfig) (*ClusterServer, erro
 	cs := &ClusterServer{cluster: p}
 	cs.remoteUpdates.Store(true)
 	return cs, nil
+}
+
+// buildSizer returns the build-time size lookup the shards run once per
+// result object: a table indexed by id, since every generator and loader
+// issues ids 1..N, or a map when ids are sparse or a size overflows int32.
+// An id that was never built reports 0 either way.
+func buildSizer(objects []Object) server.ObjectSizer {
+	maxID, fits := ObjectID(0), true
+	for _, o := range objects {
+		maxID = max(maxID, o.ID)
+		fits = fits && int(int32(o.Size)) == o.Size
+	}
+	if !fits || uint64(maxID) > 2*uint64(len(objects)) {
+		sizes := make(map[ObjectID]int, len(objects))
+		for _, o := range objects {
+			sizes[o.ID] = o.Size
+		}
+		return func(id ObjectID) int { return sizes[id] }
+	}
+	table := make([]int32, int(maxID)+1)
+	for _, o := range objects {
+		table[o.ID] = int32(o.Size)
+	}
+	return func(id ObjectID) int {
+		if int(id) < len(table) {
+			return int(table[id])
+		}
+		return 0
+	}
 }
 
 // SetRemoteUpdates enables or disables wire-level batched updates, exactly

@@ -2,9 +2,12 @@ package repro
 
 import (
 	"net"
+	"runtime"
 	"sort"
 	"testing"
 
+	"repro/internal/geom"
+	"repro/internal/query"
 	"repro/internal/wire"
 )
 
@@ -147,4 +150,61 @@ func TestClusterServerTooManyShards(t *testing.T) {
 	if _, err := NewClusterServer(GenerateNE(3, 1), ClusterConfig{Shards: 16}); err == nil {
 		t.Fatal("16 shards over 3 objects accepted")
 	}
+}
+
+// TestSizerSparseIDs: build-time sizes come from a table indexed by object
+// id when ids are dense and from a map when they are not; both report what
+// the map alone used to.
+func TestSizerSparseIDs(t *testing.T) {
+	t.Run("sparse", func(t *testing.T) {
+		objects := []Object{
+			{ID: 7, MBR: geom.R(0.1, 0.1, 0.2, 0.2), Size: 700},
+			{ID: 4_000_000_000, MBR: geom.R(0.8, 0.8, 0.9, 0.9), Size: 4000},
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cs, err := NewClusterServer(objects, ClusterConfig{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cs.Close()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("a two-object cluster allocated %d MiB: the size table followed the largest id", grew>>20)
+		}
+		resp, err := cs.Transport().RoundTrip(&wire.Request{Client: 1, Q: query.NewRange(geom.R(0, 0, 1, 1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[ObjectID]int{}
+		for _, o := range resp.Objects {
+			got[o.ID] = o.Size
+		}
+		if len(got) != 2 || got[7] != 700 || got[4_000_000_000] != 4000 {
+			t.Fatalf("sizes over the wire = %v, want 7:700 and 4000000000:4000", got)
+		}
+	})
+	t.Run("dense", func(t *testing.T) {
+		objects := GenerateNE(3000, 5)
+		want := make(map[ObjectID]int, len(objects))
+		for _, o := range objects {
+			want[o.ID] = o.Size
+		}
+		sizer := buildSizer(objects)
+		for id := ObjectID(0); id <= ObjectID(len(objects))+1; id++ { // 0 and N+1 were never built
+			if got := sizer(id); got != want[id] {
+				t.Fatalf("size of object %d = %d, the map says %d", id, got, want[id])
+			}
+		}
+		if got := sizer(4_000_000_000); got != 0 {
+			t.Fatalf("size of an unknown object = %d, want 0", got)
+		}
+	})
+	t.Run("size beyond int32", func(t *testing.T) {
+		objects := []Object{{ID: 1, Size: 1 << 40}, {ID: 2, Size: 5}}
+		sizer := buildSizer(objects)
+		if sizer(1) != 1<<40 || sizer(2) != 5 || sizer(3) != 0 {
+			t.Fatalf("sizes = %d, %d, %d; want 1<<40, 5, 0", sizer(1), sizer(2), sizer(3))
+		}
+	})
 }
