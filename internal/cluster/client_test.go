@@ -326,7 +326,7 @@ func TestClusterRootGrowthInvalidatesVirtualRoot(t *testing.T) {
 }
 
 func routerShardRoot(r *Router, s int) rtree.NodeID {
-	m := r.meta[s]
+	m := &r.slots[s].meta
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rootID

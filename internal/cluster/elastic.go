@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -220,7 +219,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 	if !r.part.Live(s) {
 		return fmt.Errorf("cluster: split: shard %d is not live", s)
 	}
-	t := len(r.shards) // always a fresh slot: node ids are never reused
+	t := len(r.slots) // always a fresh slot: node ids are never reused
 	if t >= MaxShards {
 		return fmt.Errorf("cluster: split: slot count %d exhausted the %d-slot namespace", t, MaxShards)
 	}
@@ -347,28 +346,12 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 		return abort(fmt.Errorf("cluster: split: moving half emptied during transfer"))
 	}
 
-	// Catalog the new shard post-replay for its root and epoch.
-	tcat, err := shard.T.RoundTrip(&wire.Request{Catalog: true})
-	if err != nil {
+	// Install the topology: the new slot, cataloged post-replay for its
+	// root and epoch, then the post-split geometry.
+	if err := r.addSlot(shard); err != nil {
 		return abort(fmt.Errorf("cluster: split: catalog slot %d: %w", t, err))
 	}
-	tMeta := &shardMeta{rootID: tcat.RootID, rootMBR: tcat.RootMBR, epoch: tcat.Epoch}
-	if shard.Release != nil {
-		shard.Release(tcat)
-	}
-
-	// Install the topology: grow the slot arrays, then point the partition
-	// at the post-split geometry.
-	r.shards = append(r.shards, shard)
-	ep := &atomic.Pointer[endpoint]{}
-	ep.Store(&endpoint{t: shard.T, release: shard.Release})
-	r.eps = append(r.eps, ep)
-	r.failMu = append(r.failMu, &sync.Mutex{})
-	r.consecErr = append(r.consecErr, &atomic.Int32{})
-	r.meta = append(r.meta, tMeta)
 	r.part = newPart
-	r.epochs.nshards = len(r.shards)
-	r.stats.Grow(len(r.shards))
 
 	// Delete the moved objects from the source through its ordinary update
 	// path: its epoch advances and its invalidation log picks up the moved
@@ -450,16 +433,7 @@ func (r *Router) MergeShards(s, t int, sp Spawner) error {
 		r.release(s, iresp)
 	}
 
-	// Retire the slot: dead metadata (classification skips it, stale refs
-	// into it drop), an erroring endpoint, and the collapsed partition.
-	m := r.meta[t]
-	m.mu.Lock()
-	m.rootID = rtree.InvalidNode
-	m.rootMBR = geom.Rect{}
-	m.rootLevel = 0
-	m.epoch = 0
-	m.mu.Unlock()
-	r.eps[t].Store(&endpoint{t: retiredTransport{}})
+	r.retireSlot(t)
 	r.part = newPart
 	// Clients hold virtual node ids of a server that is about to disappear;
 	// nothing can ever invalidate those ids individually, so everyone

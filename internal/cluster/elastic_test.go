@@ -149,7 +149,7 @@ func TestClusterElasticSplitMergeEquivalence(t *testing.T) {
 		{"merge#1", func() error {
 			// Merge the most recently split pair: the newest slot is always a
 			// leaf and its sibling survives by construction.
-			tnew := len(p.Router.shards) - 1
+			tnew := len(p.Router.slots) - 1
 			s, ok := p.SiblingOf(tnew)
 			if !ok {
 				return fmt.Errorf("slot %d has no mergeable sibling", tnew)
@@ -158,7 +158,7 @@ func TestClusterElasticSplitMergeEquivalence(t *testing.T) {
 		}},
 		{"split#4", func() error { return p.SplitShard(hottestLive(p)) }},
 		{"merge#2", func() error {
-			tnew := len(p.Router.shards) - 1
+			tnew := len(p.Router.slots) - 1
 			s, ok := p.SiblingOf(tnew)
 			if !ok {
 				return fmt.Errorf("slot %d has no mergeable sibling", tnew)

@@ -65,7 +65,6 @@ type epochShard struct {
 
 // epochTable maps client virtual epochs to per-shard epoch vectors.
 type epochTable struct {
-	nshards    int
 	ring       int
 	maxClients int // per lock shard
 	// gen counts table-wide flushes (replica failovers). Requests capture it
@@ -76,14 +75,14 @@ type epochTable struct {
 	shards [epochLockShards]epochShard
 }
 
-func newEpochTable(nshards, ring, maxClients int) *epochTable {
+func newEpochTable(ring, maxClients int) *epochTable {
 	if ring <= 0 {
 		ring = defaultEpochRing
 	}
 	if maxClients <= 0 {
 		maxClients = defaultMaxClients
 	}
-	t := &epochTable{nshards: nshards, ring: ring, maxClients: maxClients}
+	t := &epochTable{ring: ring, maxClients: maxClients}
 	for i := range t.shards {
 		t.shards[i].m = make(map[wire.ClientID]*clientEpochs)
 	}
@@ -114,7 +113,7 @@ func (t *epochTable) flushAll() {
 }
 
 // lookup copies the vector and root set registered under (client, virtual)
-// into dst slices (each len nshards). It reports false when the client or
+// into dst slices (one entry per slot). It reports false when the client or
 // the virtual epoch is unknown — the caller must then flush the client.
 //
 // A stored vector may be shorter than dst when the cluster grew (an elastic

@@ -1,13 +1,19 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
+	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -185,6 +191,69 @@ func TestClusterReplicaFailover(t *testing.T) {
 	}
 }
 
+// TestStartProcFailureReleasesEverything fails a shard process's primary
+// after its WAL, standby and replication stream are up: the failed start
+// must release all three — no replicator or standby-writer goroutine, no
+// open log file — and leave the slot unregistered.
+func TestStartProcFailureReleasesEverything(t *testing.T) {
+	objs := genObjects(300, 7)
+	items := make([]rtree.Item, len(objs))
+	for i, o := range objs {
+		items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
+	}
+	sizer := func(rtree.ObjectID) int { return 1 }
+	dir := t.TempDir()
+	p := &InProcess{cfg: InProcessConfig{
+		Tree:     rtree.Params{MaxEntries: testMaxEntries},
+		BulkFill: 0.7,
+		WALDir:   dir,
+		WAL:      wal.Options{NoSync: true},
+		Replicas: true,
+	}}
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1 // no procfs: the file check is skipped
+		}
+		return len(fds)
+	}
+	goroutines, files := runtime.NumGoroutine(), openFiles()
+
+	standbys := 0
+	_, err := p.startProc(0, sizer, func(cfg server.Config, _ *wal.Recovery) (*server.Server, bool, error) {
+		if cfg.WAL != nil {
+			return nil, false, errors.New("primary refuses to start")
+		}
+		standbys++
+		rep := server.New(rtree.BulkLoad(p.cfg.Tree, items, p.cfg.BulkFill), sizer, cfg)
+		// One applied batch starts the standby's writer goroutine, as the
+		// replication stream would.
+		rep.ReleaseResponse(rep.ExecuteUpdates(&wire.Request{Updates: []wire.UpdateOp{
+			{Kind: wire.UpdateDelete, Obj: 1 << 30, From: objs[0].MBR},
+		}}))
+		return rep, false, nil
+	})
+	if err == nil || standbys != 1 {
+		t.Fatalf("startProc: err=%v after %d standby builds; want the primary's failure after one", err, standbys)
+	}
+	if p.proc(0) != nil {
+		t.Fatal("a failed shard process was registered")
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after the failed start, %d before", runtime.NumGoroutine(), goroutines)
+		}
+	}
+	if now := openFiles(); now > files {
+		t.Fatalf("open files: %d after the failed start, %d before", now, files)
+	}
+	l, err := wal.Open(filepath.Join(dir, "shard-0"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("reopen the failed shard's WAL: %v", err)
+	}
+	l.Close()
+}
+
 // TestInProcessReopenFromWAL pins the cold-restart story (prodb stopped and
 // started over the same -wal directory): NewInProcess over a WAL dir that
 // already holds history must restore every shard — primary and standby alike
@@ -311,7 +380,7 @@ func TestClusterFailoverFlushesClients(t *testing.T) {
 // TestEpochTableFlushAll pins the generation fencing: a flush drops every
 // client, and a commit that resolved its base before the flush is refused.
 func TestEpochTableFlushAll(t *testing.T) {
-	tab := newEpochTable(2, 4, 0)
+	tab := newEpochTable(4, 0)
 	gen := tab.generation()
 	v, ok := tab.commit(1, 0, []uint64{3, 1}, []rtree.NodeID{1, 1}, gen)
 	if !ok || v == 0 {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -66,9 +65,8 @@ type InProcessConfig struct {
 
 // InProcess is a running in-process cluster.
 type InProcess struct {
-	Router  *Router
-	Servers []*server.Server // the shard primaries as built or spawned (stale after Kill/Restart)
-	Counts  []int            // objects owned per shard at build time
+	Router *Router
+	Counts []int // objects owned per shard at build time
 
 	cfg InProcessConfig // defaults materialized; reused by elastic Spawn
 
@@ -86,19 +84,15 @@ func (p *InProcess) proc(s int) *procShard {
 	return p.procs[s]
 }
 
-// Close stops every shard's background update writer, replication pump, and
-// WAL handle.
+// Close stops every shard's background update writer, replication pump,
+// standby, and WAL handle.
 func (p *InProcess) Close() {
 	p.pmu.Lock()
 	procs := append([]*procShard(nil), p.procs...)
 	p.pmu.Unlock()
 	for _, ps := range procs {
-		if ps == nil {
-			continue
-		}
-		ps.kill()
-		if ps.replica != nil {
-			ps.replica.Close()
+		if ps != nil {
+			ps.stop()
 		}
 	}
 }
@@ -164,24 +158,42 @@ type procShard struct {
 	log     *wal.Log // open log of the live primary
 	replica *server.Server
 	repl    *replicator
-	mu      sync.Mutex // serializes kill/restart transitions
+	mu      sync.Mutex // serializes kill/restart/stop transitions
 }
 
 func (ps *procShard) kill() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	srv := ps.cur.Swap(nil)
-	if srv == nil {
-		return
+	ps.killLocked()
+}
+
+// killLocked closes the live primary, which drains its writer so every
+// acked batch is in the WAL and the stream, then flushes the remaining
+// stream into the standby and stops it for good, and closes the WAL. It
+// also releases a partly started process. Idempotent; caller holds ps.mu.
+func (ps *procShard) killLocked() {
+	if srv := ps.cur.Swap(nil); srv != nil {
+		srv.Close()
 	}
-	srv.Close() // drains the writer: every acked batch is in the WAL and the stream
 	if ps.repl != nil {
-		ps.repl.stop() // flush the remaining stream into the standby
+		ps.repl.stop()
 		ps.repl = nil
 	}
 	if ps.log != nil {
 		ps.log.Close()
 		ps.log = nil
+	}
+}
+
+// stop tears the process down for good: everything kill releases, plus the
+// standby. Retire, Close and a failed startProc all end here.
+func (ps *procShard) stop() {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.killLocked()
+	if ps.replica != nil {
+		ps.replica.Close()
+		ps.replica = nil
 	}
 }
 
@@ -203,10 +215,9 @@ func (ps *procShard) restart() error {
 		l.Close()
 		return fmt.Errorf("cluster: restart shard %d: no checkpoint on disk", ps.idx)
 	}
-	tail := replayTail(rec.Tail)
 	cfg := ps.baseCfg
 	cfg.WAL = l
-	srv, err := server.Restore(rec.Checkpoint, tail, ps.sizer, cfg)
+	srv, err := server.Restore(rec.Checkpoint, replayTail(rec.Tail), ps.sizer, cfg)
 	if err != nil {
 		l.Close()
 		return fmt.Errorf("cluster: restart shard %d: %w", ps.idx, err)
@@ -232,19 +243,21 @@ func (ps *procShard) redial() (wire.Transport, error) {
 	if srv == nil {
 		return nil, errShardDown
 	}
-	return boundTransport{ps: ps, srv: srv}, nil
+	return serverTransport{srv: srv, cur: &ps.cur}, nil
 }
 
-// boundTransport serves one primary generation: once the shard is killed or
+// serverTransport runs requests directly on a server: batched updates go
+// through its writer queue, everything else executes as a query. With cur
+// set it serves one primary generation: once the shard is killed or
 // restarted, round trips through the old binding fail like a dead TCP
 // connection would, which is what drives the router's retry/redial path.
-type boundTransport struct {
-	ps  *procShard
+type serverTransport struct {
 	srv *server.Server
+	cur *atomic.Pointer[server.Server] // nil: the server is never replaced
 }
 
-func (t boundTransport) RoundTrip(req *wire.Request) (*wire.Response, error) {
-	if t.ps.cur.Load() != t.srv {
+func (t serverTransport) RoundTrip(req *wire.Request) (*wire.Response, error) {
+	if t.cur != nil && t.cur.Load() != t.srv {
 		return nil, errShardDown
 	}
 	if len(req.Updates) > 0 {
@@ -287,16 +300,75 @@ func (r *replicator) stop() {
 // updates go through the writer queue, everything else executes as a
 // query, and responses recycle through the server's pool.
 func ShardTransport(sh *server.Server) Shard {
-	return Shard{
-		T: wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
-			if len(req.Updates) > 0 {
-				return sh.ExecuteUpdates(req), nil
-			}
-			resp, _ := sh.Execute(req)
-			return resp, nil
-		}),
-		Release: sh.ReleaseResponse,
+	return Shard{T: serverTransport{srv: sh}, Release: sh.ReleaseResponse}
+}
+
+// newServerFunc builds one server of a shard process under cfg: first the
+// standby (memory-only cfg) when the cluster runs replicas, then the primary
+// (cfg carrying the WAL and the replication tap). Both calls must yield
+// bit-for-bit equal servers so the replicated op stream keeps the pair
+// identical. rec is the shard's recovered WAL state when its log holds a
+// checkpoint, else nil; restored reports that the server came from it, so
+// no initial checkpoint is taken over it.
+type newServerFunc func(cfg server.Config, rec *wal.Recovery) (srv *server.Server, restored bool, err error)
+
+// startProc stands up slot t's shard process and registers it: it opens
+// WALDir/shard-<t> when durability is on, starts the standby and its
+// replication stream when replicas are on, builds the primary, and takes
+// the initial checkpoint unless the primary restored. A failure at any step
+// releases everything already started through stop, the teardown Retire
+// and Close use.
+func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer newServerFunc) (Shard, error) {
+	cfg := p.cfg
+	ps := &procShard{idx: t, sizer: sizer, baseCfg: cfg.Server, walOpts: cfg.WAL}
+	fail := func(step string, err error) (Shard, error) {
+		ps.stop()
+		return Shard{}, fmt.Errorf("cluster: shard %d %s: %w", t, step, err)
 	}
+	srvCfg := cfg.Server
+	var rec *wal.Recovery
+	if cfg.WALDir != "" {
+		ps.walDir = filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", t))
+		l, err := wal.Open(ps.walDir, cfg.WAL)
+		if err != nil {
+			return fail("wal", err)
+		}
+		ps.log, srvCfg.WAL = l, l
+		if r := l.Recovered(); r.Checkpoint != nil {
+			rec = r
+		}
+	}
+	if cfg.Replicas {
+		rep, _, err := newServer(cfg.Server, rec)
+		if err != nil {
+			return fail("standby", err)
+		}
+		ps.replica = rep
+		ps.repl = newReplicator(rep)
+		srvCfg.OnApplied = ps.repl.tap
+	}
+	srv, restored, err := newServer(srvCfg, rec)
+	if err != nil {
+		return fail("primary", err)
+	}
+	ps.cur.Store(srv)
+	if srvCfg.WAL != nil && !restored {
+		if err := srv.Checkpoint(); err != nil {
+			return fail("initial checkpoint", err)
+		}
+	}
+	p.pmu.Lock()
+	for len(p.procs) <= t {
+		p.procs = append(p.procs, nil)
+	}
+	p.procs[t] = ps
+	p.pmu.Unlock()
+
+	shard := Shard{T: serverTransport{srv: srv, cur: &ps.cur}, Release: srv.ReleaseResponse, Redial: ps.redial}
+	if ps.replica != nil {
+		shard.Replica, shard.ReplicaRelease = serverTransport{srv: ps.replica}, ps.replica.ReleaseResponse
+	}
+	return shard, nil
 }
 
 // NewInProcess KD-partitions the objects, bulk-loads one server per shard,
@@ -323,104 +395,33 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 		return nil, err
 	}
 	split := part.Split(objects)
+	for s := range split {
+		if len(split[s]) == 0 {
+			return nil, fmt.Errorf("cluster: shard %d/%d owns no objects; use fewer shards", s, n)
+		}
+	}
 	cfg.Shards = n
 	p := &InProcess{Counts: make([]int, n), cfg: cfg}
 	shards := make([]Shard, n)
 	for s := range split {
-		if len(split[s]) == 0 {
-			p.Close()
-			return nil, fmt.Errorf("cluster: shard %d/%d owns no objects; use fewer shards", s, n)
-		}
 		items := make([]rtree.Item, len(split[s]))
 		for i, o := range split[s] {
 			items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
 		}
-		ps := &procShard{idx: s, sizer: cfg.Sizer, baseCfg: cfg.Server, walOpts: cfg.WAL}
-		srvCfg := cfg.Server
-		var rec *wal.Recovery // non-nil: the WAL dir holds durable state to restore
-		if cfg.WALDir != "" {
-			dir := filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", s))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				p.Close()
-				return nil, fmt.Errorf("cluster: shard %d wal dir: %w", s, err)
-			}
-			l, err := wal.Open(dir, cfg.WAL)
-			if err != nil {
-				p.Close()
-				return nil, fmt.Errorf("cluster: shard %d wal: %w", s, err)
-			}
-			ps.walDir = dir
-			ps.log = l
-			srvCfg.WAL = l
-			if r := l.Recovered(); r.Checkpoint != nil {
-				rec = r
-			}
-		}
-		var tail []server.ReplayRecord
-		if rec != nil {
-			tail = replayTail(rec.Tail)
-		}
-		if cfg.Replicas {
-			// The standby must start bit-for-bit equal to the primary so the
-			// replicated op stream keeps the pair identical: on a fresh boot
-			// both bulk-load the identical items with identical parameters;
-			// on a reopen both restore from the same checkpoint + tail (the
-			// standby memory-only, without the log handle).
-			var rep *server.Server
+		// A fresh boot bulk-loads the shard's objects; a WAL dir that
+		// already holds history restores from its checkpoint + tail.
+		shards[s], err = p.startProc(s, cfg.Sizer, func(srvCfg server.Config, rec *wal.Recovery) (*server.Server, bool, error) {
 			if rec != nil {
-				var err error
-				rep, err = server.Restore(rec.Checkpoint, tail, cfg.Sizer, cfg.Server)
-				if err != nil {
-					ps.log.Close()
-					p.Close()
-					return nil, fmt.Errorf("cluster: shard %d standby restore: %w", s, err)
-				}
-			} else {
-				rep = server.New(rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill), cfg.Sizer, cfg.Server)
+				srv, err := server.Restore(rec.Checkpoint, replayTail(rec.Tail), cfg.Sizer, srvCfg)
+				return srv, true, err
 			}
-			ps.replica = rep
-			ps.repl = newReplicator(rep)
-			srvCfg.OnApplied = ps.repl.tap
+			return server.New(rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill), cfg.Sizer, srvCfg), false, nil
+		})
+		if err != nil {
+			p.Close()
+			return nil, err
 		}
-		var sh *server.Server
-		if rec != nil {
-			var err error
-			sh, err = server.Restore(rec.Checkpoint, tail, cfg.Sizer, srvCfg)
-			if err != nil {
-				ps.log.Close()
-				p.Close()
-				return nil, fmt.Errorf("cluster: shard %d restore: %w", s, err)
-			}
-		} else {
-			sh = server.New(rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill), cfg.Sizer, srvCfg)
-			if srvCfg.WAL != nil {
-				if err := sh.Checkpoint(); err != nil {
-					sh.Close()
-					p.Close()
-					return nil, fmt.Errorf("cluster: shard %d initial checkpoint: %w", s, err)
-				}
-			}
-		}
-		ps.cur.Store(sh)
-		p.procs = append(p.procs, ps)
-		p.Servers = append(p.Servers, sh)
 		p.Counts[s] = len(split[s])
-		shards[s] = Shard{
-			T:       boundTransport{ps: ps, srv: sh},
-			Release: sh.ReleaseResponse,
-			Redial:  ps.redial,
-		}
-		if ps.replica != nil {
-			rep := ps.replica
-			shards[s].Replica = wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
-				if len(req.Updates) > 0 {
-					return rep.ExecuteUpdates(req), nil
-				}
-				resp, _ := rep.Execute(req)
-				return resp, nil
-			})
-			shards[s].ReplicaRelease = rep.ReleaseResponse
-		}
 	}
 	p.Router, err = New(shards, Config{
 		Part:          part,
@@ -451,97 +452,25 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 // the deserialized copy, exactly as a remote spawn would receive it. The
 // slot gets its own WAL directory (with an initial checkpoint covering the
 // image) and a warm standby opened from the same image when the cluster is
-// configured with durability or replicas. Called by Router.SplitShard;
-// not for direct use.
+// configured with durability or replicas. A spawn never restores: slots are
+// never reused, so nothing in shard-<t> belongs to this slot. Called by
+// Router.SplitShard; not for direct use.
 func (p *InProcess) Spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error) {
-	cfg := p.cfg
-	img := rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill).AppendImage(nil)
-	tree, err := rtree.ReadImage(img)
-	if err != nil {
-		return Shard{}, fmt.Errorf("cluster: spawn shard %d image: %w", t, err)
-	}
-	ps := &procShard{idx: t, sizer: size, baseCfg: cfg.Server, walOpts: cfg.WAL}
-	srvCfg := cfg.Server
-	if cfg.WALDir != "" {
-		// Slots are never reused, so shard-<t> is necessarily a fresh
-		// directory the first time slot t spawns in this WALDir.
-		dir := filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", t))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return Shard{}, fmt.Errorf("cluster: spawn shard %d wal dir: %w", t, err)
-		}
-		l, err := wal.Open(dir, cfg.WAL)
+	img := rtree.BulkLoad(p.cfg.Tree, items, p.cfg.BulkFill).AppendImage(nil)
+	return p.startProc(t, size, func(cfg server.Config, _ *wal.Recovery) (*server.Server, bool, error) {
+		tree, err := rtree.ReadImage(img)
 		if err != nil {
-			return Shard{}, fmt.Errorf("cluster: spawn shard %d wal: %w", t, err)
+			return nil, false, fmt.Errorf("image: %w", err)
 		}
-		ps.walDir = dir
-		ps.log = l
-		srvCfg.WAL = l
-	}
-	if cfg.Replicas {
-		repTree, err := rtree.ReadImage(img)
-		if err != nil {
-			if ps.log != nil {
-				ps.log.Close()
-			}
-			return Shard{}, fmt.Errorf("cluster: spawn shard %d standby image: %w", t, err)
-		}
-		rep := server.New(repTree, size, cfg.Server)
-		ps.replica = rep
-		ps.repl = newReplicator(rep)
-		srvCfg.OnApplied = ps.repl.tap
-	}
-	sh := server.New(tree, size, srvCfg)
-	if srvCfg.WAL != nil {
-		if err := sh.Checkpoint(); err != nil {
-			sh.Close()
-			if ps.repl != nil {
-				ps.repl.stop()
-			}
-			if ps.replica != nil {
-				ps.replica.Close()
-			}
-			ps.log.Close()
-			return Shard{}, fmt.Errorf("cluster: spawn shard %d initial checkpoint: %w", t, err)
-		}
-	}
-	ps.cur.Store(sh)
-	p.pmu.Lock()
-	for len(p.procs) <= t {
-		p.procs = append(p.procs, nil)
-	}
-	p.procs[t] = ps
-	p.Servers = append(p.Servers, sh)
-	p.pmu.Unlock()
-	shard := Shard{
-		T:       boundTransport{ps: ps, srv: sh},
-		Release: sh.ReleaseResponse,
-		Redial:  ps.redial,
-	}
-	if ps.replica != nil {
-		rep := ps.replica
-		shard.Replica = wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
-			if len(req.Updates) > 0 {
-				return rep.ExecuteUpdates(req), nil
-			}
-			resp, _ := rep.Execute(req)
-			return resp, nil
-		})
-		shard.ReplicaRelease = rep.ReleaseResponse
-	}
-	return shard, nil
+		return server.New(tree, size, cfg), false, nil
+	})
 }
 
 // Retire tears down slot t's process after a merge drained it (or after a
 // split aborted before installing it): server closed, WAL closed, standby
 // released. Called by the router; not for direct use.
 func (p *InProcess) Retire(t int) {
-	ps := p.proc(t)
-	if ps == nil {
-		return
-	}
-	ps.kill()
-	if ps.replica != nil {
-		ps.replica.Close()
-		ps.replica = nil
+	if ps := p.proc(t); ps != nil {
+		ps.stop()
 	}
 }

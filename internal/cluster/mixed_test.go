@@ -17,7 +17,7 @@ import (
 // funcShard is an in-process shard whose transport binding can be killed
 // like a dropped connection: a kill invalidates every outstanding binding
 // (they fail from then on, state intact), and only a Redial after restart
-// yields a working one — the same generation semantics boundTransport gives
+// yields a working one — the same generation semantics serverTransport gives
 // NewInProcess clusters.
 type funcShard struct {
 	srv  *server.Server

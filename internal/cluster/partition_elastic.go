@@ -57,17 +57,6 @@ func (p *Partition) LiveShards() []int {
 	return out
 }
 
-// FreeSlot returns the lowest dead slot, or (p.n, false) when every slot is
-// live and a split must grow the slot count.
-func (p *Partition) FreeSlot() (int, bool) {
-	for s, ok := range p.live {
-		if !ok {
-			return s, true
-		}
-	}
-	return p.n, false
-}
-
 // LeafRegion returns slot s's display region (zero for dead slots).
 func (p *Partition) LeafRegion(s int) geom.Rect {
 	if !p.Live(s) {

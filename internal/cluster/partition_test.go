@@ -124,7 +124,7 @@ func TestVirtualNodeRoundTrip(t *testing.T) {
 }
 
 func TestEpochTableFlow(t *testing.T) {
-	tab := newEpochTable(2, 4, 0)
+	tab := newEpochTable(4, 0)
 	vec := make([]uint64, 2)
 	roots := make([]rtree.NodeID, 2)
 
@@ -178,7 +178,7 @@ func TestEpochTableFlow(t *testing.T) {
 }
 
 func TestEpochTableEviction(t *testing.T) {
-	tab := newEpochTable(1, 4, 1) // one tracked client per lock shard
+	tab := newEpochTable(4, 1) // one tracked client per lock shard
 	// Clients 0 and 32 share lock shard 0.
 	v, _ := tab.commit(0, 0, []uint64{1}, []rtree.NodeID{1}, tab.generation())
 	if v == 0 {

@@ -56,7 +56,6 @@ func (r *Router) routeQuery(req *wire.Request) (*wire.Response, error) {
 		err = r.appendVroot(st, resp)
 	}
 	if err != nil {
-		r.releaseWave(st)
 		r.ReleaseResponse(resp)
 		return nil, err
 	}
@@ -344,25 +343,15 @@ func (st *routeState) mergeObjects(resp *wire.Response) {
 // shards and merges object sets, sorted by id for determinism.
 func (r *Router) routeRange(st *routeState, req *wire.Request, resp *wire.Response) error {
 	st.primaryItems(req)
-	if len(st.wave) == 0 {
-		return nil
-	}
-	if err := r.issueWave(st.wave); err != nil {
-		return err
-	}
-	for i := range st.wave {
-		it := &st.wave[i]
-		if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
-			return err
-		}
+	err := r.gather(st, st.wave, resp, func(it *waveItem) error {
 		st.objs = append(st.objs, it.resp.Objects...)
-		if !req.NoIndex {
-			if err := r.mergeIndex(st, it.shard, it.resp, resp); err != nil {
-				return err
-			}
+		if req.NoIndex {
+			return nil
 		}
-		r.release(it.shard, it.resp)
-		it.resp = nil
+		return r.mergeIndex(st, it.shard, it.resp, resp)
+	})
+	if err != nil {
+		return err
 	}
 	st.mergeObjects(resp)
 	return nil
@@ -417,34 +406,6 @@ func (st *routeState) knnDK(k int) float64 {
 	return math.Inf(1)
 }
 
-// absorbKNN merges one wave of kNN sub-responses: consistency payloads for
-// every item, result candidates and index merging for the query items.
-func (r *Router) absorbKNN(st *routeState, req *wire.Request, resp *wire.Response, wave []waveItem) error {
-	for i := range wave {
-		it := &wave[i]
-		if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
-			return err
-		}
-		if !it.req.Catalog { // lag piggybacks carry consistency only
-			for _, o := range it.resp.Objects {
-				if !st.seenObj[o.ID] {
-					st.seenObj[o.ID] = true
-					st.knnObjs = append(st.knnObjs, o)
-					st.knnDists = append(st.knnDists, req.Q.KeyFor(o.MBR))
-				}
-			}
-			if !req.NoIndex {
-				if err := r.mergeIndex(st, it.shard, it.resp, resp); err != nil {
-					return err
-				}
-			}
-		}
-		r.release(it.shard, it.resp)
-		it.resp = nil
-	}
-	return nil
-}
-
 // routeKNN is a primary-first scatter: the shard with the smallest distance
 // lower bound answers the full k alone (inline, no fan-out), its k-th-best
 // distance dk caps what any other shard could contribute, and only shards
@@ -478,13 +439,28 @@ func (r *Router) routeKNN(st *routeState, req *wire.Request, resp *wire.Response
 	if ncand == 0 {
 		return nil
 	}
+	// Each gathered query item adds its unseen candidates and its index;
+	// lag piggybacks carry consistency only.
+	candidates := func(it *waveItem) error {
+		if it.req.Catalog {
+			return nil
+		}
+		for _, o := range it.resp.Objects {
+			if !st.seenObj[o.ID] {
+				st.seenObj[o.ID] = true
+				st.knnObjs = append(st.knnObjs, o)
+				st.knnDists = append(st.knnDists, req.Q.KeyFor(o.MBR))
+			}
+		}
+		if req.NoIndex {
+			return nil
+		}
+		return r.mergeIndex(st, it.shard, it.resp, resp)
+	}
 
 	// Wave 1: the primary shard alone, full k.
 	st.appendKNN(req, primary, 0)
-	if err := r.issueWave(st.wave); err != nil {
-		return err
-	}
-	if err := r.absorbKNN(st, req, resp, st.wave); err != nil {
+	if err := r.gather(st, st.wave, resp, candidates); err != nil {
 		return err
 	}
 	dk := st.knnDK(k)
@@ -505,10 +481,7 @@ func (r *Router) routeKNN(st *routeState, req *wire.Request, resp *wire.Response
 		return s == primary || st.knnLower[s] < dk
 	})
 	if wave := st.wave[waveStart:]; len(wave) > 0 {
-		if err := r.issueWave(wave); err != nil {
-			return err
-		}
-		if err := r.absorbKNN(st, req, resp, wave); err != nil {
+		if err := r.gather(st, wave, resp, candidates); err != nil {
 			return err
 		}
 		sort.Sort((*knnMerge)(st))
@@ -531,7 +504,6 @@ func inflate(rc geom.Rect, d float64) geom.Rect {
 // the router pairs candidates with the exact join predicate.
 func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Response) error {
 	st.primaryItems(req)
-	nPrimary := len(st.wave)
 
 	for ti := range st.cross {
 		t := &st.cross[ti]
@@ -567,38 +539,30 @@ func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Respons
 			}
 		}
 	}
-	if len(st.wave) == 0 {
-		return nil
-	}
-	if err := r.issueWave(st.wave); err != nil {
-		return err
-	}
-	for i := range st.wave {
-		it := &st.wave[i]
-		if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
-			return err
-		}
+	err := r.gather(st, st.wave, resp, func(it *waveItem) error {
 		if !req.NoIndex {
 			if err := r.mergeIndex(st, it.shard, it.resp, resp); err != nil {
 				return err
 			}
 		}
-		if i < nPrimary {
+		if it.task < 0 { // primary sub-query or lag piggyback
 			st.objs = append(st.objs, it.resp.Objects...)
 			for _, p := range it.resp.Pairs {
 				st.appendPair(resp, p)
 			}
-		} else {
-			t := &st.cross[it.task]
-			cands := append([]wire.ObjectRep(nil), it.resp.Objects...)
-			if it.side == 0 {
-				t.candsA, t.haveA = cands, true
-			} else {
-				t.candsB, t.haveB = cands, true
-			}
+			return nil
 		}
-		r.release(it.shard, it.resp)
-		it.resp = nil
+		t := &st.cross[it.task]
+		cands := append([]wire.ObjectRep(nil), it.resp.Objects...)
+		if it.side == 0 {
+			t.candsA, t.haveA = cands, true
+		} else {
+			t.candsB, t.haveB = cands, true
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Pair band candidates with the exact join predicate.

@@ -68,22 +68,9 @@ func (r *Router) routeUpdates(req *wire.Request) (*wire.Response, error) {
 	// batch did not touch.
 	waveStart := len(st.wave)
 	st.appendLagCatalogs(req, func(s int) bool { return st.queried[s] })
-	wave := st.wave[waveStart:]
-	if len(wave) > 0 {
-		if err := r.issueWave(wave); err != nil {
-			r.ReleaseResponse(resp)
-			return nil, err
-		}
-		for i := range wave {
-			it := &wave[i]
-			if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
-				r.releaseWave(st)
-				r.ReleaseResponse(resp)
-				return nil, err
-			}
-			r.release(it.shard, it.resp)
-			it.resp = nil
-		}
+	if err := r.gather(st, st.wave[waveStart:], resp, nil); err != nil {
+		r.ReleaseResponse(resp)
+		return nil, err
 	}
 
 	resp.UpdateResults = append(resp.UpdateResults[:0], results...)
@@ -200,20 +187,13 @@ func (r *Router) updatePhase(st *routeState, req *wire.Request, resp *wire.Respo
 			Updates: ops,
 		}
 	}
-	wave := st.wave[waveStart:]
-	if err := r.issueWave(wave); err != nil {
-		return nil, err
-	}
 	results := make([][]bool, st.nsh)
-	for i := range wave {
-		it := &wave[i]
-		if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
-			r.releaseWave(st)
-			return nil, err
-		}
+	err := r.gather(st, st.wave[waveStart:], resp, func(it *waveItem) error {
 		results[it.shard] = append([]bool(nil), it.resp.UpdateResults...)
-		r.release(it.shard, it.resp)
-		it.resp = nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -109,6 +109,18 @@ type shardMeta struct {
 	epoch     uint64
 }
 
+// slot is one shard slot as the router sees it: the configured Shard, the
+// live endpoint, the lock serializing failover decisions, the count of
+// failures since the last success, and the last-known metadata. A slot
+// retired by a merge stays in place: node ids are never reused.
+type slot struct {
+	shard     Shard
+	ep        atomic.Pointer[endpoint]
+	failMu    sync.Mutex
+	consecErr atomic.Int32
+	meta      shardMeta
+}
+
 // rootInfo is a lock-free copy of shardMeta taken per request.
 type rootInfo struct {
 	id    rtree.NodeID
@@ -127,9 +139,9 @@ type Router struct {
 	// topo fences the shard topology: every request holds it for read, and
 	// an elastic cutover (SplitShard/MergeShards install phase) holds it for
 	// write — which is exactly the "in-flight requests drain against the old
-	// owner" semantics, since the write lock waits out every reader. All
-	// slot-indexed slices below, plus part, are mutated only under the write
-	// lock and therefore read freely under the read lock.
+	// owner" semantics, since the write lock waits out every reader. slots
+	// and part are mutated only under the write lock and therefore read
+	// freely under the read lock.
 	topo sync.RWMutex
 	// topoOpMu serializes whole split/merge operations (each spans several
 	// topo critical sections).
@@ -138,25 +150,17 @@ type Router struct {
 	// nil outside one. Written under topo write lock.
 	ho *handoverState
 
-	shards  []Shard
-	part    *Partition
-	sizer   func(rtree.ObjectID) int
-	stats   *metrics.ClusterStats
-	onError func(shard int, err error)
-
-	// eps holds the live endpoint per shard; failMu serializes failover
-	// decisions and consecErr counts failures since the last success.
-	// Elements are pointers so an elastic split can grow the slices without
+	// slots are pointers so an elastic split can grow the slice without
 	// copying lock-bearing values.
-	eps       []*atomic.Pointer[endpoint]
-	failMu    []*sync.Mutex
-	consecErr []*atomic.Int32
+	slots     []*slot
+	part      *Partition
+	sizer     func(rtree.ObjectID) int
+	stats     *metrics.ClusterStats
+	onError   func(shard int, err error)
 	retries   int
 	backoff   time.Duration
 	threshold int
-
-	meta   []*shardMeta
-	epochs *epochTable
+	epochs    *epochTable
 
 	// wireSizes tracks payload sizes of objects inserted through the
 	// router, so cross-shard re-insertion preserves them.
@@ -184,25 +188,14 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: shard count %d outside [1, %d]", len(shards), MaxShards)
 	}
 	r := &Router{
-		shards:    shards,
 		part:      cfg.Part,
 		sizer:     cfg.Sizer,
 		stats:     cfg.Stats,
 		onError:   cfg.OnShardError,
-		eps:       make([]*atomic.Pointer[endpoint], len(shards)),
-		failMu:    make([]*sync.Mutex, len(shards)),
-		consecErr: make([]*atomic.Int32, len(shards)),
 		retries:   cfg.RetryAttempts,
 		backoff:   cfg.RetryBackoff,
 		threshold: cfg.FailThreshold,
-		meta:      make([]*shardMeta, len(shards)),
-		epochs:    newEpochTable(len(shards), cfg.EpochRing, cfg.MaxClients),
-	}
-	for s := range shards {
-		r.eps[s] = &atomic.Pointer[endpoint]{}
-		r.failMu[s] = &sync.Mutex{}
-		r.consecErr[s] = &atomic.Int32{}
-		r.meta[s] = &shardMeta{}
+		epochs:    newEpochTable(cfg.EpochRing, cfg.MaxClients),
 	}
 	if r.retries == 0 {
 		r.retries = defaultRetryAttempts
@@ -220,18 +213,44 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 	if r.stats == nil {
 		r.stats = metrics.NewClusterStats(len(shards))
 	}
-	for s := range shards {
-		r.eps[s].Store(&endpoint{t: shards[s].T, release: shards[s].Release})
+	for s, sh := range shards {
 		// The initial catalog is all-or-nothing: failover machinery only
 		// covers shards that were healthy at construction.
-		resp, err := shards[s].T.RoundTrip(&wire.Request{Catalog: true})
-		if err != nil {
+		if err := r.addSlot(sh); err != nil {
 			return nil, fmt.Errorf("cluster: catalog shard %d: %w", s, err)
 		}
-		r.observe(s, resp)
-		r.release(s, resp)
 	}
 	return r, nil
+}
+
+// addSlot catalogs sh for its root and epoch and installs it as the next
+// slot, serving through sh.T. New builds every slot through it; a split's
+// cutover installs the spawned shard through it under the write fence.
+func (r *Router) addSlot(sh Shard) error {
+	resp, err := sh.T.RoundTrip(&wire.Request{Catalog: true})
+	if err != nil {
+		return err
+	}
+	sl := &slot{shard: sh}
+	sl.ep.Store(&endpoint{t: sh.T, release: sh.Release})
+	r.slots = append(r.slots, sl)
+	r.stats.Grow(len(r.slots))
+	r.observe(len(r.slots)-1, resp)
+	r.release(len(r.slots)-1, resp)
+	return nil
+}
+
+// retireSlot kills slot t after a merge: dead metadata (classification
+// skips it, stale refs into it drop) and an endpoint that fails fast.
+func (r *Router) retireSlot(t int) {
+	sl := r.slots[t]
+	sl.meta.mu.Lock()
+	sl.meta.rootID = rtree.InvalidNode
+	sl.meta.rootMBR = geom.Rect{}
+	sl.meta.rootLevel = 0
+	sl.meta.epoch = 0
+	sl.meta.mu.Unlock()
+	sl.ep.Store(&endpoint{t: retiredTransport{}})
 }
 
 const (
@@ -259,7 +278,7 @@ func (r *Router) Stats() *metrics.ClusterStats { return r.stats }
 func (r *Router) Shards() int {
 	r.topo.RLock()
 	defer r.topo.RUnlock()
-	return len(r.shards)
+	return len(r.slots)
 }
 
 // LiveShards returns the ordinals of the slots that currently own a region.
@@ -288,12 +307,12 @@ func (r *Router) Close() error {
 			}
 		}
 	}
-	for s := range r.shards {
-		closeOne(r.shards[s].T)
-		if r.shards[s].Replica != nil {
-			closeOne(r.shards[s].Replica)
+	for _, sl := range r.slots {
+		closeOne(sl.shard.T)
+		if sl.shard.Replica != nil {
+			closeOne(sl.shard.Replica)
 		}
-		if ep := r.eps[s].Load(); ep != nil && ep.dialed {
+		if ep := sl.ep.Load(); ep.dialed {
 			closeOne(ep.t)
 		}
 	}
@@ -302,7 +321,7 @@ func (r *Router) Close() error {
 
 // observe folds a sub-response into the shard's last-known metadata.
 func (r *Router) observe(s int, resp *wire.Response) {
-	m := r.meta[s]
+	m := &r.slots[s].meta
 	m.mu.Lock()
 	if resp.Epoch > m.epoch {
 		m.epoch = resp.Epoch
@@ -316,7 +335,7 @@ func (r *Router) observe(s int, resp *wire.Response) {
 
 // observeLevel records a shard root's level when its rep ships by.
 func (r *Router) observeLevel(s int, level int) {
-	m := r.meta[s]
+	m := &r.slots[s].meta
 	m.mu.Lock()
 	if level > m.rootLevel {
 		m.rootLevel = level
@@ -329,15 +348,15 @@ func (r *Router) release(s int, resp *wire.Response) {
 	if resp == nil {
 		return
 	}
-	if ep := r.eps[s].Load(); ep != nil && ep.release != nil {
+	if ep := r.slots[s].ep.Load(); ep.release != nil {
 		ep.release(resp)
 	}
 }
 
 // snapshotMeta copies every shard's metadata into the request state.
 func (r *Router) snapshotMeta(st *routeState) {
-	for s := range r.meta {
-		m := r.meta[s]
+	for s, sl := range r.slots {
+		m := &sl.meta
 		m.mu.Lock()
 		st.meta[s] = rootInfo{id: m.rootID, mbr: m.rootMBR, level: m.rootLevel, epoch: m.epoch}
 		m.mu.Unlock()
@@ -424,7 +443,7 @@ func (r *Router) getState() *routeState {
 	if st == nil {
 		st = &routeState{}
 	}
-	n := len(r.shards)
+	n := len(r.slots)
 	if st.nsh != n {
 		st.nsh = n
 		st.baseVec = make([]uint64, n)
@@ -521,18 +540,19 @@ func (r *Router) ReleaseResponse(resp *wire.Response) {
 // protocol). Safe for concurrent callers; one goroutine performs the swap
 // while the rest retry against whatever endpoint is current.
 func (r *Router) roundTripShard(s int, req *wire.Request) (*wire.Response, error) {
+	sl := r.slots[s]
 	var lastErr error
 	budget := r.retries // attempts remaining after the current one
 	for attempt := 0; ; attempt++ {
-		ep := r.eps[s].Load()
+		ep := sl.ep.Load()
 		resp, err := ep.t.RoundTrip(req)
 		if err == nil {
-			r.consecErr[s].Store(0)
+			sl.consecErr.Store(0)
 			return resp, nil
 		}
 		lastErr = err
 		failedOver := false
-		if int(r.consecErr[s].Add(1)) >= r.threshold {
+		if int(sl.consecErr.Add(1)) >= r.threshold {
 			failedOver = r.failover(s, ep)
 			if failedOver && budget-attempt < 1 && attempt < r.retries+2*r.threshold {
 				// The request that trips the threshold must still probe the
@@ -568,26 +588,26 @@ func jitteredBackoff(base time.Duration, attempt int) time.Duration {
 // true when the caller should retry immediately on a fresh endpoint (either
 // this call swapped one in, or another goroutine already had).
 func (r *Router) failover(s int, failed *endpoint) bool {
-	r.failMu[s].Lock()
-	defer r.failMu[s].Unlock()
-	if r.eps[s].Load() != failed {
+	sl := r.slots[s]
+	sl.failMu.Lock()
+	defer sl.failMu.Unlock()
+	if sl.ep.Load() != failed {
 		return true // a concurrent failover already replaced it
 	}
-	sh := &r.shards[s]
+	sh := &sl.shard
 	if !failed.replica && sh.Replica != nil {
 		// Promote the warm standby. It has applied every batch the
 		// replication stream delivered, but batches acked by the primary in
 		// its final moments may be lost — every tracked client is flushed so
 		// nobody trusts invalidation windows that straddle the gap, and the
 		// shard's observed epoch restarts from the replica's own counter.
-		r.eps[s].Store(&endpoint{t: sh.Replica, release: sh.ReplicaRelease, replica: true})
-		m := r.meta[s]
-		m.mu.Lock()
-		m.epoch = 0
-		m.mu.Unlock()
+		sl.ep.Store(&endpoint{t: sh.Replica, release: sh.ReplicaRelease, replica: true})
+		sl.meta.mu.Lock()
+		sl.meta.epoch = 0
+		sl.meta.mu.Unlock()
 		r.epochs.flushAll()
 		r.stats.Shard(s).Failovers.Add(1)
-		r.consecErr[s].Store(0)
+		sl.consecErr.Store(0)
 		return true
 	}
 	if sh.Redial != nil {
@@ -598,9 +618,9 @@ func (r *Router) failover(s int, failed *endpoint) bool {
 		if failed.dialed {
 			closeTransport(failed.t) // retire a previous redial's connection
 		}
-		r.eps[s].Store(&endpoint{t: t, dialed: true})
+		sl.ep.Store(&endpoint{t: t, dialed: true})
 		r.stats.Shard(s).Redials.Add(1)
-		r.consecErr[s].Store(0)
+		sl.consecErr.Store(0)
 		return true
 	}
 	return false
@@ -927,7 +947,7 @@ func (r *Router) routeCatalog(req *wire.Request) (*wire.Response, error) {
 	r.snapshotMeta(st)
 	r.loadEpochBase(st, req)
 
-	for s := range r.shards {
+	for s := range st.meta {
 		if st.meta[s].id == rtree.InvalidNode {
 			continue // slot retired by a merge; nothing to catalog
 		}
@@ -937,30 +957,41 @@ func (r *Router) routeCatalog(req *wire.Request) (*wire.Response, error) {
 		it.req.Catalog = true
 		it.req.Epoch = st.baseVec[s]
 	}
-	if err := r.issueWave(st.wave); err != nil {
-		return nil, err
-	}
 	resp := r.acquireResponse()
-	for i := range st.wave {
-		it := &st.wave[i]
-		if err := r.absorb(st, it.shard, it.resp, resp); err != nil {
-			r.releaseWave(st)
-			r.ReleaseResponse(resp)
-			return nil, err
-		}
-		r.release(it.shard, it.resp)
-		it.resp = nil
+	if err := r.gather(st, st.wave, resp, nil); err != nil {
+		r.ReleaseResponse(resp)
+		return nil, err
 	}
 	r.finishConsistency(st, req, resp)
 	return resp, nil
 }
 
-// releaseWave frees every still-held sub-response after a merge error.
-func (r *Router) releaseWave(st *routeState) {
-	for i := range st.wave {
-		if st.wave[i].resp != nil {
-			r.release(st.wave[i].shard, st.wave[i].resp)
-			st.wave[i].resp = nil
-		}
+// gather issues one wave and folds every sub-response into resp: its
+// consistency payload through absorb, then each, when non-nil, for the
+// caller's share of the merge. A sub-response is released as soon as it is
+// folded; on an error the rest of the wave is released too.
+func (r *Router) gather(st *routeState, wave []waveItem, resp *wire.Response, each func(it *waveItem) error) error {
+	if len(wave) == 0 {
+		return nil
 	}
+	if err := r.issueWave(wave); err != nil {
+		return err
+	}
+	for i := range wave {
+		it := &wave[i]
+		err := r.absorb(st, it.shard, it.resp, resp)
+		if err == nil && each != nil {
+			err = each(it)
+		}
+		if err != nil {
+			for j := i; j < len(wave); j++ {
+				r.release(wave[j].shard, wave[j].resp)
+				wave[j].resp = nil
+			}
+			return err
+		}
+		r.release(it.shard, it.resp)
+		it.resp = nil
+	}
+	return nil
 }

@@ -112,7 +112,7 @@ func TestLoadHarnessTCP(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return wire.NewBinaryClientConn(conn)
+			return wire.NewBinaryClientConn(conn, wire.RoleClient)
 		},
 	})
 	if err != nil {

@@ -231,8 +231,10 @@ func (b *pageBuilder) emit(entries []Entry, idx, parent int32) int32 {
 }
 
 // internDepth bounds the code lengths covered by the shared intern table.
-// Splits are near-balanced, so 12 bits covers every position of any page the
-// tree produces in practice; pathological codes just fall back to allocating.
+// R* splits do not balance, so longer codes are common, not pathological: on
+// a bulk-loaded 100 000-object NE-like tree 17.7 % of positions exceed 12
+// bits (p99 59, longest 112), on RD-like data 80.7 % do (docs/WIRE.md, "How
+// long codes are"). Those positions fall back to allocating their string.
 const internDepth = 12
 
 // internedCodes holds one canonical string per binary partition code of up to

@@ -27,7 +27,7 @@ func Dial(addr string, role byte, timeout time.Duration) (*BinaryClientConn, err
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(deadline)
-	bc, err := NewBinaryClientConnRole(conn, role)
+	bc, err := NewBinaryClientConn(conn, role)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -60,17 +60,12 @@ type frameResult struct {
 	err  error
 }
 
-// NewBinaryClientConn performs the binary handshake on rw and starts the
-// response reader. It returns ErrProtocolMismatch (wrapped) when the peer
-// answers with anything but the expected preamble.
-func NewBinaryClientConn(rw io.ReadWriter) (*BinaryClientConn, error) {
-	return NewBinaryClientConnRole(rw, RoleClient)
-}
-
-// NewBinaryClientConnRole is NewBinaryClientConn announcing a specific
-// connection role in the handshake preamble (an edge proxy's upstream pool
-// uses RoleEdge). Servers ack with the plain client preamble either way.
-func NewBinaryClientConnRole(rw io.ReadWriter, role byte) (*BinaryClientConn, error) {
+// NewBinaryClientConn performs the binary handshake on rw, announcing role
+// in the preamble (RoleClient, or RoleEdge for an edge proxy's upstream
+// pool; servers ack with the plain client preamble either way), and starts
+// the response reader. It returns ErrProtocolMismatch (wrapped) when the
+// peer answers with anything but the expected preamble.
+func NewBinaryClientConn(rw io.ReadWriter, role byte) (*BinaryClientConn, error) {
 	preamble := handshakePreamble(role)
 	bw := bufio.NewWriter(rw)
 	if _, err := bw.Write(preamble[:]); err != nil {
