@@ -63,7 +63,7 @@ func TestRangeMergeMatchesReference(t *testing.T) {
 		}
 
 		st := r.getState()
-		resp := r.acquireResponse()
+		resp := r.resps.Get()
 		for _, sub := range subs {
 			st.objs = append(st.objs, sub...)
 		}

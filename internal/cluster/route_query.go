@@ -41,7 +41,7 @@ func (r *Router) routeQuery(req *wire.Request) (*wire.Response, error) {
 		r.classifyH(st, req)
 	}
 
-	resp := r.acquireResponse()
+	resp := r.resps.Get()
 	resp.K = req.Q.K
 	var err error
 	switch req.Q.Kind {

@@ -38,7 +38,7 @@ func (r *Router) routeUpdates(req *wire.Request) (*wire.Response, error) {
 	r.snapshotMeta(st)
 	r.loadEpochBase(st, req)
 
-	resp := r.acquireResponse()
+	resp := r.resps.Get()
 	results := make([]bool, len(req.Updates))
 
 	pending := make(map[rtree.ObjectID]bool)

@@ -172,7 +172,7 @@ type Router struct {
 	vrootOf   []rootInfo
 	vrootRep  wire.NodeRep
 	statePool sync.Pool
-	respPool  sync.Pool
+	resps     wire.ResponsePool
 }
 
 // New builds a router over the shards, cataloging each one to learn its
@@ -500,35 +500,10 @@ func resetMap[K comparable](m map[K]bool) map[K]bool {
 	return m
 }
 
-// acquireResponse returns a zeroed merged response from the router's pool.
-func (r *Router) acquireResponse() *wire.Response {
-	resp, _ := r.respPool.Get().(*wire.Response)
-	if resp == nil {
-		resp = &wire.Response{}
-	}
-	return resp
-}
-
 // ReleaseResponse recycles a response returned by RoundTrip, retaining its
 // backing slices. The serving layer (wire.ServeConfig.Release) calls it
 // after encoding; callers that keep the response simply never release it.
-func (r *Router) ReleaseResponse(resp *wire.Response) {
-	if resp == nil {
-		return
-	}
-	resp.Objects = resp.Objects[:0]
-	resp.Pairs = resp.Pairs[:0]
-	resp.Index = resp.Index[:0]
-	resp.K = 0
-	resp.RootID = rtree.InvalidNode
-	resp.RootMBR = geom.Rect{}
-	resp.Epoch = 0
-	resp.FlushAll = false
-	resp.InvalidNodes = resp.InvalidNodes[:0]
-	resp.InvalidObjs = resp.InvalidObjs[:0]
-	resp.UpdateResults = resp.UpdateResults[:0]
-	r.respPool.Put(resp)
-}
+func (r *Router) ReleaseResponse(resp *wire.Response) { r.resps.Put(resp) }
 
 // roundTripShard sends one sub-request through the shard's live endpoint,
 // absorbing transient failures: each transport error is retried with
@@ -957,7 +932,7 @@ func (r *Router) routeCatalog(req *wire.Request) (*wire.Response, error) {
 		it.req.Catalog = true
 		it.req.Epoch = st.baseVec[s]
 	}
-	resp := r.acquireResponse()
+	resp := r.resps.Get()
 	if err := r.gather(st, st.wave, resp, nil); err != nil {
 		r.ReleaseResponse(resp)
 		return nil, err

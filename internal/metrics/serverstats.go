@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -74,7 +75,8 @@ func (h *Histogram) Mean() time.Duration {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observed durations
-// by locating the bucket where the cumulative count crosses q and
+// by locating the bucket holding the nearest-rank observation (the smallest
+// rank >= q·N, so a tail of one sample in a thousand shows at p999) and
 // interpolating linearly inside it by rank position, assuming observations
 // are spread uniformly across the bucket. The estimate never exceeds the
 // crossing bucket's upper edge, so with base-2 buckets it stays within 2x
@@ -86,7 +88,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q * float64(total))
+	// Shave a relative 1e-12 before rounding up so float error in q·N (0.7·10
+	// is 7.000000000000001) cannot push an exact rank to the next one.
+	x := q * float64(total)
+	rank := int64(math.Ceil(x - x*1e-12))
 	if rank < 1 {
 		rank = 1
 	}
@@ -125,9 +130,6 @@ type ServerStats struct {
 	// Requests counts requests served (including ones that returned an
 	// application error to the client).
 	Requests atomic.Int64
-	// Batches counts grouped pipeline drains handed to a batch handler
-	// (each covers two or more of the requests counted above).
-	Batches atomic.Int64
 	// Errors counts requests whose handler returned an error.
 	Errors atomic.Int64
 	// BytesIn counts bytes read from client connections, measured at the
@@ -150,7 +152,6 @@ type ServerSnapshot struct {
 	RejectedConns int64
 	EdgeConns     int64
 	Requests      int64
-	Batches       int64
 	Errors        int64
 	BytesIn       int64
 	BytesOut      int64
@@ -168,7 +169,6 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 		RejectedConns: s.RejectedConns.Load(),
 		EdgeConns:     s.EdgeConns.Load(),
 		Requests:      s.Requests.Load(),
-		Batches:       s.Batches.Load(),
 		Errors:        s.Errors.Load(),
 		BytesIn:       s.BytesIn.Load(),
 		BytesOut:      s.BytesOut.Load(),
@@ -181,8 +181,8 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 
 // String renders the snapshot as a one-line status report.
 func (s ServerSnapshot) String() string {
-	return fmt.Sprintf("conns=%d/%d rejected=%d requests=%d batches=%d errors=%d in=%dB out=%dB latency mean=%v p50=%v p99=%v p999=%v",
-		s.ActiveConns, s.TotalConns, s.RejectedConns, s.Requests, s.Batches, s.Errors,
+	return fmt.Sprintf("conns=%d/%d rejected=%d requests=%d errors=%d in=%dB out=%dB latency mean=%v p50=%v p99=%v p999=%v",
+		s.ActiveConns, s.TotalConns, s.RejectedConns, s.Requests, s.Errors,
 		s.BytesIn, s.BytesOut,
 		s.MeanLatency.Round(time.Microsecond), s.P50, s.P99, s.P999)
 }

@@ -56,6 +56,44 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNearestRank pins the rank to the smallest one >= q·N:
+// rounding q·N down would let p999 of 99 fast samples and one slow sample,
+// or p99 of nine fast samples and one slow sample, miss the slow one.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 99; i++ {
+		h.Observe(10 * time.Microsecond)
+	}
+	h.Observe(100 * time.Millisecond)
+	if p999 := h.Quantile(0.999); p999 < 100*time.Millisecond {
+		t.Errorf("p999 of 99×10µs + 1×100ms = %v, want >= 100ms", p999)
+	}
+	if p99 := h.Quantile(0.99); p99 > 16*time.Microsecond {
+		t.Errorf("p99 of 99×10µs + 1×100ms = %v, want <= 16µs (rank 99 is fast)", p99)
+	}
+
+	var g Histogram
+	for i := 0; i < 9; i++ {
+		g.Observe(time.Microsecond)
+	}
+	g.Observe(time.Second)
+	if p99 := g.Quantile(0.99); p99 < time.Second {
+		t.Errorf("p99 of 9×1µs + 1×1s = %v, want >= 1s", p99)
+	}
+	// Exact ranks stay exact: 0.7·10 is 7 (not 8) and 0.5·4 is 2 (not 3).
+	if p70 := g.Quantile(0.7); p70 > time.Microsecond {
+		t.Errorf("p70 of 9×1µs + 1×1s = %v, want <= 1µs", p70)
+	}
+	var four Histogram
+	four.Observe(time.Microsecond)
+	four.Observe(time.Microsecond)
+	four.Observe(time.Second)
+	four.Observe(time.Second)
+	if p50 := four.Quantile(0.5); p50 > time.Microsecond {
+		t.Errorf("p50 of 2×1µs + 2×1s = %v, want <= 1µs (rank 2)", p50)
+	}
+}
+
 func TestHistogramQuantileInterpolates(t *testing.T) {
 	// Two distributions whose p99 lands in the same base-2 bucket must
 	// still report distinguishable values: the quantile interpolates by

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -11,7 +10,7 @@ import (
 // only form the shard server reads. Every NodeID has a slot; a slot holds the
 // immutable packed Page built from one generation of that node:
 //
-//	slots [NodeID] ──atomic──▶ Page{gen, planes, rects, right, parent, codes, child, obj}
+//	slots [NodeID] ──atomic──▶ Page{gen, rects, right, parent, codes, child, obj}
 //	                 nil         never built (or dropped by Grow's lost CAS)
 //	                 retired     the node was deleted; readers build and drop
 //
@@ -33,7 +32,6 @@ type Packed struct {
 // exact MBRs agree with it bit for bit) flattened into parallel arrays
 // indexed by position, laid out for traversal speed:
 //
-//	planes minX..maxY → float32 MBRs, rounded outward (branchless prefilter)
 //	rects  []geom.Rect → exact float64 MBRs (result and key construction)
 //	right  []int32     → preorder topology: left child = i+1, right = right[i],
 //	                     0 = leaf (position 0 is the root, never a right child)
@@ -47,13 +45,12 @@ type Packed struct {
 type Page struct {
 	gen uint32
 
-	minX, minY, maxX, maxY []float32
-	rects                  []geom.Rect
-	right                  []int32
-	parent                 []int32
-	codes                  []string
-	child                  []NodeID
-	obj                    []ObjectID
+	rects  []geom.Rect
+	right  []int32
+	parent []int32
+	codes  []string
+	child  []NodeID
+	obj    []ObjectID
 }
 
 // retiredPage marks the slot of a deleted node. Only a reader still pinned to
@@ -179,14 +176,9 @@ func (b *pageBuilder) build(n *Node) *Page {
 	b.work = append(b.work[:0], n.Entries...)
 	b.code = b.code[:0]
 	size := 2*len(n.Entries) - 1
-	planes := make([]float32, 4*size)
 	topo := make([]int32, 2*size)
 	b.pg = &Page{
 		gen:    n.Gen,
-		minX:   planes[0*size : 1*size],
-		minY:   planes[1*size : 2*size],
-		maxX:   planes[2*size : 3*size],
-		maxY:   planes[3*size : 4*size],
 		rects:  make([]geom.Rect, size),
 		right:  topo[:size],
 		parent: topo[size:],
@@ -207,26 +199,20 @@ func (b *pageBuilder) emit(entries []Entry, idx, parent int32) int32 {
 	p.codes[idx] = internCode(b.code)
 	p.parent[idx] = parent
 	next := idx + 1
-	var mbr geom.Rect
 	if len(entries) == 1 {
-		mbr = entries[0].MBR
+		p.rects[idx] = entries[0].MBR
 		p.child[idx] = entries[0].Child
 		p.obj[idx] = entries[0].Obj
-	} else {
-		k := b.scratch.Split(entries, 1)
-		b.code = append(b.code, '0')
-		r := b.emit(entries[:k], next, idx)
-		b.code[len(b.code)-1] = '1'
-		next = b.emit(entries[k:], r, idx)
-		b.code = b.code[:len(b.code)-1]
-		p.right[idx] = r
-		mbr = p.rects[idx+1].Union(p.rects[r])
+		return next
 	}
-	p.rects[idx] = mbr
-	p.minX[idx] = f32Down(mbr.MinX)
-	p.minY[idx] = f32Down(mbr.MinY)
-	p.maxX[idx] = f32Up(mbr.MaxX)
-	p.maxY[idx] = f32Up(mbr.MaxY)
+	k := b.scratch.Split(entries, 1)
+	b.code = append(b.code, '0')
+	r := b.emit(entries[:k], next, idx)
+	b.code[len(b.code)-1] = '1'
+	next = b.emit(entries[k:], r, idx)
+	b.code = b.code[:len(b.code)-1]
+	p.right[idx] = r
+	p.rects[idx] = p.rects[idx+1].Union(p.rects[r])
 	return next
 }
 
@@ -268,24 +254,6 @@ func internCode(code []byte) string {
 		v = v<<1 | int(c&1)
 	}
 	return internedCodes[1<<len(code)-1+v]
-}
-
-// f32Down converts v to the nearest float32 not greater than v.
-func f32Down(v float64) float32 {
-	f := float32(v)
-	if float64(f) > v {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
-	}
-	return f
-}
-
-// f32Up converts v to the nearest float32 not less than v.
-func f32Up(v float64) float32 {
-	f := float32(v)
-	if float64(f) < v {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
-	}
-	return f
 }
 
 // Len returns the number of positions (2E-1 for E entries).
@@ -331,29 +299,3 @@ func (p *Page) ChildID(i int32) NodeID { return p.child[i] }
 
 // ObjID returns the object a leaf position references.
 func (p *Page) ObjID(i int32) ObjectID { return p.obj[i] }
-
-// Window32 is a query window widened to float32 planes, for the branchless
-// conservative prefilter against the packed MBR planes.
-type Window32 struct {
-	MinX, MinY, MaxX, MaxY float32
-}
-
-// MakeWindow32 widens w outward to float32.
-func MakeWindow32(w geom.Rect) Window32 {
-	return Window32{
-		MinX: f32Down(w.MinX),
-		MinY: f32Down(w.MinY),
-		MaxX: f32Up(w.MaxX),
-		MaxY: f32Up(w.MaxY),
-	}
-}
-
-// MayIntersect reports whether position i's MBR may intersect the window:
-// false is definite (the planes are outward-rounded covers of the exact
-// MBRs), true must be confirmed against the exact rect. The comparison chain
-// compiles to branch-predictable compares over four contiguous float32
-// arrays.
-func (p *Page) MayIntersect(i int32, w Window32) bool {
-	return p.minX[i] <= w.MaxX && w.MinX <= p.maxX[i] &&
-		p.minY[i] <= w.MaxY && w.MinY <= p.maxY[i]
-}

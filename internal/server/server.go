@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bpt"
-	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/wire"
@@ -142,11 +141,11 @@ type Server struct {
 	hasExtras  atomic.Bool
 
 	// execPool recycles per-request execution state (provider, engine
-	// runner, scratch sets); respPool recycles responses returned to the
+	// runner, scratch sets); resps recycles responses returned to the
 	// server through ReleaseResponse. Both make a warm Execute effectively
 	// allocation-free.
 	execPool sync.Pool
-	respPool sync.Pool
+	resps    wire.ResponsePool
 
 	// Writer lifecycle (see snapshot.go): started lazily on first update,
 	// stopped by Close.
@@ -333,16 +332,6 @@ func (s *Server) putExec(st *execState) {
 	s.execPool.Put(st)
 }
 
-// acquireResponse returns a zeroed response, recycled when a previous one
-// was released.
-func (s *Server) acquireResponse() *wire.Response {
-	resp, _ := s.respPool.Get().(*wire.Response)
-	if resp == nil {
-		resp = &wire.Response{}
-	}
-	return resp
-}
-
 // ReleaseResponse returns a response obtained from Execute to the server's
 // response pool, retaining its backing slices (including per-NodeRep element
 // arrays) for the next request. Callers that release must not touch the
@@ -350,23 +339,7 @@ func (s *Server) acquireResponse() *wire.Response {
 // that integrate the response into a cache) simply leave it to the garbage
 // collector. The serving layer releases after encoding a response to the
 // wire.
-func (s *Server) ReleaseResponse(resp *wire.Response) {
-	if resp == nil {
-		return
-	}
-	resp.Objects = resp.Objects[:0]
-	resp.Pairs = resp.Pairs[:0]
-	resp.Index = resp.Index[:0] // NodeRep.Elems capacity survives past len
-	resp.K = 0
-	resp.RootID = rtree.InvalidNode
-	resp.RootMBR = geom.Rect{}
-	resp.Epoch = 0
-	resp.FlushAll = false
-	resp.InvalidNodes = resp.InvalidNodes[:0] // capacity survives for the next report
-	resp.InvalidObjs = resp.InvalidObjs[:0]
-	resp.UpdateResults = resp.UpdateResults[:0]
-	s.respPool.Put(resp)
-}
+func (s *Server) ReleaseResponse(resp *wire.Response) { s.resps.Put(resp) }
 
 // Execute processes one request and builds the response. It is safe to call
 // from many goroutines at once and takes no lock on the index: it loads the
@@ -377,19 +350,14 @@ func (s *Server) ReleaseResponse(resp *wire.Response) {
 // The returned response may be recycled via ReleaseResponse once the caller
 // is done with it; see there for the ownership contract.
 func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
-	return s.executeWithD(req, s.feedbackAndD(req))
-}
-
-// executeWithD is Execute after feedback has been folded in; the batch path
-// folds feedback for the whole batch first and calls it directly.
-func (s *Server) executeWithD(req *wire.Request, d int) (*wire.Response, ExecInfo) {
+	d := s.feedbackAndD(req)
 	v := s.cur.Load()
 
 	if req.Catalog {
 		st := s.getExec(v, false, false)
 		defer s.putExec(st)
 		root := rootRef(v)
-		resp := s.acquireResponse()
+		resp := s.resps.Get()
 		resp.RootID, resp.RootMBR = root.Node, root.MBR
 		attachInvalidations(v, st, req, resp)
 		return resp, ExecInfo{D: d}
@@ -399,7 +367,7 @@ func (s *Server) executeWithD(req *wire.Request, d int) (*wire.Response, ExecInf
 	st := s.getExec(v, partitioned, true)
 	defer s.putExec(st)
 
-	resp := s.acquireResponse()
+	resp := s.resps.Get()
 	resp.K = req.Q.K
 	info := ExecInfo{D: d}
 

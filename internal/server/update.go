@@ -130,7 +130,7 @@ func attachInvalidations(v *snapshot, st *execState, req *wire.Request, resp *wi
 // report the updating client is owed for its own epoch. The returned
 // response participates in the server's response pool like any other.
 func (s *Server) ExecuteUpdates(req *wire.Request) *wire.Response {
-	resp := s.acquireResponse()
+	resp := s.resps.Get()
 	resp.UpdateResults = s.ApplyUpdates(req.Updates, resp.UpdateResults)
 
 	v := s.cur.Load()

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"net"
 	"runtime"
@@ -29,15 +28,6 @@ import (
 // Handler processes one request on the server side.
 type Handler func(*Request) (*Response, error)
 
-// BatchHandler processes a contiguous run of decoded requests drained from
-// one connection's pipeline in a single call, letting the application
-// amortize per-request setup (snapshot pinning, execution-state checkout,
-// shared traversal work) across the batch. It must return exactly
-// len(reqs) responses: resps[i] answers reqs[i], and a per-request failure
-// is reported through errs[i] (with resps[i] ignored). errs may be nil when
-// every request succeeded.
-type BatchHandler func(reqs []*Request) (resps []*Response, errs []error)
-
 // Defaults applied by NewNetServer when a ServeConfig field is zero.
 const (
 	// DefaultMaxConns bounds concurrently open client connections.
@@ -54,10 +44,6 @@ const (
 
 // ErrServerClosed is returned by NetServer.Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("wire: server closed")
-
-// errNoBatchResponse answers a request whose BatchHandler returned neither
-// a response nor an error for it.
-var errNoBatchResponse = errors.New("batch handler returned no response")
 
 // respBodyPool recycles binary response encode buffers: a frame body is
 // dead as soon as writeFrame copies it into the connection's bufio writer.
@@ -89,16 +75,7 @@ type ServeConfig struct {
 	// recycle response memory. The server must not touch a response after
 	// releasing it.
 	Release func(*Response)
-	// HandleBatch, when set, receives runs of pipelined requests that were
-	// already fully buffered on a binary connection (drained without
-	// blocking after the first frame of a read pass, up to MaxPipeline or
-	// MaxBatch, whichever is smaller). Single requests keep using the plain
-	// handler.
-	HandleBatch BatchHandler
 }
-
-// MaxBatch caps requests per HandleBatch call regardless of MaxPipeline.
-const MaxBatch = 64
 
 // NetServer is a concurrent wire-protocol server. Create one with
 // NewNetServer; Serve blocks until the listener fails or Shutdown/Close is
@@ -337,22 +314,6 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 		}
 		return true
 	}
-	// respond is the one response tail: encode into a pooled buffer, hand
-	// the response back to the application, write the frame.
-	respond := func(id uint64, resp *Response, err error) {
-		if err != nil {
-			s.stats.Errors.Add(1)
-			writeResp(frameError, id, []byte(err.Error()))
-			return
-		}
-		body := respBodyPool.Get().(*[]byte)
-		*body = EncodeResponse((*body)[:0], resp)
-		if s.cfg.Release != nil {
-			s.cfg.Release(resp)
-		}
-		writeResp(frameResponse, id, *body)
-		respBodyPool.Put(body)
-	}
 
 	var frame []byte // the connection's: DecodeRequest copies whatever it keeps
 	for {
@@ -390,65 +351,6 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 			continue
 		}
 
-		// Batch drain: when the application installed a batch handler and the
-		// client's pipeline burst landed more complete frames in the read
-		// buffer, hand the whole run over in one call instead of a goroutine
-		// per request.
-		if s.cfg.HandleBatch != nil && br.Buffered() >= 4 {
-			ids, reqs, fatal := s.drainBuffered(br, &frame, writeResp, id, req)
-			if fatal {
-				return
-			}
-			if len(reqs) > 1 {
-				for range reqs {
-					if pipeSem != nil {
-						pipeSem <- struct{}{}
-					}
-				}
-				workers.Add(1)
-				inflight.Add(int64(len(reqs)))
-				go func(ids []uint64, reqs []*Request) {
-					defer func() {
-						inflight.Add(-int64(len(reqs)))
-						workers.Done()
-						if pipeSem != nil {
-							for range reqs {
-								<-pipeSem
-							}
-						}
-					}()
-					// One worker-pool token serves the whole batch: the
-					// batch is one unit of execution on the application side.
-					if s.sem != nil {
-						s.sem <- struct{}{}
-					}
-					start := time.Now()
-					resps, errs := s.cfg.HandleBatch(reqs)
-					elapsed := time.Since(start)
-					if s.sem != nil {
-						<-s.sem
-					}
-					s.stats.Batches.Add(1)
-					s.stats.Requests.Add(int64(len(reqs)))
-					for i := range reqs {
-						s.stats.Latency.Observe(elapsed)
-						var resp *Response
-						var err error
-						switch {
-						case errs != nil && errs[i] != nil:
-							err = errs[i]
-						case i < len(resps) && resps[i] != nil:
-							resp = resps[i]
-						default:
-							err = errNoBatchResponse
-						}
-						respond(ids[i], resp, err)
-					}
-				}(ids, reqs)
-				continue
-			}
-		}
-
 		if pipeSem != nil {
 			pipeSem <- struct{}{}
 		}
@@ -472,60 +374,22 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 				<-s.sem
 			}
 			s.stats.Requests.Add(1)
-			respond(id, resp, err)
+			if err != nil {
+				s.stats.Errors.Add(1)
+				writeResp(frameError, id, []byte(err.Error()))
+				return
+			}
+			// Encode into a pooled buffer, hand the response back to the
+			// application, write the frame.
+			body := respBodyPool.Get().(*[]byte)
+			*body = EncodeResponse((*body)[:0], resp)
+			if s.cfg.Release != nil {
+				s.cfg.Release(resp)
+			}
+			writeResp(frameResponse, id, *body)
+			respBodyPool.Put(body)
 		}(id, req)
 	}
-}
-
-// drainBuffered collects request frames that are already fully buffered on a
-// binary connection — never touching the socket — and returns them together
-// with the first decoded request of the read pass. A pipelining client's
-// burst typically lands in one read, so everything behind the first frame is
-// sitting in the bufio buffer by the time it is decoded. Batches are capped
-// at MaxBatch and MaxPipeline. fatal reports a protocol violation or write
-// failure; the caller must tear the connection down.
-func (s *NetServer) drainBuffered(br *bufio.Reader, frame *[]byte, writeResp func(byte, uint64, []byte) bool, firstID uint64, first *Request) (ids []uint64, reqs []*Request, fatal bool) {
-	max := MaxBatch
-	if s.cfg.MaxPipeline > 0 && s.cfg.MaxPipeline < max {
-		max = s.cfg.MaxPipeline
-	}
-	ids = append(ids, firstID)
-	reqs = append(reqs, first)
-	for len(reqs) < max {
-		buffered := br.Buffered()
-		if buffered < 4 {
-			break
-		}
-		head, err := br.Peek(4)
-		if err != nil {
-			break
-		}
-		// The 4-byte prefix counts the frame's remaining bytes; only a frame
-		// whose every byte is already buffered is consumed (readFrame on it
-		// cannot block).
-		if n := binary.LittleEndian.Uint32(head); uint64(buffered) < 4+uint64(n) {
-			break
-		}
-		typ, id, body, err := readFrame(br, frame)
-		if err != nil {
-			return nil, nil, true
-		}
-		if typ != frameRequest {
-			writeResp(frameError, 0, []byte("unexpected frame type"))
-			return nil, nil, true
-		}
-		req, err := DecodeRequest(body)
-		if err != nil {
-			s.stats.Errors.Add(1)
-			if !writeResp(frameError, id, []byte(err.Error())) {
-				return nil, nil, true
-			}
-			continue
-		}
-		ids = append(ids, id)
-		reqs = append(reqs, req)
-	}
-	return ids, reqs, false
 }
 
 // isTimeout reports whether err is a deadline expiry.

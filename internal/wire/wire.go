@@ -11,6 +11,8 @@
 package wire
 
 import (
+	"sync"
+
 	"repro/internal/bpt"
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -195,6 +197,36 @@ type Response struct {
 	// whose From rectangle matched nothing reports false). Epoch above is the
 	// epoch after the batch was published.
 	UpdateResults []bool
+}
+
+// ResponsePool recycles responses together with their backing slices
+// (including per-NodeRep element arrays, whose capacity survives past Index's
+// length). The zero value is ready; it is safe for concurrent use.
+type ResponsePool struct{ p sync.Pool }
+
+// Get returns a zeroed response, recycled when one was put back.
+func (p *ResponsePool) Get() *Response {
+	if resp, _ := p.p.Get().(*Response); resp != nil {
+		return resp
+	}
+	return &Response{}
+}
+
+// Put zeroes resp, keeping only the capacity of its slices, and pools it.
+// The caller must not touch resp afterwards. A nil resp is ignored.
+func (p *ResponsePool) Put(resp *Response) {
+	if resp == nil {
+		return
+	}
+	*resp = Response{
+		Objects:       resp.Objects[:0],
+		Pairs:         resp.Pairs[:0],
+		Index:         resp.Index[:0],
+		InvalidNodes:  resp.InvalidNodes[:0],
+		InvalidObjs:   resp.InvalidObjs[:0],
+		UpdateResults: resp.UpdateResults[:0],
+	}
+	p.p.Put(resp)
 }
 
 // SizeModel assigns wire sizes in bytes. The defaults model the paper's

@@ -244,67 +244,24 @@ var ErrUpdatesDisabled = errors.New("repro: remote updates disabled")
 // mutate a warm standby.
 var ErrNotPrimary = errors.New("repro: follower: updates accepted only from the primary's replication stream")
 
-// rejectUpdate is the shared gate for the update path: reads always pass,
-// writes pass only when remote updates are on and, in follower mode, the
-// request is a replication-stream message.
-func (s *Server) rejectUpdate(req *wire.Request) error {
-	if !s.remoteUpdates.Load() {
-		return ErrUpdatesDisabled
-	}
-	if s.follower.Load() && !req.Replica {
-		return ErrNotPrimary
-	}
-	return nil
-}
-
 // Handler returns the server's request handler for use with a custom
 // wire.NetServer. A request carrying Updates is routed through the batched
-// single-writer update path; everything else executes as a query.
+// single-writer update path; everything else executes as a query. Updates
+// pass only when remote updates are on and, in follower mode, the request
+// is a replication-stream message.
 func (s *Server) Handler() wire.Handler {
 	return func(req *wire.Request) (*wire.Response, error) {
 		if len(req.Updates) > 0 {
-			if err := s.rejectUpdate(req); err != nil {
-				return nil, err
+			if !s.remoteUpdates.Load() {
+				return nil, ErrUpdatesDisabled
+			}
+			if s.follower.Load() && !req.Replica {
+				return nil, ErrNotPrimary
 			}
 			return s.inner.ExecuteUpdates(req), nil
 		}
 		resp, _ := s.inner.Execute(req)
 		return resp, nil
-	}
-}
-
-// BatchHandler returns the server's batched request handler for
-// wire.ServeConfig.HandleBatch: the serving layer hands it runs of
-// pipelined requests drained from one connection, update messages are
-// answered through the single-writer path, and everything else goes through
-// server.ExecuteBatch, which runs groupable range queries in one shared
-// traversal of the packed index image.
-func (s *Server) BatchHandler() wire.BatchHandler {
-	return func(reqs []*wire.Request) ([]*wire.Response, []error) {
-		resps := make([]*wire.Response, len(reqs))
-		var errs []error
-		qIdx := make([]int, 0, len(reqs))
-		qreqs := make([]*wire.Request, 0, len(reqs))
-		for i, req := range reqs {
-			if len(req.Updates) > 0 {
-				if err := s.rejectUpdate(req); err != nil {
-					if errs == nil {
-						errs = make([]error, len(reqs))
-					}
-					errs[i] = err
-					continue
-				}
-				resps[i] = s.inner.ExecuteUpdates(req)
-				continue
-			}
-			qIdx = append(qIdx, i)
-			qreqs = append(qreqs, req)
-		}
-		qresps, _ := s.inner.ExecuteBatch(qreqs)
-		for j, i := range qIdx {
-			resps[i] = qresps[j]
-		}
-		return resps, errs
 	}
 }
 
@@ -350,9 +307,6 @@ func (s *Server) NetServer(opts ServeOptions) *wire.NetServer {
 		// Responses are recycled once their bytes are on the wire, keeping
 		// the warm serving path allocation-free end to end.
 		Release: s.inner.ReleaseResponse,
-		// Pipelined bursts drain into grouped execution (server-side batching
-		// over the packed index image).
-		HandleBatch: s.BatchHandler(),
 	})
 }
 
