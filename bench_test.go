@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/bpt"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/mobility"
@@ -282,6 +283,33 @@ func BenchmarkBPTBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bpt.Build(1, entries)
+	}
+}
+
+// BenchmarkClusterBoot is a cluster's set-up alone: cluster.NewInProcess over
+// 100 000 NE objects with the repo benchmark's 4 KB pages and no WAL — the KD
+// partition, then every shard's bulk load and page packing, one goroutine per
+// shard.
+func BenchmarkClusterBoot(b *testing.B) {
+	objs := GenerateNE(100_000, 1)
+	cfg := cluster.InProcessConfig{
+		Tree:  rtree.Params{MaxEntries: 4096 / wire.DefaultSizeModel().Entry},
+		Sizer: buildSizer(objs),
+	}
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cfg.Shards = shards
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := cluster.NewInProcess(objs, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				p.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }
 

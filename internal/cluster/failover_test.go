@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,13 +212,6 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 		WAL:      wal.Options{NoSync: true},
 		Replicas: true,
 	}}
-	openFiles := func() int {
-		fds, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			return -1 // no procfs: the file check is skipped
-		}
-		return len(fds)
-	}
 	goroutines, files := runtime.NumGoroutine(), openFiles()
 
 	standbys := 0
@@ -239,6 +234,28 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 	if p.proc(0) != nil {
 		t.Fatal("a failed shard process was registered")
 	}
+	requireReleased(t, goroutines, files)
+	l, err := wal.Open(filepath.Join(dir, "shard-0"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("reopen the failed shard's WAL: %v", err)
+	}
+	l.Close()
+}
+
+// openFiles counts this process's open file descriptors, or returns -1
+// without procfs (the file check is then skipped).
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// requireReleased waits up to a second for the goroutine count to fall back
+// to its baseline and requires no more open files than before.
+func requireReleased(t *testing.T, goroutines, files int) {
+	t.Helper()
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines: %d after the failed start, %d before", runtime.NumGoroutine(), goroutines)
@@ -247,11 +264,70 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 	if now := openFiles(); now > files {
 		t.Fatalf("open files: %d after the failed start, %d before", now, files)
 	}
-	l, err := wal.Open(filepath.Join(dir, "shard-0"), wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("reopen the failed shard's WAL: %v", err)
+}
+
+// TestNewInProcessShardFailureReleasesEverything boots four shards at once
+// with shard 2's WAL directory blocked by a regular file. NewInProcess must
+// name shard 2 and release the shards that did start — standbys,
+// replication streams and logs — leaving each of their directories with an
+// initial checkpoint that reopens. A boot that succeeds must leave the
+// counts, the router's object gauges and every shard's tree a serial build
+// gives.
+func TestNewInProcessShardFailureReleasesEverything(t *testing.T) {
+	objs := genObjects(1200, 31)
+	sizes := make(map[rtree.ObjectID]int, len(objs))
+	for _, o := range objs {
+		sizes[o.ID] = o.Size
 	}
-	l.Close()
+	cfg := crashConfig(t, sizes, true)
+	if err := os.WriteFile(filepath.Join(cfg.WALDir, "shard-2"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	goroutines, files := runtime.NumGoroutine(), openFiles()
+	if p, err := NewInProcess(objs, cfg); err == nil {
+		p.Close()
+		t.Fatal("NewInProcess succeeded with shard 2's WAL directory blocked")
+	} else if !strings.Contains(err.Error(), "shard 2 wal") {
+		t.Fatalf("NewInProcess error %q does not name shard 2's WAL", err)
+	}
+	requireReleased(t, goroutines, files)
+	for _, s := range []int{0, 1, 3} {
+		l, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("shard-%d", s)), cfg.WAL)
+		if err != nil {
+			t.Fatalf("reopen shard %d's WAL: %v", s, err)
+		}
+		if l.Recovered().Checkpoint == nil {
+			t.Errorf("shard %d started but left no initial checkpoint", s)
+		}
+		l.Close()
+	}
+
+	cfg.WALDir = ""
+	p, err := NewInProcess(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	part, err := MakePartition(objs, cfg.Shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, shardObjs := range part.Split(objs) {
+		items := make([]rtree.Item, len(shardObjs))
+		for i, o := range shardObjs {
+			items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
+		}
+		if p.Counts[s] != len(items) {
+			t.Errorf("shard %d: Counts %d, want %d", s, p.Counts[s], len(items))
+		}
+		if got := p.Router.Stats().Shard(s).Objects.Load(); got != int64(len(items)) {
+			t.Errorf("shard %d: Objects gauge %d, want %d", s, got, len(items))
+		}
+		want := rtree.BulkLoad(cfg.Tree, items, 0.7).AppendImage(nil)
+		if got := p.proc(s).cur.Load().Tree().AppendImage(nil); !bytes.Equal(got, want) {
+			t.Errorf("shard %d: tree differs from a serial bulk load", s)
+		}
+	}
 }
 
 // TestInProcessReopenFromWAL pins the cold-restart story (prodb stopped and

@@ -372,10 +372,12 @@ func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer n
 }
 
 // NewInProcess KD-partitions the objects, bulk-loads one server per shard,
-// and stands up the router over them. Every shard must own at least one
-// object; datasets smaller than the shard count should shard less. With
-// cfg.WALDir set each shard logs and checkpoints for crash recovery; with
-// cfg.Replicas each shard streams to a warm standby the router can promote.
+// and stands up the router over them. The shards boot concurrently; if any
+// fails, every shard is released and the error joins each shard's failure.
+// Every shard must own at least one object; datasets smaller than the shard
+// count should shard less. With cfg.WALDir set each shard logs and
+// checkpoints for crash recovery; with cfg.Replicas each shard streams to a
+// warm standby the router can promote.
 func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -403,25 +405,34 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 	cfg.Shards = n
 	p := &InProcess{Counts: make([]int, n), cfg: cfg}
 	shards := make([]Shard, n)
+	// Shards share nothing until the router joins them, so each boots on
+	// its own goroutine: bulk load or restore, pack, WAL and checkpoint.
+	errs := make([]error, n)
+	var wg sync.WaitGroup
 	for s := range split {
-		items := make([]rtree.Item, len(split[s]))
-		for i, o := range split[s] {
-			items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
-		}
-		// A fresh boot bulk-loads the shard's objects; a WAL dir that
-		// already holds history restores from its checkpoint + tail.
-		shards[s], err = p.startProc(s, cfg.Sizer, func(srvCfg server.Config, rec *wal.Recovery) (*server.Server, bool, error) {
-			if rec != nil {
-				srv, err := server.Restore(rec.Checkpoint, replayTail(rec.Tail), cfg.Sizer, srvCfg)
-				return srv, true, err
-			}
-			return server.New(rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill), cfg.Sizer, srvCfg), false, nil
-		})
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
 		p.Counts[s] = len(split[s])
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			items := make([]rtree.Item, len(split[s]))
+			for i, o := range split[s] {
+				items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
+			}
+			// A fresh boot bulk-loads the shard's objects; a WAL dir that
+			// already holds history restores from its checkpoint + tail.
+			shards[s], errs[s] = p.startProc(s, cfg.Sizer, func(srvCfg server.Config, rec *wal.Recovery) (*server.Server, bool, error) {
+				if rec != nil {
+					srv, err := server.Restore(rec.Checkpoint, replayTail(rec.Tail), cfg.Sizer, srvCfg)
+					return srv, true, err
+				}
+				return server.New(rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill), cfg.Sizer, srvCfg), false, nil
+			})
+		}(s)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		p.Close()
+		return nil, err
 	}
 	p.Router, err = New(shards, Config{
 		Part:          part,

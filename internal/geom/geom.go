@@ -70,12 +70,17 @@ func (r Rect) Margin() float64 {
 
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		math.Min(r.MinX, s.MinX),
-		math.Min(r.MinY, s.MinY),
-		math.Max(r.MaxX, s.MaxX),
-		math.Max(r.MaxY, s.MaxY),
+	u := Rect{min(r.MinX, s.MinX), min(r.MinY, s.MinY), max(r.MaxX, s.MaxX), max(r.MaxY, s.MaxY)}
+	if u != u { // a coordinate is NaN
+		return unionNaN(r, s)
 	}
+	return u
+}
+
+// unionNaN is Union through math.Min and math.Max, which agree with the
+// builtins everywhere but let an infinity win over NaN.
+func unionNaN(r, s Rect) Rect {
+	return Rect{math.Min(r.MinX, s.MinX), math.Min(r.MinY, s.MinY), math.Max(r.MaxX, s.MaxX), math.Max(r.MaxY, s.MaxY)}
 }
 
 // Intersects reports whether r and s share at least one point.
@@ -92,11 +97,13 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 	if !r.Intersects(s) {
 		return Rect{}, false
 	}
+	// No coordinate is NaN past Intersects, so the builtins are math.Max and
+	// math.Min.
 	return Rect{
-		math.Max(r.MinX, s.MinX),
-		math.Max(r.MinY, s.MinY),
-		math.Min(r.MaxX, s.MaxX),
-		math.Min(r.MaxY, s.MaxY),
+		max(r.MinX, s.MinX),
+		max(r.MinY, s.MinY),
+		min(r.MaxX, s.MaxX),
+		min(r.MaxY, s.MaxY),
 	}, true
 }
 

@@ -74,6 +74,30 @@ func TestIntersection(t *testing.T) {
 	}
 }
 
+// TestUnionIntersectionMatchMathMinMax pins Union and Intersection, which use
+// the builtin min and max, to math.Min and math.Max on signed zeros, NaN and
+// infinities: the same sign of zero, and NaN where they give NaN.
+func TestUnionIntersectionMatchMathMinMax(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(-1), math.Inf(1), -1, 1}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			r, s := Rect{a, a, a, a}, Rect{b, b, b, b}
+			u := r.Union(s)
+			if lo, hi := math.Min(a, b), math.Max(a, b); !same(u.MinX, lo) || !same(u.MinY, lo) || !same(u.MaxX, hi) || !same(u.MaxY, hi) {
+				t.Errorf("Union(%v, %v) = %v, want min %v max %v", a, b, u, lo, hi)
+			}
+			if ix, ok := r.Intersection(s); ok {
+				if lo, hi := math.Max(a, b), math.Min(a, b); !same(ix.MinX, lo) || !same(ix.MinY, lo) || !same(ix.MaxX, hi) || !same(ix.MaxY, hi) {
+					t.Errorf("Intersection(%v, %v) = %v, want min %v max %v", a, b, ix, lo, hi)
+				}
+			}
+		}
+	}
+}
+
 func TestContains(t *testing.T) {
 	a := Rect{0, 0, 4, 4}
 	if !a.Contains(Rect{1, 1, 2, 2}) {

@@ -2,7 +2,7 @@ package rtree
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -68,8 +68,8 @@ func (t *Tree) packLevel(entries []Entry, level, perNode int) []NodeID {
 	slabs := int(math.Ceil(math.Sqrt(float64(pages))))
 	slabSize := slabs * perNode
 
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].MBR.Center().X < entries[j].MBR.Center().X
+	slices.SortStableFunc(entries, func(a, b Entry) int {
+		return compareCenter(a.MBR.Center().X, b.MBR.Center().X)
 	})
 
 	var ids []NodeID
@@ -79,8 +79,8 @@ func (t *Tree) packLevel(entries []Entry, level, perNode int) []NodeID {
 			end = n
 		}
 		slab := entries[s:end]
-		sort.SliceStable(slab, func(i, j int) bool {
-			return slab[i].MBR.Center().Y < slab[j].MBR.Center().Y
+		slices.SortStableFunc(slab, func(a, b Entry) int {
+			return compareCenter(a.MBR.Center().Y, b.MBR.Center().Y)
 		})
 		for o := 0; o < len(slab); o += perNode {
 			oend := o + perNode
@@ -99,4 +99,18 @@ func (t *Tree) packLevel(entries []Entry, level, perNode int) []NodeID {
 		}
 	}
 	return ids
+}
+
+// compareCenter is the three-way form of the < that STR packing orders centre
+// coordinates by. A stable sort only asks whether the result is negative, so
+// every input, NaN included, gets the order sort.SliceStable gives under <;
+// cmp.Compare would move a NaN centre first.
+func compareCenter(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }

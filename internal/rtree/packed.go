@@ -171,7 +171,7 @@ type pageBuilder struct {
 func (b *pageBuilder) build(n *Node) *Page {
 	if cap(b.work) < len(n.Entries) {
 		b.work = make([]Entry, 0, len(n.Entries)*2)
-		b.scratch = NewSplitScratch(cap(b.work))
+		b.scratch = NewSplitScratch(len(n.Entries)) // Split grows it for a larger page
 	}
 	b.work = append(b.work[:0], n.Entries...)
 	b.code = b.code[:0]
