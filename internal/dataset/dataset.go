@@ -10,7 +10,7 @@
 // Both are normalized to the unit square. Object payload sizes follow the
 // paper's Zipf distribution (skew theta = 0.8) with a 10 KB mean. What the
 // caching experiments are sensitive to — spatial skew, density, size
-// distribution — is preserved; see DESIGN.md for the substitution argument.
+// distribution — is preserved; README.md "Substitutions" states the argument.
 package dataset
 
 import (
