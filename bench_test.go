@@ -208,20 +208,6 @@ func BenchmarkExtensionUpdates(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionCoop measures the cooperative caching extension
-// (neighborhood cache sharing over a cheap local link).
-func BenchmarkExtensionCoop(b *testing.B) {
-	env := benchEnvironment()
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows, err := sim.CoopSweep(env, sc.Queries/3, sc.Seed, []int{1, 2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFirst("ext-coop", func() { sim.FprintCoopSweep(os.Stdout, rows) })
-	}
-}
-
 // --------------------------------------------------------------------------
 // Micro-benchmarks of the substrates.
 

@@ -41,34 +41,10 @@ type figure struct {
 // (in this order) and dispatch.
 var figures = []figure{
 	{name: "table61", run: printTable61},
-	{name: "6", run: func(w io.Writer, p params) error {
-		rows, err := sim.Figure6(p.env, p.sc)
-		if err == nil {
-			sim.FprintFigure6(w, rows)
-		}
-		return err
-	}},
-	{name: "7", run: func(w io.Writer, p params) error {
-		rows, err := sim.Figure7(p.env, p.sc)
-		if err == nil {
-			sim.FprintFigure7(w, rows)
-		}
-		return err
-	}},
-	{name: "8", alias: "9", run: func(w io.Writer, p params) error {
-		rows, err := sim.Figure8and9(p.env, p.sc)
-		if err == nil {
-			sim.FprintFigure8and9(w, rows)
-		}
-		return err
-	}},
-	{name: "10", run: func(w io.Writer, p params) error {
-		rows, err := sim.Figure10(p.env, p.sc)
-		if err == nil {
-			sim.FprintFigure10(w, rows)
-		}
-		return err
-	}},
+	{name: "6", run: tabulate(sim.Figure6, sim.FprintFigure6)},
+	{name: "7", run: tabulate(sim.Figure7, sim.FprintFigure7)},
+	{name: "8", alias: "9", run: tabulate(sim.Figure8and9, sim.FprintFigure8and9)},
+	{name: "10", run: tabulate(sim.Figure10, sim.FprintFigure10)},
 	{name: "11", run: func(w io.Writer, p params) error {
 		series, err := sim.Figure11(p.env, p.sc, p.window)
 		if err == nil {
@@ -89,29 +65,19 @@ var figures = []figure{
 		fmt.Fprintf(w, "%8s %10.3f %8.3f %8.3f\n", "adaptive", adaptive.Resp, adaptive.FMR, adaptive.HitC)
 		return nil
 	}},
-	{name: "ablation-grd", run: func(w io.Writer, p params) error {
-		rows, err := sim.AblationGRD2vsGRD3(p.env, p.sc)
-		if err != nil {
-			return err
-		}
+	{name: "ablation-grd", run: tabulate(sim.AblationGRD2vsGRD3, func(w io.Writer, rows []sim.GRD2vsGRD3Row) {
 		fmt.Fprintln(w, "Ablation: GRD2 (EBRS reference) vs GRD3 (efficient)")
 		fmt.Fprintf(w, "%8s %10s %8s %12s\n", "policy", "resp s", "hitc", "cpu ms/q")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%8s %10.3f %8.3f %12.3f\n", r.Policy, r.Resp, r.HitC, r.CacheOps)
 		}
-		return nil
-	}},
-	{name: "ablation-partition", run: func(w io.Writer, p params) error {
-		rows, err := sim.AblationPartitionCost(p.env, p.sc)
-		if err != nil {
-			return err
-		}
+	})},
+	{name: "ablation-partition", run: tabulate(sim.AblationPartitionCost, func(w io.Writer, rows []sim.PartitionCostRow) {
 		fmt.Fprintln(w, "Ablation: server engine ops, full-form vs partition navigation")
 		for _, r := range rows {
 			fmt.Fprintf(w, "%8s %12d\n", r.Model, r.ServerEngineOps)
 		}
-		return nil
-	}},
+	})},
 	{name: "ext-updates", run: func(w io.Writer, p params) error {
 		rows, err := sim.UpdateSweep(p.sc.Objects, p.sc.Queries, p.sc.Seed,
 			[]float64{0, 0.1, 0.5, 2.0}, 20)
@@ -120,13 +86,18 @@ var figures = []figure{
 		}
 		return err
 	}},
-	{name: "ext-coop", run: func(w io.Writer, p params) error {
-		rows, err := sim.CoopSweep(p.env, p.sc.Queries/2, p.sc.Seed, []int{1, 2, 4, 8})
+}
+
+// tabulate makes a figure of an experiment run on the environment at its
+// scale and the function that prints the experiment's rows.
+func tabulate[T any](experiment func(*sim.Environment, sim.Scale) (T, error), show func(io.Writer, T)) func(io.Writer, params) error {
+	return func(w io.Writer, p params) error {
+		rows, err := experiment(p.env, p.sc)
 		if err == nil {
-			sim.FprintCoopSweep(w, rows)
+			show(w, rows)
 		}
 		return err
-	}},
+	}
 }
 
 // environments maps each -dataset value to its generator.

@@ -39,7 +39,7 @@ func referenceMerge(subs [][]wire.ObjectRep) []wire.ObjectRep {
 func TestRangeMergeMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(19))
 	r := &Router{}
-	sizes := []int{0, 1, 3, 40, 900, 6000} // 6000 > scratchMapLimit
+	sizes := []int{0, 1, 3, 40, 900, 6000} // 6000 > the limit server.ResetScratchMap keeps
 	dups := 0
 	for round := 0; round < 300; round++ {
 		subs := make([][]wire.ObjectRep, 1+rnd.Intn(3))

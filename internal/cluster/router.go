@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rtree"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -470,10 +471,10 @@ func (r *Router) getState() *routeState {
 	st.knnObjs = st.knnObjs[:0]
 	st.knnDists = st.knnDists[:0]
 	st.cross = st.cross[:0]
-	st.seenObj = resetMap(st.seenObj)
-	st.seenNode = resetMap(st.seenNode)
-	st.seenObjI = resetMap(st.seenObjI)
-	st.seenPair = resetMap(st.seenPair)
+	st.seenObj = server.ResetScratchMap(st.seenObj)
+	st.seenNode = server.ResetScratchMap(st.seenNode)
+	st.seenObjI = server.ResetScratchMap(st.seenObjI)
+	st.seenPair = server.ResetScratchMap(st.seenPair)
 	return st
 }
 
@@ -487,17 +488,6 @@ func (r *Router) putState(st *routeState) {
 		st.cross[i].candsB = nil
 	}
 	r.statePool.Put(st)
-}
-
-// scratchMapLimit mirrors the server's bound on retained scratch maps.
-const scratchMapLimit = 4096
-
-func resetMap[K comparable](m map[K]bool) map[K]bool {
-	if m == nil || len(m) > scratchMapLimit {
-		return make(map[K]bool)
-	}
-	clear(m)
-	return m
 }
 
 // ReleaseResponse recycles a response returned by RoundTrip, retaining its

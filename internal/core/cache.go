@@ -77,8 +77,8 @@ func (it *Item) Prob(now uint64) float64 {
 	return float64(it.Hits) / float64(age)
 }
 
-// Cache is the proactive cache. A cache, the providers handed out by
-// Provider and the slices they return belong to one goroutine: every
+// Cache is the proactive cache. A cache, the providers over it and the
+// slices they return belong to one goroutine: every
 // provider over a cache expands into the same scratch buffer, and eviction
 // and insertion reuse scratch of their own.
 type Cache struct {
@@ -116,9 +116,6 @@ func NewCache(capacity int, policy Policy, sizes wire.SizeModel) *Cache {
 		parentOf: make(map[ItemKey]rtree.NodeID),
 	}
 }
-
-// Capacity returns the configured byte capacity.
-func (c *Cache) Capacity() int { return c.capacity }
 
 // ShrinkTo lowers the capacity and immediately evicts down to it
 // (administrative resizing; also exercised by the eviction benchmarks).

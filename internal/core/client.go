@@ -113,14 +113,6 @@ func (r Report) HitRate() float64 {
 	return float64(r.SavedBytes) / float64(r.ResultBytes)
 }
 
-// ByteHitRate returns hitb = |R ∩ C| / |R| of the query.
-func (r Report) ByteHitRate() float64 {
-	if r.ResultBytes == 0 {
-		return 0
-	}
-	return float64(r.SavedBytes+r.FalseMissBytes) / float64(r.ResultBytes)
-}
-
 // Query runs one spatial query through the proactive caching pipeline:
 // local processing (stage 1), remainder to the server (stage 2), and result
 // merging plus cache insertion (stage 3). When the server's invalidation
@@ -325,16 +317,11 @@ func (c *Client) objectSize(id rtree.ObjectID) int {
 	return 0
 }
 
-// Provider returns a query.Provider view of the cache. The cooperative
-// caching extension uses it to consult neighborhood peers' caches with the
-// same machinery that serves the local one. Every provider over one cache
-// expands into that cache's one scratch buffer (see Cache).
-func (c *Cache) Provider() query.Provider { return cacheProvider{c} }
-
 // cacheProvider adapts the proactive cache to the query engine: nodes expand
 // into their cached cut elements, super entries are opaque (missing), and
 // object availability is payload presence. Every successful access counts a
-// hit for replacement metadata.
+// hit for replacement metadata. Every provider over one cache expands into
+// that cache's one scratch buffer (see Cache).
 type cacheProvider struct{ c *Cache }
 
 // Expand implements query.Provider.

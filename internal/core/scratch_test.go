@@ -49,8 +49,7 @@ func TestClientLocalQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// alternating answers Expand from two providers in turn, the way a
-// cooperative client consults its own cache and then a peer's.
+// alternating answers Expand from two providers in turn.
 type alternating struct {
 	provs [2]query.Provider
 	calls int
@@ -83,7 +82,7 @@ func TestProviderScratchAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := cl.Cache()
-	root, ok := cache.Provider().Expand(cl.cfg.Root)
+	root, ok := cacheProvider{cache}.Expand(cl.cfg.Root)
 	if !ok || len(root) < 2 {
 		t.Fatalf("root not cached or too small: %d children", len(root))
 	}
@@ -94,8 +93,10 @@ func TestProviderScratchAliasing(t *testing.T) {
 	for i, a := range root {
 		for _, b := range root[i+1:] {
 			seed := []query.QueuedElem{{Key: q.PairKeyFor(a.MBR, b.MBR), Elem: query.PairOf(a, b)}}
-			got := query.Run(q, &alternating{provs: [2]query.Provider{cache.Provider(), cache.Provider()}}, seed)
-			want := query.Run(q, freshSlices{cache.Provider()}, seed)
+			// A fresh Runner each, so neither Outcome is overwritten by the other.
+			var gotRunner, wantRunner query.Runner
+			got := gotRunner.Run(q, &alternating{provs: [2]query.Provider{cacheProvider{cache}, cacheProvider{cache}}}, seed)
+			want := wantRunner.Run(q, freshSlices{cacheProvider{cache}}, seed)
 			if got.Stats != want.Stats || !slices.Equal(got.Pairs, want.Pairs) || !slices.Equal(got.Remainder, want.Remainder) {
 				t.Fatalf("pair <%v,%v>: through the shared scratch %+v, %d pairs, %d left; through fresh slices %+v, %d pairs, %d left",
 					a, b, got.Stats, len(got.Pairs), len(got.Remainder), want.Stats, len(want.Pairs), len(want.Remainder))

@@ -295,13 +295,6 @@ func (r *Runner) runRangeFIFO(q Query, prov Provider, seed []QueuedElem) Outcome
 	return out
 }
 
-// Run executes q with a fresh Runner that nothing runs again, so this Outcome
-// keeps its buffers. It serves one-shot callers (tests, internal/coop).
-func Run(q Query, prov Provider, seed []QueuedElem) Outcome {
-	var r Runner
-	return r.Run(q, prov, seed)
-}
-
 // pruneKNNRemainder drops every element farther than the want-th object
 // element: such elements cannot contain any of the remaining nearest
 // neighbors (Example 3.1's pruning). The input must be sorted by key.

@@ -111,11 +111,18 @@ func (m *mockWorld) bruteKNN(p geom.Point, k int) []float64 {
 	return ds[:k]
 }
 
+// run executes q on a Runner that nothing runs again, so the Outcome keeps
+// its buffers.
+func run(q Query, prov Provider, seed []QueuedElem) Outcome {
+	var r Runner
+	return r.Run(q, prov, seed)
+}
+
 func TestRangeComplete(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	m := buildMock(r, 8, 20)
 	q := NewRange(geom.R(0.2, 0.2, 0.6, 0.6))
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if !out.Complete {
 		t.Fatal("fully available index must complete")
 	}
@@ -135,7 +142,7 @@ func TestKNNCompleteOrdered(t *testing.T) {
 	m := buildMock(r, 8, 20)
 	p := geom.Pt(0.5, 0.5)
 	q := NewKNN(p, 7)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if !out.Complete || len(out.Results) != 7 {
 		t.Fatalf("complete=%v n=%d", out.Complete, len(out.Results))
 	}
@@ -152,7 +159,7 @@ func TestKNNFewerThanKComplete(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	m := buildMock(r, 2, 3)
 	q := NewKNN(geom.Pt(0.5, 0.5), 100)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if !out.Complete || len(out.Results) != 6 {
 		t.Fatalf("want all 6 objects complete, got %d complete=%v", len(out.Results), out.Complete)
 	}
@@ -165,7 +172,7 @@ func TestMissingNodeProducesRemainderAndResume(t *testing.T) {
 	m.missing[3], m.missing[5], m.missing[7] = true, true, true
 
 	q := NewRange(geom.R(0.1, 0.1, 0.9, 0.9))
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if out.Complete {
 		t.Fatal("missing nodes should force a remainder")
 	}
@@ -178,7 +185,7 @@ func TestMissingNodeProducesRemainderAndResume(t *testing.T) {
 	}
 	// Resume server-side: union must equal ground truth.
 	srv := m.fullWorld()
-	resumed := Run(q, srv, out.Remainder)
+	resumed := run(q, srv, out.Remainder)
 	if !resumed.Complete {
 		t.Fatal("server resume must complete")
 	}
@@ -203,7 +210,7 @@ func TestKNNMissingObjectCountsTowardTermination(t *testing.T) {
 		m.haveObject[id] = false
 	}
 	q := NewKNN(geom.Pt(0.5, 0.5), 3)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if out.Complete || len(out.Results) != 0 {
 		t.Fatal("no payloads: nothing confirmable")
 	}
@@ -219,7 +226,7 @@ func TestKNNMissingObjectCountsTowardTermination(t *testing.T) {
 		t.Fatalf("remainder has %d object elems, want >= 3", objElems)
 	}
 	// Resume must yield the true 3NN.
-	resumed := Run(q, m.fullWorld(), out.Remainder)
+	resumed := run(q, m.fullWorld(), out.Remainder)
 	want := m.bruteKNN(geom.Pt(0.5, 0.5), 3)
 	if len(resumed.Results) != 3 {
 		t.Fatalf("resumed %d results", len(resumed.Results))
@@ -247,7 +254,7 @@ func TestKNNDeferralRule(t *testing.T) {
 		objects:    map[rtree.ObjectID]geom.Rect{1: objA.MBR, 2: objB.MBR},
 	}
 	q := NewKNN(geom.Pt(0, 0.5), 1)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if out.Complete {
 		t.Fatal("must not complete: nearest candidate is behind a missing node")
 	}
@@ -267,7 +274,7 @@ func TestKNNDeferralRule(t *testing.T) {
 		t.Fatal("cached object A should be deferred in the remainder")
 	}
 	// Server resume finds B (the true NN).
-	resumed := Run(q, m.fullWorld(), out.Remainder)
+	resumed := run(q, m.fullWorld(), out.Remainder)
 	if len(resumed.Results) != 1 || resumed.Results[0].Obj != 2 {
 		t.Fatalf("resume = %v, want object 2", resumed.Results)
 	}
@@ -280,7 +287,7 @@ func TestKNNRemainderPruning(t *testing.T) {
 		m.haveObject[id] = false
 	}
 	q := NewKNN(geom.Pt(0.5, 0.5), 2)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	// Pruning: nothing in the remainder may lie beyond the 2nd object elem.
 	var objKeys []float64
 	for _, qe := range out.Remainder {
@@ -304,7 +311,7 @@ func TestJoinCompleteMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(57))
 	m := buildMock(r, 6, 15)
 	q := NewJoin(geom.R(0.2, 0.2, 0.8, 0.8), 0.05)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if !out.Complete {
 		t.Fatal("join on full index must complete")
 	}
@@ -349,11 +356,11 @@ func TestJoinMissingSideResume(t *testing.T) {
 	m := buildMock(r, 6, 15)
 	m.missing[4] = true
 	q := NewJoin(geom.R(0, 0, 1, 1), 0.08)
-	out := Run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, SeedRoot(q, m.rootRef))
 	if out.Complete {
 		t.Fatal("missing node must force a remainder")
 	}
-	resumed := Run(q, m.fullWorld(), out.Remainder)
+	resumed := run(q, m.fullWorld(), out.Remainder)
 	if !resumed.Complete {
 		t.Fatal("resume must complete")
 	}
@@ -404,7 +411,7 @@ func TestEmptySeedCompletes(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
 	m := buildMock(r, 2, 2)
 	q := NewRange(geom.R(2, 2, 3, 3))
-	out := Run(q, m, nil)
+	out := run(q, m, nil)
 	if !out.Complete || len(out.Results) != 0 {
 		t.Error("empty seed must complete with no results")
 	}

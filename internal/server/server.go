@@ -293,7 +293,10 @@ type execState struct {
 // in the pool forever.
 const scratchMapLimit = 4096
 
-func resetScratchMap[K comparable](m map[K]bool) map[K]bool {
+// ResetScratchMap empties a pooled scratch set for reuse, or replaces it
+// with a fresh one when it is nil or grew past scratchMapLimit. The
+// cluster router's pooled route state uses it too.
+func ResetScratchMap[K comparable](m map[K]bool) map[K]bool {
 	if m == nil || len(m) > scratchMapLimit {
 		return make(map[K]bool)
 	}
@@ -312,13 +315,13 @@ func (s *Server) getExec(v *snapshot, partitioned, forQuery bool) *execState {
 	}
 	if forQuery {
 		st.prov.reset(v, partitioned)
-		st.seen = resetScratchMap(st.seen)
-		st.noPay = resetScratchMap(st.noPay)
+		st.seen = ResetScratchMap(st.seen)
+		st.noPay = ResetScratchMap(st.noPay)
 		st.seed = st.seed[:0]
 		st.nodesBuf = st.nodesBuf[:0]
 	}
-	st.seenN = resetScratchMap(st.seenN)
-	st.seenO = resetScratchMap(st.seenO)
+	st.seenN = ResetScratchMap(st.seenN)
+	st.seenO = ResetScratchMap(st.seenO)
 	return st
 }
 
