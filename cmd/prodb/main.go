@@ -193,13 +193,9 @@ func main() {
 			net1 = cs.NetServer(opts)
 		}
 		if *elastOn {
-			split := *splitAt
-			if split == 0 {
-				split = 2*int64(len(objects))/int64(*clusterN) + 1
-			}
 			_, stopRb, err := cs.StartRebalancer(elastic.Config{
-				SplitObjects: split,
-				MergeObjects: split / 4,
+				SplitObjects: *splitAt,
+				MergeObjects: *splitAt / 4,
 				Cooldown:     5 * time.Second,
 				Interval:     time.Second,
 				OnEvent: func(ev elastic.Event) {
@@ -211,7 +207,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Printf("elastic: rebalancer online (split at %d objects, merge below %d)\n", split, split/4)
+			fmt.Printf("elastic: rebalancer online (-split-objects %d)\n", *splitAt)
 			csClose := cs.Close
 			closeFn = func() { stopRb(); csClose() }
 		} else {

@@ -1,16 +1,16 @@
 // Command proload is the open-loop load generator: it drives a spatial
 // database endpoint — a live TCP cluster (one address per shard), a single
 // TCP server, or an in-process cluster it builds itself — at a target
-// arrival rate with millions of hash-derived simulated mobile users, and
-// reports SLO-style results (p50/p99/p999, achieved vs target QPS, error
+// arrival rate with millions of hash-derived simulated mobile users, every
+// operation a cold wire request, and reports SLO-style results (p50/p99/p999, achieved vs target QPS, error
 // and shed counts, byte accounting) per scenario, humanly and as JSON.
 //
 // Usage:
 //
-//	proload -inprocess 4 -scenario steady -qps 5000 -duration 5s
+//	proload -inprocess 4 -scenario baseline -qps 5000 -duration 5s
 //	proload -inprocess 4 -edge -scenario flash-crowd       # through an edge cache
 //	proload -inprocess 4 -elastic -scenario shard-skew     # rebalancer splits the hot shard
-//	proload -inprocess 4 -elastic-force -scenario steady   # force a mid-run split + merge
+//	proload -inprocess 4 -elastic-force -scenario baseline # force a mid-run split + merge
 //	proload -addr :7001,:7002,:7003,:7004 -scenario all -json out.json
 //	proload -check -json out.json -scenario flash-crowd    # exit 1 on SLO fail
 //	proload -inprocess 4 -scenario shard-crash-recovery -check  # chaos gate
@@ -53,11 +53,11 @@ func main() {
 		nethop       = flag.Bool("nethop", false, "serve the in-process cluster over loopback TCP and cross it per request: workers dial it directly, or under -edge the edge forwards over a pipelined upstream pool while cache hits skip the hop (requires -inprocess)")
 		objects      = flag.Int("objects", 20000, "in-process dataset cardinality")
 		seed         = flag.Int64("seed", 1, "deterministic operation-stream seed")
-		scenario     = flag.String("scenario", "steady", "scenario names, comma-separated, or all")
+		scenario     = flag.String("scenario", "baseline", "scenario names, comma-separated, or all")
 		qps          = flag.Float64("qps", 2000, "open-loop target arrival rate (all workers combined)")
 		duration     = flag.Duration("duration", 3*time.Second, "run length per scenario")
 		users        = flag.Int("users", 1_000_000, "simulated user population")
-		workers      = flag.Int("workers", 8, "pacing loops / connections")
+		workers      = flag.Int("workers", 8, "pacing loops / connections (at most 128, so every worker's insert ids stay its own)")
 		timeout      = flag.Duration("timeout", 2*time.Second, "latency above which a completed op also counts as a timeout")
 		elasticOn    = flag.Bool("elastic", false, "run a load-driven rebalancer over the in-process cluster during each scenario: hot shards split online, cold sibling pairs merge back (requires -inprocess)")
 		elasticForce = flag.Bool("elastic-force", false, "force one online shard split a third of the way into each run and the matching merge at two thirds; exit 1 if either did not complete (requires -inprocess)")
@@ -137,7 +137,7 @@ func main() {
 		}
 		var rbStop func()
 		if *elasticOn {
-			rbStop = startRebalancer(backend.cs, *splitObjects, *objects)
+			rbStop = startRebalancer(backend.cs, *splitObjects)
 		}
 		var forceDone chan struct{}
 		if *elasticForce {
@@ -391,18 +391,9 @@ func (b *backend) elasticStats() func() (int64, int64, int64) {
 }
 
 // startRebalancer runs the load-driven rebalancer over the in-process
-// cluster for one scenario. The split threshold defaults to twice the
-// initial per-shard object count, so only genuinely skewed growth triggers;
-// merge thresholds sit at a quarter of split (well inside the anti-flap
-// band). Returns the stop function.
-func startRebalancer(cs *repro.ClusterServer, splitObjects int64, objects int) func() {
-	if splitObjects <= 0 {
-		shards := len(cs.LiveShards())
-		if shards < 1 {
-			shards = 1
-		}
-		splitObjects = 2*int64(objects)/int64(shards) + 1
-	}
+// cluster for one scenario; splitObjects 0 leaves both thresholds to
+// StartRebalancer's build-time default. Returns the stop function.
+func startRebalancer(cs *repro.ClusterServer, splitObjects int64) func() {
 	_, stop, err := cs.StartRebalancer(elastic.Config{
 		SplitObjects: splitObjects,
 		MergeObjects: splitObjects / 4,

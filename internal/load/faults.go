@@ -99,7 +99,6 @@ func FaultMatrix() []Spec {
 			Name:        "shard-crash-recovery",
 			Description: "a shard crash-restarts from its WAL twice mid-run; retries ride it out with zero errors",
 			RangeFrac:   0.45, KNNFrac: 0.35, JoinFrac: 0.05, UpdateFrac: 0.15,
-			FullHitFrac: 0.20, PartialHitFrac: 0.40,
 			Poisson: true, Shape: ShapeUniform, UpdateBatch: 4,
 			Faults: []FaultEvent{
 				{AtFrac: 0.30, Kind: FaultCrashRestart, Shard: 1},
@@ -120,7 +119,6 @@ func FaultMatrix() []Spec {
 			Name:        "replica-failover",
 			Description: "a primary dies for good at 40%; the router promotes the warm replica with zero errors",
 			RangeFrac:   0.50, KNNFrac: 0.35, JoinFrac: 0.05, UpdateFrac: 0.10,
-			FullHitFrac: 0.20, PartialHitFrac: 0.40,
 			Poisson: true, Shape: ShapeUniform, UpdateBatch: 4,
 			Faults: []FaultEvent{
 				{AtFrac: 0.40, Kind: FaultKillShard, Shard: 1},

@@ -24,9 +24,10 @@ type Config struct {
 	Duration time.Duration
 	// Users is the simulated population size (hash-derived; memory-free).
 	Users int
-	// Workers is the number of pacing loops / connections; default 4. Each
-	// worker is one wire client (ClientID worker+1) so server-side per-
-	// client state stays bounded no matter how large Users is.
+	// Workers is the number of pacing loops / connections; default 4, at
+	// most maxWorkers. Each worker is one wire client (ClientID worker+1)
+	// so server-side per-client state stays bounded no matter how large
+	// Users is.
 	Workers int
 	// Seed makes the operation streams deterministic.
 	Seed int64
@@ -92,6 +93,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Workers < 1 {
 		c.Workers = 4
 	}
+	if c.Workers > maxWorkers {
+		return c, fmt.Errorf("load: %d workers would share insert ids (at most %d)", c.Workers, maxWorkers)
+	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
@@ -104,19 +108,13 @@ func (c Config) withDefaults() (Config, error) {
 // counters is the run-wide atomic counter set workers write into.
 type counters struct {
 	scheduled atomic.Int64
-	local     atomic.Int64
 	wireSent  atomic.Int64
 	wireOK    atomic.Int64
 	errors    atomic.Int64
 	timeouts  atomic.Int64
 	shed      atomic.Int64
-
-	fullHit    atomic.Int64
-	partialHit atomic.Int64
-	partialDeg atomic.Int64
-	miss       atomic.Int64
-	updates    atomic.Int64
-	updateRej  atomic.Int64
+	updates   atomic.Int64
+	updateRej atomic.Int64
 
 	bytesUp   atomic.Int64
 	bytesDown atomic.Int64
@@ -219,20 +217,14 @@ func Run(cfg Config) (*Result, error) {
 		Users:     cfg.Users,
 		Workers:   cfg.Workers,
 
-		Scheduled: cnt.scheduled.Load(),
-		Local:     cnt.local.Load(),
-		WireSent:  cnt.wireSent.Load(),
-		WireOK:    cnt.wireOK.Load(),
-		Errors:    cnt.errors.Load(),
-		Timeouts:  cnt.timeouts.Load(),
-		Shed:      cnt.shed.Load(),
-
-		FullHit:         cnt.fullHit.Load(),
-		PartialHit:      cnt.partialHit.Load(),
-		PartialDegraded: cnt.partialDeg.Load(),
-		Miss:            cnt.miss.Load(),
-		Updates:         cnt.updates.Load(),
-		UpdateRejects:   cnt.updateRej.Load(),
+		Scheduled:     cnt.scheduled.Load(),
+		WireSent:      cnt.wireSent.Load(),
+		WireOK:        cnt.wireOK.Load(),
+		Errors:        cnt.errors.Load(),
+		Timeouts:      cnt.timeouts.Load(),
+		Shed:          cnt.shed.Load(),
+		Updates:       cnt.updates.Load(),
+		UpdateRejects: cnt.updateRej.Load(),
 
 		BytesUp:   cnt.bytesUp.Load(),
 		BytesDown: cnt.bytesDown.Load(),
@@ -269,20 +261,20 @@ func Run(cfg Config) (*Result, error) {
 	// cfg.Duration, and how late the stragglers ran is exactly what the
 	// scheduled-time latency quantiles report. Dividing by drain time
 	// would double-count lateness as lost throughput.
-	res.AchievedQPS = float64(res.Local+res.WireOK) / dur
+	res.AchievedQPS = float64(res.WireOK) / dur
 	res.Violations = res.CheckSLO()
 	return res, nil
 }
 
-// trGen pairs a transport with a generation number so concurrent failures
-// of one poisoned connection trigger a single redial.
+// trGen is one generation of a worker's transport: its pointer is the
+// generation's identity, so concurrent failures of one poisoned connection
+// trigger a single redial.
 type trGen struct {
 	tr wire.Transport
-	n  int
 }
 
-// worker owns one pacing loop, one wire identity, and one harvested-state
-// grid shared by its slice of the user population.
+// worker owns one pacing loop and one wire identity shared by its slice of
+// the user population.
 type worker struct {
 	cfg   *Config
 	cnt   *counters
@@ -297,8 +289,7 @@ type worker struct {
 
 	epoch atomic.Uint64
 
-	mu    sync.Mutex // guards grid, urng, and the update bookkeeping below
-	grid  repGrid
+	mu    sync.Mutex // guards urng and the update bookkeeping below
 	urng  *rand.Rand // update-placement jitter (gen.rng belongs to the pacing loop)
 	owned []ownedObj
 	inext uint32
@@ -317,6 +308,16 @@ type ownedObj struct {
 // ownedTarget is the steady-state moving-object pool per worker: below it
 // update batches insert, at it they move.
 const ownedTarget = 256
+
+// Objects a worker inserts carry bit 31, the worker in the next
+// idWorkerBits bits and the worker's insert serial below, so they collide
+// with neither dataset ids nor another worker's inserts. maxWorkers is the
+// most workers that layout keeps apart.
+const (
+	idWorkerBits = 7
+	idSerialBits = 31 - idWorkerBits
+	maxWorkers   = 1 << idWorkerBits
+)
 
 // run is the open-loop pacing loop: pop the next scheduled arrival, sleep
 // until it is due (never sleeping past the next arrival keeps the loop
@@ -369,11 +370,6 @@ func (w *worker) bootstrap() {
 // dispatch runs the operation in its own goroutine under the outstanding
 // budget; arrivals that find the budget full are shed and counted.
 func (w *worker) dispatch(op Op, scheduled time.Time) {
-	if op.Kind == OpLocal {
-		w.cnt.local.Add(1)
-		w.cnt.fullHit.Add(1)
-		return
-	}
 	select {
 	case w.sem <- struct{}{}:
 	default:
@@ -393,35 +389,13 @@ func (w *worker) roundTrip(op Op, scheduled time.Time) {
 		Client: wire.ClientID(w.id + 1),
 		Epoch:  w.epoch.Load(),
 	}
-	var isQuery bool
-	switch op.Kind {
-	case OpUpdate:
+	if op.Kind == OpUpdate {
 		w.mu.Lock()
 		req.Updates = w.buildUpdates(op)
 		w.mu.Unlock()
 		w.cnt.updates.Add(1)
-		if len(req.Updates) == 0 {
-			return
-		}
-	default:
-		isQuery = true
+	} else {
 		req.Q = op.Q
-		switch op.Class {
-		case ClassPartial:
-			w.mu.Lock()
-			req.H = w.grid.gather(queryWindow(op), nil)
-			w.mu.Unlock()
-			if len(req.H) > 0 {
-				w.cnt.partialHit.Add(1)
-			} else {
-				// Nothing harvested overlaps: the partial hit degrades to
-				// a cold miss (counted so scenarios like cache-thrash show
-				// their harvest-defeat rate).
-				w.cnt.partialDeg.Add(1)
-			}
-		default:
-			w.cnt.miss.Add(1)
-		}
 	}
 
 	w.cnt.wireSent.Add(1)
@@ -447,16 +421,11 @@ func (w *worker) roundTrip(op Op, scheduled time.Time) {
 	w.cnt.bytesDown.Add(int64(w.sizer.ResponseBytes(resp)))
 	w.epochMax(resp.Epoch)
 
-	w.mu.Lock()
 	if op.Kind == OpUpdate {
+		w.mu.Lock()
 		w.settleUpdates(req.Updates, resp.UpdateResults)
-	} else if resp.FlushAll {
-		w.grid.clear()
+		w.mu.Unlock()
 	}
-	if isQuery && len(resp.Index) > 0 {
-		w.grid.harvest(resp)
-	}
-	w.mu.Unlock()
 	w.release(resp)
 }
 
@@ -468,9 +437,6 @@ func (w *worker) fail(g *trGen, err error) {
 	w.cnt.errors.Add(1)
 	if w.cfg.OnEvent != nil {
 		w.cfg.OnEvent(w.id, err)
-	}
-	if w.cfg.NewTransport == nil {
-		return
 	}
 	if _, closable := g.tr.(io.Closer); g.tr != nil && !closable {
 		return // in-process handler errors are application-level; keep it
@@ -510,7 +476,7 @@ func (w *worker) redial(g *trGen) bool {
 			c.Close()
 		}
 	}
-	w.tr.Store(&trGen{tr: tr, n: g.n + 1})
+	w.tr.Store(&trGen{tr: tr})
 	return true
 }
 
@@ -539,35 +505,19 @@ func (w *worker) epochMax(e uint64) {
 }
 
 // buildUpdates assembles one batched update request: inserts while the
-// worker's moving-object pool is below target, moves of pooled objects
-// after. Objects are removed from the pool while their update is in flight
-// (single outstanding mutation per object) and returned by settleUpdates,
-// so pipelined batches never race on one object's rectangle. Caller holds
-// w.mu.
+// worker's moving-object pool is below target (for the whole run under
+// GrowUpdates), moves of pooled objects after. Objects are removed from
+// the pool while their update is in flight (single outstanding mutation
+// per object) and returned by settleUpdates, so pipelined batches never
+// race on one object's rectangle. Caller holds w.mu.
 func (w *worker) buildUpdates(op Op) []wire.UpdateOp {
-	n := op.UpdateN
-	if n < 1 {
-		n = 1
-	}
+	n := max(op.UpdateN, 1)
 	ops := make([]wire.UpdateOp, 0, n)
 	for i := 0; i < n; i++ {
 		to := quantRect(geom.RectFromCenter(
 			jitter(op.Center, 0.02, w.urng), 0.002, 0.002))
-		if w.cfg.Spec.GrowUpdates {
-			// Growth workload: every mutation is a fresh insert, in its own
-			// wider id namespace (24-bit serial) so long runs never wrap into
-			// the steady-state pool's ids.
-			id := rtree.ObjectID(1<<31 | uint32(w.id&0x7f)<<24 | w.inext&0xffffff)
-			w.inext++
-			ops = append(ops, wire.UpdateOp{
-				Kind: wire.UpdateInsert, Obj: id, To: to, Size: 128,
-			})
-			continue
-		}
-		if len(w.owned) < ownedTarget || len(w.owned) == 0 {
-			// Worker-unique id namespace: high bit set, worker in the
-			// middle, serial low — never collides with dataset ids.
-			id := rtree.ObjectID(1<<30 | uint32(w.id)<<16 | w.inext&0xffff)
+		if w.cfg.Spec.GrowUpdates || len(w.owned) < ownedTarget {
+			id := rtree.ObjectID(1<<31 | uint32(w.id)<<idSerialBits | w.inext&(1<<idSerialBits-1))
 			w.inext++
 			ops = append(ops, wire.UpdateOp{
 				Kind: wire.UpdateInsert, Obj: id, To: to, Size: 128,
@@ -591,25 +541,12 @@ func (w *worker) buildUpdates(op Op) []wire.UpdateOp {
 // w.mu.
 func (w *worker) settleUpdates(ops []wire.UpdateOp, results []bool) {
 	for i, o := range ops {
-		applied := i < len(results) && results[i]
-		switch o.Kind {
-		case wire.UpdateInsert, wire.UpdateMove:
-			if applied {
-				w.owned = append(w.owned, ownedObj{id: o.Obj, rect: o.To})
-			} else {
-				w.cnt.updateRej.Add(1)
-			}
+		if i < len(results) && results[i] {
+			w.owned = append(w.owned, ownedObj{id: o.Obj, rect: o.To})
+		} else {
+			w.cnt.updateRej.Add(1)
 		}
 	}
-}
-
-// queryWindow is the spatial region a partial hit gathers cached state
-// for: the range/join window, or a neighborhood around a kNN center.
-func queryWindow(op Op) geom.Rect {
-	if op.Kind == OpKNN {
-		return geom.RectFromCenter(op.Center, 0.05, 0.05)
-	}
-	return op.Q.Window
 }
 
 // quantRect rounds a rectangle to float32 wire precision so the rectangle

@@ -2,7 +2,9 @@ package load
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,16 +28,23 @@ func testCluster(t *testing.T, shards, objects int) *cluster.InProcess {
 	return cl
 }
 
-// TestLoadHarnessSmoke is the ISSUE's satellite check: a short open-loop
-// run against an in-process 2-shard cluster (run under -race in CI),
-// asserting the schedule was sustained within tolerance and that not a
-// single protocol error occurred.
+// TestLoadHarnessSmoke is a short open-loop run against an in-process
+// 2-shard cluster (run under -race in CI), asserting the schedule was
+// sustained within tolerance, every arrival went to the wire cold (no
+// handed-over queue), and not a single protocol error occurred.
 func TestLoadHarnessSmoke(t *testing.T) {
 	cl := testCluster(t, 2, 4000)
-	sp, err := Lookup("steady")
+	sp, err := Lookup("baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var warm atomic.Int64
+	cold := wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
+		if len(req.H) > 0 {
+			warm.Add(1)
+		}
+		return cl.Router.RoundTrip(req)
+	})
 	const target = 500.0
 	res, err := Run(Config{
 		Spec:         sp,
@@ -44,7 +53,7 @@ func TestLoadHarnessSmoke(t *testing.T) {
 		Users:        100_000,
 		Workers:      4,
 		Seed:         42,
-		NewTransport: func(int) (wire.Transport, error) { return cl.Router, nil },
+		NewTransport: func(int) (wire.Transport, error) { return cold, nil },
 		Release:      cl.Router.ReleaseResponse,
 	})
 	if err != nil {
@@ -62,19 +71,15 @@ func TestLoadHarnessSmoke(t *testing.T) {
 		t.Fatalf("achieved %.0f qps, %.2f of the %.0f target (want 0.70..1.40)",
 			res.AchievedQPS, frac, target)
 	}
-	if res.Local == 0 || res.WireOK == 0 {
-		t.Fatalf("degenerate mix: local=%d wireOK=%d", res.Local, res.WireOK)
+	if res.WireSent != res.Scheduled || res.WireOK != res.WireSent {
+		t.Fatalf("scheduled=%d wire=%d ok=%d: every arrival must be answered on the wire",
+			res.Scheduled, res.WireSent, res.WireOK)
 	}
-	if res.PartialHit == 0 {
-		t.Error("no partial hits: rep harvesting is not feeding handovers")
+	if n := warm.Load(); n != 0 {
+		t.Fatalf("%d requests handed over a queue; every operation must be cold", n)
 	}
-	// Degrades must stay the minority: most partial-class queries find
-	// overlapping harvested refs once the grid warms up. The footprint-based
-	// ref filing keeps this around a quarter; before it, over half of all
-	// partial hits degraded (the center-cell filing bug).
-	if res.PartialDegraded >= res.PartialHit {
-		t.Errorf("partial degrades (%d) outnumber partial hits (%d): the ref grid is not feeding handovers",
-			res.PartialDegraded, res.PartialHit)
+	if res.Updates == 0 || res.UpdateRejects != 0 {
+		t.Errorf("update feed: %d batches, %d rejects", res.Updates, res.UpdateRejects)
 	}
 	if res.BytesUp == 0 || res.BytesDown == 0 {
 		t.Errorf("byte accounting missing: up=%d down=%d", res.BytesUp, res.BytesDown)
@@ -99,7 +104,7 @@ func TestLoadHarnessTCP(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	sp, _ := Lookup("partial-hit")
+	sp, _ := Lookup("baseline")
 	res, err := Run(Config{
 		Spec:      sp,
 		TargetQPS: 300,
@@ -127,13 +132,12 @@ func TestLoadHarnessTCP(t *testing.T) {
 }
 
 // TestLoadUpdatesApplied checks the moving-object feed: an update-heavy
-// run applies its mutations (the server acks them) without rejects, and
-// they survive the exact-rectangle echo contract.
+// run fills each worker's pool and moves it, the server acks every
+// mutation, and the moves survive the exact-rectangle echo contract.
 func TestLoadUpdatesApplied(t *testing.T) {
 	cl := testCluster(t, 2, 2000)
-	sp, _ := Lookup("update-storm")
 	res, err := Run(Config{
-		Spec:         sp,
+		Spec:         Spec{Name: "moves", RangeFrac: 0.5, UpdateFrac: 0.5, UpdateBatch: 16, Poisson: true},
 		TargetQPS:    300,
 		Duration:     time.Second,
 		Users:        10_000,
@@ -149,7 +153,7 @@ func TestLoadUpdatesApplied(t *testing.T) {
 		t.Fatalf("%d errors", res.Errors)
 	}
 	if res.Updates == 0 {
-		t.Fatal("update storm sent no updates")
+		t.Fatal("no updates sent")
 	}
 	if res.UpdateRejects != 0 {
 		t.Fatalf("%d update rejects: rectangle echo does not match stored entries", res.UpdateRejects)
@@ -161,7 +165,7 @@ func TestLoadUpdatesApplied(t *testing.T) {
 // fail as counted events, and Run returns normally — it never aborts.
 func TestLoadSurvivesConnectFailure(t *testing.T) {
 	var events atomic.Int64
-	sp, _ := Lookup("cold-miss")
+	sp, _ := Lookup("baseline")
 	res, err := Run(Config{
 		Spec:      sp,
 		TargetQPS: 200,
@@ -223,7 +227,7 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 		time.Sleep(250 * time.Millisecond)
 		kill.Store(true)
 	}()
-	sp, _ := Lookup("cold-miss")
+	sp, _ := Lookup("baseline")
 	res, err := Run(Config{
 		Spec:         sp,
 		TargetQPS:    400,
@@ -243,5 +247,52 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 	}
 	if res.Errors == 0 {
 		t.Fatal("mid-run failures were not counted")
+	}
+}
+
+// TestWorkerInsertIDsDisjoint pins the insert id layout: no two workers
+// ever insert the same object id. A worker count the layout cannot keep
+// apart is a setup error; every accepted count keeps every worker's ids
+// its own.
+func TestWorkerInsertIDsDisjoint(t *testing.T) {
+	sp, err := Lookup("shard-skew")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{maxWorkers, maxWorkers + 1, 1 << 16} {
+		var mu sync.Mutex
+		owner := map[uint32]wire.ClientID{}
+		clash := ""
+		tr := wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
+			resp := &wire.Response{}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, u := range req.Updates {
+				if c, ok := owner[uint32(u.Obj)]; ok && c != req.Client && clash == "" {
+					clash = fmt.Sprintf("clients %d and %d both inserted object %#x", c, req.Client, u.Obj)
+				}
+				owner[uint32(u.Obj)] = req.Client
+				resp.UpdateResults = append(resp.UpdateResults, true)
+			}
+			return resp, nil
+		})
+		_, err := Run(Config{
+			Spec:         sp,
+			TargetQPS:    float64(workers) * 40,
+			Duration:     200 * time.Millisecond,
+			Users:        1000,
+			Workers:      workers,
+			Seed:         5,
+			NewTransport: func(int) (wire.Transport, error) { return tr, nil },
+		})
+		if err != nil {
+			continue // rejected up front: fine
+		}
+		if clash != "" {
+			t.Fatalf("%d workers: %s", workers, clash)
+		}
+		if len(owner) == 0 {
+			t.Fatalf("%d workers inserted nothing", workers)
+		}
 	}
 }

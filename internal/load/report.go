@@ -12,26 +12,20 @@ import (
 type Result struct {
 	Scenario    string
 	TargetQPS   float64
-	AchievedQPS float64 // (Local + WireOK) / Duration
+	AchievedQPS float64 // WireOK over the offered window
 	Duration    time.Duration
 	Users       int
 	Workers     int
 
-	Scheduled int64 // arrivals generated on schedule
-	Local     int64 // full hits answered without wire traffic
-	WireSent  int64 // wire requests issued
-	WireOK    int64 // wire requests answered without error
-	Errors    int64 // wire requests that failed
-	Timeouts  int64 // answered, but past Config.Timeout (subset of WireOK)
-	Shed      int64 // arrivals dropped at the outstanding budget
-
-	FullHit         int64
-	PartialHit      int64
-	PartialDegraded int64 // partial hits with nothing harvested to hand over
-	Miss            int64
-	Updates         int64 // update batches (not individual mutations)
-	UpdateRejects   int64 // individual mutations the server rejected
-	ShardErrors     int64 // per-shard sub-query failures (cluster only)
+	Scheduled     int64 // arrivals generated on schedule
+	WireSent      int64 // wire requests issued
+	WireOK        int64 // wire requests answered without error
+	Errors        int64 // wire requests that failed
+	Timeouts      int64 // answered, but past Config.Timeout (subset of WireOK)
+	Shed          int64 // arrivals dropped at the outstanding budget
+	Updates       int64 // update batches (not individual mutations)
+	UpdateRejects int64 // individual mutations the server rejected
+	ShardErrors   int64 // per-shard sub-query failures (cluster only)
 
 	Retries   int64 // shard round trips the router retried (cluster only)
 	Failovers int64 // replica promotions (cluster only)
@@ -105,21 +99,15 @@ type ScenarioReport struct {
 	Users       int     `json:"users"`
 	Workers     int     `json:"workers"`
 
-	Scheduled int64 `json:"scheduled"`
-	Local     int64 `json:"local"`
-	WireSent  int64 `json:"wire_sent"`
-	WireOK    int64 `json:"wire_ok"`
-	Errors    int64 `json:"errors"`
-	Timeouts  int64 `json:"timeouts"`
-	Shed      int64 `json:"shed"`
-
-	FullHit         int64 `json:"full_hit"`
-	PartialHit      int64 `json:"partial_hit"`
-	PartialDegraded int64 `json:"partial_degraded"`
-	Miss            int64 `json:"miss"`
-	Updates         int64 `json:"updates"`
-	UpdateRejects   int64 `json:"update_rejects"`
-	ShardErrors     int64 `json:"shard_errors"`
+	Scheduled     int64 `json:"scheduled"`
+	WireSent      int64 `json:"wire_sent"`
+	WireOK        int64 `json:"wire_ok"`
+	Errors        int64 `json:"errors"`
+	Timeouts      int64 `json:"timeouts"`
+	Shed          int64 `json:"shed"`
+	Updates       int64 `json:"updates"`
+	UpdateRejects int64 `json:"update_rejects"`
+	ShardErrors   int64 `json:"shard_errors"`
 
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
@@ -162,21 +150,15 @@ func (r *Result) Report() ScenarioReport {
 		Users:       r.Users,
 		Workers:     r.Workers,
 
-		Scheduled: r.Scheduled,
-		Local:     r.Local,
-		WireSent:  r.WireSent,
-		WireOK:    r.WireOK,
-		Errors:    r.Errors,
-		Timeouts:  r.Timeouts,
-		Shed:      r.Shed,
-
-		FullHit:         r.FullHit,
-		PartialHit:      r.PartialHit,
-		PartialDegraded: r.PartialDegraded,
-		Miss:            r.Miss,
-		Updates:         r.Updates,
-		UpdateRejects:   r.UpdateRejects,
-		ShardErrors:     r.ShardErrors,
+		Scheduled:     r.Scheduled,
+		WireSent:      r.WireSent,
+		WireOK:        r.WireOK,
+		Errors:        r.Errors,
+		Timeouts:      r.Timeouts,
+		Shed:          r.Shed,
+		Updates:       r.Updates,
+		UpdateRejects: r.UpdateRejects,
+		ShardErrors:   r.ShardErrors,
 
 		Retries:   r.Retries,
 		Failovers: r.Failovers,
@@ -274,10 +256,8 @@ func (r *Result) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "  target %.0f qps  achieved %.0f qps (%.1f%%)  %v  users=%d workers=%d\n",
 		r.TargetQPS, r.AchievedQPS, 100*r.AchievedQPS/r.TargetQPS,
 		r.Duration.Round(time.Millisecond), r.Users, r.Workers)
-	fmt.Fprintf(w, "  ops: scheduled=%d local=%d wire=%d ok=%d errors=%d timeouts=%d shed=%d shard_errors=%d\n",
-		r.Scheduled, r.Local, r.WireSent, r.WireOK, r.Errors, r.Timeouts, r.Shed, r.ShardErrors)
-	fmt.Fprintf(w, "  mix: full=%d partial=%d degraded=%d miss=%d updates=%d rejects=%d\n",
-		r.FullHit, r.PartialHit, r.PartialDegraded, r.Miss, r.Updates, r.UpdateRejects)
+	fmt.Fprintf(w, "  ops: scheduled=%d wire=%d ok=%d errors=%d timeouts=%d shed=%d shard_errors=%d updates=%d rejects=%d\n",
+		r.Scheduled, r.WireSent, r.WireOK, r.Errors, r.Timeouts, r.Shed, r.ShardErrors, r.Updates, r.UpdateRejects)
 	if r.Retries > 0 || r.Failovers > 0 || r.Redials > 0 {
 		fmt.Fprintf(w, "  failover: retries=%d promotions=%d redials=%d\n",
 			r.Retries, r.Failovers, r.Redials)
@@ -293,18 +273,11 @@ func (r *Result) Fprint(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  edge: hits=%d misses=%d (%.1f%%) forwarded=%d upstream_cut=%.1f%%\n",
 			r.EdgeHits, r.EdgeMisses, 100*rate,
-			r.EdgeForwards, 100*(1-float64(r.EdgeForwards)/float64(max64(r.WireSent, 1))))
+			r.EdgeForwards, 100*(1-float64(r.EdgeForwards)/float64(max(r.WireSent, 1))))
 	}
 	fmt.Fprintf(w, "  latency: mean=%v p50=%v p99=%v p999=%v  bytes: up=%d down=%d\n",
 		r.Mean.Round(time.Microsecond), r.P50, r.P99, r.P999, r.BytesUp, r.BytesDown)
 	for _, v := range r.Violations {
 		fmt.Fprintf(w, "  SLO violation: %s\n", v)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,14 +10,13 @@ import (
 
 func sampleResult() *Result {
 	r := &Result{
-		Scenario:    "steady",
+		Scenario:    "baseline",
 		TargetQPS:   1000,
 		AchievedQPS: 990,
 		Duration:    2 * time.Second,
 		Users:       100_000,
 		Workers:     4,
-		Scheduled:   2000, Local: 500, WireSent: 1500, WireOK: 1500,
-		FullHit: 500, PartialHit: 600, Miss: 300, Updates: 100,
+		Scheduled:   1500, WireSent: 1500, WireOK: 1500, Updates: 100,
 		Retries: 3, Failovers: 1, Redials: 2,
 		BytesUp: 50_000, BytesDown: 4_000_000,
 		Mean: time.Millisecond, P50: time.Millisecond,
@@ -43,7 +42,7 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := fr.Scenarios[0]
-	if sc.Scenario != "steady" || sc.WireOK != 1500 || sc.P999US != 8000 || !sc.SLOPass {
+	if sc.Scenario != "baseline" || sc.WireOK != 1500 || sc.P999US != 8000 || !sc.SLOPass {
 		t.Fatalf("round trip mangled values: %+v", sc)
 	}
 	if sc.Retries != 3 || sc.Failovers != 1 || sc.Redials != 2 {
@@ -78,8 +77,8 @@ func TestValidateReportRejects(t *testing.T) {
 			return bytes.Replace(b, []byte(`"redials": 2`), []byte(`"redials": -2`), 1)
 		}, "negative"},
 		{"negative mix counter", func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"miss": 300`), []byte(`"miss": -300`), 1)
-		}, "miss is negative"},
+			return bytes.Replace(b, []byte(`"updates": 100`), []byte(`"updates": -100`), 1)
+		}, "updates is negative"},
 		{"negative rate", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"target_qps": 1000`), []byte(`"target_qps": -1`), 1)
 		}, "target_qps is negative"},
@@ -90,7 +89,7 @@ func TestValidateReportRejects(t *testing.T) {
 			return bytes.Replace(b, []byte(`"p999_us": 8000`), []byte(`"p999_us": 1`), 1)
 		}, "out of order"},
 		{"empty name", func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"scenario": "steady"`), []byte(`"scenario": ""`), 1)
+			return bytes.Replace(b, []byte(`"scenario": "baseline"`), []byte(`"scenario": ""`), 1)
 		}, "empty name"},
 	}
 	for _, tc := range cases {

@@ -6,10 +6,11 @@
 // reporting SLO-style latency quantiles, achieved-vs-target throughput,
 // error counts, and byte accounting (docs/LOAD.md).
 //
-// The scenario matrix names the workload shapes the system must survive:
-// controllable full-hit/partial-hit/miss ratios, commute waves, flash
-// crowds, region churn, update and invalidation storms, hotness shifts,
-// and adversarial cache-thrash. Every scenario is a deterministic
+// Every operation is a cold wire request: cached clients are measured by
+// the benchmark's mobile-tour workload with real core.Clients. The
+// scenario matrix keeps what only an open loop shows: queueing and SLO
+// envelopes at a fixed offered rate, flash crowds and edge hotspots, and
+// skewed growth under online splits. Every scenario is a deterministic
 // generator: the same seed produces the same operation stream, so CI can
 // gate on scenario-level regressions the way it gates on microbenchmarks.
 package load
@@ -29,44 +30,22 @@ import (
 type OpKind uint8
 
 const (
-	// OpLocal is a full cache hit: the user answers from its own cache and
-	// the server never hears about it. The harness counts it toward the
-	// arrival rate but sends nothing.
-	OpLocal OpKind = iota
-	// OpRange, OpKNN, OpJoin are remainder queries of the respective kind.
-	OpRange
+	// OpRange, OpKNN, OpJoin are cold queries of the respective kind: an
+	// empty handover, so the server seeds from its root.
+	OpRange OpKind = iota
 	OpKNN
 	OpJoin
 	// OpUpdate is a batched index-update request (moving-object feed).
 	OpUpdate
 )
 
-// Class is the cached-state class sampled for a query operation.
-type Class uint8
-
-const (
-	// ClassLocal is a full hit (no wire traffic).
-	ClassLocal Class = iota
-	// ClassPartial is a partial hit: the request hands over a mid-tree
-	// priority queue built from index fragments harvested off earlier
-	// responses, so the server resumes instead of starting from the root.
-	ClassPartial
-	// ClassMiss is a cold miss: an empty handover, the server seeds from
-	// its root and ships the full remainder plus supporting index.
-	ClassMiss
-	// ClassUpdate marks update operations.
-	ClassUpdate
-)
-
 // Op is one generated user operation.
 type Op struct {
 	Kind   OpKind
-	Class  Class
 	User   uint64
 	Q      query.Query
 	Center geom.Point
-	// UpdateN is how many mutations an OpUpdate batches into one request
-	// (update storms ship large batches).
+	// UpdateN is how many mutations an OpUpdate batches into one request.
 	UpdateN int
 }
 
@@ -79,21 +58,12 @@ const (
 	// moves under the DIR mobility model so consecutive queries from the
 	// same user exhibit the paper's spatial locality.
 	ShapeUniform Shape = iota
-	// ShapeCommute oscillates the whole population between per-user home
-	// and work points with period Spec.Period (the morning/evening wave).
-	ShapeCommute
 	// ShapeFlashCrowd ramps a single hotspot from nothing to Spec.HotFrac
-	// of all traffic over the run (a stadium filling up).
+	// of all traffic over the first third of the run (a stadium filling up).
 	ShapeFlashCrowd
-	// ShapeChurn rotates the hotspot among Spec.Regions seeded regions
-	// every Spec.Period seconds. Regions == 1 is a static hotspot.
-	ShapeChurn
-	// ShapeHotShift serves Spec.HotFrac of traffic from one region for the
-	// first half of the run, then abruptly switches to another.
-	ShapeHotShift
-	// ShapeThrash walks query centers across disjoint cold cells in a
-	// pattern designed to defeat any admission or locality heuristic.
-	ShapeThrash
+	// ShapeHotspot draws Spec.HotFrac of all traffic into one static
+	// hotspot for the whole run.
+	ShapeHotspot
 )
 
 // SLO is the per-scenario service-level envelope the run is judged against.
@@ -112,8 +82,8 @@ type SLO struct {
 	MaxP999 time.Duration
 }
 
-// Spec is one scenario of the matrix: an operation mix, a cached-state
-// distribution, an arrival process, and population dynamics.
+// Spec is one scenario of the matrix: an operation mix, an arrival
+// process, and population dynamics.
 type Spec struct {
 	Name        string
 	Description string
@@ -124,13 +94,6 @@ type Spec struct {
 	JoinFrac   float64
 	UpdateFrac float64
 
-	// Cached-state distribution over the user population: a user whose
-	// identity hashes below FullHitFrac answers locally, the next
-	// PartialHitFrac hand over mid-tree state, the rest miss cold. Joins
-	// always miss (remainder handover for pairs is not modeled).
-	FullHitFrac    float64
-	PartialHitFrac float64
-
 	// Poisson selects exponential inter-arrival gaps (independent users);
 	// false means a fixed-rate schedule.
 	Poisson bool
@@ -139,8 +102,6 @@ type Spec struct {
 	Shape     Shape
 	HotFrac   float64 // fraction of traffic drawn into the hotspot
 	HotRadius float64 // hotspot radius
-	Regions   int     // ShapeChurn: number of rotating regions
-	Period    float64 // seconds per commute/churn cycle
 
 	// Query geometry.
 	WindowSide float64 // range window side (also the kNN/join neighborhood)
@@ -163,10 +124,10 @@ type Spec struct {
 	// per-user windows. Identical hot queries are what a shared cache tier
 	// in front of the cluster can absorb.
 	TileQuant int
-	// CrowdCold forces hotspot operations to query cold (ClassMiss, no local
-	// answer, no handover): a flash crowd is new arrivals whose caches hold
-	// nothing about the place they just converged on.
-	CrowdCold bool
+	// AmbientUpdates places updates drawn into the hotspot at the user's
+	// home instead: the update feed is the moving-object fleet, and crowd
+	// members converge to watch, not to move objects.
+	AmbientUpdates bool
 
 	// Faults is the chaos schedule: shard kills and restarts fired at fixed
 	// fractions of the run (fault scenarios only; needs Config.Injector).
@@ -186,16 +147,6 @@ func (s Spec) normalized() Spec {
 	s.KNNFrac /= sum
 	s.JoinFrac /= sum
 	s.UpdateFrac /= sum
-	if s.FullHitFrac < 0 {
-		s.FullHitFrac = 0
-	}
-	if s.PartialHitFrac < 0 {
-		s.PartialHitFrac = 0
-	}
-	if hs := s.FullHitFrac + s.PartialHitFrac; hs > 1 {
-		s.FullHitFrac /= hs
-		s.PartialHitFrac /= hs
-	}
 	if s.WindowSide <= 0 {
 		s.WindowSide = 0.02
 	}
@@ -210,12 +161,6 @@ func (s Spec) normalized() Spec {
 	}
 	if s.HotFrac <= 0 {
 		s.HotFrac = 0.8
-	}
-	if s.Regions <= 0 {
-		s.Regions = 8
-	}
-	if s.Period <= 0 {
-		s.Period = 10
 	}
 	if s.UpdateBatch <= 0 {
 		s.UpdateBatch = 1
@@ -246,101 +191,26 @@ var defaultSLO = SLO{
 func Matrix() []Spec {
 	specs := []Spec{
 		{
-			Name:        "steady",
-			Description: "mixed realistic traffic, mobility-model locality, Poisson arrivals",
+			Name:        "baseline",
+			Description: "mixed traffic, mobility-model locality, Poisson arrivals: the tracked cold row the others are read against",
 			RangeFrac:   0.45, KNNFrac: 0.40, JoinFrac: 0.05, UpdateFrac: 0.10,
-			FullHitFrac: 0.30, PartialHitFrac: 0.45,
 			Poisson: true, Shape: ShapeUniform,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "full-hit",
-			Description: "warm fleet: 90% of users answer locally, server sees a trickle",
-			RangeFrac:   0.5, KNNFrac: 0.5,
-			FullHitFrac: 0.90, PartialHitFrac: 0.10,
-			Poisson: true, Shape: ShapeUniform,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "partial-hit",
-			Description: "remainder-dominated: most queries hand over mid-tree state",
-			RangeFrac:   0.55, KNNFrac: 0.45,
-			FullHitFrac: 0.10, PartialHitFrac: 0.70,
-			Poisson: true, Shape: ShapeUniform,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "cold-miss",
-			Description: "every query starts from the root: maximal result and index shipping",
-			RangeFrac:   0.55, KNNFrac: 0.45,
-			Poisson: true, Shape: ShapeUniform,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "commute-wave",
-			Description: "population oscillates between home and work clusters each period",
-			RangeFrac:   0.45, KNNFrac: 0.45, UpdateFrac: 0.10,
-			FullHitFrac: 0.25, PartialHitFrac: 0.45,
-			Poisson: true, Shape: ShapeCommute, Period: 8,
 			SLO: defaultSLO,
 		},
 		{
 			Name:        "flash-crowd",
-			Description: "a hotspot ramps to 85% of traffic in the first third of the run and holds; crowd members arrive cold and query canonical map tiles while the ambient update feed ships batched",
+			Description: "a hotspot ramps to 85% of traffic in the first third of the run and holds; crowd members query canonical map tiles while the ambient update feed ships batched",
 			RangeFrac:   0.50, KNNFrac: 0.45, UpdateFrac: 0.01,
-			FullHitFrac: 0.20, PartialHitFrac: 0.40,
 			Poisson: true, Shape: ShapeFlashCrowd, HotFrac: 0.85, HotRadius: 0.03,
-			TileQuant: 32, CrowdCold: true, UpdateBatch: 4,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "region-churn",
-			Description: "the hotspot jumps among regions every period: caches never settle",
-			RangeFrac:   0.50, KNNFrac: 0.40, UpdateFrac: 0.10,
-			FullHitFrac: 0.15, PartialHitFrac: 0.40,
-			Poisson: true, Shape: ShapeChurn, Regions: 16, Period: 2, HotFrac: 0.6,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "update-storm",
-			Description: "half the arrivals are batched moving-object updates",
-			RangeFrac:   0.30, KNNFrac: 0.20, UpdateFrac: 0.50,
-			FullHitFrac: 0.10, PartialHitFrac: 0.30,
-			Poisson: true, Shape: ShapeUniform, UpdateBatch: 16,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "invalidation-storm",
-			Description: "updates and partial-hit queries share one static hotspot: handed-over state goes stale as fast as it is harvested",
-			RangeFrac:   0.40, KNNFrac: 0.30, UpdateFrac: 0.30,
-			FullHitFrac: 0.05, PartialHitFrac: 0.65,
-			Poisson: true, Shape: ShapeChurn, Regions: 1, HotFrac: 0.9, HotRadius: 0.05,
-			UpdateBatch: 8,
-			SLO:         defaultSLO,
-		},
-		{
-			Name:        "hotness-shift",
-			Description: "the hot region switches abruptly at half-time",
-			RangeFrac:   0.50, KNNFrac: 0.40, UpdateFrac: 0.10,
-			FullHitFrac: 0.20, PartialHitFrac: 0.45,
-			Poisson: true, Shape: ShapeHotShift, HotFrac: 0.8, HotRadius: 0.05,
+			TileQuant: 32, AmbientUpdates: true, UpdateBatch: 4,
 			SLO: defaultSLO,
 		},
 		{
 			Name:        "edge-hotspot",
 			Description: "a static crowd pinned inside one partition cell queries canonical tiles: the showcase for an edge cache absorbing a hotspot",
 			RangeFrac:   0.57, KNNFrac: 0.42, UpdateFrac: 0.01,
-			FullHitFrac: 0.15, PartialHitFrac: 0.35,
-			Poisson: true, Shape: ShapeChurn, Regions: 1, HotFrac: 0.92, HotRadius: 0.02,
-			TileQuant: 32, CrowdCold: true, UpdateBatch: 4,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "cache-thrash",
-			Description: "adversarial: every query lands on a freshly cold cell, updates chase the scan front",
-			RangeFrac:   0.50, KNNFrac: 0.35, UpdateFrac: 0.15,
-			PartialHitFrac: 0.80, // requested, but the scan defeats harvesting
-			Poisson:        true, Shape: ShapeThrash, UpdateBatch: 4,
+			Poisson: true, Shape: ShapeHotspot, HotFrac: 0.92, HotRadius: 0.02,
+			TileQuant: 32, AmbientUpdates: true, UpdateBatch: 4,
 			SLO: defaultSLO,
 		},
 		// shard-skew runs last: it deliberately saturates a shard's writer,
@@ -351,17 +221,15 @@ func Matrix() []Spec {
 			Name:        "shard-skew",
 			Description: "growth concentrated in one KD cell: insert-heavy updates pile into a static hotspot until one shard's single-writer apply loop becomes the queue — the workload the elastic rebalancer absorbs by splitting the hot shard",
 			RangeFrac:   0.20, KNNFrac: 0.20, UpdateFrac: 0.60,
-			FullHitFrac: 0.10, PartialHitFrac: 0.30,
-			Poisson: true, Shape: ShapeChurn, Regions: 1, HotFrac: 0.90, HotRadius: 0.03,
+			Poisson: true, Shape: ShapeHotspot, HotFrac: 0.90, HotRadius: 0.03,
 			WindowSide:  0.008,
 			UpdateBatch: 8, GrowUpdates: true,
-			// Past the hot writer's knee a static cluster can no longer hold
-			// the offered rate — its single apply loop backlogs and achieved
-			// throughput sags below 85% — while the rebalancer splits the hot
-			// shard onto extra writers and keeps pace. MinAchievedFrac is the
-			// envelope's differentiator; the latency bounds only fence off
-			// collapse, and the sharp gate is the A/B in scripts/bench.sh:
-			// elastic p99 must beat static-N in the BENCH snapshot.
+			// Past the hot writer's knee a static cluster backlogs — on a
+			// slow enough host its achieved throughput sags below 85% —
+			// while the rebalancer splits the hot shard onto extra writers
+			// and keeps pace. The latency bounds only fence off collapse;
+			// the sharp gate is the A/B in scripts/bench.sh: elastic p99
+			// must beat static-N in the BENCH snapshot.
 			SLO: SLO{
 				MinAchievedFrac: 0.85,
 				MaxErrorFrac:    0,
@@ -380,12 +248,7 @@ func Matrix() []Spec {
 // Lookup finds a scenario by name, searching the regular matrix and the
 // chaos matrix.
 func Lookup(name string) (Spec, error) {
-	for _, s := range Matrix() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	for _, s := range FaultMatrix() {
+	for _, s := range append(Matrix(), FaultMatrix()...) {
 		if s.Name == name {
 			return s, nil
 		}
@@ -413,7 +276,7 @@ type Gen struct {
 }
 
 // NewGen builds a generator. users is the simulated population size; dur is
-// the run length in seconds (flash crowds and hotness shifts scale to it).
+// the run length in seconds (flash crowds scale to it).
 func NewGen(spec Spec, seed int64, users int, dur float64) *Gen {
 	spec = spec.normalized()
 	if users < 1 {
@@ -430,10 +293,7 @@ func NewGen(spec Spec, seed int64, users int, dur float64) *Gen {
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 	if spec.Shape == ShapeUniform {
-		n := cohortSize
-		if users < n {
-			n = users
-		}
+		n := min(cohortSize, users)
 		g.walkers = make([]mobility.Model, n)
 		g.walkerAt = make([]float64, n)
 		mcfg := mobility.Config{Speed: 0.01, PauseMean: 1}
@@ -443,9 +303,6 @@ func NewGen(spec Spec, seed int64, users int, dur float64) *Gen {
 	}
 	return g
 }
-
-// Spec returns the generator's normalized scenario.
-func (g *Gen) Spec() Spec { return g.spec }
 
 // Next generates the operation scheduled at t seconds into the run.
 func (g *Gen) Next(t float64) Op {
@@ -460,23 +317,14 @@ func (g *Gen) Next(t float64) Op {
 	switch {
 	case x < g.spec.UpdateFrac:
 		op.Kind = OpUpdate
-		op.Class = ClassUpdate
 		op.UpdateN = g.spec.UpdateBatch
-		if hot && g.spec.CrowdCold {
-			// The update stream is the ambient moving-object fleet; crowd
-			// members converge to watch, not to move objects. Without this,
-			// the update feed would concentrate into the hotspot with the
-			// crowd, which no moving-object workload does.
+		if hot && g.spec.AmbientUpdates {
 			op.Center = homeOf(g.seed, user)
 		}
-		return op
 	case x < g.spec.UpdateFrac+g.spec.JoinFrac:
-		// Joins always run cold: handing over pair state is not modeled.
 		op.Kind = OpJoin
-		op.Class = ClassMiss
 		side := g.spec.WindowSide * 2
 		op.Q = query.NewJoin(geom.RectFromCenter(op.Center, side, side), g.spec.JoinDist)
-		return op
 	case x < g.spec.UpdateFrac+g.spec.JoinFrac+g.spec.KNNFrac:
 		op.Kind = OpKNN
 		k := 1 + int(hash64(uint64(g.seed), user, 0x6b6e)%uint64(g.spec.KMax))
@@ -490,27 +338,6 @@ func (g *Gen) Next(t float64) Op {
 	default:
 		op.Kind = OpRange
 		op.Q = query.NewRange(geom.RectFromCenter(op.Center, g.spec.WindowSide, g.spec.WindowSide))
-	}
-
-	if hot && g.spec.CrowdCold {
-		// Crowd members just arrived: nothing in their caches covers the
-		// hotspot, so every crowd query goes to the wire cold.
-		op.Class = ClassMiss
-		return op
-	}
-
-	// Per-user cached-state sampling: a user's warmth is a deterministic
-	// function of its identity, so the population-wide full/partial/miss
-	// ratio equals the spec while any one user stays consistently warm or
-	// cold across its own queries.
-	switch warmth := hash01(uint64(g.seed), user, 0x7761726d); {
-	case warmth < g.spec.FullHitFrac:
-		op.Kind = OpLocal
-		op.Class = ClassLocal
-	case warmth < g.spec.FullHitFrac+g.spec.PartialHitFrac:
-		op.Class = ClassPartial
-	default:
-		op.Class = ClassMiss
 	}
 	return op
 }
@@ -553,66 +380,59 @@ func tileIndex(p geom.Point, q int) uint64 {
 
 // center places the operation according to the scenario's shape. The second
 // return reports hotspot membership: whether this operation was drawn into
-// the scenario's crowd (TileQuant and CrowdCold apply to those only).
+// the scenario's crowd (TileQuant and AmbientUpdates apply to those only).
 func (g *Gen) center(t float64, user uint64) (geom.Point, bool) {
 	s := g.spec
 	switch s.Shape {
-	case ShapeCommute:
-		// Everyone commutes in phase: home at t=0, work at t=Period/2.
-		phase := 0.5 - 0.5*math.Cos(2*math.Pi*t/s.Period)
-		home := homeOf(g.seed, user)
-		work := workOf(g.seed, user)
-		return jitter(geom.Pt(
-			home.X+(work.X-home.X)*phase,
-			home.Y+(work.Y-home.Y)*phase,
-		), 0.01, g.rng), false
-	case ShapeFlashCrowd:
-		// The stadium fills over the first third of the run, then stays
-		// full: flash crowds spike fast and persist, they don't build
-		// linearly forever.
-		ramp := 3 * t / g.dur
-		if ramp > 1 {
-			ramp = 1
+	case ShapeFlashCrowd, ShapeHotspot:
+		frac := s.HotFrac
+		if s.Shape == ShapeFlashCrowd {
+			// The stadium fills over the first third of the run, then stays
+			// full: flash crowds spike fast and persist, they don't build
+			// linearly forever.
+			frac *= min(3*t/g.dur, 1)
 		}
-		if g.rng.Float64() < s.HotFrac*ramp {
-			return jitter(regionCenter(g.seed, 0), s.HotRadius, g.rng), true
+		if g.rng.Float64() < frac {
+			return jitter(hotspotCenter(g.seed), s.HotRadius, g.rng), true
 		}
 		return homeOf(g.seed, user), false
-	case ShapeChurn:
-		idx := uint64(t/s.Period) % uint64(s.Regions)
-		if g.rng.Float64() < s.HotFrac {
-			return jitter(regionCenter(g.seed, idx), s.HotRadius, g.rng), true
-		}
-		return homeOf(g.seed, user), false
-	case ShapeHotShift:
-		idx := uint64(0)
-		if t >= g.dur/2 {
-			idx = 1
-		}
-		if g.rng.Float64() < s.HotFrac {
-			return jitter(regionCenter(g.seed, idx), s.HotRadius, g.rng), true
-		}
-		return homeOf(g.seed, user), false
-	case ShapeThrash:
-		// March a cold front across a coarse grid: every operation lands
-		// one cell further, so no cell stays warm long enough to matter.
-		const cells = 64
-		c := g.rng.Uint64() % cells
-		cx := float64(c%8)/8 + 1.0/16
-		cy := float64(c/8)/8 + 1.0/16
-		return jitter(geom.Pt(cx, cy), 0.01, g.rng), false
 	default: // ShapeUniform
-		if len(g.walkers) > 0 {
-			i := int(user % uint64(len(g.walkers)))
-			dt := t - g.walkerAt[i]
-			if dt < 0 {
-				dt = 0
-			}
-			g.walkerAt[i] = t
-			return g.walkers[i].Advance(dt), false
-		}
-		return homeOf(g.seed, user), false
+		i := int(user % uint64(len(g.walkers)))
+		dt := max(t-g.walkerAt[i], 0)
+		g.walkerAt[i] = t
+		return g.walkers[i].Advance(dt), false
 	}
+}
+
+// The simulated population is hash-derived: a user is nothing but an
+// integer, and every per-user attribute (home point, kNN k) is a pure
+// function of (seed, user, salt). That is what makes millions of users
+// free — the harness stores zero bytes per user.
+
+// hash64 is a splitmix64-style mix of the seed, a user id, and a salt.
+func hash64(seed, user, salt uint64) uint64 {
+	z := seed ^ (user * 0x9e3779b97f4a7c15) ^ (salt * 0xbf58476d1ce4e5b9)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// hash01 maps the hash to [0, 1).
+func hash01(seed, user, salt uint64) float64 {
+	return float64(hash64(seed, user, salt)>>11) / (1 << 53)
+}
+
+// homeOf is the user's anchor point in the unit square.
+func homeOf(seed int64, user uint64) geom.Point {
+	return geom.Pt(hash01(uint64(seed), user, 0x686f6d&0xffff), hash01(uint64(seed), user, 0x686f6d))
+}
+
+// hotspotCenter seeds the scenario's hotspot center.
+func hotspotCenter(seed int64) geom.Point {
+	return geom.Pt(
+		0.1+0.8*hash01(uint64(seed), 0, 0x726567),
+		0.1+0.8*hash01(uint64(seed), 0, 0x696f6e),
+	)
 }
 
 // jitter displaces p by up to r in each axis, clamped to the unit square.
@@ -624,11 +444,5 @@ func jitter(p geom.Point, r float64, rng *rand.Rand) geom.Point {
 }
 
 func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return min(max(v, 0), 1)
 }

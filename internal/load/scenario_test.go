@@ -3,28 +3,23 @@ package load
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
 // TestMatrixWellFormed pins the matrix invariants the rest of the harness
-// assumes: unique stable names, normalized mixes, an SLO on everything.
+// assumes: exactly the stable names CI and the docs use, normalized mixes,
+// an SLO on everything.
 func TestMatrixWellFormed(t *testing.T) {
-	specs := Matrix()
-	if len(specs) < 11 {
-		t.Fatalf("matrix has %d scenarios, want >= 11", len(specs))
-	}
-	seen := map[string]bool{}
-	for _, sp := range specs {
-		if sp.Name == "" || seen[sp.Name] {
-			t.Fatalf("scenario name %q empty or duplicated", sp.Name)
-		}
-		seen[sp.Name] = true
+	var names []string
+	for _, sp := range append(Matrix(), FaultMatrix()...) {
+		names = append(names, sp.Name)
 		sum := sp.RangeFrac + sp.KNNFrac + sp.JoinFrac + sp.UpdateFrac
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("%s: mix sums to %g, want 1", sp.Name, sum)
-		}
-		if hs := sp.FullHitFrac + sp.PartialHitFrac; hs > 1+1e-9 {
-			t.Errorf("%s: hit fractions sum to %g > 1", sp.Name, hs)
 		}
 		if sp.SLO.MinAchievedFrac <= 0 || sp.SLO.MaxShedFrac <= 0 {
 			t.Errorf("%s: SLO not fully set: %+v", sp.Name, sp.SLO)
@@ -33,15 +28,18 @@ func TestMatrixWellFormed(t *testing.T) {
 			t.Errorf("Lookup(%q): %v", sp.Name, err)
 		}
 	}
+	want := "baseline flash-crowd edge-hotspot shard-skew shard-crash-recovery replica-failover"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("scenarios %q, want %q", got, want)
+	}
 	if _, err := Lookup("no-such-scenario"); err == nil {
 		t.Error("Lookup of unknown scenario did not fail")
 	}
 }
 
 // TestGenMixPinned verifies, for every scenario, that the generated
-// operation mix and the per-user cached-state sampling land on the spec's
-// fractions. Joins always run cold, so the expected local/partial
-// fractions apply to the range+kNN share only.
+// operation mix lands on the spec's fractions, every query op carries its
+// query and every update op the spec's batch size.
 func TestGenMixPinned(t *testing.T) {
 	const n = 20000
 	const tol = 0.02 // ~6 sigma at n=20000
@@ -49,42 +47,22 @@ func TestGenMixPinned(t *testing.T) {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
 			g := NewGen(sp, 99, 1_000_000, 10)
-			var kind [5]int
-			var class [4]int
+			var kind [OpUpdate + 1]int
 			for i := 0; i < n; i++ {
 				op := g.Next(10 * float64(i) / n)
 				kind[op.Kind]++
-				class[op.Class]++
-			}
-			frac := func(c int) float64 { return float64(c) / n }
-
-			if got, want := frac(kind[OpUpdate]), sp.UpdateFrac; math.Abs(got-want) > tol {
-				t.Errorf("update frac %.3f, want %.3f", got, want)
-			}
-			if got, want := frac(kind[OpJoin]), sp.JoinFrac; math.Abs(got-want) > tol {
-				t.Errorf("join frac %.3f, want %.3f", got, want)
-			}
-			// CrowdCold scenarios route every hotspot query to ClassMiss, so
-			// warmth sampling applies only to the background share. The
-			// flash-crowd ramp (3t/dur capped at 1) averages 5/6 over a run.
-			hotShare := 0.0
-			if sp.CrowdCold {
-				hotShare = sp.HotFrac
-				if sp.Shape == ShapeFlashCrowd {
-					hotShare *= 5.0 / 6
+				if op.Kind == OpUpdate {
+					if op.UpdateN != sp.UpdateBatch {
+						t.Fatalf("update batch %d, want %d", op.UpdateN, sp.UpdateBatch)
+					}
+				} else if op.Q.Kind == 0 {
+					t.Fatalf("query op %d carries no query: %+v", i, op)
 				}
 			}
-			qf := sp.RangeFrac + sp.KNNFrac // the share warmth sampling applies to
-			coldQF := qf * (1 - hotShare)
-			if got, want := frac(class[ClassLocal]), coldQF*sp.FullHitFrac; math.Abs(got-want) > tol {
-				t.Errorf("full-hit frac %.3f, want %.3f", got, want)
-			}
-			if got, want := frac(class[ClassPartial]), coldQF*sp.PartialHitFrac; math.Abs(got-want) > tol {
-				t.Errorf("partial-hit frac %.3f, want %.3f", got, want)
-			}
-			wantMiss := coldQF*(1-sp.FullHitFrac-sp.PartialHitFrac) + qf*hotShare + sp.JoinFrac
-			if got := frac(class[ClassMiss]); math.Abs(got-wantMiss) > tol {
-				t.Errorf("miss frac %.3f, want %.3f", got, wantMiss)
+			for k, want := range [...]float64{OpRange: sp.RangeFrac, OpKNN: sp.KNNFrac, OpJoin: sp.JoinFrac, OpUpdate: sp.UpdateFrac} {
+				if got := float64(kind[k]) / n; math.Abs(got-want) > tol {
+					t.Errorf("op kind %d frac %.3f, want %.3f", k, got, want)
+				}
 			}
 		})
 	}
@@ -92,9 +70,9 @@ func TestGenMixPinned(t *testing.T) {
 
 // TestGenDeterministic pins that the same (spec, seed, users, duration)
 // reproduces the identical operation stream — the property CI regression
-// comparisons rest on.
+// comparisons rest on — for each shape.
 func TestGenDeterministic(t *testing.T) {
-	for _, name := range []string{"steady", "commute-wave", "cache-thrash"} {
+	for _, name := range []string{"baseline", "flash-crowd", "shard-skew"} {
 		sp, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -104,8 +82,7 @@ func TestGenDeterministic(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			at := 5 * float64(i) / 2000
 			oa, ob := a.Next(at), b.Next(at)
-			if oa.Kind != ob.Kind || oa.Class != ob.Class || oa.User != ob.User ||
-				oa.Center != ob.Center || oa.Q != ob.Q {
+			if oa != ob {
 				t.Fatalf("%s: op %d diverged: %+v vs %+v", name, i, oa, ob)
 			}
 		}
@@ -113,8 +90,7 @@ func TestGenDeterministic(t *testing.T) {
 }
 
 // TestUserAttributesStable pins the hash-derived population: a user's home
-// and warmth never change, and the warmth distribution is uniform enough
-// to make the spec fractions meaningful.
+// never changes, lies in the unit square, and moves with the seed.
 func TestUserAttributesStable(t *testing.T) {
 	for u := uint64(0); u < 1000; u++ {
 		if homeOf(3, u) != homeOf(3, u) {
@@ -190,26 +166,70 @@ func TestArrivalsFixed(t *testing.T) {
 	}
 }
 
-// TestShapeCenters spot-checks the population dynamics: commute centers
-// swing with the phase, flash crowds concentrate late, thrash scatters.
+// TestShapeCenters spot-checks the population dynamics: a flash crowd
+// concentrates late, a static hotspot holds from the first arrival, and
+// updates drawn into either crowd come from the ambient fleet's homes.
 func TestShapeCenters(t *testing.T) {
-	sp, _ := Lookup("flash-crowd")
-	g := NewGen(sp, 21, 1_000_000, 10)
-	hot := regionCenter(21, 0)
-	near := func(gen *Gen, tm float64, samples int) int {
+	const samples = 2000
+	hot := hotspotCenter(21)
+	near := func(sp Spec, gen *Gen, tm float64) int {
 		n := 0
 		for i := 0; i < samples; i++ {
 			op := gen.Next(tm)
-			dx, dy := op.Center.X-hot.X, op.Center.Y-hot.Y
-			if math.Hypot(dx, dy) < 3*sp.HotRadius {
+			if op.Kind == OpUpdate && op.Center != homeOf(21, op.User) {
+				t.Fatalf("%s: update at %v, not at user %d's home", sp.Name, op.Center, op.User)
+			}
+			if math.Hypot(op.Center.X-hot.X, op.Center.Y-hot.Y) < 3*sp.HotRadius {
 				n++
 			}
 		}
 		return n
 	}
-	early := near(g, 0.1, 2000)
-	late := near(g, 9.9, 2000)
-	if late <= early+200 {
+
+	crowd, _ := Lookup("flash-crowd")
+	g := NewGen(crowd, 21, 1_000_000, 10)
+	if early, late := near(crowd, g, 0.1), near(crowd, g, 9.9); late <= early+200 {
 		t.Fatalf("flash crowd did not ramp: %d hot early, %d hot late", early, late)
+	}
+
+	static, _ := Lookup("edge-hotspot")
+	g = NewGen(static, 21, 1_000_000, 10)
+	floor := int(0.8 * static.HotFrac * samples)
+	if early, late := near(static, g, 0.1), near(static, g, 9.9); early < floor || late < floor {
+		t.Fatalf("static hotspot drew %d early and %d late of %d, want >= %d both", early, late, samples, floor)
+	}
+}
+
+// TestScenarioNamesResolve extracts every "-scenario a,b,..." argument
+// from the CI workflow, the bench script, the README and docs/*.md and
+// resolves each name, so a renamed or deleted scenario cannot leave a
+// command line behind that fails only when someone runs it.
+func TestScenarioNamesResolve(t *testing.T) {
+	files, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "../../.github/workflows/ci.yml", "../../scripts/bench.sh", "../../README.md")
+	arg := regexp.MustCompile(`-scenario[ \t]+([a-z0-9][a-z0-9,-]*)`)
+	refs := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range arg.FindAllStringSubmatch(string(data), -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				refs++
+				if name == "all" {
+					continue
+				}
+				if _, err := Lookup(name); err != nil {
+					t.Errorf("%s: %v", f, err)
+				}
+			}
+		}
+	}
+	if refs < 10 {
+		t.Fatalf("found only %d scenario references; the extraction is broken", refs)
 	}
 }

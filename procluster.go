@@ -268,9 +268,19 @@ func (cs *ClusterServer) Elastic() elastic.Cluster { return elasticView{cs} }
 // StartRebalancer runs a load-driven rebalancer over this cluster in a
 // background goroutine: shards whose object count or sub-query rate crosses
 // the split thresholds are split, cold sibling pairs are folded back
-// (docs/ELASTIC.md). The returned stop function halts it; the Rebalancer is
-// returned for its Splits/Merges counters.
+// (docs/ELASTIC.md). A cfg with no split trigger splits a shard at twice
+// the mean build-time shard size (ShardObjects) and merges a sibling pair
+// below a quarter of that. The returned stop function halts it; the
+// Rebalancer is returned for its Splits/Merges counters.
 func (cs *ClusterServer) StartRebalancer(cfg elastic.Config) (*elastic.Rebalancer, func(), error) {
+	if cfg.SplitObjects <= 0 && cfg.SplitQPS <= 0 {
+		total := 0
+		for _, n := range cs.cluster.Counts {
+			total += n
+		}
+		cfg.SplitObjects = 2*int64(total)/int64(len(cs.cluster.Counts)) + 1
+		cfg.MergeObjects = cfg.SplitObjects / 4
+	}
 	rb, err := elastic.New(cs.Elastic(), cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("repro: %w", err)

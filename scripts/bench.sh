@@ -123,9 +123,9 @@ if [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     # cluster ("load_skew_static"), once with the load-driven rebalancer
     # splitting the hot shard online ("load_skew_elastic"), docs/ELASTIC.md.
     # The seed pins the hotspot inside one KD cell so the skew is real; the
-    # static run is expected to miss the scenario envelope (achieved QPS
-    # sags as the hot writer backlogs) and the elastic run to hold it. The
-    # p99 comparison between the two keys is gated below.
+    # static run's p99 grows as the hot writer backlogs (on a slow host its
+    # achieved QPS also misses the envelope) and the elastic run holds it.
+    # The p99 comparison between the two keys is gated below.
     SKEW_QPS="${SKEW_QPS:-600}"
     SKEW_DURATION="${SKEW_DURATION:-20s}"
     SKEW_SEED="${SKEW_SEED:-2}"
@@ -160,6 +160,10 @@ fi
 # smaller than LOAD_FLOOR_US microseconds absolute (default 10000) are
 # ignored outright; set SLO_GATE_SKIP=1 to record a snapshot without the
 # hard gate (e.g. when switching benchmark machines) — warnings still print.
+# Snapshots up to BENCH_10.json predate the all-cold matrix (baseline,
+# flash-crowd, edge-hotspot, shard-skew): they share only the last three
+# names, and those rows answered part of their traffic from simulated
+# caches, so the first snapshot recorded against them needs SLO_GATE_SKIP=1.
 if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     PREV="$(ls BENCH_*.json 2>/dev/null | grep -vFx "$OUT" | sort -t_ -k2 -n | tail -1 || true)"
     if [ -z "$PREV" ]; then
