@@ -18,7 +18,6 @@
 //	prodb -max-conns 8192 -inflight 64    # tune concurrency limits
 //	prodb -pipeline 128                   # deeper per-connection pipelining
 //	prodb -updates=false                  # read-only: reject wire updates
-//	prodb -follower                       # warm standby: primary-only updates
 //	prodb -cluster 4 -wal /var/lib/prodb  # durable shards (WAL + checkpoints)
 //	prodb -cluster 4 -replicas            # warm standby per shard
 //	prodb -cluster 4 -elastic             # online split/merge rebalancing
@@ -59,7 +58,6 @@ func main() {
 		pipeline = flag.Int("pipeline", 0, "max requests in flight per binary connection (0 = default 64)")
 		readTO   = flag.Duration("read-timeout", 0, "idle connection deadline (0 = default 5m)")
 		updates  = flag.Bool("updates", true, "accept batched index updates from wire clients")
-		follower = flag.Bool("follower", false, "warm-standby mode: only a primary's replication stream may send updates (single node only, see docs/DURABILITY.md)")
 		clusterN = flag.Int("cluster", 1, "spatial shards served behind one scatter-gather router (1 = single node, see docs/CLUSTER.md)")
 		edgeMode = flag.Bool("edge", false, "cluster mode: serve through an edge cache tier — popular range/kNN queries answered from a partition-cell-keyed cache, invalidated off the cluster's epoch stream (docs/EDGE.md)")
 		edgeSync = flag.Duration("edge-sync", 250*time.Millisecond, "edge mode: time floor on the invalidation subscription (0 = evidence/update-driven only)")
@@ -104,10 +102,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *follower && *clusterN > 1 {
-		fmt.Fprintln(os.Stderr, "prodb: -follower is a single-node mode; a cluster's replicas are managed by -replicas")
-		os.Exit(2)
-	}
 	if (*walDir != "" || *replicas) && *clusterN <= 1 {
 		fmt.Fprintln(os.Stderr, "prodb: -wal and -replicas require -cluster N (single-node durability is not served yet)")
 		os.Exit(2)
@@ -140,9 +134,6 @@ func main() {
 	mode := "updates enabled"
 	if !*updates {
 		mode = "read-only"
-	}
-	if *follower {
-		mode = "follower (replication-stream updates only)"
 	}
 	opts := repro.ServeOptions{
 		MaxConns:    *maxConns,
@@ -199,8 +190,8 @@ func main() {
 				Cooldown:     5 * time.Second,
 				Interval:     time.Second,
 				OnEvent: func(ev elastic.Event) {
-					fmt.Printf("elastic: %s shard=%d objects=%d qps=%.0f err=%v\n",
-						ev.Kind, ev.Shard, ev.Objects, ev.QPS, ev.Err)
+					fmt.Printf("elastic: %s shard=%d objects=%d err=%v\n",
+						ev.Kind, ev.Shard, ev.Objects, ev.Err)
 				},
 			})
 			if err != nil {
@@ -218,7 +209,6 @@ func main() {
 	} else {
 		srv := repro.NewServer(objects, repro.ServerConfig{Form: indexForm})
 		srv.SetRemoteUpdates(*updates)
-		srv.SetFollower(*follower)
 		st := srv.IndexStats()
 		fmt.Printf("index: %d nodes, height %d, %.0f%% fill, built in %v (%s)\n",
 			st.Nodes, st.Height, st.AvgFill*100, time.Since(start).Round(time.Millisecond), mode)

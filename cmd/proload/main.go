@@ -146,27 +146,25 @@ func main() {
 		// Baseline for the post-stop re-sample below: the rebalancer can
 		// land an operation between load.Run's own final sample and the
 		// stop, so the authoritative delta is taken once it has halted.
-		esSample := backend.elasticStats()
-		var esSplits, esMerges, esHand int64
-		if esSample != nil {
-			esSplits, esMerges, esHand = esSample()
+		clusterSnap := backend.clusterStats()
+		var clusterBase metrics.ClusterSnapshot
+		if clusterSnap != nil {
+			clusterBase = clusterSnap()
 		}
 		var events atomic.Int64
 		r, err := load.Run(load.Config{
-			Spec:          sp,
-			TargetQPS:     *qps,
-			Duration:      *duration,
-			Users:         *users,
-			Workers:       *workers,
-			Seed:          *seed,
-			Timeout:       *timeout,
-			NewTransport:  backend.newTransport,
-			Release:       backend.release,
-			ShardErrors:   backend.shardErrors.Load,
-			Injector:      backend.injector(),
-			FailoverStats: backend.failoverStats,
-			EdgeStats:     backend.edgeStats(),
-			ElasticStats:  backend.elasticStats(),
+			Spec:         sp,
+			TargetQPS:    *qps,
+			Duration:     *duration,
+			Users:        *users,
+			Workers:      *workers,
+			Seed:         *seed,
+			Timeout:      *timeout,
+			NewTransport: backend.newTransport,
+			Release:      backend.release,
+			Injector:     backend.injector(),
+			Cluster:      clusterSnap,
+			EdgeStats:    backend.edgeStats(),
 			OnEvent: func(worker int, err error) {
 				// A dead backend fails every paced op; log the first few and
 				// then sample, the counters carry the full tally.
@@ -181,11 +179,8 @@ func main() {
 		if forceDone != nil {
 			<-forceDone
 		}
-		if r != nil && esSample != nil && (rbStop != nil || forceDone != nil) {
-			s, m, h := esSample()
-			r.Elastic = true
-			r.Splits, r.Merges = s-esSplits, m-esMerges
-			r.Handover = time.Duration(h - esHand)
+		if r != nil && clusterSnap != nil && (rbStop != nil || forceDone != nil) {
+			r.FillClusterDeltas(clusterBase, clusterSnap())
 		}
 		if backend != shared {
 			backend.close()
@@ -253,14 +248,16 @@ func pickScenarios(arg string) ([]load.Spec, error) {
 // backend abstracts where requests go: a freshly built in-process cluster,
 // or dialed TCP endpoints (redialed per worker on connection failure).
 type backend struct {
-	addrs       []string
-	cs          *repro.ClusterServer
-	edge        *edge.Edge // all workers share it, like one edge node would be shared
-	walDir      string     // throwaway chaos WAL directory, removed on close
-	ns          *wire.NetServer
-	nsAddr      string // loopback address of the -nethop serving layer
-	upstream    *edge.UpstreamPool
-	shardErrors atomic.Int64
+	addrs    []string
+	cs       *repro.ClusterServer
+	edge     *edge.Edge // all workers share it, like one edge node would be shared
+	walDir   string     // throwaway chaos WAL directory, removed on close
+	ns       *wire.NetServer
+	nsAddr   string // loopback address of the -nethop serving layer
+	upstream *edge.UpstreamPool
+	// dialStats is the one counter block every per-worker router over
+	// addrs counts into.
+	dialStats *metrics.ClusterStats
 }
 
 func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop bool) (*backend, error) {
@@ -276,6 +273,9 @@ func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop
 			return nil, fmt.Errorf("-nethop serves the in-process cluster over loopback and needs -inprocess, not -addr")
 		}
 		b.addrs = strings.Split(addr, ",")
+		if len(b.addrs) > 1 {
+			b.dialStats = metrics.NewClusterStats(len(b.addrs))
+		}
 		return b, nil
 	}
 	if chaos && nethop {
@@ -360,13 +360,16 @@ func (b *backend) injector() load.Injector {
 	return b.cs
 }
 
-// failoverStats samples the router's failover counters for the report.
-func (b *backend) failoverStats() (retries, failovers, redials int64) {
-	if b.cs == nil {
-		return 0, 0, 0
+// clusterStats samples the router counters behind the workers for the
+// report; nil for a single dialed server.
+func (b *backend) clusterStats() func() metrics.ClusterSnapshot {
+	switch {
+	case b.cs != nil:
+		return b.cs.ClusterStats
+	case b.dialStats != nil:
+		return b.dialStats.Snapshot
 	}
-	snap := b.cs.ClusterStats()
-	return snap.Retries(), snap.Failovers(), snap.Redials()
+	return nil
 }
 
 // edgeStats exposes the edge tier's counter snapshot to the harness; nil
@@ -376,18 +379,6 @@ func (b *backend) edgeStats() func() metrics.EdgeSnapshot {
 		return nil
 	}
 	return b.edge.Stats().Snapshot
-}
-
-// elasticStats exposes the router's topology-operation counters to the
-// harness; nil for dialed backends.
-func (b *backend) elasticStats() func() (int64, int64, int64) {
-	if b.cs == nil {
-		return nil
-	}
-	st := b.cs.Elastic().Stats()
-	return func() (int64, int64, int64) {
-		return st.Splits.Load(), st.Merges.Load(), st.HandoverNanos.Load()
-	}
 }
 
 // startRebalancer runs the load-driven rebalancer over the in-process
@@ -400,8 +391,8 @@ func startRebalancer(cs *repro.ClusterServer, splitObjects int64) func() {
 		Cooldown:     500 * time.Millisecond,
 		Interval:     100 * time.Millisecond,
 		OnEvent: func(ev elastic.Event) {
-			fmt.Fprintf(os.Stderr, "proload: elastic %s shard=%d target=%d objects=%d qps=%.0f err=%v\n",
-				ev.Kind, ev.Shard, ev.Target, ev.Objects, ev.QPS, ev.Err)
+			fmt.Fprintf(os.Stderr, "proload: elastic %s shard=%d target=%d objects=%d err=%v\n",
+				ev.Kind, ev.Shard, ev.Target, ev.Objects, ev.Err)
 		},
 	})
 	if err != nil {
@@ -453,8 +444,7 @@ func forceElastic(cs *repro.ClusterServer, dur time.Duration) chan struct{} {
 
 // newTransport hands a worker its connection: the shared in-process
 // handler (through the shared edge tier under -edge), one dialed server,
-// or a client-side cluster router with shard errors surfaced as counted,
-// non-fatal events.
+// or a client-side cluster router counting into the shared dialStats.
 func (b *backend) newTransport(worker int) (wire.Transport, error) {
 	if b.edge != nil {
 		return b.edge, nil
@@ -468,9 +458,7 @@ func (b *backend) newTransport(worker int) (wire.Transport, error) {
 	if len(b.addrs) == 1 {
 		return repro.Dial(b.addrs[0])
 	}
-	return cluster.Dial(b.addrs, cluster.Config{
-		OnShardError: func(int, error) { b.shardErrors.Add(1) },
-	})
+	return cluster.Dial(b.addrs, cluster.Config{Stats: b.dialStats})
 }
 
 func (b *backend) release(resp *wire.Response) {

@@ -109,9 +109,6 @@ func (t *Tree) Node(c Code) (*PNode, bool) {
 	return p, ok
 }
 
-// EntryCount returns the number of real entries in the underlying R-tree node.
-func (t *Tree) EntryCount() int { return t.Root.Count }
-
 // Cut is a set of partition-tree positions, kept sorted by code. A valid cut
 // is an antichain that covers every entry of the node exactly once.
 type Cut []Code

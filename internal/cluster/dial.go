@@ -28,9 +28,8 @@ import (
 // cfg.FailThreshold consecutive failures the router redials the address
 // transparently (counted in Stats().PerShard[s].Redials). Queries that
 // exhaust their retries while the process is down fail individually — the
-// failure is counted in Stats().PerShard[s].Errors and reported to
-// cfg.OnShardError — and scatter-gathering resumes as soon as a redial
-// lands. Only the initial dial of every address is all-or-nothing.
+// failure is counted in Stats().PerShard[s].Errors — and scatter-gathering
+// resumes as soon as a redial lands. Only the initial dial of every address is all-or-nothing.
 //
 // Each connection's protocol handshake is bounded by cfg.HandshakeTimeout
 // (default 10s), applied to both the TCP dial and the version exchange; a

@@ -443,7 +443,6 @@ func (r *Router) MergeShards(s, t int, sp Spawner) error {
 	r.stats.Shard(s).Objects.Add(int64(len(ins)))
 	tc := r.stats.Shard(t)
 	tc.Objects.Store(0)
-	tc.QPSMilli.Store(0)
 	tc.Dead.Store(true)
 	r.stats.Merges.Add(1)
 	r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())

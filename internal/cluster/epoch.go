@@ -76,12 +76,6 @@ type epochTable struct {
 }
 
 func newEpochTable(ring, maxClients int) *epochTable {
-	if ring <= 0 {
-		ring = defaultEpochRing
-	}
-	if maxClients <= 0 {
-		maxClients = defaultMaxClients
-	}
 	t := &epochTable{ring: ring, maxClients: maxClients}
 	for i := range t.shards {
 		t.shards[i].m = make(map[wire.ClientID]*clientEpochs)

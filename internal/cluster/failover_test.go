@@ -207,7 +207,6 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 	dir := t.TempDir()
 	p := &InProcess{cfg: InProcessConfig{
 		Tree:     rtree.Params{MaxEntries: testMaxEntries},
-		BulkFill: 0.7,
 		WALDir:   dir,
 		WAL:      wal.Options{NoSync: true},
 		Replicas: true,
@@ -220,7 +219,7 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 			return nil, false, errors.New("primary refuses to start")
 		}
 		standbys++
-		rep := server.New(rtree.BulkLoad(p.cfg.Tree, items, p.cfg.BulkFill), sizer, cfg)
+		rep := server.New(rtree.BulkLoad(p.cfg.Tree, items, bulkFill), sizer, cfg)
 		// One applied batch starts the standby's writer goroutine, as the
 		// replication stream would.
 		rep.ReleaseResponse(rep.ExecuteUpdates(&wire.Request{Updates: []wire.UpdateOp{
@@ -456,7 +455,7 @@ func TestClusterFailoverFlushesClients(t *testing.T) {
 // TestEpochTableFlushAll pins the generation fencing: a flush drops every
 // client, and a commit that resolved its base before the flush is refused.
 func TestEpochTableFlushAll(t *testing.T) {
-	tab := newEpochTable(4, 0)
+	tab := newEpochTable(4, defaultMaxClients)
 	gen := tab.generation()
 	v, ok := tab.commit(1, 0, []uint64{3, 1}, []rtree.NodeID{1, 1}, gen)
 	if !ok || v == 0 {

@@ -22,26 +22,24 @@ import (
 // (procsim -fig throughput -cluster), and the equivalence test suite. One
 // builder means one definition of how a dataset becomes shards.
 
+// bulkFill is the page fill every shard bulk-loads to: the paper's R*-trees
+// run at about 70% occupancy (rtree.BulkLoad).
+const bulkFill = 0.7
+
 // InProcessConfig parameterizes NewInProcess.
 type InProcessConfig struct {
 	// Shards is the number of spatial shards; default 4.
 	Shards int
 	// Tree shapes each shard's R*-tree (zero MaxEntries means the
-	// paper's 204-entry pages); BulkFill is the bulk-load fill factor,
-	// default 0.7.
-	Tree     rtree.Params
-	BulkFill float64
+	// paper's 204-entry pages); shards bulk-load to 70% fill.
+	Tree rtree.Params
 	// Server configures each shard server.
 	Server server.Config
 	// Sizer reports object payload sizes; it backs both the shard servers
 	// and the router's cross-shard re-inserts. Required.
 	Sizer func(rtree.ObjectID) int
-	// EpochRing, MaxClients, Stats, OnShardError, RetryAttempts,
-	// RetryBackoff and FailThreshold pass through to the router Config.
-	EpochRing     int
-	MaxClients    int
-	Stats         *metrics.ClusterStats
-	OnShardError  func(shard int, err error)
+	// RetryAttempts, RetryBackoff and FailThreshold pass through to the
+	// router Config.
 	RetryAttempts int
 	RetryBackoff  time.Duration
 	FailThreshold int
@@ -383,9 +381,6 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 	if n <= 0 {
 		n = 4
 	}
-	if cfg.BulkFill <= 0 {
-		cfg.BulkFill = 0.7
-	}
 	if cfg.Tree.MaxEntries == 0 {
 		cfg.Tree = rtree.DefaultParams()
 	}
@@ -425,7 +420,7 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 					srv, err := server.Restore(rec.Checkpoint, replayTail(rec.Tail), cfg.Sizer, srvCfg)
 					return srv, true, err
 				}
-				return server.New(rtree.BulkLoad(cfg.Tree, items, cfg.BulkFill), cfg.Sizer, srvCfg), false, nil
+				return server.New(rtree.BulkLoad(cfg.Tree, items, bulkFill), cfg.Sizer, srvCfg), false, nil
 			})
 		}(s)
 	}
@@ -437,10 +432,6 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 	p.Router, err = New(shards, Config{
 		Part:          part,
 		Sizer:         cfg.Sizer,
-		EpochRing:     cfg.EpochRing,
-		MaxClients:    cfg.MaxClients,
-		Stats:         cfg.Stats,
-		OnShardError:  cfg.OnShardError,
 		RetryAttempts: cfg.RetryAttempts,
 		RetryBackoff:  cfg.RetryBackoff,
 		FailThreshold: cfg.FailThreshold,
@@ -467,7 +458,7 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 // never reused, so nothing in shard-<t> belongs to this slot. Called by
 // Router.SplitShard; not for direct use.
 func (p *InProcess) Spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error) {
-	img := rtree.BulkLoad(p.cfg.Tree, items, p.cfg.BulkFill).AppendImage(nil)
+	img := rtree.BulkLoad(p.cfg.Tree, items, bulkFill).AppendImage(nil)
 	return p.startProc(t, size, func(cfg server.Config, _ *wal.Recovery) (*server.Server, bool, error) {
 		tree, err := rtree.ReadImage(img)
 		if err != nil {

@@ -124,7 +124,7 @@ func TestVirtualNodeRoundTrip(t *testing.T) {
 }
 
 func TestEpochTableFlow(t *testing.T) {
-	tab := newEpochTable(4, 0)
+	tab := newEpochTable(4, defaultMaxClients)
 	vec := make([]uint64, 2)
 	roots := make([]rtree.NodeID, 2)
 

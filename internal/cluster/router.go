@@ -68,22 +68,10 @@ type Config struct {
 	// re-inserts an object on its new owner. Objects inserted over the wire
 	// are tracked automatically; nil means unknown sizes re-insert as 0.
 	Sizer func(rtree.ObjectID) int
-	// EpochRing is how many recent virtual epochs each client may quote
-	// before being flushed. Default 32.
-	EpochRing int
-	// MaxClients caps tracked clients per epoch-table lock shard (32
-	// shards); beyond it arbitrary clients are evicted and flushed on
-	// return. Default 4096.
-	MaxClients int
 	// Stats receives routing counters; nil allocates a private block.
+	// Routers that share one block (a load harness dialing one router per
+	// worker) sum their counters in it.
 	Stats *metrics.ClusterStats
-	// OnShardError observes every failed sub-query (shard index and error)
-	// before the router reports the query-level failure. Load harnesses use
-	// it to count per-shard connection trouble as non-fatal events instead
-	// of losing the detail inside the merged error. May be nil; called
-	// concurrently. Only final failures are reported — sub-queries that
-	// succeed on retry or after failover are invisible here.
-	OnShardError func(shard int, err error)
 	// RetryAttempts is how many times a failed sub-query is re-sent (after
 	// the initial attempt) before the error surfaces. Default 2; negative
 	// disables retries.
@@ -157,7 +145,6 @@ type Router struct {
 	part      *Partition
 	sizer     func(rtree.ObjectID) int
 	stats     *metrics.ClusterStats
-	onError   func(shard int, err error)
 	retries   int
 	backoff   time.Duration
 	threshold int
@@ -192,11 +179,10 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 		part:      cfg.Part,
 		sizer:     cfg.Sizer,
 		stats:     cfg.Stats,
-		onError:   cfg.OnShardError,
 		retries:   cfg.RetryAttempts,
 		backoff:   cfg.RetryBackoff,
 		threshold: cfg.FailThreshold,
-		epochs:    newEpochTable(cfg.EpochRing, cfg.MaxClients),
+		epochs:    newEpochTable(defaultEpochRing, defaultMaxClients),
 	}
 	if r.retries == 0 {
 		r.retries = defaultRetryAttempts
@@ -616,9 +602,6 @@ func (r *Router) issueWave(items []waveItem) error {
 		}
 		if it.err != nil {
 			r.stats.Shard(it.shard).Errors.Add(1)
-			if r.onError != nil {
-				r.onError(it.shard, it.err)
-			}
 		}
 	}
 	if len(items) == 1 {

@@ -50,11 +50,6 @@ func (d *Dataset) SizeOf(id rtree.ObjectID) int {
 	return d.Objects[id-1].Size
 }
 
-// MBROf returns the bounding rectangle of an object.
-func (d *Dataset) MBROf(id rtree.ObjectID) geom.Rect {
-	return d.Objects[id-1].MBR
-}
-
 // Items converts the dataset to R-tree bulk-load items.
 func (d *Dataset) Items() []rtree.Item {
 	items := make([]rtree.Item, len(d.Objects))

@@ -53,21 +53,19 @@ type Config struct {
 	// AdmitThreshold is the per-cell hotness (EWMA of cacheable queries per
 	// window) above which responses are materialized (default 32).
 	AdmitThreshold float64
-	// Window is the hotness window length in cacheable queries (default 512)
-	// and Alpha the EWMA weight of the newest window (default 0.5).
+	// Window is the hotness window length in cacheable queries (default
+	// 512); the EWMA weighs the newest window by hotAlpha.
 	Window int
-	Alpha  float64
 	// SyncInterval, when positive, adds a time-based floor under the
 	// invalidation subscription: a request arriving more than this after the
 	// last sync re-syncs first, bounding the staleness window against
 	// writers that bypass the edge. Sole-ingress deployments (every update
 	// flows through the edge, which syncs on each ack) can leave it zero.
 	SyncInterval time.Duration
-	// Sizes is the byte model for budget accounting (zero: DefaultSizeModel).
-	Sizes wire.SizeModel
-	// Stats receives edge counters (nil: a private instance).
-	Stats *metrics.EdgeStats
 }
+
+// hotAlpha is the EWMA weight of the newest hotness window.
+const hotAlpha = 0.5
 
 // stamp records what the edge knows one client has been delivered: the
 // virtual epoch of the client's last forwarded response, bound to the edge
@@ -121,7 +119,7 @@ type cellState struct {
 // never pooled).
 type Edge struct {
 	cfg   Config
-	stats *metrics.EdgeStats
+	stats metrics.EdgeStats
 
 	// syncMu serializes upstream catalog syncs (one subscriber, one stream).
 	syncMu sync.Mutex
@@ -172,18 +170,8 @@ func New(cfg Config) (*Edge, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 512
 	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.5
-	}
-	if cfg.Sizes == (wire.SizeModel{}) {
-		cfg.Sizes = wire.DefaultSizeModel()
-	}
-	if cfg.Stats == nil {
-		cfg.Stats = &metrics.EdgeStats{}
-	}
 	e := &Edge{
 		cfg:     cfg,
-		stats:   cfg.Stats,
 		entries: make(map[string]*entry),
 		cells:   make([]cellState, cfg.Cells),
 		stamps:  make(map[wire.ClientID]stamp),
@@ -206,7 +194,7 @@ func New(cfg Config) (*Edge, error) {
 }
 
 // Stats returns the edge's counters.
-func (e *Edge) Stats() *metrics.EdgeStats { return e.stats }
+func (e *Edge) Stats() *metrics.EdgeStats { return &e.stats }
 
 func (e *Edge) releaseUpstream(resp *wire.Response) {
 	if e.cfg.ReleaseUpstream != nil {
@@ -497,7 +485,7 @@ func (e *Edge) touchLocked(cell int) {
 		e.reqCount = 0
 		for i := range e.cells {
 			cs := &e.cells[i]
-			cs.hot = e.cfg.Alpha*cs.cur + (1-e.cfg.Alpha)*cs.hot
+			cs.hot = hotAlpha*cs.cur + (1-hotAlpha)*cs.hot
 			cs.cur = 0
 		}
 	}
@@ -563,7 +551,7 @@ func (e *Edge) admitLocked(req *wire.Request, resp *wire.Response, issueState ui
 	for i := range ent.objects {
 		ent.objDeps[ent.objects[i].ID] = struct{}{}
 	}
-	ent.bytes = e.cfg.Sizes.ResponseBytes(resp)
+	ent.bytes = wire.DefaultSizeModel().ResponseBytes(resp)
 	e.entries[key] = ent
 	ent.elem = e.cells[cell].lru.PushBack(ent)
 	e.bytes += ent.bytes

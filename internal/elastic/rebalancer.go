@@ -1,7 +1,7 @@
 // Package elastic implements the load-driven rebalancer over the cluster's
-// online split/merge primitives: it watches per-shard object counts and
-// sub-query rates, splits shards that run hot, and folds cold sibling pairs
-// back together (docs/ELASTIC.md).
+// online split/merge primitives: it watches per-shard object counts, splits
+// shards that grow past a threshold, and folds cold sibling pairs back
+// together (docs/ELASTIC.md).
 //
 // The rebalancer is deliberately a policy layer only — every mechanism
 // (split plane selection, bulk transfer, the epoch-fenced cutover) lives in
@@ -28,35 +28,28 @@ type Cluster interface {
 	SplitShard(s int) error
 	// MergeShards folds t back into its sibling s and retires t.
 	MergeShards(s, t int) error
-	// Stats exposes the router counters the decisions read (Objects,
-	// SubQueries) and the QPSMilli gauge the rebalancer writes back.
+	// Stats exposes the router counters the decisions read (the per-shard
+	// Objects gauges).
 	Stats() *metrics.ClusterStats
 }
 
-// Config tunes the rebalancer. The zero value is not runnable: at least one
-// split trigger (SplitObjects or SplitQPS) must be positive.
+// Config tunes the rebalancer. The zero value is not runnable: SplitObjects
+// must be positive.
 type Config struct {
-	// SplitObjects splits a shard whose object count reaches it (0 disables
-	// the size trigger).
+	// SplitObjects splits a shard whose object count exceeds it.
 	SplitObjects int64
-	// SplitQPS splits a shard whose sub-query rate (per second, over the
-	// rebalancer's own tick window) reaches it (0 disables the rate trigger).
-	SplitQPS float64
 
-	// MergeObjects and MergeQPS fold a sibling leaf pair whose combined
-	// object count AND combined rate sit below both (0 disables merging).
-	// Keep them well under the split thresholds: a merge flushes every
-	// client, so the bands between merge and split are the hysteresis that
-	// prevents flapping. Values above half the split thresholds are rejected
-	// — a merged pair would immediately re-trigger a split.
+	// MergeObjects folds a sibling leaf pair whose combined object count
+	// sits at or below it (0 disables merging). Keep it well under
+	// SplitObjects: a merge flushes every client, so the band between merge
+	// and split is the hysteresis that prevents flapping. Values above half
+	// of SplitObjects are rejected — a merged pair would immediately
+	// re-trigger a split.
 	MergeObjects int64
-	MergeQPS     float64
 
-	// MinShards and MaxShards bound the live shard count (defaults 1 and
-	// cluster.MaxShards-ish 255; merging stops at MinShards, splitting at
-	// MaxShards).
+	// MinShards bounds the live shard count from below (default 1): merging
+	// stops there. Splitting stops where the cluster refuses a new slot.
 	MinShards int
-	MaxShards int
 
 	// Cooldown is the minimum time between topology operations (default 5s).
 	// Splits and merges move data and — for merges — flush clients; the
@@ -64,7 +57,7 @@ type Config struct {
 	Cooldown time.Duration
 
 	// Interval is Run's tick period (default 1s). Step may also be called
-	// manually at any cadence; rates are computed from real elapsed time.
+	// manually at any cadence.
 	Interval time.Duration
 
 	// OnEvent, when set, receives every attempted topology operation.
@@ -77,20 +70,15 @@ type Event struct {
 	Shard   int    // the shard split, or the merge survivor
 	Target  int    // the merge victim (unset for splits)
 	Objects int64  // trigger reading: shard objects (split) or combined (merge)
-	QPS     float64
-	Err     error // nil on success
+	Err     error  // nil on success
 }
 
 // Rebalancer drives one Cluster. Not safe for concurrent Step calls; Run
 // serializes them on one goroutine.
 type Rebalancer struct {
-	cfg Config
-	cl  Cluster
-
-	lastTick time.Time
-	lastSub  map[int]int64 // per-shard SubQueries at the previous tick
-	qps      map[int]float64
-	lastOp   time.Time
+	cfg    Config
+	cl     Cluster
+	lastOp time.Time
 
 	splits, merges int
 }
@@ -100,20 +88,14 @@ func New(cl Cluster, cfg Config) (*Rebalancer, error) {
 	if cl == nil {
 		return nil, errors.New("elastic: Cluster is required")
 	}
-	if cfg.SplitObjects <= 0 && cfg.SplitQPS <= 0 {
-		return nil, errors.New("elastic: at least one split trigger (SplitObjects or SplitQPS) must be positive")
+	if cfg.SplitObjects <= 0 {
+		return nil, errors.New("elastic: SplitObjects must be positive")
 	}
-	if cfg.SplitObjects > 0 && cfg.MergeObjects > cfg.SplitObjects/2 {
+	if cfg.MergeObjects > cfg.SplitObjects/2 {
 		return nil, fmt.Errorf("elastic: MergeObjects %d above half of SplitObjects %d would flap", cfg.MergeObjects, cfg.SplitObjects)
-	}
-	if cfg.SplitQPS > 0 && cfg.MergeQPS > cfg.SplitQPS/2 {
-		return nil, fmt.Errorf("elastic: MergeQPS %g above half of SplitQPS %g would flap", cfg.MergeQPS, cfg.SplitQPS)
 	}
 	if cfg.MinShards <= 0 {
 		cfg.MinShards = 1
-	}
-	if cfg.MaxShards <= 0 {
-		cfg.MaxShards = 255
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
@@ -121,12 +103,7 @@ func New(cl Cluster, cfg Config) (*Rebalancer, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	return &Rebalancer{
-		cfg:     cfg,
-		cl:      cl,
-		lastSub: make(map[int]int64),
-		qps:     make(map[int]float64),
-	}, nil
+	return &Rebalancer{cfg: cfg, cl: cl}, nil
 }
 
 // Splits and Merges report how many operations this rebalancer has executed
@@ -134,114 +111,67 @@ func New(cl Cluster, cfg Config) (*Rebalancer, error) {
 func (rb *Rebalancer) Splits() int { return rb.splits }
 func (rb *Rebalancer) Merges() int { return rb.merges }
 
-// Step takes one decision at the given instant: refresh per-shard rates,
-// then execute at most one topology operation — the hottest shard over a
-// split trigger, else the coldest sibling pair under both merge thresholds.
-// One operation per step keeps each cutover's gauge movement observable
-// before the next decision.
+// Step takes one decision at the given instant: execute at most one
+// topology operation — the largest shard over SplitObjects, else the
+// smallest sibling pair under MergeObjects. One operation per step keeps
+// each cutover's gauge movement observable before the next decision.
 func (rb *Rebalancer) Step(now time.Time) error {
-	live := rb.cl.LiveShards()
-	stats := rb.cl.Stats()
-	rb.tickRates(now, live, stats)
-
 	if !rb.lastOp.IsZero() && now.Sub(rb.lastOp) < rb.cfg.Cooldown {
 		return nil
 	}
+	live := rb.cl.LiveShards()
+	stats := rb.cl.Stats()
 
-	// Split: pick the live shard most over its trigger, scored by how far
-	// past either threshold it sits.
-	if len(live) < rb.cfg.MaxShards {
-		best, bestScore := -1, 1.0
-		for _, s := range live {
-			score := rb.pressure(stats.Shard(s).Objects.Load(), rb.qps[s])
-			if score > bestScore {
-				best, bestScore = s, score
-			}
-		}
-		if best >= 0 {
-			objs, q := stats.Shard(best).Objects.Load(), rb.qps[best]
-			err := rb.cl.SplitShard(best)
-			rb.finishOp(now, Event{Kind: "split", Shard: best, Objects: objs, QPS: q, Err: err})
-			if err == nil {
-				rb.splits++
-			}
-			return err
-		}
-	}
-
-	// Merge: the coldest sibling pair with both combined readings under the
-	// merge thresholds. Merging flushes clients, so only clearly cold pairs
-	// qualify and only one merges per step.
-	if rb.cfg.MergeObjects > 0 || rb.cfg.MergeQPS > 0 {
-		bestS, bestT, bestLoad := -1, -1, 0.0
-		for _, t := range live {
-			s, ok := rb.cl.SiblingOf(t)
-			if !ok || s == t {
-				continue
-			}
-			objs := stats.Shard(s).Objects.Load() + stats.Shard(t).Objects.Load()
-			q := rb.qps[s] + rb.qps[t]
-			if rb.cfg.MergeObjects > 0 && objs > rb.cfg.MergeObjects {
-				continue
-			}
-			if rb.cfg.MergeQPS > 0 && q > rb.cfg.MergeQPS {
-				continue
-			}
-			load := float64(objs) + q
-			if bestS < 0 || load < bestLoad {
-				// Retire the younger slot: merging into the longer-lived
-				// sibling keeps region churn local to the pair either way.
-				if t < s {
-					s, t = t, s
-				}
-				bestS, bestT, bestLoad = s, t, load
-			}
-		}
-		if bestS >= 0 && len(live) > rb.cfg.MinShards {
-			objs := stats.Shard(bestS).Objects.Load() + stats.Shard(bestT).Objects.Load()
-			q := rb.qps[bestS] + rb.qps[bestT]
-			err := rb.cl.MergeShards(bestS, bestT)
-			rb.finishOp(now, Event{Kind: "merge", Shard: bestS, Target: bestT, Objects: objs, QPS: q, Err: err})
-			if err == nil {
-				rb.merges++
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// pressure scores a shard against the split triggers: >1 means some trigger
-// fired, and the magnitude ranks candidates.
-func (rb *Rebalancer) pressure(objects int64, qps float64) float64 {
-	score := 0.0
-	if rb.cfg.SplitObjects > 0 {
-		score = float64(objects) / float64(rb.cfg.SplitObjects)
-	}
-	if rb.cfg.SplitQPS > 0 {
-		if s := qps / rb.cfg.SplitQPS; s > score {
-			score = s
-		}
-	}
-	return score
-}
-
-// tickRates refreshes the per-shard sub-query rates from counter deltas and
-// publishes them through the QPSMilli gauges (what prodb -stats renders).
-func (rb *Rebalancer) tickRates(now time.Time, live []int, stats *metrics.ClusterStats) {
-	dt := now.Sub(rb.lastTick).Seconds()
-	first := rb.lastTick.IsZero()
-	rb.lastTick = now
+	// Split: pick the live shard furthest over the threshold.
+	best, bestObjs := -1, rb.cfg.SplitObjects
 	for _, s := range live {
-		sub := stats.Shard(s).SubQueries.Load()
-		if !first && dt > 0 {
-			if prev, ok := rb.lastSub[s]; ok {
-				rb.qps[s] = float64(sub-prev) / dt
-				stats.Shard(s).QPSMilli.Store(int64(rb.qps[s] * 1000))
-			}
+		if objs := stats.Shard(s).Objects.Load(); objs > bestObjs {
+			best, bestObjs = s, objs
 		}
-		rb.lastSub[s] = sub
 	}
+	if best >= 0 {
+		err := rb.cl.SplitShard(best)
+		rb.finishOp(now, Event{Kind: "split", Shard: best, Objects: bestObjs, Err: err})
+		if err == nil {
+			rb.splits++
+		}
+		return err
+	}
+
+	// Merge: the smallest sibling pair with its combined count under the
+	// merge threshold. Merging flushes clients, so only clearly cold pairs
+	// qualify and only one merges per step.
+	if rb.cfg.MergeObjects <= 0 || len(live) <= rb.cfg.MinShards {
+		return nil
+	}
+	bestS, bestT, bestObjs := -1, -1, int64(0)
+	for _, t := range live {
+		s, ok := rb.cl.SiblingOf(t)
+		if !ok || s == t {
+			continue
+		}
+		objs := stats.Shard(s).Objects.Load() + stats.Shard(t).Objects.Load()
+		if objs > rb.cfg.MergeObjects {
+			continue
+		}
+		if bestS < 0 || objs < bestObjs {
+			// Retire the younger slot: merging into the longer-lived
+			// sibling keeps region churn local to the pair either way.
+			if t < s {
+				s, t = t, s
+			}
+			bestS, bestT, bestObjs = s, t, objs
+		}
+	}
+	if bestS < 0 {
+		return nil
+	}
+	err := rb.cl.MergeShards(bestS, bestT)
+	rb.finishOp(now, Event{Kind: "merge", Shard: bestS, Target: bestT, Objects: bestObjs, Err: err})
+	if err == nil {
+		rb.merges++
+	}
+	return err
 }
 
 func (rb *Rebalancer) finishOp(now time.Time, ev Event) {

@@ -83,15 +83,12 @@ func TestRebalancerConfigValidation(t *testing.T) {
 		t.Fatal("nil cluster accepted")
 	}
 	if _, err := New(f, Config{}); err == nil {
-		t.Fatal("no split trigger accepted")
+		t.Fatal("no SplitObjects accepted")
 	}
 	if _, err := New(f, Config{SplitObjects: 100, MergeObjects: 80}); err == nil {
 		t.Fatal("flapping MergeObjects accepted")
 	}
-	if _, err := New(f, Config{SplitQPS: 100, MergeQPS: 80}); err == nil {
-		t.Fatal("flapping MergeQPS accepted")
-	}
-	if _, err := New(f, Config{SplitObjects: 100, MergeObjects: 20, SplitQPS: 50, MergeQPS: 10}); err != nil {
+	if _, err := New(f, Config{SplitObjects: 100, MergeObjects: 20}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,37 +133,6 @@ func TestRebalancerSplitsOnObjects(t *testing.T) {
 	}
 	if rb.Splits() != 2 {
 		t.Fatalf("Splits() = %d", rb.Splits())
-	}
-}
-
-func TestRebalancerQPSTriggerAndGauge(t *testing.T) {
-	f := newFakeCluster(2)
-	rb, err := New(f, Config{SplitQPS: 100, Cooldown: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(2000, 0)
-	// First tick only baselines the counters.
-	if err := rb.Step(now); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.splits) != 0 {
-		t.Fatal("split without any rate measured")
-	}
-	// 2000 sub-queries in 10 seconds = 200 qps on shard 0.
-	f.stats.Shard(0).SubQueries.Add(2000)
-	f.stats.Shard(1).SubQueries.Add(100)
-	if err := rb.Step(now.Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.splits) != 1 || f.splits[0] != 0 {
-		t.Fatalf("splits = %v, want [0]", f.splits)
-	}
-	if got := f.stats.Shard(0).QPSMilli.Load(); got != 200_000 {
-		t.Fatalf("QPSMilli gauge = %d, want 200000", got)
-	}
-	if got := f.stats.Shard(1).QPSMilli.Load(); got != 10_000 {
-		t.Fatalf("QPSMilli gauge = %d, want 10000", got)
 	}
 }
 

@@ -33,7 +33,7 @@ func durableCluster(t *testing.T, replicas bool) *cluster.InProcess {
 	return cl
 }
 
-func runFaultScenario(t *testing.T, name string, cl *cluster.InProcess) *Result {
+func runScenario(t *testing.T, name string, cl *cluster.InProcess) *Result {
 	t.Helper()
 	sp, err := Lookup(name)
 	if err != nil {
@@ -49,10 +49,7 @@ func runFaultScenario(t *testing.T, name string, cl *cluster.InProcess) *Result 
 		NewTransport: func(int) (wire.Transport, error) { return cl.Router, nil },
 		Release:      cl.Router.ReleaseResponse,
 		Injector:     cl,
-		FailoverStats: func() (int64, int64, int64) {
-			snap := cl.Router.Stats().Snapshot()
-			return snap.Retries(), snap.Failovers(), snap.Redials()
-		},
+		Cluster:      cl.Router.Stats().Snapshot,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +62,7 @@ func runFaultScenario(t *testing.T, name string, cl *cluster.InProcess) *Result 
 // retry/redial path absorbs both — zero protocol errors reach a user.
 func TestLoadChaosCrashRecovery(t *testing.T) {
 	cl := durableCluster(t, false)
-	res := runFaultScenario(t, "shard-crash-recovery", cl)
+	res := runScenario(t, "shard-crash-recovery", cl)
 	if res.Errors != 0 {
 		t.Fatalf("%d protocol errors leaked through the crash-restarts", res.Errors)
 	}
@@ -80,11 +77,30 @@ func TestLoadChaosCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestLoadClusterCountersPerRun runs a fault-free scenario on the backend a
+// chaos scenario just crashed and restarted: the failover counters it
+// reports are its own, not the totals the backend carries from the run
+// before.
+func TestLoadClusterCountersPerRun(t *testing.T) {
+	cl := durableCluster(t, false)
+	if res := runScenario(t, "shard-crash-recovery", cl); res.Redials == 0 {
+		t.Fatal("no redials counted: the faults did not fire")
+	}
+	res := runScenario(t, "baseline", cl)
+	if res.Errors != 0 || res.WireOK == 0 {
+		t.Fatalf("baseline after recovery: %d ok, %d errors", res.WireOK, res.Errors)
+	}
+	if res.Redials != 0 || res.Retries != 0 || res.Failovers != 0 {
+		t.Fatalf("fault-free run reported retries=%d failovers=%d redials=%d",
+			res.Retries, res.Failovers, res.Redials)
+	}
+}
+
 // TestLoadChaosReplicaFailover kills a primary for good mid-run: the warm
 // replica is promoted and the schedule finishes with zero errors.
 func TestLoadChaosReplicaFailover(t *testing.T) {
 	cl := durableCluster(t, true)
-	res := runFaultScenario(t, "replica-failover", cl)
+	res := runScenario(t, "replica-failover", cl)
 	if res.Errors != 0 {
 		t.Fatalf("%d protocol errors leaked through the failover", res.Errors)
 	}

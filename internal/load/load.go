@@ -34,10 +34,6 @@ type Config struct {
 	// Timeout is the latency above which a completed operation is also
 	// counted as a timeout; default 2s.
 	Timeout time.Duration
-	// MaxOutstanding bounds in-flight operations per worker; arrivals that
-	// find the budget exhausted are shed (counted, never blocked on —
-	// blocking would turn the harness closed-loop). Default 1024.
-	MaxOutstanding int
 
 	// NewTransport connects worker w to the system under test. Required.
 	// Transports implementing io.Closer are closed at the end of the run
@@ -50,28 +46,26 @@ type Config struct {
 	Release func(*wire.Response)
 	// OnEvent observes per-operation errors (logging hook). May be nil.
 	OnEvent func(worker int, err error)
-	// ShardErrors, when set, is sampled at the end of the run to fill
-	// Result.ShardErrors (wire it to a cluster.Config.OnShardError
-	// counter).
-	ShardErrors func() int64
 
 	// Injector is the chaos surface Spec.Faults fires against (cluster
 	// backends: *cluster.InProcess satisfies it). Required when the spec
 	// schedules faults; fault-free specs ignore it.
 	Injector Injector
-	// FailoverStats, when set, is sampled at the end of the run to fill
-	// Result.Retries/Failovers/Redials (wire it to the router's
-	// metrics.ClusterStats snapshot).
-	FailoverStats func() (retries, failovers, redials int64)
+	// Cluster, when set, is sampled before and after the run to fill the
+	// cluster-only Result fields (ShardErrors, Retries, Failovers, Redials,
+	// Splits, Merges, Handover) with this run's deltas. Wire it to the
+	// metrics.ClusterStats every router behind NewTransport counts into.
+	Cluster func() metrics.ClusterSnapshot
 	// EdgeStats, when set, is sampled before and after the run to fill
 	// Result.EdgeHits/EdgeMisses/EdgeForwards with this run's deltas (wire
 	// it to the edge tier's metrics.EdgeStats snapshot).
 	EdgeStats func() metrics.EdgeSnapshot
-	// ElasticStats, when set, is sampled before and after the run to fill
-	// Result.Splits/Merges/Handover with this run's topology-operation
-	// deltas (wire it to the router's metrics.ClusterStats counters).
-	ElasticStats func() (splits, merges, handoverNanos int64)
 }
+
+// maxOutstanding bounds in-flight operations per worker; arrivals that find
+// the budget exhausted are shed (counted, never blocked on — blocking would
+// turn the harness closed-loop).
+const maxOutstanding = 1024
 
 func (c Config) withDefaults() (Config, error) {
 	if c.NewTransport == nil {
@@ -98,9 +92,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.MaxOutstanding < 1 {
-		c.MaxOutstanding = 1024
 	}
 	return c, nil
 }
@@ -139,15 +130,14 @@ func Run(cfg Config) (*Result, error) {
 		sizer = wire.DefaultSizeModel()
 		dur   = cfg.Duration.Seconds()
 
-		edgeBase metrics.EdgeSnapshot
-
-		splitBase, mergeBase, handBase int64
+		edgeBase    metrics.EdgeSnapshot
+		clusterBase metrics.ClusterSnapshot
 	)
 	if cfg.EdgeStats != nil {
 		edgeBase = cfg.EdgeStats()
 	}
-	if cfg.ElasticStats != nil {
-		splitBase, mergeBase, handBase = cfg.ElasticStats()
+	if cfg.Cluster != nil {
+		clusterBase = cfg.Cluster()
 	}
 	workers := make([]*worker, cfg.Workers)
 	for i := range workers {
@@ -168,7 +158,7 @@ func Run(cfg Config) (*Result, error) {
 			gen:   NewGen(cfg.Spec, cfg.Seed+int64(i)*7919, cfg.Users, dur),
 			sched: newArrivals(cfg.TargetQPS/float64(cfg.Workers), cfg.Spec.Poisson,
 				rand.New(rand.NewSource(cfg.Seed^int64(i)<<20))),
-			sem:  make(chan struct{}, cfg.MaxOutstanding),
+			sem:  make(chan struct{}, maxOutstanding),
 			urng: rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*104729)),
 		}
 		workers[i].tr.Store(&trGen{tr: tr})
@@ -236,11 +226,8 @@ func Run(cfg Config) (*Result, error) {
 
 		SLO: cfg.Spec.SLO,
 	}
-	if cfg.ShardErrors != nil {
-		res.ShardErrors = cfg.ShardErrors()
-	}
-	if cfg.FailoverStats != nil {
-		res.Retries, res.Failovers, res.Redials = cfg.FailoverStats()
+	if cfg.Cluster != nil {
+		res.FillClusterDeltas(clusterBase, cfg.Cluster())
 	}
 	if cfg.EdgeStats != nil {
 		now := cfg.EdgeStats()
@@ -248,13 +235,6 @@ func Run(cfg Config) (*Result, error) {
 		res.EdgeHits = now.Hits - edgeBase.Hits
 		res.EdgeMisses = now.Misses - edgeBase.Misses
 		res.EdgeForwards = now.Forwards - edgeBase.Forwards
-	}
-	if cfg.ElasticStats != nil {
-		splits, merges, hand := cfg.ElasticStats()
-		res.Elastic = true
-		res.Splits = splits - splitBase
-		res.Merges = merges - mergeBase
-		res.Handover = time.Duration(hand - handBase)
 	}
 	// Achieved rate is completions over the offered window, not over
 	// elapsed-including-drain: every operation was *scheduled* inside

@@ -11,6 +11,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/metrics"
+	"repro/internal/rtree"
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -195,34 +198,40 @@ func TestLoadSurvivesConnectFailure(t *testing.T) {
 	}
 }
 
-// TestLoadShardErrorsCounted wires the router's OnShardError hook to the
-// harness counter: a shard that dies mid-run surfaces as counted shard
-// errors and query failures, not a harness abort (the cluster.Dial
-// unsafe-failure fix of PR 6).
+// TestLoadShardErrorsCounted puts a shard that starts failing mid-run
+// inside a cluster router — one router per worker, all counting into one
+// metrics.ClusterStats as proload's dialed routers do: the dead shard's
+// sub-query failures surface as counted shard errors and query failures,
+// not a harness abort.
 func TestLoadShardErrorsCounted(t *testing.T) {
 	ds := dataset.GenerateNE(dataset.Params{N: 2000, Seed: 7})
-	var shardErrs atomic.Int64
-	var kill atomic.Bool
-	cl, err := cluster.NewInProcess(ds.Objects, cluster.InProcessConfig{
-		Shards:       2,
-		Sizer:        ds.SizeOf,
-		OnShardError: func(int, error) { shardErrs.Add(1) },
-	})
+	part, err := cluster.MakePartition(ds.Objects, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close)
-	// Wrap shard 0 so it starts failing halfway through the run.
-	inner := cl.Router
-	flaky := wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
-		if kill.Load() {
-			// Simulate the dead-shard path: the router-level query fails
-			// after counting per-shard errors. Here the whole endpoint
-			// fails, which the harness must also absorb.
+	var kill atomic.Bool
+	shards := make([]cluster.Shard, 2)
+	for s, objs := range part.Split(ds.Objects) {
+		items := make([]rtree.Item, len(objs))
+		for i, o := range objs {
+			items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
+		}
+		srv := server.New(rtree.BulkLoad(rtree.DefaultParams(), items, 0.7), ds.SizeOf, server.Config{})
+		t.Cleanup(srv.Close)
+		shards[s] = cluster.ShardTransport(srv)
+	}
+	// Shard 0 starts failing halfway through the run.
+	healthy := shards[0].T
+	shards[0].T = wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
+		if kill.Load() && !req.Catalog {
 			return nil, errors.New("shard down")
 		}
-		return inner.RoundTrip(req)
+		return healthy.RoundTrip(req)
 	})
+	stats := metrics.NewClusterStats(2)
+	newRouter := func(int) (wire.Transport, error) {
+		return cluster.New(shards, cluster.Config{Part: part, Sizer: ds.SizeOf, Stats: stats})
+	}
 	go func() {
 		time.Sleep(250 * time.Millisecond)
 		kill.Store(true)
@@ -235,9 +244,8 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 		Users:        1000,
 		Workers:      2,
 		Seed:         1,
-		NewTransport: func(int) (wire.Transport, error) { return flaky, nil },
-		Release:      cl.Router.ReleaseResponse,
-		ShardErrors:  shardErrs.Load,
+		NewTransport: newRouter,
+		Cluster:      stats.Snapshot,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +255,9 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 	}
 	if res.Errors == 0 {
 		t.Fatal("mid-run failures were not counted")
+	}
+	if res.ShardErrors == 0 {
+		t.Fatal("no shard errors reported")
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"reflect"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Result is one scenario run's outcome.
@@ -25,7 +27,7 @@ type Result struct {
 	Shed          int64 // arrivals dropped at the outstanding budget
 	Updates       int64 // update batches (not individual mutations)
 	UpdateRejects int64 // individual mutations the server rejected
-	ShardErrors   int64 // per-shard sub-query failures (cluster only)
+	ShardErrors   int64 // shard sub-requests that failed (cluster only)
 
 	Retries   int64 // shard round trips the router retried (cluster only)
 	Failovers int64 // replica promotions (cluster only)
@@ -51,6 +53,19 @@ type Result struct {
 
 	SLO        SLO
 	Violations []string
+}
+
+// FillClusterDeltas fills the cluster-only fields with the counter movement
+// between two snapshots of the routers' metrics.ClusterStats.
+func (r *Result) FillClusterDeltas(before, after metrics.ClusterSnapshot) {
+	r.Elastic = true
+	r.ShardErrors = after.Errors() - before.Errors()
+	r.Retries = after.Retries() - before.Retries()
+	r.Failovers = after.Failovers() - before.Failovers()
+	r.Redials = after.Redials() - before.Redials()
+	r.Splits = after.Splits - before.Splits
+	r.Merges = after.Merges - before.Merges
+	r.Handover = time.Duration(after.HandoverNanos - before.HandoverNanos)
 }
 
 // CheckSLO evaluates the result against its SLO envelope and returns the

@@ -11,7 +11,7 @@ import (
 // re-issue protocol fires, how much cross-shard join work the merge layer
 // performs, and — since the cluster went elastic — how the shard topology
 // itself moves (splits, merges, handover time) and how load sits on each
-// shard slot (object-count and QPS gauges). All fields are atomic; one
+// shard slot (object-count gauges). All fields are atomic; one
 // ClusterStats is shared by every request the router serves.
 //
 // The per-shard blocks live behind an atomic pointer so the router can grow
@@ -67,10 +67,6 @@ type ShardCounters struct {
 	// build/spawn, maintained from acked inserts and deletes, and adjusted
 	// wholesale when a split or merge moves a region.
 	Objects atomic.Int64
-	// QPSMilli gauges the shard's recent sub-query rate in thousandths of a
-	// query per second, written by whoever watches the cluster (the elastic
-	// rebalancer each tick). Zero when nothing is watching.
-	QPSMilli atomic.Int64
 	// Dead marks a retired slot (its region was merged away). The slot's
 	// counters remain readable; a later split may revive the slot.
 	Dead atomic.Bool
@@ -149,7 +145,6 @@ type ShardSnapshot struct {
 	Failovers  int64
 	Redials    int64
 	Objects    int64
-	QPSMilli   int64
 	Dead       bool
 }
 
@@ -176,7 +171,6 @@ func (s *ClusterStats) Snapshot() ClusterSnapshot {
 				Failovers:  sh.Failovers.Load(),
 				Redials:    sh.Redials.Load(),
 				Objects:    sh.Objects.Load(),
-				QPSMilli:   sh.QPSMilli.Load(),
 				Dead:       sh.Dead.Load(),
 			}
 		}
@@ -208,8 +202,8 @@ func (s ClusterSnapshot) String() string {
 			continue
 		}
 		fmt.Fprintf(&b, " %d=%d", i, sh.SubQueries)
-		if sh.Objects > 0 || sh.QPSMilli > 0 {
-			fmt.Fprintf(&b, "{%dobj,%.1fqps}", sh.Objects, float64(sh.QPSMilli)/1e3)
+		if sh.Objects > 0 {
+			fmt.Fprintf(&b, "{%dobj}", sh.Objects)
 		}
 		if sh.Errors > 0 {
 			fmt.Fprintf(&b, "(%derr)", sh.Errors)
@@ -219,6 +213,11 @@ func (s ClusterSnapshot) String() string {
 		}
 	}
 	return b.String()
+}
+
+// Errors sums failed sub-requests across shards.
+func (s ClusterSnapshot) Errors() int64 {
+	return s.sum(func(sh ShardSnapshot) int64 { return sh.Errors })
 }
 
 // Retries sums sub-request retries across shards.

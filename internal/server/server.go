@@ -44,11 +44,6 @@ type Config struct {
 	// UpdateLogLimit bounds the invalidation log; clients whose epoch falls
 	// off the horizon are told to flush. Default 4096 update records.
 	UpdateLogLimit int
-	// UpdateQueueLen is the capacity of the writer's batch queue. Default 256.
-	UpdateQueueLen int
-	// UpdateBatchOps caps how many queued operations the writer coalesces
-	// into one published snapshot. Default 512.
-	UpdateBatchOps int
 
 	// WAL, when set, makes the server durable: the writer goroutine appends
 	// every applied batch to it *before* publishing the batch's snapshot
@@ -82,12 +77,6 @@ func (c Config) normalized() Config {
 	}
 	if c.UpdateLogLimit <= 0 {
 		c.UpdateLogLimit = 4096
-	}
-	if c.UpdateQueueLen <= 0 {
-		c.UpdateQueueLen = 256
-	}
-	if c.UpdateBatchOps <= 0 {
-		c.UpdateBatchOps = 512
 	}
 	return c
 }

@@ -69,6 +69,14 @@ type updateBatch struct {
 	done    chan struct{} // buffered(1); writer sends exactly one ack
 }
 
+const (
+	// updateQueueLen is the capacity of the writer's batch queue.
+	updateQueueLen = 256
+	// updateBatchOps caps how many queued operations the writer coalesces
+	// into one published snapshot.
+	updateBatchOps = 512
+)
+
 var batchPool = sync.Pool{
 	New: func() any { return &updateBatch{done: make(chan struct{}, 1)} },
 }
@@ -103,7 +111,7 @@ func (s *Server) ensureWriter() *writer {
 		cur := s.cur.Load()
 		w := &writer{
 			s:    s,
-			q:    make(chan *updateBatch, s.cfg.UpdateQueueLen),
+			q:    make(chan *updateBatch, updateQueueLen),
 			quit: make(chan struct{}),
 			done: make(chan struct{}),
 			// A restored server (Restore) publishes its recovered epoch and
@@ -215,13 +223,13 @@ func (w *writer) run() {
 	}
 }
 
-// collect gathers already-queued batches behind first, up to the configured
-// operation budget — the batch coalescer. Every collected batch is applied
+// collect gathers already-queued batches behind first, up to updateBatchOps
+// operations — the batch coalescer. Every collected batch is applied
 // to one clone and published as one snapshot.
 func (w *writer) collect(first *updateBatch) []*updateBatch {
 	batches := append(w.collected[:0], first)
 	total := len(first.ops)
-	for total < w.s.cfg.UpdateBatchOps {
+	for total < updateBatchOps {
 		select {
 		case b := <-w.q:
 			batches = append(batches, b)

@@ -81,11 +81,9 @@ type Request struct {
 	Updates []UpdateOp
 
 	// Replica marks a replication-stream message: a primary shard forwarding
-	// its acked update batches (or catalog probes) to a warm follower
-	// (docs/DURABILITY.md). A follower-mode server rejects client updates
-	// that do not carry this flag, so only its primary can mutate it; the
-	// flag is carried as a bare bit on the wire and ordinary clients never
-	// set it.
+	// its acked update batches (or catalog probes) to its warm standby
+	// (docs/DURABILITY.md). The flag is carried as a bare bit on the wire
+	// and ordinary clients never set it.
 	Replica bool
 
 	// Bound, when positive, is shard-routing metadata from a cluster router

@@ -113,13 +113,9 @@ func NewJoin(window Rect, dist float64) Query { return query.NewJoin(window, dis
 // ServerConfig parameterizes NewServer.
 type ServerConfig struct {
 	// Form selects the supporting-index representation; default adaptive.
+	// Pages are the paper's 4 KB of 20-byte entries (rtree.DefaultParams)
+	// bulk-loaded to 70% fill, and the adaptive s is 0.20 (Table 6.1).
 	Form IndexForm
-	// Sensitivity is the adaptive s parameter; default 0.20.
-	Sensitivity float64
-	// PageBytes sizes index pages; default 4096 (about 204 entries).
-	PageBytes int
-	// BulkFill is the bulk-load fill factor; default 0.7.
-	BulkFill float64
 }
 
 // Server owns a spatial dataset, its R*-tree, and the proactive-caching
@@ -142,20 +138,10 @@ type Server struct {
 	mbrs          map[ObjectID]Rect
 	stats         metrics.ServerStats
 	remoteUpdates atomic.Bool
-	follower      atomic.Bool
 }
 
 // NewServer indexes the objects and stands up a server.
 func NewServer(objects []Object, cfg ServerConfig) *Server {
-	if cfg.PageBytes <= 0 {
-		cfg.PageBytes = 4096
-	}
-	if cfg.BulkFill <= 0 {
-		cfg.BulkFill = 0.7
-	}
-	entrySize := wire.DefaultSizeModel().Entry
-	params := rtree.Params{MaxEntries: cfg.PageBytes / entrySize}
-
 	items := make([]rtree.Item, len(objects))
 	sizes := make(map[ObjectID]int, len(objects))
 	mbrs := make(map[ObjectID]Rect, len(objects))
@@ -164,11 +150,8 @@ func NewServer(objects []Object, cfg ServerConfig) *Server {
 		sizes[o.ID] = o.Size
 		mbrs[o.ID] = o.MBR
 	}
-	tree := rtree.BulkLoad(params, items, cfg.BulkFill)
-	inner := server.New(tree, func(id ObjectID) int { return sizes[id] }, server.Config{
-		Form:        cfg.Form,
-		Sensitivity: cfg.Sensitivity,
-	})
+	tree := rtree.BulkLoad(rtree.DefaultParams(), items, 0.7)
+	inner := server.New(tree, func(id ObjectID) int { return sizes[id] }, server.Config{Form: cfg.Form})
 	s := &Server{inner: inner, sizes: sizes, mbrs: mbrs}
 	s.remoteUpdates.Store(true)
 	return s
@@ -179,13 +162,6 @@ func NewServer(objects []Object, cfg ServerConfig) *Server {
 // -updates=false) rejects update requests with an error response while local
 // mutators keep working.
 func (s *Server) SetRemoteUpdates(on bool) { s.remoteUpdates.Store(on) }
-
-// SetFollower puts the server in warm-standby mode (cmd/prodb -follower):
-// only the primary's replication stream may mutate it — wire updates must
-// carry the Request.Replica flag or they are rejected — while queries keep
-// answering normally, so a router can promote it the moment the primary
-// dies (docs/DURABILITY.md). Off by default.
-func (s *Server) SetFollower(on bool) { s.follower.Store(on) }
 
 // Close stops the server's background update writer, waiting for queued
 // update batches to be applied. Call it after the serving layer has drained;
@@ -239,24 +215,15 @@ func (s *Server) Transport() Transport {
 // a server running with remote updates disabled.
 var ErrUpdatesDisabled = errors.New("repro: remote updates disabled")
 
-// ErrNotPrimary is returned to wire clients shipping batched updates to a
-// follower: only the primary's replication stream (Request.Replica) may
-// mutate a warm standby.
-var ErrNotPrimary = errors.New("repro: follower: updates accepted only from the primary's replication stream")
-
 // Handler returns the server's request handler for use with a custom
 // wire.NetServer. A request carrying Updates is routed through the batched
 // single-writer update path; everything else executes as a query. Updates
-// pass only when remote updates are on and, in follower mode, the request
-// is a replication-stream message.
+// pass only when remote updates are on.
 func (s *Server) Handler() wire.Handler {
 	return func(req *wire.Request) (*wire.Response, error) {
 		if len(req.Updates) > 0 {
 			if !s.remoteUpdates.Load() {
 				return nil, ErrUpdatesDisabled
-			}
-			if s.follower.Load() && !req.Replica {
-				return nil, ErrNotPrimary
 			}
 			return s.inner.ExecuteUpdates(req), nil
 		}

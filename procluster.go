@@ -11,7 +11,6 @@ import (
 	"repro/internal/edge"
 	"repro/internal/elastic"
 	"repro/internal/metrics"
-	"repro/internal/rtree"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -22,12 +21,8 @@ type ClusterConfig struct {
 	// Shards is the number of spatial shards; default 4, max
 	// cluster.MaxShards (255).
 	Shards int
-	// Form, Sensitivity, PageBytes, BulkFill apply to every shard exactly
-	// as in ServerConfig.
-	Form        IndexForm
-	Sensitivity float64
-	PageBytes   int
-	BulkFill    float64
+	// Form applies to every shard exactly as in ServerConfig.
+	Form IndexForm
 
 	// WALDir enables per-shard durability: shard s write-ahead-logs every
 	// applied update batch under WALDir/shard-<s> and checkpoints its
@@ -71,18 +66,9 @@ type ClusterServer struct {
 // shard must receive at least one object; datasets smaller than the shard
 // count should shard less.
 func NewClusterServer(objects []Object, cfg ClusterConfig) (*ClusterServer, error) {
-	pageBytes := cfg.PageBytes
-	if pageBytes <= 0 {
-		pageBytes = 4096
-	}
 	p, err := cluster.NewInProcess(objects, cluster.InProcessConfig{
-		Shards:   cfg.Shards,
-		Tree:     rtree.Params{MaxEntries: pageBytes / wire.DefaultSizeModel().Entry},
-		BulkFill: cfg.BulkFill,
-		Server: server.Config{
-			Form:        cfg.Form,
-			Sensitivity: cfg.Sensitivity,
-		},
+		Shards:        cfg.Shards,
+		Server:        server.Config{Form: cfg.Form},
 		Sizer:         buildSizer(objects),
 		WALDir:        cfg.WALDir,
 		WAL:           wal.Options{NoSync: cfg.WALNoSync},
@@ -266,14 +252,14 @@ func (v elasticView) Stats() *metrics.ClusterStats { return v.cs.cluster.Stats()
 func (cs *ClusterServer) Elastic() elastic.Cluster { return elasticView{cs} }
 
 // StartRebalancer runs a load-driven rebalancer over this cluster in a
-// background goroutine: shards whose object count or sub-query rate crosses
-// the split thresholds are split, cold sibling pairs are folded back
-// (docs/ELASTIC.md). A cfg with no split trigger splits a shard at twice
-// the mean build-time shard size (ShardObjects) and merges a sibling pair
-// below a quarter of that. The returned stop function halts it; the
+// background goroutine: shards whose object count crosses the split
+// threshold are split, cold sibling pairs are folded back
+// (docs/ELASTIC.md). A cfg with no SplitObjects splits a shard at twice the
+// mean build-time shard size (ShardObjects) and merges a sibling pair below
+// a quarter of that. The returned stop function halts it; the
 // Rebalancer is returned for its Splits/Merges counters.
 func (cs *ClusterServer) StartRebalancer(cfg elastic.Config) (*elastic.Rebalancer, func(), error) {
-	if cfg.SplitObjects <= 0 && cfg.SplitQPS <= 0 {
+	if cfg.SplitObjects <= 0 {
 		total := 0
 		for _, n := range cs.cluster.Counts {
 			total += n
@@ -306,8 +292,6 @@ func (cs *ClusterServer) Close() { cs.cluster.Close() }
 // EdgeOptions parameterizes an edge cache tier in front of the cluster;
 // zero values take the edge package defaults.
 type EdgeOptions struct {
-	// ByteBudget caps the edge cache (SizeModel bytes; default 32 MiB).
-	ByteBudget int
 	// AdmitThreshold is the per-cell hotness admission bar and Window the
 	// hotness window length in queries.
 	AdmitThreshold float64
@@ -319,13 +303,10 @@ type EdgeOptions struct {
 	// Upstream overrides the transport the edge forwards to; nil uses the
 	// in-process router directly. A remote edge node sets this to a pool of
 	// pipelined wire connections back to the router (edge.NewUpstreamPool),
-	// keeping the cluster's partition geometry for its cache cells.
+	// keeping the cluster's partition geometry for its cache cells. Its
+	// responses are decoded off the wire, not pooled, so the edge leaves
+	// them to the garbage collector.
 	Upstream Transport
-	// ReleaseUpstream recycles forwarded responses the edge has finished
-	// with; must match Upstream's allocation discipline. Nil with a non-nil
-	// Upstream leaves responses to the garbage collector (correct for
-	// decoded wire responses, which are not pooled).
-	ReleaseUpstream func(*wire.Response)
 }
 
 // Edge builds an edge cache tier fronting this cluster: a wire.Transport
@@ -337,14 +318,13 @@ func (cs *ClusterServer) Edge(opts EdgeOptions) (*edge.Edge, error) {
 	part := cs.cluster.Router.Partition()
 	upstream, release := Transport(cs.Transport()), cs.ReleaseResponse
 	if opts.Upstream != nil {
-		upstream, release = opts.Upstream, opts.ReleaseUpstream
+		upstream, release = opts.Upstream, nil
 	}
 	e, err := edge.New(edge.Config{
 		Upstream:        upstream,
 		Locate:          part.Locate,
 		Cells:           part.Shards(),
 		ReleaseUpstream: release,
-		ByteBudget:      opts.ByteBudget,
 		AdmitThreshold:  opts.AdmitThreshold,
 		Window:          opts.Window,
 		SyncInterval:    opts.SyncInterval,
