@@ -1,6 +1,6 @@
 // Command proload is the open-loop load generator: it drives a spatial
-// database endpoint — a live TCP cluster (one address per shard), a single
-// TCP server, or an in-process cluster it builds itself — at a target
+// database endpoint — one live TCP endpoint (a prodb, with or without
+// -cluster), or an in-process cluster it builds itself — at a target
 // arrival rate with millions of hash-derived simulated mobile users, every
 // operation a cold wire request, and reports SLO-style results (p50/p99/p999, achieved vs target QPS, error
 // and shed counts, byte accounting) per scenario, humanly and as JSON.
@@ -11,7 +11,7 @@
 //	proload -inprocess 4 -edge -scenario flash-crowd       # through an edge cache
 //	proload -inprocess 4 -elastic -scenario shard-skew     # rebalancer splits the hot shard
 //	proload -inprocess 4 -elastic-force -scenario baseline # force a mid-run split + merge
-//	proload -addr :7001,:7002,:7003,:7004 -scenario all -json out.json
+//	proload -addr :7001 -scenario all -json out.json        # a running prodb
 //	proload -check -json out.json -scenario flash-crowd    # exit 1 on SLO fail
 //	proload -inprocess 4 -scenario shard-crash-recovery -check  # chaos gate
 //	proload -validate out.json                             # schema check only
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cluster"
 	"repro/internal/edge"
 	"repro/internal/elastic"
 	"repro/internal/load"
@@ -47,7 +46,7 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "", "comma-separated shard addresses (one = single server, several = client-side cluster)")
+		addr         = flag.String("addr", "", "dial this one endpoint: a prodb, or a prodb -cluster serving every shard behind its router")
 		inprocess    = flag.Int("inprocess", 0, "build an in-process cluster with this many shards instead of dialing")
 		edgeOn       = flag.Bool("edge", false, "route all workers through one in-process edge cache tier in front of the cluster (requires -inprocess)")
 		nethop       = flag.Bool("nethop", false, "serve the in-process cluster over loopback TCP and cross it per request: workers dial it directly, or under -edge the edge forwards over a pipelined upstream pool while cache hits skip the hop (requires -inprocess)")
@@ -68,6 +67,10 @@ func main() {
 		list         = flag.Bool("list", false, "print the scenario matrix and exit")
 	)
 	flag.Parse()
+	if strings.Contains(*addr, ",") {
+		fmt.Fprintln(os.Stderr, "proload: -addr takes one endpoint; serve a sharded dataset behind one address with prodb -cluster N")
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, sp := range load.Matrix() {
@@ -246,22 +249,18 @@ func pickScenarios(arg string) ([]load.Spec, error) {
 }
 
 // backend abstracts where requests go: a freshly built in-process cluster,
-// or dialed TCP endpoints (redialed per worker on connection failure).
+// or one dialed TCP endpoint (redialed per worker on connection failure).
 type backend struct {
-	addrs    []string
+	addr     string // the dialed endpoint: -addr, or the -nethop serving layer's loopback address
 	cs       *repro.ClusterServer
 	edge     *edge.Edge // all workers share it, like one edge node would be shared
 	walDir   string     // throwaway chaos WAL directory, removed on close
 	ns       *wire.NetServer
-	nsAddr   string // loopback address of the -nethop serving layer
 	upstream *edge.UpstreamPool
-	// dialStats is the one counter block every per-worker router over
-	// addrs counts into.
-	dialStats *metrics.ClusterStats
 }
 
 func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop bool) (*backend, error) {
-	b := &backend{}
+	b := &backend{addr: addr}
 	if addr != "" {
 		if chaos {
 			return nil, fmt.Errorf("fault scenarios inject shard kills and need the in-process backend (-inprocess), not -addr")
@@ -271,10 +270,6 @@ func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop
 		}
 		if nethop {
 			return nil, fmt.Errorf("-nethop serves the in-process cluster over loopback and needs -inprocess, not -addr")
-		}
-		b.addrs = strings.Split(addr, ",")
-		if len(b.addrs) > 1 {
-			b.dialStats = metrics.NewClusterStats(len(b.addrs))
 		}
 		return b, nil
 	}
@@ -321,14 +316,14 @@ func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop
 			return nil, err
 		}
 		b.ns = cs.NetServer(repro.ServeOptions{})
-		b.nsAddr = ln.Addr().String()
+		b.addr = ln.Addr().String()
 		go b.ns.Serve(ln)
 	}
 	if edgeOn {
 		opts := repro.EdgeOptions{}
 		if nethop {
 			pool, err := edge.NewUpstreamPool(2, func() (wire.Transport, error) {
-				bc, err := wire.Dial(b.nsAddr, wire.RoleEdge, 10*time.Second)
+				bc, err := wire.Dial(b.addr, wire.RoleEdge, 10*time.Second)
 				if err != nil {
 					return nil, err
 				}
@@ -361,15 +356,12 @@ func (b *backend) injector() load.Injector {
 }
 
 // clusterStats samples the router counters behind the workers for the
-// report; nil for a single dialed server.
+// report; nil for -addr, whose router (if any) runs in another process.
 func (b *backend) clusterStats() func() metrics.ClusterSnapshot {
-	switch {
-	case b.cs != nil:
-		return b.cs.ClusterStats
-	case b.dialStats != nil:
-		return b.dialStats.Snapshot
+	if b.cs == nil {
+		return nil
 	}
-	return nil
+	return b.cs.ClusterStats
 }
 
 // edgeStats exposes the edge tier's counter snapshot to the harness; nil
@@ -442,34 +434,25 @@ func forceElastic(cs *repro.ClusterServer, dur time.Duration) chan struct{} {
 	return done
 }
 
-// newTransport hands a worker its connection: the shared in-process
-// handler (through the shared edge tier under -edge), one dialed server,
-// or a client-side cluster router counting into the shared dialStats.
+// newTransport hands a worker its connection: the shared edge tier under
+// -edge, its own dial of the one endpoint, or the shared in-process handler.
 func (b *backend) newTransport(worker int) (wire.Transport, error) {
-	if b.edge != nil {
+	switch {
+	case b.edge != nil:
 		return b.edge, nil
+	case b.addr != "":
+		return repro.Dial(b.addr)
 	}
-	if b.nsAddr != "" {
-		return repro.Dial(b.nsAddr)
-	}
-	if b.cs != nil {
-		return b.cs.Transport(), nil
-	}
-	if len(b.addrs) == 1 {
-		return repro.Dial(b.addrs[0])
-	}
-	return cluster.Dial(b.addrs, cluster.Config{Stats: b.dialStats})
+	return b.cs.Transport(), nil
 }
 
 func (b *backend) release(resp *wire.Response) {
-	if b.nsAddr != "" {
+	if b.addr != "" {
 		// Responses crossed the wire and were freshly decoded client-side;
 		// they never came from the router pool. Leave them to the GC.
 		return
 	}
-	if b.cs != nil {
-		b.cs.ReleaseResponse(resp)
-	}
+	b.cs.ReleaseResponse(resp)
 }
 
 func (b *backend) close() {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/wire"
 )
 
@@ -28,10 +27,10 @@ var badPeers = []struct {
 	{"stays silent", func(net.Conn) {}, os.ErrDeadlineExceeded, false},
 }
 
-// listenBadPeer serves answer on addr until the test ends.
-func listenBadPeer(t *testing.T, addr string, answer func(net.Conn)) string {
+// listenBadPeer serves answer on a loopback port until the test ends.
+func listenBadPeer(t *testing.T, answer func(net.Conn)) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +58,7 @@ func listenBadPeer(t *testing.T, addr string, answer func(net.Conn)) string {
 
 // TestDialReportsHandshakeFailure: a peer that never shakes hands fails
 // the dial, with the handshake's own error and inside the dial's bound,
-// through every dialer: wire.Dial, repro.Dial, and the redial of a
-// cluster.Dial router whose shard was replaced by such a peer.
+// through every dialer: wire.Dial and repro.Dial.
 func TestDialReportsHandshakeFailure(t *testing.T) {
 	const bound = 200 * time.Millisecond
 	check := func(t *testing.T, what string, want error, start time.Time, tr Transport, err error) {
@@ -77,7 +75,7 @@ func TestDialReportsHandshakeFailure(t *testing.T) {
 	}
 	for _, bp := range badPeers {
 		t.Run(bp.name, func(t *testing.T) {
-			addr := listenBadPeer(t, "127.0.0.1:0", bp.answer)
+			addr := listenBadPeer(t, bp.answer)
 			start := time.Now()
 			bc, err := wire.Dial(addr, wire.RoleClient, bound)
 			check(t, "wire.Dial", bp.want, start, bc, err)
@@ -85,39 +83,6 @@ func TestDialReportsHandshakeFailure(t *testing.T) {
 				start = time.Now()
 				tr, err := Dial(addr)
 				check(t, "repro.Dial", bp.want, start, tr, err)
-			}
-
-			// A live shard, a router dialed to it, then the bad peer takes
-			// over the shard's address: every redial must fail, so the
-			// router keeps reporting the shard down.
-			srv := NewServer(testObjects()[:300], ServerConfig{})
-			defer srv.Close()
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ns := srv.NetServer(ServeOptions{})
-			go func() { _ = ns.Serve(ln) }()
-			router, err := cluster.Dial([]string{ln.Addr().String()}, cluster.Config{
-				HandshakeTimeout: bound,
-				FailThreshold:    1,
-				RetryBackoff:     time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer router.Close()
-			req := &wire.Request{Client: 1, Q: NewKNN(Pt(0.5, 0.5), 2)}
-			if _, err := router.RoundTrip(req); err != nil {
-				t.Fatalf("query through the live shard: %v", err)
-			}
-			ns.Close()
-			listenBadPeer(t, ln.Addr().String(), bp.answer)
-			if _, err := router.RoundTrip(req); err == nil {
-				t.Error("query succeeded with the shard replaced by a peer that never shakes hands")
-			}
-			if n := router.Stats().Snapshot().PerShard[0].Redials; n != 0 {
-				t.Errorf("router counted %d successful redials to a peer that never shook hands", n)
 			}
 		})
 	}

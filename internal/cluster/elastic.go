@@ -33,7 +33,7 @@ import (
 //  4. Transfer: the losing half bulk-loads into a new R*-tree, round-trips
 //     through the packed image codec (the same bytes a WAL checkpoint or a
 //     wire transfer would carry), and comes up as a new shard server with
-//     its own WAL and optional standby (Spawner).
+//     its own WAL and optional standby (InProcess.spawn).
 //  5. Cutover: the write fence drains every in-flight request against the
 //     old owner, the recorded tail replays onto the new shard (re-routed
 //     against the post-split partition), the moved objects are deleted from
@@ -77,20 +77,6 @@ func (ho *handoverState) record(ops []wire.UpdateOp, acked []bool) {
 	if len(kept) > 0 {
 		ho.entries = append(ho.entries, handoverEntry{ops: kept})
 	}
-}
-
-// Spawner creates and retires shard servers for elastic topology changes.
-// InProcess implements it; a multi-process deployment would provision and
-// decommission shard processes here.
-type Spawner interface {
-	// Spawn stands up a new shard server for slot t seeded with items
-	// (payload sizes via size), returning its router-facing Shard. The
-	// shard is not yet reachable by clients; the router installs it at
-	// cutover.
-	Spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error)
-	// Retire tears down slot t's server after the topology no longer
-	// routes to it.
-	Retire(t int)
 }
 
 // errShardRetired answers any straggler round trip to a merged-away slot.
@@ -210,7 +196,7 @@ func (r *Router) clearHandover() {
 // the source shard's ordinary epoch protocol, and the topology change
 // itself surfaces as a virtual-root invalidation. Split operations
 // serialize with each other and with MergeShards.
-func (r *Router) SplitShard(s int, sp Spawner) error {
+func (r *Router) SplitShard(s int, p *InProcess) error {
 	r.topoOpMu.Lock()
 	defer r.topoOpMu.Unlock()
 
@@ -255,7 +241,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 		r.clearHandover()
 		return fmt.Errorf("cluster: split: shard %d's object centers coincide", s)
 	}
-	newPart, err := r.part.SplitLeaf(s, t, axis, cut)
+	newPart, err := r.part.SplitLeaf(s, axis, cut)
 	if err != nil {
 		r.clearHandover()
 		return err
@@ -276,7 +262,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 	}
 
 	// Transfer: spawn the new shard from the packed move-set image.
-	shard, err := sp.Spawn(t, items, r.sizeOf)
+	shard, err := p.spawn(t, items, r.sizeOf)
 	if err != nil {
 		r.clearHandover()
 		return fmt.Errorf("cluster: split: spawn slot %d: %w", t, err)
@@ -317,7 +303,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 		}
 		if err := replayWave(pend); err != nil {
 			r.clearHandover()
-			sp.Retire(t)
+			p.retire(t)
 			return fmt.Errorf("cluster: split: replay tail onto slot %d: %w", t, err)
 		}
 		replayed += len(pend)
@@ -330,7 +316,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 	abort := func(why error) error {
 		r.ho = nil
 		r.topo.Unlock()
-		sp.Retire(t)
+		p.retire(t)
 		return why
 	}
 	if r.stats.Shard(s).Failovers.Load() != failoversBefore {
@@ -378,9 +364,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 
 	moved := int64(len(owned))
 	r.stats.Shard(s).Objects.Add(-moved)
-	tc := r.stats.Shard(t)
-	tc.Objects.Store(moved)
-	tc.Dead.Store(false)
+	r.stats.Shard(t).Objects.Store(moved)
 	r.stats.Splits.Add(1)
 	r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())
 	r.ho = nil
@@ -394,7 +378,7 @@ func (r *Router) SplitShard(s int, sp Spawner) error {
 // its server retires, so a merge flushes every tracked client — the exact
 // cost split avoids, which is why the rebalancer's merge thresholds carry
 // hysteresis. The slot is never reused.
-func (r *Router) MergeShards(s, t int, sp Spawner) error {
+func (r *Router) MergeShards(s, t int, p *InProcess) error {
 	r.topoOpMu.Lock()
 	defer r.topoOpMu.Unlock()
 
@@ -448,6 +432,6 @@ func (r *Router) MergeShards(s, t int, sp Spawner) error {
 	r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())
 	r.topo.Unlock()
 
-	sp.Retire(t)
+	p.retire(t)
 	return nil
 }

@@ -235,13 +235,14 @@ func replayTail(recs []wal.Record) []server.ReplayRecord {
 }
 
 // redial is the router's Shard.Redial: a transport bound to whatever
-// primary is live right now, failing while the shard is down.
-func (ps *procShard) redial() (wire.Transport, error) {
+// primary is live right now, recycling into that primary's response pool,
+// and failing while the shard is down.
+func (ps *procShard) redial() (Shard, error) {
 	srv := ps.cur.Load()
 	if srv == nil {
-		return nil, errShardDown
+		return Shard{}, errShardDown
 	}
-	return serverTransport{srv: srv, cur: &ps.cur}, nil
+	return Shard{T: serverTransport{srv: srv, cur: &ps.cur}, Release: srv.ReleaseResponse}, nil
 }
 
 // serverTransport runs requests directly on a server: batched updates go
@@ -448,7 +449,7 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 	return p, nil
 }
 
-// Spawn stands up a fresh shard process for slot t from a bulk-loaded
+// spawn stands up a fresh shard process for slot t from a bulk-loaded
 // packed image — the split's transfer format: the donor's half bulk-loads
 // into a tree, serializes through AppendImage, and the spawned server opens
 // the deserialized copy, exactly as a remote spawn would receive it. The
@@ -456,8 +457,8 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 // image) and a warm standby opened from the same image when the cluster is
 // configured with durability or replicas. A spawn never restores: slots are
 // never reused, so nothing in shard-<t> belongs to this slot. Called by
-// Router.SplitShard; not for direct use.
-func (p *InProcess) Spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error) {
+// Router.SplitShard.
+func (p *InProcess) spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error) {
 	img := rtree.BulkLoad(p.cfg.Tree, items, bulkFill).AppendImage(nil)
 	return p.startProc(t, size, func(cfg server.Config, _ *wal.Recovery) (*server.Server, bool, error) {
 		tree, err := rtree.ReadImage(img)
@@ -468,10 +469,10 @@ func (p *InProcess) Spawn(t int, items []rtree.Item, size func(rtree.ObjectID) i
 	})
 }
 
-// Retire tears down slot t's process after a merge drained it (or after a
+// retire tears down slot t's process after a merge drained it (or after a
 // split aborted before installing it): server closed, WAL closed, standby
-// released. Called by the router; not for direct use.
-func (p *InProcess) Retire(t int) {
+// released. Called by the router.
+func (p *InProcess) retire(t int) {
 	if ps := p.proc(t); ps != nil {
 		ps.stop()
 	}

@@ -36,7 +36,7 @@ type Partition struct {
 	// live marks which shard slots currently own a leaf. A build-time
 	// partition is fully live; elastic merges retire slots (the KD leaf
 	// disappears but the ordinal is never renumbered, because virtual
-	// NodeIDs encode it) and elastic splits may revive them
+	// NodeIDs encode it) and elastic splits append fresh ones
 	// (partition_elastic.go).
 	live []bool
 

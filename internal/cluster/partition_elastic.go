@@ -15,10 +15,10 @@ import (
 //
 // Shard ordinals are slots: a merge retires the losing slot's leaf but never
 // renumbers the survivors (virtual NodeIDs encode the ordinal, and clients
-// hold those ids). SplitLeaf can revive a dead slot, but the router always
-// grows instead — a revived slot's new server would mint local node ids that
-// alias a stale client's refs into the old server's subtrees — so a router's
-// lifetime is bounded at MaxShards split operations (docs/ELASTIC.md).
+// hold those ids). A split always grows a fresh slot — a reused slot's new
+// server would mint local node ids that alias a stale client's refs into
+// the old server's subtrees — so a router's lifetime is bounded at
+// MaxShards split operations (docs/ELASTIC.md).
 
 // clone deep-copies the partition: KD nodes, regions, and liveness.
 func (p *Partition) clone() *Partition {
@@ -147,18 +147,14 @@ func (p *Partition) SiblingOf(s int) (int, bool) {
 }
 
 // SplitLeaf cuts slot s's leaf at cut on axis (0 = x, 1 = y) and assigns
-// the >= cut side to slot t, returning the mutated clone. t may be a dead
-// slot (revived) or exactly p.n (the slot count grows by one); the split
-// keeps Locate's convention that points on the plane go right, so s keeps
-// the < cut side.
-func (p *Partition) SplitLeaf(s, t, axis int, cut float64) (*Partition, error) {
+// the >= cut side to the fresh slot p.n (the slot count grows by one),
+// returning the mutated clone. The split keeps Locate's convention that
+// points on the plane go right, so s keeps the < cut side.
+func (p *Partition) SplitLeaf(s, axis int, cut float64) (*Partition, error) {
 	if !p.Live(s) {
 		return nil, fmt.Errorf("cluster: split: shard %d is not a live slot", s)
 	}
-	if t != p.n && (t < 0 || t >= p.n || p.live[t]) {
-		return nil, fmt.Errorf("cluster: split: target slot %d is not free", t)
-	}
-	if t == p.n && p.n >= MaxShards {
+	if p.n >= MaxShards {
 		return nil, fmt.Errorf("cluster: split: slot count would exceed %d shards", MaxShards)
 	}
 	if axis != 0 && axis != 1 {
@@ -173,11 +169,10 @@ func (p *Partition) SplitLeaf(s, t, axis int, cut float64) (*Partition, error) {
 		return nil, fmt.Errorf("cluster: split: cut %g outside shard %d's cell (%g,%g) on axis %d", cut, s, lo, hi, axis)
 	}
 	q := p.clone()
-	if t == q.n {
-		q.n++
-		q.live = append(q.live, false)
-		q.Regions = append(q.Regions, geom.Rect{})
-	}
+	t := q.n
+	q.n++
+	q.live = append(q.live, true)
+	q.Regions = append(q.Regions, geom.Rect{})
 	leaf, _ := findLeaf(q.root, nil, s)
 	// Display regions clamp the cut into the clipped rectangle; Locate
 	// routes by the unclamped plane, so a cut beyond the build MBR just
@@ -195,16 +190,14 @@ func (p *Partition) SplitLeaf(s, t, axis int, cut float64) (*Partition, error) {
 	leaf.left = &kdNode{shard: s}
 	leaf.right = &kdNode{shard: t}
 	leaf.shard = 0
-	q.live[t] = true
 	q.Regions[s] = leftRegion
 	q.Regions[t] = rightRegion
 	return q, nil
 }
 
 // MergeLeaves collapses slot t's leaf into its KD sibling s: the parent cut
-// disappears, s's leaf covers the union region, and slot t goes dead (to be
-// revived by a later split, or left retired). s and t must be sibling
-// leaves — SiblingOf(t) must report s.
+// disappears, s's leaf covers the union region, and slot t goes dead for
+// good. s and t must be sibling leaves — SiblingOf(t) must report s.
 func (p *Partition) MergeLeaves(s, t int) (*Partition, error) {
 	if s == t {
 		return nil, fmt.Errorf("cluster: merge: shard %d cannot merge with itself", s)

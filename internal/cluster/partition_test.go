@@ -244,9 +244,9 @@ func TestPartitionSplitMergeCycles(t *testing.T) {
 				continue // degenerate display region; skip this cycle
 			}
 			cut := lo + (0.25+0.5*rng.Float64())*(hi-lo)
-			q, err := cur.SplitLeaf(s, next, axis, cut)
+			q, err := cur.SplitLeaf(s, axis, cut)
 			if err != nil {
-				t.Fatalf("cycle %d: SplitLeaf(%d,%d,axis=%d,cut=%v): %v", cycle, s, next, axis, cut, err)
+				t.Fatalf("cycle %d: SplitLeaf(%d,axis=%d,cut=%v): %v", cycle, s, axis, cut, err)
 			}
 			// The split must be invisible to routing except inside s's old
 			// cell: points previously owned by other shards keep their owner.
@@ -313,18 +313,18 @@ func TestPartitionSplitLeafErrors(t *testing.T) {
 	}
 	region := part.LeafRegion(0)
 	cut := (region.MinX + region.MaxX) / 2
-	if _, err := part.SplitLeaf(0, 1, 0, cut); err == nil {
-		t.Fatal("splitting into a live slot succeeded")
+	if _, err := part.SplitLeaf(5, 0, cut); err == nil {
+		t.Fatal("splitting a slot that is not live succeeded")
 	}
-	if _, err := part.SplitLeaf(0, 5, 0, cut); err == nil {
-		t.Fatal("splitting into a non-contiguous slot succeeded")
-	}
-	if _, err := part.SplitLeaf(0, 2, 0, region.MaxX+100); err == nil {
+	if _, err := part.SplitLeaf(0, 0, region.MaxX+100); err == nil {
 		t.Fatal("cut outside the leaf cell succeeded")
 	}
-	q, err := part.SplitLeaf(0, 2, 0, cut)
+	q, err := part.SplitLeaf(0, 0, cut)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if q.Shards() != 3 || !q.Live(2) {
+		t.Fatalf("split did not grow fresh slot 2: shards=%d live=%v", q.Shards(), q.LiveShards())
 	}
 	if _, err := q.MergeLeaves(1, 2); err == nil {
 		t.Fatal("MergeLeaves of non-siblings succeeded")

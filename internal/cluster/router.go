@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +17,9 @@ import (
 )
 
 // Shard is one member of the cluster as the router sees it: a transport to
-// a single-node server plus an optional response recycler. In-process
-// clusters pass the server's ReleaseResponse so the scatter-gather path
-// stays allocation-free; dialed TCP shards leave Release nil and let the
-// garbage collector take decoded responses.
+// an in-process single-node server plus an optional response recycler.
+// Passing the server's ReleaseResponse keeps the scatter-gather path
+// allocation-free; a nil Release leaves responses to the garbage collector.
 type Shard struct {
 	T       wire.Transport
 	Release func(*wire.Response)
@@ -34,11 +32,12 @@ type Shard struct {
 	Replica        wire.Transport
 	ReplicaRelease func(*wire.Response)
 
-	// Redial reconnects to the shard's primary (a restarted process that
-	// recovered from its WAL, or a fresh TCP connection). Unlike promotion,
-	// a successful redial does not flush clients: the recovered primary
+	// Redial rebinds to the shard's primary (a restarted process that
+	// recovered from its WAL), returning its transport and recycler; the
+	// returned Shard's Replica and Redial are ignored. Unlike promotion, a
+	// successful redial does not flush clients: the recovered primary
 	// answers stale epochs through its own invalidation protocol.
-	Redial func() (wire.Transport, error)
+	Redial func() (Shard, error)
 }
 
 // endpoint is the live transport the router currently uses for one shard.
@@ -52,11 +51,6 @@ type endpoint struct {
 	// replica marks a promoted standby: further failures try Redial to get
 	// back to a recovered primary rather than promoting again.
 	replica bool
-	// dialed marks a transport the router created via Shard.Redial and
-	// therefore owns: it is closed when retired. The configured Shard.T and
-	// Shard.Replica belong to the caller. (Ownership is tracked as a flag
-	// because transports — func adapters included — need not be comparable.)
-	dialed bool
 }
 
 // Config parameterizes a Router.
@@ -68,10 +62,6 @@ type Config struct {
 	// re-inserts an object on its new owner. Objects inserted over the wire
 	// are tracked automatically; nil means unknown sizes re-insert as 0.
 	Sizer func(rtree.ObjectID) int
-	// Stats receives routing counters; nil allocates a private block.
-	// Routers that share one block (a load harness dialing one router per
-	// worker) sum their counters in it.
-	Stats *metrics.ClusterStats
 	// RetryAttempts is how many times a failed sub-query is re-sent (after
 	// the initial attempt) before the error surfaces. Default 2; negative
 	// disables retries.
@@ -83,9 +73,6 @@ type Config struct {
 	// endpoint accrues before the router fails over (promoting the replica,
 	// or redialing the primary). Default 3; negative disables failover.
 	FailThreshold int
-	// HandshakeTimeout bounds the per-connection protocol handshake when
-	// dialing TCP shards (Dial and every Redial). Default 10s.
-	HandshakeTimeout time.Duration
 }
 
 // shardMeta is the router's last-known view of one shard: its current root
@@ -178,7 +165,7 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 	r := &Router{
 		part:      cfg.Part,
 		sizer:     cfg.Sizer,
-		stats:     cfg.Stats,
+		stats:     metrics.NewClusterStats(len(shards)),
 		retries:   cfg.RetryAttempts,
 		backoff:   cfg.RetryBackoff,
 		threshold: cfg.FailThreshold,
@@ -196,9 +183,6 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 		r.threshold = defaultFailThreshold
 	} else if r.threshold < 0 {
 		r.threshold = 1 << 30 // effectively never
-	}
-	if r.stats == nil {
-		r.stats = metrics.NewClusterStats(len(shards))
 	}
 	for s, sh := range shards {
 		// The initial catalog is all-or-nothing: failover machinery only
@@ -281,29 +265,6 @@ func (r *Router) SiblingOf(s int) (int, bool) {
 	r.topo.RLock()
 	defer r.topo.RUnlock()
 	return r.part.SiblingOf(s)
-}
-
-// Close closes every shard transport that is closable (dialed TCP conns),
-// including replicas and any endpoint swapped in by failover.
-func (r *Router) Close() error {
-	var first error
-	closeOne := func(t wire.Transport) {
-		if c, ok := t.(io.Closer); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	for _, sl := range r.slots {
-		closeOne(sl.shard.T)
-		if sl.shard.Replica != nil {
-			closeOne(sl.shard.Replica)
-		}
-		if ep := sl.ep.Load(); ep.dialed {
-			closeOne(ep.t)
-		}
-	}
-	return first
 }
 
 // observe folds a sub-response into the shard's last-known metadata.
@@ -562,14 +523,11 @@ func (r *Router) failover(s int, failed *endpoint) bool {
 		return true
 	}
 	if sh.Redial != nil {
-		t, err := sh.Redial()
+		nsh, err := sh.Redial()
 		if err != nil {
 			return false // primary still down; keep erroring until it returns
 		}
-		if failed.dialed {
-			closeTransport(failed.t) // retire a previous redial's connection
-		}
-		sl.ep.Store(&endpoint{t: t, dialed: true})
+		sl.ep.Store(&endpoint{t: nsh.T, release: nsh.Release})
 		r.stats.Shard(s).Redials.Add(1)
 		sl.consecErr.Store(0)
 		return true

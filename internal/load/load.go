@@ -54,7 +54,7 @@ type Config struct {
 	// Cluster, when set, is sampled before and after the run to fill the
 	// cluster-only Result fields (ShardErrors, Retries, Failovers, Redials,
 	// Splits, Merges, Handover) with this run's deltas. Wire it to the
-	// metrics.ClusterStats every router behind NewTransport counts into.
+	// metrics.ClusterStats of the router behind NewTransport.
 	Cluster func() metrics.ClusterSnapshot
 	// EdgeStats, when set, is sampled before and after the run to fill
 	// Result.EdgeHits/EdgeMisses/EdgeForwards with this run's deltas (wire
@@ -146,6 +146,7 @@ func Run(cfg Config) (*Result, error) {
 			// A worker that cannot connect at all still runs: its wire
 			// operations fail and are counted, and redial keeps trying.
 			// This is the harness contract for partially-down clusters.
+			tr = nil // a typed nil beside the error is no connection
 			if cfg.OnEvent != nil {
 				cfg.OnEvent(i, err)
 			}

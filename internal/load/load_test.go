@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/rtree"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -198,11 +197,47 @@ func TestLoadSurvivesConnectFailure(t *testing.T) {
 	}
 }
 
+// nilConn is a transport whose nil pointer panics on use.
+type nilConn struct{ tr wire.Transport }
+
+func (c *nilConn) RoundTrip(req *wire.Request) (*wire.Response, error) { return c.tr.RoundTrip(req) }
+
+// TestLoadTypedNilTransport: a NewTransport that returns a typed nil beside
+// its error leaves that worker unconnected — its operations fail as counted
+// errors — instead of handing the typed nil to the worker, which would
+// pass its nil checks and panic on the first round trip.
+func TestLoadTypedNilTransport(t *testing.T) {
+	ok := wire.TransportFunc(func(*wire.Request) (*wire.Response, error) { return &wire.Response{}, nil })
+	sp, _ := Lookup("baseline")
+	res, err := Run(Config{
+		Spec:      sp,
+		TargetQPS: 200,
+		Duration:  300 * time.Millisecond,
+		Users:     1000,
+		Workers:   2,
+		Seed:      1,
+		NewTransport: func(w int) (wire.Transport, error) {
+			if w == 0 {
+				return (*nilConn)(nil), errors.New("synthetic dial failure")
+			}
+			return ok, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors == 0 {
+		t.Fatal("the unconnected worker's operations were not counted as errors")
+	}
+	if res.WireOK == 0 {
+		t.Fatal("the connected worker completed nothing")
+	}
+}
+
 // TestLoadShardErrorsCounted puts a shard that starts failing mid-run
-// inside a cluster router — one router per worker, all counting into one
-// metrics.ClusterStats as proload's dialed routers do: the dead shard's
-// sub-query failures surface as counted shard errors and query failures,
-// not a harness abort.
+// inside a cluster router every worker shares: the dead shard's sub-query
+// failures surface as counted shard errors and query failures, not a
+// harness abort.
 func TestLoadShardErrorsCounted(t *testing.T) {
 	ds := dataset.GenerateNE(dataset.Params{N: 2000, Seed: 7})
 	part, err := cluster.MakePartition(ds.Objects, 2)
@@ -228,9 +263,9 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 		}
 		return healthy.RoundTrip(req)
 	})
-	stats := metrics.NewClusterStats(2)
-	newRouter := func(int) (wire.Transport, error) {
-		return cluster.New(shards, cluster.Config{Part: part, Sizer: ds.SizeOf, Stats: stats})
+	router, err := cluster.New(shards, cluster.Config{Part: part, Sizer: ds.SizeOf})
+	if err != nil {
+		t.Fatal(err)
 	}
 	go func() {
 		time.Sleep(250 * time.Millisecond)
@@ -244,8 +279,8 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 		Users:        1000,
 		Workers:      2,
 		Seed:         1,
-		NewTransport: newRouter,
-		Cluster:      stats.Snapshot,
+		NewTransport: func(int) (wire.Transport, error) { return router, nil },
+		Cluster:      router.Stats().Snapshot,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ type ShardCounters struct {
 	// wholesale when a split or merge moves a region.
 	Objects atomic.Int64
 	// Dead marks a retired slot (its region was merged away). The slot's
-	// counters remain readable; a later split may revive the slot.
+	// counters remain readable; the slot is never reused.
 	Dead atomic.Bool
 }
 

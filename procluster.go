@@ -360,12 +360,3 @@ func (cs *ClusterServer) EdgeNetServer(e *edge.Edge, opts ServeOptions) *wire.Ne
 		Release: cs.cluster.Router.ReleaseResponse,
 	})
 }
-
-// DialCluster connects to independently served shard processes (one prodb
-// per shard) and returns a client-side scatter-gather transport over them:
-// the cluster.Dial facade. The partition is derived from the shards' root
-// rectangles (see cluster.Dial for the exactness caveat on updates);
-// clusters served behind one prodb -cluster endpoint need plain Dial.
-func DialCluster(addrs ...string) (Transport, error) {
-	return cluster.Dial(addrs, cluster.Config{})
-}
