@@ -535,12 +535,14 @@ func (r *Router) failover(s int, failed *endpoint) bool {
 	return false
 }
 
-// issueWave runs every wave item against its shard — inline when there is
-// exactly one (the fast path), on goroutines otherwise — and returns the
-// first sub-query error. During a split's handover window, update batches
-// bound for the splitting shard serialize on the window lock and their
-// acked operations are recorded in apply order, so the cutover can replay
-// exactly the tail the transfer snapshot missed (elastic.go).
+// issueWave runs every item of a non-empty wave against its shard and
+// returns the first sub-query error. items[0] runs on the calling goroutine,
+// whose stack a serving worker has already grown; only the rest of a
+// multi-shard wave gets goroutines of its own. During a split's handover
+// window, update batches bound for the splitting shard serialize on the
+// window lock and their acked operations are recorded in apply order, so the
+// cutover can replay exactly the tail the transfer snapshot missed
+// (elastic.go).
 func (r *Router) issueWave(items []waveItem) error {
 	run := func(it *waveItem) {
 		r.stats.SubQueries.Add(1)
@@ -562,19 +564,16 @@ func (r *Router) issueWave(items []waveItem) error {
 			r.stats.Shard(it.shard).Errors.Add(1)
 		}
 	}
-	if len(items) == 1 {
-		run(&items[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range items {
-			wg.Add(1)
-			go func(it *waveItem) {
-				defer wg.Done()
-				run(it)
-			}(&items[i])
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for i := 1; i < len(items); i++ {
+		wg.Add(1)
+		go func(it *waveItem) {
+			defer wg.Done()
+			run(it)
+		}(&items[i])
 	}
+	run(&items[0])
+	wg.Wait()
 	for i := range items {
 		if items[i].err != nil {
 			// Free the responses that did arrive before bailing out.

@@ -796,15 +796,13 @@ func sniffBinary(br *bufio.Reader) (bool, byte, error) {
 
 // writeFrame emits one length-prefixed frame and flushes, so the message
 // leaves the process immediately (responses are awaited by a live client).
-func writeFrame(bw interface {
-	io.Writer
-	Flush() error
-}, typ byte, id uint64, body []byte) error {
-	var head [4 + 1 + binary.MaxVarintLen64]byte
-	n := 5 + binary.PutUvarint(head[5:], id)
-	binary.LittleEndian.PutUint32(head[:4], uint32(n-4+len(body)))
-	head[4] = typ
-	if _, err := bw.Write(head[:n]); err != nil {
+// The header is built in the writer's spare buffer: a local array handed to
+// Write would escape and cost an allocation per frame.
+func writeFrame(bw *bufio.Writer, typ byte, id uint64, body []byte) error {
+	head := append(bw.AvailableBuffer(), 0, 0, 0, 0, typ)
+	head = binary.AppendUvarint(head, id)
+	binary.LittleEndian.PutUint32(head, uint32(len(head)-4+len(body)))
+	if _, err := bw.Write(head); err != nil {
 		return err
 	}
 	if _, err := bw.Write(body); err != nil {

@@ -49,9 +49,11 @@ type BinaryClientConn struct {
 	wmu    sync.Mutex // serializes frame writes and id assignment
 	bw     *bufio.Writer
 	nextID uint64
+	body   []byte // request encode buffer, reused under wmu
 
-	pmu     sync.Mutex // guards pending and connErr
+	pmu     sync.Mutex // guards pending, waiters and connErr
 	pending map[uint64]chan frameResult
+	waiters []chan frameResult // free waiter channels, each empty
 	connErr error
 }
 
@@ -97,9 +99,11 @@ func NewBinaryClientConn(rw io.ReadWriter, role byte) (*BinaryClientConn, error)
 // RoundTrip implements Transport. Concurrent calls do not serialize on the
 // round trip: each caller's request is framed and flushed immediately, and
 // the caller only blocks until its own response arrives.
+//
+// A waiter channel receives exactly one value per registration — from
+// deliver or from fail, whichever removes its id from pending — so once that
+// value is read the channel is empty and goes back on the free list.
 func (c *BinaryClientConn) RoundTrip(req *Request) (*Response, error) {
-	ch := make(chan frameResult, 1)
-
 	c.wmu.Lock()
 	c.pmu.Lock()
 	if err := c.connErr; err != nil {
@@ -107,20 +111,32 @@ func (c *BinaryClientConn) RoundTrip(req *Request) (*Response, error) {
 		c.wmu.Unlock()
 		return nil, err
 	}
+	var ch chan frameResult
+	if n := len(c.waiters); n > 0 {
+		ch = c.waiters[n-1]
+		c.waiters = c.waiters[:n-1]
+	} else {
+		ch = make(chan frameResult, 1)
+	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
 	c.pmu.Unlock()
-	body := EncodeRequest(nil, req)
-	err := writeFrame(c.bw, frameRequest, id, body)
+	c.body = EncodeRequest(c.body[:0], req)
+	err := writeFrame(c.bw, frameRequest, id, c.body)
 	c.wmu.Unlock()
 	if err != nil {
+		// ch may still be receiving its value from fail: it is dropped,
+		// not recycled.
 		err = fmt.Errorf("wire: send request: %w", err)
 		c.fail(err)
 		return nil, err
 	}
 
 	res := <-ch
+	c.pmu.Lock()
+	c.waiters = append(c.waiters, ch)
+	c.pmu.Unlock()
 	return res.resp, res.err
 }
 

@@ -23,7 +23,11 @@ import (
 //
 // A connection must open with the binary handshake preamble and then gets
 // framed, pipelined, out-of-order service (many requests in flight per
-// connection, responses correlated by id); anything else is closed.
+// connection, responses correlated by id); anything else is closed. The
+// connection's goroutine only reads frames: each request executes on a
+// worker goroutine that outlives it and parks for the next one, so a
+// request starts on a stack an earlier request already grew (docs/PERF.md,
+// "Dispatch path").
 
 // Handler processes one request on the server side.
 type Handler func(*Request) (*Response, error)
@@ -42,6 +46,14 @@ const (
 	DefaultMaxPipeline = 64
 )
 
+// Accept retry backoff, as net/http.Server uses: a transient accept error
+// (EMFILE, ENFILE, ECONNABORTED) is retried after acceptBackoffMin, doubling
+// on each consecutive failure up to acceptBackoffMax.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 // ErrServerClosed is returned by NetServer.Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("wire: server closed")
 
@@ -56,8 +68,9 @@ type ServeConfig struct {
 	// Default DefaultMaxConns. Negative means unlimited.
 	MaxConns int
 	// MaxInflight bounds requests executing at once across all
-	// connections (the worker pool). Default 4*GOMAXPROCS. Negative means
-	// unlimited.
+	// connections, and how many idle request workers stay parked between
+	// requests. Default 4*GOMAXPROCS. Negative means unlimited, with
+	// 4*GOMAXPROCS workers kept parked.
 	MaxInflight int
 	// MaxPipeline bounds requests in flight on one binary connection;
 	// when reached the server stops reading frames from that connection
@@ -78,7 +91,7 @@ type ServeConfig struct {
 }
 
 // NetServer is a concurrent wire-protocol server. Create one with
-// NewNetServer; Serve blocks until the listener fails or Shutdown/Close is
+// NewNetServer; Serve blocks until the listener is closed or Shutdown/Close is
 // called.
 type NetServer struct {
 	handle  Handler
@@ -92,6 +105,8 @@ type NetServer struct {
 	conns    map[net.Conn]struct{}
 	shutdown bool
 	wg       sync.WaitGroup // live connection handlers
+
+	workers workerPool
 }
 
 // NewNetServer builds a server around a request handler.
@@ -117,6 +132,10 @@ func NewNetServer(handle Handler, cfg ServeConfig) *NetServer {
 	if s.stats == nil {
 		s.stats = &metrics.ServerStats{}
 	}
+	s.workers.maxIdle = cfg.MaxInflight
+	if cfg.MaxInflight < 0 {
+		s.workers.maxIdle = 4 * runtime.GOMAXPROCS(0)
+	}
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -129,8 +148,10 @@ func NewNetServer(handle Handler, cfg ServeConfig) *NetServer {
 // Stats returns the server's counters (live; snapshot before printing).
 func (s *NetServer) Stats() *metrics.ServerStats { return s.stats }
 
-// Serve accepts connections on ln until the listener errors or the server
-// is shut down, in which case it returns ErrServerClosed.
+// Serve accepts connections on ln until the listener is closed or the server
+// is shut down, in which case it returns ErrServerClosed. Any other accept
+// error (running out of file descriptors, a connection aborted before it
+// was accepted) is counted in Errors and retried after a backoff.
 func (s *NetServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.shutdown {
@@ -140,14 +161,22 @@ func (s *NetServer) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if s.shuttingDown() {
 				return ErrServerClosed
 			}
-			return err
+			if errors.Is(err, net.ErrClosed) {
+				return err
+			}
+			s.stats.Errors.Add(1)
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		s.stats.TotalConns.Add(1)
 
 		if s.connSem != nil {
@@ -271,9 +300,9 @@ func (s *NetServer) serveConn(conn net.Conn) {
 }
 
 // serveBinary is the pipelined request loop: frames are read as fast as they
-// arrive (up to MaxPipeline in flight), each request executes on its own
-// goroutine gated by the shared worker pool, and responses are written in
-// completion order tagged with the request's correlation id.
+// arrive (up to MaxPipeline in flight), each request executes on a worker
+// goroutine gated by the shared in-flight limit, and responses are written
+// in completion order tagged with the request's correlation id.
 func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader) {
 	bw := bufio.NewWriter(cc)
 	if _, err := bw.Write(handshakeMagic[:]); err != nil {
@@ -356,7 +385,7 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 		}
 		workers.Add(1)
 		inflight.Add(1)
-		go func(id uint64, req *Request) {
+		s.workers.run(func() {
 			defer func() {
 				inflight.Add(-1)
 				workers.Done()
@@ -388,7 +417,68 @@ func (s *NetServer) serveBinary(conn net.Conn, cc countingConn, br *bufio.Reader
 			}
 			writeResp(frameResponse, id, *body)
 			respBodyPool.Put(body)
-		}(id, req)
+		})
+	}
+}
+
+// workerPool runs request closures on goroutines that park between
+// requests. A fresh goroutine starts on a 2 KB stack, which a handler as
+// deep as a query's Execute grows by copying on every call; a parked worker
+// keeps the stack its last request grew. The pool admits nothing: the in-flight limit and the
+// pipeline cap are taken inside and around the closure, so run never blocks
+// and never refuses.
+type workerPool struct {
+	maxIdle int // parked workers kept; a worker beyond it exits
+
+	mu     sync.Mutex
+	idle   []chan func() // parked workers, most recently parked last
+	closed bool
+}
+
+// run hands f to the most recently parked worker, or starts a goroutine for
+// it when none is parked.
+func (p *workerPool) run(f func()) {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		w <- f
+		return
+	}
+	p.mu.Unlock()
+	go p.work(f)
+}
+
+// work runs f, then parks for the next closure until the pool is closed or
+// already keeps maxIdle parked workers.
+func (p *workerPool) work(f func()) {
+	next := make(chan func(), 1)
+	for {
+		f()
+		p.mu.Lock()
+		if p.closed || len(p.idle) >= p.maxIdle {
+			p.mu.Unlock()
+			return
+		}
+		p.idle = append(p.idle, next)
+		p.mu.Unlock()
+		if f = <-next; f == nil {
+			return
+		}
+	}
+}
+
+// close stops every parked worker; a worker still running a request exits
+// once it is done instead of parking.
+func (p *workerPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	for _, w := range idle {
+		close(w)
 	}
 }
 
@@ -415,6 +505,7 @@ func (s *NetServer) Shutdown(ctx context.Context) error {
 		_ = conn.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
+	s.workers.close()
 
 	done := make(chan struct{})
 	go func() {
@@ -450,5 +541,6 @@ func (s *NetServer) Close() error {
 		conn.Close()
 	}
 	s.mu.Unlock()
+	s.workers.close()
 	return err
 }

@@ -2,21 +2,25 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/wire"
 )
 
 // recordTour drives a proactive-caching client with a small cache along a
-// walk that keeps crossing the 2-shard boundary, asking mostly joins, and
-// returns the requests it sent, encoded: remainder queries whose handed-over
-// queues hold node and super-entry pairs from both shards.
-func recordTour(t *testing.T, objects []Object, queries int) [][]byte {
+// walk that keeps crossing the boundary of the shard holding (0, 0.5),
+// asking mostly joins, and returns the requests it sent, encoded: remainder
+// queries whose handed-over queues hold node and super-entry pairs from
+// several shards.
+func recordTour(t *testing.T, objects []Object, shards, queries int) [][]byte {
 	t.Helper()
-	cs, err := NewClusterServer(objects, ClusterConfig{Shards: 2})
+	cs, err := NewClusterServer(objects, ClusterConfig{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +34,7 @@ func recordTour(t *testing.T, objects []Object, queries int) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the cut plane between the two shards and walk along it.
+	// Find where y = 0.5 leaves the first shard and walk along that cut.
 	part := cs.cluster.Router.Partition()
 	lo, hi := 0.0, 1.0
 	for hi-lo > 1e-6 {
@@ -61,12 +65,13 @@ func recordTour(t *testing.T, objects []Object, queries int) [][]byte {
 	return sent
 }
 
-// replayTour sends the recorded requests to a fresh 2-shard cluster the way
-// the serving layer does — encode the response, then release it — and
-// returns the encoded responses. before runs ahead of every request.
-func replayTour(t *testing.T, objects []Object, sent [][]byte, before func()) [][]byte {
+// replayTour sends the recorded requests to a fresh cluster of the given
+// shard count the way the serving layer does — encode the response, then
+// release it — and returns the encoded responses and the router's counters.
+// before runs ahead of every request.
+func replayTour(t *testing.T, objects []Object, shards int, sent [][]byte, before func()) ([][]byte, metrics.ClusterSnapshot) {
 	t.Helper()
-	cs, err := NewClusterServer(objects, ClusterConfig{Shards: 2})
+	cs, err := NewClusterServer(objects, ClusterConfig{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +90,7 @@ func replayTour(t *testing.T, objects []Object, sent [][]byte, before func()) []
 		out[i] = wire.EncodeResponse(nil, resp)
 		cs.ReleaseResponse(resp)
 	}
-	return out
+	return out, cs.ClusterStats()
 }
 
 // TestResponsesIndependentOfPooledState pins that an answer is a function of
@@ -102,7 +107,7 @@ func replayTour(t *testing.T, objects []Object, sent [][]byte, before func()) []
 // goroutine the scheduler ran first.
 func TestResponsesIndependentOfPooledState(t *testing.T) {
 	objects := GenerateNE(20_000, 4)
-	sent := recordTour(t, objects, 400)
+	sent := recordTour(t, objects, 2, 400)
 	joins := 0
 	for i, body := range sent {
 		req, err := wire.DecodeRequest(body)
@@ -118,8 +123,8 @@ func TestResponsesIndependentOfPooledState(t *testing.T) {
 	if joins < 20 {
 		t.Fatalf("tour has only %d joins with a handed-over queue", joins)
 	}
-	plain := replayTour(t, objects, sent, func() {})
-	collected := replayTour(t, objects, sent, runtime.GC)
+	plain, _ := replayTour(t, objects, 2, sent, func() {})
+	collected, _ := replayTour(t, objects, 2, sent, runtime.GC)
 	differ := 0
 	for i := range plain {
 		if !bytes.Equal(plain[i], collected[i]) {
@@ -132,5 +137,36 @@ func TestResponsesIndependentOfPooledState(t *testing.T) {
 	}
 	if differ > 0 {
 		t.Fatalf("%d of %d responses differ between a plain replay and one with a GC before every request", differ, len(plain))
+	}
+}
+
+// TestWaveResponsesUnchanged replays a boundary tour on 2 and 4 shards and
+// pins a digest of every response byte. A multi-shard wave runs its first
+// sub-query on the calling goroutine and the rest on goroutines of their
+// own; which one runs where must not change a byte of any answer. The
+// digests were recorded when every sub-query of a wave ran on its own
+// goroutine. An intended change to what the engine answers re-records them
+// from the failure message, and says why.
+func TestWaveResponsesUnchanged(t *testing.T) {
+	objects := GenerateNE(20_000, 4)
+	for _, tc := range []struct {
+		shards int
+		digest string
+	}{
+		{2, "22578b3df4d1b8de971caf24e685aad3331910ce6765261d7a0d675c3cbfbd47"},
+		{4, "ad0e78870035c2f4e4911d1fe3000ecd285f1a74d98a6f8d4a031ff63ae130c9"},
+	} {
+		sent := recordTour(t, objects, tc.shards, 400)
+		resps, st := replayTour(t, objects, tc.shards, sent, func() {})
+		if st.SubQueries <= st.Requests {
+			t.Fatalf("shards=%d: %d sub-queries for %d requests: the tour never fanned out", tc.shards, st.SubQueries, st.Requests)
+		}
+		h := sha256.New()
+		for _, resp := range resps {
+			h.Write(resp)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			t.Errorf("shards=%d: %d responses hash to %s, want %s", tc.shards, len(sent), got, tc.digest)
+		}
 	}
 }
