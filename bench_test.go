@@ -812,3 +812,43 @@ func BenchmarkClusterKNN(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJoinTail is a big-scans join through the router: 100 000 NE
+// objects on 2 shards, 600 cold joins of side 0.01 at distance 2e-4 centred
+// on random objects, each a Router.RoundTrip. A few of them return tens of
+// thousands of pairs and set the workload's p99; pairs/op says how many
+// pairs an operation carried on average.
+func BenchmarkJoinTail(b *testing.B) {
+	objects := GenerateNE(100_000, 1)
+	cs, err := NewClusterServer(objects, ClusterConfig{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cs.Close()
+	r := rand.New(rand.NewSource(38))
+	reqs := make([]*wire.Request, 600)
+	for i := range reqs {
+		c := objects[r.Intn(len(objects))].MBR.Center()
+		reqs[i] = &wire.Request{Client: 1, Q: query.NewJoin(geom.RectFromCenter(c, 0.01, 0.01), 2e-4)}
+	}
+	handle := cs.Handler()
+	run := func(req *wire.Request) int {
+		resp, err := handle(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := len(resp.Pairs)
+		cs.ReleaseResponse(resp)
+		return n
+	}
+	for _, req := range reqs[:64] {
+		run(req)
+	}
+	pairs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairs += run(reqs[i%len(reqs)])
+	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+}

@@ -266,6 +266,9 @@ func (t serverTransport) RoundTrip(req *wire.Request) (*wire.Response, error) {
 	return resp, nil
 }
 
+// DurabilityErr reports the server's latched WAL failure, for Router.Snapshot.
+func (t serverTransport) DurabilityErr() error { return t.srv.DurabilityErr() }
+
 // replicator pumps acked batches from the primary's writer into the warm
 // standby. The tap runs on the writer goroutine and blocks when the bounded
 // stream fills, so the standby's lag stays bounded by the channel depth.

@@ -588,13 +588,23 @@ func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Respons
 	}
 
 	st.mergeObjects(resp)
-	slices.SortFunc(resp.Pairs, func(a, b [2]rtree.ObjectID) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
+	st.sortPairs(resp.Pairs)
 	return nil
+}
+
+// sortPairs sorts the merged join pairs by (a, b). Ids are 32 bits, so the
+// pair packs into one word whose order is exactly that, and a sort of words
+// runs without a comparison callback.
+func (st *routeState) sortPairs(pairs [][2]rtree.ObjectID) {
+	keys := st.objKeys[:0]
+	for _, p := range pairs {
+		keys = append(keys, uint64(p[0])<<32|uint64(p[1]))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		pairs[i] = [2]rtree.ObjectID{rtree.ObjectID(k >> 32), rtree.ObjectID(k)}
+	}
+	st.objKeys = keys
 }
 
 // appendPair deduplicates one canonical join pair into the response,

@@ -245,6 +245,23 @@ func (r *Router) Partition() *Partition {
 // Stats returns the router's live counters.
 func (r *Router) Stats() *metrics.ClusterStats { return r.stats }
 
+// Snapshot copies the router's counters and marks each shard whose server
+// has latched a WAL failure (server.Server.DurabilityErr): such a shard
+// keeps answering, so nothing else tells the operator that a restart would
+// lose its acknowledged updates.
+func (r *Router) Snapshot() metrics.ClusterSnapshot {
+	snap := r.stats.Snapshot()
+	r.topo.RLock()
+	defer r.topo.RUnlock()
+	for s, sl := range r.slots {
+		d, ok := sl.ep.Load().t.(interface{ DurabilityErr() error })
+		if ok && s < len(snap.PerShard) && d.DurabilityErr() != nil {
+			snap.PerShard[s].WALLatched = true
+		}
+	}
+	return snap
+}
+
 // Shards returns the shard slot count, dead slots included.
 func (r *Router) Shards() int {
 	r.topo.RLock()
@@ -371,7 +388,7 @@ type routeState struct {
 	wave []waveItem
 
 	objs     []wire.ObjectRep // range/join: result objects in arrival order
-	objKeys  []uint64         // mergeObjects' sort keys
+	objKeys  []uint64         // mergeObjects' and sortPairs' sort keys
 	knnLower []float64        // lower bound on this shard's unseen objects
 	knnObjs  []wire.ObjectRep
 	knnDists []float64

@@ -146,6 +146,11 @@ type ShardSnapshot struct {
 	Redials    int64
 	Objects    int64
 	Dead       bool
+	// WALLatched marks a shard whose write-ahead log failed: it keeps
+	// serving and acknowledging updates, but no longer logs them, so a
+	// restart loses everything it acknowledged since. Router.Snapshot
+	// reads it from the shard's server; ClusterStats cannot see it.
+	WALLatched bool
 }
 
 // Snapshot copies the live counters.
@@ -207,6 +212,9 @@ func (s ClusterSnapshot) String() string {
 		}
 		if sh.Errors > 0 {
 			fmt.Fprintf(&b, "(%derr)", sh.Errors)
+		}
+		if sh.WALLatched {
+			b.WriteString("(wal-latched)")
 		}
 		if sh.Retries > 0 || sh.Failovers > 0 || sh.Redials > 0 {
 			fmt.Fprintf(&b, "[%dretry/%dfo/%dredial]", sh.Retries, sh.Failovers, sh.Redials)

@@ -1,18 +1,33 @@
 // Package pq implements the small, allocation-friendly priority queues used
 // by best-first spatial query processing and by cache replacement.
 //
-// The queue is a binary min-heap keyed by float64 with deterministic FIFO
+// The queue pops in ascending key order with deterministic FIFO
 // tie-breaking: items pushed earlier pop first among equal keys. Determinism
 // matters because experiment runs must be reproducible bit-for-bit and the
 // kNN handover protocol serializes queue contents.
 package pq
 
-// Queue is a min-heap of T keyed by float64. The zero value is ready to use.
-// The heap orders 24-byte handles; a value is written once into a slab slot
-// at Push and read once at Pop, so sifting never moves a T, however large
-// (the best-first engine queues 168-byte elements).
+import "math"
+
+// Queue is a min-priority queue of T keyed by float64. The zero value is
+// ready to use.
+//
+// Items keyed exactly zero (either sign) skip the heap: they wait in a FIFO
+// lane, since among themselves they pop in push order anyway. A best-first
+// join keys every pair of overlapping rectangles zero, and those are most of
+// its pushes. Pop takes the lane's head unless the heap holds a negative
+// key, so the pop sequence is the one a single heap gives for every key but
+// NaN; a NaN key never orders before anything, so where it pops depends on
+// the heap's arrangement, as it always did.
+//
+// The heap orders 24-byte handles and the lane 4-byte ones; a value is
+// written once into a slab slot at Push and read once at Pop, so neither
+// moves a T, however large (the best-first engine queues 136-byte elements).
 type Queue[T any] struct {
-	items []item  // the heap
+	items []item  // the heap: every item keyed off zero
+	lane  []int32 // ring of the zero-keyed items' slab slots, ^slot for -0
+	head  int     // lane index of the oldest zero-keyed item
+	nlane int     // zero-keyed items queued
 	vals  []T     // value slab, indexed by item.slot
 	free  []int32 // slab slots vacated by Pop, reused before the slab grows
 	seq   uint64
@@ -33,7 +48,7 @@ func (a *item) before(b *item) bool {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return len(q.items) + q.nlane }
 
 // Push inserts value with the given key.
 func (q *Queue[T]) Push(key float64, value T) {
@@ -44,32 +59,79 @@ func (q *Queue[T]) Push(key float64, value T) {
 	} else {
 		q.vals = append(q.vals, value)
 	}
+	if key == 0 {
+		if math.Signbit(key) {
+			slot = ^slot
+		}
+		q.pushLane(slot)
+		return
+	}
 	q.seq++
 	q.items = append(q.items, item{key, q.seq, slot})
 	q.up(len(q.items) - 1)
 }
 
+// pushLane appends a slot to the lane, doubling the ring when it is full:
+// the ring never holds more than twice the most zero-keyed items queued.
+func (q *Queue[T]) pushLane(slot int32) {
+	if q.nlane == len(q.lane) {
+		grown := make([]int32, max(2*len(q.lane), 8))
+		n := copy(grown, q.lane[q.head:])
+		copy(grown[n:], q.lane[:q.head])
+		q.lane, q.head = grown, 0
+	}
+	q.lane[(q.head+q.nlane)&(len(q.lane)-1)] = slot
+	q.nlane++
+}
+
+// laneFirst reports whether the next item to pop is the lane's head: every
+// heap key but a negative one (or NaN) is above zero.
+func (q *Queue[T]) laneFirst() bool {
+	return q.nlane > 0 && (len(q.items) == 0 || !(q.items[0].key < 0))
+}
+
+// laneKey decodes a lane entry into its key and slab slot.
+func laneKey(e int32) (float64, int32) {
+	if e < 0 {
+		return math.Copysign(0, -1), ^e
+	}
+	return 0, e
+}
+
 // Min returns the smallest key and its value without removing it.
 // It must not be called on an empty queue.
 func (q *Queue[T]) Min() (float64, T) {
+	if q.laneFirst() {
+		key, slot := laneKey(q.lane[q.head])
+		return key, q.vals[slot]
+	}
 	return q.items[0].key, q.vals[q.items[0].slot]
 }
 
 // Pop removes and returns the value with the smallest key.
 // It must not be called on an empty queue.
 func (q *Queue[T]) Pop() (float64, T) {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items = q.items[:last]
-	if last > 0 {
-		q.down(0)
+	var key float64
+	var slot int32
+	if q.laneFirst() {
+		key, slot = laneKey(q.lane[q.head])
+		q.head = (q.head + 1) & (len(q.lane) - 1)
+		q.nlane--
+	} else {
+		top := q.items[0]
+		last := len(q.items) - 1
+		q.items[0] = q.items[last]
+		q.items = q.items[:last]
+		if last > 0 {
+			q.down(0)
+		}
+		key, slot = top.key, top.slot
 	}
-	value := q.vals[top.slot]
+	value := q.vals[slot]
 	var zero T
-	q.vals[top.slot] = zero // drop the slab's reference
-	q.free = append(q.free, top.slot)
-	return top.key, value
+	q.vals[slot] = zero // drop the slab's reference
+	q.free = append(q.free, slot)
+	return key, value
 }
 
 // Reset empties the queue, retaining its backing storage.
@@ -78,6 +140,7 @@ func (q *Queue[T]) Reset() {
 	q.vals = q.vals[:0]
 	q.free = q.free[:0]
 	q.items = q.items[:0]
+	q.head, q.nlane = 0, 0
 }
 
 // Grow ensures capacity for at least n items beyond the current length,
@@ -86,7 +149,7 @@ func (q *Queue[T]) Reset() {
 // (at least doubling), so a loop of small Grow calls costs O(log total)
 // reallocations, not one per call.
 func (q *Queue[T]) Grow(n int) {
-	q.GrowTo(len(q.items) + n)
+	q.GrowTo(q.Len() + n)
 }
 
 // GrowTo ensures capacity for at least total items, growing geometrically
@@ -105,26 +168,6 @@ func growTo[E any](s []E, total int) []E {
 	grown := make([]E, len(s), max(total, 2*cap(s), 8))
 	copy(grown, s)
 	return grown
-}
-
-// Items returns the queued values in heap order (not sorted). The slice is
-// freshly allocated; mutating it does not affect the queue.
-func (q *Queue[T]) Items() []T {
-	out := make([]T, len(q.items))
-	for i := range q.items {
-		out[i] = q.vals[q.items[i].slot]
-	}
-	return out
-}
-
-// PopAll drains the queue in ascending key order.
-func (q *Queue[T]) PopAll() []T {
-	out := make([]T, 0, len(q.items))
-	for q.Len() > 0 {
-		_, v := q.Pop()
-		out = append(out, v)
-	}
-	return out
 }
 
 // up and down sift by moving a hole: they compare exactly what a swapping

@@ -1,7 +1,9 @@
 package pq
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -51,35 +53,62 @@ func TestMinPeek(t *testing.T) {
 	}
 }
 
-func TestResetAndItems(t *testing.T) {
+func TestResetEmpties(t *testing.T) {
 	var q Queue[int]
 	q.Push(1, 1)
-	q.Push(2, 2)
-	if got := q.Items(); len(got) != 2 {
-		t.Errorf("Items len = %d", len(got))
-	}
+	q.Push(0, 2)
+	q.Push(2, 3)
 	q.Reset()
 	if q.Len() != 0 {
 		t.Error("Reset did not empty queue")
 	}
-	q.Push(3, 3)
-	if _, v := q.Pop(); v != 3 {
-		t.Error("queue unusable after Reset")
+	q.Push(3, 4)
+	q.Push(0, 5)
+	for _, want := range []int{5, 4} {
+		if _, v := q.Pop(); v != want {
+			t.Fatalf("after Reset popped %d, want %d", v, want)
+		}
 	}
 }
 
-func TestPopAll(t *testing.T) {
+func TestDrainInKeyOrder(t *testing.T) {
 	var q Queue[int]
-	keys := []float64{9, 1, 5, 3, 7}
+	keys := []float64{9, 0, 5, -3, 7, 0, math.Copysign(0, -1), -3}
 	for i, k := range keys {
 		q.Push(k, i)
 	}
-	got := q.PopAll()
-	want := []int{1, 3, 2, 4, 0} // indices sorted by their keys
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PopAll = %v, want %v", got, want)
+	want := []int{3, 7, 1, 5, 6, 2, 4, 0} // indices by key, ties (both zeros among them) in push order
+	for _, w := range want {
+		k, v := q.Pop()
+		if v != w || math.Float64bits(k) != math.Float64bits(keys[w]) {
+			t.Fatalf("popped (%v, %d), want (%v, %d)", k, v, keys[w], w)
 		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
+	}
+}
+
+// TestWarmQueueDoesNotAllocate: once a queue has held a round's worth of
+// items, heap and lane alike, further rounds of pushes, pops and resets
+// allocate nothing — the best-first engine's warm path relies on it.
+func TestWarmQueueDoesNotAllocate(t *testing.T) {
+	var q Queue[wide]
+	round := func() {
+		for i := 0; i < 200; i++ {
+			q.Push(float64(i%3), wide{id: i}) // a third keyed zero
+			if i%4 == 3 {
+				q.Pop()
+			}
+		}
+		for q.Len() > 100 {
+			q.Pop()
+		}
+		q.Reset()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a warm round allocated %.1f times", allocs)
 	}
 }
 
@@ -134,9 +163,9 @@ func TestInterleavedProperty(t *testing.T) {
 	}
 }
 
-// refQueue is the queue this package had before values moved into a slab:
-// the heap holds (key, seq, value) and sifts swap whole items. It is the
-// reference the differential test holds Queue to.
+// refQueue is the queue this package had before values moved into a slab
+// and zero keys into a lane: one heap of (key, seq, value) whose sifts swap
+// whole items. It is the reference the differential tests hold Queue to.
 type refQueue[T any] struct {
 	items []refItem[T]
 	seq   uint64
@@ -198,23 +227,6 @@ func (q *refQueue[T]) GrowTo(total int) {
 	q.items = items
 }
 
-func (q *refQueue[T]) Items() []T {
-	out := make([]T, len(q.items))
-	for i, it := range q.items {
-		out[i] = it.value
-	}
-	return out
-}
-
-func (q *refQueue[T]) PopAll() []T {
-	out := make([]T, 0, len(q.items))
-	for q.Len() > 0 {
-		_, v := q.Pop()
-		out = append(out, v)
-	}
-	return out
-}
-
 func (q *refQueue[T]) less(i, j int) bool {
 	a, b := q.items[i], q.items[j]
 	if a.key != b.key {
@@ -253,23 +265,41 @@ func (q *refQueue[T]) down(i int) {
 	}
 }
 
-// wide is as large as the element the best-first engine queues (168 bytes).
+// wide is as large as the element the best-first engine queues (136 bytes).
 type wide struct {
 	id  int
-	pad [20]int64
+	pad [16]int64
+}
+
+// testKey draws a key the way best-first runs key their elements, and worse:
+// mostly exact zeros of either sign (overlapping rectangles), a few small
+// distances repeated often, and negatives, which must pop ahead of the lane.
+func testKey(rnd *rand.Rand) float64 {
+	switch u := rnd.Intn(10); {
+	case u < 4:
+		return 0
+	case u < 5:
+		return math.Copysign(0, -1)
+	case u < 7:
+		return float64(1 + rnd.Intn(6)) // duplicates
+	case u < 8:
+		return -float64(1 + rnd.Intn(3))
+	default:
+		return rnd.Float64() - 0.25
+	}
 }
 
 // TestMatchesReferenceQueue drives Queue and refQueue with one operation
-// stream — long runs of tied keys, pops, peeks, resets, pre-growth, drains —
-// and requires the same answer from every call and the same Items() heap
-// order after every step: the kNN handover serializes that order, and a run
-// is only reproducible if ties pop in push order.
+// stream — zero-heavy keys, long runs of ties, interleaved pops and peeks,
+// pre-growth, drains, resets — and requires the same (key, value) from every
+// Pop and Min, key bits included: the kNN handover serializes queue contents
+// in pop order, and a run is only reproducible if ties pop in push order.
 func TestMatchesReferenceQueue(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		var q Queue[wide]
 		var ref refQueue[wide]
-		next, ties, reused := 0, 0, 0
+		next, ties, reused, laneMax := 0, 0, 0, 0
 		push := func(key float64) {
 			next++
 			v := wide{id: next}
@@ -277,25 +307,28 @@ func TestMatchesReferenceQueue(t *testing.T) {
 			reused += len(q.free)
 			q.Push(key, v)
 			ref.Push(key, v)
+			laneMax = max(laneMax, q.nlane)
+		}
+		pop := func(step int) {
+			k, v := q.Pop()
+			rk, rv := ref.Pop()
+			if math.Float64bits(k) != math.Float64bits(rk) || v != rv {
+				t.Fatalf("seed %d step %d: Pop = (%v, %d), reference (%v, %d)", seed, step, k, v.id, rk, rv.id)
+			}
 		}
 		for step := 0; step < 6000; step++ {
 			switch op := rnd.Intn(100); {
 			case op < 40:
-				push(float64(rnd.Intn(8))) // few distinct keys: ties everywhere
+				push(testKey(rnd))
 			case op < 45:
-				key := float64(rnd.Intn(4))
+				key := testKey(rnd)
 				for n := 5 + rnd.Intn(60); n > 0; n-- {
 					push(key)
 					ties++
 				}
 			case op < 85:
-				if ref.Len() == 0 {
-					continue
-				}
-				k, v := q.Pop()
-				rk, rv := ref.Pop()
-				if k != rk || v != rv {
-					t.Fatalf("seed %d step %d: Pop = (%v, %d), reference (%v, %d)", seed, step, k, v.id, rk, rv.id)
+				if ref.Len() > 0 {
+					pop(step)
 				}
 			case op < 90:
 				if ref.Len() == 0 {
@@ -303,7 +336,7 @@ func TestMatchesReferenceQueue(t *testing.T) {
 				}
 				k, v := q.Min()
 				rk, rv := ref.Min()
-				if k != rk || v != rv {
+				if math.Float64bits(k) != math.Float64bits(rk) || v != rv {
 					t.Fatalf("seed %d step %d: Min = (%v, %d), reference (%v, %d)", seed, step, k, v.id, rk, rv.id)
 				}
 			case op < 94:
@@ -315,8 +348,8 @@ func TestMatchesReferenceQueue(t *testing.T) {
 				q.GrowTo(n)
 				ref.GrowTo(n)
 			case op < 99:
-				if got, want := q.PopAll(), ref.PopAll(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: PopAll differs from the reference", seed, step)
+				for ref.Len() > 0 {
+					pop(step)
 				}
 			default:
 				q.Reset()
@@ -325,18 +358,88 @@ func TestMatchesReferenceQueue(t *testing.T) {
 			if q.Len() != ref.Len() {
 				t.Fatalf("seed %d step %d: Len = %d, reference %d", seed, step, q.Len(), ref.Len())
 			}
-			if got, want := q.Items(), ref.Items(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d: Items() heap order differs from the reference", seed, step)
+			if len(q.vals) != len(q.items)+q.nlane+len(q.free) {
+				t.Fatalf("seed %d step %d: slab of %d slots for %d heap items, %d lane items and %d free slots",
+					seed, step, len(q.vals), len(q.items), q.nlane, len(q.free))
 			}
-			if len(q.vals) != len(q.items)+len(q.free) {
-				t.Fatalf("seed %d step %d: slab of %d slots for %d items and %d free slots",
-					seed, step, len(q.vals), len(q.items), len(q.free))
+			if len(q.lane) > max(2*laneMax, 8) {
+				t.Fatalf("seed %d step %d: lane ring of %d slots, at most %d zero-keyed items ever queued",
+					seed, step, len(q.lane), laneMax)
 			}
 		}
-		if ties == 0 || reused == 0 {
-			t.Fatalf("seed %d: stream had %d tied pushes and %d slot reuses; it must have both", seed, ties, reused)
+		if ties == 0 || reused == 0 || laneMax == 0 {
+			t.Fatalf("seed %d: stream had %d tied pushes, %d slot reuses and at most %d lane items; it must have all three",
+				seed, ties, reused, laneMax)
 		}
 	}
+}
+
+// FuzzQueueMatchesReference runs a fuzzed script of pushes and pops against
+// refQueue. A byte below 0x40 pops (comparing Min with the Pop that follows),
+// one below 0x80 pushes a key from a table of zeros, ties, negatives and
+// infinities, and any other byte pushes the float64 whose bits are the next
+// eight bytes. Without a NaN key the two queues must pop the same (key,
+// value) sequence; once a NaN is queued the order depends on the heap's
+// arrangement, and every pushed item must still pop exactly once.
+func FuzzQueueMatchesReference(f *testing.F) {
+	f.Add([]byte{0x40, 0x41, 0x42, 0x43, 0x00, 0x44, 0x45, 0x00, 0x46, 0x47})
+	f.Add([]byte{0x40, 0x41, 0x40, 0x41, 0x44, 0x00, 0x00, 0x42, 0x40, 0x00})
+	f.Add([]byte{0x40, 0x80, 0x01, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0x41, 0x44, 0x00, 0x00})
+	table := [8]float64{0, math.Copysign(0, -1), 1, 2, -1, 0.5, math.Inf(1), math.Inf(-1)}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var q Queue[int]
+		var ref refQueue[int]
+		nan := false
+		popped := map[int]bool{}
+		pushed := 0
+		pop := func() {
+			mk, mv := q.Min()
+			k, v := q.Pop()
+			rk, rv := ref.Pop()
+			if math.Float64bits(mk) != math.Float64bits(k) || mv != v {
+				t.Fatalf("Min = (%v, %d), then Pop = (%v, %d)", mk, mv, k, v)
+			}
+			if popped[v] || v < 1 || v > pushed {
+				t.Fatalf("popped item %d, pushed 1..%d, popped before: %v", v, pushed, popped[v])
+			}
+			popped[v] = true
+			if !nan && (math.Float64bits(k) != math.Float64bits(rk) || v != rv) {
+				t.Fatalf("Pop = (%v, %d), reference (%v, %d)", k, v, rk, rv)
+			}
+		}
+		for len(script) > 0 {
+			op := script[0]
+			script = script[1:]
+			switch {
+			case op < 0x40:
+				if ref.Len() > 0 {
+					pop()
+				}
+				continue
+			case op < 0x80:
+				pushed++
+				q.Push(table[op&7], pushed)
+				ref.Push(table[op&7], pushed)
+			default:
+				var b [8]byte
+				script = script[copy(b[:], script):]
+				key := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+				nan = nan || math.IsNaN(key)
+				pushed++
+				q.Push(key, pushed)
+				ref.Push(key, pushed)
+			}
+			if q.Len() != ref.Len() {
+				t.Fatalf("Len = %d, reference %d", q.Len(), ref.Len())
+			}
+		}
+		for ref.Len() > 0 {
+			pop()
+		}
+		if q.Len() != 0 || len(popped) != pushed {
+			t.Fatalf("%d items left after draining; %d of %d popped", q.Len(), len(popped), pushed)
+		}
+	})
 }
 
 // TestPopAndResetDropReferences: a popped or reset value must not stay
@@ -344,30 +447,33 @@ func TestMatchesReferenceQueue(t *testing.T) {
 // its last query queued.
 func TestPopAndResetDropReferences(t *testing.T) {
 	var q Queue[*wide]
-	collected := make(chan int, 3)
+	collected := make(chan int, 4)
 	push := func(key float64, id int) {
 		v := &wide{id: id}
 		runtime.SetFinalizer(v, func(v *wide) { collected <- v.id })
 		q.Push(key, v)
 	}
-	push(1, 1)
-	push(2, 2)
-	push(3, 3)
-	q.Pop() // value 1: its slot goes to the free list
+	push(0, 1) // the zero-key lane
+	push(1, 2) // the heap
+	push(0, 3)
+	push(2, 4)
+	q.Pop() // value 1, from the lane: its slot goes to the free list
+	q.Pop() // value 3, from the lane
+	q.Pop() // value 2, from the heap
 	for _, v := range q.vals[:cap(q.vals)] {
-		if v != nil && v.id == 1 {
-			t.Fatal("Pop left the value in its slab slot")
+		if v != nil && v.id != 4 {
+			t.Fatalf("Pop left value %d in its slab slot", v.id)
 		}
 	}
-	q.Reset() // values 2 and 3
+	q.Reset() // value 4
 	for i, v := range q.vals[:cap(q.vals)] {
 		if v != nil {
 			t.Fatalf("Reset left value %d in slab slot %d", v.id, i)
 		}
 	}
-	for freed, tries := 0, 0; freed < 3; tries++ {
+	for freed, tries := 0, 0; freed < 4; tries++ {
 		if tries == 100 {
-			t.Fatalf("%d of 3 values still reachable after Pop and Reset", 3-freed)
+			t.Fatalf("%d of 4 values still reachable after Pop and Reset", 4-freed)
 		}
 		runtime.GC()
 		select {
@@ -380,15 +486,15 @@ func TestPopAndResetDropReferences(t *testing.T) {
 
 // BenchmarkQueueBySize is the cost of one Push plus one Pop on a heap of
 // 1024 items, by value size: 8 bytes (an id), 72 (an rtree.Entry-sized
-// value), 168 (a query.Elem-sized one). With values in the slab the three
+// value), 136 (a query.Elem-sized one). With values in the slab the three
 // read alike; the ref rows are the queue that sifted whole items.
 func BenchmarkQueueBySize(b *testing.B) {
 	benchQueue[[1]int64](b, "slab", &Queue[[1]int64]{})
 	benchQueue[[9]int64](b, "slab", &Queue[[9]int64]{})
-	benchQueue[[21]int64](b, "slab", &Queue[[21]int64]{})
+	benchQueue[[17]int64](b, "slab", &Queue[[17]int64]{})
 	benchQueue[[1]int64](b, "ref", &refQueue[[1]int64]{})
 	benchQueue[[9]int64](b, "ref", &refQueue[[9]int64]{})
-	benchQueue[[21]int64](b, "ref", &refQueue[[21]int64]{})
+	benchQueue[[17]int64](b, "ref", &refQueue[[17]int64]{})
 }
 
 func benchQueue[T any](b *testing.B, impl string, q interface {

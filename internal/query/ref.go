@@ -22,11 +22,12 @@ const (
 )
 
 // Ref is one explorable element: an entry of the (possibly partial) index.
+// The fields are ordered so that a Ref packs into 64 bytes: the engine
+// copies refs through its queue slab and result buffers by the million.
 type Ref struct {
-	Kind RefKind
 	MBR  geom.Rect
-	Node rtree.NodeID   // RefNode, RefSuper
 	Code bpt.Code       // RefSuper
+	Node rtree.NodeID   // RefNode, RefSuper
 	Obj  rtree.ObjectID // RefObject
 
 	// hint is a provider-local packed-position hint (rtree.Packed index + 1,
@@ -34,6 +35,8 @@ type Ref struct {
 	// serialized, excluded from Same/Less, and meaningful only to the
 	// provider that created the ref within the same request.
 	hint uint32
+
+	Kind RefKind
 }
 
 // SuperRefHinted is SuperRef carrying a packed-position hint.

@@ -162,10 +162,10 @@ func (cs *ClusterServer) Serve(ln net.Listener) error {
 func (cs *ClusterServer) Stats() metrics.ServerSnapshot { return cs.stats.Snapshot() }
 
 // ClusterStats returns the router's scatter-gather counters: fan-out,
-// single-shard fast-path hits, kNN re-issues, cross-shard join scans, and
-// per-shard sub-query totals.
+// single-shard fast-path hits, kNN re-issues, cross-shard join scans,
+// per-shard sub-query totals, and which shards have latched a WAL failure.
 func (cs *ClusterServer) ClusterStats() metrics.ClusterSnapshot {
-	return cs.cluster.Router.Stats().Snapshot()
+	return cs.cluster.Router.Snapshot()
 }
 
 // ReleaseResponse recycles a response obtained from Handler or Transport
