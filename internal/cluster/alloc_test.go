@@ -10,6 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
+// allocTestObjects gives each of 4 shards enough objects (~7 500) for a
+// single-shard answer of more than 4 096 objects.
+const allocTestObjects = 30_000
+
 // TestClusterRouteAllocBudget pins the acceptance bound: a warm query
 // routed to a single shard costs at most 2 allocations in the router
 // (scatter state, merge buffers, epoch handling and the response itself
@@ -19,7 +23,7 @@ func TestClusterRouteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without -race instrumentation")
 	}
-	objs := genObjects(2000, 13)
+	objs := genObjects(allocTestObjects, 13)
 	_, router, cleanup := buildBoth(t, objs, 4)
 	defer cleanup()
 	requireRouteAllocBudget(t, router)
@@ -33,7 +37,7 @@ func TestClusterRouteAllocBudgetAfterRestart(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without -race instrumentation")
 	}
-	objs := genObjects(2000, 13)
+	objs := genObjects(allocTestObjects, 13)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
 	for _, o := range objs {
 		sizes[o.ID] = o.Size
@@ -60,47 +64,59 @@ func TestClusterRouteAllocBudgetAfterRestart(t *testing.T) {
 	}
 }
 
-// requireRouteAllocBudget warms a range and a kNN query inside shard 0's
-// region and fails the test when the warm range costs more than 2
-// allocations per round trip.
+// requireRouteAllocBudget warms queries inside shard 0's region, each
+// routed to that shard alone, and fails the test when a warm one costs more
+// than 2 allocations per round trip: a small range, and a range and a join
+// whose answers (more than 4 096 objects, more than 4 096 pairs) are larger
+// than any per-request scratch that is thrown away and regrown.
 func requireRouteAllocBudget(t *testing.T, router *Router) {
 	t.Helper()
-	// A window inside one shard's region routes to exactly one shard.
 	reg := router.part.Regions[0]
-	win := geom.RectFromCenter(reg.Center(), reg.Width()/8, reg.Height()/8)
-	reqRange := &wire.Request{Client: 1, Q: query.NewRange(win)}
-	reqKNN := &wire.Request{Client: 1, Q: query.NewKNN(reg.Center(), 4)}
-
-	warm := func(req *wire.Request) {
-		for i := 0; i < 16; i++ {
-			resp, err := router.RoundTrip(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			router.ReleaseResponse(resp)
-		}
-	}
-	warm(reqRange)
-	warm(reqKNN)
-
-	before := router.Stats().SingleShard.Load()
-	resp, err := router.RoundTrip(reqRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router.ReleaseResponse(resp)
-	if router.Stats().SingleShard.Load() != before+1 {
-		t.Fatal("range window did not route to a single shard; fix the test geometry")
-	}
-
-	allocs := testing.AllocsPerRun(200, func() {
-		resp, err := router.RoundTrip(reqRange)
+	small := geom.RectFromCenter(reg.Center(), reg.Width()/8, reg.Height()/8)
+	big := geom.RectFromCenter(reg.Center(), reg.Width()*0.9, reg.Height()*0.9)
+	roundTrip := func(req *wire.Request) (objects, pairs int) {
+		resp, err := router.RoundTrip(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		objects, pairs = len(resp.Objects), len(resp.Pairs)
 		router.ReleaseResponse(resp)
-	})
-	if allocs > 2 {
-		t.Errorf("warm single-shard range: %.1f allocs/op, budget 2", allocs)
+		return objects, pairs
+	}
+	// The join's distance grows until it answers more than 4 096 pairs.
+	join := &wire.Request{Client: 1, Q: query.NewJoin(big, 1e-4)}
+	for _, pairs := roundTrip(join); pairs <= 4096; _, pairs = roundTrip(join) {
+		join.Q = query.NewJoin(big, join.Q.Dist*1.5)
+	}
+	cases := []struct {
+		name string
+		req  *wire.Request
+	}{
+		{"range", &wire.Request{Client: 1, Q: query.NewRange(small)}},
+		{"range > 4096 objects", &wire.Request{Client: 1, Q: query.NewRange(big)}},
+		{"join > 4096 pairs", join},
+	}
+	objects, _ := roundTrip(cases[1].req)
+	if objects <= 4096 {
+		t.Fatalf("the big window answers %d objects, want > 4096; fix the test geometry", objects)
+	}
+	_, pairs := roundTrip(join)
+	t.Logf("big range: %d objects; join at distance %.2g: %d pairs", objects, join.Q.Dist, pairs)
+	for _, req := range []*wire.Request{cases[0].req, {Client: 1, Q: query.NewKNN(reg.Center(), 4)}, cases[1].req, join} {
+		for i := 0; i < 16; i++ {
+			roundTrip(req)
+		}
+	}
+
+	for _, c := range cases {
+		before := router.Stats().SingleShard.Load()
+		roundTrip(c.req)
+		if router.Stats().SingleShard.Load() != before+1 {
+			t.Fatalf("%s did not route to a single shard; fix the test geometry", c.name)
+		}
+		allocs := testing.AllocsPerRun(50, func() { roundTrip(c.req) })
+		if allocs > 2 {
+			t.Errorf("warm single-shard %s: %.1f allocs/op, budget 2", c.name, allocs)
+		}
 	}
 }

@@ -39,7 +39,7 @@ func referenceMerge(subs [][]wire.ObjectRep) []wire.ObjectRep {
 func TestRangeMergeMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(19))
 	r := &Router{}
-	sizes := []int{0, 1, 3, 40, 900, 6000} // 6000 > the limit server.ResetScratchMap keeps
+	sizes := []int{0, 1, 3, 40, radixMinKeys - 1, radixMinKeys, 900, 6000}
 	dups := 0
 	for round := 0; round < 300; round++ {
 		subs := make([][]wire.ObjectRep, 1+rnd.Intn(3))
@@ -83,6 +83,51 @@ func TestRangeMergeMatchesReference(t *testing.T) {
 	}
 	if dups == 0 {
 		t.Fatal("no id arrived from two shards; the stream must contain duplicates")
+	}
+}
+
+// TestPairSortMatchesReference holds sortPairs to a comparator sort by (a,
+// b): lists on both sides of radixMinKeys, through pooled route state whose
+// radix arrays swap from one call to the next, with duplicate pairs, ids up
+// to the largest the wire carries, and id ranges that leave whole radix
+// digits equal in every key.
+func TestPairSortMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(39))
+	r := &Router{}
+	sizes := []int{0, 1, 2, radixMinKeys - 1, radixMinKeys, radixMinKeys + 1, 1000, 30_000}
+	spans := []uint32{1, 3, 100_000, 1 << 20, ^uint32(0)}
+	for round := 0; round < 200; round++ {
+		n := sizes[rnd.Intn(len(sizes))]
+		span := spans[rnd.Intn(len(spans))]
+		base := rnd.Uint32()
+		pairs := make([][2]rtree.ObjectID, n)
+		for i := range pairs {
+			if i > 0 && rnd.Intn(8) == 0 {
+				pairs[i] = pairs[rnd.Intn(i)] // a duplicate
+				continue
+			}
+			a := base + rnd.Uint32()%span
+			b := base + rnd.Uint32()%span
+			pairs[i] = [2]rtree.ObjectID{rtree.ObjectID(a), rtree.ObjectID(b)}
+		}
+		if n > 0 && round%5 == 0 {
+			pairs[0] = [2]rtree.ObjectID{^rtree.ObjectID(0), ^rtree.ObjectID(0)}
+			pairs[n-1] = [2]rtree.ObjectID{^rtree.ObjectID(0), 0}
+		}
+		want := slices.Clone(pairs)
+		slices.SortFunc(want, func(x, y [2]rtree.ObjectID) int {
+			return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+		})
+		st := r.getState()
+		st.sortPairs(pairs)
+		r.putState(st)
+		if !slices.Equal(pairs, want) {
+			for i := range pairs {
+				if pairs[i] != want[i] {
+					t.Fatalf("round %d (%d pairs, span %d): pair %d is %v, reference %v", round, n, span, i, pairs[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -324,13 +325,14 @@ func (st *routeState) appendLagCatalogs(req *wire.Request, targeted func(s int) 
 
 // mergeObjects appends the gathered result objects (st.objs, in arrival
 // order) to the merged response in id order, keeping the first arrival of an
-// id reported twice: it sorts one word per object, id above arrival index.
+// id reported twice: one word per object, id above arrival index, sorted
+// stably on the id half, so the arrival half stays increasing within an id.
 func (st *routeState) mergeObjects(resp *wire.Response) {
 	keys := st.objKeys[:0]
 	for i, o := range st.objs {
 		keys = append(keys, uint64(o.ID)<<32|uint64(i))
 	}
-	slices.Sort(keys)
+	keys = st.sortKeys(keys, 32)
 	for i, k := range keys {
 		if i == 0 || keys[i-1]>>32 != k>>32 {
 			resp.Objects = append(resp.Objects, st.objs[uint32(k)])
@@ -446,8 +448,7 @@ func (r *Router) routeKNN(st *routeState, req *wire.Request, resp *wire.Response
 			return nil
 		}
 		for _, o := range it.resp.Objects {
-			if !st.seenObj[o.ID] {
-				st.seenObj[o.ID] = true
+			if st.seenObj.Add(uint64(o.ID)) {
 				st.knnObjs = append(st.knnObjs, o)
 				st.knnDists = append(st.knnDists, req.Q.KeyFor(o.MBR))
 			}
@@ -593,27 +594,88 @@ func (r *Router) routeJoin(st *routeState, req *wire.Request, resp *wire.Respons
 }
 
 // sortPairs sorts the merged join pairs by (a, b). Ids are 32 bits, so the
-// pair packs into one word whose order is exactly that, and a sort of words
-// runs without a comparison callback.
+// pair packs into one word whose order is exactly that.
 func (st *routeState) sortPairs(pairs [][2]rtree.ObjectID) {
 	keys := st.objKeys[:0]
 	for _, p := range pairs {
 		keys = append(keys, uint64(p[0])<<32|uint64(p[1]))
 	}
-	slices.Sort(keys)
+	keys = st.sortKeys(keys, 0)
 	for i, k := range keys {
 		pairs[i] = [2]rtree.ObjectID{rtree.ObjectID(k >> 32), rtree.ObjectID(k)}
 	}
 	st.objKeys = keys
 }
 
+// radixMinKeys is the smallest key list sortKeys radix-sorts. Below it a
+// comparison sort is faster: a radix pass clears and sums up to 2 048
+// counters whatever the list's length. Measured on 2 vCPU (docs/PERF.md,
+// "Answer bookkeeping"), the two break even near 150 object keys (a
+// small-reads range answers ~114 objects, so it keeps the comparison sort)
+// and from the big-scans range p50 (~850 objects) on radix is 2–9 times
+// faster. Pair keys differ in twice the bits, so radix only wins from
+// ~1 000 pairs; a join of 256–1 000 pairs pays a few µs more to sort.
+const radixMinKeys = 256
+
+// sortKeys sorts keys ascending and returns them; the sorted list may live
+// in st.sortBuf's old array, and the other array becomes the new
+// st.sortBuf. Among keys equal from bit lo up, the bits below lo must
+// already ascend (mergeObjects' arrival half does), so only bits lo and up
+// are sorted on, stably. It is an LSD radix sort that visits only the
+// digits in which the keys differ: the span between the lowest and the
+// highest differing bit is cut into equal digits of at most 11 bits, and a
+// digit whose bits are the same in every key is skipped.
+func (st *routeState) sortKeys(keys []uint64, lo uint) []uint64 {
+	const digitBits = 11
+	if len(keys) < radixMinKeys {
+		slices.Sort(keys)
+		return keys
+	}
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or |= k
+		and &= k
+	}
+	diff := (or ^ and) >> lo << lo
+	if diff == 0 {
+		return keys
+	}
+	buf := slices.Grow(st.sortBuf[:0], len(keys))[:len(keys)]
+	span := uint(bits.Len64(diff) - bits.TrailingZeros64(diff))
+	passes := (span + digitBits - 1) / digitBits
+	width := (span + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	var counts [1 << digitBits]uint32
+	count := counts[:1<<width]
+	for diff != 0 {
+		shift := uint(bits.TrailingZeros64(diff))
+		clear(count)
+		for _, k := range keys {
+			count[k>>shift&mask]++
+		}
+		sum := uint32(0)
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			buf[count[d]] = k
+			count[d]++
+		}
+		keys, buf = buf, keys
+		diff &^= mask << shift
+	}
+	st.sortBuf = buf
+	return keys
+}
+
 // appendPair deduplicates one canonical join pair into the response,
 // reporting whether it was new.
 func (st *routeState) appendPair(resp *wire.Response, p [2]rtree.ObjectID) bool {
-	if st.seenPair[p] {
+	if !st.seenPair.Add(uint64(p[0])<<32 | uint64(p[1])) {
 		return false
 	}
-	st.seenPair[p] = true
 	resp.Pairs = append(resp.Pairs, p)
 	return true
 }

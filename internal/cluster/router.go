@@ -9,10 +9,10 @@ import (
 
 	"repro/internal/bpt"
 	"repro/internal/geom"
+	"repro/internal/idset"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rtree"
-	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -389,6 +389,7 @@ type routeState struct {
 
 	objs     []wire.ObjectRep // range/join: result objects in arrival order
 	objKeys  []uint64         // mergeObjects' and sortPairs' sort keys
+	sortBuf  []uint64         // sortKeys' second radix array
 	knnLower []float64        // lower bound on this shard's unseen objects
 	knnObjs  []wire.ObjectRep
 	knnDists []float64
@@ -397,10 +398,10 @@ type routeState struct {
 	sideA []pairSide
 	sideB []pairSide
 
-	seenObj  map[rtree.ObjectID]bool // kNN candidate dedup
-	seenNode map[rtree.NodeID]bool
-	seenObjI map[rtree.ObjectID]bool // invalidation-report object dedup
-	seenPair map[[2]rtree.ObjectID]bool
+	seenObj  idset.Set // kNN candidate dedup
+	seenNode idset.Set // invalidation-report node dedup
+	seenObjI idset.Set // invalidation-report object dedup
+	seenPair idset.Set // join pairs, packed a<<32|b
 }
 
 func (r *Router) getState() *routeState {
@@ -435,10 +436,10 @@ func (r *Router) getState() *routeState {
 	st.knnObjs = st.knnObjs[:0]
 	st.knnDists = st.knnDists[:0]
 	st.cross = st.cross[:0]
-	st.seenObj = server.ResetScratchMap(st.seenObj)
-	st.seenNode = server.ResetScratchMap(st.seenNode)
-	st.seenObjI = server.ResetScratchMap(st.seenObjI)
-	st.seenPair = server.ResetScratchMap(st.seenPair)
+	st.seenObj.Reset()
+	st.seenNode.Reset()
+	st.seenObjI.Reset()
+	st.seenPair.Reset()
 	return st
 }
 
@@ -668,14 +669,12 @@ func (r *Router) absorb(st *routeState, s int, sub *wire.Response, resp *wire.Re
 		if !ok {
 			return errVirtualSpace(s, id)
 		}
-		if !st.seenNode[vid] {
-			st.seenNode[vid] = true
+		if st.seenNode.Add(uint64(vid)) {
 			resp.InvalidNodes = append(resp.InvalidNodes, vid)
 		}
 	}
 	for _, id := range sub.InvalidObjs {
-		if !st.seenObjI[id] {
-			st.seenObjI[id] = true
+		if st.seenObjI.Add(uint64(id)) {
 			resp.InvalidObjs = append(resp.InvalidObjs, id)
 		}
 	}
@@ -815,8 +814,7 @@ func (r *Router) finishConsistency(st *routeState, req *wire.Request, resp *wire
 	}
 	resp.RootID = VirtualRoot
 	resp.RootMBR = mbr
-	if (rootChanged || st.vrootStale) && !st.flush && !st.seenNode[VirtualRoot] {
-		st.seenNode[VirtualRoot] = true
+	if (rootChanged || st.vrootStale) && !st.flush && st.seenNode.Add(uint64(VirtualRoot)) {
 		resp.InvalidNodes = append(resp.InvalidNodes, VirtualRoot)
 	}
 	if st.flush {

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bpt"
+	"repro/internal/idset"
 	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/wire"
@@ -269,28 +270,12 @@ func (s *Server) applyFeedback(st *clientState, fmr float64) {
 type execState struct {
 	prov     provider
 	runner   query.Runner
-	seen     map[rtree.ObjectID]bool // result dedup
-	noPay    map[rtree.ObjectID]bool // objects whose payload the client holds
-	seenN    map[rtree.NodeID]bool   // invalidation-report node dedup
-	seenO    map[rtree.ObjectID]bool // invalidation-report object dedup
-	seed     []query.QueuedElem      // rekeyed / root-seeded queue
-	nodesBuf []*rtree.Node           // buildIndex ordering scratch
-}
-
-// scratchMapLimit bounds retained scratch-set capacity: a pathological
-// request (huge CachedIDs list, giant result set) must not pin its buckets
-// in the pool forever.
-const scratchMapLimit = 4096
-
-// ResetScratchMap empties a pooled scratch set for reuse, or replaces it
-// with a fresh one when it is nil or grew past scratchMapLimit. The
-// cluster router's pooled route state uses it too.
-func ResetScratchMap[K comparable](m map[K]bool) map[K]bool {
-	if m == nil || len(m) > scratchMapLimit {
-		return make(map[K]bool)
-	}
-	clear(m)
-	return m
+	seen     idset.Set          // result dedup
+	noPay    idset.Set          // objects whose payload the client holds
+	seenN    idset.Set          // invalidation-report node dedup
+	seenO    idset.Set          // invalidation-report object dedup
+	seed     []query.QueuedElem // rekeyed / root-seeded queue
+	nodesBuf []*rtree.Node      // buildIndex ordering scratch
 }
 
 // getExec borrows a request state from the pool, bound to snapshot v.
@@ -304,13 +289,13 @@ func (s *Server) getExec(v *snapshot, partitioned, forQuery bool) *execState {
 	}
 	if forQuery {
 		st.prov.reset(v, partitioned)
-		st.seen = ResetScratchMap(st.seen)
-		st.noPay = ResetScratchMap(st.noPay)
+		st.seen.Reset()
+		st.noPay.Reset()
 		st.seed = st.seed[:0]
 		st.nodesBuf = st.nodesBuf[:0]
 	}
-	st.seenN = ResetScratchMap(st.seenN)
-	st.seenO = ResetScratchMap(st.seenO)
+	st.seenN.Reset()
+	st.seenO.Reset()
 	return st
 }
 
@@ -365,11 +350,11 @@ func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
 
 	// Objects the client already holds: no payload bytes for those.
 	for _, id := range req.CachedIDs {
-		st.noPay[id] = true
+		st.noPay.Add(uint64(id))
 	}
 	for _, qe := range req.H {
 		if qe.Deferred && qe.Elem.IsObjectElem() && !qe.Elem.Pair {
-			st.noPay[qe.Elem.A.Obj] = true
+			st.noPay.Add(uint64(qe.Elem.A.Obj))
 		}
 	}
 
@@ -382,9 +367,8 @@ func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
 			out := st.runner.Run(q, &st.prov, st.seed)
 			info.Engine.Add(out.Stats)
 			for _, r := range out.Results {
-				if !st.seen[r.Obj] {
-					st.seen[r.Obj] = true
-					resp.Objects = append(resp.Objects, s.objectRep(r, st.noPay))
+				if st.seen.Add(uint64(r.Obj)) {
+					resp.Objects = append(resp.Objects, s.objectRep(r, &st.noPay))
 				}
 			}
 		}
@@ -403,17 +387,15 @@ func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
 		out := st.runner.RunBounded(req.Q, &st.prov, seed, req.Bound)
 		info.Engine = out.Stats
 		for _, r := range out.Results {
-			if !st.seen[r.Obj] {
-				st.seen[r.Obj] = true
-				resp.Objects = append(resp.Objects, s.objectRep(r, st.noPay))
+			if st.seen.Add(uint64(r.Obj)) {
+				resp.Objects = append(resp.Objects, s.objectRep(r, &st.noPay))
 			}
 		}
 		for _, p := range out.Pairs {
 			resp.Pairs = append(resp.Pairs, [2]rtree.ObjectID{p[0].Obj, p[1].Obj})
 			for _, r := range p {
-				if !st.seen[r.Obj] {
-					st.seen[r.Obj] = true
-					resp.Objects = append(resp.Objects, s.objectRep(r, st.noPay))
+				if st.seen.Add(uint64(r.Obj)) {
+					resp.Objects = append(resp.Objects, s.objectRep(r, &st.noPay))
 				}
 			}
 		}
@@ -429,12 +411,12 @@ func (s *Server) Execute(req *wire.Request) (*wire.Response, ExecInfo) {
 	return resp, info
 }
 
-func (s *Server) objectRep(r query.Ref, noPayload map[rtree.ObjectID]bool) wire.ObjectRep {
+func (s *Server) objectRep(r query.Ref, noPayload *idset.Set) wire.ObjectRep {
 	return wire.ObjectRep{
 		ID:      r.Obj,
 		MBR:     r.MBR,
 		Size:    s.sizeOf(r.Obj),
-		Payload: !noPayload[r.Obj],
+		Payload: !noPayload.Has(uint64(r.Obj)),
 	}
 }
 

@@ -61,11 +61,7 @@ func (s *Server) Epoch() uint64 {
 func (s *Server) invalidationsSince(epoch uint64) (nodes []rtree.NodeID, objs []rtree.ObjectID, flush bool) {
 	v := s.cur.Load()
 	var resp wire.Response
-	st := &execState{
-		seenN: make(map[rtree.NodeID]bool),
-		seenO: make(map[rtree.ObjectID]bool),
-	}
-	appendInvalidations(v, st, epoch, &resp)
+	appendInvalidations(v, &execState{}, epoch, &resp)
 	return resp.InvalidNodes, resp.InvalidObjs, resp.FlushAll
 }
 
@@ -100,14 +96,12 @@ func appendInvalidations(v *snapshot, st *execState, epoch uint64, resp *wire.Re
 	}
 	for _, rec := range recs {
 		for _, id := range rec.nodes {
-			if !st.seenN[id] {
-				st.seenN[id] = true
+			if st.seenN.Add(uint64(id)) {
 				resp.InvalidNodes = append(resp.InvalidNodes, id)
 			}
 		}
 		for _, id := range rec.objs {
-			if !st.seenO[id] {
-				st.seenO[id] = true
+			if st.seenO.Add(uint64(id)) {
 				resp.InvalidObjs = append(resp.InvalidObjs, id)
 			}
 		}
