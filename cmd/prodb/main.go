@@ -5,22 +5,27 @@
 // the preamble is closed. Clients connect with repro.Dial (see
 // examples/netclient; docs/WIRE.md specifies handshake and framing).
 //
-// The serving layer runs one goroutine per connection behind a connection
-// limit and a bounded worker pool, reaps idle connections, and drains
-// in-flight requests on SIGINT/SIGTERM before exiting.
+// Every deployment is a cluster: -cluster N KD-partitions the dataset into
+// N in-process shards behind one scatter-gather router, and the default of
+// one shard is the single node. Durability, replicas, the edge tier and the
+// elastic rebalancer apply at any shard count. The serving layer runs one
+// goroutine per connection behind a connection limit and a bounded worker
+// pool, reaps idle connections, and drains in-flight requests on
+// SIGINT/SIGTERM before exiting.
 //
 // Usage:
 //
-//	prodb -addr :7001 -n 50000            # synthetic NE data
+//	prodb -addr :7001 -n 50000            # synthetic NE data, one shard
 //	prodb -addr :7001 -load ne.gob        # dataset from datagen
 //	prodb -cluster 4                      # 4 in-process spatial shards
 //	prodb -form compact                   # CPRO-style index shipping
 //	prodb -max-conns 8192 -inflight 64    # tune concurrency limits
 //	prodb -pipeline 128                   # deeper per-connection pipelining
 //	prodb -updates=false                  # read-only: reject wire updates
-//	prodb -cluster 4 -wal /var/lib/prodb  # durable shards (WAL + checkpoints)
+//	prodb -wal /var/lib/prodb             # durable shards (WAL + checkpoints)
 //	prodb -cluster 4 -replicas            # warm standby per shard
-//	prodb -cluster 4 -elastic             # online split/merge rebalancing
+//	prodb -elastic                        # online split/merge rebalancing
+//	prodb -edge                           # edge cache tier before the router
 //	prodb -stats 10s                      # periodic serving stats
 //	prodb -pprof localhost:6060           # expose net/http/pprof for profiling
 //
@@ -29,8 +34,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
@@ -40,52 +47,48 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/elastic"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":7001", "listen address")
-		n        = flag.Int("n", 50_000, "synthetic NE objects when -load is not given")
-		seed     = flag.Int64("seed", 1, "synthetic data seed")
-		load     = flag.String("load", "", "load a datagen .gob file instead of generating")
-		form     = flag.String("form", "adaptive", "index shipping form: full, compact, adaptive")
-		maxConns = flag.Int("max-conns", 0, "max concurrent connections (0 = default 4096)")
-		inflight = flag.Int("inflight", 0, "max concurrently executing requests (0 = 4*GOMAXPROCS)")
-		pipeline = flag.Int("pipeline", 0, "max requests in flight per binary connection (0 = default 64)")
-		readTO   = flag.Duration("read-timeout", 0, "idle connection deadline (0 = default 5m)")
-		updates  = flag.Bool("updates", true, "accept batched index updates from wire clients")
-		clusterN = flag.Int("cluster", 1, "spatial shards served behind one scatter-gather router (1 = single node, see docs/CLUSTER.md)")
-		edgeMode = flag.Bool("edge", false, "cluster mode: serve through an edge cache tier — popular range/kNN queries answered from a partition-cell-keyed cache, invalidated off the cluster's epoch stream (docs/EDGE.md)")
-		edgeSync = flag.Duration("edge-sync", 250*time.Millisecond, "edge mode: time floor on the invalidation subscription (0 = evidence/update-driven only)")
-		walDir   = flag.String("wal", "", "cluster mode: per-shard WAL+checkpoint directory for crash recovery (empty = memory only)")
-		replicas = flag.Bool("replicas", false, "cluster mode: run a warm standby per shard for transparent failover")
-		elastOn  = flag.Bool("elastic", false, "cluster mode: run the load-driven rebalancer — hot shards split online, cold sibling pairs merge back (docs/ELASTIC.md)")
-		splitAt  = flag.Int64("split-objects", 0, "elastic mode: split a shard at this object count (0 derives twice the initial per-shard count)")
-		statsEv  = flag.Duration("stats", 0, "print serving stats at this interval (0 = off)")
-		drainTO  = flag.Duration("drain", 15*time.Second, "graceful shutdown drain timeout")
-		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *pprofAt != "" {
-		// The pprof handlers live on http.DefaultServeMux via the blank
-		// import; serve them on a side listener so profiling never shares
-		// a port with the query protocol.
-		pln, err := net.Listen("tcp", *pprofAt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prodb: pprof listen: %v\n", err)
-			os.Exit(1)
+// run is prodb over the given arguments and output streams. It returns the
+// exit status: 2 for a bad flag (checked before any data is generated), 1
+// when the server cannot start or its drain cut requests off.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("prodb", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":7001", "listen address")
+		n        = fs.Int("n", 50_000, "synthetic NE objects when -load is not given")
+		seed     = fs.Int64("seed", 1, "synthetic data seed")
+		load     = fs.String("load", "", "load a datagen .gob file instead of generating")
+		form     = fs.String("form", "adaptive", "index shipping form: full, compact, adaptive")
+		maxConns = fs.Int("max-conns", 0, "max concurrent connections (0 = default 4096)")
+		inflight = fs.Int("inflight", 0, "max concurrently executing requests (0 = 4*GOMAXPROCS)")
+		pipeline = fs.Int("pipeline", 0, "max requests in flight per binary connection (0 = default 64)")
+		readTO   = fs.Duration("read-timeout", 0, "idle connection deadline (0 = default 5m)")
+		updates  = fs.Bool("updates", true, "accept batched index updates from wire clients")
+		clusterN = fs.Int("cluster", 1, fmt.Sprintf("spatial shards served behind one scatter-gather router, 1 to %d (1 = single node, see docs/CLUSTER.md)", cluster.MaxShards))
+		edgeMode = fs.Bool("edge", false, "serve through an edge cache tier — popular range/kNN queries answered from a partition-cell-keyed cache, invalidated off the cluster's epoch stream (docs/EDGE.md)")
+		edgeSync = fs.Duration("edge-sync", 250*time.Millisecond, "edge mode: time floor on the invalidation subscription (0 = evidence/update-driven only)")
+		walDir   = fs.String("wal", "", "per-shard WAL+checkpoint directory for crash recovery (empty = memory only)")
+		replicas = fs.Bool("replicas", false, "run a warm standby per shard for transparent failover")
+		elastOn  = fs.Bool("elastic", false, "run the load-driven rebalancer — hot shards split online, cold sibling pairs merge back (docs/ELASTIC.md)")
+		splitAt  = fs.Int64("split-objects", 0, "elastic mode: split a shard at this object count (0 derives twice the initial per-shard count)")
+		statsEv  = fs.Duration("stats", 0, "print serving stats at this interval (0 = off)")
+		drainTO  = fs.Duration("drain", 15*time.Second, "graceful shutdown drain timeout")
+		pprofAt  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", pln.Addr())
-		go func() {
-			if err := http.Serve(pln, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "prodb: pprof: %v\n", err)
-			}
-		}()
+		return 2
 	}
 
 	// Validate flags before paying for dataset generation.
@@ -98,21 +101,29 @@ func main() {
 	case "adaptive":
 		indexForm = repro.AdaptiveForm
 	default:
-		fmt.Fprintf(os.Stderr, "prodb: unknown form %q\n", *form)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "prodb: unknown form %q\n", *form)
+		return 2
+	}
+	if *clusterN < 1 || *clusterN > cluster.MaxShards {
+		fmt.Fprintf(stderr, "prodb: -cluster %d is outside [1, %d]\n", *clusterN, cluster.MaxShards)
+		return 2
 	}
 
-	if (*walDir != "" || *replicas) && *clusterN <= 1 {
-		fmt.Fprintln(os.Stderr, "prodb: -wal and -replicas require -cluster N (single-node durability is not served yet)")
-		os.Exit(2)
-	}
-	if *elastOn && *clusterN <= 1 {
-		fmt.Fprintln(os.Stderr, "prodb: -elastic requires -cluster N (a single node has nothing to split)")
-		os.Exit(2)
-	}
-	if *edgeMode && *clusterN <= 1 {
-		fmt.Fprintln(os.Stderr, "prodb: -edge requires -cluster N (the cache is keyed by the cluster's partition cells)")
-		os.Exit(2)
+	if *pprofAt != "" {
+		// The pprof handlers live on http.DefaultServeMux via the blank
+		// import; serve them on a side listener so profiling never shares
+		// a port with the query protocol.
+		pln, err := net.Listen("tcp", *pprofAt)
+		if err != nil {
+			fmt.Fprintf(stderr, "prodb: pprof listen: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "pprof on http://%s/debug/pprof/\n", pln.Addr())
+		go func() {
+			if err := http.Serve(pln, nil); err != nil {
+				fmt.Fprintf(stderr, "prodb: pprof: %v\n", err)
+			}
+		}()
 	}
 
 	var objects []repro.Object
@@ -120,14 +131,14 @@ func main() {
 	case *load != "":
 		ds, err := dataset.Load(*load)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "prodb: %v\n", err)
+			return 1
 		}
 		objects = ds.Objects
-		fmt.Printf("loaded %d objects from %s\n", len(objects), *load)
+		fmt.Fprintf(stdout, "loaded %d objects from %s\n", len(objects), *load)
 	default:
 		objects = repro.GenerateNE(*n, *seed)
-		fmt.Printf("generated %d synthetic NE objects (seed %d)\n", len(objects), *seed)
+		fmt.Fprintf(stdout, "generated %d synthetic NE objects (seed %d)\n", len(objects), *seed)
 	}
 
 	start := time.Now()
@@ -141,89 +152,78 @@ func main() {
 		MaxPipeline: *pipeline,
 		ReadTimeout: *readTO,
 	}
-	// Both deployment shapes serve the identical wire protocol; clients
-	// cannot tell a cluster router from a single node.
+	cs, err := repro.NewClusterServer(objects, repro.ClusterConfig{
+		Shards:   *clusterN,
+		Form:     indexForm,
+		WALDir:   *walDir,
+		Replicas: *replicas,
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "prodb: %v\n", err)
+		return 1
+	}
+	// Deferred calls run after the serving layer drained: the rebalancer
+	// stops first, then the shards' update writers.
+	defer cs.Close()
+	cs.SetRemoteUpdates(*updates)
+	durable := ""
+	if *walDir != "" {
+		durable = fmt.Sprintf(", WAL at %s", *walDir)
+	}
+	if *replicas {
+		durable += ", warm replicas"
+	}
+	fmt.Fprintf(stdout, "cluster: %d shards owning %v objects, built in %v (%s%s)\n",
+		cs.Shards(), cs.ShardObjects(), time.Since(start).Round(time.Millisecond), mode, durable)
 	var (
-		net1         *wire.NetServer
-		statsFn      func() metrics.ServerSnapshot
-		clusterStats func() metrics.ClusterSnapshot
-		edgeStats    func() metrics.EdgeSnapshot
-		closeFn      func()
+		net1      *wire.NetServer
+		edgeStats func() metrics.EdgeSnapshot
 	)
-	if *clusterN > 1 {
-		cs, err := repro.NewClusterServer(objects, repro.ClusterConfig{
-			Shards:   *clusterN,
-			Form:     indexForm,
-			WALDir:   *walDir,
-			Replicas: *replicas,
+	if *edgeMode {
+		eg, err := cs.Edge(repro.EdgeOptions{SyncInterval: *edgeSync})
+		if err != nil {
+			fmt.Fprintf(stderr, "prodb: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "edge: cache tier over %d partition cells (sync floor %v)\n", cs.Shards(), *edgeSync)
+		net1 = cs.EdgeNetServer(eg, opts)
+		edgeStats = eg.Stats().Snapshot
+	} else {
+		net1 = cs.NetServer(opts)
+	}
+	if *elastOn {
+		_, stopRb, err := cs.StartRebalancer(elastic.Config{
+			SplitObjects: *splitAt,
+			MergeObjects: *splitAt / 4,
+			Cooldown:     5 * time.Second,
+			Interval:     time.Second,
+			OnEvent: func(ev elastic.Event) {
+				fmt.Fprintf(stdout, "elastic: %s shard=%d objects=%d err=%v\n",
+					ev.Kind, ev.Shard, ev.Objects, ev.Err)
+			},
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "prodb: %v\n", err)
+			return 1
 		}
-		cs.SetRemoteUpdates(*updates)
-		durable := ""
-		if *walDir != "" {
-			durable = fmt.Sprintf(", WAL at %s", *walDir)
-		}
-		if *replicas {
-			durable += ", warm replicas"
-		}
-		fmt.Printf("cluster: %d shards owning %v objects, built in %v (%s%s)\n",
-			cs.Shards(), cs.ShardObjects(), time.Since(start).Round(time.Millisecond), mode, durable)
-		if *edgeMode {
-			eg, err := cs.Edge(repro.EdgeOptions{SyncInterval: *edgeSync})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("edge: cache tier over %d partition cells (sync floor %v)\n", cs.Shards(), *edgeSync)
-			net1 = cs.EdgeNetServer(eg, opts)
-			edgeStats = eg.Stats().Snapshot
-		} else {
-			net1 = cs.NetServer(opts)
-		}
-		if *elastOn {
-			_, stopRb, err := cs.StartRebalancer(elastic.Config{
-				SplitObjects: *splitAt,
-				MergeObjects: *splitAt / 4,
-				Cooldown:     5 * time.Second,
-				Interval:     time.Second,
-				OnEvent: func(ev elastic.Event) {
-					fmt.Printf("elastic: %s shard=%d objects=%d err=%v\n",
-						ev.Kind, ev.Shard, ev.Objects, ev.Err)
-				},
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("elastic: rebalancer online (-split-objects %d)\n", *splitAt)
-			csClose := cs.Close
-			closeFn = func() { stopRb(); csClose() }
-		} else {
-			closeFn = cs.Close
-		}
-		statsFn = cs.Stats
-		clusterStats = cs.ClusterStats
-	} else {
-		srv := repro.NewServer(objects, repro.ServerConfig{Form: indexForm})
-		srv.SetRemoteUpdates(*updates)
-		st := srv.IndexStats()
-		fmt.Printf("index: %d nodes, height %d, %.0f%% fill, built in %v (%s)\n",
-			st.Nodes, st.Height, st.AvgFill*100, time.Since(start).Round(time.Millisecond), mode)
-		net1 = srv.NetServer(opts)
-		statsFn = srv.Stats
-		closeFn = srv.Close
+		defer stopRb()
+		fmt.Fprintf(stdout, "elastic: rebalancer online (-split-objects %d)\n", *splitAt)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "prodb: %v\n", err)
+		return 1
 	}
-	fmt.Printf("serving proactive spatial queries on %s (form=%s)\n", ln.Addr(), *form)
+	fmt.Fprintf(stdout, "serving proactive spatial queries on %s (form=%s)\n", ln.Addr(), *form)
 
+	printStats := func(prefix string) {
+		fmt.Fprintf(stdout, "%s %s\n", prefix, cs.Stats())
+		fmt.Fprintf(stdout, "%s %s\n", prefix, cs.ClusterStats())
+		if edgeStats != nil {
+			fmt.Fprintf(stdout, "%s %s\n", prefix, edgeStats())
+		}
+	}
 	statsDone := make(chan struct{})
 	if *statsEv > 0 {
 		ticker := time.NewTicker(*statsEv)
@@ -232,13 +232,7 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					fmt.Printf("stats: %s\n", statsFn())
-					if clusterStats != nil {
-						fmt.Printf("stats: %s\n", clusterStats())
-					}
-					if edgeStats != nil {
-						fmt.Printf("stats: %s\n", edgeStats())
-					}
+					printStats("stats:")
 				case <-statsDone:
 					return
 				}
@@ -256,29 +250,22 @@ func main() {
 	select {
 	case sig := <-sigCh:
 		close(statsDone) // keep stats lines out of the drain log
-		fmt.Printf("\n%v: draining (up to %v)...\n", sig, *drainTO)
+		fmt.Fprintf(stdout, "\n%v: draining (up to %v)...\n", sig, *drainTO)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 		defer cancel()
 		if err := net1.Shutdown(ctx); err != nil {
 			// In-flight requests were force-closed; report the dirty
 			// shutdown through the exit code for orchestrators.
-			fmt.Fprintf(os.Stderr, "prodb: shutdown: %v\n", err)
+			fmt.Fprintf(stderr, "prodb: shutdown: %v\n", err)
 			exitCode = 1
 		}
 	case err := <-serveErr:
 		close(statsDone)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "prodb: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "prodb: %v\n", err)
+			return 1
 		}
 	}
-	closeFn() // stop the update writers after the serving layer drained
-	fmt.Printf("final %s\n", statsFn())
-	if clusterStats != nil {
-		fmt.Printf("final %s\n", clusterStats())
-	}
-	if edgeStats != nil {
-		fmt.Printf("final %s\n", edgeStats())
-	}
-	os.Exit(exitCode)
+	printStats("final")
+	return exitCode
 }

@@ -18,7 +18,13 @@ func exampleObjects() []repro.Object {
 }
 
 func ExampleNewClient() {
-	srv := repro.NewServer(exampleObjects(), repro.ServerConfig{})
+	// A single node is a one-shard cluster.
+	srv, err := repro.NewClusterServer(exampleObjects(), repro.ClusterConfig{Shards: 1})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer srv.Close()
 	cl, err := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 1 << 20})
 	if err != nil {
 		fmt.Println(err)
@@ -43,7 +49,8 @@ func ExampleNewClient() {
 }
 
 func ExampleClient_Query_range() {
-	srv := repro.NewServer(exampleObjects(), repro.ServerConfig{})
+	srv, _ := repro.NewClusterServer(exampleObjects(), repro.ClusterConfig{Shards: 1})
+	defer srv.Close()
 	cl, _ := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 1 << 20})
 
 	rep, _ := cl.Query(repro.NewRange(repro.R(0.0, 0.0, 0.3, 0.3)))
@@ -55,7 +62,8 @@ func ExampleClient_Query_range() {
 }
 
 func ExampleClient_Query_join() {
-	srv := repro.NewServer(exampleObjects(), repro.ServerConfig{})
+	srv, _ := repro.NewClusterServer(exampleObjects(), repro.ClusterConfig{Shards: 1})
+	defer srv.Close()
 	cl, _ := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 1 << 20})
 
 	// Pairs (1,4) and (2,4) lie within 0.05 of each other; 1-2 is farther.

@@ -1,7 +1,7 @@
 // Clustergrid: the spatial sharding layer end to end, in one process. It
-// builds the same dataset twice — behind a single server and behind a
-// 4-shard cluster router — drives an identical proactive-caching client
-// against each, verifies the answers agree, and prints what the router did:
+// builds the same dataset twice — as a single node (one shard) and as a
+// 4-shard cluster — drives an identical proactive-caching client against
+// each, verifies the answers agree, and prints what the 4-shard router did:
 // per-shard fan-out, the single-shard fast path, kNN re-issues, cross-shard
 // join scans.
 //
@@ -30,7 +30,10 @@ func main() {
 	flag.Parse()
 
 	objects := repro.GenerateNE(*n, 3)
-	single := repro.NewServer(objects, repro.ServerConfig{})
+	single, err := repro.NewClusterServer(objects, repro.ClusterConfig{Shards: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer single.Close()
 	clustered, err := repro.NewClusterServer(objects, repro.ClusterConfig{Shards: *shards})
 	if err != nil {

@@ -19,7 +19,11 @@ import (
 
 func main() {
 	objects := repro.GenerateRD(40_000, 3) // road-segment assets
-	srv := repro.NewServer(objects, repro.ServerConfig{})
+	srv, err := repro.NewClusterServer(objects, repro.ClusterConfig{Shards: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
 	cl, err := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 4 << 20})
 	if err != nil {
 		log.Fatal(err)

@@ -17,7 +17,11 @@ import (
 
 func main() {
 	objects := repro.GenerateNE(30_000, 7)
-	srv := repro.NewServer(objects, repro.ServerConfig{})
+	srv, err := repro.NewClusterServer(objects, repro.ClusterConfig{Shards: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
 
 	var total int64
 	for _, o := range objects {

@@ -28,7 +28,11 @@ func main() {
 	target := *addr
 	if target == "" {
 		// Self-host a server on a random loopback port.
-		srv := repro.NewServer(repro.GenerateNE(15_000, 9), repro.ServerConfig{})
+		srv, err := repro.NewClusterServer(repro.GenerateNE(15_000, 9), repro.ClusterConfig{Shards: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer srv.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)

@@ -15,10 +15,13 @@ func main() {
 	// A city's worth of points of interest (synthetic NE-like data:
 	// clustered rectangles with Zipf-sized payloads, ids 1..N).
 	objects := repro.GenerateNE(20_000, 1)
-	srv := repro.NewServer(objects, repro.ServerConfig{})
-	st := srv.IndexStats()
-	fmt.Printf("server: %d objects indexed in %d R*-tree nodes (height %d)\n\n",
-		st.Objects, st.Nodes, st.Height)
+	// A single node is a one-shard cluster.
+	srv, err := repro.NewClusterServer(objects, repro.ClusterConfig{Shards: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
+	fmt.Printf("server: %d objects indexed on %d shard\n\n", srv.ShardObjects()[0], srv.Shards())
 
 	// A mobile client with a 2 MB proactive cache.
 	cl, err := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 2 << 20})

@@ -158,14 +158,6 @@ func MinDistSq(p Point, r Rect) float64 {
 	return dx*dx + dy*dy
 }
 
-// MaxDist returns the maximum Euclidean distance from point p to any point
-// of rectangle r (the MAXDIST pruning metric).
-func MaxDist(p Point, r Rect) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
-	return math.Hypot(dx, dy)
-}
-
 // RectMinDist returns the minimum Euclidean distance between any point of r
 // and any point of s (zero when they intersect). It is the pruning metric
 // for distance joins over R-tree node pairs.

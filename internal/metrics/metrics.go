@@ -35,19 +35,6 @@ func (s *Summary) Add(uplink, downlink, result, saved, falseMiss int, resp, cpuM
 	s.CPUSum += cpuMS
 }
 
-// Merge folds another summary into s.
-func (s *Summary) Merge(o Summary) {
-	s.Queries += o.Queries
-	s.LocalOnly += o.LocalOnly
-	s.UplinkBytes += o.UplinkBytes
-	s.DownlinkBytes += o.DownlinkBytes
-	s.ResultBytes += o.ResultBytes
-	s.SavedBytes += o.SavedBytes
-	s.FalseMissBytes += o.FalseMissBytes
-	s.RespSum += o.RespSum
-	s.CPUSum += o.CPUSum
-}
-
 func (s *Summary) perQuery(v int64) float64 {
 	if s.Queries == 0 {
 		return 0
@@ -100,22 +87,4 @@ func (s *Summary) FMR() float64 {
 		return 0
 	}
 	return float64(s.FalseMissBytes) / float64(denom)
-}
-
-// Normalize maps values to [0,1] by their maximum (the presentation of
-// Figure 6). It returns the scaled values and the maximum.
-func Normalize(values []float64) (scaled []float64, max float64) {
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	scaled = make([]float64, len(values))
-	if max == 0 {
-		return scaled, 0
-	}
-	for i, v := range values {
-		scaled[i] = v / max
-	}
-	return scaled, max
 }

@@ -46,32 +46,6 @@ func TestEmptySummary(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Summary
-	a.Add(10, 20, 30, 10, 5, 1, 1, false)
-	b.Add(20, 40, 60, 20, 10, 2, 2, true)
-	a.Merge(b)
-	if a.Queries != 2 || a.UplinkBytes != 30 || a.FalseMissBytes != 15 || a.LocalOnly != 1 {
-		t.Errorf("merge: %+v", a)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	scaled, max := Normalize([]float64{1, 4, 2})
-	if max != 4 {
-		t.Errorf("max = %v", max)
-	}
-	want := []float64{0.25, 1, 0.5}
-	for i := range want {
-		if scaled[i] != want[i] {
-			t.Errorf("scaled[%d] = %v, want %v", i, scaled[i], want[i])
-		}
-	}
-	if s, m := Normalize([]float64{0, 0}); m != 0 || s[0] != 0 {
-		t.Error("zero normalize broken")
-	}
-}
-
 func TestHitRatesBounded(t *testing.T) {
 	var s Summary
 	s.Add(1, 1, 100, 60, 40, 0.5, 0.1, false)

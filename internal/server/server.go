@@ -159,7 +159,7 @@ type clientState struct {
 // New constructs a server over an existing index. Ownership of the tree
 // transfers to the server: it is the first published version, whose pages
 // every later version shares until it rewrites them, so the caller must not
-// mutate it (use View for access to the live index).
+// mutate it (use Tree for read access to the live index).
 func New(tree *rtree.Tree, sizes ObjectSizer, cfg Config) *Server {
 	s := newServer(sizes, cfg)
 	s.cur.Store(&snapshot{tree: tree, pages: rtree.Pack(tree)})
@@ -186,8 +186,7 @@ func (s *Server) sizeOf(id rtree.ObjectID) int {
 }
 
 // Tree exposes the currently published index version, which callers must
-// treat as read-only. It never changes; updates publish a new version. Prefer
-// View when the epoch the version belongs to matters.
+// treat as read-only. It never changes; updates publish a new version.
 func (s *Server) Tree() *rtree.Tree { return s.cur.Load().tree }
 
 // RootRef returns the reference query processing starts from; clients use it

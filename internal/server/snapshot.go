@@ -47,15 +47,6 @@ type snapshot struct {
 	updates  []updateRecord
 }
 
-// View runs f over the current snapshot: the tree is immutable and
-// internally consistent with the given epoch, during the call and for as
-// long as f's caller keeps it. This is the safe way to inspect the live
-// index from outside the query path (stats, debugging).
-func (s *Server) View(f func(tree *rtree.Tree, epoch uint64)) {
-	v := s.cur.Load()
-	f(v.tree, v.epoch)
-}
-
 // --------------------------------------------------------------------------
 // The writer.
 

@@ -463,7 +463,7 @@ func TestDeadSlotsReclaimed(t *testing.T) {
 }
 
 // TestSlowReaderDoesNotStallWriter holds four snapshots of different epochs
-// open inside View while the writer publishes ten more batches: every batch
+// open while the writer publishes ten more batches: every batch
 // must return promptly (a held version costs the writer nothing — there is
 // no buffer to wait for), and each held tree must come out of the wait valid
 // and bit-identical to what it was when it was taken.
@@ -485,17 +485,17 @@ func TestSlowReaderDoesNotStallWriter(t *testing.T) {
 		holders.Add(1)
 		go func() {
 			defer holders.Done()
-			srv.View(func(tree *rtree.Tree, epoch uint64) {
-				image := tree.AppendImage(nil)
-				taken <- epoch
-				<-release
-				if err := tree.Validate(false); err != nil {
-					t.Errorf("tree held since epoch %d is invalid: %v", epoch, err)
-				}
-				if !bytes.Equal(tree.AppendImage(nil), image) {
-					t.Errorf("tree held since epoch %d changed while held", epoch)
-				}
-			})
+			v := srv.cur.Load()
+			tree, epoch := v.tree, v.epoch
+			image := tree.AppendImage(nil)
+			taken <- epoch
+			<-release
+			if err := tree.Validate(false); err != nil {
+				t.Errorf("tree held since epoch %d is invalid: %v", epoch, err)
+			}
+			if !bytes.Equal(tree.AppendImage(nil), image) {
+				t.Errorf("tree held since epoch %d changed while held", epoch)
+			}
 		}()
 		return <-taken
 	}

@@ -12,14 +12,16 @@
 //
 // This package is the facade over the building blocks in internal/:
 //
-//	Server     — R*-tree + partition-tree pages + remainder-query processor
-//	Client     — proactive cache + Algorithm 1 local processor
+//	ClusterServer — spatial shards (R*-tree + partition-tree pages +
+//	                remainder-query processor each) behind one router;
+//	                a single node is a one-shard cluster
+//	Client        — proactive cache + Algorithm 1 local processor
 //	NewRange / NewKNN / NewJoin — query constructors
 //
 // A minimal session:
 //
-//	srv := repro.NewServer(objects, repro.ServerConfig{})
-//	cl := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 1 << 20})
+//	srv, err := repro.NewClusterServer(objects, repro.ClusterConfig{Shards: 1})
+//	cl, err := repro.NewClient(srv.Transport(), repro.ClientConfig{CacheBytes: 1 << 20})
 //	rep, err := cl.Query(repro.NewKNN(repro.Pt(0.5, 0.5), 3))
 //
 // See examples/ for runnable programs and internal/sim for the experiment
@@ -27,16 +29,12 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
-	"net"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/server"
@@ -109,196 +107,6 @@ func NewKNN(center Point, k int) Query { return query.NewKNN(center, k) }
 // NewJoin builds a distance self-join over the window with the given
 // distance threshold.
 func NewJoin(window Rect, dist float64) Query { return query.NewJoin(window, dist) }
-
-// ServerConfig parameterizes NewServer.
-type ServerConfig struct {
-	// Form selects the supporting-index representation; default adaptive.
-	// Pages are the paper's 4 KB of 20-byte entries (rtree.DefaultParams)
-	// bulk-loaded to 70% fill, and the adaptive s is 0.20 (Table 6.1).
-	Form IndexForm
-}
-
-// Server owns a spatial dataset, its R*-tree, and the proactive-caching
-// remainder-query processor. Query execution (Transport, Serve, NetServer)
-// is safe for any number of concurrent clients and never locks the index:
-// queries pin an immutable snapshot while a single writer goroutine batches
-// updates and publishes fresh snapshots (see docs/UPDATES.md). The facade
-// mutators (InsertObject, DeleteObject, MoveObject) are safe to call
-// concurrently with queries, but must not race with each other or with
-// wire-level batched updates — they track object rectangles in an auxiliary
-// map that assumes one updater. Remote clients can ship batched updates over
-// the wire (Request.Updates); SetRemoteUpdates gates that path.
-type Server struct {
-	inner *server.Server
-	// sizes is the build-time size map; it is never written after
-	// NewServer (post-build sizes live inside the inner server), so
-	// concurrent queries may read it freely.
-	sizes map[ObjectID]int
-	// mbrs tracks current object rectangles; only the mutators touch it.
-	mbrs          map[ObjectID]Rect
-	stats         metrics.ServerStats
-	remoteUpdates atomic.Bool
-}
-
-// NewServer indexes the objects and stands up a server.
-func NewServer(objects []Object, cfg ServerConfig) *Server {
-	items := make([]rtree.Item, len(objects))
-	sizes := make(map[ObjectID]int, len(objects))
-	mbrs := make(map[ObjectID]Rect, len(objects))
-	for i, o := range objects {
-		items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
-		sizes[o.ID] = o.Size
-		mbrs[o.ID] = o.MBR
-	}
-	tree := rtree.BulkLoad(rtree.DefaultParams(), items, 0.7)
-	inner := server.New(tree, func(id ObjectID) int { return sizes[id] }, server.Config{Form: cfg.Form})
-	s := &Server{inner: inner, sizes: sizes, mbrs: mbrs}
-	s.remoteUpdates.Store(true)
-	return s
-}
-
-// SetRemoteUpdates enables or disables wire-level batched updates
-// (Request.Updates). Enabled by default; a read-only deployment (cmd/prodb
-// -updates=false) rejects update requests with an error response while local
-// mutators keep working.
-func (s *Server) SetRemoteUpdates(on bool) { s.remoteUpdates.Store(on) }
-
-// Close stops the server's background update writer, waiting for queued
-// update batches to be applied. Call it after the serving layer has drained;
-// queries remain answerable afterwards, further updates are dropped.
-func (s *Server) Close() { s.inner.Close() }
-
-// InsertObject adds a new object to the live index. Connected clients learn
-// about it through the epoch-based invalidation protocol.
-func (s *Server) InsertObject(o Object) {
-	s.inner.InsertObject(o.ID, o.MBR, o.Size)
-	s.mbrs[o.ID] = o.MBR
-}
-
-// DeleteObject removes an object from the live index; it reports whether
-// the object existed.
-func (s *Server) DeleteObject(id ObjectID) bool {
-	mbr, ok := s.mbrs[id]
-	if !ok {
-		return false
-	}
-	if !s.inner.DeleteObject(id, mbr) {
-		return false
-	}
-	delete(s.mbrs, id)
-	return true
-}
-
-// MoveObject relocates an object to a new bounding rectangle.
-func (s *Server) MoveObject(id ObjectID, to Rect) bool {
-	from, ok := s.mbrs[id]
-	if !ok {
-		return false
-	}
-	if !s.inner.MoveObject(id, from, to) {
-		return false
-	}
-	s.mbrs[id] = to
-	return true
-}
-
-// Epoch returns the server's current update epoch.
-func (s *Server) Epoch() uint64 { return s.inner.Epoch() }
-
-// Transport returns an in-process transport to this server. Transports are
-// safe for concurrent use; each simulated client may hold its own.
-func (s *Server) Transport() Transport {
-	return wire.TransportFunc(s.Handler())
-}
-
-// ErrUpdatesDisabled is returned to wire clients shipping batched updates to
-// a server running with remote updates disabled.
-var ErrUpdatesDisabled = errors.New("repro: remote updates disabled")
-
-// Handler returns the server's request handler for use with a custom
-// wire.NetServer. A request carrying Updates is routed through the batched
-// single-writer update path; everything else executes as a query. Updates
-// pass only when remote updates are on.
-func (s *Server) Handler() wire.Handler {
-	return func(req *wire.Request) (*wire.Response, error) {
-		if len(req.Updates) > 0 {
-			if !s.remoteUpdates.Load() {
-				return nil, ErrUpdatesDisabled
-			}
-			return s.inner.ExecuteUpdates(req), nil
-		}
-		resp, _ := s.inner.Execute(req)
-		return resp, nil
-	}
-}
-
-// ApplyUpdates applies a batch of index updates through the single-writer
-// queue, blocking until the batch's snapshot is published. It returns one
-// applied/failed flag per operation. Unlike the single-object facade
-// mutators it does not maintain the rectangle-tracking map, so it composes
-// with wire-fed updates but not with DeleteObject/MoveObject bookkeeping.
-func (s *Server) ApplyUpdates(ops []wire.UpdateOp) []bool {
-	return s.inner.ApplyUpdates(ops, nil)
-}
-
-// ServeOptions tunes the network serving layer (see wire.ServeConfig for
-// field semantics). The zero value applies production defaults.
-type ServeOptions struct {
-	// MaxConns caps concurrently open connections (default 4096).
-	MaxConns int
-	// MaxInflight caps concurrently executing requests (default
-	// 4*GOMAXPROCS).
-	MaxInflight int
-	// MaxPipeline caps requests in flight on one binary connection
-	// (default 64).
-	MaxPipeline int
-	// ReadTimeout reaps connections idle between requests (default 5m;
-	// negative disables). Dialed transports do not reconnect: a client
-	// that may sit idle longer than this must either send periodic
-	// Sync heartbeats, redial on error, or be served with a negative
-	// ReadTimeout.
-	ReadTimeout time.Duration
-}
-
-// NetServer builds a concurrent TCP server over this spatial database: a
-// goroutine per connection behind a connection limit, a bounded worker pool
-// for request execution, idle-connection reaping, and graceful Shutdown.
-// Serving statistics accumulate in Stats.
-func (s *Server) NetServer(opts ServeOptions) *wire.NetServer {
-	return wire.NewNetServer(s.Handler(), wire.ServeConfig{
-		MaxConns:    opts.MaxConns,
-		MaxInflight: opts.MaxInflight,
-		MaxPipeline: opts.MaxPipeline,
-		ReadTimeout: opts.ReadTimeout,
-		Stats:       &s.stats,
-		// Responses are recycled once their bytes are on the wire, keeping
-		// the warm serving path allocation-free end to end.
-		Release: s.inner.ReleaseResponse,
-	})
-}
-
-// Serve answers proactive-caching clients on a listener with default
-// options until the listener closes (the TCP wire protocol of cmd/prodb:
-// binary with pipelining). It blocks. For shutdown control, use NetServer
-// instead.
-func (s *Server) Serve(ln net.Listener) error {
-	if err := s.NetServer(ServeOptions{}).Serve(ln); err != nil && err != wire.ErrServerClosed {
-		return fmt.Errorf("repro: serve: %w", err)
-	}
-	return nil
-}
-
-// Stats returns a snapshot of the serving-layer counters: connection churn,
-// requests served, and request latency quantiles.
-func (s *Server) Stats() metrics.ServerSnapshot { return s.stats.Snapshot() }
-
-// IndexStats describes the server-side R*-tree, measured against one
-// snapshot so it is safe to call while updates are streaming in.
-func (s *Server) IndexStats() rtree.Stats {
-	var st rtree.Stats
-	s.inner.View(func(t *rtree.Tree, _ uint64) { st = t.Stats() })
-	return st
-}
 
 // ClientConfig parameterizes NewClient.
 type ClientConfig struct {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"net"
 	"testing"
 
@@ -11,8 +12,20 @@ func testObjects() []Object {
 	return GenerateNE(3000, 11)
 }
 
+// oneShard stands up the single node: a one-shard cluster, closed when the
+// test ends.
+func oneShard(t *testing.T, objects []Object) *ClusterServer {
+	t.Helper()
+	srv, err := NewClusterServer(objects, ClusterConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
-	srv := NewServer(testObjects(), ServerConfig{})
+	srv := oneShard(t, testObjects())
 	cl, err := NewClient(srv.Transport(), ClientConfig{CacheBytes: 1 << 22})
 	if err != nil {
 		t.Fatal(err)
@@ -51,14 +64,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeValidation(t *testing.T) {
-	srv := NewServer(testObjects()[:100], ServerConfig{})
+	srv := oneShard(t, testObjects()[:100])
 	if _, err := NewClient(srv.Transport(), ClientConfig{}); err == nil {
 		t.Error("missing CacheBytes must error")
 	}
 }
 
 func TestFacadeTCP(t *testing.T) {
-	srv := NewServer(testObjects()[:500], ServerConfig{})
+	srv := oneShard(t, testObjects()[:500])
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +97,11 @@ func TestFacadeTCP(t *testing.T) {
 }
 
 // TestWireUpdatesOverTCP ships a batched update request through the full
-// stack — binary codec, pipelined server, single-writer queue — and checks
-// read-your-writes from a second connection, plus the read-only rejection
-// path.
+// stack — binary codec, pipelined server, router, single-writer queue — and
+// checks read-your-writes from a second connection, plus the read-only gate
+// over TCP and in process.
 func TestWireUpdatesOverTCP(t *testing.T) {
-	srv := NewServer(testObjects()[:500], ServerConfig{})
-	defer srv.Close()
+	srv := oneShard(t, testObjects()[:500])
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +125,10 @@ func TestWireUpdatesOverTCP(t *testing.T) {
 	if len(resp.UpdateResults) != 2 || !resp.UpdateResults[0] || resp.UpdateResults[1] {
 		t.Fatalf("update results = %v", resp.UpdateResults)
 	}
+	// The ack carries the updating client's virtual epoch: the router
+	// registers the first shard-epoch vector a client is handed as 1.
 	if resp.Epoch != 1 {
-		t.Fatalf("update ack epoch = %d", resp.Epoch)
+		t.Fatalf("update ack epoch = %d, want virtual epoch 1", resp.Epoch)
 	}
 
 	// A different connection sees the insert immediately.
@@ -130,23 +144,18 @@ func TestWireUpdatesOverTCP(t *testing.T) {
 		t.Fatalf("inserted object not served over the wire: %+v", qresp.Objects)
 	}
 
-	// Read-only mode rejects the update but keeps serving queries.
+	// Read-only mode rejects the update, over the wire and in process, but
+	// keeps serving queries.
 	srv.SetRemoteUpdates(false)
-	if _, err := up.RoundTrip(&wire.Request{Updates: []UpdateOp{
-		{Kind: UpdateDelete, Obj: 77_001, From: target},
-	}}); err == nil {
-		t.Fatal("read-only server accepted an update")
+	del := []UpdateOp{{Kind: UpdateDelete, Obj: 77_001, From: target}}
+	if _, err := up.RoundTrip(&wire.Request{Updates: del}); err == nil {
+		t.Fatal("read-only server accepted an update over TCP")
+	}
+	if _, err := srv.Transport().RoundTrip(&wire.Request{Updates: del}); !errors.Is(err, ErrUpdatesDisabled) {
+		t.Fatalf("read-only server answered an in-process update with %v, want ErrUpdatesDisabled", err)
 	}
 	if _, err := reader.RoundTrip(&wire.Request{Client: 2, Q: NewKNN(Pt(0.91, 0.91), 1)}); err != nil {
 		t.Fatalf("query after rejected update: %v", err)
-	}
-}
-
-func TestIndexStats(t *testing.T) {
-	srv := NewServer(testObjects(), ServerConfig{})
-	st := srv.IndexStats()
-	if st.Objects != 3000 || st.Nodes == 0 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -160,10 +169,26 @@ func TestGenerators(t *testing.T) {
 
 func TestFacadeUpdatesAndSync(t *testing.T) {
 	objects := testObjects()[:800]
-	srv := NewServer(objects, ServerConfig{})
+	srv := oneShard(t, objects)
 	cl, err := NewClient(srv.Transport(), ClientConfig{CacheBytes: 1 << 22})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// An updater client ships one wire operation per request and quotes the
+	// virtual epoch its last ack carried.
+	var epoch uint64
+	update := func(op UpdateOp) bool {
+		t.Helper()
+		resp, err := srv.Transport().RoundTrip(&wire.Request{Client: 9, Epoch: epoch, Updates: []UpdateOp{op}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.UpdateResults) != 1 {
+			t.Fatalf("update acks = %v, want one", resp.UpdateResults)
+		}
+		epoch = resp.Epoch
+		return resp.UpdateResults[0]
 	}
 
 	// Warm the client over an area.
@@ -174,20 +199,25 @@ func TestFacadeUpdatesAndSync(t *testing.T) {
 
 	// Mutate the live index.
 	added := Object{ID: 5001, MBR: RectFromCenter(center, 0.001, 0.001), Size: 777}
-	srv.InsertObject(added)
-	if srv.Epoch() == 0 {
+	if !update(UpdateOp{Kind: UpdateInsert, Obj: added.ID, To: added.MBR, Size: added.Size}) {
+		t.Fatal("insert failed")
+	}
+	if epoch == 0 {
 		t.Fatal("epoch did not advance")
 	}
-	if !srv.MoveObject(added.ID, RectFromCenter(Pt(0.51, 0.51), 0.001, 0.001)) {
+	moved := RectFromCenter(Pt(0.51, 0.51), 0.001, 0.001)
+	if !update(UpdateOp{Kind: UpdateMove, Obj: added.ID, From: added.MBR, To: moved}) {
 		t.Fatal("move failed")
 	}
-	if srv.MoveObject(9999, RectFromCenter(center, 0.1, 0.1)) {
+	if update(UpdateOp{Kind: UpdateMove, Obj: 9999, From: RectFromCenter(center, 0.1, 0.1), To: moved}) {
 		t.Error("moved a ghost")
 	}
 
 	// The heartbeat prunes whatever the updates touched.
-	if _, err := cl.Sync(); err != nil {
+	if dropped, err := cl.Sync(); err != nil {
 		t.Fatal(err)
+	} else if dropped == 0 {
+		t.Error("Sync after updates in the warm area dropped nothing")
 	}
 
 	// The new object is findable afterwards.
@@ -202,10 +232,11 @@ func TestFacadeUpdatesAndSync(t *testing.T) {
 	// Deleting it makes it vanish — after the client hears about it.
 	// (Purely local answers between contacts may be stale by design; the
 	// heartbeat closes the window.)
-	if !srv.DeleteObject(added.ID) {
+	del := UpdateOp{Kind: UpdateDelete, Obj: added.ID, From: moved}
+	if !update(del) {
 		t.Fatal("delete failed")
 	}
-	if srv.DeleteObject(added.ID) {
+	if update(del) {
 		t.Error("double delete succeeded")
 	}
 	if _, err := cl.Sync(); err != nil {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -16,12 +17,38 @@ import (
 	"repro/internal/wire"
 )
 
+// ErrUpdatesDisabled is returned to wire clients shipping batched updates to
+// a server running with remote updates disabled.
+var ErrUpdatesDisabled = errors.New("repro: remote updates disabled")
+
+// ServeOptions tunes the network serving layer (see wire.ServeConfig for
+// field semantics). The zero value applies production defaults.
+type ServeOptions struct {
+	// MaxConns caps concurrently open connections (default 4096).
+	MaxConns int
+	// MaxInflight caps concurrently executing requests (default
+	// 4*GOMAXPROCS).
+	MaxInflight int
+	// MaxPipeline caps requests in flight on one binary connection
+	// (default 64).
+	MaxPipeline int
+	// ReadTimeout reaps connections idle between requests (default 5m;
+	// negative disables). Dialed transports do not reconnect: a client
+	// that may sit idle longer than this must either send periodic
+	// Sync heartbeats, redial on error, or be served with a negative
+	// ReadTimeout.
+	ReadTimeout time.Duration
+}
+
 // ClusterConfig parameterizes NewClusterServer.
 type ClusterConfig struct {
 	// Shards is the number of spatial shards; default 4, max
-	// cluster.MaxShards (255).
+	// cluster.MaxShards (255). One shard is the single node.
 	Shards int
-	// Form applies to every shard exactly as in ServerConfig.
+	// Form selects every shard's supporting-index representation; default
+	// adaptive. Pages are the paper's 4 KB of 20-byte entries
+	// (rtree.DefaultParams) bulk-loaded to 70% fill, and the adaptive s is
+	// 0.20 (Table 6.1).
 	Form IndexForm
 
 	// WALDir enables per-shard durability: shard s write-ahead-logs every
@@ -44,12 +71,15 @@ type ClusterConfig struct {
 }
 
 // ClusterServer is a spatially sharded spatial database behind one
-// endpoint: the dataset is KD-partitioned into N in-process single-node
-// servers, and a cluster.Router serves the whole wire protocol over them —
+// endpoint: the dataset is KD-partitioned into N in-process shard servers,
+// and a cluster.Router serves the whole wire protocol over them —
 // scatter-gathering queries, routing updates to owning shards, and
-// re-keying node ids and epochs into the virtual namespace clients see —
-// so proactive-caching clients drive it exactly like a single Server
-// (docs/CLUSTER.md). Start one with prodb -cluster N.
+// re-keying node ids and epochs into the virtual namespace clients see
+// (docs/CLUSTER.md). A single node is a one-shard cluster, and it gets the
+// same WAL, replicas, edge tier and online split as any other. Query
+// execution never locks an index: queries pin an immutable snapshot while
+// each shard's single writer batches updates and publishes fresh ones
+// (docs/UPDATES.md). Start one with prodb -cluster N.
 type ClusterServer struct {
 	cluster       *cluster.InProcess
 	stats         metrics.ServerStats
@@ -114,8 +144,9 @@ func buildSizer(objects []Object) server.ObjectSizer {
 	}
 }
 
-// SetRemoteUpdates enables or disables wire-level batched updates, exactly
-// like Server.SetRemoteUpdates. Enabled by default.
+// SetRemoteUpdates enables or disables wire-level batched updates
+// (Request.Updates). Enabled by default; a read-only deployment (cmd/prodb
+// -updates=false) answers update requests with ErrUpdatesDisabled.
 func (cs *ClusterServer) SetRemoteUpdates(on bool) { cs.remoteUpdates.Store(on) }
 
 // Handler returns the cluster's request handler: queries scatter-gather,
@@ -135,8 +166,10 @@ func (cs *ClusterServer) Transport() Transport {
 	return wire.TransportFunc(cs.Handler())
 }
 
-// NetServer builds the concurrent TCP serving layer over the cluster, with
-// the same options and semantics as Server.NetServer.
+// NetServer builds the concurrent TCP serving layer over the cluster: a
+// goroutine per connection behind a connection limit, a bounded worker pool
+// for request execution, idle-connection reaping, and graceful Shutdown.
+// Serving statistics accumulate in Stats.
 func (cs *ClusterServer) NetServer(opts ServeOptions) *wire.NetServer {
 	return wire.NewNetServer(cs.Handler(), wire.ServeConfig{
 		MaxConns:    opts.MaxConns,

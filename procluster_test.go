@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"maps"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -23,10 +25,15 @@ func updateReq(obj Object) wire.Request {
 // TestClusterServerOverTCP drives the full facade stack: NewClusterServer
 // behind a real NetServer, a pipelined binary client via Dial, and a
 // proactive-caching client session — then cross-checks results against a
-// single-node server over the same dataset and update history.
+// one-shard cluster over the same dataset and update history. Both sides go
+// through the router; the answers they share are held to a linear scan by
+// TestOneShardClusterGrowsAndRecovers.
 func TestClusterServerOverTCP(t *testing.T) {
 	objects := GenerateNE(5_000, 4)
-	single := NewServer(objects, ServerConfig{})
+	single, err := NewClusterServer(objects, ClusterConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer single.Close()
 	clustered, err := NewClusterServer(objects, ClusterConfig{Shards: 4})
 	if err != nil {
@@ -96,9 +103,9 @@ func TestClusterServerOverTCP(t *testing.T) {
 			t.Fatalf("%s: %d results, want %d", tag, len(b.Results), len(a.Results))
 		}
 		// Result id sets must agree exactly for range and join; kNN keeps
-		// count equality only, because the cluster client sees float32
-		// wire geometry while the in-process single node keeps float64,
-		// which can reorder near-tie distances.
+		// count equality only, because the TCP client sees float32 wire
+		// geometry while the in-process single node keeps float64, which
+		// can reorder near-tie distances.
 		if exact && !sameIDs(a.Results, b.Results) {
 			t.Fatalf("%s: results differ:\n single %v\ncluster %v", tag, a.Results, b.Results)
 		}
@@ -131,19 +138,99 @@ func TestClusterServerOverTCP(t *testing.T) {
 	}
 }
 
-// TestClusterServerRejectsUpdatesWhenDisabled mirrors the single-node
-// read-only gate.
-func TestClusterServerRejectsUpdatesWhenDisabled(t *testing.T) {
-	clustered, err := NewClusterServer(GenerateNE(2_000, 1), ClusterConfig{Shards: 2})
+// TestOneShardClusterGrowsAndRecovers: the single node is a one-shard
+// cluster, so it answers like a linear scan and also gets what every
+// cluster has — a WAL and a warm replica to crash-recover from, and an
+// online split that grows it and a merge that folds it back.
+func TestOneShardClusterGrowsAndRecovers(t *testing.T) {
+	objects := GenerateNE(3_000, 6)
+	cs, err := NewClusterServer(objects, ClusterConfig{
+		Shards: 1, WALDir: t.TempDir(), WALNoSync: true, Replicas: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clustered.Close()
-	clustered.SetRemoteUpdates(false)
-	obj := Object{ID: 1 << 21, MBR: RectFromCenter(Pt(0.5, 0.5), 0.001, 0.001), Size: 64}
-	req := updateReq(obj)
-	if _, err := clustered.Transport().RoundTrip(&req); err == nil {
-		t.Fatal("read-only cluster accepted updates")
+	defer cs.Close()
+	if live := cs.LiveShards(); len(live) != 1 || live[0] != 0 {
+		t.Fatalf("live shards %v, want [0]", live)
+	}
+
+	// Cold clients take every answer from the server.
+	query := func(q Query) Report {
+		t.Helper()
+		cl, err := NewClient(cs.Transport(), ClientConfig{CacheBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := cl.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	sorted := func(ids []ObjectID) []ObjectID {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		return ids
+	}
+	pairs := 0
+	for _, c := range []Point{Pt(0.2, 0.7), Pt(0.5, 0.5), Pt(0.8, 0.3)} {
+		w := RectFromCenter(c, 0.2, 0.2)
+		var want []ObjectID
+		for _, o := range objects {
+			if o.MBR.Intersects(w) {
+				want = append(want, o.ID)
+			}
+		}
+		if got := sorted(query(NewRange(w)).Results); !slices.Equal(got, sorted(want)) {
+			t.Fatalf("range %v: %d results, the scan finds %d", w, len(got), len(want))
+		}
+
+		jw, dist := RectFromCenter(c, 0.15, 0.15), 0.01
+		wantPairs := map[[2]ObjectID]bool{}
+		for i, a := range objects {
+			for _, b := range objects[i+1:] {
+				if a.MBR.Intersects(jw) && b.MBR.Intersects(jw) && geom.RectMinDist(a.MBR, b.MBR) <= dist {
+					wantPairs[[2]ObjectID{min(a.ID, b.ID), max(a.ID, b.ID)}] = true
+				}
+			}
+		}
+		gotPairs := map[[2]ObjectID]bool{}
+		for _, p := range query(NewJoin(jw, dist)).Pairs {
+			gotPairs[[2]ObjectID{min(p[0], p[1]), max(p[0], p[1])}] = true
+		}
+		if !maps.Equal(gotPairs, wantPairs) {
+			t.Fatalf("join %v within %g: %d pairs, the scan finds %d", jw, dist, len(gotPairs), len(wantPairs))
+		}
+		pairs += len(wantPairs)
+	}
+	if pairs == 0 {
+		t.Fatal("no join window holds a pair: the join check checked nothing")
+	}
+
+	if err := cs.SplitShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if live := cs.LiveShards(); !slices.Equal(live, []int{0, 1}) {
+		t.Fatalf("live shards after the split %v, want [0 1]", live)
+	}
+	cs.Kill(0)
+	if err := cs.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := query(NewRange(R(0, 0, 1, 1))).Results; len(got) != len(objects) {
+		t.Fatalf("full window after split, kill and restart: %d objects, want %d", len(got), len(objects))
+	}
+
+	sib, ok := cs.SiblingOf(0)
+	if !ok {
+		t.Fatal("shard 0 has no sibling after the split")
+	}
+	if err := cs.MergeShards(0, sib); err != nil {
+		t.Fatal(err)
+	}
+	if live := cs.LiveShards(); !slices.Equal(live, []int{0}) {
+		t.Fatalf("live shards after the merge %v, want [0]", live)
 	}
 }
 
