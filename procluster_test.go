@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"maps"
 	"net"
 	"runtime"
@@ -231,6 +232,23 @@ func TestOneShardClusterGrowsAndRecovers(t *testing.T) {
 	}
 	if live := cs.LiveShards(); !slices.Equal(live, []int{0}) {
 		t.Fatalf("live shards after the merge %v, want [0]", live)
+	}
+}
+
+// TestClusterServerRejectsUpdatesWhenDisabled pins the read-only gate on a
+// multi-shard cluster: the handler refuses the update before the router
+// routes it to a shard.
+func TestClusterServerRejectsUpdatesWhenDisabled(t *testing.T) {
+	clustered, err := NewClusterServer(GenerateNE(2_000, 1), ClusterConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustered.Close()
+	clustered.SetRemoteUpdates(false)
+	obj := Object{ID: 1 << 21, MBR: RectFromCenter(Pt(0.5, 0.5), 0.001, 0.001), Size: 64}
+	req := updateReq(obj)
+	if _, err := clustered.Transport().RoundTrip(&req); !errors.Is(err, ErrUpdatesDisabled) {
+		t.Fatalf("read-only cluster answered an update with %v, want ErrUpdatesDisabled", err)
 	}
 }
 
