@@ -50,7 +50,7 @@ func (r *Router) routeUpdates(req *wire.Request) (*wire.Response, error) {
 			if pending[op.Obj] {
 				break // order hazard: finish the pending re-insert first
 			}
-			if op.Kind == wire.UpdateMove && r.part.LocateRect(op.From) != r.part.LocateRect(op.To) {
+			if _, cross := r.crossTarget(op); cross {
 				pending[op.Obj] = true
 			}
 			end++
@@ -89,6 +89,9 @@ func (r *Router) applyChunk(st *routeState, req *wire.Request, resp *wire.Respon
 		switch op.Kind {
 		case wire.UpdateInsert:
 			rt.shard = r.part.LocateRect(op.To)
+			if !op.To.Usable() {
+				break // the shard refuses it: learn no size for the id
+			}
 			sz := op.Size
 			if sz < 0 {
 				sz = 0
@@ -96,7 +99,7 @@ func (r *Router) applyChunk(st *routeState, req *wire.Request, resp *wire.Respon
 			r.wireSizes.Store(op.Obj, sz)
 		case wire.UpdateMove:
 			rt.shard = r.part.LocateRect(op.From)
-			if to := r.part.LocateRect(op.To); to != rt.shard {
+			if to, cross := r.crossTarget(op); cross {
 				rt.cross, rt.to = true, to
 				op = wire.UpdateOp{Kind: wire.UpdateDelete, Obj: op.Obj, From: op.From}
 			}
@@ -168,6 +171,17 @@ func (r *Router) applyChunk(st *routeState, req *wire.Request, resp *wire.Respon
 		}
 	}
 	return nil
+}
+
+// crossTarget reports whether op is a move that re-partitions its object,
+// and onto which shard. A move whose target no shard may hold (not finite,
+// or inverted) stays with the current owner, which refuses it whole.
+func (r *Router) crossTarget(op wire.UpdateOp) (int, bool) {
+	if op.Kind != wire.UpdateMove || !op.To.Usable() {
+		return -1, false
+	}
+	to := r.part.LocateRect(op.To)
+	return to, to != r.part.LocateRect(op.From)
 }
 
 // updatePhase ships one sub-batch per shard with operations queued for it,

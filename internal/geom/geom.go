@@ -47,6 +47,14 @@ func (r Rect) Valid() bool {
 	return r.MinX <= r.MaxX && r.MinY <= r.MaxY
 }
 
+// Usable reports whether r is a rectangle an index can hold: Valid, with
+// every coordinate a finite number. A point is usable; a rectangle with a
+// NaN or infinite coordinate, or an inverted one, is not.
+func (r Rect) Usable() bool {
+	return r.Valid() && r.MinX-r.MinX == 0 && r.MinY-r.MinY == 0 &&
+		r.MaxX-r.MaxX == 0 && r.MaxY-r.MaxY == 0
+}
+
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}

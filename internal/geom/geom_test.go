@@ -38,6 +38,14 @@ func TestRectBasics(t *testing.T) {
 	if (Rect{1, 0, 0, 1}).Valid() {
 		t.Error("inverted rect should be invalid")
 	}
+	if !r.Usable() || !RectFromPoint(Point{0.5, -3}).Usable() || !(Rect{-math.MaxFloat64, 0, math.MaxFloat64, 0}).Usable() {
+		t.Error("finite rects and points should be usable")
+	}
+	for _, bad := range []Rect{{1, 0, 0, 1}, {math.NaN(), 0, 1, 1}, {0, 0, math.Inf(1), 1}, {0, math.Inf(-1), 1, 1}, {0, 0, 1, math.NaN()}} {
+		if bad.Usable() {
+			t.Errorf("%v should not be usable", bad)
+		}
+	}
 }
 
 func TestRectFromHelpers(t *testing.T) {

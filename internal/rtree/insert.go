@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -61,8 +62,77 @@ func chooseLeastAreaEnlargement(entries []Entry, mbr geom.Rect) int {
 }
 
 // chooseLeastOverlapEnlargement picks the entry whose overlap with its
-// siblings grows least when extended to cover mbr.
+// siblings grows least when extended to cover mbr; ties go to the smaller
+// area enlargement, then the smaller area, then the first index.
+//
+// It seeds the bound with the entry of least (area enlargement, area) and
+// stops summing a candidate as soon as its partial sum shows it cannot win.
+// That is exact when every rectangle is finite and proper and every area
+// and area enlargement is finite: grown covers old, so each term
+// grown∩e − old∩e is non-negative in floating point and a partial sum
+// never exceeds the full one, and a candidate summed in full is summed in
+// overlapEnlargement's order (a sibling grown misses adds exactly 0 − 0).
+// When mbr lies inside an entry, that entry's bound is zero and every other
+// candidate stops at once: O(M) instead of O(M²). Anything else (NaN,
+// infinities, inverted or overflowing rectangles) takes the full scan.
 func chooseLeastOverlapEnlargement(entries []Entry, mbr geom.Rect) int {
+	if !mbr.Usable() {
+		return fullOverlapScan(entries, mbr)
+	}
+	best := -1
+	var bestAreaEnl, bestArea float64
+	for i := range entries {
+		r := entries[i].MBR
+		aEnl, area := r.Enlargement(mbr), r.Area()
+		if !r.Usable() || aEnl-aEnl != 0 || area-area != 0 {
+			return fullOverlapScan(entries, mbr)
+		}
+		if best < 0 || aEnl < bestAreaEnl || (aEnl == bestAreaEnl && area < bestArea) {
+			best, bestAreaEnl, bestArea = i, aEnl, area
+		}
+	}
+	seed := best
+	bound, _ := overlapEnlargementWithin(entries, seed, mbr, math.Inf(1), true)
+	for i := range entries {
+		if i == seed {
+			continue
+		}
+		aEnl, area := entries[i].MBR.Enlargement(mbr), entries[i].MBR.Area()
+		winsTie := aEnl < bestAreaEnl || (aEnl == bestAreaEnl &&
+			(area < bestArea || (area == bestArea && i < best)))
+		if oEnl, ok := overlapEnlargementWithin(entries, i, mbr, bound, winsTie); ok {
+			best, bound, bestAreaEnl, bestArea = i, oEnl, aEnl, area
+		}
+	}
+	return best
+}
+
+// overlapEnlargementWithin sums entry idx's overlap enlargement in index
+// order. ok reports that the sum beats bound: it is below bound, or equal
+// to it when winsTie. Terms are non-negative, so the sum gives up as soon as
+// a partial sum has lost.
+func overlapEnlargementWithin(entries []Entry, idx int, mbr geom.Rect, bound float64, winsTie bool) (delta float64, ok bool) {
+	if !winsTie && bound <= 0 {
+		return 0, false
+	}
+	old := entries[idx].MBR
+	grown := old.Union(mbr)
+	for i := range entries {
+		e := entries[i].MBR
+		if i == idx || !grown.Intersects(e) {
+			continue
+		}
+		delta += grown.OverlapArea(e) - old.OverlapArea(e)
+		if delta > bound || (delta == bound && !winsTie) {
+			return delta, false
+		}
+	}
+	return delta, true
+}
+
+// fullOverlapScan is chooseLeastOverlapEnlargement outside its exact
+// domain: every candidate's overlap enlargement summed over every sibling.
+func fullOverlapScan(entries []Entry, mbr geom.Rect) int {
 	best := 0
 	bestOverlapEnl := overlapEnlargement(entries, 0, mbr)
 	bestAreaEnl := entries[0].MBR.Enlargement(mbr)

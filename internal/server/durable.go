@@ -234,8 +234,13 @@ func (l *opLog) apply(t *rtree.Tree, op wire.UpdateOp) bool {
 }
 
 // applyTreeOp performs one mutation against a tree, maintaining the extras
-// overlay.
+// overlay. An insert or move whose target is not a rectangle the tree can
+// hold (a coordinate NaN or infinite, or Min > Max) is refused before it
+// changes anything.
 func applyTreeOp(s *Server, t *rtree.Tree, op wire.UpdateOp) bool {
+	if op.Kind != wire.UpdateDelete && !op.To.Usable() {
+		return false
+	}
 	switch op.Kind {
 	case wire.UpdateInsert:
 		t.Insert(op.Obj, op.To)

@@ -288,9 +288,10 @@ func (cs *ClusterServer) Elastic() elastic.Cluster { return elasticView{cs} }
 // background goroutine: shards whose object count crosses the split
 // threshold are split, cold sibling pairs are folded back
 // (docs/ELASTIC.md). A cfg with no SplitObjects splits a shard at twice the
-// mean build-time shard size (ShardObjects) and merges a sibling pair below
-// a quarter of that. The returned stop function halts it; the
-// Rebalancer is returned for its Splits/Merges counters.
+// mean shard size at build time (the counts the cluster was built with, not
+// today's ShardObjects) and merges a sibling pair below a quarter of that.
+// The returned stop function halts it; the Rebalancer is returned for its
+// Splits/Merges counters.
 func (cs *ClusterServer) StartRebalancer(cfg elastic.Config) (*elastic.Rebalancer, func(), error) {
 	if cfg.SplitObjects <= 0 {
 		total := 0
@@ -313,9 +314,19 @@ func (cs *ClusterServer) StartRebalancer(cfg elastic.Config) (*elastic.Rebalance
 	return rb, func() { close(stop); <-done }, nil
 }
 
-// ShardObjects returns how many objects each shard owned at build time.
+// ShardObjects returns how many objects each shard slot owns now, one
+// entry per slot: the router's live per-shard gauge, which follows acked
+// inserts and deletes, splits and merges, and 0 for a slot whose region was
+// merged away.
 func (cs *ClusterServer) ShardObjects() []int {
-	return append([]int(nil), cs.cluster.Counts...)
+	per := cs.cluster.Router.Snapshot().PerShard
+	out := make([]int, len(per))
+	for i, sh := range per {
+		if !sh.Dead {
+			out[i] = int(sh.Objects)
+		}
+	}
+	return out
 }
 
 // Close stops every shard's background update writer, waiting for queued

@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"maps"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -155,6 +156,9 @@ func TestOneShardClusterGrowsAndRecovers(t *testing.T) {
 	if live := cs.LiveShards(); len(live) != 1 || live[0] != 0 {
 		t.Fatalf("live shards %v, want [0]", live)
 	}
+	if got := cs.ShardObjects(); !slices.Equal(got, []int{len(objects)}) {
+		t.Fatalf("ShardObjects() = %v, want [%d]", got, len(objects))
+	}
 
 	// Cold clients take every answer from the server.
 	query := func(q Query) Report {
@@ -222,6 +226,18 @@ func TestOneShardClusterGrowsAndRecovers(t *testing.T) {
 	if got := query(NewRange(R(0, 0, 1, 1))).Results; len(got) != len(objects) {
 		t.Fatalf("full window after split, kill and restart: %d objects, want %d", len(got), len(objects))
 	}
+	split := cs.ShardObjects()
+	if len(split) != 2 || split[0]+split[1] != len(objects) || split[0] == 0 || split[1] == 0 {
+		t.Fatalf("ShardObjects() after the split = %v, want two owners of %d objects", split, len(objects))
+	}
+	req := updateReq(Object{ID: 1 << 21, MBR: RectFromCenter(Pt(0.5, 0.5), 0.001, 0.001), Size: 64})
+	if resp, err := cs.Transport().RoundTrip(&req); err != nil || !slices.Equal(resp.UpdateResults, []bool{true}) {
+		t.Fatalf("insert after the split: %v, %v", resp, err)
+	}
+	grown := cs.ShardObjects()
+	if len(grown) != 2 || grown[0]+grown[1] != len(objects)+1 || (grown[0] != split[0]) == (grown[1] != split[1]) {
+		t.Fatalf("ShardObjects() after one insert = %v, was %v: want one owner up by one", grown, split)
+	}
 
 	sib, ok := cs.SiblingOf(0)
 	if !ok {
@@ -232,6 +248,75 @@ func TestOneShardClusterGrowsAndRecovers(t *testing.T) {
 	}
 	if live := cs.LiveShards(); !slices.Equal(live, []int{0}) {
 		t.Fatalf("live shards after the merge %v, want [0]", live)
+	}
+	if got, want := cs.ShardObjects(), []int{len(objects) + 1, 0}; !slices.Equal(got, want) {
+		t.Fatalf("ShardObjects() after the merge = %v, want %v (slot 1 retired)", got, want)
+	}
+}
+
+// TestUnusableUpdateRectanglesRefused: an insert or move whose target is
+// not finite or is inverted is refused and changes nothing, on one shard
+// and on two (where a move across the cut travels as a delete and a
+// re-insert); valid updates afterwards still apply.
+func TestUnusableUpdateRectanglesRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []Rect{
+		R(nan, 0.5, 0.5, 0.5),
+		R(0.6, 0.5, 0.4, 0.5), // MinX > MaxX
+		R(0.5, 0.5, inf, 0.6),
+		R(-inf, 0.4, 0.5, 0.5),
+	}
+	for _, shards := range []int{1, 2} {
+		objects := GenerateNE(2_000, 3)
+		cs, err := NewClusterServer(objects, ClusterConfig{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply := func(op wire.UpdateOp) bool {
+			t.Helper()
+			resp, err := cs.Transport().RoundTrip(&wire.Request{Updates: []wire.UpdateOp{op}})
+			if err != nil || len(resp.UpdateResults) != 1 {
+				t.Fatalf("%d shards: %+v: %v, %v", shards, op, resp, err)
+			}
+			return resp.UpdateResults[0]
+		}
+		total := func() int {
+			n := 0
+			for _, c := range cs.ShardObjects() {
+				n += c
+			}
+			return n
+		}
+		next := ObjectID(1 << 21)
+		for _, to := range bad {
+			if apply(wire.UpdateOp{Kind: wire.UpdateInsert, Obj: next, To: to, Size: 64}) {
+				t.Errorf("%d shards: insert to %v acked", shards, to)
+			}
+			for _, o := range objects[:8] {
+				if apply(wire.UpdateOp{Kind: wire.UpdateMove, Obj: o.ID, From: o.MBR, To: to}) {
+					t.Errorf("%d shards: move of %d to %v acked", shards, o.ID, to)
+				}
+			}
+			if n := total(); n != len(objects) {
+				t.Fatalf("%d shards: %d objects after refusing %v, want %d", shards, n, to, len(objects))
+			}
+		}
+		if !apply(wire.UpdateOp{Kind: wire.UpdateInsert, Obj: next, To: R(0.5, 0.5, 0.5, 0.5), Size: 64}) {
+			t.Errorf("%d shards: point insert refused", shards)
+		}
+		for _, o := range objects[:8] {
+			to := RectFromCenter(Pt(1-o.MBR.Center().X, 1-o.MBR.Center().Y), 0.001, 0.001)
+			if !apply(wire.UpdateOp{Kind: wire.UpdateMove, Obj: o.ID, From: o.MBR, To: to}) {
+				t.Errorf("%d shards: move of %d after the refusals refused", shards, o.ID)
+			}
+			if !apply(wire.UpdateOp{Kind: wire.UpdateDelete, Obj: o.ID, From: to}) {
+				t.Errorf("%d shards: delete of %d after its move refused", shards, o.ID)
+			}
+		}
+		if n, want := total(), len(objects)+1-8; n != want {
+			t.Errorf("%d shards: %d objects at the end, want %d", shards, n, want)
+		}
+		cs.Close()
 	}
 }
 
