@@ -140,13 +140,15 @@ func TestResponsesIndependentOfPooledState(t *testing.T) {
 	}
 }
 
-// TestWaveResponsesUnchanged replays a boundary tour on 2 and 4 shards and
-// pins a digest of every response byte. A multi-shard wave runs its first
-// sub-query on the calling goroutine and the rest on goroutines of their
-// own; which one runs where must not change a byte of any answer. The
-// digests were recorded when every sub-query of a wave ran on its own
-// goroutine. An intended change to what the engine answers re-records them
-// from the failure message, and says why.
+// TestWaveResponsesUnchanged replays a boundary tour on 2, 4, 8 and 16
+// shards and pins a digest of every response byte. A multi-shard wave runs
+// its first sub-query on the calling goroutine and the rest on goroutines of
+// their own; which one runs where must not change a byte of any answer. The
+// 2- and 4-shard digests were recorded when every sub-query of a wave ran on
+// its own goroutine; the 8- and 16-shard ones, whose virtual roots have deep
+// partition trees, when the router still built the virtual root's tree with
+// a pointer tree of its own. An intended change to what the engine answers
+// re-records them from the failure message, and says why.
 func TestWaveResponsesUnchanged(t *testing.T) {
 	objects := GenerateNE(20_000, 4)
 	for _, tc := range []struct {
@@ -155,6 +157,8 @@ func TestWaveResponsesUnchanged(t *testing.T) {
 	}{
 		{2, "22578b3df4d1b8de971caf24e685aad3331910ce6765261d7a0d675c3cbfbd47"},
 		{4, "ad0e78870035c2f4e4911d1fe3000ecd285f1a74d98a6f8d4a031ff63ae130c9"},
+		{8, "7d1cf54fda015dbaa9bd7c59b7cae6f5071afbc95267fa82dc3b02e3ec34ba50"},
+		{16, "31c85673e8729d48c88e9d34b2e8ffc11c07889a4204d94485bcf0042acc051a"},
 	} {
 		sent := recordTour(t, objects, tc.shards, 400)
 		resps, st := replayTour(t, objects, tc.shards, sent, func() {})
