@@ -42,7 +42,7 @@ func benchEnvironment() *sim.Environment {
 func benchScale() sim.Scale {
 	sc := sim.BenchScale()
 	if testing.Short() {
-		sc = sim.TestScale()
+		sc = sim.Scale{Objects: 6_000, Queries: 250, Seed: 1}
 	}
 	return sc
 }
@@ -238,16 +238,6 @@ func BenchmarkRTreeBulkLoad100k(b *testing.B) {
 	}
 }
 
-func BenchmarkRTreeRangeQuery(b *testing.B) {
-	tr := rtree.BulkLoad(rtree.DefaultParams(), benchItems(100_000), 0.7)
-	r := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.01, 0.01)
-		tr.RangeQuery(w)
-	}
-}
-
 func BenchmarkRTreeKNN(b *testing.B) {
 	tr := rtree.BulkLoad(rtree.DefaultParams(), benchItems(100_000), 0.7)
 	r := rand.New(rand.NewSource(3))
@@ -296,24 +286,6 @@ func BenchmarkClusterBoot(b *testing.B) {
 				b.StartTimer()
 			}
 		})
-	}
-}
-
-func BenchmarkMergeCuts(b *testing.B) {
-	entries := make([]rtree.Entry, 128)
-	r := rand.New(rand.NewSource(5))
-	for i := range entries {
-		entries[i] = rtree.Entry{
-			MBR: geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.01, 0.01),
-			Obj: rtree.ObjectID(i + 1),
-		}
-	}
-	pt := bpt.Build(1, entries)
-	a := pt.ExpandCut(pt.RootCut(), 3)
-	c := pt.ExpandCut(pt.RootCut(), 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bpt.MergeCuts(a, c)
 	}
 }
 
@@ -448,7 +420,7 @@ func BenchmarkAPROBuild(b *testing.B) {
 		reqs[i] = &wire.Request{
 			Client: 1,
 			Q:      q,
-			H:      query.SeedRoot(q, srv.RootRef()),
+			H:      query.AppendSeedRoot(nil, q, srv.RootRef()),
 		}
 	}
 	b.ReportAllocs()
@@ -719,7 +691,7 @@ func BenchmarkGRD3Eviction(b *testing.B) {
 	resps := make([]*wire.Response, 512)
 	for i := range resps {
 		q := next()
-		resps[i], _ = srv.Execute(&wire.Request{Client: 2, Q: q, H: query.SeedRoot(q, srv.RootRef())})
+		resps[i], _ = srv.Execute(&wire.Request{Client: 2, Q: q, H: query.AppendSeedRoot(nil, q, srv.RootRef())})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

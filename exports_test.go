@@ -15,23 +15,8 @@ import (
 // non-test file references, each with the reason it stays exported. Keys
 // are "pkg.Name" or "pkg.Type.Method".
 var exportAllowlist = map[string]string{
-	"bpt.MergeCuts":            "reference the cache's cut merge is compared against (internal/core tests)",
-	"bpt.Tree.ExpandCut":       "reference the packed adaptive form is compared against (internal/server tests)",
-	"bpt.Tree.Frontier":        "reference the packed adaptive form is compared against (internal/server tests)",
-	"bpt.Tree.ValidateCut":     "invariant checker the server tests run over shipped cuts",
-	"bpt.Tree.RootCut":         "pending ROADMAP item 15: moves into _test.go files with the pointer tree",
-	"bpt.Tree.PartialFrontier": "pending ROADMAP item 15: moves into _test.go files with the pointer tree",
-
-	"cluster.ShardTransport":       "reference shard the durability and load tests build routers over; pending ROADMAP item 15",
-	"cluster.Partition.LeafRegion": "pending ROADMAP item 15",
-	"core.Cache.ShrinkTo":          "pending ROADMAP item 15",
-	"core.Cache.Validate":          "invariant checker the cache tests run after every operation",
-	"query.SeedRoot":               "pending ROADMAP item 15",
-	"rtree.Tree.RangeQuery":        "pending ROADMAP item 15",
-	"rtree.Tree.DistanceWithin":    "pending ROADMAP item 15",
-	"rtree.Tree.Validate":          "invariant checker the tree, server, core and sim tests run after mutations",
-	"rtree.Packed.Positions":       "pending ROADMAP item 15",
-	"sim.TestScale":                "pending ROADMAP item 15",
+	"core.Cache.Validate": "invariant checker the cache tests run after every operation",
+	"rtree.Tree.Validate": "invariant checker the tree, server, core and sim tests run after mutations",
 }
 
 // TestInternalExportsHaveProductionCallers: every exported identifier

@@ -46,7 +46,7 @@ func TestSnapshotNamesWALLatchedShard(t *testing.T) {
 		srv := server.New(rtree.BulkLoad(rtree.Params{MaxEntries: testMaxEntries}, items, bulkFill),
 			func(rtree.ObjectID) int { return 1 }, cfg)
 		defer srv.Close()
-		shards[s] = ShardTransport(srv)
+		shards[s] = Shard{T: serverTransport{srv: srv}, Release: srv.ReleaseResponse}
 	}
 	r, err := New(shards, Config{Part: part})
 	if err != nil {

@@ -298,13 +298,6 @@ func (r *replicator) stop() {
 	<-r.done
 }
 
-// ShardTransport wraps a single-node server as a router shard: batched
-// updates go through the writer queue, everything else executes as a
-// query, and responses recycle through the server's pool.
-func ShardTransport(sh *server.Server) Shard {
-	return Shard{T: serverTransport{srv: sh}, Release: sh.ReleaseResponse}
-}
-
 // newServerFunc builds one server of a shard process under cfg: first the
 // standby (memory-only cfg) when the cluster runs replicas, then the primary
 // (cfg carrying the WAL and the replication tap). Both calls must yield

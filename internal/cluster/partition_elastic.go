@@ -57,14 +57,6 @@ func (p *Partition) LiveShards() []int {
 	return out
 }
 
-// LeafRegion returns slot s's display region (zero for dead slots).
-func (p *Partition) LeafRegion(s int) geom.Rect {
-	if !p.Live(s) {
-		return geom.Rect{}
-	}
-	return p.Regions[s]
-}
-
 // containsLeaf reports whether the subtree holds the leaf owned by s.
 func containsLeaf(nd *kdNode, s int) bool {
 	if nd == nil {

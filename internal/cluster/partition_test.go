@@ -232,7 +232,7 @@ func TestPartitionSplitMergeCycles(t *testing.T) {
 		if rng.Intn(2) == 0 || len(stack) == 0 {
 			live := cur.LiveShards()
 			s := live[rng.Intn(len(live))]
-			region := cur.LeafRegion(s)
+			region := cur.Regions[s]
 			axis := rng.Intn(2)
 			var lo, hi float64
 			if axis == 0 {
@@ -311,7 +311,7 @@ func TestPartitionSplitLeafErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	region := part.LeafRegion(0)
+	region := part.Regions[0]
 	cut := (region.MinX + region.MaxX) / 2
 	if _, err := part.SplitLeaf(5, 0, cut); err == nil {
 		t.Fatal("splitting a slot that is not live succeeded")

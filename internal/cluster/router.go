@@ -766,17 +766,17 @@ func (r *Router) appendVroot(st *routeState, resp *wire.Response) error {
 		}
 		rep := wire.NodeRep{ID: VirtualRoot, Level: maxLevel + 1}
 		if len(entries) > 0 {
-			pt := bpt.Build(VirtualRoot, entries)
-			for _, code := range pt.FullCut() {
-				pn, ok := pt.Node(code)
-				if !ok || !pn.Leaf() {
-					continue
+			// The full cut is the page's leaf positions in preorder, which
+			// is code order.
+			pg := bpt.Build(VirtualRoot, entries)
+			for i := int32(0); i < int32(pg.Len()); i++ {
+				if pg.IsLeaf(i) {
+					rep.Elems = append(rep.Elems, wire.CutElem{
+						Code:  bpt.Code(pg.Code(i)),
+						MBR:   pg.Rect(i),
+						Child: pg.ChildID(i),
+					})
 				}
-				rep.Elems = append(rep.Elems, wire.CutElem{
-					Code:  code,
-					MBR:   pn.Entry.MBR,
-					Child: pn.Entry.Child,
-				})
 			}
 		}
 		r.vrootOf = append(r.vrootOf[:0], st.meta...)

@@ -117,16 +117,6 @@ func NewCache(capacity int, policy Policy, sizes wire.SizeModel) *Cache {
 	}
 }
 
-// ShrinkTo lowers the capacity and immediately evicts down to it
-// (administrative resizing; also exercised by the eviction benchmarks).
-func (c *Cache) ShrinkTo(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.capacity = n
-	c.evictToCapacity()
-}
-
 // Used returns the occupied bytes.
 func (c *Cache) Used() int { return c.used }
 

@@ -18,6 +18,13 @@ import (
 	"repro/internal/wire"
 )
 
+// ShrinkTo lowers the capacity and immediately evicts down to it, which
+// drives the replacement policy one eviction at a time.
+func (c *Cache) ShrinkTo(n int) {
+	c.capacity = max(n, 0)
+	c.evictToCapacity()
+}
+
 // buildCache assembles a cache directly from item specs (same-package test
 // constructor bypassing the wire path).
 type itemSpec struct {

@@ -1,16 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
-	"repro/internal/bpt"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/server"
-	"repro/internal/wire"
 )
 
 // localQueryAllocCeiling is the per-query allocation budget of a query the
@@ -108,50 +105,5 @@ func TestProviderScratchAliasing(t *testing.T) {
 	}
 	if twoSided == 0 {
 		t.Fatal("no seed pair expanded both of its sides")
-	}
-}
-
-// TestMergeCutsMatchesBPT holds the cache's merge of cut elements to
-// bpt.MergeCuts on the codes: the same positions survive, and at a position
-// both cuts hold the shipped element replaces the cached one.
-func TestMergeCutsMatchesBPT(t *testing.T) {
-	r := rand.New(rand.NewSource(1703))
-	for trial := 0; trial < 300; trial++ {
-		entries := make([]rtree.Entry, 2+r.Intn(40))
-		for i := range entries {
-			entries[i] = rtree.Entry{MBR: geom.RectFromCenter(geom.Pt(r.Float64(), r.Float64()), 0.01, 0.01), Obj: rtree.ObjectID(i + 1)}
-		}
-		pt := bpt.Build(1, entries)
-		// A random cut in code order; Obj marks which side an element came from.
-		randomCut := func(side rtree.ObjectID) (cut bpt.Cut, elems []wire.CutElem) {
-			var walk func(p *bpt.PNode)
-			walk = func(p *bpt.PNode) {
-				if p.Leaf() || r.Intn(3) == 0 {
-					cut = append(cut, p.Code)
-					elems = append(elems, wire.CutElem{Code: p.Code, Obj: side})
-					return
-				}
-				walk(p.Left)
-				walk(p.Right)
-			}
-			walk(pt.Root)
-			return cut, elems
-		}
-		cachedCut, cached := randomCut(1)
-		shippedCut, shipped := randomCut(2)
-		if trial%5 == 0 {
-			cachedCut, cached = nil, nil // a node's first representation
-		}
-		want := bpt.MergeCuts(cachedCut, shippedCut)
-		got := mergeCuts(nil, cached, shipped)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d positions, want %d", trial, len(got), len(want))
-		}
-		for i, e := range got {
-			fromShipped := slices.Contains(shippedCut, e.Code)
-			if e.Code != want[i] || (e.Obj == 2) != fromShipped {
-				t.Fatalf("trial %d: position %d is %q from side %d, want %q (shipped holds it: %v)", trial, i, e.Code, e.Obj, want[i], fromShipped)
-			}
-		}
 	}
 }

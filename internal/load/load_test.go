@@ -253,7 +253,16 @@ func TestLoadShardErrorsCounted(t *testing.T) {
 		}
 		srv := server.New(rtree.BulkLoad(rtree.DefaultParams(), items, 0.7), ds.SizeOf, server.Config{})
 		t.Cleanup(srv.Close)
-		shards[s] = cluster.ShardTransport(srv)
+		shards[s] = cluster.Shard{
+			T: wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
+				if len(req.Updates) > 0 {
+					return srv.ExecuteUpdates(req), nil
+				}
+				resp, _ := srv.Execute(req)
+				return resp, nil
+			}),
+			Release: srv.ReleaseResponse,
+		}
 	}
 	// Shard 0 starts failing halfway through the run.
 	healthy := shards[0].T

@@ -43,7 +43,7 @@ func TestRunOutputsUnchanged(t *testing.T) {
 			side := 0.1 + 0.6*r.Float64()
 			q = NewJoin(geom.RectFromCenter(at, side, side), 0.03*r.Float64())
 		}
-		seed := SeedRoot(q, root)
+		seed := AppendSeedRoot(nil, q, root)
 		if q.Kind == Range && trial%2 == 0 && len(seed) > 0 {
 			seed[0].Key = 0.5 // a foreign seed keyed off zero: the heap loop, not the FIFO
 		}

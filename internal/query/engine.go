@@ -71,14 +71,9 @@ type Outcome struct {
 	Stats Stats
 }
 
-// SeedRoot builds the initial queue contents for a fresh query rooted at the
-// given reference (a pair seed for joins).
-func SeedRoot(q Query, root Ref) []QueuedElem {
-	return AppendSeedRoot(nil, q, root)
-}
-
-// AppendSeedRoot is SeedRoot appending into a caller-owned buffer, for hot
-// paths that seed a fresh query per request.
+// AppendSeedRoot appends the initial queue contents for a fresh query rooted
+// at the given reference (a pair seed for joins) to dst, a caller-owned
+// buffer on hot paths that seed a fresh query per request.
 func AppendSeedRoot(dst []QueuedElem, q Query, root Ref) []QueuedElem {
 	if q.Kind == Join {
 		if !q.acceptsPair(root.MBR, root.MBR) {

@@ -122,7 +122,7 @@ func TestRangeComplete(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	m := buildMock(r, 8, 20)
 	q := NewRange(geom.R(0.2, 0.2, 0.6, 0.6))
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if !out.Complete {
 		t.Fatal("fully available index must complete")
 	}
@@ -142,7 +142,7 @@ func TestKNNCompleteOrdered(t *testing.T) {
 	m := buildMock(r, 8, 20)
 	p := geom.Pt(0.5, 0.5)
 	q := NewKNN(p, 7)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if !out.Complete || len(out.Results) != 7 {
 		t.Fatalf("complete=%v n=%d", out.Complete, len(out.Results))
 	}
@@ -159,7 +159,7 @@ func TestKNNFewerThanKComplete(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	m := buildMock(r, 2, 3)
 	q := NewKNN(geom.Pt(0.5, 0.5), 100)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if !out.Complete || len(out.Results) != 6 {
 		t.Fatalf("want all 6 objects complete, got %d complete=%v", len(out.Results), out.Complete)
 	}
@@ -172,7 +172,7 @@ func TestMissingNodeProducesRemainderAndResume(t *testing.T) {
 	m.missing[3], m.missing[5], m.missing[7] = true, true, true
 
 	q := NewRange(geom.R(0.1, 0.1, 0.9, 0.9))
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if out.Complete {
 		t.Fatal("missing nodes should force a remainder")
 	}
@@ -210,7 +210,7 @@ func TestKNNMissingObjectCountsTowardTermination(t *testing.T) {
 		m.haveObject[id] = false
 	}
 	q := NewKNN(geom.Pt(0.5, 0.5), 3)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if out.Complete || len(out.Results) != 0 {
 		t.Fatal("no payloads: nothing confirmable")
 	}
@@ -254,7 +254,7 @@ func TestKNNDeferralRule(t *testing.T) {
 		objects:    map[rtree.ObjectID]geom.Rect{1: objA.MBR, 2: objB.MBR},
 	}
 	q := NewKNN(geom.Pt(0, 0.5), 1)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if out.Complete {
 		t.Fatal("must not complete: nearest candidate is behind a missing node")
 	}
@@ -287,7 +287,7 @@ func TestKNNRemainderPruning(t *testing.T) {
 		m.haveObject[id] = false
 	}
 	q := NewKNN(geom.Pt(0.5, 0.5), 2)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	// Pruning: nothing in the remainder may lie beyond the 2nd object elem.
 	var objKeys []float64
 	for _, qe := range out.Remainder {
@@ -311,7 +311,7 @@ func TestJoinCompleteMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(57))
 	m := buildMock(r, 6, 15)
 	q := NewJoin(geom.R(0.2, 0.2, 0.8, 0.8), 0.05)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if !out.Complete {
 		t.Fatal("join on full index must complete")
 	}
@@ -356,7 +356,7 @@ func TestJoinMissingSideResume(t *testing.T) {
 	m := buildMock(r, 6, 15)
 	m.missing[4] = true
 	q := NewJoin(geom.R(0, 0, 1, 1), 0.08)
-	out := run(q, m, SeedRoot(q, m.rootRef))
+	out := run(q, m, AppendSeedRoot(nil, q, m.rootRef))
 	if out.Complete {
 		t.Fatal("missing node must force a remainder")
 	}
@@ -398,11 +398,11 @@ func TestJoinMissingSideResume(t *testing.T) {
 func TestSeedRootRejectsNonOverlapping(t *testing.T) {
 	root := NodeRef(1, geom.R(0, 0, 0.1, 0.1))
 	q := NewRange(geom.R(0.5, 0.5, 0.6, 0.6))
-	if seed := SeedRoot(q, root); len(seed) != 0 {
+	if seed := AppendSeedRoot(nil, q, root); len(seed) != 0 {
 		t.Error("non-overlapping window should produce an empty seed")
 	}
 	jq := NewJoin(geom.R(0.5, 0.5, 0.6, 0.6), 0.01)
-	if seed := SeedRoot(jq, root); len(seed) != 0 {
+	if seed := AppendSeedRoot(nil, jq, root); len(seed) != 0 {
 		t.Error("non-overlapping join window should produce an empty seed")
 	}
 }

@@ -72,8 +72,8 @@ func (t *Tree) condense(n *Node) {
 
 	// Re-insert orphaned entries at their original levels.
 	for _, o := range orphans {
-		reinserted := make([]bool, t.height)
-		t.insertEntry(o.e, o.level, reinserted)
+		reinserted := reinsertLevels{height: t.height}
+		t.insertEntry(o.e, o.level, &reinserted)
 	}
 
 	// Shrink the root while it is a single-child intermediate node.

@@ -9,15 +9,35 @@ import (
 
 // Insert adds an object with the given bounding rectangle.
 func (t *Tree) Insert(obj ObjectID, mbr geom.Rect) {
-	reinserted := make([]bool, t.height)
-	t.insertEntry(Entry{MBR: mbr, Obj: obj}, 0, reinserted)
+	reinserted := reinsertLevels{height: t.height}
+	t.insertEntry(Entry{MBR: mbr, Obj: obj}, 0, &reinserted)
 	t.size++
+}
+
+// reinsertLevels records which levels forced reinsertion has treated during
+// one top-level operation: each level below the height the operation began
+// at reinserts once, later overflows there split. It lives on the caller's
+// stack, so an insert allocates nothing for it. A bit per level suffices:
+// with at least two entries per node, a tree 64 levels tall would hold
+// more than 2^63 entries.
+type reinsertLevels struct {
+	height int    // the tree's height when the operation began
+	done   uint64 // bit l set: level l has reinserted
+}
+
+// take reports whether level may still reinsert, and marks it as done.
+func (r *reinsertLevels) take(level int) bool {
+	if level >= r.height || level >= 64 || r.done&(1<<level) != 0 {
+		return false
+	}
+	r.done |= 1 << level
+	return true
 }
 
 // insertEntry places e into a node at the given level (0 = leaf), handling
 // overflow via forced reinsertion (once per level per top-level operation,
 // tracked by reinserted) and R* splits.
-func (t *Tree) insertEntry(e Entry, level int, reinserted []bool) {
+func (t *Tree) insertEntry(e Entry, level int, reinserted *reinsertLevels) {
 	n := t.mut(t.chooseSubtree(e.MBR, level).ID)
 	n.Entries = append(n.Entries, e)
 	t.touch(n)
@@ -166,9 +186,8 @@ func overlapEnlargement(entries []Entry, idx int, mbr geom.Rect) float64 {
 // overflow applies R* overflow treatment to n (this version's own copy):
 // forced reinsertion the first time a level overflows during one top-level
 // insert, a split afterwards.
-func (t *Tree) overflow(n *Node, reinserted []bool) {
-	if n.ID != t.root && n.Level < len(reinserted) && !reinserted[n.Level] {
-		reinserted[n.Level] = true
+func (t *Tree) overflow(n *Node, reinserted *reinsertLevels) {
+	if n.ID != t.root && reinserted.take(n.Level) {
 		t.reinsert(n, reinserted)
 		return
 	}
@@ -178,7 +197,7 @@ func (t *Tree) overflow(n *Node, reinserted []bool) {
 // reinsert removes the ReinsertCount entries whose centers are farthest from
 // the node's MBR center and re-inserts them (closest first), which lets the
 // tree escape locally bad groupings without a split.
-func (t *Tree) reinsert(n *Node, reinserted []bool) {
+func (t *Tree) reinsert(n *Node, reinserted *reinsertLevels) {
 	center := n.MBR().Center()
 	type distEntry struct {
 		d float64
@@ -205,7 +224,7 @@ func (t *Tree) reinsert(n *Node, reinserted []bool) {
 }
 
 // splitNode splits an overflowing node and propagates upward.
-func (t *Tree) splitNode(n *Node, reinserted []bool) {
+func (t *Tree) splitNode(n *Node, reinserted *reinsertLevels) {
 	left, right := SplitEntries(n.Entries, t.params.MinEntries)
 
 	n.Entries = left

@@ -108,6 +108,35 @@ func TestMoveStreamTreeUnchanged(t *testing.T) {
 	}
 }
 
+// TestTreeMoveAllocBudget pins the allocations of a move on a mutable
+// tree: an in-leaf move, Delete then Insert, allocates nothing (the
+// per-level reinsert record lives on the stack).
+func TestTreeMoveAllocBudget(t *testing.T) {
+	items := dataset.GenerateNE(dataset.Params{N: 20_000, Seed: 45}).Items()
+	tr := rtree.BulkLoad(rtree.DefaultParams(), items, 0.7)
+	moves := inLeafMoves(tr, nil)
+	if len(moves) < 100 {
+		t.Fatalf("only %d in-leaf moves", len(moves))
+	}
+	at := make([]int, len(moves))
+	k := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		k = (k + 37) % len(moves)
+		from, to := moves[k][at[k]], moves[k][1-at[k]]
+		if !tr.Delete(from.Obj, from.MBR) {
+			t.Fatalf("object %d not found at %v", from.Obj, from.MBR)
+		}
+		tr.Insert(to.Obj, to.MBR)
+		at[k] = 1 - at[k]
+	})
+	if allocs != 0 {
+		t.Errorf("an in-leaf move allocates %.2f times, want 0", allocs)
+	}
+	if err := tr.Validate(false); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // BenchmarkTreeMove is one object's move, Delete then Insert, on a
 // 100 000-object NE tree. in-leaf alternates an object between its
 // rectangle and that rectangle shrunk about its center, where the rest of

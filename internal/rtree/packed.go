@@ -27,10 +27,11 @@ type Packed struct {
 	slots []atomic.Pointer[Page]
 }
 
-// Page is the binary partition tree of one node (Section 4.2: the same
-// deterministic recursive R*-split bpt.Build runs, so topology, codes and
-// exact MBRs agree with it bit for bit) flattened into parallel arrays
-// indexed by position, laid out for traversal speed:
+// Page is the binary partition tree of one node (Section 4.2: the
+// deterministic recursive R*-split of the node's entries, which the pointer
+// reference in the server tests also runs, so topology, codes and exact
+// MBRs agree with it bit for bit) flattened into parallel arrays indexed by
+// position, laid out for traversal speed:
 //
 //	rects  []geom.Rect → exact float64 MBRs (result and key construction)
 //	right  []int32     → preorder topology: left child = i+1, right = right[i],
@@ -148,17 +149,6 @@ func (p *Packed) NodeCount() int {
 	return n
 }
 
-// Positions returns the total number of cached positions (diagnostics).
-func (p *Packed) Positions() int {
-	n := 0
-	for i := range p.slots {
-		if pg := p.slots[i].Load(); pg != nil {
-			n += pg.Len()
-		}
-	}
-	return n
-}
-
 // pageBuilder carries the split scratch across the pages of one Repack.
 type pageBuilder struct {
 	pg      *Page
@@ -191,9 +181,8 @@ func (b *pageBuilder) build(n *Node) *Page {
 }
 
 // emit writes the partition tree over entries in preorder starting at
-// position idx and returns the next free position. It mirrors bpt's recursive
-// construction: Split permutes entries in place and returns the left-half
-// length.
+// position idx and returns the next free position: Split permutes entries
+// in place and returns the left-half length.
 func (b *pageBuilder) emit(entries []Entry, idx, parent int32) int32 {
 	p := b.pg
 	p.codes[idx] = internCode(b.code)

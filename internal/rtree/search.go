@@ -5,28 +5,6 @@ import (
 	"repro/internal/pq"
 )
 
-// RangeQuery returns the leaf entries whose MBRs intersect window, in
-// unspecified order. This is the direct (server-local) evaluation path; the
-// cache-aware evaluation lives in package query.
-func (t *Tree) RangeQuery(window geom.Rect) []Entry {
-	var out []Entry
-	t.searchNode(t.node(t.root), window, &out)
-	return out
-}
-
-func (t *Tree) searchNode(n *Node, window geom.Rect, out *[]Entry) {
-	for _, e := range n.Entries {
-		if !e.MBR.Intersects(window) {
-			continue
-		}
-		if n.Leaf() {
-			*out = append(*out, e)
-		} else {
-			t.searchNode(t.node(e.Child), window, out)
-		}
-	}
-}
-
 // KNN returns the k leaf entries nearest to p in ascending distance order
 // using best-first search (Hjaltason & Samet). Fewer than k entries are
 // returned when the tree holds fewer objects.
@@ -46,31 +24,6 @@ func (t *Tree) KNN(p geom.Point, k int) []Entry {
 		node := t.node(e.Child)
 		for _, c := range node.Entries {
 			h.Push(geom.MinDist(p, c.MBR), c)
-		}
-	}
-	return out
-}
-
-// DistanceWithin returns the leaf entries whose MBR lies within dist of p.
-// It is used by validity-region computation in the semantic-caching baseline.
-func (t *Tree) DistanceWithin(p geom.Point, dist float64) []Entry {
-	var out []Entry
-	var h pq.Queue[Entry]
-	h.Push(0, t.RootEntry())
-	for h.Len() > 0 {
-		d, e := h.Pop()
-		if d > dist {
-			break
-		}
-		if e.IsLeafEntry() {
-			out = append(out, e)
-			continue
-		}
-		node := t.node(e.Child)
-		for _, c := range node.Entries {
-			if md := geom.MinDist(p, c.MBR); md <= dist {
-				h.Push(md, c)
-			}
 		}
 	}
 	return out

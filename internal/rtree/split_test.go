@@ -121,8 +121,8 @@ func splitCase(rng *rand.Rand) []Entry {
 }
 
 // TestSplitMatchesReference pins Split to the three-sort split it replaced:
-// bpt.Build and the page builder both call it, so a differential between
-// those two cannot see a change in it.
+// the page builder and the server tests' pointer reference both call it, so
+// a differential between those two cannot see a change in it.
 func TestSplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	scratch := NewSplitScratch(0) // grows, and is reused across sizes

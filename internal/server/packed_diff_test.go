@@ -55,8 +55,8 @@ func diffRequests(r *rand.Rand, items []rtree.Item, n int) []*wire.Request {
 
 // TestPackedMatchesArenaDifferential is the randomized differential suite of
 // the one representation the shard serves from: across update rounds, every
-// live node's packed page must equal the reference partition tree bpt.Build
-// makes from the same entries — position count, preorder codes, exact MBRs,
+// live node's packed page must equal the pointer partition tree
+// referenceBuild makes from the same entries — position count, preorder codes, exact MBRs,
 // leaf child/obj — and the cut the server emits from the page for a random
 // upward-closed expanded set must be the cut the reference computes, in
 // every index form. Each round also checks the boundary-window workload's
@@ -168,13 +168,13 @@ func checkAgainstScan(t *testing.T, srv *Server, live []rtree.Item, req *wire.Re
 	}
 }
 
-// checkPageAgainstReference compares one packed page with bpt.Build over the
-// same entries, position by position and cut by cut.
+// checkPageAgainstReference compares one packed page with referenceBuild
+// over the same entries, position by position and cut by cut.
 func checkPageAgainstReference(t *testing.T, r *rand.Rand, n *rtree.Node, pg *rtree.Page) {
 	t.Helper()
-	ref := bpt.Build(n.ID, n.Entries)
-	if pg.Len() != ref.Size() || pg.Len() != 2*len(n.Entries)-1 {
-		t.Errorf("node %d: %d positions, reference %d, entries %d", n.ID, pg.Len(), ref.Size(), len(n.Entries))
+	ref := referenceBuild(n.Entries)
+	if pg.Len() != len(ref.byCode) || pg.Len() != 2*len(n.Entries)-1 {
+		t.Errorf("node %d: %d positions, reference %d, entries %d", n.ID, pg.Len(), len(ref.byCode), len(n.Entries))
 		return
 	}
 	// Preorder walk of the reference alongside the page's positions, drawing
@@ -182,43 +182,43 @@ func checkPageAgainstReference(t *testing.T, r *rand.Rand, n *rtree.Node, pg *rt
 	expanded := map[bpt.Code]bool{}
 	bits := make([]uint64, (pg.Len()+63)/64)
 	pos := int32(0)
-	var walk func(pn *bpt.PNode, open bool)
-	walk = func(pn *bpt.PNode, open bool) {
+	var walk func(pn *refNode, open bool)
+	walk = func(pn *refNode, open bool) {
 		i := pos
 		pos++
-		if pg.Code(i) != string(pn.Code) || pg.Rect(i) != pn.MBR || pg.IsLeaf(i) != pn.Leaf() {
+		if pg.Code(i) != string(pn.code) || pg.Rect(i) != pn.mbr || pg.IsLeaf(i) != pn.leaf() {
 			t.Errorf("node %d position %d: page (%q %v leaf=%v) vs reference (%q %v leaf=%v)",
-				n.ID, i, pg.Code(i), pg.Rect(i), pg.IsLeaf(i), pn.Code, pn.MBR, pn.Leaf())
+				n.ID, i, pg.Code(i), pg.Rect(i), pg.IsLeaf(i), pn.code, pn.mbr, pn.leaf())
 		}
-		if fp, ok := pg.FindCode(string(pn.Code)); !ok || fp != i {
-			t.Errorf("node %d: FindCode(%q) = %d,%v, want %d", n.ID, pn.Code, fp, ok, i)
+		if fp, ok := pg.FindCode(string(pn.code)); !ok || fp != i {
+			t.Errorf("node %d: FindCode(%q) = %d,%v, want %d", n.ID, pn.code, fp, ok, i)
 		}
-		if pn.Leaf() {
-			if pg.ChildID(i) != pn.Entry.Child || pg.ObjID(i) != pn.Entry.Obj {
+		if pn.leaf() {
+			if pg.ChildID(i) != pn.entry.Child || pg.ObjID(i) != pn.entry.Obj {
 				t.Errorf("node %d position %d: leaf (%d,%d) vs reference (%d,%d)",
-					n.ID, i, pg.ChildID(i), pg.ObjID(i), pn.Entry.Child, pn.Entry.Obj)
+					n.ID, i, pg.ChildID(i), pg.ObjID(i), pn.entry.Child, pn.entry.Obj)
 			}
 			return
 		}
 		open = open && r.Intn(3) > 0
 		if open {
-			expanded[pn.Code] = true
+			expanded[pn.code] = true
 			bits[i>>6] |= 1 << (uint(i) & 63)
 		}
-		walk(pn.Left, open)
+		walk(pn.left, open)
 		if pg.Right(i) != pos || pg.Parent(pos) != i {
 			t.Errorf("node %d position %d: right %d parent %d, want %d/%d", n.ID, i, pg.Right(i), pg.Parent(pos), pos, i)
 		}
-		walk(pn.Right, open)
+		walk(pn.right, open)
 	}
-	walk(ref.Root, true)
+	walk(ref.root, true)
 
 	d := r.Intn(4)
-	frontier := ref.Frontier(expanded)
-	for form, want := range map[IndexForm]bpt.Cut{
-		FullForm:     ref.FullCut(),
+	frontier := ref.frontier(expanded)
+	for form, want := range map[IndexForm]refCut{
+		FullForm:     ref.fullCut(),
 		CompactForm:  frontier,
-		AdaptiveForm: ref.ExpandCut(frontier, d),
+		AdaptiveForm: ref.expandCut(frontier, d),
 	} {
 		got := appendPageCut(nil, pg, bits, form, d)
 		if len(got) != len(want) {
@@ -226,10 +226,10 @@ func checkPageAgainstReference(t *testing.T, r *rand.Rand, n *rtree.Node, pg *rt
 			continue
 		}
 		for k, code := range want {
-			pn, _ := ref.Node(code)
-			wantElem := wire.CutElem{Code: code, MBR: pn.MBR, Super: !pn.Leaf()}
-			if pn.Leaf() {
-				wantElem.Child, wantElem.Obj = pn.Entry.Child, pn.Entry.Obj
+			pn := ref.byCode[code]
+			wantElem := wire.CutElem{Code: code, MBR: pn.mbr, Super: !pn.leaf()}
+			if pn.leaf() {
+				wantElem.Child, wantElem.Obj = pn.entry.Child, pn.entry.Obj
 			}
 			if got[k] != wantElem {
 				t.Errorf("node %d form %d d=%d: element %d is %+v, reference %+v", n.ID, form, d, k, got[k], wantElem)

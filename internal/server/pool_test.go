@@ -32,7 +32,7 @@ func poolTestRequests(srv *Server, n int, seed int64) []*wire.Request {
 		req := &wire.Request{Client: wire.ClientID(1 + i%5), Q: q}
 		if i%4 == 3 {
 			// Resume from a root-seeded H: exercises the rekey buffer.
-			req.H = query.SeedRoot(q, srv.RootRef())
+			req.H = query.AppendSeedRoot(nil, q, srv.RootRef())
 		}
 		reqs[i] = req
 	}

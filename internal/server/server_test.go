@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/bpt"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
@@ -112,8 +111,8 @@ func TestCompactFormShipsValidCuts(t *testing.T) {
 	supers := 0
 	for _, rep := range resp.Index {
 		n, _ := srv.Tree().Node(rep.ID)
-		pt := bpt.Build(rep.ID, n.Entries)
-		cut := make(bpt.Cut, 0, len(rep.Elems))
+		pt := referenceBuild(n.Entries)
+		cut := make(refCut, 0, len(rep.Elems))
 		for _, e := range rep.Elems {
 			cut = append(cut, e.Code)
 			if e.Super {
@@ -121,7 +120,7 @@ func TestCompactFormShipsValidCuts(t *testing.T) {
 			}
 		}
 		// Fresh-query expansions start at the root, so cuts are full covers.
-		if err := pt.ValidateCut(cut); err != nil {
+		if err := pt.validateCut(cut); err != nil {
 			t.Fatalf("node %d cut invalid: %v", rep.ID, err)
 		}
 	}

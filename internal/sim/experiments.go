@@ -24,9 +24,6 @@ func FullScale() Scale { return Scale{Objects: dataset.NECardinality, Queries: 1
 // BenchScale keeps go test -bench runs in tens of seconds.
 func BenchScale() Scale { return Scale{Objects: 30_000, Queries: 1_500, Seed: 1} }
 
-// TestScale keeps unit tests fast.
-func TestScale() Scale { return Scale{Objects: 6_000, Queries: 250, Seed: 1} }
-
 // NewNEEnvironment generates the NE-like dataset at the given scale and
 // indexes it.
 func NewNEEnvironment(sc Scale) *Environment {

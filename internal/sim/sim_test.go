@@ -7,13 +7,16 @@ import (
 	"repro/internal/core"
 )
 
+// testScale keeps unit tests fast.
+func testScale() Scale { return Scale{Objects: 6_000, Queries: 250, Seed: 1} }
+
 // sharedEnv is built once; tests only read it.
-var sharedEnv = NewNEEnvironment(TestScale())
+var sharedEnv = NewNEEnvironment(testScale())
 
 func run(t *testing.T, mutate func(*Config)) *Result {
 	t.Helper()
 	cfg := DefaultConfig(sharedEnv)
-	cfg.Queries = TestScale().Queries
+	cfg.Queries = testScale().Queries
 	cfg.Seed = 42
 	if mutate != nil {
 		mutate(&cfg)
@@ -27,7 +30,7 @@ func run(t *testing.T, mutate func(*Config)) *Result {
 
 func TestRunBasics(t *testing.T) {
 	res := run(t, nil)
-	if res.Sum.Queries != TestScale().Queries {
+	if res.Sum.Queries != testScale().Queries {
 		t.Fatalf("ran %d queries", res.Sum.Queries)
 	}
 	if res.Sum.MeanResp() < 0 {
@@ -76,7 +79,7 @@ func TestModelsProduceSensibleMetrics(t *testing.T) {
 // PAG has the highest uplink and zero hitc; APRO has the best response time
 // and the highest hitc.
 func TestFigure6Shape(t *testing.T) {
-	rows, err := Figure6(sharedEnv, TestScale())
+	rows, err := Figure6(sharedEnv, testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestFigure6Shape(t *testing.T) {
 // lower under RAN; APRO's false miss rate stays nearly flat across models.
 // The locality gap needs a longer horizon than the other shape tests.
 func TestFigure7Shape(t *testing.T) {
-	sc := TestScale()
+	sc := testScale()
 	sc.Queries = 1200
 	rows, err := Figure7(sharedEnv, sc)
 	if err != nil {
@@ -131,7 +134,7 @@ func TestFigure7Shape(t *testing.T) {
 // TestFigure8Shape: PAG's uplink grows with |C| so its response time stops
 // improving; APRO keeps improving with more cache.
 func TestFigure8Shape(t *testing.T) {
-	rows, err := Figure8and9(sharedEnv, TestScale())
+	rows, err := Figure8and9(sharedEnv, testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,7 @@ func TestFigure8Shape(t *testing.T) {
 
 // TestFigure10Shape: MRU is always the worst replacement policy.
 func TestFigure10Shape(t *testing.T) {
-	rows, err := Figure10(sharedEnv, TestScale())
+	rows, err := Figure10(sharedEnv, testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,7 @@ func TestFigure10Shape(t *testing.T) {
 // TestFigure11Shape: CPRO ships the least index (lowest i/c), FPRO the most;
 // CPRO's false miss rate exceeds FPRO's.
 func TestFigure11Shape(t *testing.T) {
-	series, err := Figure11(sharedEnv, TestScale(), 50)
+	series, err := Figure11(sharedEnv, testScale(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestAblationPartitionCost(t *testing.T) {
-	rows, err := AblationPartitionCost(sharedEnv, TestScale())
+	rows, err := AblationPartitionCost(sharedEnv, testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestAblationPartitionCost(t *testing.T) {
 }
 
 func TestAblationGRD2vsGRD3Agree(t *testing.T) {
-	rows, err := AblationGRD2vsGRD3(sharedEnv, TestScale())
+	rows, err := AblationGRD2vsGRD3(sharedEnv, testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
