@@ -42,7 +42,7 @@ func benchEnvironment() *sim.Environment {
 func benchScale() sim.Scale {
 	sc := sim.BenchScale()
 	if testing.Short() {
-		sc = sim.Scale{Objects: 6_000, Queries: 250, Seed: 1}
+		sc = sim.Scale{Objects: 6_000, Queries: 250, Seed: 1} // the sim unit tests' scale
 	}
 	return sc
 }

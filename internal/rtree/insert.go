@@ -17,9 +17,9 @@ func (t *Tree) Insert(obj ObjectID, mbr geom.Rect) {
 // reinsertLevels records which levels forced reinsertion has treated during
 // one top-level operation: each level below the height the operation began
 // at reinserts once, later overflows there split. It lives on the caller's
-// stack, so an insert allocates nothing for it. A bit per level suffices:
-// with at least two entries per node, a tree 64 levels tall would hold
-// more than 2^63 entries.
+// stack, so an insert allocates nothing for it. A bit per level suffices: a
+// tree gains a level only when its root splits, which takes at least twice
+// the inserts the level before did, so 64 levels take over 2^63 inserts.
 type reinsertLevels struct {
 	height int    // the tree's height when the operation began
 	done   uint64 // bit l set: level l has reinserted
@@ -27,7 +27,7 @@ type reinsertLevels struct {
 
 // take reports whether level may still reinsert, and marks it as done.
 func (r *reinsertLevels) take(level int) bool {
-	if level >= r.height || level >= 64 || r.done&(1<<level) != 0 {
+	if level >= r.height || r.done&(1<<level) != 0 {
 		return false
 	}
 	r.done |= 1 << level
