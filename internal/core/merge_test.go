@@ -73,31 +73,6 @@ func mergeReference(a, b []bpt.Code) []bpt.Code {
 	return out
 }
 
-// validPageCut reports whether codes are positions of pg that cover each of
-// its leaves exactly once (which makes them an antichain).
-func validPageCut(pg *rtree.Page, codes []bpt.Code) bool {
-	for _, code := range codes {
-		if _, ok := pg.FindCode(string(code)); !ok {
-			return false
-		}
-	}
-	for i := int32(0); i < int32(pg.Len()); i++ {
-		if !pg.IsLeaf(i) {
-			continue
-		}
-		leaf, n := bpt.Code(pg.Code(i)), 0
-		for _, code := range codes {
-			if code == leaf || code.IsStrictAncestorOf(leaf) {
-				n++
-			}
-		}
-		if n != 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // TestMergeCutsMatchesBPT holds the cache's merge of cut elements to the
 // finest common refinement of the two cuts' codes: the same positions
 // survive, and at a position both cuts hold the shipped element replaces
@@ -121,35 +96,6 @@ func TestMergeCutsMatchesBPT(t *testing.T) {
 			if e.Code != want[i] || (e.Obj == 2) != fromShipped {
 				t.Fatalf("trial %d: position %d is %q from side %d, want %q (shipped holds it: %v)", trial, i, e.Code, e.Obj, want[i], fromShipped)
 			}
-		}
-	}
-}
-
-// TestMergeCutsProperty: merging any two cuts of a node's partition tree
-// yields a valid cut that refines both, and merging is idempotent and
-// commutative on the codes.
-func TestMergeCutsProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 300; trial++ {
-		pg := mergePage(r, 2+r.Intn(40))
-		a, b := randomPageCut(r, pg, 1), randomPageCut(r, pg, 2)
-		m := mergeCuts(nil, a, b)
-		codes := cutCodes(m)
-		if !validPageCut(pg, codes) {
-			t.Fatalf("trial %d: merged cut %v invalid (a=%v b=%v)", trial, codes, cutCodes(a), cutCodes(b))
-		}
-		for _, code := range codes {
-			for _, side := range [][]wire.CutElem{a, b} {
-				if !slices.ContainsFunc(side, func(e wire.CutElem) bool { return e.Code == code || e.Code.IsStrictAncestorOf(code) }) {
-					t.Fatalf("trial %d: %q refines no element of %v", trial, code, cutCodes(side))
-				}
-			}
-		}
-		if again := cutCodes(mergeCuts(nil, m, a)); !slices.Equal(again, codes) {
-			t.Fatalf("trial %d: merging a again gives %v, want %v", trial, again, codes)
-		}
-		if swapped := cutCodes(mergeCuts(nil, b, a)); !slices.Equal(swapped, codes) {
-			t.Fatalf("trial %d: merge(b, a) = %v, merge(a, b) = %v", trial, swapped, codes)
 		}
 	}
 }
