@@ -19,8 +19,8 @@
 //
 // Chaos scenarios (load.FaultMatrix: shard-crash-recovery, replica-failover)
 // kill and restart shards on a schedule; they require the in-process backend,
-// which is built durable for them — per-shard WALs, warm replicas, and a
-// hair-trigger failover threshold (docs/DURABILITY.md).
+// which is built durable for them — per-shard WALs, plus warm standbys when
+// the schedule kills a shard for good (docs/DURABILITY.md).
 //
 // The scenario matrix is defined in internal/load (docs/SCENARIOS.md);
 // scripts/bench.sh merges proload JSON into the per-PR BENCH snapshot so CI
@@ -114,14 +114,14 @@ func main() {
 	}()
 	acquire := func(sp load.Spec) (*backend, error) {
 		if len(sp.Faults) > 0 {
-			return connect(*addr, *inprocess, *objects, *seed, true, *edgeOn, *nethop)
+			return connect(*addr, *inprocess, *objects, *seed, sp.Faults, *edgeOn, *nethop)
 		}
 		if sp.GrowUpdates && *addr == "" {
-			return connect(*addr, *inprocess, *objects, *seed, false, *edgeOn, *nethop)
+			return connect(*addr, *inprocess, *objects, *seed, nil, *edgeOn, *nethop)
 		}
 		if shared == nil {
 			var err error
-			if shared, err = connect(*addr, *inprocess, *objects, *seed, false, *edgeOn, *nethop); err != nil {
+			if shared, err = connect(*addr, *inprocess, *objects, *seed, nil, *edgeOn, *nethop); err != nil {
 				shared = nil
 				return nil, err
 			}
@@ -259,8 +259,9 @@ type backend struct {
 	upstream *edge.UpstreamPool
 }
 
-func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop bool) (*backend, error) {
+func connect(addr string, shards, objects int, seed int64, faults []load.FaultEvent, edgeOn, nethop bool) (*backend, error) {
 	b := &backend{addr: addr}
+	chaos := len(faults) > 0
 	if addr != "" {
 		if chaos {
 			return nil, fmt.Errorf("fault scenarios inject shard kills and need the in-process backend (-inprocess), not -addr")
@@ -282,10 +283,10 @@ func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop
 	objs := repro.GenerateNE(objects, seed)
 	cfg := repro.ClusterConfig{Shards: shards}
 	if chaos {
-		// Chaos runs need durable, failover-capable shards: throwaway
-		// per-shard WALs (no fsync; the directory dies with the run), warm
-		// replicas, and a hair trigger so a kill is absorbed within one
-		// query's retry budget.
+		// Chaos runs need durable shards: throwaway per-shard WALs (no
+		// fsync; the directory dies with the run). Warm standbys only when
+		// a shard is killed for good: with one, a crash-restart would be
+		// absorbed by promotion and the WAL-restarted primary never serve.
 		dir, err := os.MkdirTemp("", "proload-wal-")
 		if err != nil {
 			return nil, err
@@ -293,10 +294,7 @@ func connect(addr string, shards, objects int, seed int64, chaos, edgeOn, nethop
 		b.walDir = dir
 		cfg.WALDir = dir
 		cfg.WALNoSync = true
-		cfg.Replicas = true
-		cfg.RetryAttempts = 4
-		cfg.RetryBackoff = 2 * time.Millisecond
-		cfg.FailThreshold = 1
+		cfg.Replicas = load.NeedsStandby(faults)
 	}
 	cs, err := repro.NewClusterServer(objs, cfg)
 	if err != nil {

@@ -31,8 +31,8 @@ func TestClusterRouteAllocBudget(t *testing.T) {
 
 // TestClusterRouteAllocBudgetAfterRestart holds the same budget on a
 // durable cluster whose shard 0 was killed and restarted from its WAL: the
-// endpoint the router redials must recycle responses into the restarted
-// server's pool, or every response is a fresh allocation.
+// shard's endpoint must recycle responses into the restarted server's pool,
+// or every response is a fresh allocation.
 func TestClusterRouteAllocBudgetAfterRestart(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is measured without -race instrumentation")
@@ -43,25 +43,25 @@ func TestClusterRouteAllocBudgetAfterRestart(t *testing.T) {
 		sizes[o.ID] = o.Size
 	}
 	p, err := NewInProcess(objs, InProcessConfig{
-		Shards:        4,
-		Tree:          rtree.Params{MaxEntries: testMaxEntries},
-		Sizer:         func(id rtree.ObjectID) int { return sizes[id] },
-		WALDir:        t.TempDir(),
-		WAL:           wal.Options{NoSync: true},
-		FailThreshold: 1,
+		Shards: 4,
+		Tree:   rtree.Params{MaxEntries: testMaxEntries},
+		Sizer:  func(id rtree.ObjectID) int { return sizes[id] },
+		WALDir: t.TempDir(),
+		WAL:    wal.Options{NoSync: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	before := p.proc(0).cur.Load()
 	p.Kill(0)
 	if err := p.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	requireRouteAllocBudget(t, p.Router)
-	if p.Stats().Shard(0).Redials.Load() == 0 {
-		t.Fatal("the router never redialed the restarted shard; fix the test")
+	if now := p.proc(0).cur.Load(); now == nil || now == before {
+		t.Fatal("shard 0 holds no restarted server; fix the test")
 	}
+	requireRouteAllocBudget(t, p.Router)
 }
 
 // requireRouteAllocBudget warms queries inside shard 0's region, each

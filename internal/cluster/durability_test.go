@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rtree"
@@ -46,7 +47,9 @@ func TestSnapshotNamesWALLatchedShard(t *testing.T) {
 		srv := server.New(rtree.BulkLoad(rtree.Params{MaxEntries: testMaxEntries}, items, bulkFill),
 			func(rtree.ObjectID) int { return 1 }, cfg)
 		defer srv.Close()
-		shards[s] = Shard{T: serverTransport{srv: srv}, Release: srv.ReleaseResponse}
+		var cur atomic.Pointer[server.Server]
+		cur.Store(srv)
+		shards[s] = Shard{T: serverTransport{cur: &cur}, Release: srv.ReleaseResponse}
 	}
 	r, err := New(shards, Config{Part: part})
 	if err != nil {

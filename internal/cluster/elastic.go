@@ -320,8 +320,8 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 		return why
 	}
 	if r.stats.Shard(s).Failovers.Load() != failoversBefore {
-		// A replica promotion mid-transfer may have lost acked batches the
-		// handover window recorded; the replay would diverge. Start over.
+		// A promotion mid-transfer swapped the source's server under a
+		// handover armed against the old primary. Start over.
 		return abort(fmt.Errorf("cluster: split: shard %d failed over during transfer; aborted", s))
 	}
 	if err := replayWave(ho.entries[replayed:]); err != nil {

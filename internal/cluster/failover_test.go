@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,19 +29,15 @@ import (
 // while it flows.
 
 // crashConfig is the chaos-tuned cluster: durability on, sync off (tests),
-// small checkpoints so the writer checkpoints mid-stream, and a hair
-// trigger on failover so a killed shard redials within one sub-query.
+// and small checkpoints so the writer checkpoints mid-stream.
 func crashConfig(t *testing.T, sizes map[rtree.ObjectID]int, replicas bool) InProcessConfig {
 	return InProcessConfig{
-		Shards:        4,
-		Tree:          rtree.Params{MaxEntries: testMaxEntries},
-		Sizer:         func(id rtree.ObjectID) int { return sizes[id] },
-		WALDir:        t.TempDir(),
-		WAL:           wal.Options{NoSync: true, CheckpointBytes: 8 << 10},
-		Replicas:      replicas,
-		RetryAttempts: 3,
-		RetryBackoff:  1,
-		FailThreshold: 1,
+		Shards:   4,
+		Tree:     rtree.Params{MaxEntries: testMaxEntries},
+		Sizer:    func(id rtree.ObjectID) int { return sizes[id] },
+		WALDir:   t.TempDir(),
+		WAL:      wal.Options{NoSync: true, CheckpointBytes: 8 << 10},
+		Replicas: replicas,
 	}
 }
 
@@ -90,9 +87,13 @@ func TestClusterEquivalenceCrashRecovery(t *testing.T) {
 
 				// Crash-restart a different shard each round, mid-history.
 				victim := round % 4
+				killed := p.proc(victim).cur.Load()
 				p.Kill(victim)
 				if err := p.Restart(victim); err != nil {
 					t.Fatalf("round %d: restart shard %d: %v", round, victim, err)
+				}
+				if srv := p.proc(victim).cur.Load(); srv == nil || srv == killed {
+					t.Fatalf("round %d: shard %d serves no restarted server", round, victim)
 				}
 
 				for qi := 0; qi < 12; qi++ {
@@ -122,11 +123,7 @@ func TestClusterEquivalenceCrashRecovery(t *testing.T) {
 					}
 				}
 			}
-			snap := router.Stats().Snapshot()
-			if snap.Redials() == 0 {
-				t.Fatal("no redials counted despite six crash-restarts")
-			}
-			if snap.Failovers() != 0 {
+			if snap := router.Stats().Snapshot(); snap.Failovers() != 0 {
 				t.Fatalf("replica promotions counted (%d) in a replica-less cluster", snap.Failovers())
 			}
 		})
@@ -414,7 +411,9 @@ func TestInProcessReopenFromWAL(t *testing.T) {
 // TestClusterFailoverFlushesClients checks the consistency seam of a
 // promotion: a client holding a pre-failover virtual epoch is told to drop
 // its cache (FlushAll) rather than being fed invalidation windows the
-// promoted standby cannot vouch for.
+// promoted standby cannot vouch for. The kill finds no request in flight,
+// so the promotion must happen inside Kill; killing the shard again, or
+// killing the primary a Restart recovered, promotes nothing more.
 func TestClusterFailoverFlushesClients(t *testing.T) {
 	objs := genObjects(800, 21)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
@@ -443,12 +442,26 @@ func TestClusterFailoverFlushesClients(t *testing.T) {
 	}
 
 	p.Kill(1)
+	if got := p.Stats().Shard(1).Failovers.Load(); got != 1 {
+		t.Fatalf("failovers after Kill with no request in flight = %d, want 1", got)
+	}
+	p.Kill(1)
+	if err := p.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	p.Kill(1)
+	if got := p.Stats().Shard(1).Failovers.Load(); got != 1 {
+		t.Fatalf("failovers after a second kill and a kill of the restarted primary = %d, want 1", got)
+	}
 	resp, err = router.RoundTrip(&wire.Request{Client: 7, Epoch: base, Q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.FlushAll {
 		t.Fatal("pre-failover epoch answered without FlushAll after replica promotion")
+	}
+	if got := router.Stats().Snapshot().Retries(); got != 0 {
+		t.Fatalf("%d retries: a request reached the killed primary", got)
 	}
 }
 
@@ -472,5 +485,153 @@ func TestEpochTableFlushAll(t *testing.T) {
 	}
 	if _, ok := tab.commit(1, 0, []uint64{4, 1}, []rtree.NodeID{1, 1}, tab.generation()); !ok {
 		t.Fatal("fresh-generation commit refused")
+	}
+}
+
+// TestRequestWaitsOutRestart kills a shard that has no standby and restarts
+// it from another goroutine once a request is inside its retry loop: the
+// request must come back with the right answer, not the shard-down error.
+func TestRequestWaitsOutRestart(t *testing.T) {
+	objs := genObjects(800, 29)
+	sizes := make(map[rtree.ObjectID]int, len(objs))
+	for _, o := range objs {
+		sizes[o.ID] = o.Size
+	}
+	single := buildServer(objs, sizes)
+	defer single.Close()
+	p, err := NewInProcess(objs, crashConfig(t, sizes, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	p.Kill(2)
+	restarted := make(chan error, 1)
+	go func() {
+		for p.Stats().Shard(2).Retries.Load() == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		restarted <- p.Restart(2)
+	}()
+	q := query.NewRange(geom.R(0, 0, 1, 1))
+	cResp, err := p.Router.RoundTrip(&wire.Request{Client: 3, Q: q})
+	if rerr := <-restarted; rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil {
+		t.Fatalf("request across the restart: %v", err)
+	}
+	sResp, _ := single.Execute(&wire.Request{Client: 3, Q: q})
+	compareRange(t, "across the restart", sResp, cResp)
+	if got := p.Stats().Shard(2).Retries.Load(); got < 1 {
+		t.Fatalf("retries = %d, want >= 1", got)
+	}
+	if got := p.Stats().Snapshot().Failovers(); got != 0 {
+		t.Fatalf("%d promotions in a cluster without standbys", got)
+	}
+}
+
+// TestKillDuringSplit kills standby-backed shards while SplitShard runs on
+// another slot. First with nothing else running: promote reads the router's
+// slots and partition while the split installs new ones, and nothing but
+// the topology lock orders the two, so -race pins that the kill takes it.
+// Then with queries flowing: none of them may fail, since the kill's swap
+// must not wait behind the split's fence. Afterwards both splits have
+// landed, each killed shard was promoted once, and answers match the
+// single node.
+func TestKillDuringSplit(t *testing.T) {
+	objs := genObjects(1600, 37)
+	single, p, cleanup := buildBothElastic(t, objs, 4, InProcessConfig{Replicas: true})
+	defer cleanup()
+	splitWhileKilling := func(split, kill int) {
+		t.Helper()
+		splitErr := make(chan error, 1)
+		go func() { splitErr <- p.SplitShard(split) }()
+		p.Kill(kill)
+		if err := <-splitErr; err != nil {
+			t.Fatalf("split of shard %d while killing shard %d: %v", split, kill, err)
+		}
+	}
+
+	splitWhileKilling(0, 2)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		q := query.NewRange(geom.R(0, 0, 1, 1))
+		for c := wire.ClientID(1); ; c++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := p.Router.RoundTrip(&wire.Request{Client: c % 8, Q: q}); err != nil {
+				t.Errorf("query during a split and a kill: %v", err)
+				return
+			}
+		}
+	}()
+	splitWhileKilling(1, 3)
+	close(stop)
+	wg.Wait()
+
+	if got := len(p.LiveShards()); got != 6 {
+		t.Fatalf("%d live shards after two splits, want 6", got)
+	}
+	for _, s := range []int{2, 3} {
+		if got := p.Stats().Shard(s).Failovers.Load(); got != 1 {
+			t.Fatalf("shard %d failovers = %d, want 1", s, got)
+		}
+	}
+	checkEquivalence(t, "after splits and kills", single, p.Router, 5100)
+}
+
+// TestKillBehindQueuedFence kills a standby-backed shard while a request is
+// in flight and a topology write fence is queued behind that request. The
+// request must still be answered: had the kill stopped the primary and then
+// queued for the topology lock to swap in the standby, it would wait behind
+// the fence, the fence behind the request, and the request would run out
+// of retries against the dead primary.
+func TestKillBehindQueuedFence(t *testing.T) {
+	objs := genObjects(800, 41)
+	sizes := make(map[rtree.ObjectID]int, len(objs))
+	for _, o := range objs {
+		sizes[o.ID] = o.Size
+	}
+	p, err := NewInProcess(objs, crashConfig(t, sizes, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	r := p.Router
+
+	r.topo.RLock() // the request in flight
+	fenced := make(chan struct{})
+	go func() {
+		r.topo.Lock()
+		r.topo.Unlock()
+		close(fenced)
+	}()
+	time.Sleep(20 * time.Millisecond) // let the fence queue
+	killed := make(chan struct{})
+	go func() {
+		p.Kill(1)
+		close(killed)
+	}()
+	time.Sleep(20 * time.Millisecond) // let the kill run as far as it can
+	resp, err := r.routeQuery(&wire.Request{Client: 5, Q: query.NewRange(geom.R(0, 0, 1, 1))})
+	r.topo.RUnlock()
+	<-fenced
+	<-killed
+	if err != nil {
+		t.Fatalf("request in flight across the kill: %v", err)
+	}
+	if len(resp.Objects) != len(objs) {
+		t.Fatalf("request in flight across the kill answered %d objects, want %d", len(resp.Objects), len(objs))
+	}
+	if got := p.Stats().Shard(1).Failovers.Load(); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -38,11 +37,6 @@ type InProcessConfig struct {
 	// Sizer reports object payload sizes; it backs both the shard servers
 	// and the router's cross-shard re-inserts. Required.
 	Sizer func(rtree.ObjectID) int
-	// RetryAttempts, RetryBackoff and FailThreshold pass through to the
-	// router Config.
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	FailThreshold int
 
 	// WALDir enables per-shard durability: shard s logs every applied batch
 	// to WALDir/shard-<s> and checkpoints on the WAL's schedule, and
@@ -56,8 +50,8 @@ type InProcessConfig struct {
 	// WAL tunes the per-shard logs (checkpoint threshold, fsync policy).
 	WAL wal.Options
 	// Replicas runs one warm standby server per shard, fed the primary's
-	// acked batches over the replication stream and handed to the router
-	// for failover. Standbys are memory-only (no WAL).
+	// acked batches over the replication stream; Kill promotes it. Standbys
+	// are memory-only (no WAL).
 	Replicas bool
 }
 
@@ -95,21 +89,25 @@ func (p *InProcess) Close() {
 	}
 }
 
-// Kill crash-stops shard s: its transport starts failing immediately, the
-// writer drains, the replication stream stops for good, and the WAL handle
-// closes so a Restart can recover from disk. Idempotent. The router rides
-// it out through retry, replica promotion, or redial-after-Restart.
+// Kill crash-stops shard s. Its primary stops serving at once; its writer
+// drains, so every acked batch is in the WAL and has been streamed into the
+// standby; the replication stream stops for good and the WAL closes, so a
+// Restart can recover from disk. A shard with a standby is served by it
+// from then on: Kill promotes it (Router.promote), which flushes every
+// client. A shard without one is down until Restart, and the router waits
+// it out meanwhile. Idempotent.
 func (p *InProcess) Kill(s int) {
 	if ps := p.proc(s); ps != nil {
-		ps.kill()
+		ps.kill(p.Router)
 	}
 }
 
 // Restart recovers a killed shard from its WAL (checkpoint + tail replay)
-// and brings it back as the shard's primary; the router's next redial binds
-// to it. The restarted primary runs without a standby — its replica may
-// already have been promoted, and re-streaming into it would double-apply.
-// Restart of a live shard is a no-op.
+// and brings it back as the shard's primary: the router's next round trip
+// to the shard reaches it. The restarted primary runs without a standby —
+// re-streaming into a standby that already applied the log would
+// double-apply. A shard whose standby was promoted stays on the standby;
+// its recovered primary is not used. Restart of a live shard is a no-op.
 func (p *InProcess) Restart(s int) error {
 	ps := p.proc(s)
 	if ps == nil {
@@ -140,8 +138,8 @@ func (p *InProcess) SiblingOf(s int) (int, bool) { return p.Router.SiblingOf(s) 
 // LiveShards/SiblingOf this completes the elastic.Cluster surface.
 func (p *InProcess) Stats() *metrics.ClusterStats { return p.Router.Stats() }
 
-// errShardDown is what a killed shard's transport returns: the process is
-// gone, so every round trip fails until the router redials a restarted one.
+// errShardDown is what a down shard's transport returns: its primary was
+// killed and has not restarted yet. The router waits it out.
 var errShardDown = errors.New("cluster: shard is down")
 
 // procShard is one shard "process": the live primary (nil while killed),
@@ -154,15 +152,30 @@ type procShard struct {
 	walDir  string        // empty: no durability, Restart impossible
 	walOpts wal.Options
 	log     *wal.Log // open log of the live primary
-	replica *server.Server
+	standby atomic.Pointer[server.Server]
 	repl    *replicator
 	mu      sync.Mutex // serializes kill/restart/stop transitions
 }
 
-func (ps *procShard) kill() {
+// kill crash-stops the primary. When the replication stream was still
+// feeding the standby, the standby is promoted on r in the same step, under
+// the topology read lock (taken after ps.mu): a request that finds the
+// primary gone then retries only until the swap, and never waits behind a
+// split's or merge's write fence that is itself queued behind that
+// request. Once the stream has stopped, a later kill (of a restarted
+// primary) promotes nothing.
+func (ps *procShard) kill(r *Router) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
+	if ps.repl == nil {
+		ps.killLocked()
+		return
+	}
+	r.topo.RLock()
+	defer r.topo.RUnlock()
 	ps.killLocked()
+	st := serverTransport{cur: &ps.standby}
+	r.promote(ps.idx, Shard{T: st, Release: st.release})
 }
 
 // killLocked closes the live primary, which drains its writer so every
@@ -189,9 +202,8 @@ func (ps *procShard) stop() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.killLocked()
-	if ps.replica != nil {
-		ps.replica.Close()
-		ps.replica = nil
+	if srv := ps.standby.Swap(nil); srv != nil {
+		srv.Close()
 	}
 }
 
@@ -234,40 +246,43 @@ func replayTail(recs []wal.Record) []server.ReplayRecord {
 	return tail
 }
 
-// redial is the router's Shard.Redial: a transport bound to whatever
-// primary is live right now, recycling into that primary's response pool,
-// and failing while the shard is down.
-func (ps *procShard) redial() (Shard, error) {
-	srv := ps.cur.Load()
-	if srv == nil {
-		return Shard{}, errShardDown
-	}
-	return Shard{T: serverTransport{srv: srv, cur: &ps.cur}, Release: srv.ReleaseResponse}, nil
-}
-
-// serverTransport runs requests directly on a server: batched updates go
-// through its writer queue, everything else executes as a query. With cur
-// set it serves one primary generation: once the shard is killed or
-// restarted, round trips through the old binding fail like a dead TCP
-// connection would, which is what drives the router's retry/redial path.
+// serverTransport runs requests directly on the server cur holds: batched
+// updates go through its writer queue, everything else executes as a
+// query. A nil server is a shard that is down, and the round trip fails
+// with errShardDown; once Restart stores the recovered primary, the next
+// round trip reaches it.
 type serverTransport struct {
-	srv *server.Server
-	cur *atomic.Pointer[server.Server] // nil: the server is never replaced
+	cur *atomic.Pointer[server.Server]
 }
 
 func (t serverTransport) RoundTrip(req *wire.Request) (*wire.Response, error) {
-	if t.cur != nil && t.cur.Load() != t.srv {
+	srv := t.cur.Load()
+	if srv == nil {
 		return nil, errShardDown
 	}
 	if len(req.Updates) > 0 {
-		return t.srv.ExecuteUpdates(req), nil
+		return srv.ExecuteUpdates(req), nil
 	}
-	resp, _ := t.srv.Execute(req)
+	resp, _ := srv.Execute(req)
 	return resp, nil
 }
 
-// DurabilityErr reports the server's latched WAL failure, for Router.Snapshot.
-func (t serverTransport) DurabilityErr() error { return t.srv.DurabilityErr() }
+// release recycles a response into the live server's pool; while the shard
+// is down the garbage collector takes it.
+func (t serverTransport) release(resp *wire.Response) {
+	if srv := t.cur.Load(); srv != nil {
+		srv.ReleaseResponse(resp)
+	}
+}
+
+// DurabilityErr reports the live server's latched WAL failure, for
+// Router.Snapshot; a down shard reports none.
+func (t serverTransport) DurabilityErr() error {
+	if srv := t.cur.Load(); srv != nil {
+		return srv.DurabilityErr()
+	}
+	return nil
+}
 
 // replicator pumps acked batches from the primary's writer into the warm
 // standby. The tap runs on the writer goroutine and blocks when the bounded
@@ -338,7 +353,7 @@ func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer n
 		if err != nil {
 			return fail("standby", err)
 		}
-		ps.replica = rep
+		ps.standby.Store(rep)
 		ps.repl = newReplicator(rep)
 		srvCfg.OnApplied = ps.repl.tap
 	}
@@ -359,11 +374,8 @@ func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer n
 	p.procs[t] = ps
 	p.pmu.Unlock()
 
-	shard := Shard{T: serverTransport{srv: srv, cur: &ps.cur}, Release: srv.ReleaseResponse, Redial: ps.redial}
-	if ps.replica != nil {
-		shard.Replica, shard.ReplicaRelease = serverTransport{srv: ps.replica}, ps.replica.ReleaseResponse
-	}
-	return shard, nil
+	st := serverTransport{cur: &ps.cur}
+	return Shard{T: st, Release: st.release}, nil
 }
 
 // NewInProcess KD-partitions the objects, bulk-loads one server per shard,
@@ -372,7 +384,7 @@ func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer n
 // Every shard must own at least one object; datasets smaller than the shard
 // count should shard less. With cfg.WALDir set each shard logs and
 // checkpoints for crash recovery; with cfg.Replicas each shard streams to a
-// warm standby the router can promote.
+// warm standby that Kill promotes.
 func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -426,13 +438,7 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 		p.Close()
 		return nil, err
 	}
-	p.Router, err = New(shards, Config{
-		Part:          part,
-		Sizer:         cfg.Sizer,
-		RetryAttempts: cfg.RetryAttempts,
-		RetryBackoff:  cfg.RetryBackoff,
-		FailThreshold: cfg.FailThreshold,
-	})
+	p.Router, err = New(shards, Config{Part: part, Sizer: cfg.Sizer})
 	if err != nil {
 		p.Close()
 		return nil, err

@@ -23,34 +23,6 @@ import (
 type Shard struct {
 	T       wire.Transport
 	Release func(*wire.Response)
-
-	// Replica is an optional warm standby kept current by the primary's
-	// replication stream. When the primary exceeds Config.FailThreshold
-	// consecutive failures the router promotes the replica transparently;
-	// because the standby may lag the primary's final acked batches, the
-	// promotion flushes every tracked client (docs/DURABILITY.md).
-	Replica        wire.Transport
-	ReplicaRelease func(*wire.Response)
-
-	// Redial rebinds to the shard's primary (a restarted process that
-	// recovered from its WAL), returning its transport and recycler; the
-	// returned Shard's Replica and Redial are ignored. Unlike promotion, a
-	// successful redial does not flush clients: the recovered primary
-	// answers stale epochs through its own invalidation protocol.
-	Redial func() (Shard, error)
-}
-
-// endpoint is the live transport the router currently uses for one shard.
-// Swapped atomically on failover; the release function rides along so
-// responses recycle into the pool of the server that produced them. (A
-// response released across a failover boundary may land in the wrong pool —
-// harmless, responses carry no server-specific state.)
-type endpoint struct {
-	t       wire.Transport
-	release func(*wire.Response)
-	// replica marks a promoted standby: further failures try Redial to get
-	// back to a recovered primary rather than promoting again.
-	replica bool
 }
 
 // Config parameterizes a Router.
@@ -62,17 +34,6 @@ type Config struct {
 	// re-inserts an object on its new owner. Objects inserted over the wire
 	// are tracked automatically; nil means unknown sizes re-insert as 0.
 	Sizer func(rtree.ObjectID) int
-	// RetryAttempts is how many times a failed sub-query is re-sent (after
-	// the initial attempt) before the error surfaces. Default 2; negative
-	// disables retries.
-	RetryAttempts int
-	// RetryBackoff is the base delay between retry attempts, doubled per
-	// attempt with jitter. Default 2ms.
-	RetryBackoff time.Duration
-	// FailThreshold is how many consecutive sub-query failures a shard
-	// endpoint accrues before the router fails over (promoting the replica,
-	// or redialing the primary). Default 3; negative disables failover.
-	FailThreshold int
 }
 
 // shardMeta is the router's last-known view of one shard: its current root
@@ -85,16 +46,16 @@ type shardMeta struct {
 	epoch     uint64
 }
 
-// slot is one shard slot as the router sees it: the configured Shard, the
-// live endpoint, the lock serializing failover decisions, the count of
-// failures since the last success, and the last-known metadata. A slot
-// retired by a merge stays in place: node ids are never reused.
+// slot is one shard slot as the router sees it: the live endpoint and the
+// last-known metadata. The endpoint is swapped atomically when a standby is
+// promoted; its Release rides along, so responses recycle into the pool of
+// the server that produced them. (A response released across a promotion
+// may land in the wrong pool — harmless, responses carry no
+// server-specific state.) A slot retired by a merge stays in place: node
+// ids are never reused.
 type slot struct {
-	shard     Shard
-	ep        atomic.Pointer[endpoint]
-	failMu    sync.Mutex
-	consecErr atomic.Int32
-	meta      shardMeta
+	ep   atomic.Pointer[Shard]
+	meta shardMeta
 }
 
 // rootInfo is a lock-free copy of shardMeta taken per request.
@@ -128,14 +89,11 @@ type Router struct {
 
 	// slots are pointers so an elastic split can grow the slice without
 	// copying lock-bearing values.
-	slots     []*slot
-	part      *Partition
-	sizer     func(rtree.ObjectID) int
-	stats     *metrics.ClusterStats
-	retries   int
-	backoff   time.Duration
-	threshold int
-	epochs    *epochTable
+	slots  []*slot
+	part   *Partition
+	sizer  func(rtree.ObjectID) int
+	stats  *metrics.ClusterStats
+	epochs *epochTable
 
 	// wireSizes tracks payload sizes of objects inserted through the
 	// router, so cross-shard re-insertion preserves them.
@@ -163,30 +121,13 @@ func New(shards []Shard, cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: shard count %d outside [1, %d]", len(shards), MaxShards)
 	}
 	r := &Router{
-		part:      cfg.Part,
-		sizer:     cfg.Sizer,
-		stats:     metrics.NewClusterStats(len(shards)),
-		retries:   cfg.RetryAttempts,
-		backoff:   cfg.RetryBackoff,
-		threshold: cfg.FailThreshold,
-		epochs:    newEpochTable(defaultEpochRing, defaultMaxClients),
-	}
-	if r.retries == 0 {
-		r.retries = defaultRetryAttempts
-	} else if r.retries < 0 {
-		r.retries = 0
-	}
-	if r.backoff <= 0 {
-		r.backoff = defaultRetryBackoff
-	}
-	if r.threshold == 0 {
-		r.threshold = defaultFailThreshold
-	} else if r.threshold < 0 {
-		r.threshold = 1 << 30 // effectively never
+		part:   cfg.Part,
+		sizer:  cfg.Sizer,
+		stats:  metrics.NewClusterStats(len(shards)),
+		epochs: newEpochTable(defaultEpochRing, defaultMaxClients),
 	}
 	for s, sh := range shards {
-		// The initial catalog is all-or-nothing: failover machinery only
-		// covers shards that were healthy at construction.
+		// The initial catalog is all-or-nothing: a shard must be up to join.
 		if err := r.addSlot(sh); err != nil {
 			return nil, fmt.Errorf("cluster: catalog shard %d: %w", s, err)
 		}
@@ -202,8 +143,8 @@ func (r *Router) addSlot(sh Shard) error {
 	if err != nil {
 		return err
 	}
-	sl := &slot{shard: sh}
-	sl.ep.Store(&endpoint{t: sh.T, release: sh.Release})
+	sl := &slot{}
+	sl.ep.Store(&sh)
 	r.slots = append(r.slots, sl)
 	r.stats.Grow(len(r.slots))
 	r.observe(len(r.slots)-1, resp)
@@ -221,13 +162,37 @@ func (r *Router) retireSlot(t int) {
 	sl.meta.rootLevel = 0
 	sl.meta.epoch = 0
 	sl.meta.mu.Unlock()
-	sl.ep.Store(&endpoint{t: retiredTransport{}})
+	sl.ep.Store(&Shard{T: retiredTransport{}})
 }
 
+// promote swaps slot s onto its standby after InProcess.Kill stopped the
+// primary. The standby holds every acked batch (Kill drained the
+// replication stream into it), but its epochs are its own writer's, so no
+// invalidation window quoted against the primary can be vouched for: every
+// tracked client is flushed, and the epoch table's generation fences
+// responses computed against the old primary. The shard's observed epoch
+// restarts from the standby's counter. A slot that is not live (a split has
+// not installed it yet, or a merge retired it) keeps its endpoint. The
+// caller holds the topology read lock (procShard.kill).
+func (r *Router) promote(s int, standby Shard) {
+	if s >= len(r.slots) || !r.part.Live(s) {
+		return
+	}
+	sl := r.slots[s]
+	sl.ep.Store(&standby)
+	sl.meta.mu.Lock()
+	sl.meta.epoch = 0
+	sl.meta.mu.Unlock()
+	r.epochs.flushAll()
+	r.stats.Shard(s).Failovers.Add(1)
+}
+
+// A down shard is waited out: a sub-request that finds it down is re-sent
+// retryAttempts times, the delay doubling from retryBackoff with jitter, so
+// a crash-restart from the WAL is absorbed inside one request.
 const (
-	defaultRetryAttempts = 2
-	defaultRetryBackoff  = 2 * time.Millisecond
-	defaultFailThreshold = 3
+	retryAttempts = 4
+	retryBackoff  = 2 * time.Millisecond
 )
 
 // Partition exposes the router's KD partition. An edge cache keys its
@@ -254,7 +219,7 @@ func (r *Router) Snapshot() metrics.ClusterSnapshot {
 	r.topo.RLock()
 	defer r.topo.RUnlock()
 	for s, sl := range r.slots {
-		d, ok := sl.ep.Load().t.(interface{ DurabilityErr() error })
+		d, ok := sl.ep.Load().T.(interface{ DurabilityErr() error })
 		if ok && s < len(snap.PerShard) && d.DurabilityErr() != nil {
 			snap.PerShard[s].WALLatched = true
 		}
@@ -313,8 +278,8 @@ func (r *Router) release(s int, resp *wire.Response) {
 	if resp == nil {
 		return
 	}
-	if ep := r.slots[s].ep.Load(); ep.release != nil {
-		ep.release(resp)
+	if ep := r.slots[s].ep.Load(); ep.Release != nil {
+		ep.Release(resp)
 	}
 }
 
@@ -461,96 +426,21 @@ func (r *Router) putState(st *routeState) {
 func (r *Router) ReleaseResponse(resp *wire.Response) { r.resps.Put(resp) }
 
 // roundTripShard sends one sub-request through the shard's live endpoint,
-// absorbing transient failures: each transport error is retried with
-// jittered exponential backoff, and once the endpoint accrues
-// Config.FailThreshold consecutive failures the router fails over — to the
-// warm replica when one is configured (flushing all clients, since the
-// standby may lag the dead primary's final batches), otherwise by redialing
-// the primary (no flush: a recovered primary serves its own invalidation
-// protocol). Safe for concurrent callers; one goroutine performs the swap
-// while the rest retry against whatever endpoint is current.
+// waiting out a shard that is down (errShardDown); any other error surfaces
+// at once. Each attempt reloads the endpoint, so a standby promoted
+// meanwhile answers the next one. Up to 50% jitter on the backoff keeps
+// concurrent sub-queries from hammering a recovering shard in lockstep.
 func (r *Router) roundTripShard(s int, req *wire.Request) (*wire.Response, error) {
 	sl := r.slots[s]
-	var lastErr error
-	budget := r.retries // attempts remaining after the current one
 	for attempt := 0; ; attempt++ {
-		ep := sl.ep.Load()
-		resp, err := ep.t.RoundTrip(req)
-		if err == nil {
-			sl.consecErr.Store(0)
-			return resp, nil
-		}
-		lastErr = err
-		failedOver := false
-		if int(sl.consecErr.Add(1)) >= r.threshold {
-			failedOver = r.failover(s, ep)
-			if failedOver && budget-attempt < 1 && attempt < r.retries+2*r.threshold {
-				// The request that trips the threshold must still probe the
-				// endpoint it just swapped in, or it fails on the very swap
-				// that fixed the shard. The cap bounds pathological flapping.
-				budget = attempt + 1
-			}
-		}
-		if attempt >= budget {
-			return nil, lastErr
+		resp, err := sl.ep.Load().T.RoundTrip(req)
+		if err != errShardDown || attempt == retryAttempts {
+			return resp, err
 		}
 		r.stats.Shard(s).Retries.Add(1)
-		if !failedOver {
-			// A swapped endpoint is worth probing immediately; otherwise
-			// give the shard a moment before the next attempt.
-			time.Sleep(jitteredBackoff(r.backoff, attempt))
-		}
+		d := retryBackoff << attempt
+		time.Sleep(d + time.Duration(time.Now().UnixNano())%(d/2+1))
 	}
-}
-
-// jitteredBackoff doubles base per attempt and adds up to 50% jitter so
-// concurrent sub-queries don't hammer a recovering shard in lockstep.
-func jitteredBackoff(base time.Duration, attempt int) time.Duration {
-	d := base << uint(attempt)
-	if d > 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	j := time.Duration(time.Now().UnixNano()) % (d/2 + 1)
-	return d + j
-}
-
-// failover swaps the shard's endpoint after repeated failures. It returns
-// true when the caller should retry immediately on a fresh endpoint (either
-// this call swapped one in, or another goroutine already had).
-func (r *Router) failover(s int, failed *endpoint) bool {
-	sl := r.slots[s]
-	sl.failMu.Lock()
-	defer sl.failMu.Unlock()
-	if sl.ep.Load() != failed {
-		return true // a concurrent failover already replaced it
-	}
-	sh := &sl.shard
-	if !failed.replica && sh.Replica != nil {
-		// Promote the warm standby. It has applied every batch the
-		// replication stream delivered, but batches acked by the primary in
-		// its final moments may be lost — every tracked client is flushed so
-		// nobody trusts invalidation windows that straddle the gap, and the
-		// shard's observed epoch restarts from the replica's own counter.
-		sl.ep.Store(&endpoint{t: sh.Replica, release: sh.ReplicaRelease, replica: true})
-		sl.meta.mu.Lock()
-		sl.meta.epoch = 0
-		sl.meta.mu.Unlock()
-		r.epochs.flushAll()
-		r.stats.Shard(s).Failovers.Add(1)
-		sl.consecErr.Store(0)
-		return true
-	}
-	if sh.Redial != nil {
-		nsh, err := sh.Redial()
-		if err != nil {
-			return false // primary still down; keep erroring until it returns
-		}
-		sl.ep.Store(&endpoint{t: nsh.T, release: nsh.Release})
-		r.stats.Shard(s).Redials.Add(1)
-		sl.consecErr.Store(0)
-		return true
-	}
-	return false
 }
 
 // issueWave runs every item of a non-empty wave against its shard and

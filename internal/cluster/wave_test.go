@@ -39,7 +39,7 @@ func TestIssueWaveAnswersAndReleases(t *testing.T) {
 						Release: func(*wire.Response) { released[s].Add(1) },
 					}
 				}
-				router, err := New(shards, Config{Part: part, RetryAttempts: -1, FailThreshold: -1})
+				router, err := New(shards, Config{Part: part})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,20 +12,16 @@ import (
 )
 
 // durableCluster builds the chaos-capable backend the fault scenarios need:
-// per-shard WALs for crash recovery, optional warm replicas, and a hair
-// trigger on the router's failover so a kill is absorbed within one query.
+// per-shard WALs for crash recovery and optional warm standbys.
 func durableCluster(t *testing.T, replicas bool) *cluster.InProcess {
 	t.Helper()
 	ds := dataset.GenerateNE(dataset.Params{N: 4000, Seed: 7})
 	cl, err := cluster.NewInProcess(ds.Objects, cluster.InProcessConfig{
-		Shards:        4,
-		Sizer:         ds.SizeOf,
-		WALDir:        t.TempDir(),
-		WAL:           wal.Options{NoSync: true, CheckpointBytes: 64 << 10},
-		Replicas:      replicas,
-		RetryAttempts: 4,
-		RetryBackoff:  2 * time.Millisecond,
-		FailThreshold: 1,
+		Shards:   4,
+		Sizer:    ds.SizeOf,
+		WALDir:   t.TempDir(),
+		WAL:      wal.Options{NoSync: true, CheckpointBytes: 64 << 10},
+		Replicas: replicas,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +30,28 @@ func durableCluster(t *testing.T, replicas bool) *cluster.InProcess {
 	return cl
 }
 
-func runScenario(t *testing.T, name string, cl *cluster.InProcess) *Result {
+// countingInjector is the cluster's chaos surface with a count of the
+// faults that actually fired: the witness that a scenario injected them.
+type countingInjector struct {
+	*cluster.InProcess
+	kills, restarts atomic.Int64
+}
+
+func (c *countingInjector) Kill(s int) {
+	c.kills.Add(1)
+	c.InProcess.Kill(s)
+}
+
+func (c *countingInjector) Restart(s int) error {
+	c.restarts.Add(1)
+	return c.InProcess.Restart(s)
+}
+
+// runScenario runs the named scenario against cl and returns its result
+// and the injector that counted the faults its schedule fired.
+func runScenario(t *testing.T, name string, cl *cluster.InProcess) (*Result, *countingInjector) {
 	t.Helper()
+	inj := &countingInjector{InProcess: cl}
 	sp, err := Lookup(name)
 	if err != nil {
 		t.Fatal(err)
@@ -48,29 +65,29 @@ func runScenario(t *testing.T, name string, cl *cluster.InProcess) *Result {
 		Seed:         11,
 		NewTransport: func(int) (wire.Transport, error) { return cl.Router, nil },
 		Release:      cl.Router.ReleaseResponse,
-		Injector:     cl,
+		Injector:     inj,
 		Cluster:      cl.Router.Stats().Snapshot,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, inj
 }
 
 // TestLoadChaosCrashRecovery drives the shard-crash-recovery scenario end
-// to end: two shards crash-restart from their WALs mid-run and the router's
-// retry/redial path absorbs both — zero protocol errors reach a user.
+// to end: two shards crash-restart from their WALs mid-run and the router
+// waits each one out — zero protocol errors reach a user.
 func TestLoadChaosCrashRecovery(t *testing.T) {
 	cl := durableCluster(t, false)
-	res := runScenario(t, "shard-crash-recovery", cl)
+	res, inj := runScenario(t, "shard-crash-recovery", cl)
 	if res.Errors != 0 {
 		t.Fatalf("%d protocol errors leaked through the crash-restarts", res.Errors)
 	}
 	if res.WireOK == 0 {
 		t.Fatal("nothing completed")
 	}
-	if res.Redials == 0 {
-		t.Fatal("no redials counted: the faults did not fire or the router never noticed")
+	if k, r := inj.kills.Load(), inj.restarts.Load(); k != 2 || r != 2 {
+		t.Fatalf("the schedule fired %d kills and %d restarts, want 2 and 2", k, r)
 	}
 	if res.Failovers != 0 {
 		t.Fatalf("%d replica promotions in a replica-less cluster", res.Failovers)
@@ -78,21 +95,20 @@ func TestLoadChaosCrashRecovery(t *testing.T) {
 }
 
 // TestLoadClusterCountersPerRun runs a fault-free scenario on the backend a
-// chaos scenario just crashed and restarted: the failover counters it
-// reports are its own, not the totals the backend carries from the run
-// before.
+// chaos scenario just failed over (a promotion is the one counter a fault
+// moves for certain): the failover counters it reports are its own, not the
+// totals the backend carries from the run before.
 func TestLoadClusterCountersPerRun(t *testing.T) {
-	cl := durableCluster(t, false)
-	if res := runScenario(t, "shard-crash-recovery", cl); res.Redials == 0 {
-		t.Fatal("no redials counted: the faults did not fire")
+	cl := durableCluster(t, true)
+	if res, inj := runScenario(t, "replica-failover", cl); inj.kills.Load() == 0 || res.Failovers == 0 {
+		t.Fatalf("the kill did not fire (%d kills, %d promotions)", inj.kills.Load(), res.Failovers)
 	}
-	res := runScenario(t, "baseline", cl)
+	res, _ := runScenario(t, "baseline", cl)
 	if res.Errors != 0 || res.WireOK == 0 {
-		t.Fatalf("baseline after recovery: %d ok, %d errors", res.WireOK, res.Errors)
+		t.Fatalf("baseline after the failover: %d ok, %d errors", res.WireOK, res.Errors)
 	}
-	if res.Redials != 0 || res.Retries != 0 || res.Failovers != 0 {
-		t.Fatalf("fault-free run reported retries=%d failovers=%d redials=%d",
-			res.Retries, res.Failovers, res.Redials)
+	if res.Retries != 0 || res.Failovers != 0 {
+		t.Fatalf("fault-free run reported retries=%d failovers=%d", res.Retries, res.Failovers)
 	}
 }
 
@@ -100,12 +116,15 @@ func TestLoadClusterCountersPerRun(t *testing.T) {
 // replica is promoted and the schedule finishes with zero errors.
 func TestLoadChaosReplicaFailover(t *testing.T) {
 	cl := durableCluster(t, true)
-	res := runScenario(t, "replica-failover", cl)
+	res, inj := runScenario(t, "replica-failover", cl)
 	if res.Errors != 0 {
 		t.Fatalf("%d protocol errors leaked through the failover", res.Errors)
 	}
-	if res.Failovers == 0 {
-		t.Fatal("no replica promotion counted: the kill did not fire or the router never failed over")
+	if k := inj.kills.Load(); k != 1 {
+		t.Fatalf("the schedule fired %d kills, want 1", k)
+	}
+	if res.Failovers != 1 {
+		t.Fatalf("%d replica promotions, want the kill's 1", res.Failovers)
 	}
 }
 
@@ -148,6 +167,28 @@ func TestFaultMatrixDisjoint(t *testing.T) {
 		if s.SLO.MaxErrorFrac != 0 {
 			t.Fatalf("fault scenario %q tolerates errors (MaxErrorFrac=%v); failover must be invisible",
 				s.Name, s.SLO.MaxErrorFrac)
+		}
+	}
+}
+
+// TestNeedsStandbyRule pins which chaos scenarios run with warm standbys:
+// only a shard killed for good needs one. A crash-restart scenario must run
+// without, or promotion absorbs every crash and no WAL-restarted primary
+// ever serves under load.
+func TestNeedsStandbyRule(t *testing.T) {
+	want := map[string]bool{"shard-crash-recovery": false, "replica-failover": true}
+	for _, s := range FaultMatrix() {
+		w, ok := want[s.Name]
+		if !ok {
+			t.Fatalf("fault scenario %q has no pinned standby rule; add it here", s.Name)
+		}
+		if got := NeedsStandby(s.Faults); got != w {
+			t.Errorf("NeedsStandby(%s) = %v, want %v", s.Name, got, w)
+		}
+	}
+	for _, s := range Matrix() {
+		if NeedsStandby(s.Faults) {
+			t.Errorf("fault-free scenario %q asks for standbys", s.Name)
 		}
 	}
 }

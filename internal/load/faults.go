@@ -9,15 +9,15 @@ import (
 // shard-level faults fired at fixed fractions of the run; the harness keeps
 // driving its open-loop schedule straight through them, so the SLO envelope
 // judges exactly what a fleet of mobile users would experience while a
-// shard dies: the router's retry/failover path either absorbs the fault or
-// the error and latency counters say it didn't.
+// shard dies: a promoted standby or the router waiting out a restart either
+// absorbs the fault or the error and latency counters say it didn't.
 
 // FaultKind is what one scheduled fault does to a shard.
 type FaultKind uint8
 
 const (
 	// FaultKillShard crash-stops the shard and leaves it down. Only
-	// survivable with a warm replica the router can promote.
+	// survivable with a warm standby, which the kill promotes.
 	FaultKillShard FaultKind = iota
 	// FaultRestartShard restarts a previously killed shard from its WAL.
 	FaultRestartShard
@@ -48,8 +48,10 @@ type FaultEvent struct {
 }
 
 // Injector is the backend's chaos surface; cluster.InProcess satisfies it
-// directly. Kill must be safe to call on an already-dead shard and Restart
-// on a live one (both are no-ops there).
+// directly. Kill promotes the shard's warm standby when the backend runs
+// one; otherwise the shard is down until Restart recovers it from its WAL,
+// and the router waits it out. Kill must be safe to call on an
+// already-dead shard and Restart on a live one (both are no-ops there).
 type Injector interface {
 	Kill(shard int)
 	Restart(shard int) error
@@ -89,6 +91,20 @@ func injectFaults(events []FaultEvent, inj Injector, dur time.Duration,
 	}
 }
 
+// NeedsStandby reports whether a fault schedule calls for warm standbys:
+// it has a FaultKillShard, the one fault only a promoted standby survives.
+// A schedule of crash-restarts runs without standbys, so the shard that
+// serves after each one is the primary its WAL restored rather than a
+// standby promoted in its place.
+func NeedsStandby(faults []FaultEvent) bool {
+	for _, ev := range faults {
+		if ev.Kind == FaultKillShard {
+			return true
+		}
+	}
+	return false
+}
+
 // FaultMatrix returns the chaos scenarios. They live outside Matrix() —
 // "-scenario all" and the benchmark harness run fault-free — and require a
 // backend that exposes an Injector (proload -inprocess). Names are stable:
@@ -108,9 +124,9 @@ func FaultMatrix() []Spec {
 				MinAchievedFrac: 0.85,
 				MaxErrorFrac:    0,
 				MaxShedFrac:     0.05,
-				// Queries in flight across the crash window block on the
-				// retry/redial path; the tail envelope absorbs that, the
-				// error envelope does not budge.
+				// Queries in flight across the crash window wait in the
+				// router's retry loop until the WAL restart lands; the tail
+				// envelope absorbs that, the error envelope does not budge.
 				MaxP99:  1 * time.Second,
 				MaxP999: 3 * time.Second,
 			},

@@ -52,8 +52,8 @@ type Config struct {
 	// schedules faults; fault-free specs ignore it.
 	Injector Injector
 	// Cluster, when set, is sampled before and after the run to fill the
-	// cluster-only Result fields (ShardErrors, Retries, Failovers, Redials,
-	// Splits, Merges, Handover) with this run's deltas. Wire it to the
+	// cluster-only Result fields (ShardErrors, Retries, Failovers, Splits,
+	// Merges, Handover) with this run's deltas. Wire it to the
 	// metrics.ClusterStats of the router behind NewTransport.
 	Cluster func() metrics.ClusterSnapshot
 	// EdgeStats, when set, is sampled before and after the run to fill

@@ -31,7 +31,6 @@ type Result struct {
 
 	Retries   int64 // shard round trips the router retried (cluster only)
 	Failovers int64 // replica promotions (cluster only)
-	Redials   int64 // shard reconnects after failure (cluster only)
 
 	EdgeTier     bool  // the run went through an edge cache tier
 	EdgeHits     int64 // queries the edge answered without touching the cluster
@@ -62,7 +61,6 @@ func (r *Result) FillClusterDeltas(before, after metrics.ClusterSnapshot) {
 	r.ShardErrors = after.Errors() - before.Errors()
 	r.Retries = after.Retries() - before.Retries()
 	r.Failovers = after.Failovers() - before.Failovers()
-	r.Redials = after.Redials() - before.Redials()
 	r.Splits = after.Splits - before.Splits
 	r.Merges = after.Merges - before.Merges
 	r.Handover = time.Duration(after.HandoverNanos - before.HandoverNanos)
@@ -126,7 +124,6 @@ type ScenarioReport struct {
 
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
-	Redials   int64 `json:"redials"`
 
 	EdgeTier     bool  `json:"edge_tier"`
 	EdgeHits     int64 `json:"edge_hits"`
@@ -177,7 +174,6 @@ func (r *Result) Report() ScenarioReport {
 
 		Retries:   r.Retries,
 		Failovers: r.Failovers,
-		Redials:   r.Redials,
 
 		EdgeTier:     r.EdgeTier,
 		EdgeHits:     r.EdgeHits,
@@ -273,9 +269,8 @@ func (r *Result) Fprint(w io.Writer) {
 		r.Duration.Round(time.Millisecond), r.Users, r.Workers)
 	fmt.Fprintf(w, "  ops: scheduled=%d wire=%d ok=%d errors=%d timeouts=%d shed=%d shard_errors=%d updates=%d rejects=%d\n",
 		r.Scheduled, r.WireSent, r.WireOK, r.Errors, r.Timeouts, r.Shed, r.ShardErrors, r.Updates, r.UpdateRejects)
-	if r.Retries > 0 || r.Failovers > 0 || r.Redials > 0 {
-		fmt.Fprintf(w, "  failover: retries=%d promotions=%d redials=%d\n",
-			r.Retries, r.Failovers, r.Redials)
+	if r.Retries > 0 || r.Failovers > 0 {
+		fmt.Fprintf(w, "  failover: retries=%d promotions=%d\n", r.Retries, r.Failovers)
 	}
 	if r.Elastic && (r.Splits > 0 || r.Merges > 0) {
 		fmt.Fprintf(w, "  elastic: splits=%d merges=%d handover=%v\n",

@@ -17,7 +17,7 @@ func sampleResult() *Result {
 		Users:       100_000,
 		Workers:     4,
 		Scheduled:   1500, WireSent: 1500, WireOK: 1500, Updates: 100,
-		Retries: 3, Failovers: 1, Redials: 2,
+		Retries: 3, Failovers: 1,
 		BytesUp: 50_000, BytesDown: 4_000_000,
 		Mean: time.Millisecond, P50: time.Millisecond,
 		P99: 4 * time.Millisecond, P999: 8 * time.Millisecond,
@@ -45,7 +45,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if sc.Scenario != "baseline" || sc.WireOK != 1500 || sc.P999US != 8000 || !sc.SLOPass {
 		t.Fatalf("round trip mangled values: %+v", sc)
 	}
-	if sc.Retries != 3 || sc.Failovers != 1 || sc.Redials != 2 {
+	if sc.Retries != 3 || sc.Failovers != 1 {
 		t.Fatalf("failover counters mangled: %+v", sc)
 	}
 }
@@ -74,7 +74,7 @@ func TestValidateReportRejects(t *testing.T) {
 			return bytes.Replace(b, []byte(`"failovers"`), []byte(`"failovers_gone"`), 1)
 		}, `missing key "failovers"`},
 		{"negative failover counter", func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"redials": 2`), []byte(`"redials": -2`), 1)
+			return bytes.Replace(b, []byte(`"retries": 3`), []byte(`"retries": -3`), 1)
 		}, "negative"},
 		{"negative mix counter", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"updates": 100`), []byte(`"updates": -100`), 1)

@@ -56,12 +56,10 @@ type ShardCounters struct {
 	SubQueries atomic.Int64
 	// Errors counts sub-requests this shard failed.
 	Errors atomic.Int64
-	// Retries counts sub-requests re-sent after a transport error.
+	// Retries counts sub-requests re-sent while this shard was down.
 	Retries atomic.Int64
 	// Failovers counts promotions of this shard's warm replica.
 	Failovers atomic.Int64
-	// Redials counts reconnects to this shard's primary endpoint.
-	Redials atomic.Int64
 
 	// Objects gauges how many objects the shard currently owns: seeded at
 	// build/spawn, maintained from acked inserts and deletes, and adjusted
@@ -143,7 +141,6 @@ type ShardSnapshot struct {
 	Errors     int64
 	Retries    int64
 	Failovers  int64
-	Redials    int64
 	Objects    int64
 	Dead       bool
 	// WALLatched marks a shard whose write-ahead log failed: it keeps
@@ -174,7 +171,6 @@ func (s *ClusterStats) Snapshot() ClusterSnapshot {
 				Errors:     sh.Errors.Load(),
 				Retries:    sh.Retries.Load(),
 				Failovers:  sh.Failovers.Load(),
-				Redials:    sh.Redials.Load(),
 				Objects:    sh.Objects.Load(),
 				Dead:       sh.Dead.Load(),
 			}
@@ -216,8 +212,8 @@ func (s ClusterSnapshot) String() string {
 		if sh.WALLatched {
 			b.WriteString("(wal-latched)")
 		}
-		if sh.Retries > 0 || sh.Failovers > 0 || sh.Redials > 0 {
-			fmt.Fprintf(&b, "[%dretry/%dfo/%dredial]", sh.Retries, sh.Failovers, sh.Redials)
+		if sh.Retries > 0 || sh.Failovers > 0 {
+			fmt.Fprintf(&b, "[%dretry/%dfo]", sh.Retries, sh.Failovers)
 		}
 	}
 	return b.String()
@@ -236,11 +232,6 @@ func (s ClusterSnapshot) Retries() int64 {
 // Failovers sums replica promotions across shards.
 func (s ClusterSnapshot) Failovers() int64 {
 	return s.sum(func(sh ShardSnapshot) int64 { return sh.Failovers })
-}
-
-// Redials sums primary reconnects across shards.
-func (s ClusterSnapshot) Redials() int64 {
-	return s.sum(func(sh ShardSnapshot) int64 { return sh.Redials })
 }
 
 // LiveShards counts slots that are not dead.

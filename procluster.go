@@ -60,14 +60,8 @@ type ClusterConfig struct {
 	// throwaway directories only — a crash can lose unsynced batches.
 	WALNoSync bool
 	// Replicas runs one warm standby per shard, fed the primary's acked
-	// batches, which the router promotes when the primary stays dead.
+	// batches, which Kill promotes in the primary's place.
 	Replicas bool
-	// RetryAttempts, RetryBackoff and FailThreshold tune the router's
-	// transient-failure retry and its failover trigger (zero = defaults;
-	// see cluster.Config).
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	FailThreshold int
 }
 
 // ClusterServer is a spatially sharded spatial database behind one
@@ -97,15 +91,12 @@ type ClusterServer struct {
 // count should shard less.
 func NewClusterServer(objects []Object, cfg ClusterConfig) (*ClusterServer, error) {
 	p, err := cluster.NewInProcess(objects, cluster.InProcessConfig{
-		Shards:        cfg.Shards,
-		Server:        server.Config{Form: cfg.Form},
-		Sizer:         buildSizer(objects),
-		WALDir:        cfg.WALDir,
-		WAL:           wal.Options{NoSync: cfg.WALNoSync},
-		Replicas:      cfg.Replicas,
-		RetryAttempts: cfg.RetryAttempts,
-		RetryBackoff:  cfg.RetryBackoff,
-		FailThreshold: cfg.FailThreshold,
+		Shards:   cfg.Shards,
+		Server:   server.Config{Form: cfg.Form},
+		Sizer:    buildSizer(objects),
+		WALDir:   cfg.WALDir,
+		WAL:      wal.Options{NoSync: cfg.WALNoSync},
+		Replicas: cfg.Replicas,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
@@ -207,13 +198,16 @@ func (cs *ClusterServer) ReleaseResponse(resp *wire.Response) {
 	cs.cluster.Router.ReleaseResponse(resp)
 }
 
-// Kill crash-stops one shard (chaos testing): its transport fails
-// immediately and the router rides it out via retry, replica promotion, or
-// redial after Restart. Requires ClusterConfig.WALDir for Restart to work.
+// Kill crash-stops one shard (chaos testing). With ClusterConfig.Replicas
+// its warm standby is promoted at once, and every client is flushed;
+// without one the shard is down until Restart, and a request to it waits
+// 30–45 ms before it fails. Requires ClusterConfig.WALDir for Restart to
+// work.
 func (cs *ClusterServer) Kill(shard int) { cs.cluster.Kill(shard) }
 
 // Restart recovers a killed shard from its WAL (checkpoint + tail replay)
-// and returns it to service; the router's next redial binds to it.
+// and returns it to service: the router's next round trip to the shard
+// reaches it. A shard whose standby was promoted stays on the standby.
 func (cs *ClusterServer) Restart(shard int) error { return cs.cluster.Restart(shard) }
 
 // Shards returns the shard slot count, dead slots included. Splits grow it;
