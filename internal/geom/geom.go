@@ -170,9 +170,30 @@ func MinDistSq(p Point, r Rect) float64 {
 // and any point of s (zero when they intersect). It is the pruning metric
 // for distance joins over R-tree node pairs.
 func RectMinDist(r, s Rect) float64 {
+	dist, _ := RectMinDistWithin(r, s, math.Inf(1))
+	return dist
+}
+
+// RectMinDistWithin returns RectMinDist(r, s) and whether it is at most d.
+// It reports false without the distance when one axis gap alone exceeds d.
+// Rectangles that overlap on an axis have a zero gap there, and Hypot(0, y)
+// is exactly y, so that case skips math.Hypot (FuzzRectMinDistMatchesHypot
+// holds the bits equal).
+func RectMinDistWithin(r, s Rect, d float64) (float64, bool) {
 	dx := gapDist(r.MinX, r.MaxX, s.MinX, s.MaxX)
 	dy := gapDist(r.MinY, r.MaxY, s.MinY, s.MaxY)
-	return math.Hypot(dx, dy)
+	var dist float64
+	switch {
+	case dx > d || dy > d:
+		return 0, false
+	case dx == 0:
+		dist = dy
+	case dy == 0:
+		dist = dx
+	default:
+		dist = math.Hypot(dx, dy)
+	}
+	return dist, dist <= d
 }
 
 // axisDist returns the 1-D distance from v to the interval [lo, hi].

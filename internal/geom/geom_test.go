@@ -323,3 +323,30 @@ func TestStringers(t *testing.T) {
 		t.Error("empty Point string")
 	}
 }
+
+// FuzzRectMinDistMatchesHypot holds RectMinDist to math.Hypot of the two
+// axis gaps bit for bit, subnormal, huge and infinite coordinates included,
+// and RectMinDistWithin to the same distance and the same verdict.
+func FuzzRectMinDistMatchesHypot(f *testing.F) {
+	f.Add(0.0, 0.0, 1.0, 1.0, 0.5, 2.0, 3.0, 4.0, 1.0)
+	f.Add(0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.5)
+	f.Add(0.0, 0.0, 5e-324, 1.0, 1e-323, 0.5, 1.0, 1.0, 0.0)
+	f.Add(-1e308, 0.0, 1e308, 1.0, 0.0, 2.0, 1.0, 3.0, 1.0)
+	f.Add(math.Inf(-1), 0.0, 0.0, 1.0, 1.0, math.Inf(1), 2.0, math.Inf(1), math.Inf(1))
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy, d float64) {
+		r := Rect{math.Min(ax, bx), math.Min(ay, by), math.Max(ax, bx), math.Max(ay, by)}
+		s := Rect{math.Min(cx, dx), math.Min(cy, dy), math.Max(cx, dx), math.Max(cy, dy)}
+		want := math.Hypot(gapDist(r.MinX, r.MaxX, s.MinX, s.MaxX), gapDist(r.MinY, r.MaxY, s.MinY, s.MaxY))
+		if got := RectMinDist(r, s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("RectMinDist(%v, %v) = %v (%#x), Hypot of the gaps = %v (%#x)",
+				r, s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		got, ok := RectMinDistWithin(r, s, d)
+		if ok != (want <= d) {
+			t.Fatalf("RectMinDistWithin(%v, %v, %v) = %v, distance %v", r, s, d, ok, want)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("RectMinDistWithin(%v, %v, %v) = %v, distance %v", r, s, d, got, want)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/pq"
 	"repro/internal/rtree"
 )
@@ -30,11 +31,26 @@ type Provider interface {
 	HaveObject(obj rtree.ObjectID) bool
 }
 
+// LeafResolver lets a provider that holds every object and never reports a
+// target missing (the server's) resolve join pairs at leaf level: the Runner
+// confirms everything beneath a popped pair whose sides are both at leaf
+// level depth-first, off the queue. Its descendants touch only pages the pair
+// itself visits, so the visit order, the positions expanded, the pair set
+// and Stats stay the queue's; only the order of Outcome.Pairs changes. The
+// client's provider touches its cache in pop order and keeps the queue.
+type LeafResolver interface {
+	// LeafLevel reports whether ref is an object, or a node or super entry
+	// of a level-0 node, whose page holds objects only.
+	LeafLevel(ref Ref) bool
+}
+
 // Stats counts the work a run performed; the simulation's client CPU cost
-// model is built on these.
+// model is built on these. Pushes and pops count the elements Algorithm 1
+// queues and dequeues, not calls into the heap: a pair resolved at leaf level
+// (LeafResolver) counts the push and the pop the queue would have made.
 type Stats struct {
-	Pops    int // priority-queue pops
-	Pushes  int // priority-queue pushes
+	Pops    int // elements dequeued
+	Pushes  int // elements queued
 	Expands int // successful Expand calls
 	Evals   int // candidate evaluations (predicate checks, incl. join pairs)
 }
@@ -58,7 +74,10 @@ type Outcome struct {
 	// objects Rs of the paper.
 	Results []Ref
 
-	// Pairs holds confirmed join result pairs (canonically ordered).
+	// Pairs holds confirmed join result pairs, each canonically ordered. They
+	// come in confirmation order. On a LeafResolver (the server) that is the
+	// pop order of the queued pairs, with every pair beneath a leaf-level
+	// pair confirmed depth-first when that pair pops.
 	Pairs [][2]Ref
 
 	// Remainder is the pruned priority-queue snapshot to hand to the
@@ -100,6 +119,12 @@ type Runner struct {
 	results     []Ref
 	pairs       [][2]Ref
 	pairScratch []Ref // holds one side of a double-descend join expansion
+
+	// Leaf-level resolution (LeafResolver): while resolving, pushPair
+	// stacks child pairs on leafStack, and confirms object pairs, instead
+	// of queueing them.
+	resolving bool
+	leafStack []Elem
 }
 
 // Reset clears the runner for the next query, retaining all backing storage.
@@ -111,6 +136,8 @@ func (r *Runner) Reset() {
 	r.results = r.results[:0]
 	r.pairs = r.pairs[:0]
 	r.pairScratch = r.pairScratch[:0]
+	r.resolving = false
+	r.leafStack = r.leafStack[:0]
 }
 
 // Run executes q over the provider starting from the seeded queue state.
@@ -134,6 +161,12 @@ func (r *Runner) RunBounded(q Query, prov Provider, seed []QueuedElem, bound flo
 		return r.runRangeFIFO(q, prov, seed)
 	}
 	var out Outcome
+	// A bounded run stops at the bound, which a depth-first descent would
+	// not, so only unbounded joins resolve at leaf level.
+	var leaf LeafResolver
+	if q.Kind == Join && bound <= 0 {
+		leaf, _ = prov.(LeafResolver)
+	}
 	minMissingNonLeaf := math.Inf(1)
 	m := 0            // confirmed results
 	nMissingLeaf := 0 // popped object elements that could not be confirmed
@@ -183,7 +216,11 @@ func (r *Runner) RunBounded(q Query, prov Provider, seed []QueuedElem, bound flo
 			continue
 		}
 
-		if !r.expandElem(q, prov, elem, &out.Stats) {
+		if leaf != nil && elem.Pair && leaf.LeafLevel(elem.A) && leaf.LeafLevel(elem.B) {
+			r.resolveLeafLevel(q, prov, &elem, &out.Stats)
+			continue
+		}
+		if !r.expandElem(q, prov, &elem, &out.Stats) {
 			r.stuck = append(r.stuck, QueuedElem{Key: key, Elem: elem})
 			if key < minMissingNonLeaf {
 				minMissingNonLeaf = key
@@ -317,7 +354,7 @@ func pruneKNNRemainder(rem []QueuedElem, want int) []QueuedElem {
 // straight into the priority queue (no intermediate slice — expansion is
 // the engine's hottest allocation site). It reports false when the element
 // is missing from the provider.
-func (r *Runner) expandElem(q Query, prov Provider, elem Elem, stats *Stats) bool {
+func (r *Runner) expandElem(q Query, prov Provider, elem *Elem, stats *Stats) bool {
 	if !elem.Pair {
 		children, ok := prov.Expand(elem.A)
 		if !ok {
@@ -336,19 +373,47 @@ func (r *Runner) expandElem(q Query, prov Provider, elem Elem, stats *Stats) boo
 	return r.expandPair(q, prov, elem, stats)
 }
 
+// resolveLeafLevel confirms every result pair beneath the popped leaf-level
+// pair elem depth-first (see LeafResolver). Each pair it stacks counts the
+// push and the pop the queue would have made, so Stats are the queue's.
+func (r *Runner) resolveLeafLevel(q Query, prov Provider, elem *Elem, stats *Stats) {
+	r.resolving = true
+	r.expandPair(q, prov, elem, stats)
+	for n := len(r.leafStack); n > 0; n = len(r.leafStack) {
+		e := r.leafStack[n-1]
+		r.leafStack = r.leafStack[:n-1]
+		stats.Pops++
+		r.expandPair(q, prov, &e, stats)
+	}
+	r.resolving = false
+}
+
 // pushPair queues the child pair <x, y> of two refs inside the join window
 // if it may contain result pairs: what is left of acceptsPair is the distance
-// test, and that distance is the pair's key.
+// test, and that distance is the pair's key. While a leaf-level pair
+// resolves, the child pair goes on the depth-first stack instead, or, when
+// both sides are objects, is confirmed at once.
 func (r *Runner) pushPair(q Query, x, y *Ref, stats *Stats) {
-	key := q.PairKeyFor(x.MBR, y.MBR)
-	if !(key <= q.Dist) {
+	key, ok := geom.RectMinDistWithin(x.MBR, y.MBR, q.Dist)
+	if !ok {
 		return
 	}
 	if x.IsObject() && x.Same(*y) {
 		return // a distance self-join never pairs an object with itself
 	}
-	r.h.Push(key, PairOf(*x, *y))
 	stats.Pushes++
+	switch {
+	case !r.resolving:
+		r.h.Push(key, PairOf(*x, *y))
+	case x.IsObject() && y.IsObject():
+		stats.Pops++
+		if y.Less(*x) {
+			x, y = y, x
+		}
+		r.pairs = append(r.pairs, [2]Ref{*x, *y})
+	default:
+		r.leafStack = append(r.leafStack, PairOf(*x, *y))
+	}
 }
 
 // inJoinWindow appends to dst the refs whose MBR meets the join window, in
@@ -367,16 +432,16 @@ func inJoinWindow(dst []Ref, q Query, refs []Ref) []Ref {
 // A pair is missing when any side it must descend is missing (footnote 3 of
 // the paper). Child pairs are pushed in nested-loop order, side a outer: the
 // heap pops equal keys in push order.
-func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) bool {
-	a, b := elem.A, elem.B
+func (r *Runner) expandPair(q Query, prov Provider, elem *Elem, stats *Stats) bool {
+	a, b := &elem.A, &elem.B
 
 	switch {
 	case a.IsObject() || b.IsObject(): // descend the other side only
-		obj, node := &a, b
+		obj, node := a, b
 		if b.IsObject() {
-			obj, node = &b, a
+			obj, node = b, a
 		}
-		children, ok := prov.Expand(node)
+		children, ok := prov.Expand(*node)
 		if !ok {
 			return false
 		}
@@ -392,8 +457,8 @@ func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) boo
 		}
 		return true
 
-	case a.Same(b): // one expansion, unordered child pairs
-		children, ok := prov.Expand(a)
+	case a.Same(*b): // one expansion, unordered child pairs
+		children, ok := prov.Expand(*a)
 		if !ok {
 			return false
 		}
@@ -409,7 +474,7 @@ func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) boo
 		return true
 
 	default: // descend both sides
-		ca, okA := prov.Expand(a)
+		ca, okA := prov.Expand(*a)
 		if !okA {
 			return false
 		}
@@ -418,7 +483,7 @@ func (r *Runner) expandPair(q Query, prov Provider, elem Elem, stats *Stats) boo
 		nA := len(ca)
 		in := inJoinWindow(r.pairScratch[:0], q, ca)
 		inA := len(in)
-		cb, okB := prov.Expand(b)
+		cb, okB := prov.Expand(*b)
 		if !okB {
 			return false
 		}

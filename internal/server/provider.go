@@ -175,6 +175,17 @@ func (p *provider) Expand(ref query.Ref) ([]query.Ref, bool) {
 // HaveObject implements query.Provider; the server holds every object.
 func (p *provider) HaveObject(rtree.ObjectID) bool { return true }
 
+// LeafLevel implements query.LeafResolver: the server holds every object
+// and never reports a target missing, so its joins resolve pairs of objects
+// and level-0 nodes depth-first.
+func (p *provider) LeafLevel(ref query.Ref) bool {
+	if ref.Kind == query.RefObject {
+		return true
+	}
+	n, ok := p.tree.Node(ref.Node)
+	return ok && n.Level == 0
+}
+
 // pageRef converts a leaf position of a packed page into an engine reference
 // — the flat-array twin of query.FromEntry.
 func pageRef(pg *rtree.Page, pos int32) query.Ref {
