@@ -7,8 +7,8 @@
 //
 // Every deployment is a cluster: -cluster N KD-partitions the dataset into
 // N in-process shards behind one scatter-gather router, and the default of
-// one shard is the single node. Durability, replicas, the edge tier and the
-// elastic rebalancer apply at any shard count. The serving layer runs one
+// one shard is the single node. Durability and the elastic rebalancer apply
+// at any shard count. The serving layer runs one
 // goroutine per connection behind a connection limit and a bounded worker
 // pool, reaps idle connections, and drains in-flight requests on
 // SIGINT/SIGTERM before exiting.
@@ -23,9 +23,7 @@
 //	prodb -pipeline 128                   # deeper per-connection pipelining
 //	prodb -updates=false                  # read-only: reject wire updates
 //	prodb -wal /var/lib/prodb             # durable shards (WAL + checkpoints)
-//	prodb -cluster 4 -replicas            # warm standby per shard
 //	prodb -elastic                        # online split/merge rebalancing
-//	prodb -edge                           # edge cache tier before the router
 //	prodb -stats 10s                      # periodic serving stats
 //	prodb -pprof localhost:6060           # expose net/http/pprof for profiling
 //
@@ -50,8 +48,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/elastic"
-	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -74,10 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		readTO   = fs.Duration("read-timeout", 0, "idle connection deadline (0 = default 5m)")
 		updates  = fs.Bool("updates", true, "accept batched index updates from wire clients")
 		clusterN = fs.Int("cluster", 1, fmt.Sprintf("spatial shards served behind one scatter-gather router, 1 to %d (1 = single node, see docs/CLUSTER.md)", cluster.MaxShards))
-		edgeMode = fs.Bool("edge", false, "serve through an edge cache tier — popular range/kNN queries answered from a partition-cell-keyed cache, invalidated off the cluster's epoch stream (docs/EDGE.md)")
-		edgeSync = fs.Duration("edge-sync", 250*time.Millisecond, "edge mode: time floor on the invalidation subscription (0 = evidence/update-driven only)")
 		walDir   = fs.String("wal", "", "per-shard WAL+checkpoint directory for crash recovery (empty = memory only)")
-		replicas = fs.Bool("replicas", false, "run a warm standby per shard for transparent failover")
 		elastOn  = fs.Bool("elastic", false, "run the load-driven rebalancer — hot shards split online, cold sibling pairs merge back (docs/ELASTIC.md)")
 		splitAt  = fs.Int64("split-objects", 0, "elastic mode: split a shard at this object count (0 derives twice the initial per-shard count)")
 		statsEv  = fs.Duration("stats", 0, "print serving stats at this interval (0 = off)")
@@ -153,10 +146,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ReadTimeout: *readTO,
 	}
 	cs, err := repro.NewClusterServer(objects, repro.ClusterConfig{
-		Shards:   *clusterN,
-		Form:     indexForm,
-		WALDir:   *walDir,
-		Replicas: *replicas,
+		Shards: *clusterN,
+		Form:   indexForm,
+		WALDir: *walDir,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "prodb: %v\n", err)
@@ -170,27 +162,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *walDir != "" {
 		durable = fmt.Sprintf(", WAL at %s", *walDir)
 	}
-	if *replicas {
-		durable += ", warm replicas"
-	}
 	fmt.Fprintf(stdout, "cluster: %d shards owning %v objects, built in %v (%s%s)\n",
 		cs.Shards(), cs.ShardObjects(), time.Since(start).Round(time.Millisecond), mode, durable)
-	var (
-		net1      *wire.NetServer
-		edgeStats func() metrics.EdgeSnapshot
-	)
-	if *edgeMode {
-		eg, err := cs.Edge(repro.EdgeOptions{SyncInterval: *edgeSync})
-		if err != nil {
-			fmt.Fprintf(stderr, "prodb: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "edge: cache tier over %d partition cells (sync floor %v)\n", cs.Shards(), *edgeSync)
-		net1 = cs.EdgeNetServer(eg, opts)
-		edgeStats = eg.Stats().Snapshot
-	} else {
-		net1 = cs.NetServer(opts)
-	}
+	net1 := cs.NetServer(opts)
 	if *elastOn {
 		_, stopRb, err := cs.StartRebalancer(elastic.Config{
 			SplitObjects: *splitAt,
@@ -220,9 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	printStats := func(prefix string) {
 		fmt.Fprintf(stdout, "%s %s\n", prefix, cs.Stats())
 		fmt.Fprintf(stdout, "%s %s\n", prefix, cs.ClusterStats())
-		if edgeStats != nil {
-			fmt.Fprintf(stdout, "%s %s\n", prefix, edgeStats())
-		}
 	}
 	statsDone := make(chan struct{})
 	if *statsEv > 0 {

@@ -8,7 +8,6 @@
 // Usage:
 //
 //	proload -inprocess 4 -scenario baseline -qps 5000 -duration 5s
-//	proload -inprocess 4 -edge -scenario flash-crowd       # through an edge cache
 //	proload -inprocess 4 -elastic -scenario shard-skew     # rebalancer splits the hot shard
 //	proload -inprocess 4 -elastic-force -scenario baseline # force a mid-run split + merge
 //	proload -addr :7001 -scenario all -json out.json        # a running prodb
@@ -17,10 +16,9 @@
 //	proload -validate out.json                             # schema check only
 //	proload -list                                          # print the matrix
 //
-// Chaos scenarios (load.FaultMatrix: shard-crash-recovery, replica-failover)
-// kill and restart shards on a schedule; they require the in-process backend,
-// which is built durable for them — per-shard WALs, plus warm standbys when
-// the schedule kills a shard for good (docs/DURABILITY.md).
+// Chaos scenarios (load.FaultMatrix: shard-crash-recovery) crash-restart
+// shards on a schedule; they require the in-process backend, which is built
+// durable for them with per-shard WALs (docs/DURABILITY.md).
 //
 // The scenario matrix is defined in internal/load (docs/SCENARIOS.md);
 // scripts/bench.sh merges proload JSON into the per-PR BENCH snapshot so CI
@@ -30,14 +28,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro"
-	"repro/internal/edge"
 	"repro/internal/elastic"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -48,8 +44,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "", "dial this one endpoint: a prodb, or a prodb -cluster serving every shard behind its router")
 		inprocess    = flag.Int("inprocess", 0, "build an in-process cluster with this many shards instead of dialing")
-		edgeOn       = flag.Bool("edge", false, "route all workers through one in-process edge cache tier in front of the cluster (requires -inprocess)")
-		nethop       = flag.Bool("nethop", false, "serve the in-process cluster over loopback TCP and cross it per request: workers dial it directly, or under -edge the edge forwards over a pipelined upstream pool while cache hits skip the hop (requires -inprocess)")
 		objects      = flag.Int("objects", 20000, "in-process dataset cardinality")
 		seed         = flag.Int64("seed", 1, "deterministic operation-stream seed")
 		scenario     = flag.String("scenario", "baseline", "scenario names, comma-separated, or all")
@@ -100,9 +94,9 @@ func main() {
 
 	// Fault-free scenarios share one backend (connections and caches warm
 	// across the matrix, as they would in production). Every chaos scenario
-	// gets a freshly built durable cluster: faults permanently degrade one —
-	// replication stops at the first kill — and a second scenario must not
-	// inherit the wreckage of the first. Growth scenarios (GrowUpdates)
+	// gets a freshly built durable cluster, so its counters and WALs start
+	// clean and a second scenario does not run on the first one's crashed
+	// and restarted shards. Growth scenarios (GrowUpdates)
 	// likewise get their own backend: they permanently inflate and skew the
 	// dataset, which would silently slow every scenario that runs after
 	// them in the matrix.
@@ -114,14 +108,14 @@ func main() {
 	}()
 	acquire := func(sp load.Spec) (*backend, error) {
 		if len(sp.Faults) > 0 {
-			return connect(*addr, *inprocess, *objects, *seed, sp.Faults, *edgeOn, *nethop)
+			return connect(*addr, *inprocess, *objects, *seed, true)
 		}
 		if sp.GrowUpdates && *addr == "" {
-			return connect(*addr, *inprocess, *objects, *seed, nil, *edgeOn, *nethop)
+			return connect(*addr, *inprocess, *objects, *seed, false)
 		}
 		if shared == nil {
 			var err error
-			if shared, err = connect(*addr, *inprocess, *objects, *seed, nil, *edgeOn, *nethop); err != nil {
+			if shared, err = connect(*addr, *inprocess, *objects, *seed, false); err != nil {
 				shared = nil
 				return nil, err
 			}
@@ -167,7 +161,6 @@ func main() {
 			Release:      backend.release,
 			Injector:     backend.injector(),
 			Cluster:      clusterSnap,
-			EdgeStats:    backend.edgeStats(),
 			OnEvent: func(worker int, err error) {
 				// A dead backend fails every paced op; log the first few and
 				// then sample, the counters carry the full tally.
@@ -200,10 +193,6 @@ func main() {
 		}
 		r.Fprint(os.Stdout)
 		results = append(results, r)
-	}
-
-	if shared != nil && shared.edge != nil {
-		fmt.Printf("%s\n", shared.edge.Stats().Snapshot())
 	}
 
 	if *jsonOut != "" {
@@ -251,31 +240,21 @@ func pickScenarios(arg string) ([]load.Spec, error) {
 // backend abstracts where requests go: a freshly built in-process cluster,
 // or one dialed TCP endpoint (redialed per worker on connection failure).
 type backend struct {
-	addr     string // the dialed endpoint: -addr, or the -nethop serving layer's loopback address
-	cs       *repro.ClusterServer
-	edge     *edge.Edge // all workers share it, like one edge node would be shared
-	walDir   string     // throwaway chaos WAL directory, removed on close
-	ns       *wire.NetServer
-	upstream *edge.UpstreamPool
+	addr   string // the dialed endpoint (-addr)
+	cs     *repro.ClusterServer
+	walDir string // throwaway chaos WAL directory, removed on close
 }
 
-func connect(addr string, shards, objects int, seed int64, faults []load.FaultEvent, edgeOn, nethop bool) (*backend, error) {
+// connect builds the backend for one scenario. chaos asks for durable
+// shards, which a fault schedule needs: it crash-restarts them from their
+// WALs.
+func connect(addr string, shards, objects int, seed int64, chaos bool) (*backend, error) {
 	b := &backend{addr: addr}
-	chaos := len(faults) > 0
 	if addr != "" {
 		if chaos {
 			return nil, fmt.Errorf("fault scenarios inject shard kills and need the in-process backend (-inprocess), not -addr")
 		}
-		if edgeOn {
-			return nil, fmt.Errorf("-edge builds an in-process edge tier and needs the in-process backend (-inprocess), not -addr")
-		}
-		if nethop {
-			return nil, fmt.Errorf("-nethop serves the in-process cluster over loopback and needs -inprocess, not -addr")
-		}
 		return b, nil
-	}
-	if chaos && nethop {
-		return nil, fmt.Errorf("-nethop does not combine with fault scenarios (kills are injected behind the serving layer)")
 	}
 	if shards <= 0 {
 		shards = 4
@@ -284,9 +263,7 @@ func connect(addr string, shards, objects int, seed int64, faults []load.FaultEv
 	cfg := repro.ClusterConfig{Shards: shards}
 	if chaos {
 		// Chaos runs need durable shards: throwaway per-shard WALs (no
-		// fsync; the directory dies with the run). Warm standbys only when
-		// a shard is killed for good: with one, a crash-restart would be
-		// absorbed by promotion and the WAL-restarted primary never serve.
+		// fsync; the directory dies with the run).
 		dir, err := os.MkdirTemp("", "proload-wal-")
 		if err != nil {
 			return nil, err
@@ -294,7 +271,6 @@ func connect(addr string, shards, objects int, seed int64, faults []load.FaultEv
 		b.walDir = dir
 		cfg.WALDir = dir
 		cfg.WALNoSync = true
-		cfg.Replicas = load.NeedsStandby(faults)
 	}
 	cs, err := repro.NewClusterServer(objs, cfg)
 	if err != nil {
@@ -304,43 +280,6 @@ func connect(addr string, shards, objects int, seed int64, faults []load.FaultEv
 		return nil, err
 	}
 	b.cs = cs
-	if nethop {
-		// Serve the cluster over loopback TCP so every upstream round trip
-		// crosses a real wire hop: the direct baseline pays it per query,
-		// the edge tier only on misses (docs/EDGE.md).
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.close()
-			return nil, err
-		}
-		b.ns = cs.NetServer(repro.ServeOptions{})
-		b.addr = ln.Addr().String()
-		go b.ns.Serve(ln)
-	}
-	if edgeOn {
-		opts := repro.EdgeOptions{}
-		if nethop {
-			pool, err := edge.NewUpstreamPool(2, func() (wire.Transport, error) {
-				bc, err := wire.Dial(b.addr, wire.RoleEdge, 10*time.Second)
-				if err != nil {
-					return nil, err
-				}
-				return bc, nil
-			})
-			if err != nil {
-				b.close()
-				return nil, err
-			}
-			b.upstream = pool
-			opts.Upstream = pool
-		}
-		eg, err := cs.Edge(opts)
-		if err != nil {
-			b.close()
-			return nil, err
-		}
-		b.edge = eg
-	}
 	return b, nil
 }
 
@@ -360,15 +299,6 @@ func (b *backend) clusterStats() func() metrics.ClusterSnapshot {
 		return nil
 	}
 	return b.cs.ClusterStats
-}
-
-// edgeStats exposes the edge tier's counter snapshot to the harness; nil
-// when no edge tier fronts this backend.
-func (b *backend) edgeStats() func() metrics.EdgeSnapshot {
-	if b.edge == nil {
-		return nil
-	}
-	return b.edge.Stats().Snapshot
 }
 
 // startRebalancer runs the load-driven rebalancer over the in-process
@@ -432,13 +362,10 @@ func forceElastic(cs *repro.ClusterServer, dur time.Duration) chan struct{} {
 	return done
 }
 
-// newTransport hands a worker its connection: the shared edge tier under
-// -edge, its own dial of the one endpoint, or the shared in-process handler.
+// newTransport hands a worker its connection: its own dial of the one
+// endpoint, or the shared in-process handler.
 func (b *backend) newTransport(worker int) (wire.Transport, error) {
-	switch {
-	case b.edge != nil:
-		return b.edge, nil
-	case b.addr != "":
+	if b.addr != "" {
 		return repro.Dial(b.addr)
 	}
 	return b.cs.Transport(), nil
@@ -454,12 +381,6 @@ func (b *backend) release(resp *wire.Response) {
 }
 
 func (b *backend) close() {
-	if b.upstream != nil {
-		b.upstream.Close()
-	}
-	if b.ns != nil {
-		b.ns.Close()
-	}
 	if b.cs != nil {
 		b.cs.Close()
 	}

@@ -33,7 +33,7 @@ import (
 //  4. Transfer: the losing half bulk-loads into a new R*-tree, round-trips
 //     through the packed image codec (the same bytes a WAL checkpoint or a
 //     wire transfer would carry), and comes up as a new shard server with
-//     its own WAL and optional standby (InProcess.spawn).
+//     its own WAL (InProcess.spawn).
 //  5. Cutover: the write fence drains every in-flight request against the
 //     old owner, the recorded tail replays onto the new shard (re-routed
 //     against the post-split partition), the moved objects are deleted from
@@ -209,8 +209,6 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 	if t >= MaxShards {
 		return fmt.Errorf("cluster: split: slot count %d exhausted the %d-slot namespace", t, MaxShards)
 	}
-	failoversBefore := r.stats.Shard(s).Failovers.Load()
-
 	// Arm the handover window.
 	ho := &handoverState{from: s}
 	r.topo.Lock()
@@ -318,11 +316,6 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 		r.topo.Unlock()
 		p.retire(t)
 		return why
-	}
-	if r.stats.Shard(s).Failovers.Load() != failoversBefore {
-		// A promotion mid-transfer swapped the source's server under a
-		// handover armed against the old primary. Start over.
-		return abort(fmt.Errorf("cluster: split: shard %d failed over during transfer; aborted", s))
 	}
 	if err := replayWave(ho.entries[replayed:]); err != nil {
 		return abort(fmt.Errorf("cluster: split: replay tail onto slot %d: %w", t, err))

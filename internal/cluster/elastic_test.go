@@ -190,15 +190,14 @@ func TestClusterElasticSplitMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterElasticDurable runs a split and a merge over a WAL-backed,
-// replicated cluster — covering the durable Spawn path (packed image, fresh
-// WAL dir, initial checkpoint, standby) — then crash-restarts the spawned
-// shard and checks contents survived.
+// TestClusterElasticDurable runs a split and a merge over a WAL-backed
+// cluster — covering the durable Spawn path (packed image, fresh WAL dir,
+// initial checkpoint) — then crash-restarts the spawned shard and checks
+// contents survived.
 func TestClusterElasticDurable(t *testing.T) {
 	objs := genObjects(1200, 17)
 	single, p, cleanup := buildBothElastic(t, objs, 2, InProcessConfig{
-		WALDir:   t.TempDir(),
-		Replicas: true,
+		WALDir: t.TempDir(),
 	})
 	defer cleanup()
 	upd := newUpdateStream(23, objs)

@@ -67,10 +67,10 @@ type epochShard struct {
 type epochTable struct {
 	ring       int
 	maxClients int // per lock shard
-	// gen counts table-wide flushes (replica failovers). Requests capture it
-	// before resolving their epoch base; a commit quoting a stale generation
-	// is refused, so a response computed against pre-failover state can never
-	// register a vector the promoted shard no longer backs.
+	// gen counts table-wide flushes; a merge is the only one. Requests
+	// capture it before resolving their epoch base; a commit quoting a stale
+	// generation is refused, so a response computed against the pre-merge
+	// topology can never register a vector the merged shards no longer back.
 	gen    atomic.Uint64
 	shards [epochLockShards]epochShard
 }

@@ -22,23 +22,21 @@ import (
 	"repro/internal/wire"
 )
 
-// The failover contract: a shard can die mid-stream and the cluster's
-// answers stay exactly what a single-node server would produce — recovered
-// from WAL + checkpoint after a crash-restart, or served by the promoted
-// warm replica when the primary never comes back. These tests drive the
-// same randomized update stream as the equivalence suite and kill shards
-// while it flows.
+// The crash-recovery contract: a shard can die mid-stream and the cluster's
+// answers stay exactly what a single-node server would produce, because the
+// shard restarts from its WAL + checkpoint and requests wait the restart
+// out. These tests drive the same randomized update stream as the
+// equivalence suite and kill shards while it flows.
 
 // crashConfig is the chaos-tuned cluster: durability on, sync off (tests),
 // and small checkpoints so the writer checkpoints mid-stream.
-func crashConfig(t *testing.T, sizes map[rtree.ObjectID]int, replicas bool) InProcessConfig {
+func crashConfig(t *testing.T, sizes map[rtree.ObjectID]int) InProcessConfig {
 	return InProcessConfig{
-		Shards:   4,
-		Tree:     rtree.Params{MaxEntries: testMaxEntries},
-		Sizer:    func(id rtree.ObjectID) int { return sizes[id] },
-		WALDir:   t.TempDir(),
-		WAL:      wal.Options{NoSync: true, CheckpointBytes: 8 << 10},
-		Replicas: replicas,
+		Shards: 4,
+		Tree:   rtree.Params{MaxEntries: testMaxEntries},
+		Sizer:  func(id rtree.ObjectID) int { return sizes[id] },
+		WALDir: t.TempDir(),
+		WAL:    wal.Options{NoSync: true, CheckpointBytes: 8 << 10},
 	}
 }
 
@@ -63,7 +61,7 @@ func TestClusterEquivalenceCrashRecovery(t *testing.T) {
 			}
 			single := buildServer(objs, sizes)
 			defer single.Close()
-			p, err := NewInProcess(objs, crashConfig(t, sizes, false))
+			p, err := NewInProcess(objs, crashConfig(t, sizes))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,77 +122,14 @@ func TestClusterEquivalenceCrashRecovery(t *testing.T) {
 					}
 				}
 			}
-			if snap := router.Stats().Snapshot(); snap.Failovers() != 0 {
-				t.Fatalf("replica promotions counted (%d) in a replica-less cluster", snap.Failovers())
-			}
 		})
 	}
 }
 
-// TestClusterReplicaFailover kills a primary that never comes back: the
-// router promotes the warm standby, queries keep answering with zero
-// errors, results still match the single-node server (the standby applied
-// every acked batch before the kill), and post-failover updates land on the
-// replica so the equivalence keeps holding.
-func TestClusterReplicaFailover(t *testing.T) {
-	objs := genObjects(1500, 9)
-	sizes := make(map[rtree.ObjectID]int, len(objs))
-	for _, o := range objs {
-		sizes[o.ID] = o.Size
-	}
-	single := buildServer(objs, sizes)
-	defer single.Close()
-	p, err := NewInProcess(objs, crashConfig(t, sizes, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	router := p.Router
-
-	upd := newUpdateStream(13, objs)
-	for round := 0; round < 3; round++ {
-		ops := upd.batch(40)
-		single.ExecuteUpdates(&wire.Request{Client: 900, Updates: ops})
-		if _, err := router.RoundTrip(&wire.Request{Client: 900, Updates: ops}); err != nil {
-			t.Fatalf("round %d updates: %v", round, err)
-		}
-	}
-
-	p.Kill(2) // never restarted: the replica is the only way forward
-
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20; i++ {
-		if i == 10 {
-			// Updates after the promotion land on the replica.
-			ops := upd.batch(30)
-			single.ExecuteUpdates(&wire.Request{Client: 900, Updates: ops})
-			if _, err := router.RoundTrip(&wire.Request{Client: 900, Updates: ops}); err != nil {
-				t.Fatalf("post-failover updates: %v", err)
-			}
-		}
-		c := geom.Pt(rng.Float64(), rng.Float64())
-		q := query.NewRange(geom.RectFromCenter(c, 0.05+rng.Float64()*0.3, 0.05+rng.Float64()*0.3))
-		tag := fmt.Sprintf("query %d", i)
-		sResp, _ := single.Execute(&wire.Request{Client: wire.ClientID(i + 1), Q: q})
-		cResp, err := router.RoundTrip(&wire.Request{Client: wire.ClientID(i + 1), Q: q})
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		compareRange(t, tag, sResp, cResp)
-	}
-	snap := router.Stats().Snapshot()
-	if snap.Failovers() == 0 {
-		t.Fatal("no replica promotion counted")
-	}
-	if got := snap.PerShard[2].Failovers; got != 1 {
-		t.Fatalf("shard 2 failovers = %d, want 1", got)
-	}
-}
-
-// TestStartProcFailureReleasesEverything fails a shard process's primary
-// after its WAL, standby and replication stream are up: the failed start
-// must release all three — no replicator or standby-writer goroutine, no
-// open log file — and leave the slot unregistered.
+// TestStartProcFailureReleasesEverything fails a shard process's initial
+// checkpoint after its WAL and server are up, and the server's writer
+// goroutine is running: the failed start must release both — no writer
+// goroutine, no open log file — and leave the slot unregistered.
 func TestStartProcFailureReleasesEverything(t *testing.T) {
 	objs := genObjects(300, 7)
 	items := make([]rtree.Item, len(objs))
@@ -204,29 +139,23 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 	sizer := func(rtree.ObjectID) int { return 1 }
 	dir := t.TempDir()
 	p := &InProcess{cfg: InProcessConfig{
-		Tree:     rtree.Params{MaxEntries: testMaxEntries},
-		WALDir:   dir,
-		WAL:      wal.Options{NoSync: true},
-		Replicas: true,
+		Tree:   rtree.Params{MaxEntries: testMaxEntries},
+		WALDir: dir,
+		WAL:    wal.Options{NoSync: true},
 	}}
 	goroutines, files := runtime.NumGoroutine(), openFiles()
 
-	standbys := 0
 	_, err := p.startProc(0, sizer, func(cfg server.Config, _ *wal.Recovery) (*server.Server, bool, error) {
-		if cfg.WAL != nil {
-			return nil, false, errors.New("primary refuses to start")
-		}
-		standbys++
-		rep := server.New(rtree.BulkLoad(p.cfg.Tree, items, bulkFill), sizer, cfg)
-		// One applied batch starts the standby's writer goroutine, as the
-		// replication stream would.
-		rep.ReleaseResponse(rep.ExecuteUpdates(&wire.Request{Updates: []wire.UpdateOp{
+		cfg.WAL = refusingCheckpoints{cfg.WAL}
+		srv := server.New(rtree.BulkLoad(p.cfg.Tree, items, bulkFill), sizer, cfg)
+		// One applied batch starts the server's writer goroutine.
+		srv.ReleaseResponse(srv.ExecuteUpdates(&wire.Request{Updates: []wire.UpdateOp{
 			{Kind: wire.UpdateDelete, Obj: 1 << 30, From: objs[0].MBR},
 		}}))
-		return rep, false, nil
+		return srv, false, nil
 	})
-	if err == nil || standbys != 1 {
-		t.Fatalf("startProc: err=%v after %d standby builds; want the primary's failure after one", err, standbys)
+	if err == nil || !strings.Contains(err.Error(), "initial checkpoint") {
+		t.Fatalf("startProc: err=%v; want the initial checkpoint's failure", err)
 	}
 	if p.proc(0) != nil {
 		t.Fatal("a failed shard process was registered")
@@ -237,6 +166,14 @@ func TestStartProcFailureReleasesEverything(t *testing.T) {
 		t.Fatalf("reopen the failed shard's WAL: %v", err)
 	}
 	l.Close()
+}
+
+// refusingCheckpoints is a shard's log that appends but refuses to
+// checkpoint.
+type refusingCheckpoints struct{ server.BatchLog }
+
+func (refusingCheckpoints) Checkpoint(uint64, []byte) error {
+	return errors.New("checkpoint refused")
 }
 
 // openFiles counts this process's open file descriptors, or returns -1
@@ -265,9 +202,9 @@ func requireReleased(t *testing.T, goroutines, files int) {
 
 // TestNewInProcessShardFailureReleasesEverything boots four shards at once
 // with shard 2's WAL directory blocked by a regular file. NewInProcess must
-// name shard 2 and release the shards that did start — standbys,
-// replication streams and logs — leaving each of their directories with an
-// initial checkpoint that reopens. A boot that succeeds must leave the
+// name shard 2 and release the shards that did start — servers and logs —
+// leaving each of their directories with an initial checkpoint that
+// reopens. A boot that succeeds must leave the
 // counts, the router's object gauges and every shard's tree a serial build
 // gives.
 func TestNewInProcessShardFailureReleasesEverything(t *testing.T) {
@@ -276,7 +213,7 @@ func TestNewInProcessShardFailureReleasesEverything(t *testing.T) {
 	for _, o := range objs {
 		sizes[o.ID] = o.Size
 	}
-	cfg := crashConfig(t, sizes, true)
+	cfg := crashConfig(t, sizes)
 	if err := os.WriteFile(filepath.Join(cfg.WALDir, "shard-2"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -329,11 +266,11 @@ func TestNewInProcessShardFailureReleasesEverything(t *testing.T) {
 
 // TestInProcessReopenFromWAL pins the cold-restart story (prodb stopped and
 // started over the same -wal directory): NewInProcess over a WAL dir that
-// already holds history must restore every shard — primary and standby alike
-// — from its checkpoint + tail rather than re-bulk-loading the dataset and
-// refusing to write an epoch-0 checkpoint behind the log's end. The reopened
-// cluster keeps matching the single-node twin, keeps accepting updates at
-// the resumed epochs, and can still promote its (restored) standbys.
+// already holds history must restore every shard from its checkpoint + tail
+// rather than re-bulk-loading the dataset and refusing to write an epoch-0
+// checkpoint behind the log's end. The reopened cluster keeps matching the
+// single-node twin, keeps accepting updates at the resumed epochs, and a
+// shard killed after the reopen crash-restarts from the reopened log.
 func TestInProcessReopenFromWAL(t *testing.T) {
 	objs := genObjects(1200, 17)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
@@ -342,7 +279,7 @@ func TestInProcessReopenFromWAL(t *testing.T) {
 	}
 	single := buildServer(objs, sizes)
 	defer single.Close()
-	cfg := crashConfig(t, sizes, true) // one WALDir, reused across both boots
+	cfg := crashConfig(t, sizes) // one WALDir, reused across both boots
 
 	p1, err := NewInProcess(objs, cfg)
 	if err != nil {
@@ -390,9 +327,12 @@ func TestInProcessReopenFromWAL(t *testing.T) {
 		compareRange(t, tag, sResp, cResp)
 	}
 
-	// The standbys were restored from the same checkpoint + tail, so a
-	// primary killed after the reopen still promotes cleanly.
+	// The reopened shards log to the same directories, so a shard killed
+	// after the reopen recovers everything it held.
 	p2.Kill(1)
+	if err := p2.Restart(1); err != nil {
+		t.Fatalf("restart after the reopen: %v", err)
+	}
 	for i := 0; i < 8; i++ {
 		c := geom.Pt(rng.Float64(), rng.Float64())
 		q := query.NewRange(geom.RectFromCenter(c, 0.05+rng.Float64()*0.3, 0.05+rng.Float64()*0.3))
@@ -404,17 +344,15 @@ func TestInProcessReopenFromWAL(t *testing.T) {
 		}
 		compareRange(t, tag, sResp, cResp)
 	}
-	if p2.Router.Stats().Snapshot().Failovers() == 0 {
-		t.Fatal("no replica promotion counted after the reopen")
-	}
 }
 
 // TestPromotedWritesSurviveReopen: an update the cluster acks after its
 // shards were killed must survive a cold reopen from the WAL directory. All
-// four shards are killed (each promotes its standby), four batches are
-// applied and acked, the cluster closes, and a fresh NewInProcess over the
-// same directory must answer 40 range queries like the uninterrupted single
-// node.
+// four shards are killed and restarted from their WALs, four batches are
+// applied and acked like the single node's, the cluster closes, and a fresh
+// NewInProcess over the same directory must answer 40 range queries like
+// the uninterrupted single node. Every ack comes from a WAL-backed server,
+// so this holds by construction.
 func TestPromotedWritesSurviveReopen(t *testing.T) {
 	objs := genObjects(1200, 17)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
@@ -423,7 +361,7 @@ func TestPromotedWritesSurviveReopen(t *testing.T) {
 	}
 	single := buildServer(objs, sizes)
 	defer single.Close()
-	cfg := crashConfig(t, sizes, true) // one WALDir, reused across both boots
+	cfg := crashConfig(t, sizes) // one WALDir, reused across both boots
 
 	p1, err := NewInProcess(objs, cfg)
 	if err != nil {
@@ -431,6 +369,9 @@ func TestPromotedWritesSurviveReopen(t *testing.T) {
 	}
 	for s := 0; s < 4; s++ {
 		p1.Kill(s)
+		if err := p1.Restart(s); err != nil {
+			t.Fatalf("restart shard %d: %v", s, err)
+		}
 	}
 	upd := newUpdateStream(29, objs)
 	for round := 0; round < 4; round++ {
@@ -472,63 +413,6 @@ func TestPromotedWritesSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestClusterFailoverFlushesClients checks the consistency seam of a
-// promotion: a client holding a pre-failover virtual epoch is told to drop
-// its cache (FlushAll) rather than being fed invalidation windows the
-// promoted standby cannot vouch for. The kill finds no request in flight,
-// so the promotion must happen inside Kill; killing the shard again, or
-// killing the primary a Restart recovered, promotes nothing more.
-func TestClusterFailoverFlushesClients(t *testing.T) {
-	objs := genObjects(800, 21)
-	sizes := make(map[rtree.ObjectID]int, len(objs))
-	for _, o := range objs {
-		sizes[o.ID] = o.Size
-	}
-	p, err := NewInProcess(objs, crashConfig(t, sizes, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	router := p.Router
-
-	upd := newUpdateStream(4, objs)
-	if _, err := router.RoundTrip(&wire.Request{Client: 900, Updates: upd.batch(30)}); err != nil {
-		t.Fatal(err)
-	}
-	q := query.NewRange(geom.R(0, 0, 1, 1))
-	resp, err := router.RoundTrip(&wire.Request{Client: 7, Q: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := resp.Epoch
-	if base == 0 {
-		t.Fatal("no virtual epoch established before the failover")
-	}
-
-	p.Kill(1)
-	if got := p.Stats().Shard(1).Failovers.Load(); got != 1 {
-		t.Fatalf("failovers after Kill with no request in flight = %d, want 1", got)
-	}
-	p.Kill(1)
-	if err := p.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	p.Kill(1)
-	if got := p.Stats().Shard(1).Failovers.Load(); got != 1 {
-		t.Fatalf("failovers after a second kill and a kill of the restarted primary = %d, want 1", got)
-	}
-	resp, err = router.RoundTrip(&wire.Request{Client: 7, Epoch: base, Q: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.FlushAll {
-		t.Fatal("pre-failover epoch answered without FlushAll after replica promotion")
-	}
-	if got := router.Stats().Snapshot().Retries(); got != 0 {
-		t.Fatalf("%d retries: a request reached the killed primary", got)
-	}
-}
-
 // TestEpochTableFlushAll pins the generation fencing: a flush drops every
 // client, and a commit that resolved its base before the flush is refused.
 func TestEpochTableFlushAll(t *testing.T) {
@@ -552,9 +436,9 @@ func TestEpochTableFlushAll(t *testing.T) {
 	}
 }
 
-// TestRequestWaitsOutRestart kills a shard that has no standby and restarts
-// it from another goroutine once a request is inside its retry loop: the
-// request must come back with the right answer, not the shard-down error.
+// TestRequestWaitsOutRestart kills a shard and restarts it from another
+// goroutine once a request is inside its retry loop: the request must come
+// back with the right answer, not the shard-down error.
 func TestRequestWaitsOutRestart(t *testing.T) {
 	objs := genObjects(800, 29)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
@@ -563,7 +447,7 @@ func TestRequestWaitsOutRestart(t *testing.T) {
 	}
 	single := buildServer(objs, sizes)
 	defer single.Close()
-	p, err := NewInProcess(objs, crashConfig(t, sizes, false))
+	p, err := NewInProcess(objs, crashConfig(t, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,81 +474,129 @@ func TestRequestWaitsOutRestart(t *testing.T) {
 	if got := p.Stats().Shard(2).Retries.Load(); got < 1 {
 		t.Fatalf("retries = %d, want >= 1", got)
 	}
-	if got := p.Stats().Snapshot().Failovers(); got != 0 {
-		t.Fatalf("%d promotions in a cluster without standbys", got)
-	}
 }
 
-// TestKillDuringSplit kills standby-backed shards while SplitShard runs on
-// another slot. First with nothing else running: promote reads the router's
-// slots and partition while the split installs new ones, and nothing but
-// the topology lock orders the two, so -race pins that the kill takes it.
-// Then with queries flowing: none of them may fail, since the kill's swap
-// must not wait behind the split's fence. Afterwards both splits have
-// landed, each killed shard was promoted once, and answers match the
-// single node.
+// TestKillDuringSplit crash-restarts shards while SplitShard runs. Each
+// split's source is down when the split starts, so the split arms its
+// handover window and then waits out the source's restart inside its
+// snapshot: the restart lands mid-transfer. The first split runs while
+// another shard also crash-restarts and nothing else runs: a kill or a
+// restart takes only its shard's own lock, so -race pins that neither
+// touches the router's topology. The second runs under queries and an
+// update stream, started once the handover is armed, and its source
+// crash-restarts once more after the restart. No request may fail: each
+// one waits out the restart, and none waits behind a fence. Afterwards
+// both splits have landed and answers match the single node.
 func TestKillDuringSplit(t *testing.T) {
 	objs := genObjects(1600, 37)
-	single, p, cleanup := buildBothElastic(t, objs, 4, InProcessConfig{Replicas: true})
+	single, p, cleanup := buildBothElastic(t, objs, 4, InProcessConfig{
+		WALDir: t.TempDir(),
+		WAL:    wal.Options{NoSync: true},
+	})
 	defer cleanup()
-	splitWhileKilling := func(split, kill int) {
+	crashRestart := func(s int) {
 		t.Helper()
+		p.Kill(s)
+		if err := p.Restart(s); err != nil {
+			t.Fatalf("restart shard %d: %v", s, err)
+		}
+	}
+	// splitAcrossRestart starts a split of a down source, runs whileDown
+	// once the handover is armed, restarts the source, then runs after.
+	splitAcrossRestart := func(split int, whileDown, after func()) {
+		t.Helper()
+		p.Kill(split)
 		splitErr := make(chan error, 1)
 		go func() { splitErr <- p.SplitShard(split) }()
-		p.Kill(kill)
+		for {
+			p.Router.topo.RLock()
+			armed := p.Router.ho != nil && p.Router.ho.from == split
+			p.Router.topo.RUnlock()
+			if armed {
+				break
+			}
+			select {
+			case err := <-splitErr:
+				t.Fatalf("split of shard %d ended before its handover was seen armed: %v", split, err)
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		whileDown()
+		if err := p.Restart(split); err != nil {
+			t.Fatalf("restart shard %d mid-split: %v", split, err)
+		}
+		after()
 		if err := <-splitErr; err != nil {
-			t.Fatalf("split of shard %d while killing shard %d: %v", split, kill, err)
+			t.Fatalf("split of shard %d across its restart: %v", split, err)
 		}
 	}
 
-	splitWhileKilling(0, 2)
+	splitAcrossRestart(0, func() {}, func() { crashRestart(2) })
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		q := query.NewRange(geom.R(0, 0, 1, 1))
-		for c := wire.ClientID(1); ; c++ {
-			select {
-			case <-stop:
-				return
-			default:
+	stopTraffic := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopTraffic() // a failed round still stops the traffic before cleanup
+	traffic := func() {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			q := query.NewRange(geom.R(0, 0, 1, 1))
+			for c := wire.ClientID(1); ; c++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := p.Router.RoundTrip(&wire.Request{Client: c % 8, Q: q}); err != nil {
+					t.Errorf("query during a split and a crash-restart: %v", err)
+					return
+				}
 			}
-			if _, err := p.Router.RoundTrip(&wire.Request{Client: c % 8, Q: q}); err != nil {
-				t.Errorf("query during a split and a kill: %v", err)
-				return
+		}()
+		go func() {
+			defer wg.Done()
+			upd := newUpdateStream(53, objs)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ops := upd.batch(8)
+				single.ExecuteUpdates(&wire.Request{Client: 901, Updates: ops})
+				if _, err := p.Router.RoundTrip(&wire.Request{Client: 901, Updates: ops}); err != nil {
+					t.Errorf("updates during a split and a crash-restart: %v", err)
+					return
+				}
 			}
-		}
-	}()
-	splitWhileKilling(1, 3)
-	close(stop)
-	wg.Wait()
+		}()
+	}
+	splitAcrossRestart(1, traffic, func() { crashRestart(1) })
+	stopTraffic()
 
 	if got := len(p.LiveShards()); got != 6 {
 		t.Fatalf("%d live shards after two splits, want 6", got)
 	}
-	for _, s := range []int{2, 3} {
-		if got := p.Stats().Shard(s).Failovers.Load(); got != 1 {
-			t.Fatalf("shard %d failovers = %d, want 1", s, got)
-		}
-	}
-	checkEquivalence(t, "after splits and kills", single, p.Router, 5100)
+	checkEquivalence(t, "after splits and crash-restarts", single, p.Router, 5100)
 }
 
-// TestKillBehindQueuedFence kills a standby-backed shard while a request is
-// in flight and a topology write fence is queued behind that request. The
-// request must still be answered: had the kill stopped the primary and then
-// queued for the topology lock to swap in the standby, it would wait behind
-// the fence, the fence behind the request, and the request would run out
-// of retries against the dead primary.
+// TestKillBehindQueuedFence crash-restarts a shard while a request is in
+// flight and a topology write fence is queued behind that request. The
+// kill and the restart take no topology lock, so both finish while the
+// fence still waits, and the request in flight waits out the restart and
+// is answered in full: a crash-restart never deadlocks behind a queued
+// split or merge.
 func TestKillBehindQueuedFence(t *testing.T) {
 	objs := genObjects(800, 41)
 	sizes := make(map[rtree.ObjectID]int, len(objs))
 	for _, o := range objs {
 		sizes[o.ID] = o.Size
 	}
-	p, err := NewInProcess(objs, crashConfig(t, sizes, true))
+	p, err := NewInProcess(objs, crashConfig(t, sizes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,18 +616,33 @@ func TestKillBehindQueuedFence(t *testing.T) {
 		p.Kill(1)
 		close(killed)
 	}()
-	time.Sleep(20 * time.Millisecond) // let the kill run as far as it can
+	select {
+	case <-killed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the kill waited behind the queued fence")
+	}
+	restarted := make(chan error, 1)
+	go func() {
+		for p.Stats().Shard(1).Retries.Load() == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		restarted <- p.Restart(1)
+	}()
 	resp, err := r.routeQuery(&wire.Request{Client: 5, Q: query.NewRange(geom.R(0, 0, 1, 1))})
+	select {
+	case rerr := <-restarted:
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the restart waited behind the queued fence")
+	}
 	r.topo.RUnlock()
 	<-fenced
-	<-killed
 	if err != nil {
-		t.Fatalf("request in flight across the kill: %v", err)
+		t.Fatalf("request in flight across the crash-restart: %v", err)
 	}
 	if len(resp.Objects) != len(objs) {
-		t.Fatalf("request in flight across the kill answered %d objects, want %d", len(resp.Objects), len(objs))
-	}
-	if got := p.Stats().Shard(1).Failovers.Load(); got != 1 {
-		t.Fatalf("failovers = %d, want 1", got)
+		t.Fatalf("request in flight across the crash-restart answered %d objects, want %d", len(resp.Objects), len(objs))
 	}
 }

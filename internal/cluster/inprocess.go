@@ -42,17 +42,13 @@ type InProcessConfig struct {
 	// to WALDir/shard-<s> and checkpoints on the WAL's schedule, and
 	// Kill/Restart crash-recovers shards from their logs. Empty disables
 	// durability (and Restart). Reopening a WALDir that already holds
-	// history restores every shard (primary and standby alike) from its
-	// checkpoint + tail instead of bulk-loading the objects — run the
-	// process with the same dataset and shard count so the partition the
-	// router derives matches the one the shards were logged under.
+	// history restores every shard from its checkpoint + tail instead of
+	// bulk-loading the objects — run the process with the same dataset and
+	// shard count so the partition the router derives matches the one the
+	// shards were logged under.
 	WALDir string
 	// WAL tunes the per-shard logs (checkpoint threshold, fsync policy).
 	WAL wal.Options
-	// Replicas runs one warm standby server per shard, fed the primary's
-	// acked batches over the replication stream; Kill promotes it. Standbys
-	// are memory-only (no WAL).
-	Replicas bool
 }
 
 // InProcess is a running in-process cluster.
@@ -76,8 +72,7 @@ func (p *InProcess) proc(s int) *procShard {
 	return p.procs[s]
 }
 
-// Close stops every shard's background update writer, replication pump,
-// standby, and WAL handle.
+// Close stops every shard's background update writer and WAL handle.
 func (p *InProcess) Close() {
 	p.pmu.Lock()
 	procs := append([]*procShard(nil), p.procs...)
@@ -89,25 +84,19 @@ func (p *InProcess) Close() {
 	}
 }
 
-// Kill crash-stops shard s. Its primary stops serving at once; its writer
-// drains, so every acked batch is in the WAL and has been streamed into the
-// standby; the replication stream stops for good and the WAL closes, so a
-// Restart can recover from disk. A shard with a standby is served by it
-// from then on: Kill promotes it (Router.promote), which flushes every
-// client. A shard without one is down until Restart, and the router waits
-// it out meanwhile. Idempotent.
+// Kill crash-stops shard s. Its server stops serving at once; its writer
+// drains, so every acked batch is in the WAL, and the WAL closes, so a
+// Restart can recover from disk. The shard is down until Restart, and the
+// router waits it out meanwhile. Idempotent.
 func (p *InProcess) Kill(s int) {
 	if ps := p.proc(s); ps != nil {
-		ps.kill(p.Router)
+		ps.stop()
 	}
 }
 
 // Restart recovers a killed shard from its WAL (checkpoint + tail replay)
-// and brings it back as the shard's primary: the router's next round trip
-// to the shard reaches it. The restarted primary runs without a standby —
-// re-streaming into a standby that already applied the log would
-// double-apply. A shard whose standby was promoted stays on the standby;
-// its recovered primary is not used. Restart of a live shard is a no-op.
+// and brings it back: the router's next round trip to the shard reaches it.
+// Restart of a live shard is a no-op.
 func (p *InProcess) Restart(s int) error {
 	ps := p.proc(s)
 	if ps == nil {
@@ -118,8 +107,8 @@ func (p *InProcess) Restart(s int) error {
 
 // SplitShard splits shard s online (docs/ELASTIC.md): the far half of its
 // region moves to a freshly spawned in-process shard behind an epoch-fenced
-// cutover. The new slot gets its own WAL directory and standby when the
-// cluster was configured with them.
+// cutover. The new slot gets its own WAL directory when the cluster is
+// durable.
 func (p *InProcess) SplitShard(s int) error { return p.Router.SplitShard(s, p) }
 
 // MergeShards folds shard t back into its KD sibling s and retires t's
@@ -138,57 +127,30 @@ func (p *InProcess) SiblingOf(s int) (int, bool) { return p.Router.SiblingOf(s) 
 // LiveShards/SiblingOf this completes the elastic.Cluster surface.
 func (p *InProcess) Stats() *metrics.ClusterStats { return p.Router.Stats() }
 
-// errShardDown is what a down shard's transport returns: its primary was
+// errShardDown is what a down shard's transport returns: its server was
 // killed and has not restarted yet. The router waits it out.
 var errShardDown = errors.New("cluster: shard is down")
 
-// procShard is one shard "process": the live primary (nil while killed),
-// its WAL, and the replication pump feeding the warm standby.
+// procShard is one shard "process": the live server (nil while killed)
+// and its WAL.
 type procShard struct {
 	idx     int
 	cur     atomic.Pointer[server.Server]
 	sizer   func(rtree.ObjectID) int
-	baseCfg server.Config // per-server config without WAL/replication wiring
+	baseCfg server.Config // per-server config without the WAL
 	walDir  string        // empty: no durability, Restart impossible
 	walOpts wal.Options
-	log     *wal.Log // open log of the live primary
-	standby atomic.Pointer[server.Server]
-	repl    *replicator
+	log     *wal.Log   // open log of the live server
 	mu      sync.Mutex // serializes kill/restart/stop transitions
 }
 
-// kill crash-stops the primary. When the replication stream was still
-// feeding the standby, the standby is promoted on r in the same step, under
-// the topology read lock (taken after ps.mu): a request that finds the
-// primary gone then retries only until the swap, and never waits behind a
-// split's or merge's write fence that is itself queued behind that
-// request. Once the stream has stopped, a later kill (of a restarted
-// primary) promotes nothing.
-func (ps *procShard) kill(r *Router) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.repl == nil {
-		ps.killLocked()
-		return
-	}
-	r.topo.RLock()
-	defer r.topo.RUnlock()
-	ps.killLocked()
-	st := serverTransport{cur: &ps.standby}
-	r.promote(ps.idx, Shard{T: st, Release: st.release})
-}
-
-// killLocked closes the live primary, which drains its writer so every
-// acked batch is in the WAL and the stream, then flushes the remaining
-// stream into the standby and stops it for good, and closes the WAL. It
-// also releases a partly started process. Idempotent; caller holds ps.mu.
+// killLocked closes the live server, which drains its writer so every
+// acked batch is in the WAL, and closes the WAL. It takes no router lock,
+// so a kill never waits behind a split's or merge's write fence. It also
+// releases a partly started process. Idempotent; caller holds ps.mu.
 func (ps *procShard) killLocked() {
 	if srv := ps.cur.Swap(nil); srv != nil {
 		srv.Close()
-	}
-	if ps.repl != nil {
-		ps.repl.stop()
-		ps.repl = nil
 	}
 	if ps.log != nil {
 		ps.log.Close()
@@ -196,15 +158,12 @@ func (ps *procShard) killLocked() {
 	}
 }
 
-// stop tears the process down for good: everything kill releases, plus the
-// standby. Retire, Close and a failed startProc all end here.
+// stop stops the process under its lock. Kill, retire, Close and a failed
+// startProc all end here; only a shard with a WAL can Restart after it.
 func (ps *procShard) stop() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	ps.killLocked()
-	if srv := ps.standby.Swap(nil); srv != nil {
-		srv.Close()
-	}
 }
 
 func (ps *procShard) restart() error {
@@ -249,7 +208,7 @@ func replayTail(recs []wal.Record) []server.ReplayRecord {
 // serverTransport runs requests directly on the server cur holds: batched
 // updates go through its writer queue, everything else executes as a
 // query. A nil server is a shard that is down, and the round trip fails
-// with errShardDown; once Restart stores the recovered primary, the next
+// with errShardDown; once Restart stores the recovered server, the next
 // round trip reaches it.
 type serverTransport struct {
 	cur *atomic.Pointer[server.Server]
@@ -284,48 +243,15 @@ func (t serverTransport) DurabilityErr() error {
 	return nil
 }
 
-// replicator pumps acked batches from the primary's writer into the warm
-// standby. The tap runs on the writer goroutine and blocks when the bounded
-// stream fills, so the standby's lag stays bounded by the channel depth.
-type replicator struct {
-	ch   chan []wire.UpdateOp
-	done chan struct{}
-}
-
-func newReplicator(replica *server.Server) *replicator {
-	r := &replicator{ch: make(chan []wire.UpdateOp, 256), done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		for ops := range r.ch {
-			resp := replica.ExecuteUpdates(&wire.Request{Replica: true, Updates: ops})
-			replica.ReleaseResponse(resp)
-		}
-	}()
-	return r
-}
-
-func (r *replicator) tap(_ uint64, ops []wire.UpdateOp) {
-	r.ch <- append([]wire.UpdateOp(nil), ops...)
-}
-
-func (r *replicator) stop() {
-	close(r.ch)
-	<-r.done
-}
-
-// newServerFunc builds one server of a shard process under cfg: first the
-// standby (memory-only cfg) when the cluster runs replicas, then the primary
-// (cfg carrying the WAL and the replication tap). Both calls must yield
-// bit-for-bit equal servers so the replicated op stream keeps the pair
-// identical. rec is the shard's recovered WAL state when its log holds a
-// checkpoint, else nil; restored reports that the server came from it, so
-// no initial checkpoint is taken over it.
+// newServerFunc builds a shard process's server under cfg (which carries
+// the WAL when the cluster is durable). rec is the shard's recovered WAL
+// state when its log holds a checkpoint, else nil; restored reports that
+// the server came from it, so no initial checkpoint is taken over it.
 type newServerFunc func(cfg server.Config, rec *wal.Recovery) (srv *server.Server, restored bool, err error)
 
 // startProc stands up slot t's shard process and registers it: it opens
-// WALDir/shard-<t> when durability is on, starts the standby and its
-// replication stream when replicas are on, builds the primary, and takes
-// the initial checkpoint unless the primary restored. A failure at any step
+// WALDir/shard-<t> when durability is on, builds the server, and takes the
+// initial checkpoint unless the server restored. A failure at any step
 // releases everything already started through stop, the teardown Retire
 // and Close use.
 func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer newServerFunc) (Shard, error) {
@@ -348,18 +274,9 @@ func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer n
 			rec = r
 		}
 	}
-	if cfg.Replicas {
-		rep, _, err := newServer(cfg.Server, rec)
-		if err != nil {
-			return fail("standby", err)
-		}
-		ps.standby.Store(rep)
-		ps.repl = newReplicator(rep)
-		srvCfg.OnApplied = ps.repl.tap
-	}
 	srv, restored, err := newServer(srvCfg, rec)
 	if err != nil {
-		return fail("primary", err)
+		return fail("server", err)
 	}
 	ps.cur.Store(srv)
 	if srvCfg.WAL != nil && !restored {
@@ -383,8 +300,7 @@ func (p *InProcess) startProc(t int, sizer func(rtree.ObjectID) int, newServer n
 // fails, every shard is released and the error joins each shard's failure.
 // Every shard must own at least one object; datasets smaller than the shard
 // count should shard less. With cfg.WALDir set each shard logs and
-// checkpoints for crash recovery; with cfg.Replicas each shard streams to a
-// warm standby that Kill promotes.
+// checkpoints for crash recovery.
 func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, error) {
 	n := cfg.Shards
 	if n <= 0 {
@@ -456,8 +372,7 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 // into a tree, serializes through AppendImage, and the spawned server opens
 // the deserialized copy, exactly as a remote spawn would receive it. The
 // slot gets its own WAL directory (with an initial checkpoint covering the
-// image) and a warm standby opened from the same image when the cluster is
-// configured with durability or replicas. A spawn never restores: slots are
+// image) when the cluster is durable. A spawn never restores: slots are
 // never reused, so nothing in shard-<t> belongs to this slot. Called by
 // Router.SplitShard.
 func (p *InProcess) spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error) {
@@ -472,8 +387,8 @@ func (p *InProcess) spawn(t int, items []rtree.Item, size func(rtree.ObjectID) i
 }
 
 // retire tears down slot t's process after a merge drained it (or after a
-// split aborted before installing it): server closed, WAL closed, standby
-// released. Called by the router.
+// split aborted before installing it): server closed, WAL closed. Called
+// by the router.
 func (p *InProcess) retire(t int) {
 	if ps := p.proc(t); ps != nil {
 		ps.stop()

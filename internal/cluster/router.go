@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bpt"
@@ -46,15 +45,12 @@ type shardMeta struct {
 	epoch     uint64
 }
 
-// slot is one shard slot as the router sees it: the live endpoint and the
-// last-known metadata. The endpoint is swapped atomically when a standby is
-// promoted; its Release rides along, so responses recycle into the pool of
-// the server that produced them. (A response released across a promotion
-// may land in the wrong pool — harmless, responses carry no
-// server-specific state.) A slot retired by a merge stays in place: node
-// ids are never reused.
+// slot is one shard slot as the router sees it: the endpoint and the
+// last-known metadata. Only a topology operation (split or merge, which
+// serialize on topoOpMu) changes the endpoint, under the write fence. A
+// slot retired by a merge stays in place: node ids are never reused.
 type slot struct {
-	ep   atomic.Pointer[Shard]
+	ep   Shard
 	meta shardMeta
 }
 
@@ -143,8 +139,7 @@ func (r *Router) addSlot(sh Shard) error {
 	if err != nil {
 		return err
 	}
-	sl := &slot{}
-	sl.ep.Store(&sh)
+	sl := &slot{ep: sh}
 	r.slots = append(r.slots, sl)
 	r.stats.Grow(len(r.slots))
 	r.observe(len(r.slots)-1, resp)
@@ -162,29 +157,7 @@ func (r *Router) retireSlot(t int) {
 	sl.meta.rootLevel = 0
 	sl.meta.epoch = 0
 	sl.meta.mu.Unlock()
-	sl.ep.Store(&Shard{T: retiredTransport{}})
-}
-
-// promote swaps slot s onto its standby after InProcess.Kill stopped the
-// primary. The standby holds every acked batch (Kill drained the
-// replication stream into it), but its epochs are its own writer's, so no
-// invalidation window quoted against the primary can be vouched for: every
-// tracked client is flushed, and the epoch table's generation fences
-// responses computed against the old primary. The shard's observed epoch
-// restarts from the standby's counter. A slot that is not live (a split has
-// not installed it yet, or a merge retired it) keeps its endpoint. The
-// caller holds the topology read lock (procShard.kill).
-func (r *Router) promote(s int, standby Shard) {
-	if s >= len(r.slots) || !r.part.Live(s) {
-		return
-	}
-	sl := r.slots[s]
-	sl.ep.Store(&standby)
-	sl.meta.mu.Lock()
-	sl.meta.epoch = 0
-	sl.meta.mu.Unlock()
-	r.epochs.flushAll()
-	r.stats.Shard(s).Failovers.Add(1)
+	sl.ep = Shard{T: retiredTransport{}}
 }
 
 // A down shard is waited out: a sub-request that finds it down is re-sent
@@ -194,18 +167,6 @@ const (
 	retryAttempts = 4
 	retryBackoff  = 2 * time.Millisecond
 )
-
-// Partition exposes the router's KD partition. An edge cache keys its
-// hotness accounting by partition cell (Partition.Locate on the query
-// center), so the tier in front of the router groups traffic exactly the
-// way the router shards it. Partitions are immutable; an elastic topology
-// change swaps in a fresh one, so callers see a consistent (if possibly
-// stale) geometry.
-func (r *Router) Partition() *Partition {
-	r.topo.RLock()
-	defer r.topo.RUnlock()
-	return r.part
-}
 
 // Stats returns the router's live counters.
 func (r *Router) Stats() *metrics.ClusterStats { return r.stats }
@@ -219,7 +180,7 @@ func (r *Router) Snapshot() metrics.ClusterSnapshot {
 	r.topo.RLock()
 	defer r.topo.RUnlock()
 	for s, sl := range r.slots {
-		d, ok := sl.ep.Load().T.(interface{ DurabilityErr() error })
+		d, ok := sl.ep.T.(interface{ DurabilityErr() error })
 		if ok && s < len(snap.PerShard) && d.DurabilityErr() != nil {
 			snap.PerShard[s].WALLatched = true
 		}
@@ -278,8 +239,8 @@ func (r *Router) release(s int, resp *wire.Response) {
 	if resp == nil {
 		return
 	}
-	if ep := r.slots[s].ep.Load(); ep.Release != nil {
-		ep.Release(resp)
+	if rel := r.slots[s].ep.Release; rel != nil {
+		rel(resp)
 	}
 }
 
@@ -427,13 +388,12 @@ func (r *Router) ReleaseResponse(resp *wire.Response) { r.resps.Put(resp) }
 
 // roundTripShard sends one sub-request through the shard's live endpoint,
 // waiting out a shard that is down (errShardDown); any other error surfaces
-// at once. Each attempt reloads the endpoint, so a standby promoted
-// meanwhile answers the next one. Up to 50% jitter on the backoff keeps
-// concurrent sub-queries from hammering a recovering shard in lockstep.
+// at once. Up to 50% jitter on the backoff keeps concurrent sub-queries
+// from hammering a recovering shard in lockstep.
 func (r *Router) roundTripShard(s int, req *wire.Request) (*wire.Response, error) {
-	sl := r.slots[s]
+	t := r.slots[s].ep.T
 	for attempt := 0; ; attempt++ {
-		resp, err := sl.ep.Load().T.RoundTrip(req)
+		resp, err := t.RoundTrip(req)
 		if err != errShardDown || attempt == retryAttempts {
 			return resp, err
 		}
@@ -715,10 +675,12 @@ func (r *Router) finishConsistency(st *routeState, req *wire.Request, resp *wire
 	}
 	epoch, ok := r.epochs.commit(req.Client, req.Epoch, st.newVec, st.newRoots, st.epochGen)
 	if !ok {
-		// A replica promotion flushed the table while this request was in
-		// flight: its base vector may describe epochs the promoted shard
-		// never reached, so the commit was refused — flush the client and
-		// let its next request rebase on post-failover state.
+		// A merge flushed the table after this request resolved its base:
+		// the vector may name the merged-away slot's epochs, so the commit
+		// was refused — flush the client and let its next request rebase on
+		// the post-merge topology. (A merge flushes under the write fence,
+		// which RoundTrip's read fence already orders against; the
+		// generation keeps the table safe without relying on that.)
 		if !resp.FlushAll {
 			resp.FlushAll = true
 			resp.InvalidNodes = resp.InvalidNodes[:0]

@@ -57,8 +57,13 @@ func TestRebalancerOverInProcess(t *testing.T) {
 	}
 
 	// Skewed growth: 1200 inserts into one corner. Whichever shard owns the
-	// corner crosses the 1500-object trigger.
-	hot := p.Router.Partition().Locate(geom.Pt(0.05, 0.05))
+	// corner crosses the 1500-object trigger. No split has happened yet,
+	// so the router still routes by the build's deterministic partition.
+	part, err := cluster.MakePartition(objs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := part.Locate(geom.Pt(0.05, 0.05))
 	var hotIDs []rtree.ObjectID
 	for i := 0; i < 1200; i += 100 {
 		ops := make([]wire.UpdateOp, 0, 100)

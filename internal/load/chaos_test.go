@@ -7,21 +7,22 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/query"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
 // durableCluster builds the chaos-capable backend the fault scenarios need:
-// per-shard WALs for crash recovery and optional warm standbys.
-func durableCluster(t *testing.T, replicas bool) *cluster.InProcess {
+// per-shard WALs for crash recovery.
+func durableCluster(t *testing.T) *cluster.InProcess {
 	t.Helper()
 	ds := dataset.GenerateNE(dataset.Params{N: 4000, Seed: 7})
 	cl, err := cluster.NewInProcess(ds.Objects, cluster.InProcessConfig{
-		Shards:   4,
-		Sizer:    ds.SizeOf,
-		WALDir:   t.TempDir(),
-		WAL:      wal.Options{NoSync: true, CheckpointBytes: 64 << 10},
-		Replicas: replicas,
+		Shards: 4,
+		Sizer:  ds.SizeOf,
+		WALDir: t.TempDir(),
+		WAL:    wal.Options{NoSync: true, CheckpointBytes: 64 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func runScenario(t *testing.T, name string, cl *cluster.InProcess) (*Result, *co
 // to end: two shards crash-restart from their WALs mid-run and the router
 // waits each one out — zero protocol errors reach a user.
 func TestLoadChaosCrashRecovery(t *testing.T) {
-	cl := durableCluster(t, false)
+	cl := durableCluster(t)
 	res, inj := runScenario(t, "shard-crash-recovery", cl)
 	if res.Errors != 0 {
 		t.Fatalf("%d protocol errors leaked through the crash-restarts", res.Errors)
@@ -89,42 +90,37 @@ func TestLoadChaosCrashRecovery(t *testing.T) {
 	if k, r := inj.kills.Load(), inj.restarts.Load(); k != 2 || r != 2 {
 		t.Fatalf("the schedule fired %d kills and %d restarts, want 2 and 2", k, r)
 	}
-	if res.Failovers != 0 {
-		t.Fatalf("%d replica promotions in a replica-less cluster", res.Failovers)
-	}
 }
 
-// TestLoadClusterCountersPerRun runs a fault-free scenario on the backend a
-// chaos scenario just failed over (a promotion is the one counter a fault
-// moves for certain): the failover counters it reports are its own, not the
-// totals the backend carries from the run before.
+// TestLoadClusterCountersPerRun runs a fault-free scenario on a backend
+// whose router already counted retries: a request waited out a shard's
+// crash-restart before the run. The retry counter the run reports is its
+// own, not the total the backend carries from before.
 func TestLoadClusterCountersPerRun(t *testing.T) {
-	cl := durableCluster(t, true)
-	if res, inj := runScenario(t, "replica-failover", cl); inj.kills.Load() == 0 || res.Failovers == 0 {
-		t.Fatalf("the kill did not fire (%d kills, %d promotions)", inj.kills.Load(), res.Failovers)
+	cl := durableCluster(t)
+	cl.Kill(1)
+	restarted := make(chan error, 1)
+	go func() {
+		for cl.Stats().Shard(1).Retries.Load() == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		restarted <- cl.Restart(1)
+	}()
+	if _, err := cl.Router.RoundTrip(&wire.Request{Client: 1, Q: query.NewRange(geom.R(0, 0, 1, 1))}); err != nil {
+		t.Fatalf("request across the restart: %v", err)
+	}
+	if err := <-restarted; err != nil {
+		t.Fatal(err)
+	}
+	if cl.Router.Snapshot().Retries() == 0 {
+		t.Fatal("the request across the restart counted no retry")
 	}
 	res, _ := runScenario(t, "baseline", cl)
 	if res.Errors != 0 || res.WireOK == 0 {
-		t.Fatalf("baseline after the failover: %d ok, %d errors", res.WireOK, res.Errors)
+		t.Fatalf("baseline after the restart: %d ok, %d errors", res.WireOK, res.Errors)
 	}
-	if res.Retries != 0 || res.Failovers != 0 {
-		t.Fatalf("fault-free run reported retries=%d failovers=%d", res.Retries, res.Failovers)
-	}
-}
-
-// TestLoadChaosReplicaFailover kills a primary for good mid-run: the warm
-// replica is promoted and the schedule finishes with zero errors.
-func TestLoadChaosReplicaFailover(t *testing.T) {
-	cl := durableCluster(t, true)
-	res, inj := runScenario(t, "replica-failover", cl)
-	if res.Errors != 0 {
-		t.Fatalf("%d protocol errors leaked through the failover", res.Errors)
-	}
-	if k := inj.kills.Load(); k != 1 {
-		t.Fatalf("the schedule fired %d kills, want 1", k)
-	}
-	if res.Failovers != 1 {
-		t.Fatalf("%d replica promotions, want the kill's 1", res.Failovers)
+	if res.Retries != 0 {
+		t.Fatalf("fault-free run reported retries=%d", res.Retries)
 	}
 }
 
@@ -165,30 +161,8 @@ func TestFaultMatrixDisjoint(t *testing.T) {
 			t.Fatalf("Lookup(%q) returned a different spec", s.Name)
 		}
 		if s.SLO.MaxErrorFrac != 0 {
-			t.Fatalf("fault scenario %q tolerates errors (MaxErrorFrac=%v); failover must be invisible",
+			t.Fatalf("fault scenario %q tolerates errors (MaxErrorFrac=%v); a crash-restart must be invisible",
 				s.Name, s.SLO.MaxErrorFrac)
-		}
-	}
-}
-
-// TestNeedsStandbyRule pins which chaos scenarios run with warm standbys:
-// only a shard killed for good needs one. A crash-restart scenario must run
-// without, or promotion absorbs every crash and no WAL-restarted primary
-// ever serves under load.
-func TestNeedsStandbyRule(t *testing.T) {
-	want := map[string]bool{"shard-crash-recovery": false, "replica-failover": true}
-	for _, s := range FaultMatrix() {
-		w, ok := want[s.Name]
-		if !ok {
-			t.Fatalf("fault scenario %q has no pinned standby rule; add it here", s.Name)
-		}
-		if got := NeedsStandby(s.Faults); got != w {
-			t.Errorf("NeedsStandby(%s) = %v, want %v", s.Name, got, w)
-		}
-	}
-	for _, s := range Matrix() {
-		if NeedsStandby(s.Faults) {
-			t.Errorf("fault-free scenario %q asks for standbys", s.Name)
 		}
 	}
 }

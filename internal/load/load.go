@@ -52,14 +52,10 @@ type Config struct {
 	// schedules faults; fault-free specs ignore it.
 	Injector Injector
 	// Cluster, when set, is sampled before and after the run to fill the
-	// cluster-only Result fields (ShardErrors, Retries, Failovers, Splits,
-	// Merges, Handover) with this run's deltas. Wire it to the
+	// cluster-only Result fields (ShardErrors, Retries, Splits, Merges,
+	// Handover) with this run's deltas. Wire it to the
 	// metrics.ClusterStats of the router behind NewTransport.
 	Cluster func() metrics.ClusterSnapshot
-	// EdgeStats, when set, is sampled before and after the run to fill
-	// Result.EdgeHits/EdgeMisses/EdgeForwards with this run's deltas (wire
-	// it to the edge tier's metrics.EdgeStats snapshot).
-	EdgeStats func() metrics.EdgeSnapshot
 }
 
 // maxOutstanding bounds in-flight operations per worker; arrivals that find
@@ -130,12 +126,8 @@ func Run(cfg Config) (*Result, error) {
 		sizer = wire.DefaultSizeModel()
 		dur   = cfg.Duration.Seconds()
 
-		edgeBase    metrics.EdgeSnapshot
 		clusterBase metrics.ClusterSnapshot
 	)
-	if cfg.EdgeStats != nil {
-		edgeBase = cfg.EdgeStats()
-	}
 	if cfg.Cluster != nil {
 		clusterBase = cfg.Cluster()
 	}
@@ -229,13 +221,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Cluster != nil {
 		res.FillClusterDeltas(clusterBase, cfg.Cluster())
-	}
-	if cfg.EdgeStats != nil {
-		now := cfg.EdgeStats()
-		res.EdgeTier = true
-		res.EdgeHits = now.Hits - edgeBase.Hits
-		res.EdgeMisses = now.Misses - edgeBase.Misses
-		res.EdgeForwards = now.Forwards - edgeBase.Forwards
 	}
 	// Achieved rate is completions over the offered window, not over
 	// elapsed-including-drain: every operation was *scheduled* inside

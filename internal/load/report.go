@@ -29,13 +29,7 @@ type Result struct {
 	UpdateRejects int64 // individual mutations the server rejected
 	ShardErrors   int64 // shard sub-requests that failed (cluster only)
 
-	Retries   int64 // shard round trips the router retried (cluster only)
-	Failovers int64 // replica promotions (cluster only)
-
-	EdgeTier     bool  // the run went through an edge cache tier
-	EdgeHits     int64 // queries the edge answered without touching the cluster
-	EdgeMisses   int64 // cacheable queries the edge had to forward
-	EdgeForwards int64 // all requests the edge relayed upstream
+	Retries int64 // shard round trips the router retried (cluster only)
 
 	Elastic  bool          // topology-op counters were sampled (cluster only)
 	Splits   int64         // online shard splits during the run
@@ -60,7 +54,6 @@ func (r *Result) FillClusterDeltas(before, after metrics.ClusterSnapshot) {
 	r.Elastic = true
 	r.ShardErrors = after.Errors() - before.Errors()
 	r.Retries = after.Retries() - before.Retries()
-	r.Failovers = after.Failovers() - before.Failovers()
 	r.Splits = after.Splits - before.Splits
 	r.Merges = after.Merges - before.Merges
 	r.Handover = time.Duration(after.HandoverNanos - before.HandoverNanos)
@@ -122,13 +115,7 @@ type ScenarioReport struct {
 	UpdateRejects int64 `json:"update_rejects"`
 	ShardErrors   int64 `json:"shard_errors"`
 
-	Retries   int64 `json:"retries"`
-	Failovers int64 `json:"failovers"`
-
-	EdgeTier     bool  `json:"edge_tier"`
-	EdgeHits     int64 `json:"edge_hits"`
-	EdgeMisses   int64 `json:"edge_misses"`
-	EdgeForwards int64 `json:"edge_forwards"`
+	Retries int64 `json:"retries"`
 
 	Elastic    bool  `json:"elastic"`
 	Splits     int64 `json:"splits"`
@@ -172,13 +159,7 @@ func (r *Result) Report() ScenarioReport {
 		UpdateRejects: r.UpdateRejects,
 		ShardErrors:   r.ShardErrors,
 
-		Retries:   r.Retries,
-		Failovers: r.Failovers,
-
-		EdgeTier:     r.EdgeTier,
-		EdgeHits:     r.EdgeHits,
-		EdgeMisses:   r.EdgeMisses,
-		EdgeForwards: r.EdgeForwards,
+		Retries: r.Retries,
 
 		Elastic:    r.Elastic,
 		Splits:     r.Splits,
@@ -217,7 +198,9 @@ func MarshalReports(results []*Result) ([]byte, error) {
 // is ScenarioReport itself: the scenarios array exists and is non-empty,
 // every entry carries every json-tagged field (renaming one silently breaks
 // downstream tooling), every numeric field is non-negative, and the latency
-// quantiles are ordered p50 <= p99 <= p999.
+// quantiles are ordered p50 <= p99 <= p999. Keys the schema no longer has
+// (a retired counter such as "failovers" or "edge_hits" in an older
+// report) are ignored, so old reports still validate.
 func ValidateReport(data []byte) error {
 	var doc struct {
 		Scenarios []map[string]json.RawMessage `json:"scenarios"`
@@ -269,21 +252,12 @@ func (r *Result) Fprint(w io.Writer) {
 		r.Duration.Round(time.Millisecond), r.Users, r.Workers)
 	fmt.Fprintf(w, "  ops: scheduled=%d wire=%d ok=%d errors=%d timeouts=%d shed=%d shard_errors=%d updates=%d rejects=%d\n",
 		r.Scheduled, r.WireSent, r.WireOK, r.Errors, r.Timeouts, r.Shed, r.ShardErrors, r.Updates, r.UpdateRejects)
-	if r.Retries > 0 || r.Failovers > 0 {
-		fmt.Fprintf(w, "  failover: retries=%d promotions=%d\n", r.Retries, r.Failovers)
+	if r.Retries > 0 {
+		fmt.Fprintf(w, "  recovery: retries=%d\n", r.Retries)
 	}
 	if r.Elastic && (r.Splits > 0 || r.Merges > 0) {
 		fmt.Fprintf(w, "  elastic: splits=%d merges=%d handover=%v\n",
 			r.Splits, r.Merges, r.Handover.Round(time.Microsecond))
-	}
-	if r.EdgeTier {
-		rate := 0.0
-		if t := r.EdgeHits + r.EdgeMisses; t > 0 {
-			rate = float64(r.EdgeHits) / float64(t)
-		}
-		fmt.Fprintf(w, "  edge: hits=%d misses=%d (%.1f%%) forwarded=%d upstream_cut=%.1f%%\n",
-			r.EdgeHits, r.EdgeMisses, 100*rate,
-			r.EdgeForwards, 100*(1-float64(r.EdgeForwards)/float64(max(r.WireSent, 1))))
 	}
 	fmt.Fprintf(w, "  latency: mean=%v p50=%v p99=%v p999=%v  bytes: up=%d down=%d\n",
 		r.Mean.Round(time.Microsecond), r.P50, r.P99, r.P999, r.BytesUp, r.BytesDown)

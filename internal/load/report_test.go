@@ -17,7 +17,7 @@ func sampleResult() *Result {
 		Users:       100_000,
 		Workers:     4,
 		Scheduled:   1500, WireSent: 1500, WireOK: 1500, Updates: 100,
-		Retries: 3, Failovers: 1,
+		Retries: 3,
 		BytesUp: 50_000, BytesDown: 4_000_000,
 		Mean: time.Millisecond, P50: time.Millisecond,
 		P99: 4 * time.Millisecond, P999: 8 * time.Millisecond,
@@ -45,8 +45,8 @@ func TestReportRoundTrip(t *testing.T) {
 	if sc.Scenario != "baseline" || sc.WireOK != 1500 || sc.P999US != 8000 || !sc.SLOPass {
 		t.Fatalf("round trip mangled values: %+v", sc)
 	}
-	if sc.Retries != 3 || sc.Failovers != 1 {
-		t.Fatalf("failover counters mangled: %+v", sc)
+	if sc.Retries != 3 {
+		t.Fatalf("retry counter mangled: %+v", sc)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestValidateReportRejects(t *testing.T) {
 			return bytes.Replace(b, []byte(`"wire_ok": 1500`), []byte(`"wire_ok": -1`), 1)
 		}, "negative"},
 		{"missing failover key", func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"failovers"`), []byte(`"failovers_gone"`), 1)
-		}, `missing key "failovers"`},
+			return bytes.Replace(b, []byte(`"retries"`), []byte(`"retries_gone"`), 1)
+		}, `missing key "retries"`},
 		{"negative failover counter", func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"retries": 3`), []byte(`"retries": -3`), 1)
 		}, "negative"},
@@ -102,6 +102,39 @@ func TestValidateReportRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.errPart)
 			}
 		})
+	}
+}
+
+// TestValidateReportAcceptsRetiredKeys: a report written before a counter
+// was retired still validates. It carries every current key plus the keys
+// of the removed redial counter, standby promotions and edge tier.
+func TestValidateReportAcceptsRetiredKeys(t *testing.T) {
+	data, err := MarshalReports([]*Result{sampleResult()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Scenarios []map[string]any `json:"scenarios"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	retired := map[string]any{
+		"redials": 2, "failovers": 1, "edge_tier": true,
+		"edge_hits": 40, "edge_misses": 10, "edge_forwards": 60,
+	}
+	for k, v := range retired {
+		if _, ok := doc.Scenarios[0][k]; ok {
+			t.Fatalf("key %q is still in the schema", k)
+		}
+		doc.Scenarios[0][k] = v
+	}
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateReport(old); err != nil {
+		t.Fatalf("a report carrying retired keys fails validation: %v", err)
 	}
 }
 

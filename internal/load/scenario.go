@@ -9,8 +9,8 @@
 // Every operation is a cold wire request: cached clients are measured by
 // the benchmark's mobile-tour workload with real core.Clients. The
 // scenario matrix keeps what only an open loop shows: queueing and SLO
-// envelopes at a fixed offered rate, flash crowds and edge hotspots, and
-// skewed growth under online splits. Every scenario is a deterministic
+// envelopes at a fixed offered rate, flash crowds, and skewed growth under
+// online splits. Every scenario is a deterministic
 // generator: the same seed produces the same operation stream, so CI can
 // gate on scenario-level regressions the way it gates on microbenchmarks.
 package load
@@ -121,15 +121,14 @@ type Spec struct {
 	// TileQuant, when positive, snaps hotspot query centers to a TileQuant x
 	// TileQuant grid — the map-tile querying pattern of production mobile
 	// apps, where clients in one area request canonical tiles rather than
-	// per-user windows. Identical hot queries are what a shared cache tier
-	// in front of the cluster can absorb.
+	// per-user windows, so a crowd repeats identical queries.
 	TileQuant int
 	// AmbientUpdates places updates drawn into the hotspot at the user's
 	// home instead: the update feed is the moving-object fleet, and crowd
 	// members converge to watch, not to move objects.
 	AmbientUpdates bool
 
-	// Faults is the chaos schedule: shard kills and restarts fired at fixed
+	// Faults is the chaos schedule: shard crash-restarts fired at fixed
 	// fractions of the run (fault scenarios only; needs Config.Injector).
 	Faults []FaultEvent
 
@@ -202,14 +201,6 @@ func Matrix() []Spec {
 			Description: "a hotspot ramps to 85% of traffic in the first third of the run and holds; crowd members query canonical map tiles while the ambient update feed ships batched",
 			RangeFrac:   0.50, KNNFrac: 0.45, UpdateFrac: 0.01,
 			Poisson: true, Shape: ShapeFlashCrowd, HotFrac: 0.85, HotRadius: 0.03,
-			TileQuant: 32, AmbientUpdates: true, UpdateBatch: 4,
-			SLO: defaultSLO,
-		},
-		{
-			Name:        "edge-hotspot",
-			Description: "a static crowd pinned inside one partition cell queries canonical tiles: the showcase for an edge cache absorbing a hotspot",
-			RangeFrac:   0.57, KNNFrac: 0.42, UpdateFrac: 0.01,
-			Poisson: true, Shape: ShapeHotspot, HotFrac: 0.92, HotRadius: 0.02,
 			TileQuant: 32, AmbientUpdates: true, UpdateBatch: 4,
 			SLO: defaultSLO,
 		},

@@ -28,7 +28,7 @@ func TestMatrixWellFormed(t *testing.T) {
 			t.Errorf("Lookup(%q): %v", sp.Name, err)
 		}
 	}
-	want := "baseline flash-crowd edge-hotspot shard-skew shard-crash-recovery replica-failover"
+	want := "baseline flash-crowd shard-skew shard-crash-recovery"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("scenarios %q, want %q", got, want)
 	}
@@ -192,7 +192,12 @@ func TestShapeCenters(t *testing.T) {
 		t.Fatalf("flash crowd did not ramp: %d hot early, %d hot late", early, late)
 	}
 
-	static, _ := Lookup("edge-hotspot")
+	static := Spec{
+		Name:      "static-hotspot",
+		RangeFrac: 0.57, KNNFrac: 0.42, UpdateFrac: 0.01,
+		Shape: ShapeHotspot, HotFrac: 0.92, HotRadius: 0.02,
+		TileQuant: 32, AmbientUpdates: true,
+	}.normalized()
 	g = NewGen(static, 21, 1_000_000, 10)
 	floor := int(0.8 * static.HotFrac * samples)
 	if early, late := near(static, g, 0.1), near(static, g, 9.9); early < floor || late < floor {

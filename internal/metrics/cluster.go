@@ -58,8 +58,6 @@ type ShardCounters struct {
 	Errors atomic.Int64
 	// Retries counts sub-requests re-sent while this shard was down.
 	Retries atomic.Int64
-	// Failovers counts promotions of this shard's warm replica.
-	Failovers atomic.Int64
 
 	// Objects gauges how many objects the shard currently owns: seeded at
 	// build/spawn, maintained from acked inserts and deletes, and adjusted
@@ -140,7 +138,6 @@ type ShardSnapshot struct {
 	SubQueries int64
 	Errors     int64
 	Retries    int64
-	Failovers  int64
 	Objects    int64
 	Dead       bool
 	// WALLatched marks a shard whose write-ahead log failed: it keeps
@@ -170,7 +167,6 @@ func (s *ClusterStats) Snapshot() ClusterSnapshot {
 				SubQueries: sh.SubQueries.Load(),
 				Errors:     sh.Errors.Load(),
 				Retries:    sh.Retries.Load(),
-				Failovers:  sh.Failovers.Load(),
 				Objects:    sh.Objects.Load(),
 				Dead:       sh.Dead.Load(),
 			}
@@ -212,8 +208,8 @@ func (s ClusterSnapshot) String() string {
 		if sh.WALLatched {
 			b.WriteString("(wal-latched)")
 		}
-		if sh.Retries > 0 || sh.Failovers > 0 {
-			fmt.Fprintf(&b, "[%dretry/%dfo]", sh.Retries, sh.Failovers)
+		if sh.Retries > 0 {
+			fmt.Fprintf(&b, "[%dretry]", sh.Retries)
 		}
 	}
 	return b.String()
@@ -227,11 +223,6 @@ func (s ClusterSnapshot) Errors() int64 {
 // Retries sums sub-request retries across shards.
 func (s ClusterSnapshot) Retries() int64 {
 	return s.sum(func(sh ShardSnapshot) int64 { return sh.Retries })
-}
-
-// Failovers sums replica promotions across shards.
-func (s ClusterSnapshot) Failovers() int64 {
-	return s.sum(func(sh ShardSnapshot) int64 { return sh.Failovers })
 }
 
 // LiveShards counts slots that are not dead.

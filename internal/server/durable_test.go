@@ -221,37 +221,6 @@ func TestRestoreAfterWriterCheckpoint(t *testing.T) {
 	}
 }
 
-// TestOnAppliedObservesEveryEpoch checks the replication tap: the observed
-// (epochBefore, ops) stream reconstructs the server's epoch sequence with no
-// gaps and no rejected operations.
-func TestOnAppliedObservesEveryEpoch(t *testing.T) {
-	type batchTap struct {
-		epochBefore uint64
-		ops         []wire.UpdateOp
-	}
-	var taps []batchTap
-	cfg := Config{OnApplied: func(e uint64, ops []wire.UpdateOp) {
-		taps = append(taps, batchTap{e, append([]wire.UpdateOp(nil), ops...)})
-	}}
-	srv, items := buildServer(t, 21, 300, cfg)
-	defer srv.Close()
-	pool := newDurablePool(5, items)
-	for round := 0; round < 10; round++ {
-		srv.ApplyUpdates(pool.batch(8), nil)
-	}
-	srv.Close() // drain so every ack (and tap) has fired
-	next := uint64(0)
-	for i, tap := range taps {
-		if tap.epochBefore != next {
-			t.Fatalf("tap %d: epochBefore %d, want %d", i, tap.epochBefore, next)
-		}
-		next += uint64(len(tap.ops))
-	}
-	if next != srv.Epoch() {
-		t.Fatalf("taps cover epochs up to %d, server at %d", next, srv.Epoch())
-	}
-}
-
 // TestDurabilityErrLatches wires a failing log and checks the server keeps
 // applying updates while latching the first error.
 func TestDurabilityErrLatches(t *testing.T) {

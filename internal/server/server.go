@@ -54,10 +54,6 @@ type Config struct {
 	// failure latches DurabilityErr and disables further logging rather
 	// than failing updates — availability over durability, loudly.
 	WAL BatchLog
-	// OnApplied, when set, observes every applied batch after its snapshot
-	// is published and the waiters acked — the replication stream tap.
-	// Called on the writer goroutine; ops is valid only during the call.
-	OnApplied func(epochBefore uint64, ops []wire.UpdateOp)
 }
 
 func (c Config) normalized() Config {

@@ -294,9 +294,6 @@ func (w *writer) apply(batches []*updateBatch) {
 	if !changed {
 		return
 	}
-	if fn := w.s.cfg.OnApplied; fn != nil {
-		fn(epochBefore, w.walOps)
-	}
 	w.prewarm(nw)
 	// Checkpoint between publish groups, still on the writer goroutine: no
 	// update is in flight to race the extras overlay.

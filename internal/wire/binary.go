@@ -101,7 +101,10 @@ const (
 	reqHasFMR
 	reqHasUpdates
 	reqHasBound
-	reqReplica
+	// reqReplicaReserved once marked a replication-stream message between
+	// two servers of one shard. It stays reserved so later flags keep their
+	// positions; the decoder ignores it, as it ignores bits 6-7.
+	reqReplicaReserved
 )
 
 // Query field-presence bits (zero-valued fields are elided).
@@ -283,9 +286,6 @@ func EncodeRequest(dst []byte, req *Request) []byte {
 	}
 	if req.Bound > 0 {
 		fl |= reqHasBound
-	}
-	if req.Replica {
-		fl |= reqReplica
 	}
 	b = append(b, fl)
 	b = binary.AppendUvarint(b, req.Epoch)
@@ -615,7 +615,6 @@ func DecodeRequest(body []byte) (*Request, error) {
 	req.NoIndex = fl&reqNoIndex != 0
 	req.Catalog = fl&reqCatalog != 0
 	req.HasFMR = fl&reqHasFMR != 0
-	req.Replica = fl&reqReplica != 0
 	req.Epoch = d.uvarint()
 	req.Q = d.query()
 	if n := d.count(minElemBytes); n > 0 {

@@ -163,15 +163,6 @@ func testRequests() map[string]*Request {
 			Epoch:  12,
 			Bound:  0.125,
 		},
-		"replica-batch": {
-			Client:  13,
-			Epoch:   8,
-			Replica: true,
-			Updates: []UpdateOp{
-				{Kind: UpdateInsert, Obj: 80001, To: geom.R(0.125, 0.25, 0.25, 0.375), Size: 512},
-				{Kind: UpdateMove, Obj: 19, From: geom.R(0.5, 0.5, 0.625, 0.625), To: geom.R(0.625, 0.5, 0.75, 0.625)},
-			},
-		},
 		"update-batch": {
 			Client: 11,
 			Epoch:  64,

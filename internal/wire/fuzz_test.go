@@ -3,11 +3,13 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// Fuzz seed corpus: the canonical bodies of every message shape, plus a few
-// deliberately hostile frames. `go test -fuzz` grows it from here; CI runs a
+// Fuzz seed corpus: the canonical bodies of every message shape, one
+// retired shape's bytes, plus a few deliberately hostile frames. `go test -fuzz` grows it from here; CI runs a
 // short -fuzztime smoke over both targets.
 
 func seedBodies() [][]byte {
@@ -15,6 +17,13 @@ func seedBodies() [][]byte {
 	for _, req := range testRequests() {
 		seeds = append(seeds, EncodeRequest(nil, req))
 	}
+	// A retired shape's checked-in bytes: an update batch carrying the
+	// reserved replica bit, which the decoder must keep ignoring.
+	legacy, err := os.ReadFile(filepath.Join("testdata", "req_replica-batch.bin"))
+	if err != nil {
+		panic(err)
+	}
+	seeds = append(seeds, legacy)
 	for _, resp := range testResponses() {
 		seeds = append(seeds, EncodeResponse(nil, resp))
 	}

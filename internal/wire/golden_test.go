@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // The golden files under testdata/ are the canonical bytes of the binary
@@ -57,6 +59,38 @@ func TestGoldenRequests(t *testing.T) {
 		if want := canonRequest(req); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: golden decode mismatch\n got %+v\nwant %+v", name, got, want)
 		}
+	}
+
+	// req_replica-batch.bin is decode-only: an update batch carrying the
+	// retired replica bit, which the decoder ignores like bits 6-7. It must
+	// decode to the plain batch and re-encode to the same bytes with that
+	// one bit (in the flag byte after the one-byte client id) cleared.
+	old, err := os.ReadFile(filepath.Join("testdata", "req_replica-batch.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &Request{
+		Client: 13,
+		Epoch:  8,
+		Updates: []UpdateOp{
+			{Kind: UpdateInsert, Obj: 80001, To: geom.R(0.125, 0.25, 0.25, 0.375), Size: 512},
+			{Kind: UpdateMove, Obj: 19, From: geom.R(0.5, 0.5, 0.625, 0.625), To: geom.R(0.625, 0.5, 0.75, 0.625)},
+		},
+	}
+	got, err := DecodeRequest(old)
+	if err != nil {
+		t.Fatalf("replica-batch: decode golden: %v", err)
+	}
+	if want := canonRequest(batch); !reflect.DeepEqual(got, want) {
+		t.Errorf("replica-batch: golden decode mismatch\n got %+v\nwant %+v", got, want)
+	}
+	if old[1]&reqReplicaReserved == 0 {
+		t.Fatal("replica-batch golden no longer carries the reserved bit")
+	}
+	plain := append([]byte(nil), old...)
+	plain[1] &^= reqReplicaReserved
+	if enc := EncodeRequest(nil, batch); !bytes.Equal(enc, plain) {
+		t.Errorf("replica-batch: re-encoded %x, want the golden without the reserved bit %x", enc, plain)
 	}
 }
 

@@ -80,12 +80,6 @@ type Request struct {
 	// snapshot.
 	Updates []UpdateOp
 
-	// Replica marks a replication-stream message: a primary shard forwarding
-	// its acked update batches (or catalog probes) to its warm standby
-	// (docs/DURABILITY.md). The flag is carried as a bare bit on the wire
-	// and ordinary clients never set it.
-	Replica bool
-
 	// Bound, when positive, is shard-routing metadata from a cluster router
 	// (internal/cluster): a priority-key upper bound on the query. A kNN
 	// sub-query carries the router's current global k-th-best distance, so a

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/wire"
@@ -35,7 +36,11 @@ func recordTour(t *testing.T, objects []Object, shards, queries int) [][]byte {
 		t.Fatal(err)
 	}
 	// Find where y = 0.5 leaves the first shard and walk along that cut.
-	part := cs.cluster.Router.Partition()
+	// The build partitions deterministically, so this is the router's.
+	part, err := cluster.MakePartition(objects, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := 0.0, 1.0
 	for hi-lo > 1e-6 {
 		if mid := (lo + hi) / 2; part.Locate(Pt(mid, 0.5)) == part.Locate(Pt(0, 0.5)) {

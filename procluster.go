@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/edge"
 	"repro/internal/elastic"
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -59,9 +57,6 @@ type ClusterConfig struct {
 	// WALNoSync skips the per-batch fsync. For harnesses and CI on
 	// throwaway directories only — a crash can lose unsynced batches.
 	WALNoSync bool
-	// Replicas runs one warm standby per shard, fed the primary's acked
-	// batches, which Kill promotes in the primary's place.
-	Replicas bool
 }
 
 // ClusterServer is a spatially sharded spatial database behind one
@@ -70,7 +65,7 @@ type ClusterConfig struct {
 // scatter-gathering queries, routing updates to owning shards, and
 // re-keying node ids and epochs into the virtual namespace clients see
 // (docs/CLUSTER.md). A single node is a one-shard cluster, and it gets the
-// same WAL, replicas, edge tier and online split as any other. Query
+// same WAL, crash recovery and online split as any other. Query
 // execution never locks an index: queries pin an immutable snapshot while
 // each shard's single writer batches updates and publishes fresh ones
 // (docs/UPDATES.md). Start one with prodb -cluster N.
@@ -78,11 +73,6 @@ type ClusterServer struct {
 	cluster       *cluster.InProcess
 	stats         metrics.ServerStats
 	remoteUpdates atomic.Bool
-
-	// edgeMu guards edges: every edge tier built over this cluster, so
-	// topology changes can rebind their partition cells (edge.Repartition).
-	edgeMu sync.Mutex
-	edges  []*edge.Edge
 }
 
 // NewClusterServer partitions the objects into cfg.Shards spatial shards,
@@ -91,12 +81,11 @@ type ClusterServer struct {
 // count should shard less.
 func NewClusterServer(objects []Object, cfg ClusterConfig) (*ClusterServer, error) {
 	p, err := cluster.NewInProcess(objects, cluster.InProcessConfig{
-		Shards:   cfg.Shards,
-		Server:   server.Config{Form: cfg.Form},
-		Sizer:    buildSizer(objects),
-		WALDir:   cfg.WALDir,
-		WAL:      wal.Options{NoSync: cfg.WALNoSync},
-		Replicas: cfg.Replicas,
+		Shards: cfg.Shards,
+		Server: server.Config{Form: cfg.Form},
+		Sizer:  buildSizer(objects),
+		WALDir: cfg.WALDir,
+		WAL:    wal.Options{NoSync: cfg.WALNoSync},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
@@ -198,16 +187,15 @@ func (cs *ClusterServer) ReleaseResponse(resp *wire.Response) {
 	cs.cluster.Router.ReleaseResponse(resp)
 }
 
-// Kill crash-stops one shard (chaos testing). With ClusterConfig.Replicas
-// its warm standby is promoted at once, and every client is flushed;
-// without one the shard is down until Restart, and a request to it waits
-// 30–45 ms before it fails. Requires ClusterConfig.WALDir for Restart to
-// work.
+// Kill crash-stops one shard (chaos testing): every update it acked is in
+// its WAL, and it is down until Restart. A request to a down shard waits
+// 30–45 ms for the restart before it fails. Requires ClusterConfig.WALDir
+// for Restart to work.
 func (cs *ClusterServer) Kill(shard int) { cs.cluster.Kill(shard) }
 
 // Restart recovers a killed shard from its WAL (checkpoint + tail replay)
 // and returns it to service: the router's next round trip to the shard
-// reaches it. A shard whose standby was promoted stays on the standby.
+// reaches it.
 func (cs *ClusterServer) Restart(shard int) error { return cs.cluster.Restart(shard) }
 
 // Shards returns the shard slot count, dead slots included. Splits grow it;
@@ -226,13 +214,11 @@ func (cs *ClusterServer) SiblingOf(s int) (int, bool) { return cs.cluster.Siblin
 // over s's live objects, the upper half bulk-transfers to a freshly spawned
 // shard as a packed image plus update tail, and the router cuts over behind
 // an epoch fence — clients keep their caches modulo the crossing
-// invalidation window (docs/ELASTIC.md). Any edge tiers built by Edge are
-// repartitioned onto the new cut.
+// invalidation window (docs/ELASTIC.md).
 func (cs *ClusterServer) SplitShard(s int) error {
 	if err := cs.cluster.SplitShard(s); err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
-	cs.repartitionEdges()
 	return nil
 }
 
@@ -244,21 +230,7 @@ func (cs *ClusterServer) MergeShards(s, t int) error {
 	if err := cs.cluster.MergeShards(s, t); err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
-	cs.repartitionEdges()
 	return nil
-}
-
-// repartitionEdges rebinds every edge tier to the current partition after a
-// topology change: hotness cells follow the new cut and entries admitted
-// under a boundary that moved are dropped.
-func (cs *ClusterServer) repartitionEdges() {
-	part := cs.cluster.Router.Partition()
-	cs.edgeMu.Lock()
-	edges := append([]*edge.Edge(nil), cs.edges...)
-	cs.edgeMu.Unlock()
-	for _, e := range edges {
-		_ = e.Repartition(part.Locate, part.Shards())
-	}
 }
 
 // elasticView adapts the cluster facade to elastic.Cluster. It is a
@@ -274,8 +246,7 @@ func (v elasticView) Stats() *metrics.ClusterStats { return v.cs.cluster.Stats()
 
 // Elastic returns the topology surface the load-driven rebalancer drives
 // (elastic.New): live slots, sibling pairs, online split/merge, and the
-// router counters the policy reads. Operations through this view also
-// repartition any edge tiers.
+// router counters the policy reads.
 func (cs *ClusterServer) Elastic() elastic.Cluster { return elasticView{cs} }
 
 // StartRebalancer runs a load-driven rebalancer over this cluster in a
@@ -326,75 +297,3 @@ func (cs *ClusterServer) ShardObjects() []int {
 // Close stops every shard's background update writer, waiting for queued
 // batches to be applied.
 func (cs *ClusterServer) Close() { cs.cluster.Close() }
-
-// EdgeOptions parameterizes an edge cache tier in front of the cluster;
-// zero values take the edge package defaults.
-type EdgeOptions struct {
-	// AdmitThreshold is the per-cell hotness admission bar and Window the
-	// hotness window length in queries.
-	AdmitThreshold float64
-	Window         int
-	// SyncInterval bounds staleness against writers that bypass the edge;
-	// zero keeps the subscription purely evidence/update-driven (correct
-	// whenever all updates flow through the edge).
-	SyncInterval time.Duration
-	// Upstream overrides the transport the edge forwards to; nil uses the
-	// in-process router directly. A remote edge node sets this to a pool of
-	// pipelined wire connections back to the router (edge.NewUpstreamPool),
-	// keeping the cluster's partition geometry for its cache cells. Its
-	// responses are decoded off the wire, not pooled, so the edge leaves
-	// them to the garbage collector.
-	Upstream Transport
-}
-
-// Edge builds an edge cache tier fronting this cluster: a wire.Transport
-// that answers popular cold range/kNN queries from a snapshot-pinned cache
-// keyed by the cluster's own KD partition cells and forwards everything
-// else to the router (docs/EDGE.md). Responses returned by the edge are
-// owned by the caller; ReleaseResponse still accepts them.
-func (cs *ClusterServer) Edge(opts EdgeOptions) (*edge.Edge, error) {
-	part := cs.cluster.Router.Partition()
-	upstream, release := Transport(cs.Transport()), cs.ReleaseResponse
-	if opts.Upstream != nil {
-		upstream, release = opts.Upstream, nil
-	}
-	e, err := edge.New(edge.Config{
-		Upstream:        upstream,
-		Locate:          part.Locate,
-		Cells:           part.Shards(),
-		ReleaseUpstream: release,
-		AdmitThreshold:  opts.AdmitThreshold,
-		Window:          opts.Window,
-		SyncInterval:    opts.SyncInterval,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	cs.edgeMu.Lock()
-	cs.edges = append(cs.edges, e)
-	cs.edgeMu.Unlock()
-	return e, nil
-}
-
-// EdgeNetServer builds the TCP serving layer with an edge cache tier
-// between the listener and the router: prodb -edge. Clients speak the
-// identical wire protocol; popular queries never reach the shards.
-func (cs *ClusterServer) EdgeNetServer(e *edge.Edge, opts ServeOptions) *wire.NetServer {
-	handler := func(req *wire.Request) (*wire.Response, error) {
-		if len(req.Updates) > 0 && !cs.remoteUpdates.Load() {
-			return nil, ErrUpdatesDisabled
-		}
-		return e.RoundTrip(req)
-	}
-	return wire.NewNetServer(handler, wire.ServeConfig{
-		MaxConns:    opts.MaxConns,
-		MaxInflight: opts.MaxInflight,
-		MaxPipeline: opts.MaxPipeline,
-		ReadTimeout: opts.ReadTimeout,
-		Stats:       &cs.stats,
-		// Edge responses are caller-owned (hits are freshly built, misses
-		// come from the router pool but were deep-copied on admission), so
-		// recycling them into the router pool stays safe.
-		Release: cs.cluster.Router.ReleaseResponse,
-	})
-}

@@ -142,12 +142,12 @@ func TestClusterServerOverTCP(t *testing.T) {
 
 // TestOneShardClusterGrowsAndRecovers: the single node is a one-shard
 // cluster, so it answers like a linear scan and also gets what every
-// cluster has — a WAL and a warm replica to crash-recover from, and an
-// online split that grows it and a merge that folds it back.
+// cluster has — a WAL to crash-recover from, and an online split that
+// grows it and a merge that folds it back.
 func TestOneShardClusterGrowsAndRecovers(t *testing.T) {
 	objects := GenerateNE(3_000, 6)
 	cs, err := NewClusterServer(objects, ClusterConfig{
-		Shards: 1, WALDir: t.TempDir(), WALNoSync: true, Replicas: true,
+		Shards: 1, WALDir: t.TempDir(), WALNoSync: true,
 	})
 	if err != nil {
 		t.Fatal(err)

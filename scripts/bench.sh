@@ -90,34 +90,14 @@ END {
 if [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     PROLOAD_QPS="${PROLOAD_QPS:-1000}"
     PROLOAD_DURATION="${PROLOAD_DURATION:-2s}"
-    EDGE_QPS="${EDGE_QPS:-1500}"
-    EDGE_DURATION="${EDGE_DURATION:-3s}"
     LOADJSON="$(mktemp)"
-    EDGEDIRJSON="$(mktemp)"
-    EDGEJSON="$(mktemp)"
-    trap 'rm -f "$RAW" "$LOADJSON" "$EDGEDIRJSON" "$EDGEJSON"' EXIT
+    trap 'rm -f "$RAW" "$LOADJSON"' EXIT
     go run ./cmd/proload -inprocess 4 -scenario all \
         -qps "$PROLOAD_QPS" -duration "$PROLOAD_DURATION" \
         -users 1000000 -workers 4 -json "$LOADJSON" >&2
     # The benchmark JSON ends with a lone "}"; splice the scenario report
     # in as a sibling "load" key.
     JSON="$(printf '%s' "$JSON" | sed '$d'; printf '  ,"load": '; cat "$LOADJSON"; printf '}\n')"
-    # Edge A/B over a real wire hop: the hotspot scenarios run twice against
-    # the loopback TCP serving layer (-nethop) — once with workers dialing
-    # the cluster directly ("load_edge_direct"), once through the edge cache
-    # tier ("load_edge"), back to back at identical elevated settings
-    # (docs/EDGE.md). Comparing a scenario across the two keys is the
-    # tracked edge-vs-direct record: the edge_hits/edge_forwards counters
-    # give the upstream query-volume cut, and client-observed p99 should
-    # improve on the edge side because cache hits never cross the wire.
-    go run ./cmd/proload -inprocess 4 -nethop -scenario flash-crowd,edge-hotspot \
-        -qps "$EDGE_QPS" -duration "$EDGE_DURATION" \
-        -users 1000000 -workers 4 -json "$EDGEDIRJSON" >&2
-    JSON="$(printf '%s' "$JSON" | sed '$d'; printf '  ,"load_edge_direct": '; cat "$EDGEDIRJSON"; printf '}\n')"
-    go run ./cmd/proload -inprocess 4 -nethop -edge -scenario flash-crowd,edge-hotspot \
-        -qps "$EDGE_QPS" -duration "$EDGE_DURATION" \
-        -users 1000000 -workers 4 -json "$EDGEJSON" >&2
-    JSON="$(printf '%s' "$JSON" | sed '$d'; printf '  ,"load_edge": '; cat "$EDGEJSON"; printf '}\n')"
     # Elastic A/B on the skewed-growth workload: shard-skew runs twice past
     # the hot shard's single-writer knee — once on the static 4-shard
     # cluster ("load_skew_static"), once with the load-driven rebalancer
@@ -131,7 +111,7 @@ if [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     SKEW_SEED="${SKEW_SEED:-2}"
     SKEWSTATICJSON="$(mktemp)"
     SKEWELASTICJSON="$(mktemp)"
-    trap 'rm -f "$RAW" "$LOADJSON" "$EDGEDIRJSON" "$EDGEJSON" "$SKEWSTATICJSON" "$SKEWELASTICJSON"' EXIT
+    trap 'rm -f "$RAW" "$LOADJSON" "$SKEWSTATICJSON" "$SKEWELASTICJSON"' EXIT
     go run ./cmd/proload -inprocess 4 -scenario shard-skew \
         -qps "$SKEW_QPS" -duration "$SKEW_DURATION" -seed "$SKEW_SEED" \
         -users 1000000 -workers 96 -json "$SKEWSTATICJSON" >&2
@@ -161,9 +141,12 @@ fi
 # ignored outright; set SLO_GATE_SKIP=1 to record a snapshot without the
 # hard gate (e.g. when switching benchmark machines) — warnings still print.
 # Snapshots up to BENCH_10.json predate the all-cold matrix (baseline,
-# flash-crowd, edge-hotspot, shard-skew): they share only the last three
-# names, and those rows answered part of their traffic from simulated
-# caches, so the first snapshot recorded against them needs SLO_GATE_SKIP=1.
+# flash-crowd, shard-skew): they share only the last two names, and those
+# rows answered part of their traffic from simulated caches, so the first
+# snapshot recorded against them needs SLO_GATE_SKIP=1. Their
+# "load_edge_direct" and "load_edge" sections record the retired edge tier
+# (docs/EDGE.md); no fresh snapshot has them, so they compare against
+# nothing.
 if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     PREV="$(ls BENCH_*.json 2>/dev/null | grep -vFx "$OUT" | sort -t_ -k2 -n | tail -1 || true)"
     if [ -z "$PREV" ]; then
@@ -185,6 +168,8 @@ if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
                 if (FILENAME == ARGV[1]) prev[s, k] = v
                 else cur[s, k] = v
             }
+            # Older snapshots carry the retired edge A/B sections; keep
+            # their rows out of "load".
             /"load_edge_direct":/  { sec = "edgedirect:" }
             /"load_edge":/         { sec = "edge:" }
             /"load_skew_static":/  { sec = "skewstatic:" }
