@@ -301,7 +301,7 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 		}
 		if err := replayWave(pend); err != nil {
 			r.clearHandover()
-			p.retire(t)
+			p.Kill(t)
 			return fmt.Errorf("cluster: split: replay tail onto slot %d: %w", t, err)
 		}
 		replayed += len(pend)
@@ -314,7 +314,7 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 	abort := func(why error) error {
 		r.ho = nil
 		r.topo.Unlock()
-		p.retire(t)
+		p.Kill(t)
 		return why
 	}
 	if err := replayWave(ho.entries[replayed:]); err != nil {
@@ -425,6 +425,6 @@ func (r *Router) MergeShards(s, t int, p *InProcess) error {
 	r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())
 	r.topo.Unlock()
 
-	p.retire(t)
+	p.Kill(t) // the retired slot's server and WAL go with it
 	return nil
 }

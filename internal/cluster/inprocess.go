@@ -87,7 +87,8 @@ func (p *InProcess) Close() {
 // Kill crash-stops shard s. Its server stops serving at once; its writer
 // drains, so every acked batch is in the WAL, and the WAL closes, so a
 // Restart can recover from disk. The shard is down until Restart, and the
-// router waits it out meanwhile. Idempotent.
+// router waits it out meanwhile. The router also kills a slot it retires
+// (merged away, or spawned by a split that aborted). Idempotent.
 func (p *InProcess) Kill(s int) {
 	if ps := p.proc(s); ps != nil {
 		ps.stop()
@@ -158,8 +159,9 @@ func (ps *procShard) killLocked() {
 	}
 }
 
-// stop stops the process under its lock. Kill, retire, Close and a failed
-// startProc all end here; only a shard with a WAL can Restart after it.
+// stop stops the process under its lock. Kill (which also retires a slot a
+// merge drained or an aborted split spawned), Close and a failed startProc
+// all end here; only a shard with a WAL can Restart after it.
 func (ps *procShard) stop() {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -384,13 +386,4 @@ func (p *InProcess) spawn(t int, items []rtree.Item, size func(rtree.ObjectID) i
 		}
 		return server.New(tree, size, cfg), false, nil
 	})
-}
-
-// retire tears down slot t's process after a merge drained it (or after a
-// split aborted before installing it): server closed, WAL closed. Called
-// by the router.
-func (p *InProcess) retire(t int) {
-	if ps := p.proc(t); ps != nil {
-		ps.stop()
-	}
 }
