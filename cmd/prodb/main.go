@@ -7,8 +7,8 @@
 //
 // Every deployment is a cluster: -cluster N KD-partitions the dataset into
 // N in-process shards behind one scatter-gather router, and the default of
-// one shard is the single node. Durability and the elastic rebalancer apply
-// at any shard count. The serving layer runs one
+// one shard is the single node. Durability applies at any shard count.
+// The serving layer runs one
 // goroutine per connection behind a connection limit and a bounded worker
 // pool, reaps idle connections, and drains in-flight requests on
 // SIGINT/SIGTERM before exiting.
@@ -23,7 +23,6 @@
 //	prodb -pipeline 128                   # deeper per-connection pipelining
 //	prodb -updates=false                  # read-only: reject wire updates
 //	prodb -wal /var/lib/prodb             # durable shards (WAL + checkpoints)
-//	prodb -elastic                        # online split/merge rebalancing
 //	prodb -stats 10s                      # periodic serving stats
 //	prodb -pprof localhost:6060           # expose net/http/pprof for profiling
 //
@@ -47,7 +46,6 @@ import (
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/elastic"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -71,8 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		updates  = fs.Bool("updates", true, "accept batched index updates from wire clients")
 		clusterN = fs.Int("cluster", 1, fmt.Sprintf("spatial shards served behind one scatter-gather router, 1 to %d (1 = single node, see docs/CLUSTER.md)", cluster.MaxShards))
 		walDir   = fs.String("wal", "", "per-shard WAL+checkpoint directory for crash recovery (empty = memory only)")
-		elastOn  = fs.Bool("elastic", false, "run the load-driven rebalancer — hot shards split online, cold sibling pairs merge back (docs/ELASTIC.md)")
-		splitAt  = fs.Int64("split-objects", 0, "elastic mode: split a shard at this object count (0 derives twice the initial per-shard count)")
 		statsEv  = fs.Duration("stats", 0, "print serving stats at this interval (0 = off)")
 		drainTO  = fs.Duration("drain", 15*time.Second, "graceful shutdown drain timeout")
 		pprofAt  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -154,8 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "prodb: %v\n", err)
 		return 1
 	}
-	// Deferred calls run after the serving layer drained: the rebalancer
-	// stops first, then the shards' update writers.
+	// Deferred: the shards' update writers stop after the serving layer
+	// drained.
 	defer cs.Close()
 	cs.SetRemoteUpdates(*updates)
 	durable := ""
@@ -165,24 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "cluster: %d shards owning %v objects, built in %v (%s%s)\n",
 		cs.Shards(), cs.ShardObjects(), time.Since(start).Round(time.Millisecond), mode, durable)
 	net1 := cs.NetServer(opts)
-	if *elastOn {
-		_, stopRb, err := cs.StartRebalancer(elastic.Config{
-			SplitObjects: *splitAt,
-			MergeObjects: *splitAt / 4,
-			Cooldown:     5 * time.Second,
-			Interval:     time.Second,
-			OnEvent: func(ev elastic.Event) {
-				fmt.Fprintf(stdout, "elastic: %s shard=%d objects=%d err=%v\n",
-					ev.Kind, ev.Shard, ev.Objects, ev.Err)
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "prodb: %v\n", err)
-			return 1
-		}
-		defer stopRb()
-		fmt.Fprintf(stdout, "elastic: rebalancer online (-split-objects %d)\n", *splitAt)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -8,7 +8,6 @@
 // Usage:
 //
 //	proload -inprocess 4 -scenario baseline -qps 5000 -duration 5s
-//	proload -inprocess 4 -elastic -scenario shard-skew     # rebalancer splits the hot shard
 //	proload -inprocess 4 -elastic-force -scenario baseline # force a mid-run split + merge
 //	proload -addr :7001 -scenario all -json out.json        # a running prodb
 //	proload -check -json out.json -scenario flash-crowd    # exit 1 on SLO fail
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/elastic"
 	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/wire"
@@ -52,9 +50,7 @@ func main() {
 		users        = flag.Int("users", 1_000_000, "simulated user population")
 		workers      = flag.Int("workers", 8, "pacing loops / connections (at most 128, so every worker's insert ids stay its own)")
 		timeout      = flag.Duration("timeout", 2*time.Second, "latency above which a completed op also counts as a timeout")
-		elasticOn    = flag.Bool("elastic", false, "run a load-driven rebalancer over the in-process cluster during each scenario: hot shards split online, cold sibling pairs merge back (requires -inprocess)")
 		elasticForce = flag.Bool("elastic-force", false, "force one online shard split a third of the way into each run and the matching merge at two thirds; exit 1 if either did not complete (requires -inprocess)")
-		splitObjects = flag.Int64("split-objects", 0, "rebalancer split threshold in objects per shard (0 derives twice the initial per-shard count)")
 		jsonOut      = flag.String("json", "", "write the machine-readable report to this file (- for stdout)")
 		check        = flag.Bool("check", false, "exit 1 when any scenario violates its SLO envelope")
 		validate     = flag.String("validate", "", "validate an existing proload JSON report against the schema and exit")
@@ -129,20 +125,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if (*elasticOn || *elasticForce) && backend.cs == nil {
-			fatal(fmt.Errorf("-elastic and -elastic-force drive online topology changes and need the in-process backend (-inprocess), not -addr"))
-		}
-		var rbStop func()
-		if *elasticOn {
-			rbStop = startRebalancer(backend.cs, *splitObjects)
+		if *elasticForce && backend.cs == nil {
+			fatal(fmt.Errorf("-elastic-force drives online topology changes and needs the in-process backend (-inprocess), not -addr"))
 		}
 		var forceDone chan struct{}
 		if *elasticForce {
 			forceDone = forceElastic(backend.cs, *duration)
 		}
-		// Baseline for the post-stop re-sample below: the rebalancer can
-		// land an operation between load.Run's own final sample and the
-		// stop, so the authoritative delta is taken once it has halted.
+		// Baseline for the re-sample after the run: the forced cycle can
+		// land an operation after load.Run's own final sample, so the
+		// authoritative delta is taken once the cycle has finished.
 		clusterSnap := backend.clusterStats()
 		var clusterBase metrics.ClusterSnapshot
 		if clusterSnap != nil {
@@ -169,13 +161,10 @@ func main() {
 				}
 			},
 		})
-		if rbStop != nil {
-			rbStop()
-		}
 		if forceDone != nil {
 			<-forceDone
 		}
-		if r != nil && clusterSnap != nil && (rbStop != nil || forceDone != nil) {
+		if r != nil && clusterSnap != nil && forceDone != nil {
 			r.FillClusterDeltas(clusterBase, clusterSnap())
 		}
 		if backend != shared {
@@ -301,26 +290,6 @@ func (b *backend) clusterStats() func() metrics.ClusterSnapshot {
 	return b.cs.ClusterStats
 }
 
-// startRebalancer runs the load-driven rebalancer over the in-process
-// cluster for one scenario; splitObjects 0 leaves both thresholds to
-// StartRebalancer's build-time default. Returns the stop function.
-func startRebalancer(cs *repro.ClusterServer, splitObjects int64) func() {
-	_, stop, err := cs.StartRebalancer(elastic.Config{
-		SplitObjects: splitObjects,
-		MergeObjects: splitObjects / 4,
-		Cooldown:     500 * time.Millisecond,
-		Interval:     100 * time.Millisecond,
-		OnEvent: func(ev elastic.Event) {
-			fmt.Fprintf(os.Stderr, "proload: elastic %s shard=%d target=%d objects=%d err=%v\n",
-				ev.Kind, ev.Shard, ev.Target, ev.Objects, ev.Err)
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	return stop
-}
-
 // forceElastic drives one deterministic split/merge cycle mid-run: the
 // shard owning the most objects splits a third of the way in, and the pair
 // folds back at two thirds — the CI smoke gate for online topology changes
@@ -331,11 +300,11 @@ func forceElastic(cs *repro.ClusterServer, dur time.Duration) chan struct{} {
 	go func() {
 		defer close(done)
 		time.Sleep(dur / 3)
-		st := cs.Elastic().Stats()
-		hot, best := -1, int64(-1)
+		objs := cs.ShardObjects()
+		hot, best := -1, -1
 		for _, s := range cs.LiveShards() {
-			if n := st.Shard(s).Objects.Load(); n > best {
-				hot, best = s, n
+			if objs[s] > best {
+				hot, best = s, objs[s]
 			}
 		}
 		if hot < 0 {

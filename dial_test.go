@@ -77,7 +77,7 @@ func TestDialReportsHandshakeFailure(t *testing.T) {
 		t.Run(bp.name, func(t *testing.T) {
 			addr := listenBadPeer(t, bp.answer)
 			start := time.Now()
-			bc, err := wire.Dial(addr, wire.RoleClient, bound)
+			bc, err := wire.Dial(addr, bound)
 			check(t, "wire.Dial", bp.want, start, bc, err)
 			if bp.fast { // repro.Dial's bound is 10 s
 				start = time.Now()

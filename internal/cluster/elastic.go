@@ -369,8 +369,7 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 // covers reading t's objects, bulk-inserting them into s, and collapsing
 // the parent cut. The dead slot's node ids can never be invalidated once
 // its server retires, so a merge flushes every tracked client — the exact
-// cost split avoids, which is why the rebalancer's merge thresholds carry
-// hysteresis. The slot is never reused.
+// cost split avoids. The slot is never reused.
 func (r *Router) MergeShards(s, t int, p *InProcess) error {
 	r.topoOpMu.Lock()
 	defer r.topoOpMu.Unlock()

@@ -368,6 +368,90 @@ func TestClusterElasticErrors(t *testing.T) {
 	checkEquivalence(t, "after rejections", single, p.Router, 5000)
 }
 
+// TestClusterElasticSkewedGrowth grows one corner of the space until its
+// shard holds most of the data, splits that shard, then deletes the growth
+// and merges the pair back. Inserts and deletes routed through the router
+// reach the corner's current owner, the object gauges follow them, and the
+// cluster matches the single node after the split and after the merge.
+func TestClusterElasticSkewedGrowth(t *testing.T) {
+	objs := dataset.GenerateNE(dataset.Params{N: 1200, Seed: 9}).Objects
+	single, p, cleanup := buildBothElastic(t, objs, 2, InProcessConfig{})
+	defer cleanup()
+	router := p.Router
+
+	apply := func(tag string, ops []wire.UpdateOp) {
+		t.Helper()
+		sResp := single.ExecuteUpdates(&wire.Request{Client: 900, Updates: ops})
+		cResp, err := router.RoundTrip(&wire.Request{Client: 900, Updates: ops})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		for i, ok := range cResp.UpdateResults {
+			if !ok || !sResp.UpdateResults[i] {
+				t.Fatalf("%s op %d (%+v): cluster ack %v, single ack %v", tag, i, ops[i], ok, sResp.UpdateResults[i])
+			}
+		}
+	}
+	const grown = 1200
+	id := func(i int) rtree.ObjectID { return rtree.ObjectID(1<<22 + i) }
+	rect := func(i int) geom.Rect {
+		return geom.RectFromCenter(geom.Pt(0.02+0.0001*float64(i), 0.02), 0.001, 0.001)
+	}
+	part, err := MakePartition(objs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := part.Locate(geom.Pt(0.05, 0.05))
+	before := router.Stats().Shard(hot).Objects.Load()
+	for i := 0; i < grown; i += 100 {
+		ops := make([]wire.UpdateOp, 0, 100)
+		for j := i; j < i+100; j++ {
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateInsert, Obj: id(j), To: rect(j), Size: 64})
+		}
+		apply(fmt.Sprintf("insert chunk %d", i), ops)
+	}
+	if got := router.Stats().Shard(hot).Objects.Load(); got != before+grown {
+		t.Fatalf("shard %d gauge %d after the growth, want %d", hot, got, before+grown)
+	}
+	if h := hottestLive(p); h != hot {
+		t.Fatalf("hottest live shard %d, want %d (the grown corner's owner)", h, hot)
+	}
+
+	if err := p.SplitShard(hot); err != nil {
+		t.Fatal(err)
+	}
+	if live := p.LiveShards(); len(live) != 3 {
+		t.Fatalf("live shards %v after the split, want 3", live)
+	}
+	checkEquivalence(t, "after split", single, router, 6000)
+	if got, want := gaugeSum(p), int64(len(objs)+grown); got != want {
+		t.Fatalf("gauges sum to %d after the split, want %d", got, want)
+	}
+
+	for i := 0; i < grown; i += 100 {
+		ops := make([]wire.UpdateOp, 0, 100)
+		for j := i; j < i+100; j++ {
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateDelete, Obj: id(j), From: rect(j)})
+		}
+		apply(fmt.Sprintf("delete chunk %d", i), ops)
+	}
+	fresh := len(router.slots) - 1
+	s, ok := p.SiblingOf(fresh)
+	if !ok || s != hot {
+		t.Fatalf("sibling of slot %d = %d, %v; want %d", fresh, s, ok, hot)
+	}
+	if err := p.MergeShards(s, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if live := p.LiveShards(); len(live) != 2 {
+		t.Fatalf("live shards %v after the merge, want 2", live)
+	}
+	checkEquivalence(t, "after merge", single, router, 6001)
+	if got, want := gaugeSum(p), int64(len(objs)); got != want {
+		t.Fatalf("gauges sum to %d after the merge, want %d", got, want)
+	}
+}
+
 // TestClientOverClusterElastic drives real proactive-caching clients (cache
 // cuts, remainder handover, epoch tracking) across live splits and merges.
 // A split must NOT flush clients — it surfaces as an ordinary invalidation

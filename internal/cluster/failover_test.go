@@ -251,9 +251,6 @@ func TestNewInProcessShardFailureReleasesEverything(t *testing.T) {
 		for i, o := range shardObjs {
 			items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
 		}
-		if p.Counts[s] != len(items) {
-			t.Errorf("shard %d: Counts %d, want %d", s, p.Counts[s], len(items))
-		}
 		if got := p.Router.Stats().Shard(s).Objects.Load(); got != int64(len(items)) {
 			t.Errorf("shard %d: Objects gauge %d, want %d", s, got, len(items))
 		}
@@ -456,7 +453,7 @@ func TestRequestWaitsOutRestart(t *testing.T) {
 	p.Kill(2)
 	restarted := make(chan error, 1)
 	go func() {
-		for p.Stats().Shard(2).Retries.Load() == 0 {
+		for p.Router.Stats().Shard(2).Retries.Load() == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		restarted <- p.Restart(2)
@@ -471,7 +468,7 @@ func TestRequestWaitsOutRestart(t *testing.T) {
 	}
 	sResp, _ := single.Execute(&wire.Request{Client: 3, Q: q})
 	compareRange(t, "across the restart", sResp, cResp)
-	if got := p.Stats().Shard(2).Retries.Load(); got < 1 {
+	if got := p.Router.Stats().Shard(2).Retries.Load(); got < 1 {
 		t.Fatalf("retries = %d, want >= 1", got)
 	}
 }
@@ -623,7 +620,7 @@ func TestKillBehindQueuedFence(t *testing.T) {
 	}
 	restarted := make(chan error, 1)
 	go func() {
-		for p.Stats().Shard(1).Retries.Load() == 0 {
+		for p.Router.Stats().Shard(1).Retries.Load() == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		restarted <- p.Restart(1)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/rtree"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -54,7 +53,6 @@ type InProcessConfig struct {
 // InProcess is a running in-process cluster.
 type InProcess struct {
 	Router *Router
-	Counts []int // objects owned per shard at build time
 
 	cfg InProcessConfig // defaults materialized; reused by elastic Spawn
 
@@ -123,10 +121,6 @@ func (p *InProcess) LiveShards() []int { return p.Router.LiveShards() }
 // SiblingOf returns shard s's KD sibling when both are leaves — the only
 // pair MergeShards accepts.
 func (p *InProcess) SiblingOf(s int) (int, bool) { return p.Router.SiblingOf(s) }
-
-// Stats exposes the router's counters; with SplitShard/MergeShards and
-// LiveShards/SiblingOf this completes the elastic.Cluster surface.
-func (p *InProcess) Stats() *metrics.ClusterStats { return p.Router.Stats() }
 
 // errShardDown is what a down shard's transport returns: its server was
 // killed and has not restarted yet. The router waits it out.
@@ -325,14 +319,13 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 		}
 	}
 	cfg.Shards = n
-	p := &InProcess{Counts: make([]int, n), cfg: cfg}
+	p := &InProcess{cfg: cfg}
 	shards := make([]Shard, n)
 	// Shards share nothing until the router joins them, so each boots on
 	// its own goroutine: bulk load or restore, pack, WAL and checkpoint.
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for s := range split {
-		p.Counts[s] = len(split[s])
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -361,10 +354,10 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 		p.Close()
 		return nil, err
 	}
-	// Seed the per-shard object-count gauges the rebalancer triggers on;
-	// from here the router maintains them on every acked update.
-	for s, c := range p.Counts {
-		p.Router.Stats().Shard(s).Objects.Store(int64(c))
+	// Seed the per-shard object-count gauges (ShardObjects, the stats
+	// line); from here the router maintains them on every acked update.
+	for s := range split {
+		p.Router.Stats().Shard(s).Objects.Store(int64(len(split[s])))
 	}
 	return p, nil
 }

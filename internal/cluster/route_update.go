@@ -152,10 +152,9 @@ func (r *Router) applyChunk(st *routeState, req *wire.Request, resp *wire.Respon
 		if !results[i] {
 			continue
 		}
-		// Maintain the per-shard object-count gauges the rebalancer
-		// triggers on: inserts and deletes move the owner's count, and a
-		// cross-shard move decrements here with the re-insert counted in
-		// phase two above.
+		// Maintain the per-shard object-count gauges: inserts and
+		// deletes move the owner's count, and a cross-shard move
+		// decrements here with the re-insert counted in phase two above.
 		switch ops[i].Kind {
 		case wire.UpdateInsert:
 			r.stats.Shard(rt.shard).Objects.Add(1)

@@ -101,7 +101,7 @@ func TestLoadClusterCountersPerRun(t *testing.T) {
 	cl.Kill(1)
 	restarted := make(chan error, 1)
 	go func() {
-		for cl.Stats().Shard(1).Retries.Load() == 0 {
+		for cl.Router.Stats().Shard(1).Retries.Load() == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		restarted <- cl.Restart(1)

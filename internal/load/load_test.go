@@ -119,7 +119,7 @@ func TestLoadHarnessTCP(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return wire.NewBinaryClientConn(conn, wire.RoleClient)
+			return wire.NewBinaryClientConn(conn)
 		},
 	})
 	if err != nil {

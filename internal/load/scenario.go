@@ -114,8 +114,8 @@ type Spec struct {
 	// GrowUpdates makes update batches insert fresh objects for the whole
 	// run instead of settling into the move steady-state: the dataset keeps
 	// growing wherever the updates land. Combined with a static hotspot this
-	// concentrates growth into one KD cell — the shard-skew workload the
-	// elastic rebalancer exists to absorb.
+	// concentrates growth into one KD cell — the shard-skew workload, which
+	// overloads that cell's shard.
 	GrowUpdates bool
 
 	// TileQuant, when positive, snaps hotspot query centers to a TileQuant x
@@ -210,17 +210,15 @@ func Matrix() []Spec {
 		// wreckage no scenario scheduled after it should have to absorb.
 		{
 			Name:        "shard-skew",
-			Description: "growth concentrated in one KD cell: insert-heavy updates pile into a static hotspot until one shard's single-writer apply loop becomes the queue — the workload the elastic rebalancer absorbs by splitting the hot shard",
+			Description: "growth concentrated in one KD cell: insert-heavy updates pile into a static hotspot until one shard's single-writer apply loop becomes the queue — the overload row: one writer saturates while the rest idle",
 			RangeFrac:   0.20, KNNFrac: 0.20, UpdateFrac: 0.60,
 			Poisson: true, Shape: ShapeHotspot, HotFrac: 0.90, HotRadius: 0.03,
 			WindowSide:  0.008,
 			UpdateBatch: 8, GrowUpdates: true,
-			// Past the hot writer's knee a static cluster backlogs — on a
-			// slow enough host its achieved throughput sags below 85% —
-			// while the rebalancer splits the hot shard onto extra writers
-			// and keeps pace. The latency bounds only fence off collapse;
-			// the sharp gate is the A/B in scripts/bench.sh: elastic p99
-			// must beat static-N in the BENCH snapshot.
+			// Past the hot writer's knee the cluster backlogs — on a slow
+			// enough host its achieved throughput sags below 85%. The
+			// latency bounds only fence off collapse: the queue behind one
+			// saturated writer, not a crash or a stall.
 			SLO: SLO{
 				MinAchievedFrac: 0.85,
 				MaxErrorFrac:    0,

@@ -50,7 +50,7 @@ type ClusterStats struct {
 }
 
 // ShardCounters are the per-shard slice of the router's counters, plus the
-// load gauges the elastic rebalancer triggers on.
+// shard's object-count gauge.
 type ShardCounters struct {
 	// SubQueries counts sub-requests routed to this shard.
 	SubQueries atomic.Int64

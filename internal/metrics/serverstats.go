@@ -124,9 +124,6 @@ type ServerStats struct {
 	TotalConns atomic.Int64
 	// RejectedConns counts connections turned away at the MaxConns limit.
 	RejectedConns atomic.Int64
-	// EdgeConns is the number of currently open connections that announced
-	// the edge-proxy handshake role (a subset of ActiveConns).
-	EdgeConns atomic.Int64
 	// Requests counts requests served (including ones that returned an
 	// application error to the client).
 	Requests atomic.Int64
@@ -150,7 +147,6 @@ type ServerSnapshot struct {
 	ActiveConns   int64
 	TotalConns    int64
 	RejectedConns int64
-	EdgeConns     int64
 	Requests      int64
 	Errors        int64
 	BytesIn       int64
@@ -167,7 +163,6 @@ func (s *ServerStats) Snapshot() ServerSnapshot {
 		ActiveConns:   s.ActiveConns.Load(),
 		TotalConns:    s.TotalConns.Load(),
 		RejectedConns: s.RejectedConns.Load(),
-		EdgeConns:     s.EdgeConns.Load(),
 		Requests:      s.Requests.Load(),
 		Errors:        s.Errors.Load(),
 		BytesIn:       s.BytesIn.Load(),

@@ -171,7 +171,7 @@ func TestPipelinedClientsMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc, err := wire.NewBinaryClientConn(conn, wire.RoleClient)
+		bc, err := wire.NewBinaryClientConn(conn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,26 +46,10 @@ const ProtoVersion = 1
 // handshakeMagic is the per-direction stream preamble: it opens every
 // connection and pins the protocol version. Byte 0 is 0xF8 for wire
 // compatibility with existing captures and the goldens under testdata.
-// Byte 5 carries the connection role (RoleClient or RoleEdge); bytes 6..8
-// are reserved (zero). Servers always ack with the plain client preamble;
-// clients check only bytes 0..4 of the ack.
+// Bytes 5..8 are reserved and zero; a server refuses any other value,
+// including byte 5 = 1, the retired edge-proxy role. Servers ack with the
+// same preamble; clients check only bytes 0..4 of the ack.
 var handshakeMagic = [9]byte{0xF8, 'P', 'R', 'W', ProtoVersion, 0, 0, 0, 0}
-
-// Connection roles, carried in handshake preamble byte 5. An edge proxy
-// announces itself so the server can account for edge-tier connections
-// separately from end clients; the framing and message encodings are
-// identical for both roles.
-const (
-	RoleClient byte = 0
-	RoleEdge   byte = 1
-)
-
-// handshakePreamble returns the 9-byte preamble announcing the given role.
-func handshakePreamble(role byte) [9]byte {
-	p := handshakeMagic
-	p[5] = role
-	return p
-}
 
 // Frame types.
 const (
@@ -774,23 +758,20 @@ func DecodeResponse(body []byte) (*Response, error) {
 }
 
 // sniffBinary reports whether the stream opens with the binary handshake
-// preamble, consuming it when present, and returns the announced connection
-// role. Only the current version, known roles and zero reserved bytes are
-// accepted; both serving paths (NetServer.serveConn, rejectConn) close a
+// preamble, consuming it when present. Only the exact current preamble is
+// accepted (any other version, a nonzero role byte or reserved byte is
+// not); both serving paths (NetServer.serveConn, rejectConn) close a
 // connection that opens with anything else.
-func sniffBinary(br *bufio.Reader) (bool, byte, error) {
+func sniffBinary(br *bufio.Reader) (bool, error) {
 	first, err := br.Peek(len(handshakeMagic))
 	if err != nil {
-		return false, 0, err
+		return false, err
 	}
-	role := first[5]
-	if !bytes.Equal(first[:5], handshakeMagic[:5]) ||
-		(role != RoleClient && role != RoleEdge) ||
-		first[6] != 0 || first[7] != 0 || first[8] != 0 {
-		return false, 0, nil
+	if !bytes.Equal(first, handshakeMagic[:]) {
+		return false, nil
 	}
 	_, err = br.Discard(len(handshakeMagic))
-	return true, role, err
+	return true, err
 }
 
 // writeFrame emits one length-prefixed frame and flushes, so the message

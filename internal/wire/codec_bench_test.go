@@ -101,7 +101,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	b.Run("serial-binary", func(b *testing.B) {
 		addr, stop := start(b)
 		defer stop()
-		bc, err := Dial(addr, RoleClient, 5*time.Second)
+		bc, err := Dial(addr, 5*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 	b.Run("pipelined-binary", func(b *testing.B) {
 		addr, stop := start(b)
 		defer stop()
-		bc, err := Dial(addr, RoleClient, 5*time.Second)
+		bc, err := Dial(addr, 5*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}

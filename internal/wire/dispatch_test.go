@@ -102,7 +102,7 @@ func TestStopReleasesWorkers(t *testing.T) {
 			srv := NewNetServer(echoHandler, ServeConfig{})
 			served := make(chan error, 1)
 			go func() { served <- srv.Serve(ln) }()
-			bc, err := Dial(ln.Addr().String(), RoleClient, 5*time.Second)
+			bc, err := Dial(ln.Addr().String(), 5*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestAcceptErrorRetried(t *testing.T) {
 	go func() { served <- srv.Serve(&failingListener{Listener: ln, fails: 2}) }()
 	defer srv.Close()
 
-	bc, err := Dial(ln.Addr().String(), RoleClient, 2*time.Second)
+	bc, err := Dial(ln.Addr().String(), 2*time.Second)
 	if err != nil {
 		t.Fatalf("dial after two failed accepts: %v", err)
 	}
@@ -235,7 +235,7 @@ func BenchmarkServeDeepHandler(b *testing.B) {
 	}, ServeConfig{})
 	go srv.Serve(ln)
 	defer srv.Close()
-	bc, err := Dial(ln.Addr().String(), RoleClient, 5*time.Second)
+	bc, err := Dial(ln.Addr().String(), 5*time.Second)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -49,7 +49,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0, 1, 1})          // 8 MiB claim, 2 bytes sent
 	f.Add([]byte{2, 0, 0, 0, frameResponse, 0}) // minimal frame, empty body
 	f.Add(append([]byte{8, 0, 0, 0}, handshakeMagic[:]...))
-	edgePreamble := handshakePreamble(RoleEdge)
+	// The retired edge-role preamble, framed and bare: junk to the decoders.
+	edgePreamble := handshakeMagic
+	edgePreamble[5] = 1
 	f.Add(append([]byte{8, 0, 0, 0}, edgePreamble[:]...))
 	f.Add(edgePreamble[:])
 

@@ -126,39 +126,18 @@ func TestGoldenFrame(t *testing.T) {
 	checkGolden(t, "frame_stream.bin", buf.Bytes())
 }
 
-// TestGoldenEdgeHandshake locks the edge-role preamble: identical to the
-// client preamble except byte 5 = RoleEdge. The server's ack stays the plain
-// client preamble (covered by frame_stream.bin), so old clients never see a
-// role byte they did not send.
-func TestGoldenEdgeHandshake(t *testing.T) {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	preamble := handshakePreamble(RoleEdge)
-	if _, err := bw.Write(preamble[:]); err != nil {
-		t.Fatal(err)
+// TestEdgeHandshakeRefused: the client preamble (byte 5 = 0) negotiates
+// binary; byte 5 = 1, the retired edge-proxy role, is refused like any
+// unknown role (the server closes such a connection, TestNonPreambleOpenerIsClosed).
+func TestEdgeHandshakeRefused(t *testing.T) {
+	if ok, err := sniffBinary(bufio.NewReader(bytes.NewReader(handshakeMagic[:]))); err != nil || !ok {
+		t.Errorf("client preamble refused: ok=%v err=%v", ok, err)
 	}
-	if err := writeFrame(bw, frameRequest, 1, EncodeRequest(nil, testRequests()["catalog"])); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "frame_stream_edge.bin", buf.Bytes())
-
-	// Both role preambles must negotiate binary; the roles must differ.
-	for _, tc := range []struct {
-		role byte
-	}{{RoleClient}, {RoleEdge}} {
-		p := handshakePreamble(tc.role)
-		ok, role, err := sniffBinary(bufio.NewReader(bytes.NewReader(p[:])))
-		if err != nil || !ok || role != tc.role {
-			t.Errorf("sniff role %d: ok=%v role=%d err=%v", tc.role, ok, role, err)
+	for _, role := range []byte{1, 0x7f} {
+		p := handshakeMagic
+		p[5] = role
+		if ok, err := sniffBinary(bufio.NewReader(bytes.NewReader(p[:]))); err != nil || ok {
+			t.Errorf("role %d accepted as binary: ok=%v err=%v", role, ok, err)
 		}
-	}
-	// An unknown role byte is not a preamble (the server closes such a
-	// connection); it must not pass as a binary peer with a garbled role.
-	bad := handshakePreamble(0x7f)
-	if ok, _, err := sniffBinary(bufio.NewReader(bytes.NewReader(bad[:]))); err != nil || ok {
-		t.Errorf("unknown role accepted as binary: ok=%v err=%v", ok, err)
 	}
 }

@@ -16,18 +16,17 @@ import (
 // is not a server of this protocol, or speaks another version.
 var ErrProtocolMismatch = errors.New("wire: peer does not speak the binary protocol")
 
-// Dial connects to a NetServer: TCP connect, preamble announcing role, and
-// the server's ack, all under one deadline of timeout from now, which is
+// Dial connects to a NetServer: TCP connect, preamble, and the server's ack, all under one deadline of timeout from now, which is
 // cleared on success. A handshake failure is returned as it is and the
 // socket closed.
-func Dial(addr string, role byte, timeout time.Duration) (*BinaryClientConn, error) {
+func Dial(addr string, timeout time.Duration) (*BinaryClientConn, error) {
 	deadline := time.Now().Add(timeout)
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	_ = conn.SetDeadline(deadline)
-	bc, err := NewBinaryClientConn(conn, role)
+	bc, err := NewBinaryClientConn(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -62,15 +61,12 @@ type frameResult struct {
 	err  error
 }
 
-// NewBinaryClientConn performs the binary handshake on rw, announcing role
-// in the preamble (RoleClient, or RoleEdge for an edge proxy's upstream
-// pool; servers ack with the plain client preamble either way), and starts
-// the response reader. It returns ErrProtocolMismatch (wrapped) when the
+// NewBinaryClientConn performs the binary handshake on rw and starts the
+// response reader. It returns ErrProtocolMismatch (wrapped) when the
 // peer answers with anything but the expected preamble.
-func NewBinaryClientConn(rw io.ReadWriter, role byte) (*BinaryClientConn, error) {
-	preamble := handshakePreamble(role)
+func NewBinaryClientConn(rw io.ReadWriter) (*BinaryClientConn, error) {
 	bw := bufio.NewWriter(rw)
-	if _, err := bw.Write(preamble[:]); err != nil {
+	if _, err := bw.Write(handshakeMagic[:]); err != nil {
 		return nil, fmt.Errorf("wire: handshake send: %w", err)
 	}
 	if err := bw.Flush(); err != nil {

@@ -13,7 +13,7 @@ import (
 
 func dialBinary(t *testing.T, addr string) *BinaryClientConn {
 	t.Helper()
-	bc, err := Dial(addr, RoleClient, 5*time.Second)
+	bc, err := Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestBinaryConnLimitReject(t *testing.T) {
 	// The handshake itself succeeds (the reject path acks the preamble so
 	// it can deliver a structured error) and the first round trip carries
 	// the connection-scoped rejection.
-	bc, err := Dial(addr, RoleClient, 5*time.Second)
+	bc, err := Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatalf("handshake with full server: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestBinaryShutdownDrains(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	// Accept may race with the listener close; what matters is that a
 	// round trip on a new connection cannot succeed while draining.
-	if late, err := Dial(addr, RoleClient, time.Second); err == nil {
+	if late, err := Dial(addr, time.Second); err == nil {
 		if _, err := late.RoundTrip(&Request{Catalog: true}); err == nil {
 			t.Error("round trip on a new connection succeeded during shutdown")
 		}

@@ -205,7 +205,7 @@ func rejectConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReaderSize(conn, len(handshakeMagic))
-	if isBinary, _, err := sniffBinary(br); err != nil || !isBinary {
+	if isBinary, err := sniffBinary(br); err != nil || !isBinary {
 		return
 	}
 	bw := bufio.NewWriter(conn)
@@ -285,16 +285,12 @@ func (s *NetServer) serveConn(conn net.Conn) {
 	if s.cfg.ReadTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	}
-	isBinary, role, err := sniffBinary(br)
+	isBinary, err := sniffBinary(br)
 	if err != nil || !isBinary {
 		if br.Buffered() > 0 {
 			s.stats.Errors.Add(1)
 		}
 		return
-	}
-	if role == RoleEdge {
-		s.stats.EdgeConns.Add(1)
-		defer s.stats.EdgeConns.Add(-1)
 	}
 	s.serveBinary(conn, cc, br)
 }

@@ -38,7 +38,7 @@ func TestNetServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			bc, err := Dial(addr, RoleClient, 5*time.Second)
+			bc, err := Dial(addr, 5*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -96,8 +96,9 @@ func TestNetServerShutdownTimeoutForcesClose(t *testing.T) {
 // handshake preamble is closed without reaching the handler, counted in
 // Errors, and gives its connection token back.
 func TestNonPreambleOpenerIsClosed(t *testing.T) {
-	badRole, badVersion := handshakeMagic, handshakeMagic
+	badRole, edgeRole, badVersion := handshakeMagic, handshakeMagic, handshakeMagic
 	badRole[5] = 7
+	edgeRole[5] = 1
 	badVersion[4] = 2
 	for _, tc := range []struct {
 		name   string
@@ -106,6 +107,7 @@ func TestNonPreambleOpenerIsClosed(t *testing.T) {
 		{"http probe", []byte("GET / HTTP/1.1\r\n\r\n")},
 		{"nine zero bytes", make([]byte, 9)},
 		{"role byte 7", badRole[:]},
+		{"retired edge role 1", edgeRole[:]},
 		{"version 2", badVersion[:]},
 		{"4 bytes then silence", handshakeMagic[:4]}, // reaped by ReadTimeout
 	} {

@@ -190,7 +190,7 @@ func (c *Client) CacheIndexBytes() int { return c.inner.Cache().IndexBytes() }
 // bounded by 10 s together; a peer that is not a server of this protocol
 // version fails the dial with wire.ErrProtocolMismatch.
 func Dial(addr string) (Transport, error) {
-	bc, err := wire.Dial(addr, wire.RoleClient, 10*time.Second)
+	bc, err := wire.Dial(addr, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/elastic"
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -224,59 +223,12 @@ func (cs *ClusterServer) SplitShard(s int) error {
 
 // MergeShards folds shard t back into its KD sibling s and retires t's
 // slot. Merging re-keys every object in t, so it flushes all client caches
-// (FlushAll on their next catalog); the rebalancer only merges clearly cold
-// pairs for this reason.
+// (FlushAll on their next catalog).
 func (cs *ClusterServer) MergeShards(s, t int) error {
 	if err := cs.cluster.MergeShards(s, t); err != nil {
 		return fmt.Errorf("repro: %w", err)
 	}
 	return nil
-}
-
-// elasticView adapts the cluster facade to elastic.Cluster. It is a
-// separate view because ClusterServer.Stats already names the serving-layer
-// snapshot; the rebalancer needs the live router counters.
-type elasticView struct{ cs *ClusterServer }
-
-func (v elasticView) LiveShards() []int            { return v.cs.LiveShards() }
-func (v elasticView) SiblingOf(s int) (int, bool)  { return v.cs.SiblingOf(s) }
-func (v elasticView) SplitShard(s int) error       { return v.cs.SplitShard(s) }
-func (v elasticView) MergeShards(s, t int) error   { return v.cs.MergeShards(s, t) }
-func (v elasticView) Stats() *metrics.ClusterStats { return v.cs.cluster.Stats() }
-
-// Elastic returns the topology surface the load-driven rebalancer drives
-// (elastic.New): live slots, sibling pairs, online split/merge, and the
-// router counters the policy reads.
-func (cs *ClusterServer) Elastic() elastic.Cluster { return elasticView{cs} }
-
-// StartRebalancer runs a load-driven rebalancer over this cluster in a
-// background goroutine: shards whose object count crosses the split
-// threshold are split, cold sibling pairs are folded back
-// (docs/ELASTIC.md). A cfg with no SplitObjects splits a shard at twice the
-// mean shard size at build time (the counts the cluster was built with, not
-// today's ShardObjects) and merges a sibling pair below a quarter of that.
-// The returned stop function halts it; the Rebalancer is returned for its
-// Splits/Merges counters.
-func (cs *ClusterServer) StartRebalancer(cfg elastic.Config) (*elastic.Rebalancer, func(), error) {
-	if cfg.SplitObjects <= 0 {
-		total := 0
-		for _, n := range cs.cluster.Counts {
-			total += n
-		}
-		cfg.SplitObjects = 2*int64(total)/int64(len(cs.cluster.Counts)) + 1
-		cfg.MergeObjects = cfg.SplitObjects / 4
-	}
-	rb, err := elastic.New(cs.Elastic(), cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("repro: %w", err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rb.Run(stop)
-	}()
-	return rb, func() { close(stop); <-done }, nil
 }
 
 // ShardObjects returns how many objects each shard slot owns now, one

@@ -9,9 +9,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
-	"repro/internal/elastic"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/wire"
@@ -399,25 +397,4 @@ func TestSizerSparseIDs(t *testing.T) {
 			t.Fatalf("sizes = %d, %d, %d; want 1<<40, 5, 0", sizer(1), sizer(2), sizer(3))
 		}
 	})
-}
-
-// TestStartRebalancerDerivesThresholds: a config with no split trigger
-// takes both thresholds from the build-time shard sizes, so the rebalancer
-// starts and leaves a freshly built cluster alone — split above twice the
-// mean shard, merge below half of it.
-func TestStartRebalancerDerivesThresholds(t *testing.T) {
-	cs, err := NewClusterServer(GenerateNE(2_000, 1), ClusterConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
-	_, stop, err := cs.StartRebalancer(elastic.Config{Interval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	stop()
-	if live := cs.LiveShards(); len(live) != 2 {
-		t.Fatalf("live shards %v after idling at build-time sizes, want 2", live)
-	}
 }

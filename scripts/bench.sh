@@ -98,28 +98,6 @@ if [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     # The benchmark JSON ends with a lone "}"; splice the scenario report
     # in as a sibling "load" key.
     JSON="$(printf '%s' "$JSON" | sed '$d'; printf '  ,"load": '; cat "$LOADJSON"; printf '}\n')"
-    # Elastic A/B on the skewed-growth workload: shard-skew runs twice past
-    # the hot shard's single-writer knee — once on the static 4-shard
-    # cluster ("load_skew_static"), once with the load-driven rebalancer
-    # splitting the hot shard online ("load_skew_elastic"), docs/ELASTIC.md.
-    # The seed pins the hotspot inside one KD cell so the skew is real; the
-    # static run's p99 grows as the hot writer backlogs (on a slow host its
-    # achieved QPS also misses the envelope) and the elastic run holds it.
-    # The p99 comparison between the two keys is gated below.
-    SKEW_QPS="${SKEW_QPS:-600}"
-    SKEW_DURATION="${SKEW_DURATION:-20s}"
-    SKEW_SEED="${SKEW_SEED:-2}"
-    SKEWSTATICJSON="$(mktemp)"
-    SKEWELASTICJSON="$(mktemp)"
-    trap 'rm -f "$RAW" "$LOADJSON" "$SKEWSTATICJSON" "$SKEWELASTICJSON"' EXIT
-    go run ./cmd/proload -inprocess 4 -scenario shard-skew \
-        -qps "$SKEW_QPS" -duration "$SKEW_DURATION" -seed "$SKEW_SEED" \
-        -users 1000000 -workers 96 -json "$SKEWSTATICJSON" >&2
-    JSON="$(printf '%s' "$JSON" | sed '$d'; printf '  ,"load_skew_static": '; cat "$SKEWSTATICJSON"; printf '}\n')"
-    go run ./cmd/proload -inprocess 4 -scenario shard-skew -elastic -split-objects 5500 \
-        -qps "$SKEW_QPS" -duration "$SKEW_DURATION" -seed "$SKEW_SEED" \
-        -users 1000000 -workers 96 -json "$SKEWELASTICJSON" >&2
-    JSON="$(printf '%s' "$JSON" | sed '$d'; printf '  ,"load_skew_elastic": '; cat "$SKEWELASTICJSON"; printf '}\n')"
 fi
 
 if [ -n "$OUT" ]; then
@@ -145,8 +123,9 @@ fi
 # rows answered part of their traffic from simulated caches, so the first
 # snapshot recorded against them needs SLO_GATE_SKIP=1. Their
 # "load_edge_direct" and "load_edge" sections record the retired edge tier
-# (docs/EDGE.md); no fresh snapshot has them, so they compare against
-# nothing.
+# (docs/EDGE.md), and their "load_skew_static" and "load_skew_elastic"
+# sections the retired rebalancer's A/B (docs/ELASTIC.md); no fresh
+# snapshot has them, so they compare against nothing.
 if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
     PREV="$(ls BENCH_*.json 2>/dev/null | grep -vFx "$OUT" | sort -t_ -k2 -n | tail -1 || true)"
     if [ -z "$PREV" ]; then
@@ -168,8 +147,8 @@ if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
                 if (FILENAME == ARGV[1]) prev[s, k] = v
                 else cur[s, k] = v
             }
-            # Older snapshots carry the retired edge A/B sections; keep
-            # their rows out of "load".
+            # Older snapshots carry the retired edge and rebalancer A/B
+            # sections; keep their rows out of "load".
             /"load_edge_direct":/  { sec = "edgedirect:" }
             /"load_edge":/         { sec = "edge:" }
             /"load_skew_static":/  { sec = "skewstatic:" }
@@ -215,41 +194,6 @@ if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
                 echo "load: scenario SLO regression beyond ${LOAD_GATE_PCT}% — investigate before merging (SLO_GATE_SKIP=1 to override)" >&2
                 exit 1
             fi
-        fi
-    fi
-fi
-
-# --- elastic A/B gate ------------------------------------------------------
-# The shard-skew scenario must do better WITH the rebalancer than without:
-# the elastic run's p99 has to beat the static run's in this very snapshot
-# (docs/ELASTIC.md). This is an absolute within-snapshot comparison, so it
-# holds on any hardware; SLO_GATE_SKIP=1 also bypasses it.
-if [ -n "$OUT" ] && [ "${PROLOAD_SKIP:-0}" != "1" ]; then
-    if ! awk '
-        /"load_skew_static":/  { sec = "static" }
-        /"load_skew_elastic":/ { sec = "elastic" }
-        /^[[:space:]]*"p99_us":/ {
-            v = $0; sub(/.*: /, "", v); sub(/,.*/, "", v)
-            if (sec != "") p99[sec] = v + 0
-            sec = ""
-        }
-        END {
-            if (!("static" in p99) || !("elastic" in p99)) {
-                print "elastic: A/B sections missing from snapshot, skipping"
-                exit 0
-            }
-            printf "elastic: shard-skew p99 static %.0fus vs elastic %.0fus\n", p99["static"], p99["elastic"]
-            if (p99["elastic"] >= p99["static"]) {
-                print "elastic: FAIL rebalancer did not beat the static cluster"
-                exit 1
-            }
-        }
-    ' "$OUT" >&2; then
-        if [ "${SLO_GATE_SKIP:-0}" = "1" ]; then
-            echo "elastic: A/B regression ignored (SLO_GATE_SKIP=1)" >&2
-        else
-            echo "elastic: shard-skew with the rebalancer must beat static-N p99 (SLO_GATE_SKIP=1 to override)" >&2
-            exit 1
         fi
     fi
 fi
