@@ -153,6 +153,8 @@ func Run(cfg Config) (*Result, error) {
 				rand.New(rand.NewSource(cfg.Seed^int64(i)<<20))),
 			sem:  make(chan struct{}, maxOutstanding),
 			urng: rand.New(rand.NewSource(cfg.Seed ^ (int64(i)+1)*104729)),
+
+			inflight: make(map[uint64]time.Time),
 		}
 		workers[i].tr.Store(&trGen{tr: tr})
 	}
@@ -261,6 +263,16 @@ type worker struct {
 	inext uint32
 
 	issued sync.WaitGroup
+
+	// Operations in flight, by dispatch serial, with their scheduled times.
+	// At the drain deadline the worker abandons them: each counts as a
+	// latency sample at the deadline, and an answer that comes later is
+	// not counted at all, so WireSent - WireOK - Errors is exactly how
+	// many went unanswered.
+	flightMu  sync.Mutex
+	inflight  map[uint64]time.Time
+	nextOp    uint64
+	abandoned bool
 }
 
 // ownedObj is a moving object this worker inserted and now owns: the rect
@@ -305,14 +317,36 @@ func (w *worker) run(start time.Time, dur float64) {
 		w.dispatch(op, start.Add(time.Duration(at*float64(time.Second))))
 	}
 	// Drain, but never hang on a dead backend: operations still in flight
-	// past the timeout stay in WireSent without a completion counter —
-	// visible as WireSent - WireOK - Errors.
+	// past the timeout are abandoned (see worker.inflight).
 	done := make(chan struct{})
 	go func() { w.issued.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(w.cfg.Timeout + 500*time.Millisecond):
+		w.abandon()
 	}
+}
+
+// abandon gives up on every operation still in flight: each is observed at
+// its latency so far, and its late answer or error will not be counted.
+func (w *worker) abandon() {
+	w.flightMu.Lock()
+	defer w.flightMu.Unlock()
+	w.abandoned = true
+	now := time.Now()
+	for _, scheduled := range w.inflight {
+		w.cnt.lat.Observe(now.Sub(scheduled))
+	}
+	clear(w.inflight)
+}
+
+// land removes a finished operation from the in-flight set and reports
+// whether it is still counted: false once the drain has abandoned it.
+func (w *worker) land(op uint64) bool {
+	w.flightMu.Lock()
+	defer w.flightMu.Unlock()
+	delete(w.inflight, op)
+	return !w.abandoned
 }
 
 // bootstrap performs the catalog round-trip every real client starts with
@@ -342,15 +376,21 @@ func (w *worker) dispatch(op Op, scheduled time.Time) {
 		w.cnt.shed.Add(1)
 		return
 	}
+	w.flightMu.Lock()
+	w.nextOp++
+	serial := w.nextOp
+	w.inflight[serial] = scheduled
+	w.flightMu.Unlock()
+	w.cnt.wireSent.Add(1)
 	w.issued.Add(1)
 	go func() {
 		defer func() { <-w.sem; w.issued.Done() }()
-		w.roundTrip(op, scheduled)
+		w.roundTrip(op, serial, scheduled)
 	}()
 }
 
 // roundTrip builds, sends, and accounts one wire operation.
-func (w *worker) roundTrip(op Op, scheduled time.Time) {
+func (w *worker) roundTrip(op Op, serial uint64, scheduled time.Time) {
 	req := &wire.Request{
 		Client: wire.ClientID(w.id + 1),
 		Epoch:  w.epoch.Load(),
@@ -364,15 +404,22 @@ func (w *worker) roundTrip(op Op, scheduled time.Time) {
 		req.Q = op.Q
 	}
 
-	w.cnt.wireSent.Add(1)
 	w.cnt.bytesUp.Add(int64(w.sizer.RequestBytes(req)))
 
 	g := w.tr.Load()
 	if g.tr == nil {
-		w.fail(g, fmt.Errorf("load: worker %d has no connection", w.id))
+		if w.land(serial) {
+			w.fail(g, fmt.Errorf("load: worker %d has no connection", w.id))
+		}
 		return
 	}
 	resp, err := g.tr.RoundTrip(req)
+	if !w.land(serial) {
+		if err == nil {
+			w.release(resp)
+		}
+		return
+	}
 	if err != nil {
 		w.fail(g, err)
 		return

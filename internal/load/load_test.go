@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,6 +195,63 @@ func TestLoadSurvivesConnectFailure(t *testing.T) {
 	}
 	if res.Pass() {
 		t.Fatal("SLO passed against a dead backend")
+	}
+}
+
+// TestLoadUnansweredCountAgainstSLO runs against a stub backend that answers
+// every fifth operation late (past the timeout, before the drain deadline)
+// and never answers every seventh: the late ones are Timeouts, the
+// unanswered ones are exactly WireSent - WireOK - Errors, each is a latency
+// sample at the drain deadline, and together they fail the SLO.
+func TestLoadUnansweredCountAgainstSLO(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	never := make(chan struct{})
+	t.Cleanup(func() { close(never) }) // lets the abandoned round trips return
+	var ops, hung, late atomic.Int64
+	stub := wire.TransportFunc(func(req *wire.Request) (*wire.Response, error) {
+		if req.Catalog {
+			return &wire.Response{}, nil
+		}
+		switch n := ops.Add(1); {
+		case n%7 == 0:
+			hung.Add(1)
+			<-never
+		case n%5 == 0:
+			late.Add(1)
+			time.Sleep(timeout + 100*time.Millisecond)
+		}
+		return &wire.Response{}, nil
+	})
+	sp, _ := Lookup("baseline")
+	res, err := Run(Config{
+		Spec:         sp,
+		TargetQPS:    200,
+		Duration:     300 * time.Millisecond,
+		Users:        1000,
+		Workers:      2,
+		Seed:         1,
+		Timeout:      timeout,
+		NewTransport: func(int) (wire.Transport, error) { return stub, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("%d errors from a backend that never fails", res.Errors)
+	}
+	if got := res.WireSent - res.WireOK; got != hung.Load() || got == 0 {
+		t.Fatalf("%d of %d operations unanswered, the stub hung %d", got, res.WireSent, hung.Load())
+	}
+	if res.Timeouts < late.Load() || late.Load() == 0 {
+		t.Fatalf("%d timeouts, the stub answered %d late", res.Timeouts, late.Load())
+	}
+	// The drain waits timeout + 500ms after the last arrival, so every
+	// unanswered sample lies beyond it, and they are over 1 % of the run.
+	if res.P99 < timeout+500*time.Millisecond {
+		t.Fatalf("p99 %v: the unanswered operations are not latency samples at the drain deadline", res.P99)
+	}
+	if res.Pass() || !strings.Contains(strings.Join(res.Violations, "; "), "unanswered") {
+		t.Fatalf("SLO passed or did not name the unanswered operations: %v", res.Violations)
 	}
 }
 

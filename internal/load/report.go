@@ -39,6 +39,8 @@ type Result struct {
 	BytesUp   int64
 	BytesDown int64
 
+	// Latency from the scheduled arrival; an operation the drain gave up
+	// on counts at the drain deadline.
 	Mean time.Duration
 	P50  time.Duration
 	P99  time.Duration
@@ -74,6 +76,12 @@ func (r *Result) CheckSLO() []string {
 		if frac := float64(r.Errors) / float64(r.WireSent); frac > slo.MaxErrorFrac {
 			v = append(v, fmt.Sprintf("%d/%d wire errors (max frac %.3f)",
 				r.Errors, r.WireSent, slo.MaxErrorFrac))
+		}
+		// Unanswered: still in flight when the drain gave up on them.
+		unanswered := r.WireSent - r.WireOK - r.Errors
+		if frac := float64(r.Timeouts+unanswered) / float64(r.WireSent); frac > slo.MaxErrorFrac {
+			v = append(v, fmt.Sprintf("%d/%d operations late or unanswered: %d answered past the timeout, %d never (max frac %.3f)",
+				r.Timeouts+unanswered, r.WireSent, r.Timeouts, unanswered, slo.MaxErrorFrac))
 		}
 	}
 	if r.Scheduled > 0 {

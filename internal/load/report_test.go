@@ -159,6 +159,16 @@ func TestCheckSLO(t *testing.T) {
 		t.Errorf("errors not caught: %v", v)
 	}
 	r = base()
+	r.Timeouts = 3
+	if v := r.CheckSLO(); len(v) != 1 || !strings.Contains(v[0], "3/1500 operations late or unanswered") {
+		t.Errorf("timeouts not caught: %v", v)
+	}
+	r = base()
+	r.WireOK -= 4
+	if v := r.CheckSLO(); len(v) != 1 || !strings.Contains(v[0], "4 never") {
+		t.Errorf("unanswered operations not caught: %v", v)
+	}
+	r = base()
 	r.Shed = 500
 	if v := r.CheckSLO(); len(v) == 0 || !strings.Contains(v[0], "shed") {
 		t.Errorf("shedding not caught: %v", v)

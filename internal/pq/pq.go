@@ -98,14 +98,14 @@ func laneKey(e int32) (float64, int32) {
 	return 0, e
 }
 
-// Min returns the smallest key and its value without removing it.
-// It must not be called on an empty queue.
-func (q *Queue[T]) Min() (float64, T) {
+// MinKey returns the key the next Pop returns, without removing anything or
+// reading a value. It must not be called on an empty queue.
+func (q *Queue[T]) MinKey() float64 {
 	if q.laneFirst() {
-		key, slot := laneKey(q.lane[q.head])
-		return key, q.vals[slot]
+		key, _ := laneKey(q.lane[q.head])
+		return key
 	}
-	return q.items[0].key, q.vals[q.items[0].slot]
+	return q.items[0].key
 }
 
 // Pop removes and returns the value with the smallest key.

@@ -45,11 +45,11 @@ func TestMinPeek(t *testing.T) {
 	var q Queue[int]
 	q.Push(5, 50)
 	q.Push(2, 20)
-	if k, v := q.Min(); k != 2 || v != 20 {
-		t.Errorf("Min = %v,%v", k, v)
+	if k := q.MinKey(); k != 2 {
+		t.Errorf("MinKey = %v", k)
 	}
 	if q.Len() != 2 {
-		t.Error("Min must not remove")
+		t.Error("MinKey must not remove")
 	}
 }
 
@@ -185,9 +185,7 @@ func (q *refQueue[T]) Push(key float64, value T) {
 	q.up(len(q.items) - 1)
 }
 
-func (q *refQueue[T]) Min() (float64, T) {
-	return q.items[0].key, q.items[0].value
-}
+func (q *refQueue[T]) MinKey() float64 { return q.items[0].key }
 
 func (q *refQueue[T]) Pop() (float64, T) {
 	top := q.items[0]
@@ -292,7 +290,7 @@ func testKey(rnd *rand.Rand) float64 {
 // TestMatchesReferenceQueue drives Queue and refQueue with one operation
 // stream — zero-heavy keys, long runs of ties, interleaved pops and peeks,
 // pre-growth, drains, resets — and requires the same (key, value) from every
-// Pop and Min, key bits included: the kNN handover serializes queue contents
+// Pop and MinKey, key bits included: the kNN handover serializes queue contents
 // in pop order, and a run is only reproducible if ties pop in push order.
 func TestMatchesReferenceQueue(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -334,10 +332,8 @@ func TestMatchesReferenceQueue(t *testing.T) {
 				if ref.Len() == 0 {
 					continue
 				}
-				k, v := q.Min()
-				rk, rv := ref.Min()
-				if math.Float64bits(k) != math.Float64bits(rk) || v != rv {
-					t.Fatalf("seed %d step %d: Min = (%v, %d), reference (%v, %d)", seed, step, k, v.id, rk, rv.id)
+				if k, rk := q.MinKey(), ref.MinKey(); math.Float64bits(k) != math.Float64bits(rk) {
+					t.Fatalf("seed %d step %d: MinKey = %v, reference %v", seed, step, k, rk)
 				}
 			case op < 94:
 				n := rnd.Intn(300)
@@ -375,10 +371,10 @@ func TestMatchesReferenceQueue(t *testing.T) {
 }
 
 // FuzzQueueMatchesReference runs a fuzzed script of pushes and pops against
-// refQueue. A byte below 0x40 pops (comparing Min with the Pop that follows),
-// one below 0x80 pushes a key from a table of zeros, ties, negatives and
-// infinities, and any other byte pushes the float64 whose bits are the next
-// eight bytes. Without a NaN key the two queues must pop the same (key,
+// refQueue. A byte below 0x40 pops (comparing MinKey with the reference's
+// minimum key and with the Pop that follows), one below 0x80 pushes a key
+// from a table of zeros, ties, negatives and infinities, and any other byte
+// pushes the float64 whose bits are the next eight bytes. Without a NaN key the two queues must pop the same (key,
 // value) sequence; once a NaN is queued the order depends on the heap's
 // arrangement, and every pushed item must still pop exactly once.
 func FuzzQueueMatchesReference(f *testing.F) {
@@ -393,11 +389,14 @@ func FuzzQueueMatchesReference(f *testing.F) {
 		popped := map[int]bool{}
 		pushed := 0
 		pop := func() {
-			mk, mv := q.Min()
+			mk, rmk := q.MinKey(), ref.MinKey()
 			k, v := q.Pop()
 			rk, rv := ref.Pop()
-			if math.Float64bits(mk) != math.Float64bits(k) || mv != v {
-				t.Fatalf("Min = (%v, %d), then Pop = (%v, %d)", mk, mv, k, v)
+			if math.Float64bits(mk) != math.Float64bits(k) {
+				t.Fatalf("MinKey = %v, then Pop = (%v, %d)", mk, k, v)
+			}
+			if !nan && math.Float64bits(mk) != math.Float64bits(rmk) {
+				t.Fatalf("MinKey = %v, reference %v", mk, rmk)
 			}
 			if popped[v] || v < 1 || v > pushed {
 				t.Fatalf("popped item %d, pushed 1..%d, popped before: %v", v, pushed, popped[v])

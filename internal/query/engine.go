@@ -81,7 +81,9 @@ type Outcome struct {
 	Pairs [][2]Ref
 
 	// Remainder is the pruned priority-queue snapshot to hand to the
-	// server; empty iff Complete.
+	// server, in ascending key order; empty iff Complete. It is merged from
+	// the stuck elements and the queue and, for kNN, cut after the object
+	// element that completes K (and its ties): the queue is never drained.
 	Remainder []QueuedElem
 
 	// Complete reports that the query was fully answered locally.
@@ -116,6 +118,7 @@ type Runner struct {
 	h           pq.Queue[Elem]
 	fifo        []Ref // range-query queue (see runRangeFIFO)
 	stuck       []QueuedElem
+	rem         []QueuedElem // the remainder (mergeRemainder)
 	results     []Ref
 	pairs       [][2]Ref
 	pairScratch []Ref // holds one side of a double-descend join expansion
@@ -155,6 +158,10 @@ func (r *Runner) Run(q Query, prov Provider, seed []QueuedElem) Outcome {
 // bound is lost; everything beyond it lands in the remainder as usual. A
 // cluster router uses this to stop a kNN sub-query at the global k-th-best
 // distance it already holds (wire.Request.Bound). Zero means unbounded.
+//
+// An incomplete run merges its remainder from the stuck elements and the
+// queue and cuts a kNN remainder where Example 3.1's pruning does
+// (mergeRemainder), so it pops only the queue elements it ships.
 func (r *Runner) RunBounded(q Query, prov Provider, seed []QueuedElem, bound float64) Outcome {
 	r.Reset()
 	if q.Kind == Range && rangeFIFOOK(seed) {
@@ -187,7 +194,7 @@ func (r *Runner) RunBounded(q Query, prov Provider, seed []QueuedElem, bound flo
 			break
 		}
 		if bound > 0 {
-			if key, _ := r.h.Min(); key > bound {
+			if r.h.MinKey() > bound {
 				break // every remaining element exceeds the bound
 			}
 		}
@@ -240,22 +247,55 @@ func (r *Runner) RunBounded(q Query, prov Provider, seed []QueuedElem, bound flo
 		return out
 	}
 
-	remainder := r.stuck
-	for r.h.Len() > 0 {
-		key, elem := r.h.Pop()
-		remainder = append(remainder, QueuedElem{Key: key, Elem: elem})
+	want := math.MaxInt // object elements the remainder must hold: all, but for kNN
+	if q.Kind == KNN {
+		want = q.K - m
 	}
-	r.stuck = remainder // keep the grown buffer for the next run
+	out.Remainder = r.mergeRemainder(want)
+	return out
+}
+
+// mergeRemainder builds the remainder: the stuck elements and the queue's
+// contents in ascending key order, stuck elements first among equal keys.
+// That is the stable sort of the stuck list followed by the queue's drain,
+// since a drain pops keys in non-decreasing order for every key but NaN (and
+// no key function yields NaN). It is built as a merge of the sorted stuck
+// list with pops from the queue, and it stops after the want-th object
+// element and the elements tied with its key: a farther element cannot
+// contain any of the remaining nearest neighbors (Example 3.1's pruning).
+// The queue is never drained; what the cut leaves in it is dropped by the
+// next Reset.
+func (r *Runner) mergeRemainder(want int) []QueuedElem {
 	// Stable, and allocation-free unlike sort.SliceStable's reflect path.
-	slices.SortStableFunc(remainder, func(a, b QueuedElem) int {
+	slices.SortStableFunc(r.stuck, func(a, b QueuedElem) int {
 		return cmp.Compare(a.Key, b.Key)
 	})
-
-	if q.Kind == KNN {
-		remainder = pruneKNNRemainder(remainder, q.K-m)
+	rem, i := r.rem[:0], 0
+	var cutKey float64 // once want is 0: the want-th object element's key
+	for {
+		if i < len(r.stuck) && (r.h.Len() == 0 || cmp.Compare(r.stuck[i].Key, r.h.MinKey()) <= 0) {
+			if want == 0 && r.stuck[i].Key != cutKey {
+				break
+			}
+			rem = append(rem, r.stuck[i])
+			i++
+		} else if r.h.Len() > 0 {
+			if want == 0 && r.h.MinKey() != cutKey {
+				break
+			}
+			key, elem := r.h.Pop()
+			rem = append(rem, QueuedElem{Key: key, Elem: elem})
+		} else {
+			break
+		}
+		if last := &rem[len(rem)-1]; want > 0 && last.Elem.IsObjectElem() {
+			if want--; want == 0 {
+				cutKey = last.Key
+			}
+		}
 	}
-	out.Remainder = remainder
-	return out
+	r.rem = rem
+	return rem
 }
 
 // rangeFIFOOK reports whether a range seed admits the FIFO fast path: every
@@ -325,29 +365,6 @@ func (r *Runner) runRangeFIFO(q Query, prov Provider, seed []QueuedElem) Outcome
 	// order, so the stuck list is the remainder as-is.
 	out.Remainder = r.stuck
 	return out
-}
-
-// pruneKNNRemainder drops every element farther than the want-th object
-// element: such elements cannot contain any of the remaining nearest
-// neighbors (Example 3.1's pruning). The input must be sorted by key.
-func pruneKNNRemainder(rem []QueuedElem, want int) []QueuedElem {
-	seen := 0
-	for i, qe := range rem {
-		if !qe.Elem.IsObjectElem() {
-			continue
-		}
-		seen++
-		if seen == want {
-			cut := rem[:i+1]
-			// Keep ties: elements at exactly the threshold key may still
-			// contain equally near objects.
-			for j := i + 1; j < len(rem) && rem[j].Key == qe.Key; j++ {
-				cut = rem[:j+1]
-			}
-			return cut
-		}
-	}
-	return rem
 }
 
 // expandElem expands a non-object element, pushing its accepted children
