@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -555,5 +557,195 @@ func TestClientOverClusterElastic(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		step(i, "post-merge")
+	}
+}
+
+// batchCounter wraps a shard's transport and records the most update
+// batches it has had in flight at once since the split's snapshot reached
+// it. The snapshot waits (up to 2 s) for two batches to overlap, and each
+// batch waits (up to 100 ms) for a partner, so overlap shows as a count
+// wherever the router allows it: a source the split serializes never reads
+// more than 1.
+type batchCounter struct {
+	wire.Transport
+	armed    atomic.Bool
+	inflight atomic.Int32
+	max      atomic.Int32
+	overlap  chan struct{}
+	once     sync.Once
+}
+
+func (c *batchCounter) RoundTrip(req *wire.Request) (*wire.Response, error) {
+	if len(req.Updates) == 0 {
+		if req.NoIndex && !c.armed.Swap(true) { // the split's snapshot
+			c.wait(2 * time.Second)
+		}
+		return c.Transport.RoundTrip(req)
+	}
+	n := c.inflight.Add(1)
+	defer c.inflight.Add(-1)
+	if c.armed.Load() {
+		for m := c.max.Load(); n > m && !c.max.CompareAndSwap(m, n); m = c.max.Load() {
+		}
+		if n >= 2 {
+			c.once.Do(func() { close(c.overlap) })
+		}
+		c.wait(100 * time.Millisecond)
+	}
+	return c.Transport.RoundTrip(req)
+}
+
+func (c *batchCounter) wait(d time.Duration) {
+	select {
+	case <-c.overlap:
+	case <-time.After(d):
+	}
+}
+
+// TestSplitDoesNotSerializeSource runs four update writers inside one
+// shard's region while that shard splits. The source's writer must keep
+// seeing concurrent batches (so it can group-commit them) during the
+// split, and every update the writers landed must be on the right side of
+// the cut afterwards.
+func TestSplitDoesNotSerializeSource(t *testing.T) {
+	objs := genObjects(1600, 61)
+	single, p, cleanup := buildBothElastic(t, objs, 2, InProcessConfig{})
+	defer cleanup()
+	const src = 0
+	counter := &batchCounter{Transport: p.Router.slots[src].ep.T, overlap: make(chan struct{})}
+	p.Router.slots[src].ep.T = counter
+	region := p.Router.part.Regions[src]
+
+	live := int64(len(objs))
+	var inserted atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(70 + w)))
+			at := func() geom.Rect {
+				c := geom.Pt(region.MinX+(0.05+0.9*rng.Float64())*(region.MaxX-region.MinX),
+					region.MinY+(0.05+0.9*rng.Float64())*(region.MaxY-region.MinY))
+				return geom.RectFromCenter(c, 0.001, 0.001)
+			}
+			rects := map[rtree.ObjectID]geom.Rect{}
+			var ids []rtree.ObjectID
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := rtree.ObjectID(1<<22 + w<<16 + i)
+				rects[id] = at()
+				ids = append(ids, id)
+				ops := []wire.UpdateOp{{Kind: wire.UpdateInsert, Obj: id, To: rects[id], Size: 100 + i}}
+				if mv := ids[rng.Intn(len(ids))]; mv != id {
+					to := at()
+					ops = append(ops, wire.UpdateOp{Kind: wire.UpdateMove, Obj: mv, From: rects[mv], To: to})
+					rects[mv] = to
+				}
+				single.ExecuteUpdates(&wire.Request{Client: wire.ClientID(900 + w), Updates: ops})
+				resp, err := p.Router.RoundTrip(&wire.Request{Client: wire.ClientID(900 + w), Updates: ops})
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				for j, ok := range resp.UpdateResults {
+					if !ok {
+						t.Errorf("writer %d batch %d op %d (%+v) refused", w, i, j, ops[j])
+						return
+					}
+				}
+				inserted.Add(1)
+			}
+		}(w)
+	}
+	splitErr := p.SplitShard(src)
+	counter.armed.Store(false)
+	close(stop)
+	wg.Wait()
+	if splitErr != nil {
+		t.Fatal(splitErr)
+	}
+	if t.Failed() {
+		return
+	}
+	if got := counter.max.Load(); got < 2 {
+		t.Fatalf("at most %d update batch(es) in flight on the source during its split, want >= 2: the split serializes its source's writer", got)
+	}
+	checkEquivalence(t, "after a split under four writers", single, p.Router, 7000)
+	if got, want := gaugeSum(p), live+inserted.Load(); got != want {
+		t.Fatalf("object gauges sum to %d, want %d", got, want)
+	}
+}
+
+// TestSplitKeepsMovedSizes inserts an object with its own payload size
+// through the router, reopens the cluster over its WALs, and splits the
+// object's shard so that the object moves. The moved object must keep its
+// size: the spawned shard takes sizes from the source's snapshot, not from
+// the router's memory, which the reopen emptied.
+func TestSplitKeepsMovedSizes(t *testing.T) {
+	objs := genObjects(1200, 17)
+	sizes := make(map[rtree.ObjectID]int, len(objs))
+	for _, o := range objs {
+		sizes[o.ID] = o.Size
+	}
+	cfg := crashConfig(t, sizes)
+	cfg.Shards = 2
+	p1, err := NewInProcess(objs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src, id, size = 0, rtree.ObjectID(1 << 22), 4321
+	// The region's far corner lies past the split's median cut on either
+	// axis, so the split moves the object.
+	region := p1.Router.part.Regions[src]
+	at := geom.RectFromCenter(geom.Pt(region.MaxX-0.01*(region.MaxX-region.MinX), region.MaxY-0.01*(region.MaxY-region.MinY)), 0.0005, 0.0005)
+	if _, err := p1.Router.RoundTrip(&wire.Request{Client: 900, Updates: []wire.UpdateOp{{Kind: wire.UpdateInsert, Obj: id, To: at, Size: size}}}); err != nil {
+		t.Fatal(err)
+	}
+	p1.Close()
+
+	p2, err := NewInProcess(objs, cfg)
+	if err != nil {
+		t.Fatalf("reopen over existing WALs: %v", err)
+	}
+	defer p2.Close()
+	sizeOf := func(tag string) int {
+		t.Helper()
+		resp, err := p2.Router.RoundTrip(&wire.Request{Client: 5, Q: query.NewRange(at)})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		for _, o := range resp.Objects {
+			if o.ID == id {
+				return o.Size
+			}
+		}
+		t.Fatalf("%s: object %d not found", tag, id)
+		return 0
+	}
+	if got := sizeOf("after the reopen"); got != size {
+		t.Fatalf("after the reopen: size %d, want %d", got, size)
+	}
+	if err := p2.SplitShard(src); err != nil {
+		t.Fatal(err)
+	}
+	spawned := len(p2.Router.slots) - 1
+	if owner := p2.Router.part.LocateRect(at); owner != spawned {
+		t.Fatalf("the split left the object on shard %d, want the spawned slot %d", owner, spawned)
+	}
+	if got := sizeOf("after the split"); got != size {
+		t.Fatalf("after the split moved it: size %d, want %d", got, size)
+	}
+	p2.Kill(spawned)
+	if err := p2.Restart(spawned); err != nil {
+		t.Fatal(err)
+	}
+	if got := sizeOf("after the spawned shard's restart"); got != size {
+		t.Fatalf("after the spawned shard's restart: size %d, want %d", got, size)
 	}
 }

@@ -474,16 +474,17 @@ func TestRequestWaitsOutRestart(t *testing.T) {
 }
 
 // TestKillDuringSplit crash-restarts shards while SplitShard runs. Each
-// split's source is down when the split starts, so the split arms its
-// handover window and then waits out the source's restart inside its
-// snapshot: the restart lands mid-transfer. The first split runs while
-// another shard also crash-restarts and nothing else runs: a kill or a
-// restart takes only its shard's own lock, so -race pins that neither
+// split's source is down when the split starts, so the split's snapshot
+// waits out the source's restart (its retries show on the source's
+// Retries counter): the restart lands mid-transfer. The first split runs
+// while another shard also crash-restarts and nothing else runs: a kill or
+// a restart takes only its shard's own lock, so -race pins that neither
 // touches the router's topology. The second runs under queries and an
-// update stream, started once the handover is armed, and its source
+// update stream, started once the snapshot is waiting, and its source
 // crash-restarts once more after the restart. No request may fail: each
 // one waits out the restart, and none waits behind a fence. Afterwards
-// both splits have landed and answers match the single node.
+// both splits have landed, answers match the single node, and the object
+// gauges add up to the live object count.
 func TestKillDuringSplit(t *testing.T) {
 	objs := genObjects(1600, 37)
 	single, p, cleanup := buildBothElastic(t, objs, 4, InProcessConfig{
@@ -499,22 +500,19 @@ func TestKillDuringSplit(t *testing.T) {
 		}
 	}
 	// splitAcrossRestart starts a split of a down source, runs whileDown
-	// once the handover is armed, restarts the source, then runs after.
+	// once the split's snapshot is retrying against it, restarts the
+	// source, then runs after.
 	splitAcrossRestart := func(split int, whileDown, after func()) {
 		t.Helper()
+		retries := &p.Router.Stats().Shard(split).Retries
+		base := retries.Load()
 		p.Kill(split)
 		splitErr := make(chan error, 1)
 		go func() { splitErr <- p.SplitShard(split) }()
-		for {
-			p.Router.topo.RLock()
-			armed := p.Router.ho != nil && p.Router.ho.from == split
-			p.Router.topo.RUnlock()
-			if armed {
-				break
-			}
+		for retries.Load() == base {
 			select {
 			case err := <-splitErr:
-				t.Fatalf("split of shard %d ended before its handover was seen armed: %v", split, err)
+				t.Fatalf("split of shard %d ended before its snapshot was seen waiting: %v", split, err)
 			case <-time.After(50 * time.Microsecond):
 			}
 		}
@@ -529,6 +527,8 @@ func TestKillDuringSplit(t *testing.T) {
 	}
 
 	splitAcrossRestart(0, func() {}, func() { crashRestart(2) })
+
+	upd := newUpdateStream(53, objs)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -556,7 +556,6 @@ func TestKillDuringSplit(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			upd := newUpdateStream(53, objs)
 			for {
 				select {
 				case <-stop:
@@ -579,6 +578,9 @@ func TestKillDuringSplit(t *testing.T) {
 		t.Fatalf("%d live shards after two splits, want 6", got)
 	}
 	checkEquivalence(t, "after splits and crash-restarts", single, p.Router, 5100)
+	if got, want := gaugeSum(p), int64(len(upd.rects)); got != want {
+		t.Fatalf("object gauges sum to %d after splits and crash-restarts, want %d", got, want)
+	}
 }
 
 // TestKillBehindQueuedFence crash-restarts a shard while a request is in
