@@ -310,12 +310,14 @@ func forceElastic(cs *repro.ClusterServer, dur time.Duration) chan struct{} {
 		if hot < 0 {
 			return
 		}
+		start, fenced := time.Now(), cs.ClusterStats().HandoverNanos
 		if err := cs.SplitShard(hot); err != nil {
 			fmt.Fprintf(os.Stderr, "proload: forced split of shard %d: %v\n", hot, err)
 			return
 		}
 		fresh := cs.Shards() - 1
-		fmt.Fprintf(os.Stderr, "proload: forced split of shard %d -> slot %d\n", hot, fresh)
+		fmt.Fprintf(os.Stderr, "proload: forced split of shard %d -> slot %d in %v (fenced %v)\n", hot, fresh,
+			time.Since(start).Round(time.Millisecond), time.Duration(cs.ClusterStats().HandoverNanos-fenced).Round(time.Microsecond))
 		time.Sleep(dur / 3)
 		s, ok := cs.SiblingOf(fresh)
 		if !ok {

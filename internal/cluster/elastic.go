@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -19,65 +18,33 @@ import (
 // A split moves the hot half of one shard's region onto a freshly spawned
 // shard without ever stopping the cluster or flushing its clients:
 //
-//  1. Arm: under a brief write fence the router installs a handover window
-//     for the source shard. From then on every acked update batch bound for
-//     it is recorded, and update issuance to that one shard serializes on
-//     the window's lock so the record order is exactly the shard's apply
-//     order. Queries are untouched.
-//  2. Snapshot: holding the window lock (so no batch is mid-flight), the
-//     router reads the shard's full object set. Everything recorded after
-//     this point is the "WAL tail" the snapshot does not contain.
-//  3. Plane: the split cut is the median of the moving shard's object
+//  1. Snapshot: with no lock held, the router reads the shard's full object
+//     set. Updates keep flowing to the shard, whose writer group-commits
+//     them as at any other time.
+//  2. Plane: the split cut is the median of the moving shard's object
 //     centers along the longer axis — the same balanced-count rule
 //     MakePartition uses, applied to one leaf.
-//  4. Transfer: the losing half bulk-loads into a new R*-tree, round-trips
+//  3. Transfer: the losing half bulk-loads into a new R*-tree, round-trips
 //     through the packed image codec (the same bytes a WAL checkpoint or a
 //     wire transfer would carry), and comes up as a new shard server with
-//     its own WAL (InProcess.spawn).
-//  5. Cutover: the write fence drains every in-flight request against the
-//     old owner, the recorded tail replays onto the new shard (re-routed
-//     against the post-split partition), the moved objects are deleted from
-//     the source through its ordinary update path — which bumps its epoch
-//     and writes the invalidation log entries that tell caching clients
-//     their cuts of the moved region are stale — and the new partition,
-//     endpoint, and metadata install atomically. No client flush: epoch
-//     vectors for the new slot zero-pad (epoch.go), and the changed root
-//     set surfaces as a virtual-root invalidation on each client's next
-//     response.
+//     its own WAL and the snapshot's payload sizes (InProcess.spawn).
+//  4. Cutover: the write fence drains every in-flight request against the
+//     old owner, so the source now holds exactly what it acked. The router
+//     reads the moving half from it once more, sends the new shard the
+//     difference from the snapshot as one batch, deletes the re-read set
+//     from the source through its ordinary update path — which bumps its
+//     epoch and writes the invalidation log entries that tell caching
+//     clients their cuts of the moved region are stale — and installs the
+//     new partition, endpoint, and metadata atomically. No client flush:
+//     epoch vectors for the new slot zero-pad (epoch.go), and the changed
+//     root set surfaces as a virtual-root invalidation on each client's
+//     next response.
 //
 // A merge is the symmetric, simpler path: under one write fence the losing
 // sibling's objects bulk-insert into the survivor, the KD parent cut
 // disappears, and the slot dies. Merging must flush all clients — the dead
 // slot's node ids can never be invalidated individually once its server is
 // gone — so it is the split's cheap-to-rare counterpart.
-type handoverState struct {
-	from int
-	mu   sync.Mutex
-	// entries are the acked update batches applied to the source shard
-	// since the window armed, in apply order (issuance serializes on mu).
-	entries []handoverEntry
-	// boundary is how many leading entries the object snapshot already
-	// contains; replay starts after it.
-	boundary int
-}
-
-type handoverEntry struct {
-	ops []wire.UpdateOp // acked operations only, as the source applied them
-}
-
-// record appends a batch's acked operations. Caller holds ho.mu (issueWave
-// serializes the source shard's updates on it during the window).
-func (ho *handoverState) record(ops []wire.UpdateOp, acked []bool) {
-	var kept []wire.UpdateOp
-	for i, op := range ops {
-		if i < len(acked) && acked[i] {
-			kept = append(kept, op)
-		}
-	}
-	if len(kept) > 0 {
-		ho.entries = append(ho.entries, handoverEntry{ops: kept})
-	}
-}
 
 // errShardRetired answers any straggler round trip to a merged-away slot.
 var errShardRetired = errors.New("cluster: shard slot retired by merge")
@@ -138,64 +105,15 @@ func splitPlane(objs []wire.ObjectRep) (axis int, cut float64, ok bool) {
 	return 0, 0, false
 }
 
-// translateOps re-routes one recorded batch against the post-split
-// partition: the subset of effects landing in the new shard's region
-// becomes that shard's replay batch. owned tracks the object set the new
-// shard will end up holding (and each object's current rectangle), for the
-// cutover's ownership delete against the source.
-func translateOps(part *Partition, t int, ops []wire.UpdateOp, sizeOf func(rtree.ObjectID) int, owned map[rtree.ObjectID]geom.Rect) []wire.UpdateOp {
-	var out []wire.UpdateOp
-	for _, op := range ops {
-		switch op.Kind {
-		case wire.UpdateInsert:
-			if part.LocateRect(op.To) == t {
-				out = append(out, op)
-				owned[op.Obj] = op.To
-			}
-		case wire.UpdateDelete:
-			if part.LocateRect(op.From) == t {
-				out = append(out, op)
-				delete(owned, op.Obj)
-			}
-		case wire.UpdateMove:
-			fromT := part.LocateRect(op.From) == t
-			toT := part.LocateRect(op.To) == t
-			switch {
-			case fromT && toT:
-				out = append(out, op)
-				owned[op.Obj] = op.To
-			case toT:
-				out = append(out, wire.UpdateOp{
-					Kind: wire.UpdateInsert, Obj: op.Obj, To: op.To,
-					Size: sizeOf(op.Obj),
-				})
-				owned[op.Obj] = op.To
-			case fromT:
-				out = append(out, wire.UpdateOp{
-					Kind: wire.UpdateDelete, Obj: op.Obj, From: op.From,
-				})
-				delete(owned, op.Obj)
-			}
-		}
-	}
-	return out
-}
-
-// clearHandover disarms the split window (abort path).
-func (r *Router) clearHandover() {
-	r.topo.Lock()
-	r.ho = nil
-	r.topo.Unlock()
-}
-
 // SplitShard splits shard s's region in two online: the half with the
 // larger coordinates moves to a freshly spawned shard slot, in-flight
-// requests drain against the old owner at the fence, updates accepted
-// during the transfer replay onto the new shard before it takes over, and
-// no client is flushed — cached cuts of the moved region invalidate through
-// the source shard's ordinary epoch protocol, and the topology change
-// itself surfaces as a virtual-root invalidation. Split operations
-// serialize with each other and with MergeShards.
+// requests drain against the old owner at the fence, the updates accepted
+// during the transfer reach the new shard as the difference between the
+// snapshot and a fenced re-read of the moving half, and no client is
+// flushed — cached cuts of the moved region invalidate through the source
+// shard's ordinary epoch protocol, and the topology change itself surfaces
+// as a virtual-root invalidation. Split operations serialize with each
+// other and with MergeShards.
 func (r *Router) SplitShard(s int, p *InProcess) error {
 	r.topoOpMu.Lock()
 	defer r.topoOpMu.Unlock()
@@ -209,123 +127,75 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 	if t >= MaxShards {
 		return fmt.Errorf("cluster: split: slot count %d exhausted the %d-slot namespace", t, MaxShards)
 	}
-	// Arm the handover window.
-	ho := &handoverState{from: s}
-	r.topo.Lock()
-	r.ho = ho
-	r.topo.Unlock()
-
-	// Snapshot under the window lock: no update batch is mid-flight on s,
-	// so entries recorded before the boundary are fully inside the
-	// snapshot and entries after it are fully outside.
-	ho.mu.Lock()
 	resp, err := r.allObjects(s)
 	if err != nil {
-		ho.mu.Unlock()
-		r.clearHandover()
 		return fmt.Errorf("cluster: split: snapshot shard %d: %w", s, err)
 	}
 	objs := append([]wire.ObjectRep(nil), resp.Objects...)
 	r.release(s, resp)
-	ho.boundary = len(ho.entries)
-	ho.mu.Unlock()
-
 	if len(objs) < 2 {
-		r.clearHandover()
 		return fmt.Errorf("cluster: split: shard %d owns %d objects; nothing to split", s, len(objs))
 	}
 	axis, cut, ok := splitPlane(objs)
 	if !ok {
-		r.clearHandover()
 		return fmt.Errorf("cluster: split: shard %d's object centers coincide", s)
 	}
 	newPart, err := r.part.SplitLeaf(s, axis, cut)
 	if err != nil {
-		r.clearHandover()
 		return err
 	}
 
 	// The losing half: everything the new partition routes to slot t.
-	owned := make(map[rtree.ObjectID]geom.Rect)
-	items := make([]rtree.Item, 0, len(objs)/2)
+	moving := make([]wire.ObjectRep, 0, len(objs)/2)
 	for _, o := range objs {
 		if newPart.LocateRect(o.MBR) == t {
-			owned[o.ID] = o.MBR
-			items = append(items, rtree.Item{Obj: o.ID, MBR: o.MBR})
+			moving = append(moving, o)
 		}
 	}
-	if len(owned) == 0 || len(owned) == len(objs) {
-		r.clearHandover()
+	if len(moving) == 0 || len(moving) == len(objs) {
 		return fmt.Errorf("cluster: split: plane left shard %d with an empty side", s)
 	}
 
 	// Transfer: spawn the new shard from the packed move-set image.
-	shard, err := p.spawn(t, items, r.sizeOf)
+	shard, err := p.spawn(t, moving)
 	if err != nil {
-		r.clearHandover()
 		return fmt.Errorf("cluster: split: spawn slot %d: %w", t, err)
 	}
 
-	// replayWave pushes recorded tail entries onto the new shard in record
-	// order (== the source's apply order).
-	replayWave := func(entries []handoverEntry) error {
-		for _, e := range entries {
-			tOps := translateOps(newPart, t, e.ops, r.sizeOf, owned)
-			if len(tOps) == 0 {
-				continue
-			}
-			tresp, err := shard.T.RoundTrip(&wire.Request{Updates: tOps})
-			if err != nil {
-				return err
-			}
-			if shard.Release != nil {
-				shard.Release(tresp)
-			}
-		}
-		return nil
-	}
-
-	// Catch-up: drain the recorded tail in waves while requests still flow.
-	// The new shard is not yet routable, so replaying here is invisible to
-	// clients — each wave shrinks the fenced, client-blocking replay below
-	// to just the updates that arrived during the previous wave. Entries is
-	// append-only under ho.mu, so a snapshot of its prefix stays valid after
-	// the unlock.
-	replayed := ho.boundary
-	for round := 0; round < 8; round++ {
-		ho.mu.Lock()
-		pend := ho.entries[replayed:]
-		ho.mu.Unlock()
-		if len(pend) == 0 {
-			break
-		}
-		if err := replayWave(pend); err != nil {
-			r.clearHandover()
-			p.Kill(t)
-			return fmt.Errorf("cluster: split: replay tail onto slot %d: %w", t, err)
-		}
-		replayed += len(pend)
-	}
-
-	// Cutover: fence out every request, replay the last sliver of the tail,
-	// move ownership.
+	// Cutover: fence out every request, reconcile the new shard with the
+	// source's exact state, move ownership.
 	fence := time.Now()
 	r.topo.Lock()
 	abort := func(why error) error {
-		r.ho = nil
 		r.topo.Unlock()
 		p.Kill(t)
 		return why
 	}
-	if err := replayWave(ho.entries[replayed:]); err != nil {
-		return abort(fmt.Errorf("cluster: split: replay tail onto slot %d: %w", t, err))
+	cur, err := r.reread(s, newPart, t)
+	if err != nil {
+		return abort(fmt.Errorf("cluster: split: re-read shard %d: %w", s, err))
 	}
-	if len(owned) == 0 {
-		// The tail deleted the whole moving half; nothing to hand over.
+	if len(cur) == 0 {
 		return abort(fmt.Errorf("cluster: split: moving half emptied during transfer"))
 	}
+	if diff := reconcile(moving, cur); len(diff) > 0 {
+		dresp, err := shard.T.RoundTrip(&wire.Request{Updates: diff})
+		if err != nil {
+			return abort(fmt.Errorf("cluster: split: catch up slot %d: %w", t, err))
+		}
+		acked := len(dresp.UpdateResults) == len(diff)
+		for _, ok := range dresp.UpdateResults {
+			acked = acked && ok
+		}
+		if shard.Release != nil {
+			shard.Release(dresp)
+		}
+		if !acked {
+			return abort(fmt.Errorf("cluster: split: slot %d refused its catch-up batch", t))
+		}
+	}
 
-	// Install the topology: the new slot, cataloged post-replay for its
+	// Install the topology: the new slot, cataloged post-catch-up for its
 	// root and epoch, then the post-split geometry.
 	if err := r.addSlot(shard); err != nil {
 		return abort(fmt.Errorf("cluster: split: catalog slot %d: %w", t, err))
@@ -336,33 +206,80 @@ func (r *Router) SplitShard(s int, p *InProcess) error {
 	// path: its epoch advances and its invalidation log picks up the moved
 	// region, so caching clients invalidate their cuts of it on their next
 	// response — the epoch-fenced crossing window.
-	del := make([]wire.UpdateOp, 0, len(owned))
-	for id, mbr := range owned {
-		del = append(del, wire.UpdateOp{Kind: wire.UpdateDelete, Obj: id, From: mbr})
+	del := make([]wire.UpdateOp, len(cur))
+	for i, o := range cur {
+		del[i] = wire.UpdateOp{Kind: wire.UpdateDelete, Obj: o.ID, From: o.MBR}
 	}
-	sort.Slice(del, func(i, j int) bool { return del[i].Obj < del[j].Obj })
 	dresp, err := r.roundTripShard(s, &wire.Request{Updates: del})
+	if err == nil {
+		r.observe(s, dresp)
+		r.release(s, dresp)
+		moved := int64(len(cur))
+		r.stats.Shard(s).Objects.Add(-moved)
+		r.stats.Shard(t).Objects.Store(moved)
+	}
+	r.stats.Splits.Add(1)
+	r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())
+	r.topo.Unlock()
 	if err != nil {
 		// The new shard already owns the region; the stale copies on the
 		// source will be dropped by a retry or shadowed by dedup until
 		// then. Surface the error but keep the installed topology.
-		r.ho = nil
-		r.stats.Splits.Add(1)
-		r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())
-		r.topo.Unlock()
 		return fmt.Errorf("cluster: split: ownership delete on shard %d: %w", s, err)
 	}
-	r.observe(s, dresp)
-	r.release(s, dresp)
-
-	moved := int64(len(owned))
-	r.stats.Shard(s).Objects.Add(-moved)
-	r.stats.Shard(t).Objects.Store(moved)
-	r.stats.Splits.Add(1)
-	r.stats.HandoverNanos.Add(time.Since(fence).Nanoseconds())
-	r.ho = nil
-	r.topo.Unlock()
 	return nil
+}
+
+// reread reads, under the split's write fence, the objects shard s holds
+// that part routes to slot t: the moving half exactly as the source acked
+// it.
+func (r *Router) reread(s int, part *Partition, t int) ([]wire.ObjectRep, error) {
+	resp, err := r.roundTripShard(s, &wire.Request{
+		Q:       query.NewRange(part.leafCell(t)),
+		NoIndex: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	var cur []wire.ObjectRep
+	for _, o := range resp.Objects {
+		if part.LocateRect(o.MBR) == t {
+			cur = append(cur, o)
+		}
+	}
+	r.release(s, resp)
+	return cur, nil
+}
+
+// reconcile returns the update batch that turns a shard holding snap into
+// one holding cur: an insert for each new object, carrying its size, a
+// delete for each object gone, and a move for each object whose rectangle
+// changed — a delete and an insert when its size changed.
+func reconcile(snap, cur []wire.ObjectRep) []wire.UpdateOp {
+	was := make(map[rtree.ObjectID]wire.ObjectRep, len(snap))
+	for _, o := range snap {
+		was[o.ID] = o
+	}
+	var ops []wire.UpdateOp
+	for _, o := range cur {
+		old, ok := was[o.ID]
+		delete(was, o.ID)
+		ins := wire.UpdateOp{Kind: wire.UpdateInsert, Obj: o.ID, To: o.MBR, Size: o.Size}
+		switch {
+		case !ok:
+			ops = append(ops, ins)
+		case old.Size != o.Size:
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateDelete, Obj: o.ID, From: old.MBR}, ins)
+		case old.MBR != o.MBR:
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateMove, Obj: o.ID, From: old.MBR, To: o.MBR})
+		}
+	}
+	for _, o := range snap {
+		if _, gone := was[o.ID]; gone {
+			ops = append(ops, wire.UpdateOp{Kind: wire.UpdateDelete, Obj: o.ID, From: o.MBR})
+		}
+	}
+	return ops
 }
 
 // MergeShards folds shard t back into its KD sibling s: one write fence

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,8 +238,8 @@ func TestClusterElasticDurable(t *testing.T) {
 
 // TestClusterElasticConcurrent splits and merges while query workers and an
 // update stream hammer both backends — the -race exercise of the epoch
-// fence, the handover window, and the dual-routing hook. After the storm the
-// contents must be identical.
+// fence and of a split's unlocked snapshot and fenced re-read. After the
+// storm the contents must be identical.
 func TestClusterElasticConcurrent(t *testing.T) {
 	objs := genObjects(1500, 43)
 	single, p, cleanup := buildBothElastic(t, objs, 2, InProcessConfig{})
@@ -747,5 +748,37 @@ func TestSplitKeepsMovedSizes(t *testing.T) {
 	}
 	if got := sizeOf("after the spawned shard's restart"); got != size {
 		t.Fatalf("after the spawned shard's restart: size %d, want %d", got, size)
+	}
+}
+
+// TestReconcile pins the split's catch-up batch: one op (or a delete and
+// an insert, for a changed size) per object the snapshot and the fenced
+// re-read disagree on, and none for an object unchanged.
+func TestReconcile(t *testing.T) {
+	r := func(x float64) geom.Rect { return geom.RectFromCenter(geom.Pt(x, x), 0.01, 0.01) }
+	snap := []wire.ObjectRep{
+		{ID: 1, MBR: r(0.1), Size: 10},
+		{ID: 2, MBR: r(0.2), Size: 20},
+		{ID: 3, MBR: r(0.3), Size: 30},
+		{ID: 4, MBR: r(0.4), Size: 40},
+	}
+	cur := []wire.ObjectRep{
+		{ID: 1, MBR: r(0.1), Size: 10}, // unchanged
+		{ID: 2, MBR: r(0.5), Size: 20}, // moved
+		{ID: 3, MBR: r(0.3), Size: 31}, // re-inserted with another size
+		{ID: 5, MBR: r(0.6), Size: 50}, // inserted
+	} // 4 deleted
+	want := []wire.UpdateOp{
+		{Kind: wire.UpdateMove, Obj: 2, From: r(0.2), To: r(0.5)},
+		{Kind: wire.UpdateDelete, Obj: 3, From: r(0.3)},
+		{Kind: wire.UpdateInsert, Obj: 3, To: r(0.3), Size: 31},
+		{Kind: wire.UpdateInsert, Obj: 5, To: r(0.6), Size: 50},
+		{Kind: wire.UpdateDelete, Obj: 4, From: r(0.4)},
+	}
+	if got := reconcile(snap, cur); !slices.Equal(got, want) {
+		t.Fatalf("reconcile =\n%+v\nwant\n%+v", got, want)
+	}
+	if got := reconcile(cur, cur); len(got) != 0 {
+		t.Fatalf("reconcile of identical sets = %+v, want none", got)
 	}
 }

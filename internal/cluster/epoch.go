@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/rtree"
 	"repro/internal/wire"
@@ -67,12 +66,7 @@ type epochShard struct {
 type epochTable struct {
 	ring       int
 	maxClients int // per lock shard
-	// gen counts table-wide flushes; a merge is the only one. Requests
-	// capture it before resolving their epoch base; a commit quoting a stale
-	// generation is refused, so a response computed against the pre-merge
-	// topology can never register a vector the merged shards no longer back.
-	gen    atomic.Uint64
-	shards [epochLockShards]epochShard
+	shards     [epochLockShards]epochShard
 }
 
 func newEpochTable(ring, maxClients int) *epochTable {
@@ -87,17 +81,11 @@ func (t *epochTable) shard(id wire.ClientID) *epochShard {
 	return &t.shards[uint32(id)%epochLockShards]
 }
 
-// generation returns the current flush generation; capture it before lookup
-// and pass it back to commit.
-func (t *epochTable) generation() uint64 { return t.gen.Load() }
-
 // flushAll drops every tracked client, forcing FlushAll on their next
-// request, and bumps the generation so in-flight commits are refused. The
-// generation bumps before the maps clear: a concurrent commit either sees
-// the new generation and aborts, or registered its entry early enough for
-// the clear to remove it.
+// request. Its one caller, a merge, runs under the router's topology write
+// fence, so no request is between resolving its epoch base and committing
+// its vector while the table clears.
 func (t *epochTable) flushAll() {
-	t.gen.Add(1)
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
@@ -146,22 +134,16 @@ func (t *epochTable) lookup(id wire.ClientID, virtual uint64, dstVec []uint64, d
 // nothing); otherwise a new entry is appended after the base and the ring is
 // trimmed. baseVirtual is the epoch the request quoted; the returned epoch
 // is always >= it, and never 0 unless the whole cluster is still at epoch 0.
-// gen is the generation the request captured before resolving its base; the
-// second return is false when a flushAll intervened and the caller must
-// flush the client instead of committing.
-func (t *epochTable) commit(id wire.ClientID, baseVirtual uint64, vec []uint64, roots []rtree.NodeID, gen uint64) (uint64, bool) {
+func (t *epochTable) commit(id wire.ClientID, baseVirtual uint64, vec []uint64, roots []rtree.NodeID) uint64 {
 	sh := t.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if t.gen.Load() != gen {
-		return 0, false
-	}
 	st, ok := sh.m[id]
 	if !ok {
 		if baseVirtual == 0 && allZero(vec) {
 			// Nothing has ever changed: keep epoch 0 and track no state,
 			// so an update-free cluster never grows the client table.
-			return 0, true
+			return 0
 		}
 		if len(sh.m) >= t.maxClients {
 			for evict := range sh.m {
@@ -175,7 +157,7 @@ func (t *epochTable) commit(id wire.ClientID, baseVirtual uint64, vec []uint64, 
 	for i := len(st.ring) - 1; i >= 0; i-- {
 		e := &st.ring[i]
 		if equalVec(e.vec, vec) && equalRoots(e.roots, roots) {
-			return e.virtual, true
+			return e.virtual
 		}
 	}
 	v := st.next
@@ -191,7 +173,7 @@ func (t *epochTable) commit(id wire.ClientID, baseVirtual uint64, vec []uint64, 
 	if len(st.ring) > t.ring {
 		st.ring = st.ring[len(st.ring)-t.ring:]
 	}
-	return v, true
+	return v
 }
 
 func allZero(v []uint64) bool {

@@ -365,12 +365,20 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 // spawn stands up a fresh shard process for slot t from a bulk-loaded
 // packed image — the split's transfer format: the donor's half bulk-loads
 // into a tree, serializes through AppendImage, and the spawned server opens
-// the deserialized copy, exactly as a remote spawn would receive it. The
-// slot gets its own WAL directory (with an initial checkpoint covering the
-// image) when the cluster is durable. A spawn never restores: slots are
-// never reused, so nothing in shard-<t> belongs to this slot. Called by
+// the deserialized copy, exactly as a remote spawn would receive it. Each
+// object keeps the payload size the donor reported for it. The slot gets
+// its own WAL directory (with an initial checkpoint covering the image)
+// when the cluster is durable. A spawn never restores: slots are never
+// reused, so nothing in shard-<t> belongs to this slot. Called by
 // Router.SplitShard.
-func (p *InProcess) spawn(t int, items []rtree.Item, size func(rtree.ObjectID) int) (Shard, error) {
+func (p *InProcess) spawn(t int, objs []wire.ObjectRep) (Shard, error) {
+	items := make([]rtree.Item, len(objs))
+	sizes := make(map[rtree.ObjectID]int, len(objs))
+	for i, o := range objs {
+		items[i] = rtree.Item{Obj: o.ID, MBR: o.MBR}
+		sizes[o.ID] = o.Size
+	}
+	size := func(id rtree.ObjectID) int { return sizes[id] }
 	img := rtree.BulkLoad(p.cfg.Tree, items, bulkFill).AppendImage(nil)
 	return p.startProc(t, size, func(cfg server.Config, _ *wal.Recovery) (*server.Server, bool, error) {
 		tree, err := rtree.ReadImage(img)

@@ -129,7 +129,7 @@ func TestEpochTableFlow(t *testing.T) {
 	roots := make([]rtree.NodeID, 2)
 
 	// Zero state: epoch 0 round trips without registering anything.
-	if got, _ := tab.commit(1, 0, []uint64{0, 0}, []rtree.NodeID{1, 1}, tab.generation()); got != 0 {
+	if got := tab.commit(1, 0, []uint64{0, 0}, []rtree.NodeID{1, 1}); got != 0 {
 		t.Fatalf("all-zero commit = %d", got)
 	}
 	if tab.lookup(1, 0, vec, roots) {
@@ -137,7 +137,7 @@ func TestEpochTableFlow(t *testing.T) {
 	}
 
 	// First real advancement registers and is retrievable.
-	v1, _ := tab.commit(1, 0, []uint64{3, 0}, []rtree.NodeID{1, 1}, tab.generation())
+	v1 := tab.commit(1, 0, []uint64{3, 0}, []rtree.NodeID{1, 1})
 	if v1 == 0 {
 		t.Fatal("nonzero vector got virtual 0")
 	}
@@ -146,12 +146,12 @@ func TestEpochTableFlow(t *testing.T) {
 	}
 
 	// Identical vector reuses the entry.
-	if v, _ := tab.commit(1, v1, []uint64{3, 0}, []rtree.NodeID{1, 1}, tab.generation()); v != v1 {
+	if v := tab.commit(1, v1, []uint64{3, 0}, []rtree.NodeID{1, 1}); v != v1 {
 		t.Fatalf("identical commit moved epoch %d -> %d", v1, v)
 	}
 
 	// Advancement from the base yields a strictly larger epoch.
-	v2, _ := tab.commit(1, v1, []uint64{3, 5}, []rtree.NodeID{1, 1}, tab.generation())
+	v2 := tab.commit(1, v1, []uint64{3, 5}, []rtree.NodeID{1, 1})
 	if v2 <= v1 {
 		t.Fatalf("v2 = %d <= v1 = %d", v2, v1)
 	}
@@ -159,7 +159,7 @@ func TestEpochTableFlow(t *testing.T) {
 	// Ring trims: push enough distinct vectors to evict v1.
 	last := v2
 	for i := uint64(1); i <= 6; i++ {
-		last, _ = tab.commit(1, last, []uint64{3 + i, 5}, []rtree.NodeID{1, 1}, tab.generation())
+		last = tab.commit(1, last, []uint64{3 + i, 5}, []rtree.NodeID{1, 1})
 	}
 	if tab.lookup(1, v1, vec, roots) {
 		t.Fatal("v1 survived ring trim")
@@ -180,11 +180,11 @@ func TestEpochTableFlow(t *testing.T) {
 func TestEpochTableEviction(t *testing.T) {
 	tab := newEpochTable(4, 1) // one tracked client per lock shard
 	// Clients 0 and 32 share lock shard 0.
-	v, _ := tab.commit(0, 0, []uint64{1}, []rtree.NodeID{1}, tab.generation())
+	v := tab.commit(0, 0, []uint64{1}, []rtree.NodeID{1})
 	if v == 0 {
 		t.Fatal("commit did not register")
 	}
-	tab.commit(32, 0, []uint64{2}, []rtree.NodeID{1}, tab.generation())
+	tab.commit(32, 0, []uint64{2}, []rtree.NodeID{1})
 	vec := make([]uint64, 1)
 	roots := make([]rtree.NodeID, 1)
 	if tab.lookup(0, v, vec, roots) {

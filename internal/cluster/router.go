@@ -79,9 +79,6 @@ type Router struct {
 	// topoOpMu serializes whole split/merge operations (each spans several
 	// topo critical sections).
 	topoOpMu sync.Mutex
-	// ho is the live handover window of an in-progress split (elastic.go);
-	// nil outside one. Written under topo write lock.
-	ho *handoverState
 
 	// slots are pointers so an elastic split can grow the slice without
 	// copying lock-bearing values.
@@ -302,8 +299,7 @@ type routeState struct {
 	queried    []bool
 	flush      bool
 	wantVroot  bool
-	vrootStale bool   // a shard root's content changed in the client's window
-	epochGen   uint64 // epoch-table generation when this request resolved its base
+	vrootStale bool // a shard root's content changed in the client's window
 
 	meta []rootInfo
 
@@ -406,11 +402,9 @@ func (r *Router) roundTripShard(s int, req *wire.Request) (*wire.Response, error
 // issueWave runs every item of a non-empty wave against its shard and
 // returns the first sub-query error. items[0] runs on the calling goroutine,
 // whose stack a serving worker has already grown; only the rest of a
-// multi-shard wave gets goroutines of its own. During a split's handover
-// window, update batches bound for the splitting shard serialize on the
-// window lock and their acked operations are recorded in apply order, so the
-// cutover can replay exactly the tail the transfer snapshot missed
-// (elastic.go).
+// multi-shard wave gets goroutines of its own. A split in progress takes
+// nothing from this path: its cutover reconciles under the topology write
+// fence, which every request already holds for read (elastic.go).
 func (r *Router) issueWave(items []waveItem) error {
 	run := func(it *waveItem) {
 		r.stats.SubQueries.Add(1)
@@ -418,16 +412,7 @@ func (r *Router) issueWave(items []waveItem) error {
 		if it.reissue {
 			r.stats.Reissues.Add(1)
 		}
-		if ho := r.ho; ho != nil && it.shard == ho.from && len(it.req.Updates) > 0 {
-			ho.mu.Lock()
-			it.resp, it.err = r.roundTripShard(it.shard, &it.req)
-			if it.err == nil {
-				ho.record(it.req.Updates, it.resp.UpdateResults)
-			}
-			ho.mu.Unlock()
-		} else {
-			it.resp, it.err = r.roundTripShard(it.shard, &it.req)
-		}
+		it.resp, it.err = r.roundTripShard(it.shard, &it.req)
 		if it.err != nil {
 			r.stats.Shard(it.shard).Errors.Add(1)
 		}
@@ -462,7 +447,6 @@ func (r *Router) issueWave(items []waveItem) error {
 // reflects (st.baseRoots). Unknown epochs flush the client and rebase it on
 // the current metadata, exactly like falling off the single-node update log.
 func (r *Router) loadEpochBase(st *routeState, req *wire.Request) {
-	st.epochGen = r.epochs.generation()
 	if r.epochs.lookup(req.Client, req.Epoch, st.baseVec, st.baseRoots) {
 		copy(st.newVec, st.baseVec)
 		copy(st.newRoots, st.baseRoots)
@@ -673,24 +657,7 @@ func (r *Router) finishConsistency(st *routeState, req *wire.Request, resp *wire
 		resp.InvalidObjs = resp.InvalidObjs[:0]
 		r.stats.Flushes.Add(1)
 	}
-	epoch, ok := r.epochs.commit(req.Client, req.Epoch, st.newVec, st.newRoots, st.epochGen)
-	if !ok {
-		// A merge flushed the table after this request resolved its base:
-		// the vector may name the merged-away slot's epochs, so the commit
-		// was refused — flush the client and let its next request rebase on
-		// the post-merge topology. (A merge flushes under the write fence,
-		// which RoundTrip's read fence already orders against; the
-		// generation keeps the table safe without relying on that.)
-		if !resp.FlushAll {
-			resp.FlushAll = true
-			resp.InvalidNodes = resp.InvalidNodes[:0]
-			resp.InvalidObjs = resp.InvalidObjs[:0]
-			r.stats.Flushes.Add(1)
-		}
-		resp.Epoch = 0
-		return
-	}
-	resp.Epoch = epoch
+	resp.Epoch = r.epochs.commit(req.Client, req.Epoch, st.newVec, st.newRoots)
 }
 
 // RoundTrip implements wire.Transport over the cluster: updates route to
