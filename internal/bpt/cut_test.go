@@ -95,11 +95,7 @@ func cacheMerge(t *testing.T, a, b []wire.CutElem) []bpt.Code {
 	if !ok {
 		t.Fatal("merged node not cached")
 	}
-	codes := make([]bpt.Code, len(it.Elems))
-	for i, e := range it.Elems {
-		codes[i] = e.Code
-	}
-	return codes
+	return slices.Clone(it.Codes)
 }
 
 // cutAt is the cut a server ships at the given positions of pg.

@@ -355,9 +355,11 @@ func NewInProcess(objects []dataset.Object, cfg InProcessConfig) (*InProcess, er
 		return nil, err
 	}
 	// Seed the per-shard object-count gauges (ShardObjects, the stats
-	// line); from here the router maintains them on every acked update.
+	// line) from what each shard holds, which a restored shard's WAL may
+	// have moved from its split; from here the router maintains them on
+	// every acked update.
 	for s := range split {
-		p.Router.Stats().Shard(s).Objects.Store(int64(len(split[s])))
+		p.Router.Stats().Shard(s).Objects.Store(int64(p.proc(s).cur.Load().Tree().Len()))
 	}
 	return p, nil
 }

@@ -12,7 +12,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/bpt"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
@@ -56,10 +58,12 @@ type Item struct {
 
 	CachedChildren int
 
-	// Node items: the cached representation, a partition-tree cut as the
-	// wire elements at its positions, sorted by code.
+	// Node items: the cached representation, a partition-tree cut sorted by
+	// code, held as the engine refs a cached expansion returns and, in
+	// parallel, each element's code (a real entry's ref carries none).
 	Level int
-	Elems []wire.CutElem
+	Refs  []query.Ref
+	Codes []bpt.Code
 
 	// Region is the MBR of the item's contents (FAR policy distance).
 	Region geom.Rect
@@ -78,9 +82,9 @@ func (it *Item) Prob(now uint64) float64 {
 }
 
 // Cache is the proactive cache. A cache, the providers over it and the
-// slices they return belong to one goroutine: every
-// provider over a cache expands into the same scratch buffer, and eviction
-// and insertion reuse scratch of their own.
+// slices they return belong to one goroutine: a provider's expansion of a
+// cached node is that item's own Refs, read-only and valid until the cache
+// next changes, and eviction and insertion reuse scratch of their own.
 type Cache struct {
 	capacity int
 	used     int
@@ -101,9 +105,9 @@ type Cache struct {
 	// the client CPU cost model of Figure 9.
 	Ops int
 
-	expandBuf []query.Ref    // cacheProvider.Expand's result
-	mergeBuf  []wire.CutElem // insertNodeRep's merged cut
-	victims   []victim       // evictGRD3's candidate heap
+	mergeRefs  []query.Ref // insertNodeRep's merged cut
+	mergeCodes []bpt.Code
+	victims    []victim // evictGRD3's candidate heap
 }
 
 // NewCache builds a cache with the given byte capacity and policy.
@@ -212,7 +216,11 @@ func (c *Cache) insertNodeRep(rep *wire.NodeRep) {
 	}
 	key := NodeKey(rep.ID)
 	it, exists := c.items[key]
-	if !exists {
+	if exists {
+		c.mergeRefs, c.mergeCodes = mergeCuts(c.mergeRefs[:0], c.mergeCodes[:0], it.Refs, it.Codes, rep)
+		it.Refs = append(it.Refs[:0], c.mergeRefs...)
+		it.Codes = append(it.Codes[:0], c.mergeCodes...)
+	} else {
 		it = &Item{
 			Key:        key,
 			InsertedAt: c.querySeq,
@@ -220,20 +228,20 @@ func (c *Cache) insertNodeRep(rep *wire.NodeRep) {
 			Hits:       1,
 			Level:      rep.Level,
 		}
+		// Nothing cached to merge with: the cut goes straight into the item.
+		n := len(rep.Elems)
+		it.Refs, it.Codes = mergeCuts(make([]query.Ref, 0, n), make([]bpt.Code, 0, n), nil, nil, rep)
 		c.add(it)
 	}
-
-	c.mergeBuf = mergeCuts(c.mergeBuf[:0], it.Elems, rep.Elems)
-	it.Elems = append(it.Elems[:0], c.mergeBuf...)
 	oldSize := it.Size
-	it.Size = c.nodeItemSize(len(it.Elems))
+	it.Size = c.nodeItemSize(len(it.Refs))
 	c.used += it.Size - oldSize
 
 	// Record the region and the structural knowledge exposed by real entries.
-	it.Region = it.Elems[0].MBR
-	for i := range it.Elems {
-		it.Region = it.Region.Union(it.Elems[i].MBR)
-		if child, ok := childKey(&it.Elems[i]); ok {
+	it.Region = it.Refs[0].MBR
+	for i := range it.Refs {
+		it.Region = it.Region.Union(it.Refs[i].MBR)
+		if child, ok := childKey(&it.Refs[i]); ok {
 			c.parentOf[child] = rep.ID
 		}
 	}
@@ -242,37 +250,51 @@ func (c *Cache) insertNodeRep(rep *wire.NodeRep) {
 
 // childKey returns the item a real entry references; super entries reference
 // none.
-func childKey(e *wire.CutElem) (ItemKey, bool) {
-	switch {
-	case e.Super:
-		return ItemKey{}, false
-	case e.Child != rtree.InvalidNode:
-		return NodeKey(e.Child), true
+func childKey(ref *query.Ref) (ItemKey, bool) {
+	switch ref.Kind {
+	case query.RefNode:
+		return NodeKey(ref.Node), true
+	case query.RefObject:
+		return ObjKey(ref.Obj), true
 	default:
-		return ObjKey(e.Obj), true
+		return ItemKey{}, false
 	}
 }
 
-// mergeCuts appends to dst the finest common refinement of two cuts of one
-// partition tree, both in code order, which is how servers ship them: the
-// deepest positions of the union survive, and the shipped element replaces a
-// cached one at the same position. In code order an element's descendants
-// follow it immediately, so each element is compared with the one before.
-func mergeCuts(dst, cached, shipped []wire.CutElem) []wire.CutElem {
-	for len(cached) > 0 || len(shipped) > 0 {
-		var e wire.CutElem
-		if len(shipped) == 0 || (len(cached) > 0 && cached[0].Code <= shipped[0].Code) {
-			e, cached = cached[0], cached[1:]
+// mergeCuts appends to refs and codes the finest common refinement of a
+// node's cached cut (cachedRefs, cachedCodes) and the cut shipped in rep,
+// both in code order, which is how servers ship them: the deepest positions
+// of the union survive, and the shipped element replaces a cached one at the
+// same position. Each shipped element becomes an engine ref here, once. In
+// code order an element's descendants follow it immediately, so each element
+// is compared with the one before.
+func mergeCuts(refs []query.Ref, codes []bpt.Code, cachedRefs []query.Ref, cachedCodes []bpt.Code, rep *wire.NodeRep) ([]query.Ref, []bpt.Code) {
+	shipped := rep.Elems
+	refs = slices.Grow(refs, len(cachedCodes)+len(shipped))
+	codes = slices.Grow(codes, len(cachedCodes)+len(shipped))
+	for i, j := 0, 0; i < len(cachedCodes) || j < len(shipped); {
+		fromCache := j == len(shipped) || (i < len(cachedCodes) && cachedCodes[i] <= shipped[j].Code)
+		var code bpt.Code
+		if fromCache {
+			code = cachedCodes[i]
 		} else {
-			e, shipped = shipped[0], shipped[1:]
+			code = shipped[j].Code
 		}
-		if n := len(dst); n > 0 && (dst[n-1].Code == e.Code || dst[n-1].Code.IsStrictAncestorOf(e.Code)) {
-			dst[n-1] = e
+		n := len(codes)
+		if n == 0 || (codes[n-1] != code && !codes[n-1].IsStrictAncestorOf(code)) {
+			refs, codes = refs[:n+1], codes[:n+1]
+			n++
+		}
+		codes[n-1] = code
+		if fromCache {
+			refs[n-1] = cachedRefs[i]
+			i++
 		} else {
-			dst = append(dst, e)
+			refs[n-1] = shipped[j].Ref(rep.ID)
+			j++
 		}
 	}
-	return dst
+	return refs, codes
 }
 
 // insertObject caches a result object's payload.
@@ -309,8 +331,8 @@ func (c *Cache) linkParent(it *Item) {
 
 // parentExposes reports whether parent's cut holds a real entry for key.
 func parentExposes(parent *Item, key ItemKey) bool {
-	for i := range parent.Elems {
-		if child, ok := childKey(&parent.Elems[i]); ok && child == key {
+	for i := range parent.Refs {
+		if child, ok := childKey(&parent.Refs[i]); ok && child == key {
 			return true
 		}
 	}
@@ -327,8 +349,8 @@ func (c *Cache) remove(key ItemKey) int {
 	removed := 0
 	// Remove descendants first.
 	if it.Key.IsNode() && it.CachedChildren > 0 {
-		for i := 0; i < len(it.Elems) && it.CachedChildren > 0; i++ {
-			if child, ok := childKey(&it.Elems[i]); ok {
+		for i := 0; i < len(it.Refs) && it.CachedChildren > 0; i++ {
+			if child, ok := childKey(&it.Refs[i]); ok {
 				removed += c.remove(child)
 			}
 		}
@@ -375,13 +397,8 @@ func (c *Cache) Validate() error {
 			return fmt.Errorf("core: item %v not at its list position", key)
 		}
 		if key.IsNode() {
-			if want := c.nodeItemSize(len(it.Elems)); it.Size != want {
-				return fmt.Errorf("core: node %v size %d, want %d", key, it.Size, want)
-			}
-			for i := 1; i < len(it.Elems); i++ {
-				if prev, code := it.Elems[i-1].Code, it.Elems[i].Code; prev >= code || prev.IsStrictAncestorOf(code) {
-					return fmt.Errorf("core: node %v cut is not a code-sorted antichain at %q, %q", key, prev, code)
-				}
+			if err := c.validateCut(it); err != nil {
+				return err
 			}
 		}
 	}
@@ -403,6 +420,36 @@ func (c *Cache) Validate() error {
 	}
 	if c.used > c.capacity {
 		return fmt.Errorf("core: used %d exceeds capacity %d", c.used, c.capacity)
+	}
+	return nil
+}
+
+// validateCut checks a node item's cut: one code per ref, in code order and
+// an antichain, every ref of a known kind, and every super ref naming the
+// item's own node at its code.
+func (c *Cache) validateCut(it *Item) error {
+	key := it.Key
+	if len(it.Refs) != len(it.Codes) {
+		return fmt.Errorf("core: node %v holds %d refs and %d codes", key, len(it.Refs), len(it.Codes))
+	}
+	if want := c.nodeItemSize(len(it.Refs)); it.Size != want {
+		return fmt.Errorf("core: node %v size %d, want %d", key, it.Size, want)
+	}
+	for i := range it.Refs {
+		switch ref := &it.Refs[i]; ref.Kind {
+		case query.RefNode, query.RefObject:
+		case query.RefSuper:
+			if ref.Node != key.Node || ref.Code != it.Codes[i] {
+				return fmt.Errorf("core: node %v holds %v at code %q", key, *ref, it.Codes[i])
+			}
+		default:
+			return fmt.Errorf("core: node %v holds a ref of kind %d at code %q", key, ref.Kind, it.Codes[i])
+		}
+		if i > 0 {
+			if prev, code := it.Codes[i-1], it.Codes[i]; prev >= code || prev.IsStrictAncestorOf(code) {
+				return fmt.Errorf("core: node %v cut is not a code-sorted antichain at %q, %q", key, prev, code)
+			}
+		}
 	}
 	return nil
 }

@@ -35,6 +35,7 @@ type ClientConfig struct {
 type Client struct {
 	cfg       ClientConfig
 	cache     *Cache
+	prov      query.Provider // the engine's view of cache
 	transport Transport
 
 	sinceReport     int
@@ -62,7 +63,7 @@ func NewClient(cfg ClientConfig, cache *Cache, transport Transport) *Client {
 	if cfg.Channel == (wire.Channel{}) {
 		cfg.Channel = wire.DefaultChannel()
 	}
-	return &Client{cfg: cfg, cache: cache, transport: transport, saved: make(map[rtree.ObjectID]int)}
+	return &Client{cfg: cfg, cache: cache, prov: cacheProvider{cache}, transport: transport, saved: make(map[rtree.ObjectID]int)}
 }
 
 // Cache exposes the client's cache.
@@ -165,7 +166,7 @@ func (c *Client) attempt(q query.Query) (Report, bool, error) {
 	var rep Report
 
 	var seed [1]query.QueuedElem
-	out := c.runner.Run(q, cacheProvider{c.cache}, query.AppendSeedRoot(seed[:0], q, c.cfg.Root))
+	out := c.runner.Run(q, c.prov, query.AppendSeedRoot(seed[:0], q, c.cfg.Root))
 	rep.EngineStats = out.Stats
 
 	// Locally confirmed result objects (Rs).
@@ -318,10 +319,10 @@ func (c *Client) objectSize(id rtree.ObjectID) int {
 }
 
 // cacheProvider adapts the proactive cache to the query engine: nodes expand
-// into their cached cut elements, super entries are opaque (missing), and
-// object availability is payload presence. Every successful access counts a
-// hit for replacement metadata. Every provider over one cache expands into
-// that cache's one scratch buffer (see Cache).
+// into their cached cut, super entries are opaque (missing), and object
+// availability is payload presence. Every successful access counts a hit for
+// replacement metadata. An expansion returns the cached item's own refs,
+// which the engine only reads (see Cache).
 type cacheProvider struct{ c *Cache }
 
 // Expand implements query.Provider.
@@ -334,12 +335,7 @@ func (p cacheProvider) Expand(ref query.Ref) ([]query.Ref, bool) {
 		return nil, false
 	}
 	p.c.touch(it)
-	out := p.c.expandBuf[:0]
-	for i := range it.Elems {
-		out = append(out, it.Elems[i].Ref(ref.Node))
-	}
-	p.c.expandBuf = out
-	return out, true
+	return it.Refs[:len(it.Refs):len(it.Refs)], true
 }
 
 // HaveObject implements query.Provider.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/bpt"
 	"repro/internal/geom"
 	"repro/internal/query"
 	"repro/internal/rtree"
@@ -442,7 +443,8 @@ func cloneForest(src *Cache, policy Policy) *Cache {
 	c.used = src.used
 	for _, it := range src.list {
 		cp := *it
-		cp.Elems = append([]wire.CutElem(nil), it.Elems...)
+		cp.Refs = append([]query.Ref(nil), it.Refs...)
+		cp.Codes = append([]bpt.Code(nil), it.Codes...)
 		c.list = append(c.list, &cp)
 		c.items[cp.Key] = &cp
 	}

@@ -49,8 +49,8 @@ func (c *Cache) subtreeUsedNow(it *Item) bool {
 	if !it.Key.IsNode() || it.CachedChildren == 0 {
 		return false
 	}
-	for i := range it.Elems {
-		key, real := childKey(&it.Elems[i])
+	for i := range it.Refs {
+		key, real := childKey(&it.Refs[i])
 		if child, ok := c.items[key]; real && ok && (child.LastUsed == c.querySeq || c.subtreeUsedNow(child)) {
 			return true
 		}

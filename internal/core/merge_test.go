@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bpt"
 	"repro/internal/geom"
+	"repro/internal/query"
 	"repro/internal/rtree"
 	"repro/internal/wire"
 )
@@ -49,6 +50,15 @@ func levelCut(pg *rtree.Page, d int) []wire.CutElem {
 	return elems
 }
 
+// cachedCut is a cut as a cache holds it for node 1: its refs and codes.
+func cachedCut(elems []wire.CutElem) ([]query.Ref, []bpt.Code) {
+	refs := make([]query.Ref, len(elems))
+	for i, e := range elems {
+		refs[i] = e.Ref(1)
+	}
+	return refs, cutCodes(elems)
+}
+
 func cutCodes(elems []wire.CutElem) []bpt.Code {
 	codes := make([]bpt.Code, len(elems))
 	for i, e := range elems {
@@ -87,14 +97,15 @@ func TestMergeCutsMatchesBPT(t *testing.T) {
 		}
 		shippedCut := cutCodes(shipped)
 		want := mergeReference(cutCodes(cached), shippedCut)
-		got := mergeCuts(nil, cached, shipped)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merged %d positions, want %d", trial, len(got), len(want))
+		cachedRefs, cachedCodes := cachedCut(cached)
+		refs, codes := mergeCuts(nil, nil, cachedRefs, cachedCodes, &wire.NodeRep{ID: 1, Elems: shipped})
+		if len(refs) != len(want) || len(codes) != len(want) {
+			t.Fatalf("trial %d: merged %d refs and %d codes, want %d positions", trial, len(refs), len(codes), len(want))
 		}
-		for i, e := range got {
-			fromShipped := slices.Contains(shippedCut, e.Code)
-			if e.Code != want[i] || (e.Obj == 2) != fromShipped {
-				t.Fatalf("trial %d: position %d is %q from side %d, want %q (shipped holds it: %v)", trial, i, e.Code, e.Obj, want[i], fromShipped)
+		for i, code := range codes {
+			fromShipped := slices.Contains(shippedCut, code)
+			if code != want[i] || (refs[i].Obj == 2) != fromShipped {
+				t.Fatalf("trial %d: position %d is %q from side %d, want %q (shipped holds it: %v)", trial, i, code, refs[i].Obj, want[i], fromShipped)
 			}
 		}
 	}
@@ -105,11 +116,13 @@ func TestMergeCutsMatchesBPT(t *testing.T) {
 // Cache.insertNodeRep runs it.
 func BenchmarkMergeCuts(b *testing.B) {
 	pg := mergePage(rand.New(rand.NewSource(5)), 128)
-	cached, shipped := levelCut(pg, 3), levelCut(pg, 5)
-	var dst []wire.CutElem
+	cachedRefs, cachedCodes := cachedCut(levelCut(pg, 3))
+	shipped := &wire.NodeRep{ID: 1, Elems: levelCut(pg, 5)}
+	var refs []query.Ref
+	var codes []bpt.Code
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = mergeCuts(dst[:0], cached, shipped)
+		refs, codes = mergeCuts(refs[:0], codes[:0], cachedRefs, cachedCodes, shipped)
 	}
 }

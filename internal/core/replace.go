@@ -66,11 +66,12 @@ func (c *Cache) evictToCapacity() {
 	}
 }
 
-// victim is a GRD3 eviction candidate: an item without cached children and
-// its access probability at the time of the eviction.
+// victim is a GRD3 eviction candidate: an item without cached children, its
+// access probability at the time of the eviction and its size.
 type victim struct {
 	prob     float64
 	promoted int // 0 for an item that was a leaf from the start, else the order of promotion
+	size     int
 	key      ItemKey
 }
 
@@ -86,22 +87,38 @@ func (v victim) before(w victim) bool {
 	return keyLess(v.key, w.key)
 }
 
-// siftDown restores the min-heap property of h below position i.
-func siftDown(h []victim, i int) {
+// siftDown restores the heap property of h below position i: h is a
+// min-heap in pop order, or with last a max-heap. before is a total order on
+// distinct victims, so "not before" is "after".
+func siftDown(h []victim, i int, last bool) {
 	for {
-		least := i
-		if l := 2*i + 1; l < len(h) && h[l].before(h[least]) {
-			least = l
+		top := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[top]) != last {
+			top = l
 		}
-		if r := 2*i + 2; r < len(h) && h[r].before(h[least]) {
-			least = r
+		if r := 2*i + 2; r < len(h) && h[r].before(h[top]) != last {
+			top = r
 		}
-		if least == i {
+		if top == i {
 			return
 		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		h[i], h[top] = h[top], h[i]
+		i = top
 	}
+}
+
+// pushLast adds v to the max-heap h.
+func pushLast(h []victim, v victim) []victim {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[up].before(h[i]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	return h
 }
 
 // evictGRD3 implements Definition 5.1. Leaf items (no cached children) sit
@@ -112,20 +129,35 @@ func (c *Cache) evictGRD3() {
 	now := c.querySeq
 
 	// Steps 1 and 2 in one pass over the items: discard those that can never
-	// fit, and queue the leaf items by prob, each computed once.
-	h := c.victims[:0]
+	// fit, and queue the leaf items the pops can reach, each prob computed
+	// once. Every pop frees its item's bytes, so the pops end before they
+	// run through the fewest lowest leaves, in pop order, whose sizes cover
+	// the overflow; and while one of those is queued it pops before every
+	// leaf ranked after them all. h holds exactly those leaves, as a
+	// max-heap while the pass runs: a leaf ranked after its top is skipped.
+	h, kept, over := c.victims[:0], 0, c.used-c.capacity
 	for i := 0; i < len(c.list); i++ {
 		switch it := c.list[i]; {
 		case it.Size > c.capacity:
 			// Rare. Removal reorders the list and bares new leaves: start over.
 			c.remove(it.Key)
-			h, i = h[:0], -1
+			h, kept, over, i = h[:0], 0, c.used-c.capacity, -1
 		case it.CachedChildren == 0:
-			h = append(h, victim{prob: it.Prob(now), key: it.Key})
+			v := victim{prob: it.Prob(now), size: it.Size, key: it.Key}
+			if kept >= over && len(h) > 0 && h[0].before(v) {
+				continue
+			}
+			h, kept = pushLast(h, v), kept+v.size
+			for len(h) > 0 && kept-h[0].size >= over {
+				kept -= h[0].size
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+				siftDown(h, 0, true)
+			}
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+		siftDown(h, i, false)
 	}
 
 	// Steps 3-5: pop, remove, promote parents.
@@ -138,12 +170,12 @@ func (c *Cache) evictGRD3() {
 		if last.Parent != (ItemKey{}) && parent != nil && parent.CachedChildren == 0 {
 			// The parent takes the root's place: a pop and a push in one sift.
 			promoted++
-			h[0] = victim{prob: parent.Prob(now), promoted: promoted, key: parent.Key}
+			h[0] = victim{prob: parent.Prob(now), promoted: promoted, size: parent.Size, key: parent.Key}
 		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
-		siftDown(h, 0)
+		siftDown(h, 0, false)
 	}
 	c.victims = h[:0]
 

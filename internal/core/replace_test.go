@@ -65,13 +65,12 @@ func (c *Cache) place(it *Item) {
 		return
 	}
 	parent := c.items[it.Parent]
-	elem := wire.CutElem{Code: bpt.Code(strings.Repeat("1", parent.CachedChildren) + "0")}
+	ref := query.ObjectRef(it.Key.Obj, geom.Rect{})
 	if it.Key.IsNode() {
-		elem.Child = it.Key.Node
-	} else {
-		elem.Obj = it.Key.Obj
+		ref = query.NodeRef(it.Key.Node, geom.Rect{})
 	}
-	parent.Elems = append(parent.Elems, elem)
+	parent.Refs = append(parent.Refs, ref)
+	parent.Codes = append(parent.Codes, bpt.Code(strings.Repeat("1", parent.CachedChildren)+"0"))
 	parent.CachedChildren++
 }
 
@@ -485,5 +484,111 @@ func TestGRD3MatchesReferenceOnClientRun(t *testing.T) {
 	}
 	if seen.tiedVictims == 0 || seen.promotions == 0 {
 		t.Fatalf("the run missed a case: %+v", seen)
+	}
+}
+
+// fuzzForest decodes a forest and an eviction capacity from data. The first
+// byte sets the overflow, from one byte (the head of the pop order alone) to
+// everything; each following group of three bytes places one item:
+//   - b0: no parent, the newest node (chains of promotions), or an earlier
+//     node, and whether the item is a node;
+//   - b1: its size, zero or oversized for some values;
+//   - b2: its hits (0..2) and age (1 or 2), so probabilities tie.
+//
+// An oversized item, larger than the capacity, may sit anywhere in the list.
+func fuzzForest(data []byte) (*Cache, int) {
+	if len(data) < 4 {
+		return nil, 0
+	}
+	overflow, data := data[0], data[1:]
+	type spec struct{ b0, b1, b2 byte }
+	specs := make([]spec, 0, len(data)/3)
+	fitting := 0
+	for ; len(data) >= 3 && len(specs) < 64; data = data[3:] {
+		s := spec{data[0], data[1], data[2]}
+		specs = append(specs, s)
+		if s.b1%8 > 1 {
+			fitting += int(s.b1)
+		}
+	}
+	capacity := max(fitting-1-fitting*int(overflow)/255, 0)
+
+	c := NewCache(0, GRD3, wire.DefaultSizeModel())
+	c.querySeq = 1000
+	var nodes []ItemKey
+	for i, s := range specs {
+		it := &Item{Hits: int(s.b2 % 3), InsertedAt: 998 + uint64(s.b2/3%2)}
+		switch s.b1 % 8 {
+		case 0:
+		case 1:
+			it.Size = capacity + 1 + int(s.b1)
+		default:
+			it.Size = int(s.b1)
+		}
+		if len(nodes) > 0 {
+			switch s.b0 % 3 {
+			case 1:
+				it.Parent = nodes[len(nodes)-1]
+			case 2:
+				it.Parent = nodes[int(s.b0/3)%len(nodes)]
+			}
+		}
+		if s.b0&0x80 != 0 {
+			it.Key = NodeKey(rtree.NodeID(i + 1))
+			nodes = append(nodes, it.Key)
+		} else {
+			it.Key = ObjKey(rtree.ObjectID(i + 1))
+		}
+		c.place(it)
+	}
+	c.capacity = c.used
+	return c, capacity
+}
+
+// FuzzGRD3MatchesReference holds the production eviction, which heaps only
+// the leaves its pops can reach, to the reference that queues every leaf:
+// the same survivors with the same metadata, the same bytes used and the
+// same operation count, on any forest and overflow.
+func FuzzGRD3MatchesReference(f *testing.F) {
+	r := rand.New(rand.NewSource(1801))
+	for i := 0; i < 64; i++ {
+		seed := make([]byte, 1+3*(1+r.Intn(40)))
+		r.Read(seed)
+		f.Add(seed)
+	}
+	f.Add([]byte{0, 0x80, 10, 0, 1, 20, 1, 1, 30, 2})       // one victim, a chain below one node
+	f.Add([]byte{255, 0x80, 0, 0, 0x81, 9, 0, 1, 1, 1})     // everything goes, zero-size leaves among them
+	f.Add([]byte{100, 0x80, 10, 0, 4, 9, 4, 1, 1, 4, 7, 0}) // an oversized leaf partway through
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base, capacity := fuzzForest(data)
+		if base == nil || capacity >= base.used {
+			return
+		}
+		got, want := cloneForest(base, GRD3), cloneForest(base, GRD3)
+		got.ShrinkTo(capacity)
+		want.capacity = capacity
+		want.evictGRD3Reference(&evictionCoverage{})
+		if err := sameCaches(got, want); err != nil {
+			t.Fatalf("capacity %d of %d: %v", capacity, base.used, err)
+		}
+	})
+}
+
+// TestGRD3HeapsOnlyReachableLeaves: an overflow that the lowest leaf covers
+// on its own queues a handful of candidates, not every leaf of the cache.
+func TestGRD3HeapsOnlyReachableLeaves(t *testing.T) {
+	specs := make([]itemSpec, 1000)
+	for i := range specs {
+		// Probability falls along the list: every leaf ranks before the ones
+		// already seen, the order that keeps the selection busiest.
+		specs[i] = itemSpec{key: ObjKey(rtree.ObjectID(i + 1)), size: 100, hits: 2000 - i, age: 1000}
+	}
+	c := buildCache(0, GRD3, 1000, specs)
+	c.ShrinkTo(c.used - 1)
+	if _, ok := c.items[ObjKey(1000)]; ok || c.Len() != 999 {
+		t.Fatalf("kept %d items, the lowest leaf among them %v; want the lowest leaf alone gone", c.Len(), ok)
+	}
+	if n := cap(c.victims); n > 4 {
+		t.Fatalf("the eviction of one leaf queued up to %d candidates of 1000 leaves", n)
 	}
 }

@@ -46,6 +46,22 @@ func TestClientLocalQueryAllocBudget(t *testing.T) {
 	}
 }
 
+// sharedScratch expands through inner into a buffer it shares with every
+// other sharedScratch over the same buf, the way the server's provider reuses
+// one scratch buffer: the second Expand overwrites the first's children.
+type sharedScratch struct {
+	inner query.Provider
+	buf   *[]query.Ref
+}
+
+func (s sharedScratch) Expand(ref query.Ref) ([]query.Ref, bool) {
+	refs, ok := s.inner.Expand(ref)
+	*s.buf = append((*s.buf)[:0], refs...)
+	return *s.buf, ok
+}
+
+func (s sharedScratch) HaveObject(id rtree.ObjectID) bool { return s.inner.HaveObject(id) }
+
 // alternating answers Expand from two providers in turn.
 type alternating struct {
 	provs [2]query.Provider
@@ -67,10 +83,11 @@ func (f freshSlices) Expand(ref query.Ref) ([]query.Ref, bool) {
 	return slices.Clone(refs), ok
 }
 
-// TestProviderScratchAliasing: every provider over one cache expands into
-// that cache's one buffer, so in a two-sided join expansion side b's children
-// overwrite side a's. The engine holds side a in its own scratch; the answer
-// through two aliasing providers is the answer fresh slices would give.
+// TestProviderScratchAliasing: a provider may expand into one scratch buffer
+// that it shares with other providers (the server's does), so in a two-sided
+// join expansion side b's children overwrite side a's. The engine holds side
+// a in its own scratch; the answer through two aliasing providers is the
+// answer fresh slices would give.
 func TestProviderScratchAliasing(t *testing.T) {
 	w := newWorld(t, 1702, 2000, server.FullForm)
 	cl := w.newClient(1<<24, GRD3)
@@ -92,7 +109,8 @@ func TestProviderScratchAliasing(t *testing.T) {
 			seed := []query.QueuedElem{{Key: q.PairKeyFor(a.MBR, b.MBR), Elem: query.PairOf(a, b)}}
 			// A fresh Runner each, so neither Outcome is overwritten by the other.
 			var gotRunner, wantRunner query.Runner
-			got := gotRunner.Run(q, &alternating{provs: [2]query.Provider{cacheProvider{cache}, cacheProvider{cache}}}, seed)
+			var buf []query.Ref
+			got := gotRunner.Run(q, &alternating{provs: [2]query.Provider{sharedScratch{cacheProvider{cache}, &buf}, sharedScratch{cacheProvider{cache}, &buf}}}, seed)
 			want := wantRunner.Run(q, freshSlices{cacheProvider{cache}}, seed)
 			if got.Stats != want.Stats || !slices.Equal(got.Pairs, want.Pairs) || !slices.Equal(got.Remainder, want.Remainder) {
 				t.Fatalf("pair <%v,%v>: through the shared scratch %+v, %d pairs, %d left; through fresh slices %+v, %d pairs, %d left",
